@@ -21,7 +21,8 @@ build:
 # The fork-determinism passes pin snapshot/restore round trips: warm-started
 # (checkpoint + copy-on-write fork) runs must match cold runs bit-for-bit on
 # every Fig 4.1 app across {seq,sharded} x {interp,compiled}, and the machine
-# pool and fork suite run once more under the race detector.
+# pool, the fork suite and machines sharing one memoized protocol program run
+# once more under the race detector.
 verify:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test ./... && $(GO) test -race ./internal/exp -run Parallel
 	FLASHSIM_PP_DISPATCH=interp $(GO) test -count=1 ./internal/exp -run TestGolden
@@ -37,7 +38,7 @@ verify:
 	FLASHSIM_PP_DISPATCH=compiled $(GO) test -count=1 ./internal/exp -run TestForkDeterminism
 	FLASHSIM_ENGINE=sharded FLASHSIM_PP_DISPATCH=interp $(GO) test -count=1 ./internal/exp -run TestForkDeterminism
 	FLASHSIM_ENGINE=sharded FLASHSIM_PP_DISPATCH=compiled $(GO) test -count=1 ./internal/exp -run TestForkDeterminism
-	$(GO) test -race -count=1 ./internal/exp -run 'Pool|Fork'
+	$(GO) test -race -count=1 ./internal/exp -run 'Pool|Fork|SharedProgram'
 
 test:
 	$(GO) test ./...

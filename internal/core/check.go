@@ -113,22 +113,19 @@ func (m *Machine) CheckCoherence() error {
 
 	// Pool accounting on FLASH machines running the dynamic pointer
 	// allocation protocol: free entries plus all recorded sharer entries
-	// must cover the pool exactly.
+	// must cover the pool exactly. Both counts skip protocol memory no
+	// handler ever wrote, so the audit costs what the run touched.
 	if m.Prog != nil && m.Prog.Layout.Proto == arch.ProtoDynPtr {
 		lay := m.Prog.Layout
+		nlines := uint64(m.Cfg.MemBytesPerNode / arch.LineSize)
 		for i, n := range m.Nodes {
 			free, err := lay.FreeCount(n.Magic.PP.Mem, n.Magic.PP.Reg(24))
 			if err != nil {
 				return fmt.Errorf("node %d: %w", i, err)
 			}
-			inUse := 0
-			nlines := uint64(m.Cfg.MemBytesPerNode / arch.LineSize)
-			for l := uint64(0); l < nlines; l++ {
-				d, err := lay.Decode(n.Magic.PP.Mem, l)
-				if err != nil {
-					return fmt.Errorf("node %d line %d: %w", i, l, err)
-				}
-				inUse += len(d.Sharers)
+			inUse, err := lay.SharerCount(n.Magic.PP.Mem, nlines)
+			if err != nil {
+				return fmt.Errorf("node %d %w", i, err)
 			}
 			if free+inUse != int(lay.PoolSize) {
 				return fmt.Errorf("node %d: pool leak: free %d + in-use %d != %d", i, free, inUse, lay.PoolSize)

@@ -72,6 +72,10 @@ type Machine struct {
 	// its own slot (disjoint across shards) and aggregated after Run.
 	finAt   []sim.Cycle
 	finDone []bool
+
+	// restoredAt is the donor's engine clock when this machine was last
+	// restored from a snapshot (0 otherwise); see QuiesceTime.
+	restoredAt sim.Cycle
 }
 
 // resolveEngine maps EngineAuto to the process default: the FLASHSIM_ENGINE

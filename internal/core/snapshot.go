@@ -14,12 +14,17 @@ import (
 
 // Snapshot is a deterministic machine checkpoint taken at a quiescent pause
 // point (every processor parked at a batch-refill boundary or finished, all
-// controller queues and network traffic drained). The store is captured
-// copy-on-write: Chunks aliases the donor's chunk table, frozen at capture
-// time, and both the donor and any machine restored from the snapshot clone
-// a chunk on its first subsequent write. Everything else — caches, MAGIC
-// state, memory controllers, port sequence counters — is deep-copied, so a
-// snapshot is immutable and may seed any number of forks.
+// controller queues and network traffic drained). Both memories are
+// captured copy-on-write: Chunks aliases the data store's chunk table and
+// each Magics[i].PP.Mem aliases that node's protocol-memory chunk table
+// (directory and pointer pool), frozen at capture time, and both the donor
+// and any machine restored from the snapshot clone a chunk on its first
+// subsequent write. Chunks no run ever wrote are not in the tables at all —
+// every machine with the snapshot's SimKey computes the same pristine value
+// for them. The small remainder — caches, MDC tags, PP registers, memory
+// controllers, port sequence counters — is deep-copied, so a snapshot is
+// immutable, costs O(state the donor touched), and may seed any number of
+// forks.
 //
 // A Snapshot deliberately does not capture workload coroutine state; the
 // workload package reconstructs its reference sources by replay (see
@@ -39,7 +44,8 @@ type Snapshot struct {
 	// Chunks is the frozen copy-on-write store image.
 	Chunks [][]uint64
 
-	// Per-node deep-copied component states, indexed by node.
+	// Per-node component states, indexed by node: deep copies, except the
+	// protocol-memory chunk table inside each MagicState.
 	CPUs   []cpu.CPUState
 	Magics []magic.MagicState
 	Mems   []memsys.MemoryState
@@ -119,7 +125,10 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 // and local event sequence numbers renumber from scratch; this is
 // invisible to simulated behavior because the queues are empty at capture,
 // renumbering preserves the relative order of same-cycle local events, and
-// dispatch order depends only on (cycle, key) ordering. After Restore the
+// dispatch order depends only on (cycle, key) ordering. The donor's clock
+// survives as the machine's quiesce floor (QuiesceTime), so a fork whose
+// processors all finished inside the prefix — and therefore never advances
+// its own clock — still reports the donor's drain time. After Restore the
 // caller reattaches replayed reference sources (AttachSources) and resumes
 // with ResumeRun at or after snapshot.Now.
 func (m *Machine) Restore(s *Snapshot) error {
@@ -144,14 +153,16 @@ func (m *Machine) Restore(s *Snapshot) error {
 	m.finAt = append([]sim.Cycle(nil), s.FinAt...)
 	m.finDone = append([]bool(nil), s.FinDone...)
 	m.Elapsed = 0
+	m.restoredAt = s.Now
 	return nil
 }
 
 // Reset returns the machine to its freshly constructed state — engine
-// clock at zero, store all-zero, caches cold, controllers idle, statistics
-// cleared — so experiment drivers can recycle a machine across runs
-// instead of paying core.New (protocol build, store and component
-// allocation) per run. Host-side attachments survive where they are
+// clock at zero, data store and protocol memories pristine, caches cold,
+// controllers idle, statistics cleared — so experiment drivers can recycle
+// a machine across runs instead of paying core.New (component allocation)
+// per run. Like New, it costs O(state the previous run touched), not
+// O(configured memory). Host-side attachments survive where they are
 // construction choices (engine kind, sync scheme, PP dispatch backend);
 // tracers and metrics registries attached by the previous user stay
 // attached and should be re-set by the next user if unwanted.
@@ -176,8 +187,18 @@ func (m *Machine) Reset() {
 		}
 	}
 	m.Elapsed = 0
+	m.restoredAt = 0
 	m.finAt = nil
 	m.finDone = nil
+}
+
+// QuiesceTime returns the cycle at which the machine's last event ran: the
+// engine clock, or the donor's clock at capture when the machine was
+// restored from a snapshot and has executed nothing later. It is the
+// denominator of whole-run occupancies (controllers keep draining
+// writebacks briefly after the last processor retires).
+func (m *Machine) QuiesceTime() sim.Cycle {
+	return max(m.Eng.Now(), m.restoredAt)
 }
 
 // PauseAfterRefs arms every processor to pause at the first batch-refill

@@ -15,12 +15,20 @@ package exp
 //
 //   - cold: every point builds a fresh machine, simulates prefix + resume
 //     in place, and discards the machine. The naive sweep.
-//   - warm: machines come from a MachinePool; each simulated point runs
-//     its prefix on a pooled donor, checkpoints, snapshot-forks into a
-//     second pooled machine (copy-on-write store), and resumes there; the
-//     Report lands in a content-addressed ResultCache keyed by the
-//     normalized simulated-behavior digest. Points that differ only in
-//     host-side axes are cache hits and never simulate.
+//   - warm: each simulated point runs its prefix on a donor machine,
+//     checkpoints, snapshot-forks into a second machine (copy-on-write
+//     data store and protocol memory), and resumes there; the Report lands
+//     in a content-addressed ResultCache keyed by the normalized
+//     simulated-behavior digest — in memory for the call, or on disk under
+//     CacheDir. Points that differ only in host-side axes are cache hits
+//     and never simulate.
+//
+// The sweep holds no machine pool: no two simulated points share a pool
+// key, and a point's donor and fork are live together, so a pool could
+// never hit inside one sweep and would only keep every machine reachable
+// until the end. Machines are garbage once their point's report is
+// collected; construction is cheap because protocol programs are built once
+// per process (protocol.Build) and memories are sparse.
 //
 // Fork continuations are bit-identical to cold continuations
 // (TestForkDeterminism), so cold and warm sweeps emit byte-identical
@@ -55,11 +63,11 @@ type ExploreOptions struct {
 	// PrefixRefs is the per-processor reference count of the common prefix
 	// (default 20000, the fork-golden pause point).
 	PrefixRefs uint64
-	// Warm selects the pooled, snapshot-forked, cached path; false runs
-	// the naive cold sweep.
+	// Warm selects the snapshot-forked, cached path; false runs the naive
+	// cold sweep.
 	Warm bool
 	// CacheDir is the content-addressed result cache directory (warm mode
-	// only; empty disables caching).
+	// only; empty keeps the cache in memory for this call).
 	CacheDir string
 	// Verify re-checks application results on every simulated point.
 	Verify bool
@@ -108,6 +116,9 @@ type ExploreResult struct {
 	Points     []ExplorePoint `json:"points"`
 
 	// Summary counters, not part of the deterministic result payload.
+	// PoolBuilds counts the machines the sweep constructed; PoolHits is
+	// always zero (the sweep recycles no machines) and remains for the
+	// repo benchmark, which reads both.
 	CacheHits   int `json:"-"`
 	CacheMisses int `json:"-"`
 	PoolHits    int `json:"-"`
@@ -148,18 +159,22 @@ func exploreCost(p ExplorePoint) float64 {
 		22.0/float64(p.NetTransit)
 }
 
-// ResultCache is a content-addressed store of simulation reports: one JSON
-// file per entry under dir, named by the SHA-256 of the normalized
-// simulated-behavior key. Entries are reports with host-cost accounting
-// stripped, so a hit is byte-identical to the report a fresh simulation of
-// the same key produces.
-type ResultCache struct{ dir string }
+// ResultCache is a content-addressed store of simulation reports, keyed
+// by the normalized simulated-behavior key: one JSON file per entry under
+// dir, named by the key's SHA-256, or an in-memory map when dir is empty.
+// Entries are reports with host-cost accounting stripped, so a hit is
+// byte-identical to the report a fresh simulation of the same key produces.
+// A nil *ResultCache never hits and drops every Put (the cold sweep).
+type ResultCache struct {
+	dir string
+	mem map[string]stats.Report // the store when dir is empty
+}
 
-// NewResultCache opens (creating if needed) a cache rooted at dir; empty
-// dir disables caching (every Get misses, every Put is dropped).
+// NewResultCache opens (creating if needed) a cache rooted at dir; an
+// empty dir makes a cache that lives in memory and dies with the value.
 func NewResultCache(dir string) (*ResultCache, error) {
 	if dir == "" {
-		return &ResultCache{}, nil
+		return &ResultCache{mem: map[string]stats.Report{}}, nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -179,8 +194,12 @@ func (c *ResultCache) path(key string) string {
 
 // Get returns the cached report for key, if present.
 func (c *ResultCache) Get(key string) (stats.Report, bool) {
-	if c == nil || c.dir == "" {
+	if c == nil {
 		return stats.Report{}, false
+	}
+	if c.dir == "" {
+		rep, ok := c.mem[key]
+		return rep, ok
 	}
 	buf, err := os.ReadFile(c.path(key))
 	if err != nil {
@@ -197,10 +216,14 @@ func (c *ResultCache) Get(key string) (stats.Report, bool) {
 // cache holds simulated results only, which are machine- and
 // run-independent.
 func (c *ResultCache) Put(key string, rep stats.Report) error {
-	if c == nil || c.dir == "" {
+	if c == nil {
 		return nil
 	}
 	rep.Host = nil
+	if c.dir == "" {
+		c.mem[key] = rep
+		return nil
+	}
 	buf, err := json.MarshalIndent(cacheEntry{Key: key, Report: rep}, "", " ")
 	if err != nil {
 		return err
@@ -269,11 +292,11 @@ func explorePointCold(cfg arch.Config, o ExploreOptions, p apps.Params) (stats.R
 	return rep, nil
 }
 
-// explorePointWarm simulates one point the warm way: prefix on a pooled
-// donor, checkpoint, snapshot-fork into a second pooled machine, resume
-// there, return both machines to the pool.
-func explorePointWarm(cfg arch.Config, o ExploreOptions, p apps.Params, pool *MachinePool) (stats.Report, error) {
-	donor, err := pool.Get(cfg)
+// explorePointWarm simulates one point the warm way: prefix on a donor,
+// checkpoint, snapshot-fork into a second machine, resume there. Both
+// machines are garbage when it returns.
+func explorePointWarm(cfg arch.Config, o ExploreOptions, p apps.Params) (stats.Report, error) {
+	donor, err := core.New(cfg)
 	if err != nil {
 		return stats.Report{}, err
 	}
@@ -290,7 +313,7 @@ func explorePointWarm(cfg arch.Config, o ExploreOptions, p apps.Params, pool *Ma
 	if err != nil {
 		return stats.Report{}, err
 	}
-	fork, err := pool.Get(cfg)
+	fork, err := core.New(cfg)
 	if err != nil {
 		return stats.Report{}, err
 	}
@@ -310,8 +333,6 @@ func explorePointWarm(cfg arch.Config, o ExploreOptions, p apps.Params, pool *Ma
 	}
 	rep := stats.Collect(w2.M)
 	rep.Host = nil
-	pool.Put(donor)
-	pool.Put(fork)
 	return rep, nil
 }
 
@@ -335,11 +356,9 @@ func Explore(o ExploreOptions) (*ExploreResult, error) {
 	}
 	p := apps.Params{Procs: o.Procs, Scale: o.Scale}
 
-	var pool *MachinePool
-	var cache *ResultCache
+	var cache *ResultCache // nil on the cold sweep: every point simulates
 	var err error
 	if o.Warm {
-		pool = NewMachinePool()
 		cache, err = NewResultCache(o.CacheDir)
 		if err != nil {
 			return nil, err
@@ -360,15 +379,11 @@ func Explore(o ExploreOptions) (*ExploreResult, error) {
 		idealRep = rep
 		res.CacheHits++
 	} else {
-		var im *core.Machine
-		if pool != nil {
-			im, err = pool.Get(idealCfg)
-		} else {
-			im, err = core.New(idealCfg)
-		}
+		im, err := core.New(idealCfg)
 		if err != nil {
 			return nil, err
 		}
+		res.PoolBuilds++
 		iw := workload.NewWorld(im)
 		ia, err := apps.Build(o.App, iw, p)
 		if err != nil {
@@ -384,9 +399,6 @@ func Explore(o ExploreOptions) (*ExploreResult, error) {
 		}
 		idealRep = stats.Collect(im)
 		idealRep.Host = nil
-		if pool != nil {
-			pool.Put(im)
-		}
 		if cache != nil {
 			res.CacheMisses++
 			if err := cache.Put(idealKey, idealRep); err != nil {
@@ -430,9 +442,11 @@ func Explore(o ExploreOptions) (*ExploreResult, error) {
 								res.CacheHits++
 							} else {
 								if o.Warm {
-									rep, err = explorePointWarm(cfg, o, p, pool)
+									rep, err = explorePointWarm(cfg, o, p)
+									res.PoolBuilds += 2 // donor + fork
 								} else {
 									rep, err = explorePointCold(cfg, o, p)
+									res.PoolBuilds++
 								}
 								if err != nil {
 									return nil, fmt.Errorf("point %s/%s proto=%s mdc=%d div=%d qcap=%d net=%d: %w",
@@ -458,9 +472,6 @@ func Explore(o ExploreOptions) (*ExploreResult, error) {
 		}
 	}
 	markPareto(res.Points)
-	if pool != nil {
-		res.PoolHits, res.PoolBuilds = pool.Hits, pool.Misses
-	}
 	return res, nil
 }
 

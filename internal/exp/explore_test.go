@@ -2,6 +2,7 @@ package exp
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -26,31 +27,18 @@ func trimmedGrid(t *testing.T) {
 	})
 }
 
-// TestExploreWarmMatchesCold requires the warm (pooled + snapshot-forked +
-// cached) sweep to emit byte-identical results to the naive cold sweep,
-// and a second warm sweep (all cache hits) to reproduce them again.
+// TestExploreWarmMatchesCold requires the warm (snapshot-forked + cached)
+// sweep to emit byte-identical results to the naive cold sweep — with the
+// in-memory cache and with a cache directory — and a second warm sweep
+// over the directory (all cache hits) to reproduce them again. Procs 2 is
+// the regression case for forks whose processors all finished inside the
+// prefix: their occupancy denominators must be the donor's drain time, not
+// the restored machine's rewound clock.
 func TestExploreWarmMatchesCold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	trimmedGrid(t)
-	o := ExploreOptions{App: "fft", Verify: true}
-
-	cold, err := Explore(o)
-	if err != nil {
-		t.Fatalf("cold: %v", err)
-	}
-	o.Warm = true
-	o.CacheDir = t.TempDir()
-	warm1, err := Explore(o)
-	if err != nil {
-		t.Fatalf("warm: %v", err)
-	}
-	warm2, err := Explore(o)
-	if err != nil {
-		t.Fatalf("warm rerun: %v", err)
-	}
-
 	enc := func(r *ExploreResult) string {
 		buf, err := json.Marshal(r)
 		if err != nil {
@@ -58,29 +46,63 @@ func TestExploreWarmMatchesCold(t *testing.T) {
 		}
 		return string(buf)
 	}
-	if enc(cold) != enc(warm1) {
-		t.Errorf("warm sweep differs from cold sweep:\ncold: %s\nwarm: %s", enc(cold), enc(warm1))
-	}
-	if enc(warm1) != enc(warm2) {
-		t.Errorf("cached sweep differs from populating sweep:\nfirst: %s\nsecond: %s", enc(warm1), enc(warm2))
-	}
+	for _, procs := range []int{2, 4} {
+		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
+			o := ExploreOptions{App: "fft", Procs: procs, Verify: true}
+			cold, err := Explore(o)
+			if err != nil {
+				t.Fatalf("cold: %v", err)
+			}
+			o.Warm = true
+			mem, err := Explore(o)
+			if err != nil {
+				t.Fatalf("warm, in-memory cache: %v", err)
+			}
+			o.CacheDir = t.TempDir()
+			warm1, err := Explore(o)
+			if err != nil {
+				t.Fatalf("warm: %v", err)
+			}
+			warm2, err := Explore(o)
+			if err != nil {
+				t.Fatalf("warm rerun: %v", err)
+			}
+			if enc(cold) != enc(mem) {
+				t.Errorf("warm sweep (in-memory cache) differs from cold sweep:\ncold: %s\nwarm: %s", enc(cold), enc(mem))
+			}
+			if enc(cold) != enc(warm1) {
+				t.Errorf("warm sweep differs from cold sweep:\ncold: %s\nwarm: %s", enc(cold), enc(warm1))
+			}
+			if enc(warm1) != enc(warm2) {
+				t.Errorf("cached sweep differs from populating sweep:\nfirst: %s\nsecond: %s", enc(warm1), enc(warm2))
+			}
 
-	// Host-axis duplicates must be cache hits: with 2 points per host
-	// variant (3 variants), the populating sweep simulates 2 points and
-	// the rerun simulates none.
-	if warm1.CacheMisses != 3 { // 2 FLASH points + 1 ideal baseline
-		t.Errorf("populating sweep missed %d times, want 3", warm1.CacheMisses)
-	}
-	if warm2.CacheMisses != 0 {
-		t.Errorf("cached rerun missed %d times, want 0", warm2.CacheMisses)
-	}
-	if len(warm1.Points) != 6 {
-		t.Errorf("trimmed grid produced %d points, want 6", len(warm1.Points))
-	}
-	for _, p := range warm1.Points {
-		if p.IdealElapsed == 0 || p.Elapsed == 0 {
-			t.Errorf("point %+v has zero cycles", p)
-		}
+			// Host-axis duplicates must be cache hits, with or without a
+			// cache directory: with 2 points per host variant (3 variants),
+			// a populating sweep simulates 2 FLASH points + 1 ideal baseline
+			// and builds a donor and a fork per FLASH point; the rerun
+			// simulates and builds nothing; the cold sweep simulates all 6.
+			for name, r := range map[string]*ExploreResult{"in-memory": mem, "populating": warm1} {
+				if r.CacheMisses != 3 || r.CacheHits != 4 || r.PoolBuilds != 5 {
+					t.Errorf("%s sweep: %d misses / %d hits / %d machines, want 3 / 4 / 5",
+						name, r.CacheMisses, r.CacheHits, r.PoolBuilds)
+				}
+			}
+			if warm2.CacheMisses != 0 || warm2.PoolBuilds != 0 {
+				t.Errorf("cached rerun missed %d times and built %d machines, want 0 and 0", warm2.CacheMisses, warm2.PoolBuilds)
+			}
+			if cold.CacheHits != 0 || cold.PoolBuilds != 7 {
+				t.Errorf("cold sweep: %d hits / %d machines, want 0 / 7", cold.CacheHits, cold.PoolBuilds)
+			}
+			if len(warm1.Points) != 6 {
+				t.Errorf("trimmed grid produced %d points, want 6", len(warm1.Points))
+			}
+			for _, p := range warm1.Points {
+				if p.IdealElapsed == 0 || p.Elapsed == 0 {
+					t.Errorf("point %+v has zero cycles", p)
+				}
+			}
+		})
 	}
 }
 

@@ -7,14 +7,18 @@ import (
 	"flashsim/internal/core"
 )
 
-// MachinePool recycles machines across runs of a sweep. Machine
-// construction pays for protocol assembly, store and component allocation,
-// and engine setup on every core.New; a sweep that runs hundreds of
-// simulations over a handful of distinct configurations gets the same
+// MachinePool recycles machines across runs that repeat a configuration.
+// Machine construction pays for component allocation (caches, MDCs,
+// controllers, chunk tables) and engine setup on every core.New — protocol
+// assembly is memoized process-wide and memories are sparse, so that is
+// all it pays for; an experiment driver that runs the same handful of
+// configurations over and over (RunApp's legs and repeats) gets the same
 // machines back from the pool, wiped by core.Machine.Reset (a property
 // TestMachineResetDeterminism pins: a recycled machine is bit-identical to
 // a fresh one). Machines are pooled under core.PoolKeyFor, so host-side
-// execution choices (engine, sync scheme, PP dispatch) never mix.
+// execution choices (engine, sync scheme, PP dispatch) never mix. A sweep
+// whose points all differ (Explore) has nothing to recycle and does not
+// use one.
 type MachinePool struct {
 	mu   sync.Mutex
 	idle map[string][]*core.Machine

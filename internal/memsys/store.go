@@ -1,18 +1,30 @@
 package memsys
 
-// Store is the machine-wide data backing store: 8-byte words indexed by
-// physical address / 8, materialized in 64 KiB chunks on first write.
+// Store is a sparse, copy-on-write array of 8-byte words, materialized in
+// 64 KiB chunks on first write. It backs both the machine-wide data store
+// (indexed by physical address / 8) and each node's protocol memory (the
+// PP's directory and pointer pool, indexed by protocol-memory address / 8).
 // Machines are configured with the paper's memory sizes (megabytes per
 // node) but scaled-down workloads touch a small fraction of that, so a
-// dense []uint64 spends more host time zeroing memory at construction than
-// the simulation spends running. Untouched chunks read as zero, matching
-// the dense semantics exactly.
+// dense []uint64 spends more host time zeroing, initializing and copying
+// memory at construction, reset and snapshot than the simulation spends
+// running. A never-written chunk reads its pristine value — zero, or a pure
+// function of the word index installed with SetPristine — matching the
+// dense semantics exactly.
 type Store struct {
 	chunks [][]uint64
-	// shared[i] marks chunk i as referenced by a snapshot (or restored from
-	// one): it must be cloned before the next write through Word. Reads go
-	// through shared chunks directly.
-	shared []bool
+	// owned[i] marks chunk i as materialized and private to this store, so
+	// Word may hand out pointers into it. A chunk that is not owned is
+	// either never written (nil) or referenced by a snapshot (frozen by
+	// SnapshotChunks or installed by RestoreShared) and is replaced by a
+	// private copy before the next write. Reads go through frozen chunks
+	// directly.
+	owned []bool
+	// pristine gives the value of word i in a never-written chunk (nil =
+	// zero). It must be a pure function of i: a chunk table frozen by
+	// SnapshotChunks omits never-written chunks, so every store the table
+	// is restored into must compute the same value for them.
+	pristine func(i uint64) uint64
 }
 
 const (
@@ -24,17 +36,52 @@ const (
 // memory is allocated until it is written.
 func NewStore(words int) *Store {
 	n := (words + storeChunkWords - 1) >> storeChunkShift
-	return &Store{chunks: make([][]uint64, n), shared: make([]bool, n)}
+	return &Store{chunks: make([][]uint64, n), owned: make([]bool, n)}
 }
 
-// Load returns word i. Reads of never-written chunks return zero without
-// materializing them.
+// SetPristine drops every materialized chunk and installs f as the value
+// of never-written words (nil = zero).
+func (s *Store) SetPristine(f func(i uint64) uint64) {
+	s.Reset()
+	s.pristine = f
+}
+
+// Load returns word i. Reads of never-written chunks return the pristine
+// value without materializing them. Like Word, it keeps to the inliner's
+// budget by handling only chunks this store owns itself.
 func (s *Store) Load(i uint64) uint64 {
-	c := s.chunks[i>>storeChunkShift]
-	if c == nil {
-		return 0
+	if s.owned[i>>storeChunkShift] {
+		return s.chunks[i>>storeChunkShift][i&(storeChunkWords-1)]
 	}
-	return c[i&(storeChunkWords-1)]
+	return s.loadUnowned(i)
+}
+
+// loadUnowned reads word i from a chunk frozen by a snapshot, or computes
+// its pristine value.
+func (s *Store) loadUnowned(i uint64) uint64 {
+	if c := s.chunks[i>>storeChunkShift]; c != nil {
+		return c[i&(storeChunkWords-1)]
+	}
+	if s.pristine != nil {
+		return s.pristine(i)
+	}
+	return 0
+}
+
+// NextMaterialized returns the smallest word index >= i that lies in a
+// materialized chunk, and false if there is none. Words it skips hold
+// their pristine values, which lets audits of a mostly untouched image
+// cost O(chunks written) instead of O(words configured).
+func (s *Store) NextMaterialized(i uint64) (uint64, bool) {
+	for ci := i >> storeChunkShift; ci < uint64(len(s.chunks)); ci++ {
+		if s.chunks[ci] != nil {
+			if first := ci << storeChunkShift; first > i {
+				return first, true
+			}
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // Word returns a writable pointer to word i, materializing its chunk if
@@ -45,57 +92,60 @@ func (s *Store) Load(i uint64) uint64 {
 // RestoreShared, previously taken pointers may refer to a frozen copy and
 // must be re-fetched.
 func (s *Store) Word(i uint64) *uint64 {
-	ci := i >> storeChunkShift
-	c := s.chunks[ci]
-	if c == nil {
-		c = make([]uint64, storeChunkWords)
-		s.chunks[ci] = c
-	} else if s.shared[ci] {
-		clone := make([]uint64, storeChunkWords)
-		copy(clone, c)
-		s.chunks[ci] = clone
-		s.shared[ci] = false
-		c = clone
+	if s.owned[i>>storeChunkShift] {
+		return &s.chunks[i>>storeChunkShift][i&(storeChunkWords-1)]
 	}
+	return s.own(i)
+}
+
+// own gives the store a private, writable chunk for word i — filled with
+// pristine values if it was never written, cloned if it is shared with a
+// snapshot — and returns the word's address in it.
+func (s *Store) own(i uint64) *uint64 {
+	ci := i >> storeChunkShift
+	c := make([]uint64, storeChunkWords)
+	if old := s.chunks[ci]; old != nil {
+		copy(c, old)
+	} else if s.pristine != nil {
+		base := ci << storeChunkShift
+		for j := range c {
+			c[j] = s.pristine(base + uint64(j))
+		}
+	}
+	s.chunks[ci] = c
+	s.owned[ci] = true
 	return &c[i&(storeChunkWords-1)]
 }
 
 // SnapshotChunks freezes the store's current contents and returns the
-// chunk-pointer table. Every materialized chunk is marked shared, so the
-// donor (and any store restored from the returned table) clones a chunk
-// before its first subsequent write — the returned table's data is
-// immutable from this point on and may back any number of forks.
+// chunk-pointer table. The donor gives up ownership of every chunk, so it
+// (and any store restored from the returned table) clones a chunk before
+// its first subsequent write — the returned table's data is immutable from
+// this point on and may back any number of forks.
 func (s *Store) SnapshotChunks() [][]uint64 {
 	snap := make([][]uint64, len(s.chunks))
 	copy(snap, s.chunks)
-	for i, c := range s.chunks {
-		if c != nil {
-			s.shared[i] = true
-		}
-	}
+	clear(s.owned)
 	return snap
 }
 
 // RestoreShared replaces the store's contents with a chunk table produced
-// by SnapshotChunks on a same-sized store. All installed chunks are marked
-// shared: the first write to each clones it, leaving the snapshot intact.
+// by SnapshotChunks on a same-sized store with the same pristine function.
+// No installed chunk is owned: the first write to each clones it, leaving
+// the snapshot intact.
 func (s *Store) RestoreShared(chunks [][]uint64) {
 	if len(chunks) != len(s.chunks) {
 		panic("memsys: RestoreShared chunk count mismatch")
 	}
 	copy(s.chunks, chunks)
-	for i, c := range s.chunks {
-		s.shared[i] = c != nil
-	}
+	clear(s.owned)
 }
 
-// Reset drops all materialized chunks, returning the store to its
-// freshly constructed all-zero state.
+// Reset drops all materialized chunks, returning every word to its
+// pristine value.
 func (s *Store) Reset() {
-	for i := range s.chunks {
-		s.chunks[i] = nil
-		s.shared[i] = false
-	}
+	clear(s.chunks)
+	clear(s.owned)
 }
 
 // View is one node's window-quantized view of the backing store: writes

@@ -88,10 +88,58 @@ func TestStoreReset(t *testing.T) {
 	if got := s.Load(3); got != 0 {
 		t.Fatalf("after Reset word3=%d, want 0", got)
 	}
-	// Post-reset writes must not require a clone (shared flags cleared).
+	// Post-reset writes land in a fresh chunk, not the frozen one.
 	*s.Word(3) = 7
 	if got := s.Load(3); got != 7 {
 		t.Fatalf("post-reset write lost: word3=%d", got)
+	}
+}
+
+// A store with a pristine function reads never-written words from it
+// without materializing anything, fills a chunk from it on first write, and
+// agrees with a fork restored from a table that omits the untouched chunks.
+func TestStorePristine(t *testing.T) {
+	words := 2*storeChunkWords + 100 // partial last chunk
+	pristine := func(i uint64) uint64 { return i*3 + 1 }
+	s := NewStore(words)
+	s.SetPristine(pristine)
+	last := uint64(words - 1)
+	for _, i := range []uint64{0, storeChunkWords - 1, storeChunkWords, last} {
+		if got := s.Load(i); got != pristine(i) {
+			t.Fatalf("pristine word %d = %d, want %d", i, got, pristine(i))
+		}
+	}
+	if _, ok := s.NextMaterialized(0); ok {
+		t.Fatal("Load materialized a chunk")
+	}
+
+	*s.Word(storeChunkWords + 7) = 99
+	if got := s.Load(storeChunkWords + 8); got != pristine(storeChunkWords+8) {
+		t.Fatalf("neighbor of first write = %d, want its pristine value", got)
+	}
+	if w, ok := s.NextMaterialized(3); !ok || w != storeChunkWords {
+		t.Fatalf("NextMaterialized(3) = %d,%v, want first word of chunk 1", w, ok)
+	}
+	if w, ok := s.NextMaterialized(storeChunkWords + 5); !ok || w != storeChunkWords+5 {
+		t.Fatalf("NextMaterialized inside a written chunk = %d,%v, want its argument", w, ok)
+	}
+	if _, ok := s.NextMaterialized(2 * storeChunkWords); ok {
+		t.Fatal("NextMaterialized found a chunk past the last written one")
+	}
+
+	f := NewStore(words)
+	f.SetPristine(pristine)
+	f.RestoreShared(s.SnapshotChunks())
+	for _, i := range []uint64{0, storeChunkWords + 7, storeChunkWords + 8, last} {
+		if f.Load(i) != s.Load(i) {
+			t.Fatalf("fork word %d = %d, donor %d", i, f.Load(i), s.Load(i))
+		}
+	}
+
+	*s.Word(0) = 5
+	s.SetPristine(nil)
+	if got := s.Load(0); got != 0 {
+		t.Fatalf("SetPristine kept a written chunk: word0=%d", got)
 	}
 }
 

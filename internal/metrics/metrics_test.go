@@ -206,9 +206,11 @@ func TestHandlerContentNegotiation(t *testing.T) {
 
 func TestReadHostDelta(t *testing.T) {
 	before := ReadHost()
-	// Allocate visibly so the delta has something to show.
-	sink := make([][]byte, 0, 1024)
-	for i := 0; i < 1024; i++ {
+	// Allocate visibly so the delta has something to show: twice the
+	// asserted floor, because the runtime's allocation counters lag by
+	// what each P still holds in its cache.
+	sink := make([][]byte, 0, 2048)
+	for i := 0; i < 2048; i++ {
 		sink = append(sink, make([]byte, 1024))
 	}
 	_ = sink

@@ -105,11 +105,12 @@ type cpair struct {
 }
 
 // compileCache shares closure images between PPs built from the same
-// Program: a machine compiles the protocol once, not once per node. Keyed
-// by Program identity — the map entry keeps its key alive, so a cached
-// image can never alias a recycled pointer. Bounded: experiment sweeps
-// build hundreds of configs, each with its own Program, and the images must
-// not accumulate.
+// Program: protocol.Build hands every machine with the same protocol,
+// PP mode and memory layout one shared Program, so a whole sweep compiles
+// each protocol once. Keyed by Program identity — the map entry keeps its
+// key alive, so a cached image can never alias a recycled pointer. Bounded
+// for callers that assemble programs of their own (tests, ppasm), whose
+// images must not accumulate.
 var compileCache = struct {
 	sync.Mutex
 	m map[*ppisa.Program][]cpair

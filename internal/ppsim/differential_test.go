@@ -161,6 +161,30 @@ func (n *tortNode) deliver(m arch.Msg, viaNet bool, pcKind uint64) []envSend {
 	return n.envs[0].sends[mark:]
 }
 
+// memDiff returns the first protocol-memory word on which two PPs sharing
+// a layout differ. Words in chunks neither PP ever wrote are pristine on
+// both sides and skipped.
+func memDiff(a, b *PP) (uint64, bool) {
+	for w := uint64(0); w < a.memWords; w++ {
+		wa, oka := a.Mem.NextMaterialized(w)
+		wb, okb := b.Mem.NextMaterialized(w)
+		switch {
+		case !oka && !okb:
+			return 0, false
+		case !oka:
+			w = wb
+		case !okb:
+			w = wa
+		default:
+			w = min(wa, wb)
+		}
+		if w < a.memWords && a.Mem.Load(w) != b.Mem.Load(w) {
+			return w, true
+		}
+	}
+	return 0, false
+}
+
 // verify asserts bit-identical architectural and environment state between
 // the two backends.
 func (n *tortNode) verify(when string) {
@@ -174,8 +198,9 @@ func (n *tortNode) verify(when string) {
 	if a.Stats != b.Stats {
 		n.t.Fatalf("node %d %s: stats\ninterp:   %+v\ncompiled: %+v", n.self, when, a.Stats, b.Stats)
 	}
-	if !reflect.DeepEqual(a.Mem, b.Mem) {
-		n.t.Fatalf("node %d %s: protocol memory diverged", n.self, when)
+	if w, ok := memDiff(a, b); ok {
+		n.t.Fatalf("node %d %s: protocol memory diverged at word %d: interp=%#x compiled=%#x",
+			n.self, when, w, a.Mem.Load(w), b.Mem.Load(w))
 	}
 	if !reflect.DeepEqual(a.MDC, b.MDC) {
 		n.t.Fatalf("node %d %s: MDC state diverged\ninterp:   %+v\ncompiled: %+v",

@@ -3,6 +3,7 @@ package ppsim
 import (
 	"fmt"
 
+	"flashsim/internal/memsys"
 	"flashsim/internal/ppisa"
 )
 
@@ -95,9 +96,12 @@ func (s *Stats) PairsPerInvocation() float64 {
 // a time; MAGIC serializes invocations.
 type PP struct {
 	Prog *ppisa.Program
-	Mem  []uint64 // node protocol memory, in 8-byte words
-	MDC  *MDC
-	Env  Env
+	// Mem is the node's protocol memory, in 8-byte words: sparse, so a
+	// machine pays only for the directory and pool chunks its run writes.
+	// The protocol layout installs the pristine image (InitMemory).
+	Mem *memsys.Store
+	MDC *MDC
+	Env Env
 
 	Stats Stats
 
@@ -105,6 +109,8 @@ type PP struct {
 	// when backend is BackendCompiled (see compile.go).
 	backend Backend
 	code    []cpair
+
+	memWords uint64 // protocol memory size; loads and stores bound-check against it
 
 	// Execution state of the in-flight handler.
 	regs    [32]uint64
@@ -144,7 +150,7 @@ func New(prog *ppisa.Program, memBytes int, mdc *MDC, env Env) *PP {
 // the program is predecoded into the closure image executed by the
 // threaded-code loop — once per Program, shared by every PP built from it.
 func NewBackend(prog *ppisa.Program, memBytes int, mdc *MDC, env Env, b Backend) *PP {
-	p := &PP{Prog: prog, Mem: make([]uint64, memBytes/8), MDC: mdc, Env: env, backend: b}
+	p := &PP{Prog: prog, Mem: memsys.NewStore(memBytes / 8), memWords: uint64(memBytes / 8), MDC: mdc, Env: env, backend: b}
 	if b == BackendCompiled {
 		p.code = compiledImage(prog)
 	}
@@ -180,53 +186,52 @@ func (p *PP) EntryPC(entry string) (int, error) {
 
 // PPState is the deterministic between-handlers state of a protocol
 // processor: the persistent register conventions, the node's protocol
-// memory (which holds the directory), the incoming-header bank, and the
-// dynamic statistics. Per-invocation transients (pc, outgoing header,
-// pending send, step budget) are excluded — capture is only legal with no
-// handler in flight.
+// memory (which holds the directory) as a frozen copy-on-write chunk table,
+// the incoming-header bank, and the dynamic statistics. Per-invocation
+// transients (pc, outgoing header, pending send, step budget) are excluded
+// — capture is only legal with no handler in flight.
 type PPState struct {
 	Regs  [32]uint64
-	Mem   []uint64
+	Mem   [][]uint64
 	InHdr [ppisa.NumHdrFields]uint64
 	Stats Stats
 }
 
 // CaptureState snapshots an idle PP. It panics if a handler is running or a
-// send is pending: MAGIC only snapshots a quiesced machine.
+// send is pending: MAGIC only snapshots a quiesced machine. Protocol memory
+// is captured copy-on-write (memsys.Store.SnapshotChunks): the PP clones a
+// chunk on its first write afterwards, so the state stays immutable.
 func (p *PP) CaptureState() PPState {
 	if p.running || p.hasPending {
 		panic("ppsim: CaptureState with a handler in flight")
 	}
 	return PPState{
 		Regs:  p.regs,
-		Mem:   append([]uint64(nil), p.Mem...),
+		Mem:   p.Mem.SnapshotChunks(),
 		InHdr: p.inHdr,
 		Stats: p.Stats,
 	}
 }
 
 // RestoreState installs a captured state into a PP built from the same
-// program and memory size.
+// program and memory size, sharing the state's protocol-memory chunks
+// copy-on-write.
 func (p *PP) RestoreState(st PPState) {
-	if len(st.Mem) != len(p.Mem) {
-		panic("ppsim: protocol memory size mismatch in RestoreState")
-	}
 	p.regs = st.Regs
-	copy(p.Mem, st.Mem)
+	p.Mem.RestoreShared(st.Mem)
 	p.inHdr = st.InHdr
 	p.Stats = st.Stats
 	p.running = false
 	p.hasPending = false
 }
 
-// Reset zeroes the PP's persistent state (registers, protocol memory,
-// headers, statistics). The caller re-runs protocol-memory initialization
-// and the pp_init handler afterwards, exactly as at machine construction.
+// Reset clears the PP's persistent state (registers, headers, statistics)
+// and drops every written protocol-memory chunk. The caller re-runs
+// protocol-memory initialization and the pp_init handler afterwards,
+// exactly as at machine construction.
 func (p *PP) Reset() {
 	p.regs = [32]uint64{}
-	for i := range p.Mem {
-		p.Mem[i] = 0
-	}
+	p.Mem.Reset()
 	p.inHdr = [ppisa.NumHdrFields]uint64{}
 	p.outHdr = OutHeader{}
 	p.pendingSend = OutHeader{}
@@ -576,18 +581,18 @@ func (p *PP) mdcAccess(addr uint64, write bool) {
 
 func (p *PP) load(addr uint64) uint64 {
 	w := addr / 8
-	if w >= uint64(len(p.Mem)) {
+	if w >= p.memWords {
 		panic(fmt.Sprintf("ppsim: protocol memory load out of range: %#x", addr))
 	}
-	return p.Mem[w]
+	return p.Mem.Load(w)
 }
 
 func (p *PP) store(addr, v uint64) {
 	w := addr / 8
-	if w >= uint64(len(p.Mem)) {
+	if w >= p.memWords {
 		panic(fmt.Sprintf("ppsim: protocol memory store out of range: %#x", addr))
 	}
-	p.Mem[w] = v
+	*p.Mem.Word(w) = v
 }
 
 func b2u(b bool) uint64 {

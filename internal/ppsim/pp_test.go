@@ -84,7 +84,7 @@ func runRef(t *testing.T, mode ppisa.Mode, subst bool, hdrAddr, seed uint64) (*P
 	pp := newPP(prog, env)
 	// Pre-seed the directory word the handler will read.
 	line := (hdrAddr >> 7) & 0xFFFF
-	pp.Mem[line] = seed
+	*pp.Mem.Word(line) = seed
 	pp.InHeader(ppisa.HdrAddr, hdrAddr)
 	st, cyc := pp.Start("h")
 	return pp, env, st, cyc
@@ -104,8 +104,8 @@ func TestHandlerCleanPath(t *testing.T) {
 	}
 	// Directory word updated: bit 0 set, line number in bits 16..31.
 	want := uint64(1) | 85<<16
-	if pp.Mem[85] != want {
-		t.Fatalf("dir word = %#x, want %#x", pp.Mem[85], want)
+	if got := pp.Mem.Load(85); got != want {
+		t.Fatalf("dir word = %#x, want %#x", got, want)
 	}
 	if cyc == 0 || cyc > 60 {
 		t.Fatalf("cycles = %d, implausible", cyc)
@@ -137,7 +137,7 @@ func TestModeEquivalence(t *testing.T) {
 		if st != StatusDone {
 			t.Fatalf("status = %v", st)
 		}
-		return result{mem: pp.Mem[85], sends: env.sends}, cyc
+		return result{mem: pp.Mem.Load(85), sends: env.sends}, cyc
 	}
 	dual, cDual := get(ppisa.DualIssue, false)
 	single, cSingle := get(ppisa.SingleIssue, false)

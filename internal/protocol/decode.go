@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"flashsim/internal/arch"
+	"flashsim/internal/memsys"
 )
 
 // DirInfo is a decoded directory header, for tests and invariant checks.
@@ -19,11 +20,11 @@ type DirInfo struct {
 
 // Decode reads the directory state of localLine from a node's protocol
 // memory image, for either protocol program.
-func (l Layout) Decode(mem []uint64, localLine uint64) (DirInfo, error) {
+func (l Layout) Decode(mem *memsys.Store, localLine uint64) (DirInfo, error) {
 	if l.Proto == arch.ProtoBitVector {
 		return l.decodeBitvec(mem, localLine), nil
 	}
-	w := mem[l.DirOffset(localLine)/8]
+	w := mem.Load(l.DirOffset(localLine) / 8)
 	d := DirInfo{
 		Dirty:    w>>BDirty&1 == 1,
 		Pending:  w>>BPending&1 == 1,
@@ -38,7 +39,7 @@ func (l Layout) Decode(mem []uint64, localLine uint64) (DirInfo, error) {
 			if steps > int(l.PoolSize) {
 				return d, fmt.Errorf("protocol: sharer list cycle at line %d", localLine)
 			}
-			e := mem[(uint64(l.PtrBase)+idx*8)/8]
+			e := mem.Load(l.poolWord(idx))
 			d.Sharers = append(d.Sharers, arch.NodeID(e>>NodePos&(1<<NodeW-1)))
 			next := e >> NextPos & (1<<NextW - 1)
 			if next == NullPtr {
@@ -51,8 +52,8 @@ func (l Layout) Decode(mem []uint64, localLine uint64) (DirInfo, error) {
 }
 
 // decodeBitvec reads a bit-vector directory header.
-func (l Layout) decodeBitvec(mem []uint64, localLine uint64) DirInfo {
-	w := mem[l.DirOffset(localLine)/8]
+func (l Layout) decodeBitvec(mem *memsys.Store, localLine uint64) DirInfo {
+	w := mem.Load(l.DirOffset(localLine) / 8)
 	d := DirInfo{
 		Dirty:   w>>BDirty&1 == 1,
 		Pending: w>>BPending&1 == 1,
@@ -68,17 +69,62 @@ func (l Layout) decodeBitvec(mem []uint64, localLine uint64) DirInfo {
 	return d
 }
 
-// FreeCount walks the free list given the current head index (held in the
-// PP's r24 at run time) and returns its length; it errors on cycles.
-func (l Layout) FreeCount(mem []uint64, head uint64) (int, error) {
+// SharerCount sums the sharer-list lengths of local lines [0, nlines).
+// Directory headers in never-written chunks are pristine — no sharers — and
+// are skipped, so the sum costs O(directory chunks written).
+func (l Layout) SharerCount(mem *memsys.Store, nlines uint64) (int, error) {
+	base := uint64(l.DirBase) / 8
 	n := 0
-	for head != NullPtr {
-		if n > int(l.PoolSize) {
-			return n, fmt.Errorf("protocol: free list cycle")
+	for w, ok := mem.NextMaterialized(base); ok && w < base+nlines; w, ok = mem.NextMaterialized(w + 1) {
+		d, err := l.Decode(mem, w-base)
+		if err != nil {
+			return n, fmt.Errorf("line %d: %w", w-base, err)
 		}
-		e := mem[(uint64(l.PtrBase)+head*8)/8]
-		head = e >> NextPos & (1<<NextW - 1)
-		n++
+		n += len(d.Sharers)
 	}
 	return n, nil
 }
+
+// FreeCount walks the free list given the current head index (held in the
+// PP's r24 at run time) and returns its length; it errors on cycles. A run
+// of entries in never-written chunks is counted arithmetically — pristine
+// entry k links to k+1, the last to NullPtr — so the walk costs O(pool
+// chunks written), with exactly the result and the cycle bound of the
+// entry-by-entry walk.
+func (l Layout) FreeCount(mem *memsys.Store, head uint64) (int, error) {
+	pool := uint64(l.PoolSize)
+	n := uint64(0)
+	for head != NullPtr {
+		if n > pool {
+			return int(n), fmt.Errorf("protocol: free list cycle")
+		}
+		if head >= pool {
+			return int(n), fmt.Errorf("protocol: free list entry %d outside the %d-entry pool", head, pool)
+		}
+		w := l.poolWord(head)
+		mw, ok := mem.NextMaterialized(w)
+		if ok && mw == w {
+			head = mem.Load(w) >> NextPos & (1<<NextW - 1)
+			n++
+			continue
+		}
+		// Entries [head, end) are pristine. The entry-by-entry walk would
+		// test n, n+1, ..., n+(end-head)-1 against the bound on its way.
+		end := pool
+		if ok && mw < l.poolWord(pool) {
+			end = mw - l.poolWord(0)
+		}
+		n += end - head
+		if n-1 > pool {
+			return int(pool) + 1, fmt.Errorf("protocol: free list cycle")
+		}
+		head = end
+		if end == pool {
+			head = NullPtr
+		}
+	}
+	return int(n), nil
+}
+
+// poolWord returns the protocol-memory word index of pool entry idx.
+func (l Layout) poolWord(idx uint64) uint64 { return uint64(l.PtrBase)/8 + idx }

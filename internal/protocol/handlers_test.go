@@ -364,9 +364,9 @@ func TestHandlerPoolOverflowBroadcast(t *testing.T) {
 	// reloads its cached free-list head.
 	mem := r.pp.Mem
 	base := uint64(r.lay.PtrBase)
-	mem[(base+0)/8] = 1 << NextPos
-	mem[(base+8)/8] = NullPtr << NextPos
-	mem[GFreeHead/8] = 0
+	*mem.Word((base + 0) / 8) = 1 << NextPos
+	*mem.Word((base + 8) / 8) = NullPtr << NextPos
+	*mem.Word(GFreeHead / 8) = 0
 	if st, _ := r.pp.Start("pp_init"); st != ppsim.StatusDone {
 		t.Fatal("pp_init")
 	}

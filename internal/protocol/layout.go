@@ -15,6 +15,7 @@ package protocol
 
 import (
 	"flashsim/internal/arch"
+	"flashsim/internal/memsys"
 	"flashsim/internal/ppisa"
 )
 
@@ -134,24 +135,32 @@ func (l Layout) Symbols() map[string]int64 {
 	return syms
 }
 
-// InitMemory initializes one node's protocol memory image: globals, an
-// all-clean directory, and the free list threaded through the pointer pool.
-func (l Layout) InitMemory(mem []uint64, id arch.NodeID, homeBase arch.Addr, nnodes int) {
-	mem[GMyID/8] = uint64(id)
-	mem[GHomeBase/8] = uint64(homeBase)
-	mem[GNNodes/8] = uint64(nnodes)
-	if l.Proto == arch.ProtoBitVector {
-		return
+// Pristine returns the value protocol-memory word i holds before any
+// handler writes it: zero for the globals and the all-clean directory, and
+// the free list threaded through the pointer pool (entry k links to k+1,
+// the last to NullPtr). It is a pure function of the layout and the word
+// index — the same on every node — which is what lets a node's protocol
+// memory stay unmaterialized until touched and lets snapshots share the
+// untouched part by construction (see memsys.Store).
+func (l Layout) Pristine(i uint64) uint64 {
+	k := int64(i) - l.PtrBase/8
+	switch {
+	case k < 0 || k >= l.PoolSize:
+		return 0
+	case k == l.PoolSize-1:
+		return NullPtr << NextPos
 	}
-	// Free list: entry i links to i+1; last links to NullPtr.
-	for i := int64(0); i < l.PoolSize; i++ {
-		next := uint64(i + 1)
-		if i == l.PoolSize-1 {
-			next = NullPtr
-		}
-		mem[(l.PtrBase+i*8)/8] = next << NextPos
-	}
-	mem[GFreeHead/8] = 0
+	return uint64(k+1) << NextPos
+}
+
+// InitMemory initializes one node's protocol memory image: the pristine
+// directory and free list by construction, plus the globals.
+func (l Layout) InitMemory(mem *memsys.Store, id arch.NodeID, homeBase arch.Addr, nnodes int) {
+	mem.SetPristine(l.Pristine)
+	*mem.Word(GMyID / 8) = uint64(id)
+	*mem.Word(GHomeBase / 8) = uint64(homeBase)
+	*mem.Word(GNNodes / 8) = uint64(nnodes)
+	*mem.Word(GFreeHead / 8) = 0
 }
 
 // DirOffset returns the protocol-memory byte offset of the directory header

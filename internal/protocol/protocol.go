@@ -2,21 +2,64 @@ package protocol
 
 import (
 	"fmt"
+	"sync"
 
 	"flashsim/internal/arch"
 	"flashsim/internal/ppisa"
 )
 
 // Program bundles the scheduled handler image with its memory layout.
+//
+// Invariant: a Program is immutable once Build returns it. Build hands the
+// same *Program to every caller with an equal build key, machines on
+// different goroutines execute it concurrently, and ppsim keys its compiled
+// images on the Code pointer — nothing may write through Code, Source or
+// Layout afterwards.
 type Program struct {
 	Code   *ppisa.Program
 	Layout Layout
 	Source *ppisa.Source // pre-scheduling form, for static analysis
 }
 
-// Build assembles and schedules the protocol for the given configuration.
-// cfg.PPMode selects the Section 5.3 ablation variants.
+// buildKey is exactly what Build, NewLayout and Symbols read from a
+// configuration; every other field (MDC geometry, PP clock, queue depths,
+// timing, host-side engine and dispatch choices) leaves the program alone.
+type buildKey struct {
+	proto    arch.Protocol
+	mode     arch.PPMode
+	nodes    int
+	memBytes int
+}
+
+// programs memoizes Build for the life of the process: a sweep builds
+// hundreds of machines from a handful of distinct programs, and assembling
+// and scheduling one costs more than constructing the rest of the machine.
+var programs = struct {
+	sync.Mutex
+	m map[buildKey]*Program
+}{m: map[buildKey]*Program{}}
+
+// Build returns the assembled and scheduled protocol for the given
+// configuration, building it on first use and sharing it (see Program's
+// immutability invariant) afterwards. cfg.PPMode selects the Section 5.3
+// ablation variants.
 func Build(cfg *arch.Config) (*Program, error) {
+	key := buildKey{cfg.Protocol, cfg.PPMode, cfg.Nodes, cfg.MemBytesPerNode}
+	programs.Lock()
+	defer programs.Unlock()
+	if p := programs.m[key]; p != nil {
+		return p, nil
+	}
+	p, err := assemble(cfg)
+	if err != nil {
+		return nil, err
+	}
+	programs.m[key] = p
+	return p, nil
+}
+
+// assemble is the uncached build.
+func assemble(cfg *arch.Config) (*Program, error) {
 	l := NewLayout(cfg)
 	text := handlerSource
 	if cfg.Protocol == arch.ProtoBitVector {

@@ -440,15 +440,17 @@ func TestWatermarkDifferentialTortureWithLimit(t *testing.T) {
 // rerunning continues the simulation exactly where it stopped.
 func TestWatermarkResumeAfterLimit(t *testing.T) {
 	run := func(b sim.Backend) (mid, fin uint64, now sim.Cycle) {
-		var log []uint64
+		// Per-node delivery sequence numbers: each ping runs on its own
+		// shard, possibly on its own worker, so the nodes share no counter.
+		var seq [4]uint64
 		for i := 0; i < 4; i++ {
 			i := i
 			var ping func()
 			ping = func() {
 				s := b.Node(i)
-				log = append(log, uint64(s.Now())<<8|uint64(i))
+				seq[i]++
 				dst := (i + 1) % 4
-				s.Deliver(s.Now()+12, i, dst, uint64(len(log)), func() {})
+				s.Deliver(s.Now()+12, i, dst, seq[i], func() {})
 				if s.Now() < 900 {
 					s.After(7+sim.Cycle(i), ping)
 				}
