@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"flashsim/internal/arch"
 	"flashsim/internal/cpu"
-	"flashsim/internal/ideal"
 	"flashsim/internal/protocol"
 )
 
@@ -45,21 +45,19 @@ func (m *Machine) CheckCoherence() error {
 		}
 	}
 
-	dirOf := func(line uint64) (interface {
-		state() (dirty, pending, local bool, owner arch.NodeID, sharers []arch.NodeID, acks int)
-	}, error) {
+	dirOf := func(line uint64) (protocol.DirInfo, error) {
 		addr := arch.Addr(line << arch.LineShift)
-		home := m.Cfg.HomeOf(addr)
-		n := m.Nodes[home]
+		n := m.Nodes[m.Cfg.HomeOf(addr)]
 		if n.Magic != nil {
-			d, err := m.Prog.Layout.Decode(n.Magic.PP.Mem, m.Cfg.LocalLine(addr))
-			if err != nil {
-				return nil, err
-			}
-			return flashDir{d}, nil
+			return m.Prog.Layout.Decode(n.Magic.PP.Mem, m.Cfg.LocalLine(addr))
 		}
-		snap := n.Ideal.Snapshot()
-		return idealDir{snap[line]}, nil
+		// One line's state, read in place: copying the home's whole
+		// directory per cached line made the audit quadratic.
+		d := n.Ideal.Line(line)
+		return protocol.DirInfo{
+			Dirty: d.Dirty, Pending: d.Pending, Local: d.Local,
+			Owner: d.Owner, Sharers: d.Sharers, Acks: d.Acks,
+		}, nil
 	}
 
 	check := func(line uint64, ci *copyInfo) error {
@@ -67,20 +65,16 @@ func (m *Machine) CheckCoherence() error {
 		if err != nil {
 			return err
 		}
-		dirty, pending, local, owner, sharers, acks := d.state()
 		home := m.Cfg.HomeOf(arch.Addr(line << arch.LineShift))
-		if pending {
+		if d.Pending {
 			return fmt.Errorf("line %#x: pending after quiesce", line)
 		}
-		if acks != 0 {
-			return fmt.Errorf("line %#x: %d acks outstanding after quiesce", line, acks)
+		if d.Acks != 0 {
+			return fmt.Errorf("line %#x: %d acks outstanding after quiesce", line, d.Acks)
 		}
-		if ci == nil {
-			ci = &copyInfo{}
-		}
-		if dirty {
-			if len(ci.mods) != 1 || ci.mods[0] != owner {
-				return fmt.Errorf("line %#x: dirty at owner %d but Modified copies are %v", line, owner, ci.mods)
+		if d.Dirty {
+			if len(ci.mods) != 1 || ci.mods[0] != d.Owner {
+				return fmt.Errorf("line %#x: dirty at owner %d but Modified copies are %v", line, d.Owner, ci.mods)
 			}
 			if len(ci.shareds) != 0 {
 				return fmt.Errorf("line %#x: dirty but shared copies exist at %v", line, ci.shareds)
@@ -90,17 +84,11 @@ func (m *Machine) CheckCoherence() error {
 		if len(ci.mods) != 0 {
 			return fmt.Errorf("line %#x: clean in directory but Modified at %v", line, ci.mods)
 		}
-		recorded := make(map[arch.NodeID]bool)
-		for _, s := range sharers {
-			recorded[s] = true
-		}
-		if local {
-			recorded[home] = true
-		}
 		for _, s := range ci.shareds {
-			if !recorded[s] {
-				return fmt.Errorf("line %#x: node %d holds a copy but is not recorded (recorded %v)", line, s, recorded)
+			if (d.Local && s == home) || slices.Contains(d.Sharers, s) {
+				continue
 			}
+			return fmt.Errorf("line %#x: node %d holds a copy but is not recorded (local=%v sharers %v)", line, s, d.Local, d.Sharers)
 		}
 		return nil
 	}
@@ -133,16 +121,4 @@ func (m *Machine) CheckCoherence() error {
 		}
 	}
 	return nil
-}
-
-type flashDir struct{ d protocol.DirInfo }
-
-func (f flashDir) state() (bool, bool, bool, arch.NodeID, []arch.NodeID, int) {
-	return f.d.Dirty, f.d.Pending, f.d.Local, f.d.Owner, f.d.Sharers, f.d.Acks
-}
-
-type idealDir struct{ d ideal.DirState }
-
-func (f idealDir) state() (bool, bool, bool, arch.NodeID, []arch.NodeID, int) {
-	return f.d.Dirty, f.d.Pending, f.d.Local, f.d.Owner, f.d.Sharers, f.d.Acks
 }

@@ -42,11 +42,15 @@ type Ref struct {
 // workload thread produces its next flush; it must never depend on another
 // simulated processor making progress except through simulated memory. The
 // returned slice is owned by the CPU until every element has been consumed
-// and the final blocking reference's ReadDone has fired.
+// and the final blocking reference's ReadDone has fired. A batch may be
+// empty: a thread that parked on a Direct reference has nothing to hand
+// over until that reference retires.
 type RefSource interface {
 	NextBatch() ([]Ref, bool)
 	// ReadDone is invoked after a read or RMW completes and its Out value
-	// is filled, releasing the workload thread.
+	// is filled, releasing the workload thread. When the run loop calls it
+	// for a cache hit, the thread it resumes may execute its next
+	// references through Direct before ReadDone returns.
 	ReadDone()
 }
 
@@ -185,11 +189,20 @@ type CPU struct {
 	// modulo (see SampleSpec.PhaseAt).
 	phaseDet bool
 	phaseEnd uint64
-	// srcNow is the virtual time current whenever the workload coroutine
-	// runs (stamped before every NextBatch/ReadDone): the thread only
-	// executes inside those calls, so FFLocalRead can phase-gate against
-	// the run loop's otherwise-local clock.
-	srcNow sim.Cycle
+
+	// vt is the processor's virtual clock and limit the end of the current
+	// run slice; both are only meaningful while run is on the stack. They
+	// are fields rather than run's locals because the workload thread
+	// advances them too: live is set while run is parked inside a cache
+	// hit's ReadDone (hitDone), and for that long the resumed thread executes
+	// its references itself through Direct — the same step, the same limit
+	// test between references — instead of batching them back to the loop.
+	vt, limit sim.Cycle
+	live      bool
+	// rerun restarts the run loop at the engine clock: the one event body
+	// behind every reschedule, built once (events fire at the cycle they
+	// were scheduled for, so the clock is the loop's start time).
+	rerun func()
 
 	mshrs []mshrEntry
 	inUse int
@@ -205,7 +218,7 @@ type CPU struct {
 
 	// issuing marks the MSHR entry whose request is mid-flight through a
 	// synchronous fast-forward chain (-1 otherwise): if Deliver completes
-	// it before issue() returns, the run loop continues without blocking.
+	// it before issue() returns, the reference retires without blocking.
 	issuing int
 
 	instFrac uint32 // leftover instructions (< 4) not yet charged as a cycle
@@ -236,7 +249,7 @@ func New(id arch.NodeID, eng sim.Scheduler, cfg *arch.Config, ctl Ctl, mem *mems
 		// race-free and preserves coherence order.
 		mem.SetWriteThrough(true)
 	}
-	return &CPU{
+	c := &CPU{
 		ID:       id,
 		Cache:    NewCache(cfg.CacheSize, cfg.CacheWays),
 		eng:      eng,
@@ -251,6 +264,8 @@ func New(id arch.NodeID, eng sim.Scheduler, cfg *arch.Config, ctl Ctl, mem *mems
 		issuing:  -1,
 		mshrs:    make([]mshrEntry, cfg.MSHRs),
 	}
+	c.rerun = func() { c.run(c.eng.Now()) }
+	return c
 }
 
 // detailed reports whether cycle t falls in a detailed phase (always true
@@ -277,7 +292,7 @@ func (c *CPU) SetSource(src RefSource, onFinish func(at sim.Cycle)) {
 
 // Start schedules the processor's first fetch.
 func (c *CPU) Start() {
-	c.eng.At(c.eng.Now(), func() { c.run(c.eng.Now()) })
+	c.eng.At(c.eng.Now(), c.rerun)
 }
 
 // run consumes references starting at virtual time vt, processing cache
@@ -290,52 +305,95 @@ func (c *CPU) run(vt sim.Cycle) {
 	// Fast-forward phases yield far less often: the processor's compute
 	// progress is functional there, so fine-grained interleaving with the
 	// (idle) detailed machinery buys nothing but event dispatches.
-	limit := vt + c.chunk
+	c.vt, c.limit = vt, vt+c.chunk
 	if c.sampling && !c.phaseDetailed(uint64(vt)) {
-		limit = vt + c.ffChunk
+		c.limit = vt + c.ffChunk
 	}
-	for {
-		if !c.hasPending {
-			if c.pauseAfter != 0 && !c.paused && c.batchPos >= len(c.batch) &&
-				c.Stats.Refs >= c.pauseAfter {
-				c.paused = true
-				c.pausedAt = vt
-				return
-			}
-			c.srcNow = vt
-			ref, ok := c.nextRef()
-			if !ok {
-				c.done = true
-				c.Stats.Finished = true
-				c.Stats.FinishedAt = vt
-				if c.onFinish != nil {
-					c.onFinish(vt)
-				}
-				return
-			}
-			vt += c.charge(&ref)
-			if c.sampling {
-				c.noteRef(vt, ref.Sync)
-			}
-			c.pending = ref
-			c.hasPending = true
-			c.pendingAt = vt
-		}
-		if !c.tryRef(vt) {
-			return // blocked; resume() restarts us
-		}
+	if c.hasPending {
+		// resume() restarted the loop with the blocked reference unretired.
 		c.hasPending = false
-		if c.sampling && c.pendingAt > vt {
-			// A synchronous fast-forward chain completed the reference's
-			// miss inside tryRef and charged the stall; catch the virtual
-			// clock up to the fill.
-			vt = c.pendingAt
-		}
-		if vt >= limit {
-			c.eng.At(vt, func() { c.run(vt) })
+		if !c.tryRef(&c.pending) || c.sliceOver() {
 			return
 		}
 	}
+	for {
+		if c.pauseAfter != 0 && !c.paused && c.batchPos >= len(c.batch) &&
+			c.Stats.Refs >= c.pauseAfter {
+			c.paused = true
+			c.pausedAt = c.vt
+			return
+		}
+		ref, ok := c.nextRef()
+		if !ok {
+			c.done = true
+			c.Stats.Finished = true
+			c.Stats.FinishedAt = c.vt
+			if c.onFinish != nil {
+				c.onFinish(c.vt)
+			}
+			return
+		}
+		if !c.step(ref) || c.sliceOver() {
+			return // blocked (resume() restarts us) or rescheduled
+		}
+	}
+}
+
+// step executes one reference at the processor's virtual clock: charge its
+// busy instructions, then attempt it. It returns false if the processor
+// blocked, with the reference retained in c.pending. This is the whole
+// per-reference body of the run loop, and Direct runs exactly it.
+func (c *CPU) step(ref *Ref) bool {
+	c.vt += c.charge(ref)
+	if c.sampling {
+		c.noteRef(c.vt, ref.Sync)
+	}
+	return c.tryRef(ref)
+}
+
+// sliceOver ends the run loop's turn after a retired reference. The thread
+// may have executed further references inside that reference's ReadDone, so
+// the state tested is the processor's, not the loop's: a direct reference
+// that blocked leaves the processor blocked (resume() restarts the loop),
+// and a spent slice reschedules the loop at the clock the thread reached.
+func (c *CPU) sliceOver() bool {
+	if c.blocked != blockNone {
+		return true
+	}
+	if c.vt >= c.limit {
+		c.eng.At(c.vt, c.rerun)
+		return true
+	}
+	return false
+}
+
+// Direct executes r on the calling workload thread's own stack when the
+// run loop is live — parked inside the ReadDone that resumed this thread —
+// and its slice is not spent. ok reports that r was executed (otherwise the
+// thread batches it for the loop, as it must whenever the loop is not on
+// the stack); blocked that the processor blocked on it, in which case the
+// thread parks by yielding an empty batch and is resumed once r retires.
+// Exactly the loop's step under exactly the loop's limit test, so the
+// processor cannot tell who drove it.
+func (c *CPU) Direct(r *Ref) (ok, blocked bool) {
+	if !c.live || c.vt >= c.limit {
+		return false, false
+	}
+	return true, !c.step(r)
+}
+
+// hitDone releases the thread behind a read or RMW that hit in the cache.
+// From the run loop it resumes the thread with the loop marked live; from
+// Direct the thread is the caller, and returning to it is the release.
+// Snapshot prefixes (pauseAfter armed) never go live: their pause points
+// and pull counts are defined at batch boundaries.
+func (c *CPU) hitDone() {
+	if c.live {
+		return
+	}
+	c.live = c.pauseAfter == 0
+	c.src.ReadDone()
+	c.live = false
 }
 
 // noteRef records one retired reference for the sampling estimator: work
@@ -362,17 +420,17 @@ func (c *CPU) noteRef(vt sim.Cycle, sync bool) {
 
 // nextRef takes the next reference from the current batch, refilling from
 // the source when it runs dry. The steady-state path is a slice index — no
-// handshake, no allocation.
-func (c *CPU) nextRef() (Ref, bool) {
+// handshake, no allocation, no copy: the reference is used in place.
+func (c *CPU) nextRef() (*Ref, bool) {
 	for c.batchPos >= len(c.batch) {
 		b, ok := c.src.NextBatch()
 		if !ok {
 			c.batch = nil
-			return Ref{}, false
+			return nil, false
 		}
 		c.batch, c.batchPos = b, 0
 	}
-	r := c.batch[c.batchPos]
+	r := &c.batch[c.batchPos]
 	c.batchPos++
 	return r, true
 }
@@ -400,10 +458,12 @@ func (c *CPU) charge(ref *Ref) sim.Cycle {
 	return cyc
 }
 
-// tryRef attempts the pending reference at time vt. It returns false if the
-// processor blocked.
-func (c *CPU) tryRef(vt sim.Cycle) bool {
-	ref := &c.pending
+// tryRef attempts ref at the processor's virtual clock. It returns false if
+// the processor blocked; only then is the reference retained (c.pending),
+// so a hit never copies it. ref is not read after its thread is released:
+// a batch-final reference's slot is the thread's to reuse from then on.
+func (c *CPU) tryRef(ref *Ref) bool {
+	vt := c.vt
 	line := ref.Addr.Line()
 
 	// An outstanding miss to the same line?
@@ -416,7 +476,7 @@ func (c *CPU) tryRef(vt sim.Cycle) bool {
 			return true
 		}
 		// Reads (and RMWs, and writes behind a read miss) wait for the line.
-		c.block(blockMiss, e, vt)
+		c.block(blockMiss, e, ref)
 		ent.waiting = true
 		return false
 	}
@@ -426,8 +486,7 @@ func (c *CPU) tryRef(vt sim.Cycle) bool {
 	case arch.RefRead:
 		if st != Invalid {
 			c.load(ref)
-			c.srcNow = vt
-			c.src.ReadDone()
+			c.hitDone()
 			return true
 		}
 	case arch.RefWrite:
@@ -438,8 +497,7 @@ func (c *CPU) tryRef(vt sim.Cycle) bool {
 	case arch.RefRMW:
 		if st == Modified {
 			c.rmw(ref)
-			c.srcNow = vt
-			c.src.ReadDone()
+			c.hitDone()
 			return true
 		}
 	}
@@ -447,7 +505,7 @@ func (c *CPU) tryRef(vt sim.Cycle) bool {
 	// Miss. Structural checks: one outstanding miss per cache set, and a
 	// free MSHR.
 	if c.inUse == len(c.mshrs) || c.setConflict(line) {
-		c.block(blockStructural, -1, vt)
+		c.block(blockStructural, -1, ref)
 		return false
 	}
 
@@ -483,10 +541,11 @@ func (c *CPU) tryRef(vt sim.Cycle) bool {
 	if ref.Kind == arch.RefRead || ref.Kind == arch.RefRMW {
 		if !ent.valid {
 			// The fast-forward chain filled the line synchronously; Deliver
-			// already applied the reference and charged the stall.
+			// already applied the reference, charged the stall and caught
+			// the virtual clock up to the fill.
 			return true
 		}
-		c.block(blockMiss, e, vt)
+		c.block(blockMiss, e, ref)
 		ent.waiting = true
 		return false
 	}
@@ -510,8 +569,8 @@ func (c *CPU) issue(e int, vt sim.Cycle) {
 			DB:   -1,
 		}
 		// The controller runs the whole chain — including remote handlers —
-		// before this call returns; issuing tells Deliver the run loop is
-		// live inside issue() so a completion needs no resume event.
+		// before this call returns; issuing tells Deliver that tryRef is on
+		// the stack inside issue(), so a completion needs no resume event.
 		prev := c.issuing
 		c.issuing = e
 		c.ctl.FromProcFF(m, req+sim.Cycle(c.t.BusTransit))
@@ -658,8 +717,12 @@ func (c *CPU) deliver(m arch.Msg, at sim.Cycle, ff bool) {
 			c.rmw(&ent.ref)
 		}
 		if ent.ref.Kind != arch.RefWrite {
-			c.srcNow = fillAt
-			c.src.ReadDone()
+			// A direct reference filled inside its own issue() (a
+			// synchronous fast-forward chain): its thread is the caller,
+			// and returning to it is the release.
+			if !c.live {
+				c.src.ReadDone()
+			}
 			consumed = true
 		}
 	}
@@ -676,23 +739,15 @@ func (c *CPU) deliver(m arch.Msg, at sim.Cycle, ff bool) {
 	ent.waiting = false
 	c.inUse--
 	if e == c.issuing && !waiting && c.blocked == blockNone {
-		// Synchronous fast-forward completion: the run loop is live inside
-		// issue(), so charge the miss stall against the pending reference
-		// here and return — tryRef sees the freed entry and continues. The
-		// blocked check matters: issue() also runs from NAK-retry events,
-		// where a structurally blocked processor still needs the resume
-		// below (the run loop is not live there).
-		if consumed && fillAt > c.pendingAt {
-			stall := fillAt - c.pendingAt
-			switch {
-			case c.pending.Sync:
-				c.Stats.SyncStall += stall
-			case c.pending.Kind == arch.RefRead:
-				c.Stats.ReadStall += stall
-			default:
-				c.Stats.WriteStall += stall
-			}
-			c.pendingAt = fillAt
+		// Synchronous fast-forward completion: tryRef is on the stack inside
+		// issue(), so charge the miss stall against the reference, catch the
+		// virtual clock up to the fill and return — tryRef sees the freed
+		// entry and continues. The blocked check matters: issue() also runs
+		// from NAK-retry events, where a structurally blocked processor
+		// still needs the resume below (no tryRef on the stack there).
+		if consumed && fillAt > c.vt {
+			c.chargeStall(&ent.ref, fillAt-c.vt)
+			c.vt = fillAt
 		}
 		return
 	}
@@ -740,21 +795,12 @@ func (c *CPU) resume(at sim.Cycle, consumed bool) {
 	if at < c.pendingAt {
 		at = c.pendingAt
 	}
-	ref := &c.pending
-	stall := at - c.pendingAt
-	switch {
-	case ref.Sync:
-		c.Stats.SyncStall += stall
-	case ref.Kind == arch.RefRead:
-		c.Stats.ReadStall += stall
-	default:
-		c.Stats.WriteStall += stall
-	}
+	c.chargeStall(&c.pending, at-c.pendingAt)
 	c.pendingAt = at
 	if consumed {
 		c.hasPending = false
 	}
-	c.eng.At(at, func() { c.run(at) })
+	c.eng.At(at, c.rerun)
 }
 
 // ffAt clamps an event time to the engine clock. Only meaningful under
@@ -770,10 +816,24 @@ func (c *CPU) ffAt(at sim.Cycle) sim.Cycle {
 	return at
 }
 
-func (c *CPU) block(r blockReason, entry int, vt sim.Cycle) {
+// block parks the processor on ref until resume(): the reference is
+// retained here and nowhere earlier.
+func (c *CPU) block(r blockReason, entry int, ref *Ref) {
 	c.blocked = r
 	c.blockEntry = entry
-	c.pendingAt = vt
+	c.pending, c.hasPending, c.pendingAt = *ref, true, c.vt
+}
+
+// chargeStall attributes stall cycles to ref's category.
+func (c *CPU) chargeStall(ref *Ref, stall sim.Cycle) {
+	switch {
+	case ref.Sync:
+		c.Stats.SyncStall += stall
+	case ref.Kind == arch.RefRead:
+		c.Stats.ReadStall += stall
+	default:
+		c.Stats.WriteStall += stall
+	}
 }
 
 // evict disposes of a victim line: Modified lines are written back, Shared
@@ -879,36 +939,7 @@ func (c *CPU) Intervene(kind arch.MsgType, addr arch.Addr, at sim.Cycle, done fu
 	c.eng.At(first, func() { done(arch.MsgPCData, first) })
 }
 
-// FFLocalRead satisfies a cache-hit read functionally during a fast-forward
-// phase, without a coroutine crossing: the workload calls it from ReadU (the
-// hot blocking-read path) and, on success, keeps running with the value while
-// the read's instruction rides to the processor as deferred busy time on the
-// next reference that does cross. pendingBusy is the caller's accumulated
-// uncharged instruction count including this read, so the phase gate sees
-// the read's effective virtual time, not the stale batch-start time — a read
-// stream that runs into a detailed window falls back to the simulated path
-// exactly at the boundary. Cycle-exact: a detailed read hit costs only its
-// instruction slot (the cache access is absorbed by the 4-per-cycle issue
-// model), and charge()'s instruction-remainder carry makes deferred and
-// per-reference conversion produce identical cycle totals. Requires no
-// outstanding misses so MSHR merge/ordering semantics never apply.
-func (c *CPU) FFLocalRead(a arch.Addr, pendingBusy uint32) (uint64, bool) {
-	if !c.sampling || c.inUse != 0 {
-		return 0, false
-	}
-	if c.phaseDetailed(uint64(c.srcNow) + uint64(pendingBusy/4)) {
-		return 0, false
-	}
-	if c.Cache.Lookup(a.Line()) == Invalid {
-		return 0, false
-	}
-	c.Stats.Refs++
-	c.Stats.Reads++
-	c.Stats.FFWork++
-	return c.mem.Load(uint64(a)/8), true
-}
-
-// --- backing-store access (sim goroutine only) ---
+// --- backing-store access (run loop or, while it is live, its thread) ---
 
 func (c *CPU) load(ref *Ref) {
 	if ref.Out != nil {
@@ -994,7 +1025,7 @@ func (c *CPU) ResumeAt(at sim.Cycle) {
 		return
 	}
 	c.paused = false
-	c.eng.At(at, func() { c.run(at) })
+	c.eng.At(at, c.rerun)
 }
 
 // CPUState is the deterministic simulation state of one quiesced processor,
@@ -1050,6 +1081,7 @@ func (c *CPU) RestoreState(st CPUState) {
 	c.pending, c.hasPending, c.pendingAt = Ref{}, false, 0
 	c.blocked, c.blockEntry = blockNone, 0
 	c.issuing = -1
+	c.vt, c.limit, c.live = 0, 0, false
 	for i := range c.mshrs {
 		c.mshrs[i] = mshrEntry{}
 	}
@@ -1074,14 +1106,14 @@ func (c *CPU) Reset() {
 	c.done = false
 	c.src, c.onFinish = nil, nil
 	c.paused, c.pausedAt, c.pauseAfter = false, 0, 0
-	c.srcNow = 0
+	c.vt, c.limit, c.live = 0, 0, false
 	c.phaseDet, c.phaseEnd = false, 0
 }
 
 // DebugState renders the processor's blocking state for hang diagnosis.
 func (c *CPU) DebugState() string {
-	s := fmt.Sprintf("done=%v blocked=%d hasPending=%v pendingAt=%d pending={%v %#x sync=%v} inUse=%d",
-		c.done, c.blocked, c.hasPending, c.pendingAt, c.pending.Kind, c.pending.Addr, c.pending.Sync, c.inUse)
+	s := fmt.Sprintf("done=%v vt=%d limit=%d live=%v blocked=%d hasPending=%v pendingAt=%d pending={%v %#x sync=%v} inUse=%d",
+		c.done, c.vt, c.limit, c.live, c.blocked, c.hasPending, c.pendingAt, c.pending.Kind, c.pending.Addr, c.pending.Sync, c.inUse)
 	for i := range c.mshrs {
 		e := &c.mshrs[i]
 		if e.valid {

@@ -16,11 +16,13 @@ type echoCtl struct {
 	latency sim.Cycle
 	nakRem  int
 	reqs    []arch.Msg
+	ats     []sim.Cycle // bus-crossing time of each request
 	aux     uint32
 }
 
 func (c *echoCtl) FromProc(m arch.Msg, at sim.Cycle) {
 	c.reqs = append(c.reqs, m)
+	c.ats = append(c.ats, at)
 	switch m.Type {
 	case arch.MsgGET, arch.MsgGETX:
 		reply := arch.Msg{Type: arch.MsgPUT, Addr: m.Addr, Aux: c.aux, DB: 0}

@@ -1,0 +1,330 @@
+package cpu
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+
+	"flashsim/internal/arch"
+	"flashsim/internal/memsys"
+	"flashsim/internal/sim"
+)
+
+// directThread is a workload thread reduced to its handshake with the
+// processor: the issue/flush/park protocol of workload.Ctx and the prepulled
+// batch of its RefSource, run on the caller's stack in place of a coroutine.
+// Being resumed means walking prog until the next yield.
+type directThread struct {
+	c     *CPU
+	prog  []Ref
+	pos   int
+	batch []Ref
+
+	pending            []Ref
+	pendingOK, prepull bool
+
+	direct, parked, refused int // Direct outcomes, for asserting the path taken
+}
+
+func (t *directThread) resume() ([]Ref, bool) {
+	t.batch = t.batch[:0]
+	for t.pos < len(t.prog) {
+		r := t.prog[t.pos]
+		t.pos++
+		if len(t.batch) == 0 {
+			if ok, blocked := t.c.Direct(&r); ok {
+				t.direct++
+				if blocked {
+					t.parked++
+					return nil, true
+				}
+				continue
+			}
+			if t.c.live {
+				t.refused++
+			}
+		}
+		t.batch = append(t.batch, r)
+		if r.Kind != arch.RefWrite {
+			return t.batch, true
+		}
+	}
+	return t.batch, len(t.batch) > 0
+}
+
+func (t *directThread) NextBatch() ([]Ref, bool) {
+	if t.prepull {
+		t.prepull = false
+		return t.pending, t.pendingOK
+	}
+	return t.resume()
+}
+
+func (t *directThread) ReadDone() {
+	t.pending, t.pendingOK = t.resume()
+	t.prepull = true
+}
+
+// syncCtl completes fast-forward requests synchronously, the way MAGIC's
+// functional chains do, and detailed ones like echoCtl.
+type syncCtl struct{ echoCtl }
+
+func (c *syncCtl) FromProcFF(m arch.Msg, at sim.Cycle) {
+	c.reqs = append(c.reqs, m)
+	c.ats = append(c.ats, at)
+	switch m.Type {
+	case arch.MsgGET:
+		c.cpu.DeliverFF(arch.Msg{Type: arch.MsgPUT, Addr: m.Addr}, at+c.latency)
+	case arch.MsgGETX:
+		c.cpu.DeliverFF(arch.Msg{Type: arch.MsgPUTX, Addr: m.Addr}, at+c.latency)
+	}
+}
+
+type directRun struct {
+	stats Stats
+	reqs  []arch.Msg
+	ats   []sim.Cycle
+	end   sim.Cycle
+	outs  []uint64
+	mem   []uint64
+}
+
+type directCase struct {
+	name   string
+	prog   func(out []uint64) []Ref
+	mshrs  int
+	sample arch.SampleSpec
+	// plant, when set, runs before Start (to place state no reference
+	// stream can produce).
+	plant func(c *CPU, eng *sim.Engine)
+
+	direct, parked, refused int
+}
+
+// run executes the case's program, through a directThread when threaded
+// (returned for its outcome counts) and through the scripted source otherwise.
+func (tc *directCase) run(t *testing.T, threaded bool) (directRun, *directThread) {
+	t.Helper()
+	cfg := arch.DefaultConfig()
+	cfg.Nodes = 2
+	cfg.MemBytesPerNode = 1 << 20
+	cfg.Sample = tc.sample
+	if tc.mshrs != 0 {
+		cfg.MSHRs = tc.mshrs
+	}
+	eng := sim.NewEngine()
+	ctl := &syncCtl{echoCtl{eng: eng, latency: 50}}
+	store := memsys.NewStore(cfg.MemBytesPerNode / 4)
+	c := New(0, eng, &cfg, ctl, memsys.NewView(store))
+	ctl.cpu = c
+	r := directRun{outs: make([]uint64, 8)}
+	prog := tc.prog(r.outs)
+	var th *directThread
+	if threaded {
+		th = &directThread{c: c, prog: prog}
+		c.SetSource(th, nil)
+	} else {
+		c.SetSource(&scripted{refs: prog}, nil)
+	}
+	if tc.plant != nil {
+		tc.plant(c, eng)
+	}
+	c.Start()
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !c.Stats.Finished {
+		t.Fatalf("processor never finished: %s", c.DebugState())
+	}
+	c.mem.Flush()
+	for _, ref := range prog {
+		r.mem = append(r.mem, store.Load(uint64(ref.Addr)/8))
+	}
+	r.stats, r.reqs, r.ats, r.end = c.Stats, ctl.reqs, ctl.ats, eng.Now()
+	return r, th
+}
+
+// TestDirectMatchesLoop drives the same reference program through a thread
+// that executes directly whenever the run loop is live and through a
+// scripted source that never can, and requires the processor to be unable
+// to tell: identical stats, identical requests at identical bus times,
+// identical data. Each case opens with a read miss and a read hit of line
+// A — the hit is what makes the loop live — and then aims one edge of the
+// direct path; the Direct outcome counts pin that the edge was reached.
+func TestDirectMatchesLoop(t *testing.T) {
+	const (
+		A = arch.Addr(0x1000)
+		B = arch.Addr(0x2000)
+	)
+	setSpan := arch.Addr(arch.DefaultConfig().CacheSize / arch.DefaultConfig().CacheWays)
+	live := func(out []uint64, rest ...Ref) []Ref {
+		return append([]Ref{
+			{Kind: arch.RefRead, Addr: A, Out: &out[0]},
+			{Kind: arch.RefRead, Addr: A, Out: &out[1]},
+		}, rest...)
+	}
+	cases := []directCase{
+		{
+			// Two write misses fill both MSHRs; the third parks the thread
+			// until one frees, and being a write it retires inside the loop's
+			// retry with no ReadDone: the thread is resumed by the next pull.
+			name: "structural block, all MSHRs busy", mshrs: 2,
+			prog: func(out []uint64) []Ref {
+				return live(out,
+					Ref{Kind: arch.RefWrite, Addr: B, WVal: 1, Busy: 1},
+					Ref{Kind: arch.RefWrite, Addr: B + 0x80, WVal: 2, Busy: 1},
+					Ref{Kind: arch.RefWrite, Addr: B + 0x100, WVal: 3, Busy: 1},
+					Ref{Kind: arch.RefRead, Addr: B + 0x100, Out: &out[2], Busy: 1})
+			},
+			direct: 3, parked: 1,
+		},
+		{
+			name: "structural block, set conflict",
+			prog: func(out []uint64) []Ref {
+				return live(out,
+					Ref{Kind: arch.RefWrite, Addr: B, WVal: 1, Busy: 1},
+					Ref{Kind: arch.RefRead, Addr: B + setSpan, Out: &out[2], Busy: 1},
+					Ref{Kind: arch.RefRead, Addr: B, Out: &out[3], Busy: 1})
+			},
+			direct: 2, parked: 1,
+		},
+		{
+			// Reads block, so no reference stream leaves a read miss
+			// outstanding behind a running processor; the entry is planted.
+			// The write waits for the fill, then upgrades the Shared line.
+			name: "write behind an outstanding read miss",
+			prog: func(out []uint64) []Ref {
+				return live(out,
+					Ref{Kind: arch.RefWrite, Addr: B, WVal: 7, Busy: 1},
+					Ref{Kind: arch.RefRead, Addr: B, Out: &out[2], Busy: 1})
+			},
+			plant: func(c *CPU, eng *sim.Engine) {
+				c.mshrs[c.allocMSHR()] = mshrEntry{valid: true, line: B.Line(), kind: arch.MsgGET}
+				eng.At(400, func() { c.Deliver(arch.Msg{Type: arch.MsgPUT, Addr: B}, eng.Now()) })
+			},
+			direct: 1, parked: 1,
+		},
+		{
+			// The read waits on the write's GETX and is resumed unconsumed:
+			// the loop retries it, it hits, and the thread goes live again.
+			name: "read behind an outstanding GETX",
+			prog: func(out []uint64) []Ref {
+				return live(out,
+					Ref{Kind: arch.RefWrite, Addr: B, WVal: 9, Busy: 1},
+					Ref{Kind: arch.RefRead, Addr: B, Out: &out[2], Busy: 1},
+					Ref{Kind: arch.RefWrite, Addr: B + 8, WVal: 10, Busy: 1})
+			},
+			direct: 3, parked: 1,
+		},
+		{
+			// 64 instructions are the whole 16-cycle slice: the write retires
+			// at vt == limit, and the test between references must refuse the
+			// one behind it.
+			name: "reference lands exactly on the limit",
+			prog: func(out []uint64) []Ref {
+				return live(out,
+					Ref{Kind: arch.RefWrite, Addr: A + 8, WVal: 1, Busy: 64},
+					Ref{Kind: arch.RefWrite, Addr: A + 16, WVal: 2, Busy: 1},
+					Ref{Kind: arch.RefRead, Addr: A + 16, Out: &out[2], Busy: 1})
+			},
+			direct: 1, refused: 1,
+		},
+		{
+			name: "reference lands one cycle short of the limit",
+			prog: func(out []uint64) []Ref {
+				return live(out,
+					Ref{Kind: arch.RefWrite, Addr: A + 8, WVal: 1, Busy: 60},
+					Ref{Kind: arch.RefWrite, Addr: A + 16, WVal: 2, Busy: 4},
+					Ref{Kind: arch.RefRead, Addr: A + 16, Out: &out[2], Busy: 1})
+			},
+			direct: 2, refused: 1,
+		},
+		{
+			name: "RMW hit",
+			prog: func(out []uint64) []Ref {
+				return []Ref{
+					{Kind: arch.RefWrite, Addr: A, WVal: 40},
+					{Kind: arch.RefRead, Addr: A, Out: &out[0]}, // waits for the GETX
+					{Kind: arch.RefRead, Addr: A, Out: &out[1], Busy: 1},
+					{Kind: arch.RefRMW, RMW: RMWAdd, Addr: A, WVal: 2, Out: &out[2], Busy: 1},
+					{Kind: arch.RefRMW, RMW: RMWSwap, Addr: A, WVal: 5, Out: &out[3], Busy: 1},
+					{Kind: arch.RefRead, Addr: A, Out: &out[4], Busy: 1},
+				}
+			},
+			direct: 4,
+		},
+		{
+			name: "thread returns while live",
+			prog: func(out []uint64) []Ref {
+				return live(out, Ref{Kind: arch.RefWrite, Addr: A + 8, WVal: 1, Busy: 8})
+			},
+			direct: 1,
+		},
+		{
+			// Fast-forward phase: the direct read's miss fills inside its own
+			// issue(), so deliver must release nobody — the thread is the
+			// caller — and the clock must catch up to the fill.
+			name: "sampled: miss fills synchronously inside a direct read",
+			// Detailed for the first 40 cycles (the opening miss issues in
+			// them), functional ever after.
+			sample: arch.SampleSpec{Detail: 1, Stride: 1 << 40, Warmup: 40},
+			prog: func(out []uint64) []Ref {
+				return live(out,
+					Ref{Kind: arch.RefRead, Addr: B, Out: &out[2], Busy: 1},
+					Ref{Kind: arch.RefRMW, RMW: RMWAdd, Addr: B + 0x80, WVal: 3, Out: &out[3], Busy: 1},
+					Ref{Kind: arch.RefWrite, Addr: B + 0x100, WVal: 4, Busy: 1},
+					Ref{Kind: arch.RefRead, Addr: B + 0x100, Out: &out[4], Busy: 1})
+			},
+			direct: 4,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want, _ := tc.run(t, false)
+			got, th := tc.run(t, true)
+			if th.direct != tc.direct || th.parked != tc.parked || th.refused != tc.refused {
+				t.Errorf("Direct outcomes: %d executed, %d parked, %d refused; want %d, %d, %d",
+					th.direct, th.parked, th.refused, tc.direct, tc.parked, tc.refused)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("direct run diverged from the loop:\n got %+v\nwant %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestDirectRefusedOffTheLoop pins the two gates that keep Direct exact: it
+// runs only while the loop is live, and never under an armed snapshot pause.
+func TestDirectRefusedOffTheLoop(t *testing.T) {
+	var out [2]uint64
+	prog := []Ref{
+		{Kind: arch.RefRead, Addr: 0x1000, Out: &out[0]},
+		{Kind: arch.RefRead, Addr: 0x1000, Out: &out[1]},
+		{Kind: arch.RefWrite, Addr: 0x1008, WVal: 1, Busy: 1},
+	}
+	cfg := arch.DefaultConfig()
+	cfg.Nodes = 2
+	cfg.MemBytesPerNode = 1 << 20
+	eng := sim.NewEngine()
+	ctl := &echoCtl{eng: eng, latency: 50}
+	c := New(0, eng, &cfg, ctl, memsys.NewView(memsys.NewStore(cfg.MemBytesPerNode/4)))
+	ctl.cpu = c
+	th := &directThread{c: c, prog: prog}
+	c.SetSource(th, nil)
+	if ok, _ := c.Direct(&prog[2]); ok {
+		t.Fatal("Direct executed a reference with no run loop on the stack")
+	}
+	c.PauseAfter(1 << 30)
+	c.Start()
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if th.direct != 0 || c.Stats.Refs != 3 {
+		t.Fatalf("pause armed: %d direct references of %d, want 0 of 3", th.direct, c.Stats.Refs)
+	}
+	for _, f := range []string{"vt=", "limit=", "live=false"} {
+		if s := c.DebugState(); !strings.Contains(s, f) {
+			t.Fatalf("DebugState %q lacks %q", s, f)
+		}
+	}
+}

@@ -99,7 +99,7 @@ func (c *Controller) Reset() {
 	c.curTID = 0
 }
 
-// DirState is a read-only directory snapshot for invariant checking.
+// DirState is one line's oracle directory state, for invariant checking.
 type DirState struct {
 	Dirty, Pending, Local bool
 	Owner                 arch.NodeID
@@ -107,17 +107,18 @@ type DirState struct {
 	Acks                  int
 }
 
-// Snapshot copies the oracle directory (lines with any recorded state).
-func (c *Controller) Snapshot() map[uint64]DirState {
-	out := make(map[uint64]DirState, len(c.dir))
-	for l, e := range c.dir {
-		out[l] = DirState{
-			Dirty: e.dirty, Pending: e.pending, Local: e.local,
-			Owner: e.owner, Sharers: append([]arch.NodeID(nil), e.sharers...),
-			Acks: e.acks,
-		}
+// Line returns the oracle directory state of one line homed here (the zero
+// state if nothing was ever recorded for it). Sharers aliases the live
+// directory: read it, do not keep or modify it.
+func (c *Controller) Line(line uint64) DirState {
+	e := c.dir[line]
+	if e == nil {
+		return DirState{}
 	}
-	return out
+	return DirState{
+		Dirty: e.dirty, Pending: e.pending, Local: e.local,
+		Owner: e.owner, Sharers: e.sharers, Acks: e.acks,
+	}
 }
 
 func (c *Controller) entry(a arch.Addr) *dirEntry {

@@ -65,8 +65,7 @@ func TestIdealLocalRead(t *testing.T) {
 		{{Kind: arch.RefRead, Addr: 0x1000}},
 		nil,
 	})
-	snap := r.ctls[0].Snapshot()
-	e := snap[arch.Addr(0x1000).Line()]
+	e := r.ctls[0].Line(arch.Addr(0x1000).Line())
 	if !e.Local || e.Dirty || e.Pending {
 		t.Fatalf("dir = %+v, want local clean", e)
 	}
@@ -80,8 +79,7 @@ func TestIdealRemoteWriteOwnership(t *testing.T) {
 		nil,
 		{{Kind: arch.RefWrite, Addr: 0x2000}}, // node 1 writes node 0's line
 	})
-	snap := r.ctls[0].Snapshot()
-	e := snap[arch.Addr(0x2000).Line()]
+	e := r.ctls[0].Line(arch.Addr(0x2000).Line())
 	if !e.Dirty || e.Owner != 1 || e.Pending {
 		t.Fatalf("dir = %+v, want dirty owner=1", e)
 	}
@@ -97,8 +95,7 @@ func TestIdealInvalidationOnWrite(t *testing.T) {
 		{{Kind: arch.RefWrite, Addr: 0x3000, Busy: 4000}},
 		{{Kind: arch.RefRead, Addr: 0x3000}},
 	})
-	snap := r.ctls[0].Snapshot()
-	e := snap[arch.Addr(0x3000).Line()]
+	e := r.ctls[0].Line(arch.Addr(0x3000).Line())
 	if !e.Dirty || e.Owner != 0 || e.Pending || e.Acks != 0 {
 		t.Fatalf("dir = %+v, want dirty owner=0 quiesced", e)
 	}
@@ -117,7 +114,7 @@ func TestIdealThreeHopRead(t *testing.T) {
 		{{Kind: arch.RefRead, Addr: 0x4000, Busy: 4000}},
 		{{Kind: arch.RefWrite, Addr: 0x4000}},
 	})
-	e := r.ctls[0].Snapshot()[arch.Addr(0x4000).Line()]
+	e := r.ctls[0].Line(arch.Addr(0x4000).Line())
 	if e.Dirty || e.Pending {
 		t.Fatalf("dir = %+v, want clean after sharing writeback", e)
 	}

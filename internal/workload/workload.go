@@ -194,17 +194,11 @@ type Ctx struct {
 
 	yield  func([]cpu.Ref) bool // hands a batch to the CPU, parks until resumed
 	batch  []cpu.Ref            // references issued but not yet handed to the CPU
+	cpu    *cpu.CPU             // the thread's processor, for direct execution
 	out    uint64
 	busy   uint32
 	senses map[*Barrier]uint64
 	prng   uint64
-
-	// proc, set only on sampled machines, lets ReadU try the processor's
-	// functional fast path (cpu.FFLocalRead) before paying a coroutine
-	// crossing; ffStreak bounds how many reads in a row it may satisfy so
-	// the machine keeps advancing underneath a long hit-read run.
-	proc     *cpu.CPU
-	ffStreak int
 
 	// Snapshot support (see Checkpoint). rec, when recording, accumulates
 	// the data result of every blocking reference in completion order.
@@ -217,11 +211,6 @@ type Ctx struct {
 	replay []uint64
 }
 
-// ffLocalMax caps consecutive FFLocalRead hits between coroutine crossings:
-// a crossing lets the rest of the machine run, which is what ultimately
-// changes the values a data-dependent read loop is watching.
-const ffLocalMax = 4096
-
 // maxBatch bounds how many non-blocking references a thread buffers before
 // flushing to its processor, so a long write-only loop neither grows memory
 // without bound nor starves the simulation goroutine's batch refill.
@@ -231,12 +220,26 @@ const maxBatch = 256
 // reference (4 instructions per system cycle).
 func (c *Ctx) Busy(n int) { c.busy += uint32(n) }
 
-// issue appends a non-blocking reference to the thread's pending batch.
-// The batch crosses the workload⇄cpu boundary once, at the next blocking
-// reference (or at capacity/exit), instead of once per reference.
+// issue hands the thread's next reference to its processor. While the
+// processor's run loop is live (parked in the cache hit that resumed this
+// thread) the reference executes right here, on the thread's stack, with no
+// coroutine switch; if the processor blocks on it the thread parks with an
+// empty batch and is resumed when the reference retires. Otherwise — the
+// loop's slice is spent, or the loop is not on the stack at all — the
+// reference joins the pending batch, which crosses the workload⇄cpu
+// boundary once, at the next blocking reference (or at capacity/exit).
+// Once anything is batched everything behind it is too: program order.
 func (c *Ctx) issue(r cpu.Ref) {
 	r.Busy = c.busy + 1 // every reference is at least one instruction
 	c.busy = 0
+	if len(c.batch) == 0 {
+		if ok, blocked := c.cpu.Direct(&r); ok {
+			if blocked {
+				c.yield(nil)
+			}
+			return
+		}
+	}
 	c.batch = append(c.batch, r)
 	if len(c.batch) >= maxBatch {
 		c.flush()
@@ -249,14 +252,14 @@ func (c *Ctx) issue(r cpu.Ref) {
 // blocking reference is always batch-final), so the slice is reused in
 // place.
 func (c *Ctx) flush() {
-	c.ffStreak = 0
 	c.yield(c.batch)
 	c.batch = c.batch[:0]
 }
 
-// issueWait issues r and parks the thread until the simulated machine
-// completes it (reads and RMWs): r rides at the end of the pending batch,
-// and the CPU resumes the coroutine only after r's done handshake fires.
+// issueWait issues r and returns once the simulated machine has completed
+// it (reads and RMWs): either r executed directly, or it rides at the end
+// of the pending batch and the CPU resumes the coroutine only after r's
+// done handshake fires.
 func (c *Ctx) issueWait(r cpu.Ref) {
 	c.issue(r)
 	if len(c.batch) > 0 {
@@ -281,27 +284,8 @@ func (c *Ctx) wait(r cpu.Ref) uint64 {
 	return c.out
 }
 
-// ReadU loads the 8-byte word at a. On sampled machines a fast-forward
-// cache-hit read completes functionally without waking the processor; the
-// read's instruction is deferred into the busy count the next crossing
-// reference carries, which charge() converts to the same cycle total.
+// ReadU loads the 8-byte word at a.
 func (c *Ctx) ReadU(a arch.Addr) uint64 {
-	if c.proc != nil && c.ffStreak < ffLocalMax {
-		if v, ok := c.proc.FFLocalRead(a, c.busy+1); ok {
-			// Read-own-writes: stores buffered in the unflushed batch precede
-			// this read in program order but haven't reached the processor
-			// yet; the latest one to this word wins over the backing store.
-			for j := len(c.batch) - 1; j >= 0; j-- {
-				if c.batch[j].Addr == a && c.batch[j].Kind == arch.RefWrite {
-					v = c.batch[j].WVal
-					break
-				}
-			}
-			c.busy++
-			c.ffStreak++
-			return v
-		}
-	}
 	return c.wait(cpu.Ref{Kind: arch.RefRead, Addr: a, Out: &c.out})
 }
 
@@ -350,10 +334,11 @@ func (c *Ctx) Rand() uint64 {
 }
 
 // threadSource adapts a Ctx coroutine to cpu.RefSource. Each next() resumes
-// the thread until its next batch flush, by direct coroutine switch — no
+// the thread until its next yield, by direct coroutine switch — no
 // scheduler round trip, no cross-processor wakeup. ReadDone (the completion
-// of a batch-final blocking reference) resumes the thread immediately; the
-// batch it produces is held pending for the NextBatch call that follows.
+// of a blocking reference) resumes the thread immediately; the batch it
+// yields — empty if it parked on a direct reference that blocked — is held
+// pending for the NextBatch call that follows.
 type threadSource struct {
 	next       func() ([]cpu.Ref, bool)
 	ctx        *Ctx
@@ -396,11 +381,9 @@ func threadSeed(i int) uint64 { return uint64(i)*0x9E3779B97F4A7C15 + 0x1234567 
 func (w *World) newThread(i int, fn func(*Ctx)) *threadSource {
 	c := &Ctx{
 		W: w, ID: i,
+		cpu:    w.M.Nodes[i].CPU,
 		senses: make(map[*Barrier]uint64),
 		prng:   threadSeed(i),
-	}
-	if w.Cfg.Sample.Enabled() {
-		c.proc = w.M.Nodes[i].CPU
 	}
 	next, _ := iter.Pull(func(yield func([]cpu.Ref) bool) {
 		c.yield = yield

@@ -7,7 +7,8 @@
 # one file. flash_cycles are asserted bit-identical across backends and
 # across engines. A sampled section compares fast-forward execution against
 # full simulation (error + confidence intervals + speedup; gate: >= 3x at
-# <= 5% error on >= 2 apps, carried by per-app tuned schedules), a
+# <= 5% error on >= 2 apps, carried by per-app tuned schedules; a failed
+# gate is recorded with its table and fails the script at the end), a
 # multicore section records barrier-vs-
 # watermark walls and a timed paper-size run (skipped, loudly, on 1 core),
 # and an explore section times the design-space sweep cold vs warm-started
@@ -49,6 +50,16 @@ awk '/^BenchmarkEngine/ && $7 != 0 {
 	printf "FAIL: %s reports %s allocs/op (want 0)\n", $1, $7; bad = 1
 }
 END { exit bad }' "$RAW" || { echo "bench.sh: engine allocation regression" >&2; exit 1; }
+
+# The workload<->cpu handshake must stay allocation-free on all three paths:
+# batched writes, direct read hits, and the two mixed.
+awk '/^pkg:/ { pkg = $2 }
+pkg ~ /internal\/workload$/ && /^Benchmark(WriteBurst|ReadRoundTrip|MixedRefs)/ {
+	seen++
+	if ($7 != 0) { printf "FAIL: %s reports %s allocs/op (want 0)\n", $1, $7; bad = 1 }
+}
+END { if (seen < 3) { print "FAIL: workload handshake benchmarks missing"; bad = 1 }; exit bad }' "$RAW" ||
+	{ echo "bench.sh: workload handshake allocation regression" >&2; exit 1; }
 
 # The compiled PP dispatch loop must be allocation-free in steady state: the
 # closure image is built once at program load, and executing handlers must
@@ -308,11 +319,15 @@ sampled_pass() {
 
 GATE_PASSING="$( { sampled_pass "$SAMPLED_TXT"; sampled_pass "$GATE_TXT"; } | sort -u)"
 GATE_COUNT="$(printf '%s\n' "$GATE_PASSING" | awk 'NF' | wc -l)"
+# A failed gate still records the table it failed on — the ledger keeps what
+# was measured — and fails the script once the file is complete.
+SAMPLED_GATE_MET=true
 if [ "$GATE_COUNT" -lt 2 ]; then
+	SAMPLED_GATE_MET=false
 	echo "bench.sh: sampled mode meets >=3x at <=5% error on only $GATE_COUNT app(s), need >= 2" >&2
-	exit 1
+else
+	echo "bench.sh: sampled gate met on $GATE_COUNT apps (>=3x speedup at <=5% error):" $GATE_PASSING
 fi
-echo "bench.sh: sampled gate met on $GATE_COUNT apps (>=3x speedup at <=5% error):" $GATE_PASSING
 GATE_PASSING_JSON="$(printf '%s\n' "$GATE_PASSING" | awk 'NF { s = s (s ? ", " : "") "\"" $1 "\"" } END { print s }')"
 
 {
@@ -334,7 +349,7 @@ GATE_PASSING_JSON="$(printf '%s\n' "$GATE_PASSING" | awk 'NF { s = s (s ? ", " :
 	sampled_rows "$GATE_TXT" | sed 's/^      /        /'
 	printf '      }\n'
 	printf '    },\n'
-	printf '    "gate": {"require": "speedup >= 3x and |err| <= 5%% on >= 2 distinct apps across the default and tuned tables", "passing": [%s]}\n' "$GATE_PASSING_JSON"
+	printf '    "gate": {"require": "speedup >= 3x and |err| <= 5%% on >= 2 distinct apps across the default and tuned tables", "passing": [%s], "met": %s}\n' "$GATE_PASSING_JSON" "$SAMPLED_GATE_MET"
 	printf '  },\n'
 } >>"$OUT"
 
@@ -462,3 +477,7 @@ cat >>"$OUT" <<'EOF'
 EOF
 
 echo "wrote $OUT"
+if [ "$SAMPLED_GATE_MET" != true ]; then
+	echo "bench.sh: FAILED: sampled gate not met (table recorded in $OUT)" >&2
+	exit 1
+fi
