@@ -22,7 +22,12 @@ build:
 # (checkpoint + copy-on-write fork) runs must match cold runs bit-for-bit on
 # every Fig 4.1 app across {seq,sharded} x {interp,compiled}, and the machine
 # pool, the fork suite and machines sharing one memoized protocol program run
-# once more under the race detector.
+# once more under the race detector. The sharded goldens also run under the
+# race detector in both sync modes: message events are armed on one shard and
+# fire on another, and that hand-off has no lock of its own (the sender
+# re-arms an event only after the engine's synchronization has ordered the
+# receiver's read). The fuzz line drives the calendar event queue against a
+# sorted-slice reference for a bounded time (go test runs its seed corpus).
 verify:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test ./... && $(GO) test -race ./internal/exp -run Parallel
 	FLASHSIM_PP_DISPATCH=interp $(GO) test -count=1 ./internal/exp -run TestGolden
@@ -30,6 +35,9 @@ verify:
 	GOMAXPROCS=1 FLASHSIM_ENGINE=sharded $(GO) test -count=1 ./internal/exp -run TestGolden
 	FLASHSIM_ENGINE=sharded FLASHSIM_ENGINE_SYNC=watermark $(GO) test -count=1 ./internal/exp -run TestGolden
 	$(GO) test -race ./internal/sim -run 'Sharded|Watermark'
+	FLASHSIM_ENGINE=sharded $(GO) test -race -count=1 ./internal/exp -run TestGolden
+	FLASHSIM_ENGINE=sharded FLASHSIM_ENGINE_SYNC=watermark $(GO) test -race -count=1 ./internal/exp -run TestGolden
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzQueueOrder -fuzztime 10s
 	$(GO) test -race ./internal/metrics
 	$(GO) test -count=1 ./internal/exp -run TestMetrics
 	FLASHSIM_SAMPLE=default $(GO) test -count=1 ./internal/exp -run TestSampledSmoke

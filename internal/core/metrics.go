@@ -89,6 +89,8 @@ func (m *Machine) publishMetrics() {
 			reg.Counter("flashsim_engine_windows_total", "shard", shard).Add(s.Windows)
 			reg.Counter("flashsim_engine_empty_windows_total", "shard", shard).Add(s.EmptyWindows)
 		}
+		// Queue depth: the name predates the calendar queue and is kept for
+		// dashboards.
 		reg.Gauge("flashsim_engine_heap_hiwater", "shard", shard).SetMax(int64(s.HeapHiWater))
 		if s.Publishes != 0 {
 			reg.Counter("flashsim_engine_watermark_publishes_total", "shard", shard).Add(s.Publishes)

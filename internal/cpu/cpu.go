@@ -206,6 +206,11 @@ type CPU struct {
 
 	mshrs []mshrEntry
 	inUse int
+	// retry[e] reissues MSHR e's request at the engine clock: the NAK
+	// backoff event, one per entry, built once like rerun.
+	retry []func()
+	// ivFree recycles intervention completion events.
+	ivFree *intervention
 
 	batch    []Ref // current batch from the source
 	batchPos int   // next unconsumed batch element
@@ -265,6 +270,10 @@ func New(id arch.NodeID, eng sim.Scheduler, cfg *arch.Config, ctl Ctl, mem *mems
 		mshrs:    make([]mshrEntry, cfg.MSHRs),
 	}
 	c.rerun = func() { c.run(c.eng.Now()) }
+	c.retry = make([]func(), len(c.mshrs))
+	for e := range c.retry {
+		c.retry[e] = func() { c.issue(e, c.eng.Now()) }
+	}
 	return c
 }
 
@@ -640,7 +649,7 @@ func (c *CPU) deliver(m arch.Msg, at sim.Cycle, ff bool) {
 		ent.retries++
 		jitter := (uint64(c.ID)*13 + uint64(ent.retries)*7) % 23
 		delay := sim.Cycle(c.t.NakBackoff)<<uint(sh) + sim.Cycle(jitter)
-		c.eng.At(c.ffAt(at+delay), func() { c.issue(e, c.eng.Now()) })
+		c.eng.At(c.ffAt(at+delay), c.retry[e])
 		return
 	}
 
@@ -896,12 +905,17 @@ func (c *CPU) InterveneFF(kind arch.MsgType, addr arch.Addr) arch.MsgType {
 	return arch.MsgPCData
 }
 
+// InterventionDone is Intervene's completion callback.
+type InterventionDone func(req arch.Msg, resp arch.MsgType, firstData sim.Cycle)
+
 // Intervene performs a controller-initiated cache transaction: an
 // invalidation (PIInval), a downgrade retrieving dirty data (PIDowngr), or
 // a flush retrieving data and invalidating (PIFlush). done is called with
-// the response type and, for data responses, the time the first double
-// word is available.
-func (c *CPU) Intervene(kind arch.MsgType, addr arch.Addr, at sim.Cycle, done func(resp arch.MsgType, firstData sim.Cycle)) {
+// req (the request the controller is serving, handed back so the callback
+// need not capture it), the response type and, for data responses, the time
+// the first double word is available; a nil done still costs the completion
+// event, so event counts do not depend on whether the controller listens.
+func (c *CPU) Intervene(kind arch.MsgType, addr arch.Addr, at sim.Cycle, req arch.Msg, done InterventionDone) {
 	line := addr.Line()
 	if kind == arch.MsgPIInval {
 		if e := c.findMSHR(line); e >= 0 && c.mshrs[e].kind == arch.MsgGET {
@@ -921,8 +935,7 @@ func (c *CPU) Intervene(kind arch.MsgType, addr arch.Addr, at sim.Cycle, done fu
 		if kind != arch.MsgPIDowngr {
 			c.Cache.SetState(line, Invalid)
 		}
-		resp := arch.MsgPCClean
-		c.eng.At(end, func() { done(resp, end) })
+		c.complete(end, arch.MsgPCClean, req, done)
 		return
 	}
 	// Retrieve dirty data: 20 cycles to the first double word, then the
@@ -936,7 +949,40 @@ func (c *CPU) Intervene(kind arch.MsgType, addr arch.Addr, at sim.Cycle, done fu
 	} else {
 		c.Cache.SetState(line, Shared)
 	}
-	c.eng.At(first, func() { done(arch.MsgPCData, first) })
+	c.complete(first, arch.MsgPCData, req, done)
+}
+
+// intervention is the completion event of one Intervene: a pooled record
+// (several can be in flight — invalidations are fire-and-forget) whose bound
+// fire is what the engine runs, at the cycle the response is available.
+type intervention struct {
+	c    *CPU
+	done InterventionDone
+	req  arch.Msg
+	resp arch.MsgType
+	fire func()
+	next *intervention
+}
+
+func (iv *intervention) run() {
+	c, done := iv.c, iv.done
+	iv.done, iv.next, c.ivFree = nil, c.ivFree, iv
+	if done != nil {
+		done(iv.req, iv.resp, c.eng.Now())
+	}
+}
+
+// complete schedules done(req, resp, at) at cycle at.
+func (c *CPU) complete(at sim.Cycle, resp arch.MsgType, req arch.Msg, done InterventionDone) {
+	iv := c.ivFree
+	if iv == nil {
+		iv = &intervention{c: c}
+		iv.fire = iv.run
+	} else {
+		c.ivFree = iv.next
+	}
+	iv.done, iv.req, iv.resp = done, req, resp
+	c.eng.At(at, iv.fire)
 }
 
 // --- backing-store access (run loop or, while it is live, its thread) ---

@@ -181,7 +181,7 @@ func TestInterventionRetrievesDirty(t *testing.T) {
 	// The line is now Modified; a downgrade intervention retrieves it.
 	var resp arch.MsgType
 	var first sim.Cycle
-	c.Intervene(arch.MsgPIDowngr, 0x5000, eng.Now(), func(r arch.MsgType, f sim.Cycle) {
+	c.Intervene(arch.MsgPIDowngr, 0x5000, eng.Now(), arch.Msg{}, func(_ arch.Msg, r arch.MsgType, f sim.Cycle) {
 		resp, first = r, f
 	})
 	if err := eng.Run(); err != nil {
@@ -197,7 +197,7 @@ func TestInterventionRetrievesDirty(t *testing.T) {
 		t.Fatal("downgrade did not leave line Shared")
 	}
 	// A clean intervention now responds PCClean.
-	c.Intervene(arch.MsgPIFlush, 0x5000, eng.Now(), func(r arch.MsgType, f sim.Cycle) { resp = r })
+	c.Intervene(arch.MsgPIFlush, 0x5000, eng.Now(), arch.Msg{}, func(_ arch.Msg, r arch.MsgType, f sim.Cycle) { resp = r })
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}

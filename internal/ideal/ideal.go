@@ -76,16 +76,29 @@ type Controller struct {
 	// to stamp outgoing messages. Best-effort for sends made from deferred
 	// intervention callbacks, which run after handle returns.
 	curTID uint64
+
+	// Evs recycles this node's message events; the three handlers are what
+	// they fire (a processor-side arrival, a network arrival, a reply
+	// crossing the bus to the processor), built once — as are the two
+	// continuations of a data intervention, which get their request back
+	// from the processor instead of capturing it.
+	Evs                      arch.MsgEventPool
+	onProc, onNet, onDeliver func(*arch.MsgEvent)
+	homeDone, fwdDone        cpu.InterventionDone
 }
 
 // New builds an idealized controller; call Attach to wire the CPU.
 func New(id arch.NodeID, eng sim.Scheduler, cfg *arch.Config, mem *memsys.Memory, net *network.Port) *Controller {
-	t := cfg.Timing
-	return &Controller{
-		ID: id, Eng: eng, Cfg: cfg, T: t,
+	c := &Controller{
+		ID: id, Eng: eng, Cfg: cfg, T: cfg.Timing,
 		Mem: mem, Net: net,
 		dir: make(map[uint64]*dirEntry),
 	}
+	c.onProc = func(ev *arch.MsgEvent) { c.handle(c.Evs.Take(ev), false) }
+	c.onNet = func(ev *arch.MsgEvent) { c.handle(c.Evs.Take(ev), true) }
+	c.onDeliver = func(ev *arch.MsgEvent) { c.CPU.Deliver(c.Evs.Take(ev), c.Eng.Now()) }
+	c.homeDone, c.fwdDone = c.retrieved, c.forwarded
+	return c
 }
 
 // Attach wires the processor.
@@ -133,7 +146,7 @@ func (c *Controller) entry(a arch.Addr) *dirEntry {
 
 // FromProc receives a processor-side message (cpu.Ctl).
 func (c *Controller) FromProc(m arch.Msg, at sim.Cycle) {
-	c.Eng.At(at+sim.Cycle(c.T.PIInbound), func() { c.handle(m, false) })
+	c.Eng.At(at+sim.Cycle(c.T.PIInbound), c.Evs.Get(c.onProc, m).Fire)
 }
 
 // FromProcFF satisfies cpu.Ctl; never reached on ideal machines (core
@@ -144,7 +157,7 @@ func (c *Controller) FromProcFF(m arch.Msg, at sim.Cycle) {
 
 // FromNet receives a network message (network.Sink).
 func (c *Controller) FromNet(m arch.Msg) {
-	c.Eng.After(sim.Cycle(c.T.NIInbound), func() { c.handle(m, true) })
+	c.Eng.After(sim.Cycle(c.T.NIInbound), c.Evs.Get(c.onNet, m).Fire)
 }
 
 // --- send helpers (all timed from r, the processing instant) ---
@@ -172,7 +185,7 @@ func (c *Controller) toProc(r sim.Cycle, m arch.Msg, firstData sim.Cycle) {
 		deliver = firstData
 	}
 	deliver += sim.Cycle(c.T.PIOutbound) + sim.Cycle(c.T.PIBusWord)
-	c.Eng.At(deliver, func() { c.CPU.Deliver(m, c.Eng.Now()) })
+	c.Eng.At(deliver, c.Evs.Get(c.onDeliver, m).Fire)
 }
 
 // nak bounces a request back to its origin.
@@ -243,7 +256,7 @@ func (c *Controller) handle(m arch.Msg, viaNet bool) {
 	case arch.MsgFwdGETX:
 		c.fwdGet(r, m, true)
 	case arch.MsgINVAL:
-		c.CPU.Intervene(arch.MsgPIInval, m.Addr, r, func(arch.MsgType, sim.Cycle) {})
+		c.CPU.Intervene(arch.MsgPIInval, m.Addr, r, m, nil)
 		c.toNet(r, arch.Msg{Type: arch.MsgIACK, Addr: m.Addr, Src: c.ID, Dst: m.Src, DB: -1}, 0)
 	case arch.MsgPUT, arch.MsgPUTX, arch.MsgNAK:
 		// Replies arriving at the requester: hand to the processor.
@@ -302,20 +315,7 @@ func (c *Controller) get(r sim.Cycle, m arch.Msg, viaNet bool) {
 		// guards the window (the flexible machine's PP serializes this
 		// naturally; the oracle must do it explicitly).
 		e.pending = true
-		c.CPU.Intervene(arch.MsgPIDowngr, m.Addr, r+sim.Cycle(c.T.PIOutbound),
-			func(resp arch.MsgType, first sim.Cycle) {
-				now := c.Eng.Now()
-				e.pending = false
-				if resp != arch.MsgPCData {
-					c.nak(now, m, viaNet)
-					return
-				}
-				c.Mem.Write(now)
-				e.dirty = false
-				e.local = true // our processor keeps the downgraded copy
-				c.noteSharer(e, m.Src)
-				c.reply(now, arch.MsgPUT, m, 1, first, viaNet)
-			})
+		c.CPU.Intervene(arch.MsgPIDowngr, m.Addr, r+sim.Cycle(c.T.PIOutbound), m, c.homeDone)
 	case e.dirty:
 		if e.owner == m.Src {
 			c.nak(r, m, viaNet) // requester's own writeback is in flight
@@ -340,19 +340,7 @@ func (c *Controller) getx(r sim.Cycle, m arch.Msg, viaNet bool) {
 		c.nak(r, m, viaNet) // our writeback is in flight
 	case e.dirty && e.owner == c.ID:
 		e.pending = true
-		c.CPU.Intervene(arch.MsgPIFlush, m.Addr, r+sim.Cycle(c.T.PIOutbound),
-			func(resp arch.MsgType, first sim.Cycle) {
-				now := c.Eng.Now()
-				e.pending = false
-				if resp != arch.MsgPCData {
-					c.nak(now, m, viaNet)
-					return
-				}
-				c.Mem.Write(now)
-				e.local = false
-				e.owner = m.Src
-				c.reply(now, arch.MsgPUTX, m, 1, first, viaNet)
-			})
+		c.CPU.Intervene(arch.MsgPIFlush, m.Addr, r+sim.Cycle(c.T.PIOutbound), m, c.homeDone)
 	case e.dirty:
 		if e.owner == m.Src {
 			c.nak(r, m, viaNet)
@@ -374,7 +362,7 @@ func (c *Controller) getx(r sim.Cycle, m arch.Msg, viaNet bool) {
 		}
 		e.sharers = e.sharers[:0]
 		if e.local && m.Src != c.ID {
-			c.CPU.Intervene(arch.MsgPIInval, m.Addr, r, func(arch.MsgType, sim.Cycle) {})
+			c.CPU.Intervene(arch.MsgPIInval, m.Addr, r, m, nil)
 			e.local = false
 		}
 		if m.Src == c.ID {
@@ -387,6 +375,29 @@ func (c *Controller) getx(r sim.Cycle, m arch.Msg, viaNet bool) {
 		fw, _ := c.Mem.Read(r)
 		c.reply(r, arch.MsgPUTX, m, 0, fw, viaNet)
 	}
+}
+
+// retrieved continues a GET or GETX at the home whose line was dirty in the
+// home's own processor cache, once the cache has answered. A request served
+// at its home came over the network exactly when its source is another node.
+func (c *Controller) retrieved(m arch.Msg, resp arch.MsgType, first sim.Cycle) {
+	now, e, viaNet := c.Eng.Now(), c.entry(m.Addr), m.Src != c.ID
+	e.pending = false
+	if resp != arch.MsgPCData {
+		c.nak(now, m, viaNet)
+		return
+	}
+	c.Mem.Write(now)
+	if m.Type == arch.MsgGET {
+		e.dirty = false
+		e.local = true // our processor keeps the downgraded copy
+		c.noteSharer(e, m.Src)
+		c.reply(now, arch.MsgPUT, m, 1, first, viaNet)
+		return
+	}
+	e.local = false
+	e.owner = m.Src
+	c.reply(now, arch.MsgPUTX, m, 1, first, viaNet)
 }
 
 // writeback retires dirty data to memory at the home node.
@@ -404,33 +415,35 @@ func (c *Controller) writeback(r sim.Cycle, m arch.Msg) {
 	}
 }
 
-// fwdGet handles a forwarded request at the (believed) dirty node.
+// fwdGet handles a forwarded request at the (believed) dirty node; forwarded
+// continues it once the processor cache has answered.
 func (c *Controller) fwdGet(r sim.Cycle, m arch.Msg, exclusive bool) {
 	kind := arch.MsgPIDowngr
 	if exclusive {
 		kind = arch.MsgPIFlush
 	}
-	c.CPU.Intervene(kind, m.Addr, r+sim.Cycle(c.T.PIOutbound),
-		func(resp arch.MsgType, first sim.Cycle) {
-			now := c.Eng.Now()
-			if resp != arch.MsgPCData {
-				// Already written back: clear home's pending, bounce requester.
-				c.toNet(now, arch.Msg{Type: arch.MsgPCLR, Addr: m.Addr, Src: c.ID, Dst: m.Src, DB: -1}, 0)
-				c.deliverOrSend(now, arch.Msg{Type: arch.MsgNAK, Addr: m.Addr, Src: c.ID, Dst: m.Req, DB: -1}, 0)
-				return
-			}
-			t := arch.MsgPUT
-			home := arch.MsgSWB
-			if exclusive {
-				t, home = arch.MsgPUTX, arch.MsgXFER
-			}
-			c.deliverOrSend(now, arch.Msg{Type: t, Addr: m.Addr, Src: c.ID, Dst: m.Req, Req: m.Req, Aux: 3, DB: 0}, first)
-			homeData := first
-			if exclusive {
-				homeData = 0 // XFER carries no data
-			}
-			c.toNet(now, arch.Msg{Type: home, Addr: m.Addr, Src: c.ID, Dst: m.Src, Req: m.Req, DB: -1}, homeData)
-		})
+	c.CPU.Intervene(kind, m.Addr, r+sim.Cycle(c.T.PIOutbound), m, c.fwdDone)
+}
+
+func (c *Controller) forwarded(m arch.Msg, resp arch.MsgType, first sim.Cycle) {
+	now, exclusive := c.Eng.Now(), m.Type == arch.MsgFwdGETX
+	if resp != arch.MsgPCData {
+		// Already written back: clear home's pending, bounce requester.
+		c.toNet(now, arch.Msg{Type: arch.MsgPCLR, Addr: m.Addr, Src: c.ID, Dst: m.Src, DB: -1}, 0)
+		c.deliverOrSend(now, arch.Msg{Type: arch.MsgNAK, Addr: m.Addr, Src: c.ID, Dst: m.Req, DB: -1}, 0)
+		return
+	}
+	t := arch.MsgPUT
+	home := arch.MsgSWB
+	if exclusive {
+		t, home = arch.MsgPUTX, arch.MsgXFER
+	}
+	c.deliverOrSend(now, arch.Msg{Type: t, Addr: m.Addr, Src: c.ID, Dst: m.Req, Req: m.Req, Aux: 3, DB: 0}, first)
+	homeData := first
+	if exclusive {
+		homeData = 0 // XFER carries no data
+	}
+	c.toNet(now, arch.Msg{Type: home, Addr: m.Addr, Src: c.ID, Dst: m.Src, Req: m.Req, DB: -1}, homeData)
 }
 
 // deliverOrSend routes a reply to the requester: across the network, or

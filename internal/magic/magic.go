@@ -64,7 +64,43 @@ type queued struct {
 	ready sim.Cycle
 }
 
-// handlerCtx tracks one in-flight handler invocation.
+// inbox is one inbound message queue: a power-of-two ring that grows when
+// full (the queues are unbounded — Table 3.1 backs a full inbound queue up
+// into network buffering) and otherwise reuses its storage forever.
+type inbox struct {
+	buf     []queued
+	head, n int
+}
+
+func (q *inbox) push(x queued) {
+	if q.n == len(q.buf) {
+		buf := make([]queued, max(8, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			buf[i] = *q.at(i)
+		}
+		q.buf, q.head = buf, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = x
+	q.n++
+}
+
+func (q *inbox) pop() queued {
+	x := q.buf[q.head]
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return x
+}
+
+// at returns the i-th oldest queued message.
+func (q *inbox) at(i int) *queued { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
+
+// reset empties the queue, keeping its storage.
+func (q *inbox) reset() { q.head, q.n = 0, 0 }
+
+// handlerCtx tracks one in-flight handler invocation. A controller has
+// exactly one, embedded (Magic.hctx): the PP runs one handler at a time,
+// detailed or functional, so the invocation record is reused rather than
+// allocated per dispatch.
 type handlerCtx struct {
 	msg        arch.Msg
 	entry      string // handler name, for traces and diagnostics only
@@ -112,16 +148,28 @@ type Magic struct {
 	// (core.Machine.EnableOccSampling).
 	PPSeries *trace.TimeSeries
 
-	qPI     []queued
-	qNetReq []queued
-	qNetRpl []queued
+	qPI     inbox
+	qNetReq inbox
+	qNetRpl inbox
 	rrPI    bool // round-robin fairness between PI and NI request queues
 
 	outNet int // accepted but not yet injected
 	outPI  int // accepted but not yet delivered (capacity 1)
 	bufs   int // data buffers in use
 
-	ctx *handlerCtx // nil when the PP is idle
+	ctx  *handlerCtx // &hctx while a handler is in flight, nil when the PP is idle
+	hctx handlerCtx
+
+	// The event bodies of the miss path, built once: the three steps of a
+	// handler's life (start at dispatch, resume after a stall, retire at its
+	// last cycle), the intervention completion, and the four message events
+	// (arrival from the processor and from the network, a reply reaching the
+	// processor, an injection into the network), whose messages ride in
+	// pooled arch.MsgEvents from Evs. Nothing on the path allocates.
+	startFn, wakeFn, retireFn      func()
+	pcDoneFn                       cpu.InterventionDone
+	onProc, onNet, onToPI, onToNet func(*arch.MsgEvent)
+	Evs                            arch.MsgEventPool
 
 	// jt is the inbox jump table, indexed [viaNet][isHome][msg type]: the
 	// protocol's dispatch rules and the handler entry-point map, both
@@ -151,11 +199,6 @@ type Magic struct {
 	// chains (wired by core on FLASH machines when sampling is enabled).
 	// Safe only because sampling serializes the sharded engine.
 	Peers []*Magic
-
-	// ffCtx is the reusable functional-invocation context: FF handlers
-	// never outlive runHandlerFF, so one scratch struct per controller
-	// avoids an allocation per dispatch.
-	ffCtx handlerCtx
 
 	// Resolved design knobs: queue/buffer capacities (Table 3.1 defaults,
 	// overridable through arch.Config for the design-space sweep) and the
@@ -203,14 +246,16 @@ func New(id arch.NodeID, eng sim.Scheduler, cfg *arch.Config, prog *protocol.Pro
 	if m.ppDiv < 1 {
 		m.ppDiv = 1
 	}
+	m.startFn, m.wakeFn, m.retireFn, m.pcDoneFn = m.startHandler, m.resumePP, m.retire, m.pcDone
+	m.onProc, m.onNet, m.onToPI, m.onToNet = m.arriveProc, m.arriveNet, m.deliverPI, m.injectNet
 	mdc := ppsim.NewMDC(cfg.MDCSize, cfg.MDCWays)
 	m.PP = ppsim.NewBackend(prog.Code, int(prog.Layout.MemBytes), mdc, (*ppEnv)(m), ppsim.BackendFor(cfg.PPDispatch))
 	prog.Layout.InitMemory(m.PP.Mem, id, cfg.NodeBase(id), cfg.Nodes)
 	for viaNet := 0; viaNet < 2; viaNet++ {
 		for isHome := 0; isHome < 2; isHome++ {
 			for t := arch.MsgType(0); t < arch.NumMsgTypes; t++ {
-				jt, err := protocol.Dispatch(t, viaNet == 1, isHome == 1)
-				if err != nil {
+				jt, ok := protocol.Lookup(t, viaNet == 1, isHome == 1)
+				if !ok {
 					continue // no handler on this path; stays !ok
 				}
 				pc, err := m.PP.EntryPC(jt.Entry)
@@ -282,28 +327,38 @@ func (m *Magic) MDC() *ppsim.MDC { return m.PP.MDC }
 // FromProc receives a message from the processor side; at is when it
 // crossed the processor bus.
 func (m *Magic) FromProc(msg arch.Msg, at sim.Cycle) {
-	m.Eng.At(at+sim.Cycle(m.T.PIInbound), func() {
-		m.qPI = append(m.qPI, queued{msg, m.Eng.Now()})
-		if len(m.qPI) > m.Stats.QueueHighPI {
-			m.Stats.QueueHighPI = len(m.qPI)
-		}
-		m.tryDispatch()
-	})
+	m.Eng.At(at+sim.Cycle(m.T.PIInbound), m.Evs.Get(m.onProc, msg).Fire)
+}
+
+func (m *Magic) arriveProc(ev *arch.MsgEvent) {
+	m.qPI.push(queued{m.Evs.Take(ev), m.Eng.Now()})
+	if m.qPI.n > m.Stats.QueueHighPI {
+		m.Stats.QueueHighPI = m.qPI.n
+	}
+	m.tryDispatch()
 }
 
 // FromNet receives a message from the interconnect (network.Sink).
 func (m *Magic) FromNet(msg arch.Msg) {
-	m.Eng.After(sim.Cycle(m.T.NIInbound), func() {
-		q := &m.qNetReq
-		if msg.Type.IsReply() {
-			q = &m.qNetRpl
-		}
-		*q = append(*q, queued{msg, m.Eng.Now()})
-		if n := len(m.qNetReq) + len(m.qNetRpl); n > m.Stats.QueueHighNet {
-			m.Stats.QueueHighNet = n
-		}
-		m.tryDispatch()
-	})
+	m.Eng.After(sim.Cycle(m.T.NIInbound), m.Evs.Get(m.onNet, msg).Fire)
+}
+
+func (m *Magic) arriveNet(ev *arch.MsgEvent) {
+	msg := m.Evs.Take(ev)
+	m.netInbox(msg.Type).push(queued{msg, m.Eng.Now()})
+	if n := m.qNetReq.n + m.qNetRpl.n; n > m.Stats.QueueHighNet {
+		m.Stats.QueueHighNet = n
+	}
+	m.tryDispatch()
+}
+
+// netInbox selects the network-side queue for a message type: replies have
+// their own (deadlock avoidance).
+func (m *Magic) netInbox(t arch.MsgType) *inbox {
+	if t.IsReply() {
+		return &m.qNetRpl
+	}
+	return &m.qNetReq
 }
 
 // tryDispatch starts the next handler if the PP is idle and a message is
@@ -331,7 +386,8 @@ func (m *Magic) tryDispatch() {
 		panic(fmt.Sprintf("magic%d: no handler for %s (viaNet=%v isHome=%v)", m.ID, msg.Type, viaNet, isHome))
 	}
 
-	ctx := &handlerCtx{msg: msg, entry: slot.entry, pc: slot.pc, agg: slot.agg, viaNet: viaNet, dispatched: dispatch}
+	ctx := &m.hctx
+	*ctx = handlerCtx{msg: msg, entry: slot.entry, pc: slot.pc, agg: slot.agg, viaNet: viaNet, dispatched: dispatch}
 	if msg.Type.CarriesData() {
 		// The data streamed into a buffer alongside the header.
 		ctx.hasData = true
@@ -348,10 +404,7 @@ func (m *Magic) tryDispatch() {
 	}
 	m.ctx = ctx
 	m.dispatchScheduled = true
-	m.Eng.At(dispatch, func() {
-		m.dispatchScheduled = false
-		m.startHandler()
-	})
+	m.Eng.At(dispatch, m.startFn)
 }
 
 // popQueue removes the next message under the inbox arbitration rules:
@@ -359,22 +412,18 @@ func (m *Magic) tryDispatch() {
 // arrival time (used by the functional drain; detailed dispatch runs off
 // the engine clock).
 func (m *Magic) popQueue() (msg arch.Msg, viaNet bool, ready sim.Cycle, ok bool) {
+	var q queued
 	switch {
-	case len(m.qNetRpl) > 0:
-		msg, viaNet, ready = m.qNetRpl[0].msg, true, m.qNetRpl[0].ready
-		m.qNetRpl = m.qNetRpl[1:]
-	case len(m.qPI) > 0 && (m.rrPI || len(m.qNetReq) == 0):
-		msg, viaNet, ready = m.qPI[0].msg, false, m.qPI[0].ready
-		m.qPI = m.qPI[1:]
-		m.rrPI = false
-	case len(m.qNetReq) > 0:
-		msg, viaNet, ready = m.qNetReq[0].msg, true, m.qNetReq[0].ready
-		m.qNetReq = m.qNetReq[1:]
-		m.rrPI = true
+	case m.qNetRpl.n > 0:
+		q, viaNet = m.qNetRpl.pop(), true
+	case m.qPI.n > 0 && (m.rrPI || m.qNetReq.n == 0):
+		q, m.rrPI = m.qPI.pop(), false
+	case m.qNetReq.n > 0:
+		q, viaNet, m.rrPI = m.qNetReq.pop(), true, true
 	default:
 		return arch.Msg{}, false, 0, false
 	}
-	return msg, viaNet, ready, true
+	return q.msg, viaNet, q.ready, true
 }
 
 // injectFF hands a message to this controller functionally, with at as its
@@ -389,12 +438,9 @@ func (m *Magic) injectFF(msg arch.Msg, viaNet bool, at sim.Cycle) {
 	if m.ctx != nil || !m.queuesEmpty() {
 		q := &m.qPI
 		if viaNet {
-			q = &m.qNetReq
-			if msg.Type.IsReply() {
-				q = &m.qNetRpl
-			}
+			q = m.netInbox(msg.Type)
 		}
-		*q = append(*q, queued{msg, at})
+		q.push(queued{msg, at})
 		if m.ctx == nil {
 			m.drainFF()
 		}
@@ -411,7 +457,7 @@ func (m *Magic) FromProcFF(msg arch.Msg, at sim.Cycle) {
 }
 
 func (m *Magic) queuesEmpty() bool {
-	return len(m.qPI) == 0 && len(m.qNetReq) == 0 && len(m.qNetRpl) == 0
+	return m.qPI.n == 0 && m.qNetReq.n == 0 && m.qNetRpl.n == 0
 }
 
 // drainFF empties the inbox queues functionally: each handler runs to
@@ -440,7 +486,7 @@ func (m *Magic) runHandlerFF(msg arch.Msg, viaNet bool, at sim.Cycle) {
 		panic(fmt.Sprintf("magic%d: no handler for %s (viaNet=%v isHome=%v)", m.ID, msg.Type, viaNet, isHome))
 	}
 	dispatch := at + sim.Cycle(m.T.InboxSelect) + sim.Cycle(m.T.JumpTable)
-	ctx := &m.ffCtx
+	ctx := &m.hctx
 	*ctx = handlerCtx{msg: msg, entry: slot.entry, pc: slot.pc, agg: slot.agg, viaNet: viaNet, ff: true, dispatched: dispatch, segStart: dispatch}
 	if msg.Type.CarriesData() {
 		ctx.hasData = true
@@ -476,7 +522,10 @@ func (m *Magic) runHandlerFF(msg arch.Msg, viaNet bool, at sim.Cycle) {
 	m.ctx = nil
 }
 
+// startHandler is the dispatch event: the inbox's selection and jump-table
+// stages are over and the PP begins the handler tryDispatch claimed it for.
 func (m *Magic) startHandler() {
+	m.dispatchScheduled = false
 	ctx := m.ctx
 	m.Stats.Dispatches++
 	if m.Tr.Active() {
@@ -536,10 +585,7 @@ func (m *Magic) handleStatus(st ppsim.Status, cyc uint64) {
 		}
 		// The PP stays claimed until the handler's last cycle retires; the
 		// run segment executed synchronously ahead of the clock.
-		m.Eng.At(end, func() {
-			m.ctx = nil
-			m.tryDispatch()
-		})
+		m.Eng.At(end, m.retireFn)
 
 	case ppsim.StatusBlockedSend:
 		ctx.blockedAt = end
@@ -564,6 +610,12 @@ func (m *Magic) handleStatus(st ppsim.Status, cyc uint64) {
 	}
 }
 
+// retire is a handler's last cycle: the PP frees and the inbox arbitrates.
+func (m *Magic) retire() {
+	m.ctx = nil
+	m.tryDispatch()
+}
+
 // wake resumes a blocked PP at time t (>= the block time).
 func (m *Magic) wake(t sim.Cycle) {
 	ctx := m.ctx
@@ -574,13 +626,18 @@ func (m *Magic) wake(t sim.Cycle) {
 	if t < ctx.blockedAt {
 		t = ctx.blockedAt
 	}
-	m.Eng.At(t, func() {
-		ctx.pendingWake = false
-		ctx.blockedNet, ctx.blockedPI, ctx.waitingPC = false, false, false
-		ctx.segStart = m.Eng.Now()
-		st, cyc := m.PP.Resume()
-		m.handleStatus(st, cyc)
-	})
+	m.Eng.At(t, m.wakeFn)
+}
+
+// resumePP is the wake event. The handler it resumes is still the one that
+// blocked: a blocked handler cannot retire, and pendingWake admits one wake.
+func (m *Magic) resumePP() {
+	ctx := m.ctx
+	ctx.pendingWake = false
+	ctx.blockedNet, ctx.blockedPI, ctx.waitingPC = false, false, false
+	ctx.segStart = m.Eng.Now()
+	st, cyc := m.PP.Resume()
+	m.handleStatus(st, cyc)
 }
 
 func b2i(b bool) int {
@@ -680,33 +737,43 @@ func (m *Magic) sendFF(h ppsim.OutHeader) bool {
 // fire-and-forget.
 func (m *Magic) sendIntervention(mt arch.MsgType, addr arch.Addr, tSend sim.Cycle) bool {
 	m.Stats.Interventions++
-	ctx := m.ctx
 	at := tSend + sim.Cycle(m.T.OutboxOut) + sim.Cycle(m.T.PIOutbound)
-	wait := mt != arch.MsgPIInval
-	m.CPU.Intervene(mt, addr, at, func(resp arch.MsgType, firstData sim.Cycle) {
-		if !wait {
-			return
-		}
-		if resp == arch.MsgPCData {
-			m.PP.SetPCResponse(1)
-			if !ctx.hasData && !ctx.specIssued {
-				m.allocBuf()
-			}
-			ctx.hasData = true
-			ctx.intervened = true
-			ctx.dataReady = firstData + 1
-		} else {
-			m.PP.SetPCResponse(0)
-		}
-		if ctx.waitingPC {
-			m.wake(m.Eng.Now())
-		} else {
-			// The PP has not reached its WAITPC yet (response raced the
-			// handler); mark completion so handleStatus wakes us directly.
-			ctx.pcDone = true
-		}
-	})
+	done := m.pcDoneFn
+	if mt == arch.MsgPIInval {
+		done = nil
+	}
+	m.CPU.Intervene(mt, addr, at, m.ctx.msg, done)
 	return true
+}
+
+// pcDone is the processor cache's response to a PIDowngr or PIFlush. It
+// updates the one embedded handlerCtx, and that is safe because the handler
+// that issued the intervention is still the one in flight: it stalls on
+// WAITPC until this response (or finds pcDone set), so it cannot have
+// retired. The only completion that can outlive its handler is PIInval's —
+// fire-and-forget, its handler may retire and a new one reuse the context
+// before the cache answers — and PIInval registers no callback at all, so a
+// late completion touches nothing.
+func (m *Magic) pcDone(_ arch.Msg, resp arch.MsgType, firstData sim.Cycle) {
+	ctx := m.ctx
+	if resp == arch.MsgPCData {
+		m.PP.SetPCResponse(1)
+		if !ctx.hasData && !ctx.specIssued {
+			m.allocBuf()
+		}
+		ctx.hasData = true
+		ctx.intervened = true
+		ctx.dataReady = firstData + 1
+	} else {
+		m.PP.SetPCResponse(0)
+	}
+	if ctx.waitingPC {
+		m.wake(m.Eng.Now())
+	} else {
+		// The PP has not reached its WAITPC yet (response raced the
+		// handler); mark completion so handleStatus wakes us directly.
+		ctx.pcDone = true
+	}
 }
 
 // sendToPI delivers a reply (PUT/PUTX/NAK) to the local processor.
@@ -733,15 +800,19 @@ func (m *Magic) sendToPI(h ppsim.OutHeader, tSend sim.Cycle) bool {
 	} else {
 		deliver = hdrReady + sim.Cycle(m.T.PIOutbound) + sim.Cycle(m.T.PIBusWord)
 	}
-	msg := m.msgFrom(h)
-	m.Eng.At(deliver, func() {
-		m.outPI--
-		if m.ctx != nil && m.ctx.blockedPI {
-			m.wake(m.Eng.Now())
-		}
-		m.CPU.Deliver(msg, m.Eng.Now())
-	})
+	m.Eng.At(deliver, m.Evs.Get(m.onToPI, m.msgFrom(h)).Fire)
 	return true
+}
+
+// deliverPI is a reply's first word crossing the bus to the processor: the
+// outgoing PI slot frees (waking a handler stalled on it) and the miss
+// completes.
+func (m *Magic) deliverPI(ev *arch.MsgEvent) {
+	m.outPI--
+	if m.ctx != nil && m.ctx.blockedPI {
+		m.wake(m.Eng.Now())
+	}
+	m.CPU.Deliver(m.Evs.Take(ev), m.Eng.Now())
 }
 
 // sendToNet injects a message into the interconnect through the outgoing
@@ -766,15 +837,18 @@ func (m *Magic) sendToNet(h ppsim.OutHeader, tSend sim.Cycle) bool {
 		}
 	}
 	inject += sim.Cycle(m.T.NIOutbound)
-	msg := m.msgFrom(h)
-	m.Eng.At(inject, func() {
-		m.outNet--
-		if m.ctx != nil && m.ctx.blockedNet {
-			m.wake(m.Eng.Now())
-		}
-		m.Net.Send(m.Eng.Now(), msg)
-	})
+	m.Eng.At(inject, m.Evs.Get(m.onToNet, m.msgFrom(h)).Fire)
 	return true
+}
+
+// injectNet is a message leaving the NI outbound stage: its slot in the
+// outgoing network queue frees (waking a handler stalled on it).
+func (m *Magic) injectNet(ev *arch.MsgEvent) {
+	m.outNet--
+	if m.ctx != nil && m.ctx.blockedNet {
+		m.wake(m.Eng.Now())
+	}
+	m.Net.Send(m.Eng.Now(), m.Evs.Take(ev))
 }
 
 func (m *Magic) msgFrom(h ppsim.OutHeader) arch.Msg {
@@ -911,7 +985,15 @@ func (m *Magic) RestoreState(st MagicState) {
 		h := st.Handlers[name] // zero value for never-invoked handlers
 		agg.cycles, agg.count, agg.lat = h.Cycles, h.Count, h.Lat
 	}
-	m.qPI, m.qNetReq, m.qNetRpl = nil, nil, nil
+	m.resetQueues()
+}
+
+// resetQueues empties the inbox queues and the outbound/buffer accounting
+// and idles the PP; queue storage and pooled events are kept.
+func (m *Magic) resetQueues() {
+	m.qPI.reset()
+	m.qNetReq.reset()
+	m.qNetRpl.reset()
 	m.outNet, m.outPI, m.bufs = 0, 0, 0
 	m.ctx = nil
 	m.dispatchScheduled = false
@@ -932,25 +1014,22 @@ func (m *Magic) Reset() {
 	for _, agg := range m.handlers {
 		*agg = handlerAgg{}
 	}
-	m.qPI, m.qNetReq, m.qNetRpl = nil, nil, nil
+	m.resetQueues()
 	m.rrPI = false
-	m.outNet, m.outPI, m.bufs = 0, 0, 0
-	m.ctx = nil
-	m.dispatchScheduled = false
 	m.lastEnd = 0
 }
 
 // DebugState renders the controller's queue/handler state for hang diagnosis.
 func (m *Magic) DebugState() string {
-	s := fmt.Sprintf("ctx=%v qPI=%d qNetReq=%d qNetRpl=%d outPI=%d outNet=%d", m.ctx != nil, len(m.qPI), len(m.qNetReq), len(m.qNetRpl), m.outPI, m.outNet)
-	for _, q := range m.qPI {
-		s += fmt.Sprintf(" PI{%v %#x src=%d}", q.msg.Type, q.msg.Addr, q.msg.Src)
-	}
-	for _, q := range m.qNetReq {
-		s += fmt.Sprintf(" NReq{%v %#x src=%d}", q.msg.Type, q.msg.Addr, q.msg.Src)
-	}
-	for _, q := range m.qNetRpl {
-		s += fmt.Sprintf(" NRpl{%v %#x src=%d}", q.msg.Type, q.msg.Addr, q.msg.Src)
+	s := fmt.Sprintf("ctx=%v qPI=%d qNetReq=%d qNetRpl=%d outPI=%d outNet=%d", m.ctx != nil, m.qPI.n, m.qNetReq.n, m.qNetRpl.n, m.outPI, m.outNet)
+	for _, nq := range []struct {
+		name string
+		q    *inbox
+	}{{"PI", &m.qPI}, {"NReq", &m.qNetReq}, {"NRpl", &m.qNetRpl}} {
+		for i := 0; i < nq.q.n; i++ {
+			msg := nq.q.at(i).msg
+			s += fmt.Sprintf(" %s{%v %#x src=%d}", nq.name, msg.Type, msg.Addr, msg.Src)
+		}
 	}
 	return s
 }

@@ -9,6 +9,7 @@ import (
 	"flashsim/internal/network"
 	"flashsim/internal/protocol"
 	"flashsim/internal/sim"
+	"flashsim/internal/trace"
 )
 
 type script struct {
@@ -36,6 +37,16 @@ type rig struct {
 
 func newRig(t *testing.T, cfg arch.Config, refs [2][]cpu.Ref) *rig {
 	t.Helper()
+	r := buildRig(t, cfg, refs)
+	if err := r.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// buildRig wires the machine and starts the processors without running it.
+func buildRig(t *testing.T, cfg arch.Config, refs [2][]cpu.Ref) *rig {
+	t.Helper()
 	cfg.Kind = arch.KindFLASH
 	cfg.Nodes = 2
 	cfg.MemBytesPerNode = 1 << 20
@@ -60,9 +71,6 @@ func newRig(t *testing.T, cfg arch.Config, refs [2][]cpu.Ref) *rig {
 		r.cpus[i] = p
 		p.SetSource(&script{refs: refs[i]}, nil)
 		p.Start()
-	}
-	if err := r.eng.Run(); err != nil {
-		t.Fatal(err)
 	}
 	return r
 }
@@ -160,5 +168,110 @@ func TestPPOccupancyAccumulates(t *testing.T) {
 	}
 	if r.magics[0].Stats.Dispatches != 1 {
 		t.Fatalf("dispatches = %d, want 1", r.magics[0].Stats.Dispatches)
+	}
+}
+
+// TestLateInvalCompletionSparesNextHandler fires the one ordering in which an
+// intervention's completion outlives the handler that issued it: ni_inval
+// sends its PIInval and retires, ni_fwd_get dispatches on the same (single,
+// embedded) handler context, issues its own PIDowngr and stalls on WAITPC,
+// and only then does the processor cache answer the PIInval. That answer
+// must not reach the context — it would wake the stalled handler with
+// someone else's response.
+func TestLateInvalCompletionSparesNextHandler(t *testing.T) {
+	const x, y, private0 = 0x1000, 0x2000, 0x8000 // homed at node 0
+	const private1, own1 = 0x108000, 0x109000     // homed at node 1
+	r := buildRig(t, arch.DefaultConfig(), [2][]cpu.Ref{
+		// Node 0, once node 1 holds X shared and Y dirty: write X (an INVAL to
+		// node 1) and read Y (a FwdGET to node 1) back to back. The pause rides
+		// on a private hit so the two misses issue at the engine's clock.
+		{{Kind: arch.RefRead, Addr: private0}, {Kind: arch.RefRead, Addr: private0, Busy: 8000},
+			{Kind: arch.RefWrite, Addr: x, Busy: 4}, {Kind: arch.RefRead, Addr: y, Busy: 4}},
+		// Node 1 keeps its own PP busy with a local write miss while the two
+		// messages arrive 29 cycles apart, so they dispatch back to back.
+		{{Kind: arch.RefRead, Addr: x}, {Kind: arch.RefWrite, Addr: y}, {Kind: arch.RefRead, Addr: private1},
+			{Kind: arch.RefRead, Addr: private1, Busy: 7148}, {Kind: arch.RefWrite, Addr: own1, Busy: 4}},
+	})
+	var buf trace.Buffer
+	r.magics[1].Tr = trace.New(&buf)
+	if err := r.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	var inval, fwd *trace.Event
+	for i := range buf.Events {
+		switch ev := &buf.Events[i]; {
+		case ev.Kind != trace.KindHandler:
+		case ev.Name == "ni_inval":
+			inval = ev
+		case ev.Name == "ni_fwd_get":
+			fwd = ev
+		}
+	}
+	if inval == nil || fwd == nil {
+		t.Fatalf("node 1 handlers %v: want one ni_inval and one ni_fwd_get", r.magics[1].HandlerCounts())
+	}
+	// The PIInval completes PCacheState cycles after it crosses the outbox
+	// and the PI (the bus is idle): between 20 cycles after ni_inval started
+	// and 20 after it ended. ni_fwd_get must cover that whole interval.
+	T := r.magics[1].T
+	lag := uint64(T.OutboxOut + T.PIOutbound + T.PCacheState)
+	invalEnd, fwdEnd := inval.Cycle+inval.Dur, fwd.Cycle+fwd.Dur
+	if !(invalEnd <= fwd.Cycle && fwd.Cycle < inval.Cycle+lag && fwdEnd > invalEnd+lag) {
+		t.Fatalf("ni_inval [%d,%d), ni_fwd_get [%d,%d), PIInval completion in [%d,%d]: the completion does not land inside ni_fwd_get",
+			inval.Cycle, invalEnd, fwd.Cycle, fwdEnd, inval.Cycle+lag, invalEnd+lag)
+	}
+	// ni_fwd_get still got its own answer: dirty data, forwarded to node 0.
+	st := &r.cpus[0].Stats
+	if st.MissClass[arch.MissLocalDirty] != 1 || st.Naks != 0 {
+		t.Errorf("node 0 miss classes %v, %d NAKs: the forwarded read was disturbed", st.MissClass, st.Naks)
+	}
+	if m := r.magics[1]; m.ctx != nil || m.Stats.Interventions != 2 || m.bufs != 0 {
+		t.Errorf("node 1 controller after the run: %s, %d interventions, %d buffers", m.DebugState(), m.Stats.Interventions, m.bufs)
+	}
+}
+
+// TestInboxRing pins the inbound queues' storage discipline: FIFO order
+// across wrap-around and growth, in-order printing for DebugState, and — the
+// bug it replaced, `q = q[1:]` walking the slice off its backing array so
+// every append reallocated — no allocation once the ring has grown, Reset
+// included.
+func TestInboxRing(t *testing.T) {
+	var q inbox
+	next, want := 0, 0
+	push := func(n int) {
+		for ; n > 0; n-- {
+			q.push(queued{msg: arch.Msg{Aux: uint32(next)}})
+			next++
+		}
+	}
+	pop := func(n int) {
+		for ; n > 0; n-- {
+			if got := q.pop().msg.Aux; got != uint32(want) {
+				t.Fatalf("popped %d, want %d", got, want)
+			}
+			want++
+		}
+	}
+	push(5)
+	pop(3)
+	push(6) // wraps the 8-entry ring: 8 queued, head at 3
+	push(3) // grows it with the head mid-buffer
+	for i := 0; i < q.n; i++ {
+		if got := q.at(i).msg.Aux; got != uint32(want+i) {
+			t.Fatalf("at(%d) = %d, want %d", i, got, want+i)
+		}
+	}
+	pop(11)
+	if q.n != 0 || len(q.buf) != 16 {
+		t.Fatalf("after draining: n %d, capacity %d, want 0 and 16", q.n, len(q.buf))
+	}
+	q.reset()
+	if a := testing.AllocsPerRun(100, func() {
+		push(12)
+		pop(12)
+		q.reset()
+	}); a != 0 {
+		t.Errorf("a grown ring allocates %.0f times per 12 pushes", a)
 	}
 }

@@ -55,26 +55,38 @@ type Port struct {
 	Msgs      uint64
 	DataMsgs  uint64
 	ReplyMsgs uint64
+
+	// Evs recycles the arrival events of the messages this port sends (see
+	// Send); arrive is what they fire, on the destination port.
+	Evs    arch.MsgEventFIFO
+	arrive func(*arch.MsgEvent)
 }
 
 // New creates a network for n nodes with the given transit latency.
 func New(n int, transit sim.Cycle) *Network {
-	return &Network{
+	nw := &Network{
 		transit: transit,
 		sinks:   make([]Sink, n),
 		ports:   make([]*Port, n),
 	}
+	for i := range nw.ports {
+		p := &Port{net: nw, src: arch.NodeID(i)}
+		p.arrive = func(ev *arch.MsgEvent) { nw.sinks[p.src].FromNet(ev.Msg) }
+		nw.ports[i] = p
+	}
+	return nw
 }
 
 // Attach registers the sink for node id.
 func (n *Network) Attach(id arch.NodeID, s Sink) { n.sinks[id] = s }
 
-// Port returns node id's port, creating it bound to sched on first use.
+// Port returns node id's port, binding it to sched on first use.
 func (n *Network) Port(id arch.NodeID, sched sim.Scheduler) *Port {
-	if n.ports[id] == nil {
-		n.ports[id] = &Port{net: n, src: id, sched: sched}
+	p := n.ports[id]
+	if p.sched == nil {
+		p.sched = sched
 	}
-	return n.ports[id]
+	return p
 }
 
 // Transit returns the fixed per-message transit latency.
@@ -101,14 +113,14 @@ func (n *Network) TotalMsgs() uint64 { return n.total(func(p *Port) uint64 { ret
 func (n *Network) TotalDataMsgs() uint64 { return n.total(func(p *Port) uint64 { return p.DataMsgs }) }
 
 // TotalReplyMsgs sums reply messages sent across all ports.
-func (n *Network) TotalReplyMsgs() uint64 { return n.total(func(p *Port) uint64 { return p.ReplyMsgs }) }
+func (n *Network) TotalReplyMsgs() uint64 {
+	return n.total(func(p *Port) uint64 { return p.ReplyMsgs })
+}
 
 func (n *Network) total(f func(*Port) uint64) uint64 {
 	var t uint64
 	for _, p := range n.ports {
-		if p != nil {
-			t += f(p)
-		}
+		t += f(p)
 	}
 	return t
 }
@@ -151,8 +163,7 @@ func (p *Port) Send(at sim.Cycle, m arch.Msg) {
 	if m.Type.IsReply() {
 		p.ReplyMsgs++
 	}
-	dst := n.sinks[m.Dst]
-	if dst == nil {
+	if n.sinks[m.Dst] == nil {
 		panic(fmt.Sprintf("network: send %s to unattached node %d", m.Type, m.Dst))
 	}
 	arrive := at + n.transit
@@ -172,10 +183,7 @@ func (p *Port) Send(at sim.Cycle, m arch.Msg) {
 		m.TID = id
 		// The arrival runs on the destination's shard, so the recv event
 		// goes through the destination port's tracer.
-		recvTr := p.Tr
-		if dp := n.ports[m.Dst]; dp != nil {
-			recvTr = dp.Tr
-		}
+		dst, recvTr := n.sinks[m.Dst], n.ports[m.Dst].Tr
 		p.sched.Deliver(arrive, int(p.src), int(m.Dst), p.seq, func() {
 			recvTr.Emit(trace.Event{
 				Cycle: uint64(arrive), Node: int32(m.Dst), Kind: trace.KindMsgRecv,
@@ -185,7 +193,18 @@ func (p *Port) Send(at sim.Cycle, m arch.Msg) {
 		})
 		return
 	}
-	p.sched.Deliver(arrive, int(p.src), int(m.Dst), p.seq, func() { dst.FromNet(m) })
+	// The arrival event stays this port's: the destination reads the message
+	// out of it and the port re-arms it once its own clock is a reverse
+	// transit past the arrival. By then it has fired under every engine: the
+	// sequential one has a single clock, and the conservative parallel one
+	// never lets a node run a lookahead or more ahead of an event pending at
+	// a peer (that event could still send back) — the lookahead from the
+	// destination being at most the transit charged from it, the same
+	// distance model. The barrier or scheduler lock that let this node's
+	// clock get there also orders the destination's read before the re-arm.
+	free := arrive + n.TransitFor(m.Dst, p.src)
+	ev := p.Evs.Get(uint64(p.sched.Now()), uint64(free), n.ports[m.Dst].arrive, m)
+	p.sched.Deliver(arrive, int(p.src), int(m.Dst), p.seq, ev.Fire)
 }
 
 // AvgTransitFor returns the paper's average transit estimate for a p-node

@@ -164,15 +164,19 @@ func fromNet(t arch.MsgType) (JTEntry, bool) {
 // handler. fromNet distinguishes the network interface from the processor
 // interface; isHome reports whether this node is the home of the address.
 func Dispatch(t arch.MsgType, viaNet, isHome bool) (JTEntry, error) {
-	var e JTEntry
-	var ok bool
-	if viaNet {
-		e, ok = fromNet(t)
-	} else {
-		e, ok = fromPI(t, isHome)
-	}
+	e, ok := Lookup(t, viaNet, isHome)
 	if !ok {
 		return JTEntry{}, fmt.Errorf("protocol: no handler for %v (viaNet=%v, home=%v)", t, viaNet, isHome)
 	}
 	return e, nil
+}
+
+// Lookup is Dispatch without the error value, for callers that enumerate
+// the whole table (most of whose slots are empty) rather than dispatch a
+// message.
+func Lookup(t arch.MsgType, viaNet, isHome bool) (JTEntry, bool) {
+	if viaNet {
+		return fromNet(t)
+	}
+	return fromPI(t, isHome)
 }

@@ -21,13 +21,19 @@
 // pure function of (source, send order), not of when the scheduling call
 // happened to interleave with other nodes' scheduling calls.
 //
-// The event queue is a monomorphic binary min-heap over []event — no
-// container/heap, no interface boxing, no per-event allocations — plus a
-// same-cycle FIFO: events scheduled for the current cycle bypass the heap
-// entirely and run in insertion order after any heap events already queued
-// for that cycle (which, having been scheduled earlier, precede them in the
-// global (cycle, key) order; deliveries never land at the current cycle
-// because network transit is positive).
+// The event queue (queue.go) is a calendar queue: a power-of-two ring of
+// per-cycle slots over one slab of index-linked nodes, with an occupancy
+// bitmap to find the next nonempty slot. A slot's list is kept in (cycle,
+// key) order, so its head is its earliest event and the dispatch test is
+// head.cycle == now; an event more than a rotation ahead waits in its slot
+// behind nearer ones, which is why far events need no overflow structure.
+// Scheduling is an O(1) tail append except for a delivery landing behind
+// locals already queued for its cycle or a near event sharing a slot with a
+// far one; nodes recycle through a free list, so nothing allocates. Events
+// scheduled for the current cycle bypass the ring through a same-cycle FIFO
+// and run in insertion order after the ring events already queued for that
+// cycle (scheduled earlier, those precede them in (cycle, key) order;
+// deliveries never land at the current cycle: network transit is positive).
 package sim
 
 import (
@@ -47,16 +53,9 @@ const localKeyBit = uint64(1) << 63
 // simulated machine.
 const deliverySeqBits = 40
 
-// deliveryKey builds the heap key for a cross-node delivery.
+// deliveryKey builds the event key for a cross-node delivery.
 func deliveryKey(src int, seq uint64) uint64 {
 	return uint64(src)<<deliverySeqBits | seq&(1<<deliverySeqBits-1)
-}
-
-// Event is a scheduled callback.
-type event struct {
-	at  Cycle
-	key uint64 // dispatch order among events at the same cycle; see package doc
-	fn  func()
 }
 
 // Scheduler is the per-node scheduling surface components program against.
@@ -110,75 +109,11 @@ type Backend interface {
 	Reset()
 }
 
-// queue is one node's event population: the monomorphic heap plus the
-// same-cycle FIFO. The sequential Engine embeds one; each Shard of the
-// parallel engine embeds its own.
-type queue struct {
-	now     Cycle
-	seq     uint64
-	heap    []event  // future events, min-ordered by (at, key)
-	fifo    []func() // events scheduled for the current cycle, in order
-	fifoPos int      // next undispatched fifo entry
-	hiWater int      // deepest the heap ever grew (self-profiling)
-}
-
-// at schedules fn at absolute cycle t. Scheduling in the past (t < now)
-// panics: it always indicates a model bug. Scheduling at exactly now takes
-// the FIFO fast path: no heap sift, no key assignment.
-func (q *queue) at(t Cycle, fn func()) {
-	if t <= q.now {
-		if t == q.now {
-			q.fifo = append(q.fifo, fn)
-			return
-		}
-		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, q.now))
-	}
-	q.seq++
-	q.push(event{at: t, key: localKeyBit | q.seq, fn: fn})
-}
-
-// deliver enqueues a message arrival with the delivery key for (src, seq).
-func (q *queue) deliver(at Cycle, src int, seq uint64, fn func()) {
-	if at <= q.now {
-		panic(fmt.Sprintf("sim: delivery at %d not after now %d", at, q.now))
-	}
-	q.push(event{at: at, key: deliveryKey(src, seq), fn: fn})
-}
-
-// pending reports the number of undispatched events in this queue.
-func (q *queue) pending() int { return len(q.heap) + len(q.fifo) - q.fifoPos }
-
-// reset discards all events and rewinds the clock to cycle 0, keeping the
-// allocated heap/fifo capacity (and the hiWater profiling high-mark).
-func (q *queue) reset() {
-	q.now = 0
-	q.seq = 0
-	q.heap = q.heap[:0]
-	q.fifo = q.fifo[:0]
-	q.fifoPos = 0
-}
-
-// nextAt returns the cycle of the earliest undispatched event, if any.
-func (q *queue) nextAt() (Cycle, bool) {
-	if q.fifoPos < len(q.fifo) {
-		return q.now, true
-	}
-	if len(q.heap) > 0 {
-		return q.heap[0].at, true
-	}
-	return 0, false
-}
-
 // Engine is the sequential discrete-event simulator and the reference
 // implementation of Backend. The zero value is not usable; create one with
 // NewEngine.
 type Engine struct {
 	queue
-	stopped bool
-
-	// Executed counts events dispatched since construction; useful as a
-	// progress and runaway-simulation guard.
-	Executed uint64
 
 	// Limit, when nonzero, aborts Run with ErrLimit once the clock passes it.
 	Limit Cycle
@@ -204,20 +139,9 @@ func NewEngine() *Engine {
 // profiling state are kept so a pooled machine's engine stays configured.
 func (e *Engine) Reset() {
 	e.queue.reset()
-	e.stopped = false
-	e.Executed = 0
 	e.Limit = 0
 	e.curWin = 0
 }
-
-// Now returns the current simulated cycle.
-func (e *Engine) Now() Cycle { return e.now }
-
-// At schedules fn to run at absolute cycle t; see queue.at.
-func (e *Engine) At(t Cycle, fn func()) { e.at(t, fn) }
-
-// After schedules fn to run d cycles from now.
-func (e *Engine) After(d Cycle, fn func()) { e.at(e.now+d, fn) }
 
 // Deliver schedules a cross-node message arrival; dst is ignored by the
 // sequential engine, which holds every node's events in one queue.
@@ -266,13 +190,12 @@ func (e *Engine) Profile() *EngineProfile {
 // Stop makes Run return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool { return e.stopped }
-
 // Run dispatches events until the queue drains, Stop is called, or the cycle
 // limit is exceeded. The limit is checked only when the clock advances (and
 // once on entry, for engines already past it): an event at exactly Limit
-// still runs; the first advance beyond it aborts.
+// still runs; the first advance beyond it aborts. The queue's loop runs one
+// store-visibility window at a time, so the flush happens as the clock first
+// enters each occupied window, before any of its events.
 func (e *Engine) Run() error {
 	e.stopped = false
 	if e.profOn {
@@ -282,106 +205,23 @@ func (e *Engine) Run() error {
 	if e.Limit != 0 && e.now > e.Limit {
 		return ErrLimit
 	}
-	for !e.stopped {
-		// Heap events at the current cycle dispatch before fifo entries:
-		// deliveries by key rule, locals because they were scheduled before
-		// the cycle became current.
-		if len(e.heap) > 0 && e.heap[0].at == e.now {
-			fn := e.pop()
-			e.Executed++
-			fn()
-			continue
+	for {
+		end := noCap
+		if e.quantum != 0 {
+			end = (e.curWin + 1) * e.quantum
 		}
-		if e.fifoPos < len(e.fifo) {
-			fn := e.fifo[e.fifoPos]
-			e.fifo[e.fifoPos] = nil
-			e.fifoPos++
-			if e.fifoPos >= 1024 && e.fifoPos*2 >= len(e.fifo) {
-				// Compact so a chain of events that keeps scheduling at the
-				// current cycle reuses the buffer instead of growing it.
-				n := copy(e.fifo, e.fifo[e.fifoPos:])
-				clear(e.fifo[n:])
-				e.fifo = e.fifo[:n]
-				e.fifoPos = 0
-			}
-			e.Executed++
-			fn()
-			continue
-		}
-		// Current cycle drained: recycle the fifo buffer and advance.
-		e.fifo = e.fifo[:0]
-		e.fifoPos = 0
-		if len(e.heap) == 0 {
+		e.run(end, e.Limit)
+		t, ok := e.nextAt()
+		if e.stopped || !ok {
 			return nil
 		}
-		// Check the limit before advancing so Now never moves past a cycle
-		// that will not execute (the sharded engine behaves the same way).
-		if t := e.heap[0].at; e.Limit != 0 && t > e.Limit {
+		if e.Limit != 0 && t > e.Limit {
 			return ErrLimit
 		}
-		e.now = e.heap[0].at
-		if e.quantum != 0 {
-			if w := e.now / e.quantum; w > e.curWin {
-				e.curWin = w
-				e.flush()
-			}
-		}
+		e.curWin = t / e.quantum
+		e.flush()
 	}
-	return nil
 }
 
 // Pending reports the number of undispatched events.
 func (e *Engine) Pending() int { return e.pending() }
-
-// --- inlined min-heap over []event, ordered by (at, key) ---
-
-func (q *queue) push(ev event) {
-	h := append(q.heap, ev)
-	if len(h) > q.hiWater {
-		q.hiWater = len(h)
-	}
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p].at < ev.at || (h[p].at == ev.at && h[p].key < ev.key) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = ev
-	q.heap = h
-}
-
-func (q *queue) pop() func() {
-	h := q.heap
-	fn := h[0].fn
-	n := len(h) - 1
-	last := h[n]
-	h[n] = event{} // release the closure
-	h = h[:n]
-	q.heap = h
-	if n > 0 {
-		// Sift the former tail down from the root.
-		i := 0
-		for {
-			l := 2*i + 1
-			if l >= n {
-				break
-			}
-			c := l
-			if r := l + 1; r < n {
-				if h[r].at < h[l].at || (h[r].at == h[l].at && h[r].key < h[l].key) {
-					c = r
-				}
-			}
-			if last.at < h[c].at || (last.at == h[c].at && last.key < h[c].key) {
-				break
-			}
-			h[i] = h[c]
-			i = c
-		}
-		h[i] = last
-	}
-	return fn
-}

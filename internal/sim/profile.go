@@ -32,7 +32,7 @@ type EngineProfile struct {
 	// store-visibility flush (sharded only).
 	MergeNS int64 `json:"merge_ns,omitempty"`
 	// DrainNS is coordinator time spent routing outboxes into destination
-	// heaps at barriers (sharded only).
+	// queues at barriers (sharded only).
 	DrainNS int64 `json:"drain_ns,omitempty"`
 	// BarrierNS is per-worker time spent spinning at the window barrier;
 	// index 0 is the coordinating goroutine.
@@ -80,7 +80,8 @@ type ShardProfile struct {
 	EmptyWindows uint64 `json:"empty_windows,omitempty"`
 	// MaxEventsWindow is the largest number of events in one window.
 	MaxEventsWindow uint64 `json:"max_events_window,omitempty"`
-	// HeapHiWater is the deepest the shard's event heap ever grew.
+	// HeapHiWater is the deepest the shard's event queue ever grew (events
+	// pending in the calendar ring; the name predates it).
 	HeapHiWater uint64 `json:"heap_hiwater"`
 	// OutboxSent counts cross-shard deliveries routed from this shard per
 	// destination shard — the (src,dst) traffic matrix row.
@@ -205,13 +206,9 @@ func (p *EngineProfile) String() string {
 			"shard", "exec_ms", "exec%", "bursts", "empty", "ev/burst", "heap_hw", "pubs", "drains", "flushes")
 		for i := range p.Shards {
 			s := &p.Shards[i]
-			perWin := 0.0
-			if s.Windows > 0 {
-				perWin = float64(s.Executed) / float64(s.Windows)
-			}
 			fmt.Fprintf(&b, "  %-5d %10.2f %6.1f%% %8d %7d %8.1f %9d %6d %7d %8d\n",
 				i, float64(s.ExecNS)/1e6, 100*float64(s.ExecNS)/float64(totalNS),
-				s.Windows, s.EmptyWindows, perWin, s.HeapHiWater,
+				s.Windows, s.EmptyWindows, s.perWindow(), s.HeapHiWater,
 				s.Publishes, s.InboxDrains, s.InboxFlushes)
 		}
 		return b.String()
@@ -227,16 +224,20 @@ func (p *EngineProfile) String() string {
 	for i := range p.Shards {
 		s := &p.Shards[i]
 		bar := p.ShardBarrierNS(i)
-		perWin := 0.0
-		if s.Windows > 0 {
-			perWin = float64(s.Executed) / float64(s.Windows)
-		}
 		fmt.Fprintf(&b, "  %-5d %10.2f %6.1f%% %12.2f %8.1f%% %8d %7d %7.1f %9d\n",
 			i, float64(s.ExecNS)/1e6, 100*float64(s.ExecNS)/float64(totalNS),
 			float64(bar)/1e6, 100*float64(bar)/float64(totalNS),
-			s.Windows, s.EmptyWindows, perWin, s.HeapHiWater)
+			s.Windows, s.EmptyWindows, s.perWindow(), s.HeapHiWater)
 	}
 	return b.String()
+}
+
+// perWindow is the shard's mean events per window (or watermark burst).
+func (s *ShardProfile) perWindow() float64 {
+	if s.Windows == 0 {
+		return 0
+	}
+	return float64(s.Executed) / float64(s.Windows)
 }
 
 // lap returns the nanoseconds since *mark and advances *mark to now, with a

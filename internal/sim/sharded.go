@@ -19,9 +19,9 @@ import (
 // on different shards cannot affect each other — a send during window k
 // arrives in window k+1 at the earliest. Shards therefore run the whole
 // window without synchronization; cross-node arrivals accumulate in
-// per-(src,dst) outboxes and are merged into the destination heaps at the
+// per-(src,dst) outboxes and are merged into the destination queues at the
 // window barrier by the coordinator. The merge is deterministic because a
-// delivery's heap position depends only on (arrival cycle, source node,
+// delivery's queue position depends only on (arrival cycle, source node,
 // per-source send sequence) — never on the order outboxes are drained.
 //
 // With a worker-pool size of 1 (e.g. GOMAXPROCS=1) the same algorithm runs
@@ -104,11 +104,9 @@ type ShardedEngine struct {
 // Scheduler; all of a node's components schedule through their shard.
 type Shard struct {
 	queue
-	id       int
-	eng      *ShardedEngine
-	executed uint64
-	stopped  bool
-	outbox   [][]delivery // per destination shard, drained at barriers
+	id     int
+	eng    *ShardedEngine
+	outbox [][]delivery // per destination shard, drained at barriers
 
 	// Watermark-mode synchronization state: inbox is the MPSC mailbox peers
 	// append staged deliveries into (batched, one lock per burst per pair);
@@ -213,7 +211,7 @@ func (e *ShardedEngine) Profile() *EngineProfile {
 	for _, s := range e.shards {
 		p.Shards = append(p.Shards, ShardProfile{
 			ExecNS:          s.execNS,
-			Executed:        s.executed,
+			Executed:        s.Executed,
 			Windows:         s.windows,
 			EmptyWindows:    s.emptyWins,
 			MaxEventsWindow: s.maxEvWindow,
@@ -239,8 +237,6 @@ func (e *ShardedEngine) Stop() { e.stopReq.Store(true) }
 func (e *ShardedEngine) Reset() {
 	for _, s := range e.shards {
 		s.queue.reset()
-		s.executed = 0
-		s.stopped = false
 		for i := range s.outbox {
 			s.outbox[i] = s.outbox[i][:0]
 		}
@@ -276,7 +272,7 @@ func (e *ShardedEngine) Now() Cycle {
 func (e *ShardedEngine) ExecutedEvents() uint64 {
 	var n uint64
 	for _, s := range e.shards {
-		n += s.executed
+		n += s.Executed
 	}
 	return n
 }
@@ -311,7 +307,7 @@ func (e *ShardedEngine) minNext() (Cycle, bool) {
 }
 
 // route drains every outbox into the destination shards. Single-threaded
-// (coordinator, at a barrier); the resulting heap order is independent of
+// (coordinator, at a barrier); the resulting queue order is independent of
 // drain order because (at, key) pairs are unique.
 func (e *ShardedEngine) route() {
 	for _, src := range e.shards {
@@ -324,7 +320,7 @@ func (e *ShardedEngine) route() {
 			}
 			d := e.shards[dst]
 			for _, dl := range box {
-				d.push(event{at: dl.at, key: dl.key, fn: dl.fn})
+				d.push(dl.at, dl.key, dl.fn)
 			}
 			// Reuse the backing array; nil the closures so they release.
 			clear(box)
@@ -366,7 +362,6 @@ func (e *ShardedEngine) Run() error {
 		return e.runWatermark()
 	}
 
-	n := len(e.shards)
 	p := e.poolSize()
 
 	// Profiling uses chained timestamps: each lap both ends one interval
@@ -405,17 +400,14 @@ func (e *ShardedEngine) Run() error {
 
 	for {
 		t, ok := e.minNext()
-		if !ok {
+		if !ok || (e.limit != 0 && t > e.limit) {
 			if prof {
 				e.mergeNS += lap(&mark)
+			}
+			if ok {
+				return ErrLimit
 			}
 			return nil
-		}
-		if e.limit != 0 && t > e.limit {
-			if prof {
-				e.mergeNS += lap(&mark)
-			}
-			return ErrLimit
 		}
 		win := t / e.window
 		if win > e.curWin {
@@ -434,13 +426,9 @@ func (e *ShardedEngine) Run() error {
 		if p > 1 {
 			e.done.Store(0)
 			e.phase.Add(1)
-			for i := 0; i < n; i += p {
-				s := e.shards[i]
-				s.runWindow(end, e.limit)
-				if prof {
-					s.execNS += lap(&mark)
-				}
-			}
+		}
+		e.runStride(0, p, end, e.limit, &mark)
+		if p > 1 {
 			e.done.Add(1)
 			for spins := 0; e.done.Load() < int64(p); spins++ {
 				if spins > 256 {
@@ -449,13 +437,6 @@ func (e *ShardedEngine) Run() error {
 			}
 			if prof {
 				e.barrierNS[0] += lap(&mark)
-			}
-		} else {
-			for _, s := range e.shards {
-				s.runWindow(end, e.limit)
-				if prof {
-					s.execNS += lap(&mark)
-				}
 			}
 		}
 
@@ -494,83 +475,39 @@ func (e *ShardedEngine) workerLoop(w, p int, last uint64, wg *sync.WaitGroup) {
 		if e.quit {
 			return
 		}
-		end, lim := e.winEnd, e.winLim
-		for i := w; i < len(e.shards); i += p {
-			s := e.shards[i]
-			s.runWindow(end, lim)
-			if prof {
-				s.execNS += lap(&mark)
-			}
-		}
+		e.runStride(w, p, e.winEnd, e.winLim, &mark)
 		e.done.Add(1)
 	}
 }
 
-// runWindow dispatches this shard's events for one lookahead window,
-// recording window-utilization counters when profiling is on.
+// runStride runs pool member w's shards (w, w+p, ...) for one window; with a
+// pool of one the coordinator's stride is every shard, in index order.
+func (e *ShardedEngine) runStride(w, p int, end, lim Cycle, mark *time.Time) {
+	for i := w; i < len(e.shards); i += p {
+		s := e.shards[i]
+		s.runWindow(end, lim)
+		if e.profOn {
+			s.execNS += lap(mark)
+		}
+	}
+}
+
+// runWindow dispatches this shard's events for one lookahead window (or
+// one watermark burst), recording utilization counters when profiling is on.
 func (s *Shard) runWindow(end, lim Cycle) {
 	if !s.eng.profOn {
-		s.runWin(end, lim)
+		s.run(end, lim)
 		return
 	}
-	before := s.executed
-	s.runWin(end, lim)
+	before := s.Executed
+	s.run(end, lim)
 	s.windows++
-	if d := s.executed - before; d == 0 {
+	if d := s.Executed - before; d == 0 {
 		s.emptyWins++
 	} else if d > s.maxEvWindow {
 		s.maxEvWindow = d
 	}
 }
-
-// runWin dispatches this shard's events with cycle < end (and, when lim
-// is nonzero, cycle <= lim), mirroring the sequential Run loop structure.
-func (s *Shard) runWin(end, lim Cycle) {
-	for !s.stopped {
-		if len(s.heap) > 0 && s.heap[0].at == s.now {
-			fn := s.pop()
-			s.executed++
-			fn()
-			continue
-		}
-		if s.fifoPos < len(s.fifo) {
-			fn := s.fifo[s.fifoPos]
-			s.fifo[s.fifoPos] = nil
-			s.fifoPos++
-			if s.fifoPos >= 1024 && s.fifoPos*2 >= len(s.fifo) {
-				n := copy(s.fifo, s.fifo[s.fifoPos:])
-				clear(s.fifo[n:])
-				s.fifo = s.fifo[:n]
-				s.fifoPos = 0
-			}
-			s.executed++
-			fn()
-			continue
-		}
-		s.fifo = s.fifo[:0]
-		s.fifoPos = 0
-		if len(s.heap) == 0 {
-			return
-		}
-		t := s.heap[0].at
-		if t >= end {
-			return
-		}
-		if lim != 0 && t > lim {
-			return
-		}
-		s.now = t
-	}
-}
-
-// Now returns this shard's clock: the cycle of its last dispatched event.
-func (s *Shard) Now() Cycle { return s.now }
-
-// At schedules fn at absolute cycle t on this shard.
-func (s *Shard) At(t Cycle, fn func()) { s.at(t, fn) }
-
-// After schedules fn d cycles from this shard's now.
-func (s *Shard) After(d Cycle, fn func()) { s.at(s.now+d, fn) }
 
 // Stop halts this shard after the current event and makes Run return at
 // the window barrier.
@@ -583,7 +520,7 @@ func (s *Shard) Stop() {
 // parks in this shard's outbox (merged at the barrier in barrier mode,
 // batch-appended to the destination inbox after the burst in watermark
 // mode); outside Run — e.g. test setup — it goes straight into the
-// destination heap. Arrivals whose transit undercuts the conservative
+// destination queue. Arrivals whose transit undercuts the conservative
 // synchronization contract panic, naming the (src,dst) pair and the pair's
 // lookahead bound.
 func (s *Shard) Deliver(at Cycle, src, dst int, seq uint64, fn func()) {
@@ -598,15 +535,12 @@ func (s *Shard) Deliver(at Cycle, src, dst int, seq uint64, fn func()) {
 				src, dst, at, s.now, at-s.now, lb))
 		}
 		if dst == s.id {
-			// Self-deliveries join the shard's own heap directly: the
+			// Self-deliveries join the shard's own queue directly: the
 			// (at, key) order is identical to routing through a mailbox.
-			s.push(event{at: at, key: deliveryKey(src, seq), fn: fn})
+			s.push(at, deliveryKey(src, seq), fn)
 			return
 		}
-		s.outbox[dst] = append(s.outbox[dst], delivery{at: at, key: deliveryKey(src, seq), fn: fn})
-		return
-	}
-	if at < e.winEnd {
+	} else if at < e.winEnd {
 		panic(fmt.Sprintf("sim: sharded delivery %d->%d at cycle %d inside window ending %d (transit below pair lookahead %d)",
 			src, dst, at, e.winEnd, e.pairLookahead(src, dst)))
 	}

@@ -64,7 +64,7 @@ import (
 // flush is race-free and bit-identical in content and order to the
 // sequential engine's.
 //
-// Determinism. Horizons only gate WHEN an event may run, never its heap
+// Determinism. Horizons only gate WHEN an event may run, never its queue
 // order: the 64-bit (cycle, key) event keys fully determine per-shard
 // dispatch order, mailbox drain order is irrelevant (keys are unique), and
 // flush points are fixed by the quantum. Worker count and goroutine
@@ -159,15 +159,16 @@ func (e *ShardedEngine) runWatermark() error {
 func (e *ShardedEngine) wmWorker(w int, st *wmState, start time.Time) {
 	prof := e.profOn
 	mark := start
-	if prof {
-		e.horizonNS[w] += lap(&mark)
+	waited := func() { // charge the lap just ended to horizon wait
+		if prof {
+			e.horizonNS[w] += lap(&mark)
+		}
 	}
+	waited()
 	st.mu.Lock()
 	for {
 		if st.done {
-			if prof {
-				e.horizonNS[w] += lap(&mark)
-			}
+			waited()
 			st.mu.Unlock()
 			return
 		}
@@ -204,19 +205,13 @@ func (e *ShardedEngine) wmWorker(w int, st *wmState, start time.Time) {
 		if st.running > 0 {
 			// Peers are still bursting and may reveal more work.
 			e.wmWaitOps++
-			if prof {
-				e.horizonNS[w] += lap(&mark)
-			}
+			waited()
 			st.cond.Wait()
-			if prof {
-				e.horizonNS[w] += lap(&mark)
-			}
+			waited()
 			continue
 		}
 		// Pool quiescent: no tasks, no bursts in flight.
-		if prof {
-			e.horizonNS[w] += lap(&mark)
-		}
+		waited()
 		e.decide(st)
 		if prof {
 			e.solveNS += lap(&mark)
@@ -225,7 +220,7 @@ func (e *ShardedEngine) wmWorker(w int, st *wmState, start time.Time) {
 }
 
 // drainInbox swaps the shard's mailbox empty and pushes its deliveries into
-// the heap. Heap order is (at, key), so drain timing and order never affect
+// the queue. Queue order is (at, key), so drain timing and order never affect
 // dispatch order. Only a quiescent decide() calls it.
 func (s *Shard) drainInbox(prof bool) {
 	s.inMu.Lock()
@@ -233,7 +228,7 @@ func (s *Shard) drainInbox(prof bool) {
 	s.inbox = s.inboxSpare[:0]
 	s.inMu.Unlock()
 	for i := range in {
-		s.push(event{at: in[i].at, key: in[i].key, fn: in[i].fn})
+		s.push(in[i].at, in[i].key, in[i].fn)
 	}
 	if prof && len(in) > 0 {
 		s.drains++
@@ -245,26 +240,14 @@ func (s *Shard) drainInbox(prof bool) {
 // burst executes every event strictly below the horizon hz and
 // batch-flushes staged deliveries into peer mailboxes. The horizon came
 // from next-event times shards cannot retract while quiescent, and decide()
-// already swept every mailbox before scheduling, so the heap holds all
+// already swept every mailbox before scheduling, so the queue holds all
 // events below hz; arrivals appended by concurrent bursts necessarily land
 // at or beyond hz and are swept at the next decide. The shard's frontier
 // advance is recorded by the worker loop under the scheduler lock once the
 // burst completes.
 func (e *ShardedEngine) burst(s *Shard, hz Cycle) {
 	prof := e.profOn
-	var before uint64
-	if prof {
-		before = s.executed
-	}
-	s.runWin(hz, e.limit)
-	if prof {
-		s.windows++
-		if d := s.executed - before; d == 0 {
-			s.emptyWins++
-		} else if d > s.maxEvWindow {
-			s.maxEvWindow = d
-		}
-	}
+	s.runWindow(hz, e.limit)
 	for dst, box := range s.outbox {
 		if len(box) == 0 {
 			continue
@@ -297,7 +280,7 @@ func (e *ShardedEngine) decide(st *wmState) {
 		return
 	}
 	n := len(e.shards)
-	// Sweep parked mailbox arrivals into the heaps so next-event times are
+	// Sweep parked mailbox arrivals into the queues so next-event times are
 	// exact, and find the min / second-min next-event times. The pool is
 	// quiescent and every producer released the scheduler lock after its
 	// burst, so a plain length read of a peer mailbox is ordered; only

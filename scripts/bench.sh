@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Runs the simulator/workload/ppsim microbenchmarks COUNT times (default 5)
+# Runs the simulator/workload/ppsim/core microbenchmarks COUNT times (default 5)
 # and the Fig 4.1 macrobenchmarks MACRO_COUNT times (default 3) under both
 # PP dispatch backends and both event engines (seq/sharded), and emits
 # BENCH_sim.json with per-run ns/op, B/op, and allocs/op for each benchmark,
@@ -40,7 +40,7 @@ since() { awk -v a="$1" -v b="$(now_s)" 'BEGIN { printf "%.2f", b - a }'; }
 
 T_MICRO="$(now_s)"
 go test -run '^$' -bench . -benchmem -count "$COUNT" \
-	./internal/sim ./internal/workload ./internal/ppsim | tee "$RAW"
+	./internal/sim ./internal/workload ./internal/ppsim ./internal/core | tee "$RAW"
 MICRO_WALL="$(since "$T_MICRO")"
 
 # The engine's hot loop must stay allocation-free: every BenchmarkEngine*
@@ -50,6 +50,18 @@ awk '/^BenchmarkEngine/ && $7 != 0 {
 	printf "FAIL: %s reports %s allocs/op (want 0)\n", $1, $7; bad = 1
 }
 END { exit bad }' "$RAW" || { echo "bench.sh: engine allocation regression" >&2; exit 1; }
+
+# So must the queue under the simulation's own load (the in-situ event cost,
+# BenchmarkEngineMissMix, is matched by the rule above but must be present)
+# and the whole miss path above it — processor, controller, handlers,
+# network — on both machine kinds.
+awk '/^BenchmarkEngineMissMix/ { mix++ }
+/^BenchmarkMissPath\// {
+	path++
+	if ($7 != 0) { printf "FAIL: %s reports %s allocs/op (want 0)\n", $1, $7; bad = 1 }
+}
+END { if (!mix || path < 2) { print "FAIL: EngineMissMix / MissPath benchmarks missing"; bad = 1 }; exit bad }' "$RAW" ||
+	{ echo "bench.sh: miss path allocation regression" >&2; exit 1; }
 
 # The workload<->cpu handshake must stay allocation-free on all three paths:
 # batched writes, direct read hits, and the two mixed.
@@ -455,6 +467,12 @@ echo "bench.sh: explore $EXPLORE_POINTS points ($EXPLORE_PARETO Pareto): cold ${
 # cycle counts slightly (goldens regenerated once), so current runs are
 # compared against the regenerated goldens, not these historical numbers.
 cat >>"$OUT" <<'EOF'
+  "miss_path_parent": {
+    "note": "the two benchmarks PR 14 added, run unchanged on its parent commit 6aa42b0 (binary heap, closure per message, handlerCtx per handler) on this host pinned to one CPU like the rest of the file, 5 runs: the before of sim.BenchmarkEngineMissMix and core.BenchmarkMissPath above",
+    "sim.BenchmarkEngineMissMix":    {"ns_per_op": [89.10, 76.33, 73.72, 73.11, 72.47], "allocs_per_op": 0},
+    "core.BenchmarkMissPath/FLASH": {"ns_per_op": [4083, 4165, 4648, 4755, 4751], "bytes_per_op": 2232, "allocs_per_op": 36},
+    "core.BenchmarkMissPath/ideal": {"ns_per_op": [1315, 1310, 1293, 1251, 1224], "bytes_per_op": 772, "allocs_per_op": 11}
+  },
   "seed_baseline": {
     "note": "pre-optimization tree; exp macrobenchmarks at Scale 8, 5 runs; simulated cycle counts are bit-identical before and after by construction (golden-digest test)",
     "BenchmarkFig41FFT":   {"ns_per_op_range": [1318516459, 1480254385], "allocs_per_op": 3897043, "flash_cycles": 208107},
