@@ -8,7 +8,9 @@ build:
 	$(GO) build ./...
 
 # Tier-1 verify line (keep in sync with ROADMAP.md), plus a race-detector
-# pass over the concurrent experiment driver, plus the exp golden digests
+# pass over the concurrent experiment driver and the explore sweep's workers
+# (result files byte-identical at GOMAXPROCS 1, 2 and 8, cold, warm and
+# cached), plus the exp golden digests
 # under the interpreter PP backend (the default test run covers the compiled
 # backend), so neither dispatch path can rot. The sharded-engine goldens run
 # under both synchronization schemes (window barrier and per-pair

@@ -37,12 +37,12 @@
 // network queue depth, network transit/lookahead window) crossed with the
 // host execution axes (engine, sync scheme) and prints a Pareto table of
 // slowdown-vs-ideal against a hardware-cost proxy. By default the sweep is
-// warm-started: the common workload prefix is simulated once per simulated
-// configuration, snapshotted, and forked copy-on-write into a second
-// machine, and points that differ only in host axes are served from a
-// content-addressed result cache; -cache-dir keeps that cache on disk so
-// repeated sweeps skip simulation entirely. -cold runs every point from
-// scratch instead — the result files are byte-identical either way:
+// warm: each distinct simulated configuration runs once, the distinct ones
+// concurrently on GOMAXPROCS workers, and points that differ only in host
+// axes are served from a content-addressed result cache; -cache-dir keeps
+// that cache on disk so repeated sweeps skip simulation entirely. -cold
+// simulates every point instead — the result files are byte-identical
+// either way:
 //
 //	flashexp explore -app fft -cache-dir /tmp/fc -out pareto.json
 package main
@@ -289,15 +289,14 @@ func writeSnapshot(reg *metrics.Registry, path string) error {
 }
 
 // exploreMain is the `flashexp explore` subcommand: the design-space sweep
-// over flexibility knobs with warm-started (snapshot-forked, cached) or
-// cold execution.
+// over flexibility knobs, warm (result cache on) or cold.
 func exploreMain(args []string) {
 	fs := flag.NewFlagSet("flashexp explore", flag.ExitOnError)
 	app := fs.String("app", "fft", "application to sweep (one of: "+apps.ValidNames()+")")
 	scale := fs.Int("scale", 0, "problem size divisor (0 = per-app sweep default)")
 	procs := fs.Int("procs", 4, "processor count")
-	prefixRefs := fs.Uint64("prefix-refs", 20000, "per-CPU reference count of the shared warm-start prefix")
-	cold := fs.Bool("cold", false, "run every point from scratch (no snapshot fork or cache)")
+	prefixRefs := fs.Uint64("prefix-refs", 20000, "per-CPU reference count at which each phased run pauses and resumes")
+	cold := fs.Bool("cold", false, "simulate every point (no result cache)")
 	cacheDir := fs.String("cache-dir", "", "keep the content-addressed result cache in this directory across runs (warm mode only; default: in memory for this run)")
 	out := fs.String("out", "", "write the deterministic sweep result JSON to this file (- = stdout)")
 	tableOut := fs.String("table-out", "", "write the Pareto table to this file instead of stdout")

@@ -43,7 +43,7 @@ func flashexp(t *testing.T, args ...string) (stdout, stderr string, code int) {
 // TestExploreSummaryLine pins the shape and the counts of the one-line
 // summary `flashexp explore` prints on stderr, for the default warm sweep
 // (no -cache-dir: 48 simulated FLASH points + the ideal baseline miss, the
-// 96 host-axis duplicates hit, a donor and a fork per simulated point) and
+// 96 host-axis duplicates hit, one machine per simulated point) and
 // for -cold (no cache, one machine per point), and that both write the same
 // result file.
 func TestExploreSummaryLine(t *testing.T) {
@@ -55,7 +55,7 @@ func TestExploreSummaryLine(t *testing.T) {
 		name, summary string
 		args          []string
 	}{
-		{"warm", `cache 96 hits / 49 misses, 97 machines built`, nil},
+		{"warm", `cache 96 hits / 49 misses, 49 machines built`, nil},
 		{"cold", `cache 0 hits / 0 misses, 145 machines built`, []string{"-cold"}},
 	} {
 		args := append([]string{"explore", "-out", filepath.Join(dir, tc.name+".json"),

@@ -9,40 +9,54 @@ package exp
 // along as sweep axes to exercise the full backend matrix; they change no
 // simulated behavior, which is exactly what the warm path exploits.
 //
-// Both modes run each point as a phased simulation (prefix to a pause
-// point, checkpoint-compatible quiescence, resume), so a point's Report is
-// identical however it is produced:
+// Explore is plan, execute, assemble:
 //
-//   - cold: every point builds a fresh machine, simulates prefix + resume
-//     in place, and discards the machine. The naive sweep.
-//   - warm: each simulated point runs its prefix on a donor machine,
-//     checkpoints, snapshot-forks into a second machine (copy-on-write
-//     data store and protocol memory), and resumes there; the Report lands
-//     in a content-addressed ResultCache keyed by the normalized
-//     simulated-behavior digest — in memory for the call, or on disk under
-//     CacheDir. Points that differ only in host-side axes are cache hits
-//     and never simulate.
+//   - plan: enumerate the grid in order, compute each point's
+//     exploreCacheKey, group points that share a key (first-seen order) and
+//     ask the ResultCache for each distinct key once. The ideal baseline is
+//     one more job at the head of the list. A cold sweep has no cache and
+//     no grouping: every point is its own job.
+//   - execute: the jobs the cache did not answer run on
+//     min(GOMAXPROCS, jobs) worker goroutines. Each builds a fresh machine,
+//     runs the point as a phased simulation (prefix to a pause point,
+//     checkpoint-compatible quiescence, resume in place) and drops the
+//     machine. Jobs share nothing mutable: protocol programs are memoized
+//     process-wide and read-only (TestSharedProgramConcurrentMachines), and
+//     a worker writes only its own job.
+//   - assemble: one goroutine walks the grid in order, stores new reports
+//     in the cache, counts hits, misses and machines, digests each distinct
+//     report once, and joins the failures in grid order.
 //
-// The sweep holds no machine pool: no two simulated points share a pool
-// key, and a point's donor and fork are live together, so a pool could
-// never hit inside one sweep and would only keep every machine reachable
-// until the end. Machines are garbage once their point's report is
-// collected; construction is cheap because protocol programs are built once
-// per process (protocol.Build) and memories are sparse.
+// "Warm" therefore means exactly "result cache on" — the job table for the
+// call, plus a ResultCache on disk under CacheDir. Points that differ only in host-side
+// axes share a key, so two of every three are hits and never simulate.
+// Which worker ran a job cannot reach the result file, so cold and warm
+// sweeps emit byte-identical files at any GOMAXPROCS
+// (TestExploreParallelDeterminism); scripts/bench.sh asserts cold == warm,
+// along with the warm speedup floor.
 //
-// Fork continuations are bit-identical to cold continuations
-// (TestForkDeterminism), so cold and warm sweeps emit byte-identical
-// result files — scripts/bench.sh asserts this, along with the warm
-// speedup floor.
+// The sweep holds no machine pool and forks no snapshots. No two simulated
+// points share a pool key or a simulated prefix — every point differs in a
+// simulated knob from cycle 0 — so a pool could never hit and a fork has
+// nothing to reuse. An earlier warm path ran each point's prefix on a donor
+// machine, checkpointed, and resumed on a snapshot fork; measured on the
+// repo benchmark that was two machines per point for +25 % wall and CPU and
+// +20 % peak RSS with zero reuse (DESIGN.md §15 keeps the table).
+// core/snapshot.go and workload/fork.go remain for callers that do share a
+// prefix, pinned by TestForkDeterminism.
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"sort"
+	"sync"
 
 	"flashsim/internal/apps"
 	"flashsim/internal/arch"
@@ -60,14 +74,14 @@ type ExploreOptions struct {
 	Scale int
 	// Procs is the node count (default 4).
 	Procs int
-	// PrefixRefs is the per-processor reference count of the common prefix
-	// (default 20000, the fork-golden pause point).
+	// PrefixRefs is the per-processor reference count at which each phased
+	// run pauses and resumes (default 20000, the fork-golden pause point).
 	PrefixRefs uint64
-	// Warm selects the snapshot-forked, cached path; false runs the naive
-	// cold sweep.
+	// Warm turns the result cache on; false runs the naive cold sweep,
+	// which simulates every point.
 	Warm bool
 	// CacheDir is the content-addressed result cache directory (warm mode
-	// only; empty keeps the cache in memory for this call).
+	// only; empty keeps results for this call only).
 	CacheDir string
 	// Verify re-checks application results on every simulated point.
 	Verify bool
@@ -116,9 +130,9 @@ type ExploreResult struct {
 	Points     []ExplorePoint `json:"points"`
 
 	// Summary counters, not part of the deterministic result payload.
-	// PoolBuilds counts the machines the sweep constructed; PoolHits is
-	// always zero (the sweep recycles no machines) and remains for the
-	// repo benchmark, which reads both.
+	// PoolBuilds counts the machines the sweep constructed (one per
+	// simulated job); PoolHits is always zero (the sweep recycles no
+	// machines) and remains for the repo benchmark, which reads both.
 	CacheHits   int `json:"-"`
 	CacheMisses int `json:"-"`
 	PoolHits    int `json:"-"`
@@ -161,21 +175,17 @@ func exploreCost(p ExplorePoint) float64 {
 
 // ResultCache is a content-addressed store of simulation reports, keyed
 // by the normalized simulated-behavior key: one JSON file per entry under
-// dir, named by the key's SHA-256, or an in-memory map when dir is empty.
-// Entries are reports with host-cost accounting stripped, so a hit is
-// byte-identical to the report a fresh simulation of the same key produces.
-// A nil *ResultCache never hits and drops every Put (the cold sweep).
+// dir, named by the key's SHA-256. Entries are reports with host-cost
+// accounting stripped, so a hit is byte-identical to the report a fresh
+// simulation of the same key produces. A nil *ResultCache never hits and
+// drops every Put (a sweep without a cache directory: Explore's own job
+// table is what serves one call's duplicates).
 type ResultCache struct {
 	dir string
-	mem map[string]stats.Report // the store when dir is empty
 }
 
-// NewResultCache opens (creating if needed) a cache rooted at dir; an
-// empty dir makes a cache that lives in memory and dies with the value.
+// NewResultCache opens (creating if needed) a cache rooted at dir.
 func NewResultCache(dir string) (*ResultCache, error) {
-	if dir == "" {
-		return &ResultCache{mem: map[string]stats.Report{}}, nil
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -197,10 +207,6 @@ func (c *ResultCache) Get(key string) (stats.Report, bool) {
 	if c == nil {
 		return stats.Report{}, false
 	}
-	if c.dir == "" {
-		rep, ok := c.mem[key]
-		return rep, ok
-	}
 	buf, err := os.ReadFile(c.path(key))
 	if err != nil {
 		return stats.Report{}, false
@@ -220,15 +226,31 @@ func (c *ResultCache) Put(key string, rep stats.Report) error {
 		return nil
 	}
 	rep.Host = nil
-	if c.dir == "" {
-		c.mem[key] = rep
-		return nil
-	}
 	buf, err := json.MarshalIndent(cacheEntry{Key: key, Report: rep}, "", " ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(c.path(key), append(buf, '\n'), 0o644)
+	// Write beside the entry and rename over it: a sweep sharing the
+	// directory sees the old entry, no entry or the new one, never part of
+	// one. The temporary name does not end in .json, so it is never read.
+	f, err := os.CreateTemp(c.dir, ".put-*")
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(append(buf, '\n'))
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), c.path(key))
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
 // exploreCacheKey is the content address of one simulated point: the
@@ -250,32 +272,51 @@ func reportDigest(rep stats.Report) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// runPhased runs app on m as a phased simulation — prefix to pauseRefs,
-// then resume in place — and returns the world (for verification).
-func runPhased(m *core.Machine, app string, p apps.Params, pauseRefs uint64) (*workload.World, *apps.App, error) {
-	w := workload.NewWorld(m)
-	a, err := apps.Build(app, w, p)
-	if err != nil {
-		return nil, nil, err
-	}
-	pre, err := w.RunPrefix(a.Run, pauseRefs, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := pre.Resume(); err != nil {
-		return nil, nil, err
-	}
-	return w, a, nil
+// exploreJob is one distinct simulation of the sweep: the ideal baseline or
+// a FLASH design point. Plan fills name, key, cfg and pauseRefs (and rep, hit
+// when the cache answers); a worker fills rep or err; assemble fills the
+// rest.
+type exploreJob struct {
+	name      string // the baseline, or the first grid point that needs it
+	key       string
+	cfg       arch.Config
+	pauseRefs uint64 // 0 runs unphased (the ideal baseline)
+
+	hit    bool // served by the result cache: nothing to simulate
+	used   bool // a grid point has taken its report
+	rep    stats.Report
+	digest string
+	err    error
 }
 
-// explorePointCold simulates one point the naive way: fresh machine,
-// phased run, discard.
-func explorePointCold(cfg arch.Config, o ExploreOptions, p apps.Params) (stats.Report, error) {
-	m, err := core.New(cfg)
+// simulate runs the job on a fresh machine, which is garbage when it
+// returns. A panic on this goroutine — an app builder, a workload thread
+// (coroutines propagate theirs to the resumer), a capture off quiescence —
+// comes back as the job's error; one raised on a sharded engine's own shard
+// goroutine still ends the process.
+func (j *exploreJob) simulate(o ExploreOptions, p apps.Params) (rep stats.Report, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
+		}
+	}()
+	m, err := core.New(j.cfg)
 	if err != nil {
 		return stats.Report{}, err
 	}
-	_, a, err := runPhased(m, o.App, p, o.PrefixRefs)
+	w := workload.NewWorld(m)
+	a, err := apps.Build(o.App, w, p)
+	if err != nil {
+		return stats.Report{}, err
+	}
+	if j.pauseRefs == 0 {
+		err = w.Run(a.Run, 0)
+	} else {
+		var pre *workload.Prefix
+		if pre, err = w.RunPrefix(a.Run, j.pauseRefs, 0); err == nil {
+			err = pre.Resume()
+		}
+	}
 	if err != nil {
 		return stats.Report{}, err
 	}
@@ -287,51 +328,7 @@ func explorePointCold(cfg arch.Config, o ExploreOptions, p apps.Params) (stats.R
 			return stats.Report{}, err
 		}
 	}
-	rep := stats.Collect(m)
-	rep.Host = nil
-	return rep, nil
-}
-
-// explorePointWarm simulates one point the warm way: prefix on a donor,
-// checkpoint, snapshot-fork into a second machine, resume there. Both
-// machines are garbage when it returns.
-func explorePointWarm(cfg arch.Config, o ExploreOptions, p apps.Params) (stats.Report, error) {
-	donor, err := core.New(cfg)
-	if err != nil {
-		return stats.Report{}, err
-	}
-	w := workload.NewWorld(donor)
-	a, err := apps.Build(o.App, w, p)
-	if err != nil {
-		return stats.Report{}, err
-	}
-	pre, err := w.RunPrefix(a.Run, o.PrefixRefs, 0)
-	if err != nil {
-		return stats.Report{}, err
-	}
-	ck, err := pre.Checkpoint()
-	if err != nil {
-		return stats.Report{}, err
-	}
-	fork, err := core.New(cfg)
-	if err != nil {
-		return stats.Report{}, err
-	}
-	w2, err := w.Fork(ck, fork, a.Run, 0)
-	if err != nil {
-		return stats.Report{}, err
-	}
-	if o.Verify {
-		w.M = fork // Verify closures read through the build-time world
-		if err := a.Verify(); err != nil {
-			return stats.Report{}, err
-		}
-		w.M = donor
-		if err := fork.CheckCoherence(); err != nil {
-			return stats.Report{}, err
-		}
-	}
-	rep := stats.Collect(w2.M)
+	rep = stats.Collect(m)
 	rep.Host = nil
 	return rep, nil
 }
@@ -356,16 +353,35 @@ func Explore(o ExploreOptions) (*ExploreResult, error) {
 	}
 	p := apps.Params{Procs: o.Procs, Scale: o.Scale}
 
-	var cache *ResultCache // nil on the cold sweep: every point simulates
-	var err error
-	if o.Warm {
+	var cache *ResultCache // nil unless reports outlive the call
+	if o.Warm && o.CacheDir != "" {
+		var err error
 		cache, err = NewResultCache(o.CacheDir)
 		if err != nil {
 			return nil, err
 		}
 	}
 
-	res := &ExploreResult{App: o.App, Scale: o.Scale, Procs: o.Procs, PrefixRefs: o.PrefixRefs}
+	// Plan. jobs is in first-seen order; jobOf[i] serves res.Points[i].
+	// byKey is the cache within the call; a cold sweep leaves it empty, so
+	// every point is its own job.
+	var jobs, todo []*exploreJob
+	byKey := map[string]*exploreJob{}
+	plan := func(name string, cfg arch.Config, pauseRefs uint64) *exploreJob {
+		key := exploreCacheKey(cfg, o.App, o.Scale, o.Procs, pauseRefs)
+		if j := byKey[key]; j != nil {
+			return j
+		}
+		j := &exploreJob{name: name, key: key, cfg: cfg, pauseRefs: pauseRefs}
+		if j.rep, j.hit = cache.Get(key); !j.hit {
+			todo = append(todo, j)
+		}
+		if o.Warm {
+			byKey[key] = j
+		}
+		jobs = append(jobs, j)
+		return j
+	}
 
 	// The ideal baseline: the hardwired machine's timing ignores every
 	// swept MAGIC knob, so one (unphased) run serves the whole sweep.
@@ -373,40 +389,10 @@ func Explore(o ExploreOptions) (*ExploreResult, error) {
 	idealCfg.Kind = arch.KindIdeal
 	idealCfg.Nodes = o.Procs
 	idealCfg.MemBytesPerNode = 4 << 20
-	var idealRep stats.Report
-	idealKey := exploreCacheKey(idealCfg, o.App, o.Scale, o.Procs, 0)
-	if rep, ok := cache.Get(idealKey); ok {
-		idealRep = rep
-		res.CacheHits++
-	} else {
-		im, err := core.New(idealCfg)
-		if err != nil {
-			return nil, err
-		}
-		res.PoolBuilds++
-		iw := workload.NewWorld(im)
-		ia, err := apps.Build(o.App, iw, p)
-		if err != nil {
-			return nil, err
-		}
-		if err := iw.Run(ia.Run, 0); err != nil {
-			return nil, err
-		}
-		if o.Verify {
-			if err := ia.Verify(); err != nil {
-				return nil, err
-			}
-		}
-		idealRep = stats.Collect(im)
-		idealRep.Host = nil
-		if cache != nil {
-			res.CacheMisses++
-			if err := cache.Put(idealKey, idealRep); err != nil {
-				return nil, err
-			}
-		}
-	}
+	ideal := plan("ideal baseline", idealCfg, 0)
 
+	res := &ExploreResult{App: o.App, Scale: o.Scale, Procs: o.Procs, PrefixRefs: o.PrefixRefs}
+	var jobOf []*exploreJob
 	for _, proto := range exploreProto {
 		for _, mdc := range exploreMDC {
 			for _, div := range explorePPDiv {
@@ -434,42 +420,74 @@ func Explore(o ExploreOptions) (*ExploreResult, error) {
 								NetQueueCap: qcap,
 								NetTransit:  transit,
 							}
-							key := exploreCacheKey(cfg, o.App, o.Scale, o.Procs, o.PrefixRefs)
-							var rep stats.Report
-							if cached, ok := cache.Get(key); ok {
-								rep = cached
-								pt.CacheHit = true
-								res.CacheHits++
-							} else {
-								if o.Warm {
-									rep, err = explorePointWarm(cfg, o, p)
-									res.PoolBuilds += 2 // donor + fork
-								} else {
-									rep, err = explorePointCold(cfg, o, p)
-									res.PoolBuilds++
-								}
-								if err != nil {
-									return nil, fmt.Errorf("point %s/%s proto=%s mdc=%d div=%d qcap=%d net=%d: %w",
-										pt.Engine, pt.Sync, pt.Protocol, mdc, div, qcap, transit, err)
-								}
-								if cache != nil {
-									res.CacheMisses++
-									if err := cache.Put(key, rep); err != nil {
-										return nil, err
-									}
-								}
-							}
-							pt.Elapsed = uint64(rep.Elapsed)
-							pt.IdealElapsed = uint64(idealRep.Elapsed)
-							pt.SlowdownPct = 100 * (float64(pt.Elapsed)/float64(pt.IdealElapsed) - 1)
 							pt.Cost = exploreCost(pt)
-							pt.ReportDigest = reportDigest(rep)
+							name := fmt.Sprintf("point %s/%s proto=%s mdc=%d div=%d qcap=%d net=%d",
+								pt.Engine, pt.Sync, pt.Protocol, mdc, div, qcap, transit)
 							res.Points = append(res.Points, pt)
+							jobOf = append(jobOf, plan(name, cfg, o.PrefixRefs))
 						}
 					}
 				}
 			}
 		}
+	}
+
+	// Execute. Each worker writes only the job it received; wg.Wait orders
+	// those writes before assemble reads them.
+	next := make(chan *exploreJob)
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(todo)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range next {
+				j.rep, j.err = j.simulate(o, p)
+			}
+		}()
+	}
+	for _, j := range todo {
+		next <- j
+	}
+	close(next)
+	wg.Wait()
+
+	// Assemble. First the jobs, in first-seen (so grid) order: a job the
+	// cache answered is a hit for the point that planned it, any other built
+	// a machine and, on a warm sweep, was a miss whose report is stored now.
+	var errs []error
+	for _, j := range jobs {
+		if j.hit {
+			res.CacheHits++
+		} else {
+			res.PoolBuilds++
+			if o.Warm {
+				res.CacheMisses++
+			}
+			if j.err == nil {
+				j.err = cache.Put(j.key, j.rep)
+			}
+		}
+		if j.err != nil {
+			errs = append(errs, fmt.Errorf("%s: %w", j.name, j.err))
+			continue
+		}
+		j.digest = reportDigest(j.rep)
+	}
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	// Then the points: every use of a job after its first is a hit too.
+	for i, j := range jobOf {
+		pt := &res.Points[i]
+		pt.CacheHit = j.hit || j.used
+		if j.used {
+			res.CacheHits++
+		}
+		j.used = true
+		pt.Elapsed = uint64(j.rep.Elapsed)
+		pt.IdealElapsed = uint64(ideal.rep.Elapsed)
+		pt.SlowdownPct = 100 * (float64(pt.Elapsed)/float64(pt.IdealElapsed) - 1)
+		pt.ReportDigest = j.digest
 	}
 	markPareto(res.Points)
 	return res, nil

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"flashsim/internal/apps"
 	"flashsim/internal/arch"
@@ -27,13 +30,12 @@ func trimmedGrid(t *testing.T) {
 	})
 }
 
-// TestExploreWarmMatchesCold requires the warm (snapshot-forked + cached)
-// sweep to emit byte-identical results to the naive cold sweep — with the
-// in-memory cache and with a cache directory — and a second warm sweep
-// over the directory (all cache hits) to reproduce them again. Procs 2 is
-// the regression case for forks whose processors all finished inside the
-// prefix: their occupancy denominators must be the donor's drain time, not
-// the restored machine's rewound clock.
+// TestExploreWarmMatchesCold requires the warm (cached) sweep to emit
+// byte-identical results to the naive cold sweep — with the in-memory cache
+// and with a cache directory — and a second warm sweep over the directory
+// (all cache hits) to reproduce them again. Procs 2 is the case where every
+// processor finishes inside the prefix, so the resume phase has nothing left
+// to run.
 func TestExploreWarmMatchesCold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -80,11 +82,11 @@ func TestExploreWarmMatchesCold(t *testing.T) {
 			// Host-axis duplicates must be cache hits, with or without a
 			// cache directory: with 2 points per host variant (3 variants),
 			// a populating sweep simulates 2 FLASH points + 1 ideal baseline
-			// and builds a donor and a fork per FLASH point; the rerun
-			// simulates and builds nothing; the cold sweep simulates all 6.
+			// on one machine each; the rerun simulates and builds nothing;
+			// the cold sweep simulates all 6.
 			for name, r := range map[string]*ExploreResult{"in-memory": mem, "populating": warm1} {
-				if r.CacheMisses != 3 || r.CacheHits != 4 || r.PoolBuilds != 5 {
-					t.Errorf("%s sweep: %d misses / %d hits / %d machines, want 3 / 4 / 5",
+				if r.CacheMisses != 3 || r.CacheHits != 4 || r.PoolBuilds != 3 {
+					t.Errorf("%s sweep: %d misses / %d hits / %d machines, want 3 / 4 / 3",
 						name, r.CacheMisses, r.CacheHits, r.PoolBuilds)
 				}
 			}
@@ -103,6 +105,213 @@ func TestExploreWarmMatchesCold(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestExploreParallelDeterminism runs a third of the grid (16 simulated
+// points, two rounds for eight workers) at GOMAXPROCS 1, 2 and 8 — one, two
+// and eight sweep workers; the -race target in make verify — in every mode:
+// cold, in-memory warm, on-disk populate, cached rerun. All twelve sweeps
+// must produce one result file, with the counts of their mode.
+func TestExploreParallelDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	trimmedGrid(t)
+	exploreMDC = []int{16 << 10, 64 << 10}
+	exploreQCap = []int{8, 16}
+	exploreProto = []arch.Protocol{arch.ProtoDynPtr, arch.ProtoBitVector}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want []byte
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		dir := t.TempDir()
+		for _, mode := range []struct {
+			name                 string
+			o                    ExploreOptions
+			hits, misses, builds int
+		}{
+			{"cold", ExploreOptions{}, 0, 0, 49},
+			{"warm", ExploreOptions{Warm: true}, 32, 17, 17},
+			{"populate", ExploreOptions{Warm: true, CacheDir: dir}, 32, 17, 17},
+			{"rerun", ExploreOptions{Warm: true, CacheDir: dir}, 49, 0, 0},
+		} {
+			res, err := Explore(mode.o)
+			if err != nil {
+				t.Fatalf("GOMAXPROCS %d, %s: %v", procs, mode.name, err)
+			}
+			if res.CacheHits != mode.hits || res.CacheMisses != mode.misses || res.PoolBuilds != mode.builds {
+				t.Errorf("GOMAXPROCS %d, %s: %d hits / %d misses / %d machines, want %d / %d / %d", procs, mode.name,
+					res.CacheHits, res.CacheMisses, res.PoolBuilds, mode.hits, mode.misses, mode.builds)
+			}
+			got, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+			}
+			if string(got) != string(want) {
+				t.Errorf("GOMAXPROCS %d, %s: result file differs from the first sweep's", procs, mode.name)
+			}
+		}
+	}
+}
+
+// TestExploreReportsEveryFailingPoint sweeps a problem size every point
+// rejects (Ocean's grid at scale 3 does not divide over 4 processors) and an
+// application that panics, once in its builder and once on a workload
+// thread (warm only: a warm sweep simulates on the sequential engine, which
+// runs threads on the worker's goroutine; the sharded engine's own
+// goroutines are out of a recover's reach). Explore must return — not hang,
+// not die — with one error per simulated job, each naming its point, in grid
+// order, identically on every call, and leave no goroutine behind.
+func TestExploreReportsEveryFailingPoint(t *testing.T) {
+	trimmedGrid(t)
+	t.Setenv("FLASHSIM_ENGINE", "seq") // the baseline runs on the process default
+	apps.Builders["boom-build"] = func(*workload.World, apps.Params) (*apps.App, error) {
+		panic("builder exploded")
+	}
+	apps.Builders["boom-run"] = func(*workload.World, apps.Params) (*apps.App, error) {
+		return &apps.App{Run: func(c *workload.Ctx) {
+			if c.ID == 1 {
+				panic("thread exploded")
+			}
+		}}, nil
+	}
+	defer delete(apps.Builders, "boom-build")
+	defer delete(apps.Builders, "boom-run")
+
+	before := runtime.NumGoroutine()
+	for _, tc := range []struct {
+		o     ExploreOptions
+		cause string
+		modes []bool // Warm values
+	}{
+		{ExploreOptions{App: "ocean", Scale: 3}, "not divisible by 4 processors", []bool{false, true}},
+		{ExploreOptions{App: "boom-build", Scale: 1}, "panic: builder exploded", []bool{false, true}},
+		{ExploreOptions{App: "boom-run", Scale: 1}, "panic: thread exploded", []bool{true}},
+	} {
+		for _, warm := range tc.modes {
+			tc.o.Warm = warm
+			_, err := Explore(tc.o)
+			if err == nil {
+				t.Fatalf("%s warm=%v: sweep succeeded", tc.o.App, warm)
+			}
+			// Warm: the baseline and the first host variant of each of the
+			// two simulated points; cold: the baseline and all six points.
+			hosts := []string{"seq/-"}
+			if !warm {
+				hosts = append(hosts, "sharded/barrier", "sharded/watermark")
+			}
+			names := []string{"ideal baseline: "}
+			for _, div := range []int{1, 2} {
+				for _, host := range hosts {
+					names = append(names, fmt.Sprintf("point %s proto=%v mdc=16384 div=%d qcap=16 net=22: ",
+						host, arch.ProtoDynPtr, div))
+				}
+			}
+			joined, ok := err.(interface{ Unwrap() []error })
+			if !ok || len(joined.Unwrap()) != len(names) {
+				t.Fatalf("%s warm=%v: want %d joined errors, got: %v", tc.o.App, warm, len(names), err)
+			}
+			for i, e := range joined.Unwrap() {
+				if !strings.HasPrefix(e.Error(), names[i]) || !strings.Contains(e.Error(), tc.cause) {
+					t.Errorf("%s warm=%v: error %d is %q, want prefix %q and cause %q",
+						tc.o.App, warm, i, firstLine(e.Error()), names[i], tc.cause)
+				}
+			}
+			_, again := Explore(tc.o)
+			if again == nil || firstLines(again) != firstLines(err) {
+				t.Errorf("%s warm=%v: a second sweep reported different failures", tc.o.App, warm)
+			}
+		}
+		if tc.o.App == "ocean" {
+			// Nothing ran, so nothing may be left: the workers have exited
+			// once Explore returns, give or take their last instructions.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				runtime.Gosched()
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Errorf("%d goroutines after the failing sweeps, %d before", n, before)
+			}
+		}
+	}
+}
+
+func firstLine(s string) string {
+	line, _, _ := strings.Cut(s, "\n")
+	return line
+}
+
+// firstLines keeps the first line of each joined error: a panic's stack
+// trace follows it and names goroutine numbers.
+func firstLines(err error) string {
+	var b strings.Builder
+	for _, e := range err.(interface{ Unwrap() []error }).Unwrap() {
+		b.WriteString(firstLine(e.Error()) + "\n")
+	}
+	return b.String()
+}
+
+// TestExploreDamagedCacheEntries damages a populated cache directory the
+// ways a crashed or concurrent writer could — one entry truncated, one
+// holding another key's report — and requires the next sweep to treat both
+// as misses: re-simulate, overwrite, report what the clean sweep reported.
+// Put must also leave nothing but entries behind.
+func TestExploreDamagedCacheEntries(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	trimmedGrid(t)
+	dir := t.TempDir()
+	o := ExploreOptions{App: "fft", Warm: true, CacheDir: dir}
+	clean, err := Explore(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, _ := filepath.Glob(filepath.Join(dir, "*"))
+	files, _ := filepath.Glob(filepath.Join(dir, "*.json"))
+	if len(files) != 3 || len(all) != 3 {
+		t.Fatalf("cache directory holds %d files, %d of them entries; want 3 and 3: %v", len(all), len(files), all)
+	}
+	whole, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(files[0], whole[:len(whole)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	other, err := os.ReadFile(files[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(files[1], other, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	repaired, err := Explore(o)
+	if err != nil {
+		t.Fatalf("sweep over a damaged cache: %v", err)
+	}
+	if repaired.CacheMisses != 2 || repaired.PoolBuilds != 2 {
+		t.Errorf("damaged entries: %d misses, %d machines; want 2 and 2", repaired.CacheMisses, repaired.PoolBuilds)
+	}
+	a, _ := json.Marshal(clean)
+	b, _ := json.Marshal(repaired)
+	if string(a) != string(b) {
+		t.Errorf("sweep over a damaged cache differs from the clean sweep:\nclean:    %s\nrepaired: %s", a, b)
+	}
+	if got, err := os.ReadFile(files[0]); err != nil || string(got) != string(whole) {
+		t.Errorf("truncated entry was not rewritten whole (err %v)", err)
+	}
+	rerun, err := Explore(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rerun.CacheMisses != 0 || rerun.PoolBuilds != 0 {
+		t.Errorf("rerun over the repaired cache: %d misses, %d machines; want 0 and 0", rerun.CacheMisses, rerun.PoolBuilds)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 
 // TestExploreWarmIsCheap is the deterministic cost guard for the sweep: one
 // warm Explore at the repo benchmark's configuration (fft, scale 256, 4
-// processors, the full 144-point grid) must allocate under 200 MB in
+// processors, the full 144-point grid) must allocate under 70 MB in
 // total, compile at most the two protocol programs and evict nothing from
 // the compiled-image cache, and leave the shared programs exactly as built.
 func TestExploreWarmIsCheap(t *testing.T) {
@@ -49,14 +49,14 @@ func TestExploreWarmIsCheap(t *testing.T) {
 	}
 	_, miss1, evict1 := ppsim.CompileCacheStats()
 
-	if len(res.Points) != 144 || res.CacheHits != 96 || res.CacheMisses != 49 || res.PoolBuilds != 97 {
-		t.Errorf("sweep: %d points, %d hits, %d misses, %d machines; want 144, 96, 49, 97",
+	if len(res.Points) != 144 || res.CacheHits != 96 || res.CacheMisses != 49 || res.PoolBuilds != 49 {
+		t.Errorf("sweep: %d points, %d hits, %d misses, %d machines; want 144, 96, 49, 49",
 			len(res.Points), res.CacheHits, res.CacheMisses, res.PoolBuilds)
 	}
 	allocMB := float64(ms1.TotalAlloc-ms0.TotalAlloc) / (1 << 20)
 	t.Logf("warm sweep allocated %.1f MB", allocMB)
-	if allocMB >= 200 {
-		t.Errorf("warm sweep allocated %.1f MB, want < 200", allocMB)
+	if allocMB >= 70 {
+		t.Errorf("warm sweep allocated %.1f MB, want < 70", allocMB)
 	}
 	if miss1-miss0 > 2 || evict1 != evict0 {
 		t.Errorf("compiled-image cache: %d misses, %d evictions; want <= 2 and 0", miss1-miss0, evict1-evict0)

@@ -11,8 +11,8 @@
 # gate is recorded with its table and fails the script at the end), a
 # multicore section records barrier-vs-
 # watermark walls and a timed paper-size run (skipped, loudly, on 1 core),
-# and an explore section times the design-space sweep cold vs warm-started
-# (snapshot-fork + pool + result cache; gate: >= 2x, bit-identical output).
+# and an explore section times the design-space sweep cold vs warm (result
+# cache on; gate: >= 2x, bit-identical output).
 #
 # Usage:  scripts/bench.sh            # -> BENCH_sim.json
 #         COUNT=3 MACRO_COUNT=1 OUT=/tmp/b.json scripts/bench.sh
@@ -44,10 +44,11 @@ go test -run '^$' -bench . -benchmem -count "$COUNT" \
 MICRO_WALL="$(since "$T_MICRO")"
 
 # The engine's hot loop must stay allocation-free: every BenchmarkEngine*
-# line must report 0 allocs/op, or the observability layer (or anything
+# line must report 0 allocs/op (with -benchmem the last value-unit pair of a
+# line, wherever b.ReportMetric columns fall), or the observability layer (or anything
 # else) has leaked allocations into the core event queue.
-awk '/^BenchmarkEngine/ && $7 != 0 {
-	printf "FAIL: %s reports %s allocs/op (want 0)\n", $1, $7; bad = 1
+awk '/^BenchmarkEngine/ && $(NF - 1) != 0 {
+	printf "FAIL: %s reports %s allocs/op (want 0)\n", $1, $(NF - 1); bad = 1
 }
 END { exit bad }' "$RAW" || { echo "bench.sh: engine allocation regression" >&2; exit 1; }
 
@@ -58,7 +59,7 @@ END { exit bad }' "$RAW" || { echo "bench.sh: engine allocation regression" >&2;
 awk '/^BenchmarkEngineMissMix/ { mix++ }
 /^BenchmarkMissPath\// {
 	path++
-	if ($7 != 0) { printf "FAIL: %s reports %s allocs/op (want 0)\n", $1, $7; bad = 1 }
+	if ($(NF - 1) != 0) { printf "FAIL: %s reports %s allocs/op (want 0)\n", $1, $(NF - 1); bad = 1 }
 }
 END { if (!mix || path < 2) { print "FAIL: EngineMissMix / MissPath benchmarks missing"; bad = 1 }; exit bad }' "$RAW" ||
 	{ echo "bench.sh: miss path allocation regression" >&2; exit 1; }
@@ -68,7 +69,7 @@ END { if (!mix || path < 2) { print "FAIL: EngineMissMix / MissPath benchmarks m
 awk '/^pkg:/ { pkg = $2 }
 pkg ~ /internal\/workload$/ && /^Benchmark(WriteBurst|ReadRoundTrip|MixedRefs)/ {
 	seen++
-	if ($7 != 0) { printf "FAIL: %s reports %s allocs/op (want 0)\n", $1, $7; bad = 1 }
+	if ($(NF - 1) != 0) { printf "FAIL: %s reports %s allocs/op (want 0)\n", $1, $(NF - 1); bad = 1 }
 }
 END { if (seen < 3) { print "FAIL: workload handshake benchmarks missing"; bad = 1 }; exit bad }' "$RAW" ||
 	{ echo "bench.sh: workload handshake allocation regression" >&2; exit 1; }
@@ -76,8 +77,8 @@ END { if (seen < 3) { print "FAIL: workload handshake benchmarks missing"; bad =
 # The compiled PP dispatch loop must be allocation-free in steady state: the
 # closure image is built once at program load, and executing handlers must
 # not allocate.
-awk '$1 ~ /^BenchmarkHandlerDispatch\/compiled/ && $7 != 0 {
-	printf "FAIL: %s reports %s allocs/op (want 0)\n", $1, $7; bad = 1
+awk '$1 ~ /^BenchmarkHandlerDispatch\/compiled/ && $(NF - 1) != 0 {
+	printf "FAIL: %s reports %s allocs/op (want 0)\n", $1, $(NF - 1); bad = 1
 }
 END { exit bad }' "$RAW" || { echo "bench.sh: compiled dispatch allocation regression" >&2; exit 1; }
 
@@ -124,10 +125,17 @@ awk -v count="$COUNT" -v gmp="$GOMAXPROCS_VAL" -v cpus="$HOST_CPUS" -v wall="$MI
 	sub(/-[0-9]+$/, "", name)
 	key = pkg "." name
 	if (!(key in seen)) { seen[key] = 1; order[++n] = key }
-	ns[key] = ns[key] sep[key] $3
-	by[key] = by[key] sep[key] $5
-	al[key] = al[key] sep[key] $7
-	sep[key] = ","
+	# A result line is "name iterations" then value-unit pairs; b.ReportMetric
+	# units sit between ns/op and B/op, so file each value under its unit
+	# (syncops/run -> syncops_per_run), never under a column position.
+	for (f = 3; f < NF; f += 2) {
+		u = $(f + 1)
+		if (u == "B/op") u = "bytes/op"
+		gsub(/\//, "_per_", u)
+		if ((key, u) in val) { val[key, u] = val[key, u] "," $f; continue }
+		val[key, u] = $f
+		units[key] = units[key] (units[key] == "" ? "" : " ") u
+	}
 }
 END {
 	printf "{\n"
@@ -139,8 +147,11 @@ END {
 	printf "  \"benchmarks\": {\n"
 	for (i = 1; i <= n; i++) {
 		k = order[i]
-		printf "    \"%s\": {\"ns_per_op\": [%s], \"bytes_per_op\": [%s], \"allocs_per_op\": [%s]}%s\n", \
-			k, ns[k], by[k], al[k], (i < n ? "," : "")
+		printf "    \"%s\": {", k
+		nu = split(units[k], us, " ")
+		for (j = 1; j <= nu; j++)
+			printf "%s\"%s\": [%s]", (j > 1 ? ", " : ""), us[j], val[k, us[j]]
+		printf "}%s\n", (i < n ? "," : "")
 	}
 	printf "  },\n"
 }' "$RAW" >"$OUT"
@@ -401,13 +412,12 @@ else
 	echo "bench.sh: multicore wall comparison SKIPPED (host_cpus=$HOST_CPUS; needs > 1)"
 fi
 
-# Explore design-space sweep: cold (every point simulated from scratch)
-# vs warm-started (common prefix simulated once per simulated config,
-# snapshotted, forked copy-on-write into pooled machines; host-axis
-# duplicates served from the content-addressed result cache) vs a fully
-# cached rerun. The three result files must be bit-identical — warm
-# starting is a pure host-side optimization — and the warm sweep must be
-# >= 2x faster than the cold sweep (gate).
+# Explore design-space sweep: cold (every point simulated) vs warm (each
+# distinct simulated configuration once, host-axis duplicates served from
+# the content-addressed result cache) vs a fully cached rerun. Both sweeps
+# run their simulations on GOMAXPROCS workers. The three result files must
+# be bit-identical — the cache is a pure host-side optimization — and the
+# warm sweep must be >= 2x faster than the cold sweep (gate).
 T_EXPLORE="$(now_s)"
 EXPLORE_DIR="$(mktemp -d)"
 trap 'rm -f "$RAW" "$RAWC" "$RAWI" "$RAWS" "$RAWW" "$MJSON" "$SJSON" "$SAMPLED_TXT" "$GATE_TXT"; rm -rf "$EXPLORE_DIR"' EXIT
@@ -445,7 +455,7 @@ EXPLORE_WALL="$(since "$T_EXPLORE")"
 echo "bench.sh: explore $EXPLORE_POINTS points ($EXPLORE_PARETO Pareto): cold ${EXPLORE_COLD_WALL}s, warm ${EXPLORE_WARM_WALL}s (${EXPLORE_SPEEDUP}x), cached ${EXPLORE_CACHED_WALL}s, results bit-identical"
 {
 	printf '  "explore": {\n'
-	printf '    "note": "flashexp explore %s: cold vs warm-started (snapshot-fork + machine pool + content-addressed cache) vs fully cached rerun; result JSON asserted bit-identical across all three; gate: warm >= 2x faster than cold",\n' "$EXPLORE_ARGS"
+	printf '    "note": "flashexp explore %s: cold (every point simulated) vs warm (content-addressed result cache: one simulation per distinct simulated configuration) vs fully cached rerun, simulations on GOMAXPROCS workers; result JSON asserted bit-identical across all three; gate: warm >= 2x faster than cold",\n' "$EXPLORE_ARGS"
 	printf '    "gomaxprocs": %s,\n' "$GOMAXPROCS_VAL"
 	printf '    "host_cpus": %s,\n' "$HOST_CPUS"
 	printf '    "wall_seconds": %s,\n' "$EXPLORE_WALL"
