@@ -69,10 +69,6 @@ func benchPair(b *testing.B, app string, cacheBytes int) {
 		}
 		b.ReportMetric(exp.Slowdown(f, id), "slowdown_%")
 		b.ReportMetric(float64(f.Report.Elapsed), "flash_cycles")
-		// Recycle the FLASH machine across iterations (Pair already
-		// recycles the ideal one); reset-determinism keeps flash_cycles
-		// bit-identical either way.
-		f.Release()
 	}
 }
 

@@ -4,8 +4,7 @@
 // Usage:
 //
 //	flashexp [-scale N] [-procs N] [-noverify] [-parallel N]
-//	         [-pp-dispatch compiled|interp] [-engine seq|sharded]
-//	         [-engine-sync barrier|watermark] [-metrics] [-metrics-out f]
+//	         [-net uniform|mesh] [-metrics] [-metrics-out f]
 //	         [-pprof dir] <experiment>...
 //	flashexp all
 //	flashexp profile [-scale N] [-procs N] [-noverify]
@@ -49,6 +48,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -76,10 +76,7 @@ func main() {
 	noverify := flag.Bool("noverify", false, "skip result verification after runs")
 	parallel := flag.Int("parallel", 0, "concurrent simulations per experiment (0 = adaptive from GOMAXPROCS)")
 	jsonOut := flag.Bool("json", false, "emit experiment results as a JSON array on stdout")
-	ppDispatch := flag.String("pp-dispatch", "", "PP emulator engine: compiled or interp (host speed only; simulated results are identical)")
-	engine := flag.String("engine", "", "event engine: seq or sharded (host speed only; simulated results are identical)")
-	engineSync := flag.String("engine-sync", "", "sharded engine synchronization: barrier or watermark (host speed only; simulated results are identical)")
-	netModel := flag.String("net", "", "network latency model: uniform (paper average) or mesh (changes simulated timing)")
+	netModel := flag.String("net", "uniform", "network latency model: uniform (paper average) or mesh (changes simulated timing)")
 	sample := flag.String("sample", "", "sampled-execution schedule for the sampled experiment: default or detail/stride[/warmup] cycles")
 	sampleApps := flag.String("sample-apps", "", "comma-separated app subset for the sampled experiment (empty = full Fig 4.1 suite)")
 	cacheBytes := flag.Int("cache", 0, "processor cache size in bytes (0 = paper default 1 MB)")
@@ -99,61 +96,17 @@ func main() {
 		os.Exit(2)
 	}
 
-	switch *ppDispatch {
-	case "":
-		// Process default (FLASHSIM_PP_DISPATCH if already set, else compiled).
-	case "compiled", "interp":
-		// Experiments build their own machine configs deep inside exp, so the
-		// override travels via the environment knob ppsim consults.
-		os.Setenv("FLASHSIM_PP_DISPATCH", *ppDispatch)
-	default:
-		fmt.Fprintf(os.Stderr, "flashexp: unknown pp-dispatch %q\n", *ppDispatch)
-		os.Exit(2)
-	}
-	switch *engine {
-	case "":
-		// Process default (FLASHSIM_ENGINE if already set, else sequential).
-	case "seq", "sharded":
-		// Same environment route as -pp-dispatch: experiments build their
-		// own machine configs deep inside exp.
-		os.Setenv("FLASHSIM_ENGINE", *engine)
-	default:
-		fmt.Fprintf(os.Stderr, "flashexp: unknown engine %q\n", *engine)
-		os.Exit(2)
-	}
-	switch *engineSync {
-	case "":
-		// Process default (FLASHSIM_ENGINE_SYNC if already set, else barrier).
-	case "barrier", "watermark":
-		os.Setenv("FLASHSIM_ENGINE_SYNC", *engineSync)
-	default:
-		fmt.Fprintf(os.Stderr, "flashexp: unknown engine-sync %q\n", *engineSync)
-		os.Exit(2)
-	}
-
 	o := exp.Options{Scale: *scale, Verify: !*noverify, Parallelism: *parallel}
 	if *procs > 0 {
 		o.Procs = *procs
 	}
 	o.CacheBytes = *cacheBytes
-	switch *netModel {
-	case "":
-		// Paper default: uniform average transit.
-	case "uniform":
-		o.NetModel = arch.NetUniform
-	case "mesh":
-		o.NetModel = arch.NetMesh
-	default:
-		fmt.Fprintf(os.Stderr, "flashexp: unknown net model %q\n", *netModel)
+	var bad [2]error
+	o.NetModel, bad[0] = arch.ParseNetModel(*netModel)
+	o.Sample, bad[1] = arch.ParseSampleSpec(*sample)
+	if err := errors.Join(bad[:]...); err != nil {
+		fmt.Fprintf(os.Stderr, "flashexp: %v\n", err)
 		os.Exit(2)
-	}
-	if *sample != "" {
-		spec, err := arch.ParseSampleSpec(*sample)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "flashexp: %v\n", err)
-			os.Exit(2)
-		}
-		o.Sample = spec
 	}
 	if *sampleApps != "" {
 		o.SampleApps = strings.Split(*sampleApps, ",")
@@ -391,10 +344,10 @@ func profileMain(args []string) {
 	scale := fs.Int("scale", 4, "problem size divisor (1 = paper sizes)")
 	procs := fs.Int("procs", 0, "override processor count (0 = paper defaults)")
 	noverify := fs.Bool("noverify", false, "skip result verification after runs")
-	engine := fs.String("engine", "", "event engine to profile: seq or sharded (default sharded)")
-	engineSync := fs.String("engine-sync", "", "sharded engine synchronization to profile: barrier or watermark (default barrier)")
+	engine := fs.String("engine", "sharded", "event engine to profile: seq or sharded")
+	engineSync := fs.String("engine-sync", "barrier", "sharded engine synchronization to profile: barrier or watermark")
 	workers := fs.Int("workers", 0, "sharded engine worker-pool size (0 = GOMAXPROCS)")
-	netModel := fs.String("net", "", "network latency model: uniform (paper average) or mesh (changes simulated timing)")
+	netModel := fs.String("net", "uniform", "network latency model: uniform (paper average) or mesh (changes simulated timing)")
 	sample := fs.String("sample", "", "profile under a sampled-execution schedule: default or detail/stride[/warmup] cycles")
 	metricsOut := fs.String("metrics-out", "", "write the merged metrics snapshots as JSON to this file")
 	pprofDir := fs.String("pprof", "", "capture cpu.pprof and heap.pprof into this directory")
@@ -410,45 +363,13 @@ func profileMain(args []string) {
 		os.Exit(1)
 	}
 	o := exp.Options{Scale: *scale, Verify: !*noverify, Procs: *procs, EngineWorkers: *workers}
-	switch *netModel {
-	case "":
-		// Paper default: uniform average transit.
-	case "uniform":
-		o.NetModel = arch.NetUniform
-	case "mesh":
-		o.NetModel = arch.NetMesh
-	default:
-		fmt.Fprintf(os.Stderr, "flashexp profile: unknown net model %q\n", *netModel)
-		os.Exit(2)
-	}
-	if *sample != "" {
-		spec, err := arch.ParseSampleSpec(*sample)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "flashexp profile: %v\n", err)
-			os.Exit(2)
-		}
-		o.Sample = spec
-	}
-	switch *engine {
-	case "":
-		// Profile harness default: the sharded engine.
-	case "seq":
-		o.Engine = arch.EngineSeq
-	case "sharded":
-		o.Engine = arch.EngineSharded
-	default:
-		fmt.Fprintf(os.Stderr, "flashexp profile: unknown engine %q\n", *engine)
-		os.Exit(2)
-	}
-	switch *engineSync {
-	case "":
-		// Process default (FLASHSIM_ENGINE_SYNC if set, else barrier).
-	case "barrier":
-		o.EngineSync = arch.EngineSyncBarrier
-	case "watermark":
-		o.EngineSync = arch.EngineSyncWatermark
-	default:
-		fmt.Fprintf(os.Stderr, "flashexp profile: unknown engine-sync %q\n", *engineSync)
+	var bad [4]error
+	o.Engine, bad[0] = arch.ParseEngineKind(*engine)
+	o.EngineSync, bad[1] = arch.ParseEngineSync(*engineSync)
+	o.NetModel, bad[2] = arch.ParseNetModel(*netModel)
+	o.Sample, bad[3] = arch.ParseSampleSpec(*sample)
+	if err := errors.Join(bad[:]...); err != nil {
+		fmt.Fprintf(os.Stderr, "flashexp profile: %v\n", err)
 		os.Exit(2)
 	}
 	profs, err := exp.ProfileApps(o, exp.Fig41Apps())

@@ -26,6 +26,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -43,6 +44,17 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintf(os.Stderr, "flashsim: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command. Every failure returns through it, so the
+// deferred closes below (trace sink, metrics file) run before main exits: a
+// run that dies on the cycle limit or in verification — the ones worth
+// tracing — still leaves a complete trace file.
+func run() (runErr error) {
 	machine := flag.String("machine", "flash", "machine kind: flash or ideal")
 	app := flag.String("app", "fft", "workload: barnes fft lu mp3d ocean os radix")
 	procs := flag.Int("procs", 16, "number of processors")
@@ -51,9 +63,9 @@ func main() {
 	placement := flag.String("placement", "ft", "page placement: rr, ft, node0")
 	nospec := flag.Bool("nospec", false, "disable speculative memory reads")
 	ppmode := flag.String("ppmode", "dual", "PP mode: dual, single, dlx")
-	ppDispatch := flag.String("pp-dispatch", "", "PP emulator engine: compiled or interp (host speed only; simulated results are identical)")
-	engine := flag.String("engine", "", "event engine: seq or sharded (host speed only; simulated results are identical)")
-	engineSync := flag.String("engine-sync", "", "sharded engine synchronization: barrier or watermark (host speed only; simulated results are identical)")
+	ppDispatch := flag.String("pp-dispatch", "compiled", "PP emulator engine: compiled or interp (host speed only; simulated results are identical)")
+	engine := flag.String("engine", "seq", "event engine: seq or sharded (host speed only; simulated results are identical)")
+	engineSync := flag.String("engine-sync", "barrier", "sharded engine synchronization: barrier or watermark (host speed only; simulated results are identical)")
 	netModel := flag.String("net", "uniform", "network latency model: uniform (paper average) or mesh (per-pair 2-D mesh transit; changes simulated timing)")
 	sample := flag.String("sample", "", "sampled execution schedule: off, default, or detail/stride[/warmup] cycles (changes simulated timing; report gains an extrapolated estimate)")
 	proto := flag.String("protocol", "dynptr", "coherence protocol: dynptr, bitvec")
@@ -80,7 +92,7 @@ func main() {
 		cliutil.OutputFlag{Flag: "-trace", Path: *traceFile},
 		cliutil.OutputFlag{Flag: "-metrics-out", Path: *metricsOut},
 	); err != nil {
-		fatal("%v", err)
+		return err
 	}
 
 	cfg := arch.DefaultConfig()
@@ -94,7 +106,7 @@ func main() {
 	case "ideal":
 		cfg.Kind = arch.KindIdeal
 	default:
-		fatal("unknown machine %q", *machine)
+		return fmt.Errorf("unknown machine %q", *machine)
 	}
 	switch *placement {
 	case "rr":
@@ -104,7 +116,7 @@ func main() {
 	case "node0":
 		cfg.Placement = arch.PlaceNodeZero
 	default:
-		fatal("unknown placement %q", *placement)
+		return fmt.Errorf("unknown placement %q", *placement)
 	}
 	switch *proto {
 	case "dynptr":
@@ -112,7 +124,7 @@ func main() {
 	case "bitvec":
 		cfg.Protocol = arch.ProtoBitVector
 	default:
-		fatal("unknown protocol %q", *proto)
+		return fmt.Errorf("unknown protocol %q", *proto)
 	}
 	switch *ppmode {
 	case "dual":
@@ -122,52 +134,16 @@ func main() {
 	case "dlx":
 		cfg.PPMode = arch.PPNoSpecial
 	default:
-		fatal("unknown ppmode %q", *ppmode)
+		return fmt.Errorf("unknown ppmode %q", *ppmode)
 	}
-	switch *ppDispatch {
-	case "":
-		// Leave PPDispatchAuto: FLASHSIM_PP_DISPATCH if set, else compiled.
-	case "compiled":
-		cfg.PPDispatch = arch.PPDispatchCompiled
-	case "interp":
-		cfg.PPDispatch = arch.PPDispatchInterp
-	default:
-		fatal("unknown pp-dispatch %q", *ppDispatch)
-	}
-	switch *engine {
-	case "":
-		// Leave EngineAuto: FLASHSIM_ENGINE if set, else sequential.
-	case "seq":
-		cfg.Engine = arch.EngineSeq
-	case "sharded":
-		cfg.Engine = arch.EngineSharded
-	default:
-		fatal("unknown engine %q", *engine)
-	}
-	switch *engineSync {
-	case "":
-		// Leave EngineSyncAuto: FLASHSIM_ENGINE_SYNC if set, else barrier.
-	case "barrier":
-		cfg.EngineSync = arch.EngineSyncBarrier
-	case "watermark":
-		cfg.EngineSync = arch.EngineSyncWatermark
-	default:
-		fatal("unknown engine-sync %q", *engineSync)
-	}
-	switch *netModel {
-	case "uniform":
-		cfg.NetModel = arch.NetUniform
-	case "mesh":
-		cfg.NetModel = arch.NetMesh
-	default:
-		fatal("unknown net model %q", *netModel)
-	}
-	if *sample != "" {
-		spec, err := arch.ParseSampleSpec(*sample)
-		if err != nil {
-			fatal("%v", err)
-		}
-		cfg.Sample = spec
+	var bad [5]error
+	cfg.PPDispatch, bad[0] = arch.ParsePPDispatch(*ppDispatch)
+	cfg.Engine, bad[1] = arch.ParseEngineKind(*engine)
+	cfg.EngineSync, bad[2] = arch.ParseEngineSync(*engineSync)
+	cfg.NetModel, bad[3] = arch.ParseNetModel(*netModel)
+	cfg.Sample, bad[4] = arch.ParseSampleSpec(*sample)
+	if err := errors.Join(bad[:]...); err != nil {
+		return err
 	}
 	if *mdc > 0 {
 		cfg.MDCSize = *mdc
@@ -178,12 +154,12 @@ func main() {
 
 	prof, err := cliutil.StartPprof(*pprofDir)
 	if err != nil {
-		fatal("pprof: %v", err)
+		return fmt.Errorf("pprof: %w", err)
 	}
 	hostBefore := metrics.ReadHost()
 	m, err := core.New(cfg)
 	if err != nil {
-		fatal("%v", err)
+		return err
 	}
 	var reg *metrics.Registry
 	if *metricsOn || *metricsOut != "" {
@@ -193,7 +169,7 @@ func main() {
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
 		if err != nil {
-			fatal("%v", err)
+			return err
 		}
 		var sink trace.Sink
 		switch *traceFormat {
@@ -202,12 +178,13 @@ func main() {
 		case "chrome":
 			sink = trace.NewChromeSink(f)
 		default:
-			fatal("unknown trace format %q", *traceFormat)
+			f.Close()
+			return fmt.Errorf("unknown trace format %q", *traceFormat)
 		}
 		tr := trace.New(sink)
 		defer func() {
-			if err := tr.Close(); err != nil {
-				fatal("trace: %v", err)
+			if err := tr.Close(); err != nil && runErr == nil {
+				runErr = fmt.Errorf("trace: %w", err)
 			}
 		}()
 		m.SetTracer(tr)
@@ -216,25 +193,23 @@ func main() {
 	w := workload.NewWorld(m)
 	a, err := apps.Build(*app, w, apps.Params{Procs: *procs, Scale: *scale})
 	if err != nil {
-		fatal("%v", err)
+		return err
 	}
 	start := time.Now()
 	if err := w.Run(a.Run, *limit); err != nil {
-		if os.Getenv("FLASHSIM_DEBUG_DUMP") != "" {
-			for i, n := range m.Nodes {
-				fmt.Fprintf(os.Stderr, "cpu%d: %s\n", i, n.CPU.DebugState())
-				if n.Magic != nil {
-					fmt.Fprintf(os.Stderr, "magic%d: %s\n", i, n.Magic.DebugState())
-				}
+		for i, n := range m.Nodes {
+			fmt.Fprintf(os.Stderr, "cpu%d: %s\n", i, n.CPU.DebugState())
+			if n.Magic != nil {
+				fmt.Fprintf(os.Stderr, "magic%d: %s\n", i, n.Magic.DebugState())
 			}
 		}
-		fatal("%v", err)
+		return err
 	}
 	if err := a.Verify(); err != nil {
-		fatal("verify: %v", err)
+		return fmt.Errorf("verify: %w", err)
 	}
 	if err := m.CheckCoherence(); err != nil {
-		fatal("coherence: %v", err)
+		return fmt.Errorf("coherence: %w", err)
 	}
 	r := stats.Collect(m)
 	if reg != nil {
@@ -247,35 +222,32 @@ func main() {
 		if *metricsOut != "" {
 			f, err := os.Create(*metricsOut)
 			if err != nil {
-				fatal("metrics: %v", err)
+				return fmt.Errorf("metrics: %w", err)
 			}
-			if err := reg.WriteJSON(f); err != nil {
-				fatal("metrics: %v", err)
+			err = reg.WriteJSON(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
 			}
-			if err := f.Close(); err != nil {
-				fatal("metrics: %v", err)
+			if err != nil {
+				return fmt.Errorf("metrics: %w", err)
 			}
 		}
 	}
 	if err := prof.Stop(); err != nil {
-		fatal("pprof: %v", err)
+		return fmt.Errorf("pprof: %w", err)
 	}
 	if *jsonOut {
 		fmt.Fprintf(os.Stderr, "%s on %s (scale 1/%d): verified OK, wall %.1fs\n",
 			*app, *machine, *scale, time.Since(start).Seconds())
 		out, err := r.JSON()
 		if err != nil {
-			fatal("json: %v", err)
+			return fmt.Errorf("json: %w", err)
 		}
-		os.Stdout.Write(append(out, '\n'))
-		return
+		_, err = os.Stdout.Write(append(out, '\n'))
+		return err
 	}
 	fmt.Printf("%s on %s (scale 1/%d): verified OK, wall %.1fs\n\n",
 		*app, *machine, *scale, time.Since(start).Seconds())
 	fmt.Print(r)
-}
-
-func fatal(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "flashsim: "+format+"\n", args...)
-	os.Exit(1)
+	return nil
 }

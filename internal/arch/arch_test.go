@@ -1,6 +1,8 @@
 package arch
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -98,6 +100,46 @@ func TestStringers(t *testing.T) {
 		if m.String() == "" {
 			t.Fatal("empty PP mode name")
 		}
+	}
+}
+
+// roundTrip checks Parse(v.String()) == v for every value of one backend
+// enum, and that an unknown name is rejected with the accepted set named.
+func roundTrip[T interface {
+	comparable
+	fmt.Stringer
+}](t *testing.T, parse func(string) (T, error), vals ...T) {
+	t.Helper()
+	for _, v := range vals {
+		if got, err := parse(v.String()); err != nil || got != v {
+			t.Errorf("parse(%q) = %v, %v", v, got, err)
+		}
+	}
+	for _, bad := range []string{"", "auto", "bogus"} {
+		_, err := parse(bad)
+		if err == nil {
+			t.Errorf("%T: parse(%q) accepted", vals[0], bad)
+			continue
+		}
+		for _, v := range vals {
+			if !strings.Contains(err.Error(), v.String()) {
+				t.Errorf("error %q does not name %q", err, v)
+			}
+		}
+	}
+}
+
+func TestParseBackendFlagsRoundTrip(t *testing.T) {
+	roundTrip(t, ParseEngineKind, EngineSeq, EngineSharded)
+	roundTrip(t, ParseEngineSync, EngineSyncBarrier, EngineSyncWatermark)
+	roundTrip(t, ParsePPDispatch, PPDispatchCompiled, PPDispatchInterp)
+	roundTrip(t, ParseNetModel, NetUniform, NetMesh)
+	// The zero Config is the default machine: sequential engine, barrier
+	// sync, compiled dispatch, uniform network, sampling off.
+	var c Config
+	if c.Engine != EngineSeq || c.EngineSync != EngineSyncBarrier ||
+		c.PPDispatch != PPDispatchCompiled || c.NetModel != NetUniform || c.Sample.Enabled() {
+		t.Errorf("zero Config selects %v/%v/%v/%v sample %v", c.Engine, c.EngineSync, c.PPDispatch, c.NetModel, c.Sample)
 	}
 }
 

@@ -1,6 +1,9 @@
 package arch
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Placement selects how physical pages are distributed across node memories.
 type Placement uint8
@@ -102,23 +105,23 @@ func (m PPMode) String() string {
 type PPDispatch uint8
 
 const (
-	// PPDispatchAuto defers to the process default: the FLASHSIM_PP_DISPATCH
-	// environment variable if set, the compiled backend otherwise.
-	PPDispatchAuto PPDispatch = iota
-	// PPDispatchCompiled forces the predecoded closure backend.
-	PPDispatchCompiled
-	// PPDispatchInterp forces the reference switch interpreter.
+	// PPDispatchCompiled selects the predecoded closure backend (the
+	// default).
+	PPDispatchCompiled PPDispatch = iota
+	// PPDispatchInterp selects the reference switch interpreter.
 	PPDispatchInterp
 )
 
 func (d PPDispatch) String() string {
-	switch d {
-	case PPDispatchCompiled:
-		return "compiled"
-	case PPDispatchInterp:
+	if d == PPDispatchInterp {
 		return "interp"
 	}
-	return "auto"
+	return "compiled"
+}
+
+// ParsePPDispatch parses a -pp-dispatch flag value.
+func ParsePPDispatch(s string) (PPDispatch, error) {
+	return parseEnum("pp-dispatch", s, PPDispatchCompiled, PPDispatchInterp)
 }
 
 // EngineKind selects the discrete-event engine backend. Both engines are
@@ -127,23 +130,22 @@ func (d PPDispatch) String() string {
 type EngineKind uint8
 
 const (
-	// EngineAuto defers to the process default: the FLASHSIM_ENGINE
-	// environment variable if set, the sequential engine otherwise.
-	EngineAuto EngineKind = iota
-	// EngineSeq forces the sequential reference engine.
-	EngineSeq
-	// EngineSharded forces the conservative parallel per-node-shard engine.
+	// EngineSeq selects the sequential reference engine (the default).
+	EngineSeq EngineKind = iota
+	// EngineSharded selects the conservative parallel per-node-shard engine.
 	EngineSharded
 )
 
 func (e EngineKind) String() string {
-	switch e {
-	case EngineSeq:
-		return "seq"
-	case EngineSharded:
+	if e == EngineSharded {
 		return "sharded"
 	}
-	return "auto"
+	return "seq"
+}
+
+// ParseEngineKind parses an -engine flag value.
+func ParseEngineKind(s string) (EngineKind, error) {
+	return parseEnum("engine", s, EngineSeq, EngineSharded)
 }
 
 // EngineSync selects how the sharded engine's shards synchronize. Both
@@ -152,25 +154,25 @@ func (e EngineKind) String() string {
 type EngineSync uint8
 
 const (
-	// EngineSyncAuto defers to the process default: the FLASHSIM_ENGINE_SYNC
-	// environment variable if set, the barrier scheme otherwise.
-	EngineSyncAuto EngineSync = iota
-	// EngineSyncBarrier forces the uniform-window full-barrier scheme.
-	EngineSyncBarrier
-	// EngineSyncWatermark forces the per-pair watermark scheme: shards
+	// EngineSyncBarrier selects the uniform-window full-barrier scheme (the
+	// default).
+	EngineSyncBarrier EngineSync = iota
+	// EngineSyncWatermark selects the per-pair watermark scheme: shards
 	// advance when their input watermarks allow, using the distance-aware
 	// lookahead matrix when NetModel is the mesh.
 	EngineSyncWatermark
 )
 
 func (s EngineSync) String() string {
-	switch s {
-	case EngineSyncBarrier:
-		return "barrier"
-	case EngineSyncWatermark:
+	if s == EngineSyncWatermark {
 		return "watermark"
 	}
-	return "auto"
+	return "barrier"
+}
+
+// ParseEngineSync parses an -engine-sync flag value.
+func ParseEngineSync(s string) (EngineSync, error) {
+	return parseEnum("engine-sync", s, EngineSyncBarrier, EngineSyncWatermark)
 }
 
 // NetModel selects the interconnect latency model.
@@ -194,6 +196,25 @@ func (m NetModel) String() string {
 		return "mesh"
 	}
 	return "uniform"
+}
+
+// ParseNetModel parses a -net flag value.
+func ParseNetModel(s string) (NetModel, error) {
+	return parseEnum("net model", s, NetUniform, NetMesh)
+}
+
+// parseEnum returns the value among vals that String renders as s; the
+// error for anything else names the accepted set.
+func parseEnum[T fmt.Stringer](what, s string, vals ...T) (T, error) {
+	names := make([]string, len(vals))
+	for i, v := range vals {
+		if v.String() == s {
+			return v, nil
+		}
+		names[i] = v.String()
+	}
+	var zero T
+	return zero, fmt.Errorf("arch: unknown %s %q (want %s)", what, s, strings.Join(names, " or "))
 }
 
 // Protocol selects which coherence protocol program MAGIC runs — the

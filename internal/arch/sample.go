@@ -119,9 +119,9 @@ func (s SampleSpec) String() string {
 	return fmt.Sprintf("%d/%d/%d", s.Detail, s.Stride, s.Warmup)
 }
 
-// ParseSampleSpec parses a sampling schedule from its command-line /
-// FLASHSIM_SAMPLE form: "off" or "" (disabled), "default" (the
-// DefaultSampleSpec schedule), or "detail/stride[/warmup]" in cycles.
+// ParseSampleSpec parses a -sample flag value: "off" or "" (disabled),
+// "default" (the DefaultSampleSpec schedule), or "detail/stride[/warmup]"
+// in cycles.
 func ParseSampleSpec(v string) (SampleSpec, error) {
 	switch v {
 	case "", "off":

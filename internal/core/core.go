@@ -7,7 +7,6 @@ package core
 
 import (
 	"fmt"
-	"os"
 
 	"flashsim/internal/arch"
 	"flashsim/internal/cpu"
@@ -76,57 +75,6 @@ type Machine struct {
 	// restoredAt is the donor's engine clock when this machine was last
 	// restored from a snapshot (0 otherwise); see QuiesceTime.
 	restoredAt sim.Cycle
-}
-
-// resolveEngine maps EngineAuto to the process default: the FLASHSIM_ENGINE
-// environment variable if set, the sequential engine otherwise.
-func resolveEngine(k arch.EngineKind) arch.EngineKind {
-	if k != arch.EngineAuto {
-		return k
-	}
-	switch os.Getenv("FLASHSIM_ENGINE") {
-	case "sharded":
-		return arch.EngineSharded
-	case "seq":
-		return arch.EngineSeq
-	}
-	return arch.EngineSeq
-}
-
-// resolveSync maps EngineSyncAuto to the process default: the
-// FLASHSIM_ENGINE_SYNC environment variable if set, the barrier scheme
-// otherwise.
-func resolveSync(s arch.EngineSync) arch.EngineSync {
-	if s != arch.EngineSyncAuto {
-		return s
-	}
-	switch os.Getenv("FLASHSIM_ENGINE_SYNC") {
-	case "watermark":
-		return arch.EngineSyncWatermark
-	case "barrier":
-		return arch.EngineSyncBarrier
-	}
-	return arch.EngineSyncBarrier
-}
-
-// resolveSample maps a zero SampleSpec to the process default: the
-// FLASHSIM_SAMPLE environment variable if set (detail/stride[/warmup],
-// "default", or "off"), otherwise sampling stays off. An explicit non-zero
-// spec — including a Stride-0 "force off" spec like {Detail: 1} — wins over
-// the environment, mirroring FLASHSIM_ENGINE / FLASHSIM_ENGINE_SYNC.
-func resolveSample(s arch.SampleSpec) arch.SampleSpec {
-	if s != (arch.SampleSpec{}) {
-		return s
-	}
-	v := os.Getenv("FLASHSIM_SAMPLE")
-	if v == "" {
-		return s
-	}
-	parsed, err := arch.ParseSampleSpec(v)
-	if err != nil {
-		return s // a malformed env var must not change simulated behavior
-	}
-	return parsed
 }
 
 // SetTracer attaches tr to every component of the machine — processors,
@@ -198,7 +146,6 @@ func New(cfg arch.Config) (*Machine, error) {
 	// Sampled execution applies to FLASH machines only: the ideal
 	// controller's protocol already runs in zero time, so a functional
 	// phase would change nothing it measures.
-	cfg.Sample = resolveSample(cfg.Sample)
 	if cfg.Kind == arch.KindIdeal {
 		cfg.Sample = arch.SampleSpec{}
 	}
@@ -222,7 +169,7 @@ func New(cfg arch.Config) (*Machine, error) {
 		mesh = network.NewMesh(cfg.Nodes)
 		w = mesh.MinPairTransit()
 	}
-	switch resolveEngine(cfg.Engine) {
+	switch cfg.Engine {
 	case arch.EngineSharded:
 		se := sim.NewShardedEngine(cfg.Nodes, w)
 		if cfg.Sample.Enabled() {
@@ -231,7 +178,7 @@ func New(cfg arch.Config) (*Machine, error) {
 			// goroutine in index order: force the single-worker barrier
 			// scheme (watermark scheduling buys nothing at one worker).
 			se.Workers = 1
-		} else if resolveSync(cfg.EngineSync) == arch.EngineSyncWatermark {
+		} else if cfg.EngineSync == arch.EngineSyncWatermark {
 			se.SetSync(sim.SyncWatermark)
 		}
 		if mesh != nil {

@@ -8,7 +8,6 @@ import (
 	"flashsim/internal/magic"
 	"flashsim/internal/memsys"
 	"flashsim/internal/network"
-	"flashsim/internal/ppsim"
 	"flashsim/internal/sim"
 )
 
@@ -238,23 +237,9 @@ func (m *Machine) ResumeRun(at, limit sim.Cycle) error {
 	return m.finishRun()
 }
 
-// PoolKeyFor returns the recycling identity for machines built from cfg:
-// the simulated-behavior key plus the resolved host-side execution choices
-// (engine kind, sync scheme, PP dispatch backend). Two configs with equal
-// pool keys build machines that are interchangeable after Reset, both in
-// simulated behavior and in host-side execution strategy. The config is
-// normalized exactly as New normalizes it (ideal timing override, derived
-// network transit, environment-resolved sampling), so keys computed before
-// construction match keys computed from a built machine's Cfg.
-func PoolKeyFor(cfg arch.Config) string {
-	return fmt.Sprintf("%s engine=%d sync=%d dispatch=%v",
-		SimKeyFor(cfg), resolveEngine(cfg.Engine), resolveSync(cfg.EngineSync),
-		ppsim.BackendFor(cfg.PPDispatch))
-}
-
 // SimKeyFor returns cfg's simulated-behavior key after applying the same
 // normalization New applies (ideal timing override, derived network
-// transit, environment-resolved sampling): the key of the machine New
+// transit, no sampling on ideal machines): the key of the machine New
 // would actually build. Two configs with equal keys produce bit-identical
 // simulations regardless of host-side choices; the experiment result cache
 // keys on this.
@@ -268,12 +253,8 @@ func SimKeyFor(cfg arch.Config) string {
 	if cfg.Timing.NetTransit == 0 {
 		cfg.Timing.NetTransit = uint32(network.AvgTransitFor(cfg.Nodes))
 	}
-	cfg.Sample = resolveSample(cfg.Sample)
 	if cfg.Kind == arch.KindIdeal {
 		cfg.Sample = arch.SampleSpec{}
 	}
 	return cfg.SimKey()
 }
-
-// PoolKey returns the machine's recycling identity; see PoolKeyFor.
-func (m *Machine) PoolKey() string { return PoolKeyFor(m.Cfg) }

@@ -38,11 +38,10 @@ type Options struct {
 	// one OS thread hot plus one goroutine per simulated processor),
 	// floored at 2 so small hosts keep the FLASH/ideal pair concurrent.
 	Parallelism int
-	// Engine overrides the event-engine backend for the profile harness
-	// (EngineAuto keeps the harness default: sharded).
+	// Engine selects the event-engine backend for the profile harness.
 	Engine arch.EngineKind
 	// EngineSync selects the sharded engine's synchronization scheme for
-	// the profile harness (EngineSyncAuto = process default).
+	// the profile harness.
 	EngineSync arch.EngineSync
 	// EngineWorkers overrides the sharded engine's worker-pool size for the
 	// profile harness (0 = GOMAXPROCS-derived).
@@ -116,31 +115,6 @@ type Run struct {
 	// and the post-run coherence audit — the part a sampled schedule can
 	// actually shorten.
 	SimWall time.Duration
-	// pooled marks machines acquired from runPool (observe-free runs):
-	// Release may hand them back for recycling.
-	pooled bool
-}
-
-// runPool recycles machines across the experiment driver's runs: RunApp
-// draws from it instead of calling core.New when a same-configuration
-// machine has been Released (parallelMap's workers run many simulations
-// over few distinct configurations). Observed runs (tracers, metrics,
-// occupancy sampling attached) bypass the pool in both directions.
-var runPool = NewMachinePool()
-
-// Release returns the run's machine to the experiment pool for recycling
-// and drops the reference. Call it only when nothing will touch r.Machine
-// afterwards (reports are deep-copied and stay valid). Safe to skip —
-// unreleased machines are simply collected by the GC — and a no-op for
-// observed runs, whose machines never enter the pool.
-func (r *Run) Release() {
-	if r == nil || r.Machine == nil {
-		return
-	}
-	if r.pooled {
-		runPool.Put(r.Machine)
-	}
-	r.Machine = nil
 }
 
 // RunApp executes one application on one configuration.
@@ -160,16 +134,7 @@ func RunApp(name string, cfg arch.Config, p apps.Params, verify bool) (*Run, err
 // attribution.
 func RunAppObserved(name string, cfg arch.Config, p apps.Params, verify bool, observe func(*core.Machine)) (*Run, error) {
 	before := metrics.ReadHost()
-	var m *core.Machine
-	var err error
-	pooled := observe == nil
-	if pooled {
-		m, err = runPool.Get(cfg)
-	} else {
-		// Observed machines may carry tracers or registries Reset does not
-		// detach; build fresh and never recycle.
-		m, err = core.New(cfg)
-	}
+	m, err := core.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -197,14 +162,11 @@ func RunAppObserved(name string, cfg arch.Config, p apps.Params, verify bool, ob
 	rep := stats.Collect(m)
 	host := metrics.ReadHost().Sub(before)
 	rep.Host = &host
-	return &Run{App: name, Cfg: cfg, Report: rep, Machine: m, SimWall: simWall, pooled: pooled}, nil
+	return &Run{App: name, Cfg: cfg, Report: rep, Machine: m, SimWall: simWall}, nil
 }
 
 // Pair runs an application on FLASH and on the ideal machine with otherwise
-// identical configuration, in parallel. The ideal run's machine is released
-// back to the experiment pool before returning (every caller consumes only
-// ideal.Report); the FLASH machine stays attached — several experiments
-// read its occupancy counters afterwards.
+// identical configuration, in parallel.
 func Pair(name string, base arch.Config, p apps.Params, verify bool) (flash, ideal *Run, err error) {
 	var wg sync.WaitGroup
 	var ef, ei error
@@ -228,7 +190,6 @@ func Pair(name string, base arch.Config, p apps.Params, verify bool) (flash, ide
 	if ei != nil {
 		return nil, nil, ei
 	}
-	ideal.Release()
 	return flash, ideal, nil
 }
 

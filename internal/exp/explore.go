@@ -35,13 +35,12 @@ package exp
 // (TestExploreParallelDeterminism); scripts/bench.sh asserts cold == warm,
 // along with the warm speedup floor.
 //
-// The sweep holds no machine pool and forks no snapshots. No two simulated
-// points share a pool key or a simulated prefix — every point differs in a
-// simulated knob from cycle 0 — so a pool could never hit and a fork has
-// nothing to reuse. An earlier warm path ran each point's prefix on a donor
-// machine, checkpointed, and resumed on a snapshot fork; measured on the
-// repo benchmark that was two machines per point for +25 % wall and CPU and
-// +20 % peak RSS with zero reuse (DESIGN.md §15 keeps the table).
+// The sweep forks no snapshots. No two simulated points share a simulated
+// prefix — every point differs in a simulated knob from cycle 0 — so a fork
+// has nothing to reuse. An earlier warm path ran each point's prefix on a
+// donor machine, checkpointed, and resumed on a snapshot fork; measured on
+// the repo benchmark that was two machines per point for +25 % wall and CPU
+// and +20 % peak RSS with zero reuse (DESIGN.md §15 keeps the table).
 // core/snapshot.go and workload/fork.go remain for callers that do share a
 // prefix, pinned by TestForkDeterminism.
 
@@ -131,8 +130,8 @@ type ExploreResult struct {
 
 	// Summary counters, not part of the deterministic result payload.
 	// PoolBuilds counts the machines the sweep constructed (one per
-	// simulated job); PoolHits is always zero (the sweep recycles no
-	// machines) and remains for the repo benchmark, which reads both.
+	// simulated job); PoolHits is always zero (nothing recycles machines)
+	// and remains for the repo benchmark, which reads both.
 	CacheHits   int `json:"-"`
 	CacheMisses int `json:"-"`
 	PoolHits    int `json:"-"`
@@ -155,7 +154,7 @@ var (
 		name   string
 		sync_  string
 	}{
-		{arch.EngineSeq, arch.EngineSyncAuto, "seq", "-"},
+		{arch.EngineSeq, arch.EngineSyncBarrier, "seq", "-"},
 		{arch.EngineSharded, arch.EngineSyncBarrier, "sharded", "barrier"},
 		{arch.EngineSharded, arch.EngineSyncWatermark, "sharded", "watermark"},
 	}

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -168,7 +167,6 @@ func TestExploreParallelDeterminism(t *testing.T) {
 // order, identically on every call, and leave no goroutine behind.
 func TestExploreReportsEveryFailingPoint(t *testing.T) {
 	trimmedGrid(t)
-	t.Setenv("FLASHSIM_ENGINE", "seq") // the baseline runs on the process default
 	apps.Builders["boom-build"] = func(*workload.World, apps.Params) (*apps.App, error) {
 		panic("builder exploded")
 	}
@@ -370,56 +368,5 @@ func TestResultCacheRoundTrip(t *testing.T) {
 	}
 	if _, ok := c.Get(key); ok {
 		t.Error("corrupt entry hit")
-	}
-}
-
-// TestMachinePoolConcurrent exercises the pool from parallel goroutines
-// running real simulations (the -race target in make verify).
-func TestMachinePoolConcurrent(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	pool := NewMachinePool()
-	cfg := goldenConfig()
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := 0; k < 2; k++ {
-				m, err := pool.Get(cfg)
-				if err != nil {
-					errs <- err
-					return
-				}
-				w := workload.NewWorld(m)
-				app, err := apps.Build("fft", w, apps.Params{Scale: 256})
-				if err != nil {
-					errs <- err
-					return
-				}
-				if err := w.Run(app.Run, 0); err != nil {
-					errs <- err
-					return
-				}
-				if err := app.Verify(); err != nil {
-					errs <- err
-					return
-				}
-				pool.Put(m)
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if pool.Hits+pool.Misses != 8 {
-		t.Errorf("pool served %d gets, want 8", pool.Hits+pool.Misses)
-	}
-	if pool.Misses > 4 {
-		t.Errorf("pool built %d machines for 4 goroutines", pool.Misses)
 	}
 }

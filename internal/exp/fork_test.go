@@ -3,8 +3,6 @@ package exp
 import (
 	"encoding/json"
 	"flag"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -115,62 +113,14 @@ func phasedLegs(t *testing.T, name string, cfg arch.Config) goldenDigest {
 
 // TestForkDeterminism pins the phased (pause + checkpoint + resume) digests
 // of every Figure 4.1 application and requires the snapshot-forked
-// continuation to be bit-identical to the cold continuation. The golden
-// file is shared across engines, sync schemes, and PP dispatch backends:
-// `make verify` re-runs this test under all four backend combinations
-// against the same recorded digests.
+// continuation to be bit-identical to the cold continuation, on every host
+// backend against the same recorded digests.
 func TestForkDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	path := filepath.Join("testdata", "golden_fork.json")
-	got := map[string]goldenDigest{}
-	for _, name := range apps.Names {
-		cfg := goldenConfig()
-		if name == "os" {
-			cfg.Placement = arch.PlaceRoundRobin
-		}
-		got[name] = phasedLegs(t, name, cfg)
-	}
-
-	if *updateForkGolden {
-		buf, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", path)
-		return
-	}
-
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing fork golden digests (run with -update-fork-golden to record): %v", err)
-	}
-	want := map[string]goldenDigest{}
-	if err := json.Unmarshal(buf, &want); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range apps.Names {
-		w, ok := want[name]
-		if !ok {
-			t.Errorf("%s: no fork golden digest recorded", name)
-			continue
-		}
-		if got[name] != w {
-			t.Errorf("%s: phased digest %+v, want %+v (snapshot behavior changed)", name, got[name], w)
-		}
-	}
+	goldenSuite(t, "golden_fork.json", *updateForkGolden, phasedLegs)
 }
 
 // TestMachineResetDeterminism recycles one machine through Reset and
-// requires the second run to be bit-identical to a fresh machine's run —
-// the property the machine pool depends on.
+// requires the second run to be bit-identical to a fresh machine's run.
 func TestMachineResetDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -200,15 +150,8 @@ func TestMachineResetDeterminism(t *testing.T) {
 	if recycled := run(m); recycled != fresh {
 		t.Errorf("recycled digest %+v != fresh digest %+v", recycled, fresh)
 	}
-	// A recycled machine must also accept snapshots exactly like a fresh
-	// one: reset again and run a full phased fork cycle on it.
-	m.Reset()
-	if key := m.PoolKey(); key != core.PoolKeyFor(cfg) {
-		t.Errorf("pool key mismatch: machine %q, config %q", key, core.PoolKeyFor(cfg))
-	}
 
-	// The ideal machine recycles too (Pair releases its ideal leg to the
-	// experiment pool), so its Reset must be just as deterministic.
+	// The ideal machine's Reset must be just as deterministic.
 	icfg := cfg
 	icfg.Kind = arch.KindIdeal
 	im, err := core.New(icfg)

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"flashsim/internal/apps"
@@ -37,123 +38,99 @@ var goldenScales = map[string]int{
 	"barnes": 32, "mp3d": 50, "os": 16,
 }
 
-// TestGoldenDigest locks down per-run cycle counts and event counts against
-// values recorded from the pre-optimization tree. Performance work on the
-// event queue, the handshake path, or experiment parallelism must leave
-// these bit-identical; regenerate with -update-golden only for intentional
-// model changes.
-func TestGoldenDigest(t *testing.T) {
+// goldenBackends is the host-backend matrix the golden suites run over: every
+// row must reproduce the same recorded digests, which is the whole claim the
+// backends make (host speed only, simulated behaviour bit-identical).
+var goldenBackends = []struct {
+	name     string
+	engine   arch.EngineKind
+	sync     arch.EngineSync
+	dispatch arch.PPDispatch
+	maxprocs int // GOMAXPROCS for the row (0 = the host's)
+}{
+	{name: "seq-compiled"},
+	{name: "seq-interp", dispatch: arch.PPDispatchInterp},
+	{name: "sharded-barrier", engine: arch.EngineSharded},
+	{name: "sharded-barrier-maxprocs1", engine: arch.EngineSharded, maxprocs: 1},
+	{name: "sharded-watermark", engine: arch.EngineSharded, sync: arch.EngineSyncWatermark},
+}
+
+// goldenSuite runs digest over every application on every goldenBackends
+// row, one subtest per row, and compares the digests with testdata/file.
+// With update set, the first row (the default machine) rewrites the file
+// and the remaining rows check themselves against it.
+func goldenSuite(t *testing.T, file string, update bool, digest func(t *testing.T, name string, cfg arch.Config) goldenDigest) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	path := filepath.Join("testdata", "golden_digest.json")
-	got := map[string]goldenDigest{}
-	for _, name := range apps.Names {
-		cfg := goldenConfig()
-		if name == "os" {
-			cfg.Placement = arch.PlaceRoundRobin
-		}
-		r, err := RunApp(name, cfg, apps.Params{Scale: goldenScales[name]}, true)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		got[name] = goldenDigest{
-			Elapsed:  uint64(r.Report.Elapsed),
-			Executed: r.Machine.Eng.ExecutedEvents(),
-		}
+	path := filepath.Join("testdata", file)
+	for i, b := range goldenBackends {
+		t.Run(b.name, func(t *testing.T) {
+			if b.maxprocs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(b.maxprocs))
+			}
+			got := map[string]goldenDigest{}
+			for _, name := range apps.Names {
+				cfg := goldenConfig()
+				cfg.Engine, cfg.EngineSync, cfg.PPDispatch = b.engine, b.sync, b.dispatch
+				if name == "os" {
+					cfg.Placement = arch.PlaceRoundRobin
+				}
+				got[name] = digest(t, name, cfg)
+			}
+			if update && i == 0 {
+				buf, err := json.MarshalIndent(got, "", "  ")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("rewrote %s", path)
+			}
+			want := readGolden(t, file)
+			for _, name := range apps.Names {
+				w, ok := want[name]
+				if !ok {
+					t.Errorf("%s: no digest recorded in %s", name, file)
+					continue
+				}
+				if got[name] != w {
+					t.Errorf("%s: digest %+v, want %+v (simulated behavior changed)", name, got[name], w)
+				}
+			}
+		})
 	}
+}
 
-	if *updateGolden {
-		buf, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", path)
-		return
-	}
-
-	buf, err := os.ReadFile(path)
+// readGolden loads one of the testdata digest files.
+func readGolden(t *testing.T, file string) map[string]goldenDigest {
+	t.Helper()
+	buf, err := os.ReadFile(filepath.Join("testdata", file))
 	if err != nil {
-		t.Fatalf("missing golden digests (run with -update-golden to record): %v", err)
+		t.Fatalf("missing golden digests (run with -update-golden / -update-fork-golden to record): %v", err)
 	}
 	want := map[string]goldenDigest{}
 	if err := json.Unmarshal(buf, &want); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range apps.Names {
-		w, ok := want[name]
-		if !ok {
-			t.Errorf("%s: no golden digest recorded", name)
-			continue
-		}
-		if got[name] != w {
-			t.Errorf("%s: digest %+v, want %+v (simulated behavior changed)", name, got[name], w)
-		}
-	}
+	return want
 }
 
-// TestGoldenBackendsAgree runs whole applications under both PP dispatch
-// engines and requires identical digests: the compiled backend must be a
-// pure host-side optimization with no simulated-behavior fingerprint. The
-// per-pair differential torture test lives in ppsim; this is the end-to-end
-// closure over full protocol runs.
-func TestGoldenBackendsAgree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	for _, name := range []string{"fft", "lu", "radix"} {
-		digests := map[arch.PPDispatch]goldenDigest{}
-		for _, d := range []arch.PPDispatch{arch.PPDispatchInterp, arch.PPDispatchCompiled} {
-			cfg := goldenConfig()
-			cfg.PPDispatch = d
-			r, err := RunApp(name, cfg, apps.Params{Scale: goldenScales[name]}, true)
-			if err != nil {
-				t.Fatalf("%s (%s): %v", name, d, err)
-			}
-			digests[d] = goldenDigest{
-				Elapsed:  uint64(r.Report.Elapsed),
-				Executed: r.Machine.Eng.ExecutedEvents(),
-			}
+// TestGoldenDigest locks down per-run cycle counts and event counts against
+// values recorded from the pre-optimization tree, on every host backend.
+// Performance work on the event queue, the handshake path, or experiment
+// parallelism must leave these bit-identical; regenerate with -update-golden
+// only for intentional model changes.
+func TestGoldenDigest(t *testing.T) {
+	goldenSuite(t, "golden_digest.json", *updateGolden, func(t *testing.T, name string, cfg arch.Config) goldenDigest {
+		r, err := RunApp(name, cfg, apps.Params{Scale: goldenScales[name]}, true)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		if digests[arch.PPDispatchInterp] != digests[arch.PPDispatchCompiled] {
-			t.Errorf("%s: interp %+v != compiled %+v", name,
-				digests[arch.PPDispatchInterp], digests[arch.PPDispatchCompiled])
+		return goldenDigest{
+			Elapsed:  uint64(r.Report.Elapsed),
+			Executed: r.Machine.Eng.ExecutedEvents(),
 		}
-	}
-}
-
-// TestGoldenEnginesAgree runs whole applications under both event-engine
-// backends and requires identical digests: the conservative parallel engine
-// must be a pure host-side optimization with no simulated-behavior
-// fingerprint. The per-event differential torture test lives in sim; this is
-// the end-to-end closure over full protocol runs.
-func TestGoldenEnginesAgree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	for _, name := range []string{"fft", "lu", "radix"} {
-		digests := map[arch.EngineKind]goldenDigest{}
-		for _, e := range []arch.EngineKind{arch.EngineSeq, arch.EngineSharded} {
-			cfg := goldenConfig()
-			cfg.Engine = e
-			r, err := RunApp(name, cfg, apps.Params{Scale: goldenScales[name]}, true)
-			if err != nil {
-				t.Fatalf("%s (%s): %v", name, e, err)
-			}
-			digests[e] = goldenDigest{
-				Elapsed:  uint64(r.Report.Elapsed),
-				Executed: r.Machine.Eng.ExecutedEvents(),
-			}
-		}
-		if digests[arch.EngineSeq] != digests[arch.EngineSharded] {
-			t.Errorf("%s: seq %+v != sharded %+v", name,
-				digests[arch.EngineSeq], digests[arch.EngineSharded])
-		}
-	}
+	})
 }

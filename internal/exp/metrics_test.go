@@ -1,9 +1,6 @@
 package exp
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"flashsim/internal/apps"
@@ -22,14 +19,7 @@ func TestMetricsDoNotPerturbSimulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	buf, err := os.ReadFile(filepath.Join("testdata", "golden_digest.json"))
-	if err != nil {
-		t.Fatalf("missing golden digests: %v", err)
-	}
-	want := map[string]goldenDigest{}
-	if err := json.Unmarshal(buf, &want); err != nil {
-		t.Fatal(err)
-	}
+	want := readGolden(t, "golden_digest.json")
 	const app = "fft"
 	for _, eng := range []arch.EngineKind{arch.EngineSeq, arch.EngineSharded} {
 		for _, disp := range []arch.PPDispatch{arch.PPDispatchInterp, arch.PPDispatchCompiled} {

@@ -12,7 +12,7 @@ import (
 
 // This file is the self-profiling harness behind `flashexp profile`: it
 // answers where the simulator's *host* time goes, not where simulated time
-// goes. Each Figure 4.1 application runs once on the sharded engine with
+// goes. Each Figure 4.1 application runs once on the chosen engine with
 // engine self-profiling and a metrics registry attached; the report
 // attributes wall time to {window execution, barrier wait, outbox drain,
 // merge} per shard and charges allocation and GC cost to each app.
@@ -30,7 +30,8 @@ type AppProfile struct {
 }
 
 // ProfileApps profiles the named applications sequentially (parallel runs
-// would blur the process-wide runtime counters) on the sharded engine.
+// would blur the process-wide runtime counters) on o.Engine; the per-shard
+// phase attribution needs arch.EngineSharded.
 func ProfileApps(o Options, names []string) ([]*AppProfile, error) {
 	out := make([]*AppProfile, 0, len(names))
 	for _, name := range names {
@@ -43,10 +44,7 @@ func ProfileApps(o Options, names []string) ([]*AppProfile, error) {
 		}
 		cfg := o.baseConfig(np)
 		cfg.Kind = arch.KindFLASH
-		cfg.Engine = arch.EngineSharded
-		if o.Engine != arch.EngineAuto {
-			cfg.Engine = o.Engine
-		}
+		cfg.Engine = o.Engine
 		cfg.EngineSync = o.EngineSync
 		cfg.Sample = o.Sample
 		if name == "os" {
@@ -71,17 +69,6 @@ func ProfileApps(o Options, names []string) ([]*AppProfile, error) {
 		})
 	}
 	return out, nil
-}
-
-// Profile runs the host-performance report over the Figure 4.1 suite:
-// per-app wall/GC/alloc accounting followed by each app's engine phase
-// attribution.
-func Profile(o Options) (string, error) {
-	profs, err := ProfileApps(o, Fig41Apps())
-	if err != nil {
-		return "", err
-	}
-	return RenderProfiles(profs), nil
 }
 
 // RenderProfiles renders the host-performance report for profiled apps.

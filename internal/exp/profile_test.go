@@ -3,6 +3,8 @@ package exp
 import (
 	"strings"
 	"testing"
+
+	"flashsim/internal/arch"
 )
 
 // TestProfileAttribution pins the acceptance bar for the self-profiling
@@ -10,7 +12,7 @@ import (
 // barrier wait, outbox drain, merge} must account for at least 95% of total
 // engine wall time — the chained-timestamp design leaves no systematic gaps.
 func TestProfileAttribution(t *testing.T) {
-	profs, err := ProfileApps(Options{Scale: 256, Verify: true}, []string{"fft"})
+	profs, err := ProfileApps(Options{Scale: 256, Verify: true, Engine: arch.EngineSharded}, []string{"fft"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,12 +151,8 @@ func minWallRun(name string, cfg arch.Config, p apps.Params, verify bool) (*Run,
 				best.Machine.Eng.ExecutedEvents(), r.Machine.Eng.ExecutedEvents())
 		}
 		if r.SimWall < best.SimWall {
-			best, r = r, best
+			best = r
 		}
-		// Recycle the losing leg's machine; repeats of the same config are
-		// the pool's best customer, and the divergence check above doubles
-		// as a recycled-vs-fresh bit-identity assertion.
-		r.Release()
 	}
 	return best, nil
 }

@@ -1,9 +1,6 @@
 package exp
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"flashsim/internal/apps"
@@ -40,15 +37,15 @@ func TestSampledDetailFraction1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	want := readGoldenDigests(t)
+	want := readGolden(t, "golden_digest.json")
 	for _, eng := range []arch.EngineKind{arch.EngineSeq, arch.EngineSharded} {
 		for _, pp := range []arch.PPDispatch{arch.PPDispatchInterp, arch.PPDispatchCompiled} {
 			for _, name := range []string{"fft", "lu", "radix"} {
 				cfg := goldenConfig()
 				cfg.Engine = eng
 				cfg.PPDispatch = pp
-				// Stride 0 with a non-zero field: sampling force-off (also
-				// shields the run from any FLASHSIM_SAMPLE in the test env).
+				// Stride 0 with a non-zero field: a spec that is not the
+				// zero value and still must not sample.
 				cfg.Sample = arch.SampleSpec{Detail: 1}
 				r, err := RunApp(name, cfg, apps.Params{Scale: goldenScales[name]}, true)
 				if err != nil {
@@ -100,62 +97,4 @@ func TestSampledRepeatable(t *testing.T) {
 			t.Errorf("%s: sampled runs differ: %+v vs %+v", name, d[0], d[1])
 		}
 	}
-}
-
-// TestSampledEnvResolution checks the FLASHSIM_SAMPLE process default: a
-// zero-valued Config.Sample picks up the environment schedule, and an
-// explicit force-off spec wins over it.
-func TestSampledEnvResolution(t *testing.T) {
-	t.Setenv("FLASHSIM_SAMPLE", "500/3500/2000")
-	cfg := goldenConfig()
-	r, err := RunApp("fft", cfg, apps.Params{Scale: goldenScales["fft"]}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Report.Sampled == nil {
-		t.Error("FLASHSIM_SAMPLE set but the run has no extrapolation section")
-	}
-
-	cfg = goldenConfig()
-	cfg.Sample = arch.SampleSpec{Detail: 1} // explicit off beats the env
-	r, err = RunApp("fft", cfg, apps.Params{Scale: goldenScales["fft"]}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Report.Sampled != nil {
-		t.Error("explicit Stride-0 spec did not override FLASHSIM_SAMPLE")
-	}
-}
-
-// TestSampledSmoke leaves Config.Sample zero so the FLASHSIM_SAMPLE process
-// default (if any) drives the schedule, and requires the runs to build,
-// finish, verify their results, and pass the coherence audit. `make verify`
-// runs this with FLASHSIM_SAMPLE=default as the sampled-mode smoke pass;
-// without the variable it degenerates to a plain detailed run.
-func TestSampledSmoke(t *testing.T) {
-	for _, name := range []string{"fft", "radix"} {
-		cfg := goldenConfig()
-		r, err := RunApp(name, cfg, apps.Params{Scale: goldenScales[name]}, true)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if os.Getenv("FLASHSIM_SAMPLE") == "default" && r.Report.Sampled == nil {
-			t.Errorf("%s: FLASHSIM_SAMPLE=default but no extrapolation section", name)
-		}
-	}
-}
-
-// readGoldenDigests loads testdata/golden_digest.json (shared with
-// TestGoldenDigest).
-func readGoldenDigests(t *testing.T) map[string]goldenDigest {
-	t.Helper()
-	buf, err := os.ReadFile(filepath.Join("testdata", "golden_digest.json"))
-	if err != nil {
-		t.Fatalf("missing golden digests: %v", err)
-	}
-	want := map[string]goldenDigest{}
-	if err := json.Unmarshal(buf, &want); err != nil {
-		t.Fatal(err)
-	}
-	return want
 }

@@ -2,10 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"net/http"
-	"strings"
 
 	"flashsim/internal/trace"
 )
@@ -51,70 +48,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	}
 	_, err = w.Write(append(buf, '\n'))
 	return err
-}
-
-// WritePrometheus writes the registry in the Prometheus text exposition
-// format (version 0.0.4). Histograms render cumulatively with le bounds at
-// the pow2 bucket upper edges.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	var b strings.Builder
-	typed := map[string]bool{}
-	for _, e := range r.sorted() {
-		if !typed[e.name] {
-			typed[e.name] = true
-			fmt.Fprintf(&b, "# TYPE %s %s\n", e.name, e.kind)
-		}
-		switch e.kind {
-		case kindCounter:
-			fmt.Fprintf(&b, "%s %d\n", e.id, e.c.Value())
-		case kindGauge:
-			fmt.Fprintf(&b, "%s %d\n", e.id, e.g.Value())
-		case kindHistogram:
-			writePromHistogram(&b, e)
-		}
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// writePromHistogram renders one histogram series. Bucket i of the pow2
-// shape counts values v with bits.Len64(v) == i, i.e. v <= 2^i - 1, so the
-// le bound of bucket i is 2^i - 1.
-func writePromHistogram(b *strings.Builder, e *entry) {
-	h := e.h.Snapshot()
-	var cum uint64
-	for i, n := range h.Buckets {
-		cum += n
-		if n == 0 && i != len(h.Buckets)-1 {
-			continue
-		}
-		le := fmt.Sprintf("%d", uint64(1)<<i-1)
-		if i == len(h.Buckets)-1 {
-			le = "+Inf"
-		}
-		fmt.Fprintf(b, "%s %d\n", id(e.name+"_bucket", append(append([]string{}, e.labels...), "le", le)), cum)
-	}
-	fmt.Fprintf(b, "%s %d\n", id(e.name+"_sum", e.labels), h.Sum)
-	fmt.Fprintf(b, "%s %d\n", id(e.name+"_count", e.labels), h.Count)
-}
-
-// Handler returns an http.Handler exposing the registry: Prometheus text
-// by default, JSON with ?format=json or an application/json Accept header.
-// This is the metrics endpoint the future flashexpd service mode mounts.
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		wantJSON := req.URL.Query().Get("format") == "json" ||
-			strings.Contains(req.Header.Get("Accept"), "application/json")
-		if wantJSON {
-			w.Header().Set("Content-Type", "application/json")
-			if err := r.WriteJSON(w); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := r.WritePrometheus(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
 }

@@ -12,10 +12,10 @@
 // proves a metrics-enabled run stays cycle-identical to the golden digests.
 //
 // Instrument values use atomics throughout, so a registry may be shared by
-// concurrent simulations and scraped (Handler, WriteJSON, WritePrometheus)
-// while runs are in flight. Snapshot reads are per-field atomic, not
-// globally linearizable: a scrape racing a writer can observe a histogram
-// whose sum is momentarily ahead of its buckets.
+// concurrent simulations and read (Snapshot, WriteJSON) while runs are in
+// flight. Snapshot reads are per-field atomic, not globally linearizable: a
+// read racing a writer can observe a histogram whose sum is momentarily
+// ahead of its buckets.
 package metrics
 
 import (

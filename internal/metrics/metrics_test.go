@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"encoding/json"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -114,13 +113,6 @@ func TestNilRegistryDiscards(t *testing.T) {
 	if len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
 		t.Errorf("nil registry snapshot not empty: %+v", s)
 	}
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if sb.Len() != 0 {
-		t.Errorf("nil registry exposition not empty: %q", sb.String())
-	}
 }
 
 func TestSnapshotJSONRoundTrip(t *testing.T) {
@@ -145,62 +137,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 	if h := s.Histograms[`window_events{shard="0"}`]; h.Count != 1 || h.Sum != 5 {
 		t.Errorf("histogram round-trip = %+v", h)
-	}
-}
-
-func TestPrometheusExposition(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("evt_total", "shard", "1").Add(42)
-	reg.Gauge("depth").Set(-3)
-	reg.Histogram("lat").Observe(6) // bits.Len64(6) == 3, le bound 7
-
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"# TYPE evt_total counter",
-		`evt_total{shard="1"} 42`,
-		"# TYPE depth gauge",
-		"depth -3",
-		"# TYPE lat histogram",
-		`lat_bucket{le="7"} 1`,
-		`lat_bucket{le="+Inf"} 1`,
-		"lat_sum 6",
-		"lat_count 1",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestHandlerContentNegotiation(t *testing.T) {
-	reg := NewRegistry()
-	reg.Gauge("flash_cycles").Set(7)
-	h := reg.Handler()
-
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("default content type %q", ct)
-	}
-	if !strings.Contains(rec.Body.String(), "flash_cycles 7") {
-		t.Errorf("text body missing series:\n%s", rec.Body.String())
-	}
-
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=json", nil))
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-		t.Errorf("json content type %q", ct)
-	}
-	var s Snapshot
-	if err := json.Unmarshal(rec.Body.Bytes(), &s); err != nil {
-		t.Fatalf("json body: %v", err)
-	}
-	if s.Gauges["flash_cycles"] != 7 {
-		t.Errorf("json body gauges = %+v", s.Gauges)
 	}
 }
 

@@ -1,9 +1,7 @@
 package ppsim
 
 import (
-	"fmt"
 	"math/bits"
-	"os"
 	"sync"
 	"sync/atomic"
 
@@ -47,39 +45,12 @@ func (b Backend) String() string {
 	return "compiled"
 }
 
-// ParseBackend parses a -pp-dispatch flag value. The empty string selects
-// the compiled default.
-func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "", "compiled":
-		return BackendCompiled, nil
-	case "interp", "interpreter":
-		return BackendInterp, nil
-	}
-	return BackendCompiled, fmt.Errorf("ppsim: unknown dispatch backend %q (want compiled or interp)", s)
-}
-
-// DefaultBackend returns the process-wide default backend: the
-// FLASHSIM_PP_DISPATCH environment variable if it names a backend (the
-// hook `make verify` uses to run the test suite over the interpreter), and
-// the compiled backend otherwise.
-func DefaultBackend() Backend {
-	if b, err := ParseBackend(os.Getenv("FLASHSIM_PP_DISPATCH")); err == nil {
-		return b
+// BackendFor maps an arch.Config dispatch selection to a backend.
+func BackendFor(d arch.PPDispatch) Backend {
+	if d == arch.PPDispatchInterp {
+		return BackendInterp
 	}
 	return BackendCompiled
-}
-
-// BackendFor maps an arch.Config dispatch selection to a backend:
-// PPDispatchAuto defers to DefaultBackend.
-func BackendFor(d arch.PPDispatch) Backend {
-	switch d {
-	case arch.PPDispatchInterp:
-		return BackendInterp
-	case arch.PPDispatchCompiled:
-		return BackendCompiled
-	}
-	return DefaultBackend()
 }
 
 // slotFn executes one predecoded slot against live PP state and returns the

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"flashsim/internal/arch"
 	"flashsim/internal/ppisa"
 )
 
@@ -194,23 +195,19 @@ func TestHazardPairFallback(t *testing.T) {
 	}
 }
 
-// TestCompiledIsDefault pins the backend selection rules.
+// TestCompiledIsDefault pins the backend selection rules: New and the zero
+// arch.PPDispatch build the compiled backend, and only PPDispatchInterp
+// selects the interpreter (the whole-app goldens cannot tell — the two are
+// cycle-identical).
 func TestCompiledIsDefault(t *testing.T) {
-	if b, err := ParseBackend(""); err != nil || b != BackendCompiled {
-		t.Fatalf("ParseBackend(\"\") = %v, %v", b, err)
+	prog := pairProg(single(ppisa.Instr{Op: ppisa.DONE}))
+	if b := New(prog, 4096, NewMDC(4096, 2), &mockEnv{}).Backend(); b != BackendCompiled {
+		t.Fatalf("New built the %v backend", b)
 	}
-	if b, err := ParseBackend("interp"); err != nil || b != BackendInterp {
-		t.Fatalf("ParseBackend(interp) = %v, %v", b, err)
+	if BackendFor(arch.Config{}.PPDispatch) != BackendCompiled {
+		t.Fatal("the zero Config's dispatch does not map to the compiled backend")
 	}
-	if _, err := ParseBackend("jit"); err == nil {
-		t.Fatal("ParseBackend accepted an unknown backend")
-	}
-	t.Setenv("FLASHSIM_PP_DISPATCH", "interp")
-	if DefaultBackend() != BackendInterp {
-		t.Fatal("FLASHSIM_PP_DISPATCH=interp not honored")
-	}
-	t.Setenv("FLASHSIM_PP_DISPATCH", "nonsense")
-	if DefaultBackend() != BackendCompiled {
-		t.Fatal("unknown env value must fall back to compiled")
+	if BackendFor(arch.PPDispatchInterp) != BackendInterp {
+		t.Fatal("PPDispatchInterp does not map to the interpreter")
 	}
 }

@@ -141,9 +141,9 @@ type PP struct {
 const maxHandlerPairs = 100000
 
 // New creates a PP executing prog with the given protocol memory size in
-// bytes, using the process-default backend (DefaultBackend).
+// bytes, on the compiled backend.
 func New(prog *ppisa.Program, memBytes int, mdc *MDC, env Env) *PP {
-	return NewBackend(prog, memBytes, mdc, env, DefaultBackend())
+	return NewBackend(prog, memBytes, mdc, env, BackendCompiled)
 }
 
 // NewBackend is New with an explicit execution backend. For BackendCompiled
