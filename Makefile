@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build verify test bench exp profile clean
+.PHONY: all build verify test bench exp clean
 
 all: build
 
@@ -8,19 +8,19 @@ build:
 	$(GO) build ./...
 
 # Tier-1 verify line (keep in sync with ROADMAP.md): its internal/exp golden
-# table (goldenBackends) already re-proves the digests and the fork digests
-# on every host backend. On top of it: no non-test Go under cmd/ or internal/
-# may read or set the process environment (a backend choice travels in
-# arch.Config, nowhere else); the race detector over the concurrent
-# experiment driver and explore workers, the golden and fork tables (message
-# events cross shards without a lock of their own), machines sharing one
+# table (goldenBackends) already re-proves the digests on every host
+# backend. On top of it: no non-test Go under cmd/ or internal/ may read or
+# set the process environment (a backend choice travels in arch.Config,
+# nowhere else); the race detector over the concurrent experiment runner
+# and explore workers, the golden table (message events cross shards
+# without a lock of their own), machines sharing one
 # memoized protocol program and the sampling suite; over the sharded engine's
 # own differential tests; over the metrics registry; and a bounded fuzz of
 # the calendar event queue against a sorted-slice reference.
 verify:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
 	! grep -rnE 'os\.(Getenv|Setenv|LookupEnv)' cmd internal --include='*.go' --exclude='*_test.go'
-	$(GO) test -race ./internal/exp -run 'Parallel|GoldenDigest|Fork|SharedProgram|Sampled'
+	$(GO) test -race ./internal/exp -run 'Parallel|GoldenDigest|SharedProgram|Sampled'
 	$(GO) test -race ./internal/sim -run 'Sharded|Watermark'
 	$(GO) test -race ./internal/metrics
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzQueueOrder -fuzztime 10s
@@ -37,11 +37,6 @@ bench:
 # Full experiment suite in benchmark form, one iteration each.
 exp:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
-
-# Host-performance report: where does the simulator's own wall time go?
-# Per-shard window-exec/barrier shares, outbox drain, merge, GC accounting.
-profile:
-	$(GO) run ./cmd/flashexp profile -scale 4
 
 clean:
 	$(GO) clean ./...

@@ -7,10 +7,7 @@
 //	         [-net uniform|mesh] [-metrics] [-metrics-out f]
 //	         [-pprof dir] <experiment>...
 //	flashexp all
-//	flashexp profile [-scale N] [-procs N] [-noverify]
-//	         [-engine seq|sharded] [-engine-sync barrier|watermark]
-//	         [-workers N] [-metrics-out f] [-pprof dir]
-//	flashexp explore [-app name] [-scale N] [-procs N] [-prefix-refs N]
+//	flashexp explore [-app name] [-scale N] [-procs N]
 //	         [-cold] [-cache-dir dir] [-out f] [-table-out f] [-verify]
 //
 // Experiments: table3.3 table3.4 fig4.1 fig4.2 fig4.3 sec4.3 sec4.5
@@ -18,24 +15,15 @@
 //
 // -scale multiplies every application's problem-size divisor; -scale 1 runs
 // the paper's sizes (slow), the default 4 finishes the full suite in
-// minutes.
-//
-// The profile subcommand runs the Figure 4.1 applications with host-side
-// self-profiling and prints where the simulator's own wall time goes:
-// per-shard window-execution and barrier/horizon-wait shares, outbox drain,
-// merge and frontier-solve cost, synchronization-operation counts, and
-// per-app allocation/GC accounting. -engine, -engine-sync, and -workers
-// select the backend under profile, so barrier vs watermark runs of the
-// same suite can be compared from one command:
-//
-//	flashexp profile -engine-sync=barrier
-//	flashexp profile -engine-sync=watermark -workers 4
+// minutes. A failed experiment still stops -pprof capture and writes
+// -metrics-out before the exit status 1; a usage error exits 2.
 //
 // The explore subcommand sweeps the design space of Chapter 5's flexibility
 // knobs (protocol data structure, MAGIC data cache size, PP clock ratio,
 // network queue depth, network transit/lookahead window) crossed with the
 // host execution axes (engine, sync scheme) and prints a Pareto table of
-// slowdown-vs-ideal against a hardware-cost proxy. By default the sweep is
+// slowdown-vs-ideal against a hardware-cost proxy. Every point is the run
+// flashsim makes of the same configuration. By default the sweep is
 // warm: each distinct simulated configuration runs once, the distinct ones
 // concurrently on GOMAXPROCS workers, and points that differ only in host
 // axes are served from a content-addressed result cache; -cache-dir keeps
@@ -44,6 +32,9 @@
 // either way:
 //
 //	flashexp explore -app fft -cache-dir /tmp/fc -out pareto.json
+//
+// Where the simulator's own host time goes is flashsim's -metrics report,
+// e.g. flashsim -app fft -engine sharded -metrics.
 package main
 
 import (
@@ -63,14 +54,27 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "profile" {
-		profileMain(os.Args[2:])
-		return
-	}
+	name, cmd := "flashexp", run
 	if len(os.Args) > 1 && os.Args[1] == "explore" {
-		exploreMain(os.Args[2:])
-		return
+		name, cmd = "flashexp explore", func() error { return explore(os.Args[2:]) }
 	}
+	if err := cmd(); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// usageError marks a command-line mistake: exit status 2 rather than 1.
+type usageError struct{ error }
+
+// run is the experiment command. Every failure returns through it, so the
+// deferred pprof stop and metrics write below run before main exits: a
+// failing experiment — the one worth profiling — still leaves complete
+// profiles and a metrics file.
+func run() (runErr error) {
 	scale := flag.Int("scale", 4, "problem size divisor (1 = paper sizes)")
 	procs := flag.Int("procs", 0, "override processor count (0 = paper defaults)")
 	noverify := flag.Bool("noverify", false, "skip result verification after runs")
@@ -92,8 +96,7 @@ func main() {
 	if err := cliutil.DistinctOutputs(stdoutUser,
 		cliutil.OutputFlag{Flag: "-metrics-out", Path: *metricsOut},
 	); err != nil {
-		fmt.Fprintf(os.Stderr, "flashexp: %v\n", err)
-		os.Exit(2)
+		return usageError{err}
 	}
 
 	o := exp.Options{Scale: *scale, Verify: !*noverify, Parallelism: *parallel}
@@ -105,16 +108,14 @@ func main() {
 	o.NetModel, bad[0] = arch.ParseNetModel(*netModel)
 	o.Sample, bad[1] = arch.ParseSampleSpec(*sample)
 	if err := errors.Join(bad[:]...); err != nil {
-		fmt.Fprintf(os.Stderr, "flashexp: %v\n", err)
-		os.Exit(2)
+		return usageError{err}
 	}
 	if *sampleApps != "" {
 		o.SampleApps = strings.Split(*sampleApps, ",")
 		// Fail before any simulation starts: a typo'd app name in a long
 		// sampled sweep should not surface an hour in.
 		if err := apps.ValidateNames(o.SampleApps); err != nil {
-			fmt.Fprintf(os.Stderr, "flashexp: -sample-apps: %v\n", err)
-			os.Exit(2)
+			return usageError{fmt.Errorf("-sample-apps: %w", err)}
 		}
 	}
 
@@ -151,7 +152,7 @@ func main() {
 		for _, e := range all {
 			fmt.Fprintln(os.Stderr, "  ", e.name)
 		}
-		os.Exit(2)
+		return usageError{errors.New("no experiment named")}
 	}
 	var selected []experiment
 	if len(args) == 1 && args[0] == "all" {
@@ -160,8 +161,7 @@ func main() {
 		for _, a := range args {
 			e, ok := byName[a]
 			if !ok {
-				fmt.Fprintf(os.Stderr, "flashexp: unknown experiment %q\n", a)
-				os.Exit(2)
+				return usageError{fmt.Errorf("unknown experiment %q", a)}
 			}
 			selected = append(selected, e)
 		}
@@ -169,14 +169,30 @@ func main() {
 
 	prof, err := cliutil.StartPprof(*pprofDir)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "flashexp: pprof: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("pprof: %w", err)
 	}
+	defer func() {
+		if err := prof.Stop(); err != nil && runErr == nil {
+			runErr = fmt.Errorf("pprof: %w", err)
+		}
+	}()
 	var reg *metrics.Registry
 	if *metricsOn || *metricsOut != "" {
 		reg = metrics.NewRegistry()
+		hostBefore := metrics.ReadHost()
+		defer func() {
+			host := metrics.ReadHost().Sub(hostBefore)
+			host.Publish(reg, "flashexp_host")
+			fmt.Fprintf(os.Stderr, "flashexp: host totals: wall %.1fs, %d MB allocated, %d GC cycles, %.1fms GC pause\n",
+				float64(host.WallNS)/1e9, host.AllocBytes>>20, host.GCCycles, float64(host.GCPauseNS)/1e6)
+			if *metricsOut == "" {
+				return
+			}
+			if err := writeSnapshot(reg, *metricsOut); err != nil && runErr == nil {
+				runErr = fmt.Errorf("metrics: %w", err)
+			}
+		}()
 	}
-	hostBefore := metrics.ReadHost()
 
 	type result struct {
 		Name        string  `json:"name"`
@@ -188,8 +204,7 @@ func main() {
 		start := time.Now()
 		out, err := e.run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "flashexp: %s: %v\n", e.name, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", e.name, err)
 		}
 		wall := time.Since(start).Seconds()
 		reg.Gauge("flashexp_experiment_wall_ns", "exp", e.name).Set(wall1e9(wall))
@@ -200,30 +215,14 @@ func main() {
 		}
 		fmt.Printf("==== %s (%.1fs) ====\n%s\n", e.name, wall, out)
 	}
-	if reg != nil {
-		host := metrics.ReadHost().Sub(hostBefore)
-		host.Publish(reg, "flashexp_host")
-		fmt.Fprintf(os.Stderr, "flashexp: host totals: wall %.1fs, %d MB allocated, %d GC cycles, %.1fms GC pause\n",
-			float64(host.WallNS)/1e9, host.AllocBytes>>20, host.GCCycles, float64(host.GCPauseNS)/1e6)
-		if *metricsOut != "" {
-			if err := writeSnapshot(reg, *metricsOut); err != nil {
-				fmt.Fprintf(os.Stderr, "flashexp: metrics: %v\n", err)
-				os.Exit(1)
-			}
-		}
-	}
-	if err := prof.Stop(); err != nil {
-		fmt.Fprintf(os.Stderr, "flashexp: pprof: %v\n", err)
-		os.Exit(1)
-	}
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(results); err != nil {
-			fmt.Fprintf(os.Stderr, "flashexp: json: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("json: %w", err)
 		}
 	}
+	return nil
 }
 
 func wall1e9(s float64) int64 { return int64(s * 1e9) }
@@ -241,14 +240,13 @@ func writeSnapshot(reg *metrics.Registry, path string) error {
 	return f.Close()
 }
 
-// exploreMain is the `flashexp explore` subcommand: the design-space sweep
+// explore is the `flashexp explore` subcommand: the design-space sweep
 // over flexibility knobs, warm (result cache on) or cold.
-func exploreMain(args []string) {
+func explore(args []string) error {
 	fs := flag.NewFlagSet("flashexp explore", flag.ExitOnError)
 	app := fs.String("app", "fft", "application to sweep (one of: "+apps.ValidNames()+")")
 	scale := fs.Int("scale", 0, "problem size divisor (0 = per-app sweep default)")
 	procs := fs.Int("procs", 4, "processor count")
-	prefixRefs := fs.Uint64("prefix-refs", 20000, "per-CPU reference count at which each phased run pauses and resumes")
 	cold := fs.Bool("cold", false, "simulate every point (no result cache)")
 	cacheDir := fs.String("cache-dir", "", "keep the content-addressed result cache in this directory across runs (warm mode only; default: in memory for this run)")
 	out := fs.String("out", "", "write the deterministic sweep result JSON to this file (- = stdout)")
@@ -256,12 +254,10 @@ func exploreMain(args []string) {
 	verify := fs.Bool("verify", false, "verify application results at every simulated point")
 	fs.Parse(args)
 	if fs.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "flashexp explore: unexpected argument %q\n", fs.Arg(0))
-		os.Exit(2)
+		return usageError{fmt.Errorf("unexpected argument %q", fs.Arg(0))}
 	}
 	if err := apps.ValidateNames([]string{*app}); err != nil {
-		fmt.Fprintf(os.Stderr, "flashexp explore: -app: %v\n", err)
-		os.Exit(2)
+		return usageError{fmt.Errorf("-app: %w", err)}
 	}
 	// A "-" value claims stdout inside DistinctOutputs, so a second stdout
 	// writer (e.g. -table-out -) is rejected with both flags named.
@@ -269,18 +265,16 @@ func exploreMain(args []string) {
 		cliutil.OutputFlag{Flag: "-out", Path: *out},
 		cliutil.OutputFlag{Flag: "-table-out", Path: *tableOut},
 	); err != nil {
-		fmt.Fprintf(os.Stderr, "flashexp explore: %v\n", err)
-		os.Exit(2)
+		return usageError{err}
 	}
 
 	o := exp.ExploreOptions{
-		App:        *app,
-		Scale:      *scale,
-		Procs:      *procs,
-		PrefixRefs: *prefixRefs,
-		Warm:       !*cold,
-		CacheDir:   *cacheDir,
-		Verify:     *verify,
+		App:      *app,
+		Scale:    *scale,
+		Procs:    *procs,
+		Warm:     !*cold,
+		CacheDir: *cacheDir,
+		Verify:   *verify,
 	}
 	if *cold && *cacheDir != "" {
 		fmt.Fprintln(os.Stderr, "flashexp explore: -cache-dir is ignored with -cold")
@@ -289,8 +283,7 @@ func exploreMain(args []string) {
 	start := time.Now()
 	res, err := exp.Explore(o)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "flashexp explore: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	wall := time.Since(start).Seconds()
 
@@ -303,8 +296,7 @@ func exploreMain(args []string) {
 	if *tableOut != "" {
 		f, err := os.Create(*tableOut)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "flashexp explore: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		tableDst = f
 		defer f.Close()
@@ -321,84 +313,17 @@ func exploreMain(args []string) {
 		res.App, res.Scale, res.Procs, len(res.Points), pareto,
 		res.CacheHits, res.CacheMisses, res.PoolBuilds, wall)
 
-	if *out != "" {
-		buf, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "flashexp explore: json: %v\n", err)
-			os.Exit(1)
-		}
-		buf = append(buf, '\n')
-		if *out == "-" {
-			os.Stdout.Write(buf)
-		} else if err := os.WriteFile(*out, buf, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "flashexp explore: %v\n", err)
-			os.Exit(1)
-		}
+	if *out == "" {
+		return nil
 	}
-}
-
-// profileMain is the `flashexp profile` subcommand: the Figure 4.1 suite on
-// the sharded engine with host-side self-profiling.
-func profileMain(args []string) {
-	fs := flag.NewFlagSet("flashexp profile", flag.ExitOnError)
-	scale := fs.Int("scale", 4, "problem size divisor (1 = paper sizes)")
-	procs := fs.Int("procs", 0, "override processor count (0 = paper defaults)")
-	noverify := fs.Bool("noverify", false, "skip result verification after runs")
-	engine := fs.String("engine", "sharded", "event engine to profile: seq or sharded")
-	engineSync := fs.String("engine-sync", "barrier", "sharded engine synchronization to profile: barrier or watermark")
-	workers := fs.Int("workers", 0, "sharded engine worker-pool size (0 = GOMAXPROCS)")
-	netModel := fs.String("net", "uniform", "network latency model: uniform (paper average) or mesh (changes simulated timing)")
-	sample := fs.String("sample", "", "profile under a sampled-execution schedule: default or detail/stride[/warmup] cycles")
-	metricsOut := fs.String("metrics-out", "", "write the merged metrics snapshots as JSON to this file")
-	pprofDir := fs.String("pprof", "", "capture cpu.pprof and heap.pprof into this directory")
-	fs.Parse(args)
-	if fs.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "flashexp profile: unexpected argument %q\n", fs.Arg(0))
-		os.Exit(2)
-	}
-
-	prof, err := cliutil.StartPprof(*pprofDir)
+	buf, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "flashexp profile: pprof: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("json: %w", err)
 	}
-	o := exp.Options{Scale: *scale, Verify: !*noverify, Procs: *procs, EngineWorkers: *workers}
-	var bad [4]error
-	o.Engine, bad[0] = arch.ParseEngineKind(*engine)
-	o.EngineSync, bad[1] = arch.ParseEngineSync(*engineSync)
-	o.NetModel, bad[2] = arch.ParseNetModel(*netModel)
-	o.Sample, bad[3] = arch.ParseSampleSpec(*sample)
-	if err := errors.Join(bad[:]...); err != nil {
-		fmt.Fprintf(os.Stderr, "flashexp profile: %v\n", err)
-		os.Exit(2)
+	buf = append(buf, '\n')
+	if *out == "-" {
+		_, err = os.Stdout.Write(buf)
+		return err
 	}
-	profs, err := exp.ProfileApps(o, exp.Fig41Apps())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "flashexp profile: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Print(exp.RenderProfiles(profs))
-	if *metricsOut != "" {
-		snaps := map[string]metrics.Snapshot{}
-		for _, p := range profs {
-			snaps[p.App] = p.Registry.Snapshot()
-		}
-		f, err := os.Create(*metricsOut)
-		if err == nil {
-			enc := json.NewEncoder(f)
-			enc.SetIndent("", "  ")
-			err = enc.Encode(snaps)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "flashexp profile: metrics: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if err := prof.Stop(); err != nil {
-		fmt.Fprintf(os.Stderr, "flashexp profile: pprof: %v\n", err)
-		os.Exit(1)
-	}
+	return os.WriteFile(*out, buf, 0o644)
 }

@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -99,5 +102,36 @@ func TestExploreRejectsBadInvocations(t *testing.T) {
 		if _, stderr, code := flashexp(t, args...); code != 2 || stderr == "" {
 			t.Errorf("flashexp %v: exit %d, stderr %q; want exit 2 and a message", args, code, stderr)
 		}
+	}
+}
+
+// TestFailedExperimentStopsProfiling pins what a failing experiment leaves
+// behind: exit 1 with the cause on stderr, a complete gzipped CPU profile, a
+// heap profile and the metrics file. Fft cannot split its 128-point rows
+// over 3 processors, so table5.2 fails within a second.
+func TestFailedExperimentStopsProfiling(t *testing.T) {
+	dir := t.TempDir()
+	metricsFile := filepath.Join(dir, "metrics.json")
+	_, stderr, code := flashexp(t, "-pprof", dir, "-metrics-out", metricsFile, "-procs", "3", "table5.2")
+	if code != 1 || !strings.Contains(stderr, "not divisible by 3 processors") {
+		t.Fatalf("exit %d, stderr %q; want exit 1 on fft's processor count", code, stderr)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "heap.pprof")); err != nil {
+		t.Errorf("no heap profile: %v", err)
+	}
+	f, err := os.Open(filepath.Join(dir, "cpu.pprof"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err == nil {
+		_, err = io.Copy(io.Discard, zr)
+	}
+	if err != nil {
+		t.Errorf("cpu.pprof does not gunzip: %v", err)
+	}
+	if buf, err := os.ReadFile(metricsFile); err != nil || !json.Valid(buf) {
+		t.Errorf("metrics file unreadable or not JSON (err %v)", err)
 	}
 }

@@ -51,9 +51,9 @@ func main() {
 }
 
 // run is the whole command. Every failure returns through it, so the
-// deferred closes below (trace sink, metrics file) run before main exits: a
+// deferred closes below (pprof capture, trace sink) run before main exits: a
 // run that dies on the cycle limit or in verification — the ones worth
-// tracing — still leaves a complete trace file.
+// tracing and profiling — still leaves a complete trace file and profiles.
 func run() (runErr error) {
 	machine := flag.String("machine", "flash", "machine kind: flash or ideal")
 	app := flag.String("app", "fft", "workload: barnes fft lu mp3d ocean os radix")
@@ -156,6 +156,11 @@ func run() (runErr error) {
 	if err != nil {
 		return fmt.Errorf("pprof: %w", err)
 	}
+	defer func() {
+		if err := prof.Stop(); err != nil && runErr == nil {
+			runErr = fmt.Errorf("pprof: %w", err)
+		}
+	}()
 	hostBefore := metrics.ReadHost()
 	m, err := core.New(cfg)
 	if err != nil {
@@ -232,9 +237,6 @@ func run() (runErr error) {
 				return fmt.Errorf("metrics: %w", err)
 			}
 		}
-	}
-	if err := prof.Stop(); err != nil {
-		return fmt.Errorf("pprof: %w", err)
 	}
 	if *jsonOut {
 		fmt.Fprintf(os.Stderr, "%s on %s (scale 1/%d): verified OK, wall %.1fs\n",

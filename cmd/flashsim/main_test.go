@@ -42,14 +42,16 @@ func flashsim(t *testing.T, args ...string) (stdout, stderr string, code int) {
 
 // TestFailedRunLeavesCompleteTrace pins what a run that dies on the cycle
 // limit leaves behind: exit 1, the error and every node's debug state on
-// stderr, and a trace file that was flushed and closed — in both formats.
+// stderr, a heap profile, and a trace file that was flushed and closed — in
+// both formats.
 func TestFailedRunLeavesCompleteTrace(t *testing.T) {
 	dir := t.TempDir()
 	run := func(format string) []byte {
 		t.Helper()
 		path := filepath.Join(dir, "trace."+format)
+		prof := filepath.Join(dir, "pprof-"+format)
 		_, stderr, code := flashsim(t, "-app", "fft", "-procs", "4", "-scale", "64",
-			"-limit", "2000", "-trace", path, "-trace-format", format)
+			"-limit", "2000", "-trace", path, "-trace-format", format, "-pprof", prof)
 		if code != 1 || !strings.Contains(stderr, "flashsim: sim: cycle limit exceeded") {
 			t.Fatalf("%s: exit %d, stderr %q; want exit 1 on the cycle limit", format, code, stderr)
 		}
@@ -57,6 +59,9 @@ func TestFailedRunLeavesCompleteTrace(t *testing.T) {
 			if !strings.Contains(stderr, want) {
 				t.Errorf("%s: stderr lacks the %q debug line", format, want)
 			}
+		}
+		if _, err := os.Stat(filepath.Join(prof, "heap.pprof")); err != nil {
+			t.Errorf("%s: no heap profile: %v", format, err)
 		}
 		buf, err := os.ReadFile(path)
 		if err != nil {

@@ -71,10 +71,6 @@ type Machine struct {
 	// its own slot (disjoint across shards) and aggregated after Run.
 	finAt   []sim.Cycle
 	finDone []bool
-
-	// restoredAt is the donor's engine clock when this machine was last
-	// restored from a snapshot (0 otherwise); see QuiesceTime.
-	restoredAt sim.Cycle
 }
 
 // SetTracer attaches tr to every component of the machine — processors,
@@ -259,40 +255,24 @@ func (m *Machine) Word(a arch.Addr) *uint64 { return m.Backing.Word(uint64(a) / 
 // Run attaches one reference source per processor, runs the machine until
 // every source is exhausted and all outstanding traffic drains, and records
 // the parallel execution time. limit (0 = none) bounds the simulation in
-// cycles as a hang guard.
+// cycles as a hang guard. Processors parked at a PauseAfterRefs pause point
+// are accounted for — only a genuinely stuck processor is a deadlock.
 func (m *Machine) Run(sources []cpu.RefSource, limit sim.Cycle) error {
 	if len(sources) != len(m.Nodes) {
 		return fmt.Errorf("core: %d sources for %d processors", len(sources), len(m.Nodes))
 	}
 	m.finAt = make([]sim.Cycle, len(m.Nodes))
 	m.finDone = make([]bool, len(m.Nodes))
-	m.AttachSources(sources)
-	for _, n := range m.Nodes {
-		n.CPU.Start()
-	}
-	m.Eng.SetLimit(limit)
-	return m.finishRun()
-}
-
-// AttachSources wires one reference source per processor without resetting
-// the per-node finish records. Run does this itself; the only direct caller
-// is the workload fork path, which installs replayed sources into a machine
-// whose finish records were just restored from a snapshot.
-func (m *Machine) AttachSources(sources []cpu.RefSource) {
 	for i, n := range m.Nodes {
-		i := i
 		n.CPU.SetSource(sources[i], func(at sim.Cycle) {
 			m.finDone[i] = true
 			m.finAt[i] = at
 		})
 	}
-}
-
-// finishRun drives the engine until its event population drains, publishes
-// buffered store views, and aggregates completion. Processors parked at a
-// snapshot pause point are accounted for — only a genuinely stuck processor
-// is a deadlock.
-func (m *Machine) finishRun() error {
+	for _, n := range m.Nodes {
+		n.CPU.Start()
+	}
+	m.Eng.SetLimit(limit)
 	err := m.Eng.Run()
 	// Publish any writes still buffered in node views so post-run
 	// verification and coherence checks see the final memory image.

@@ -23,22 +23,14 @@ import (
 // for them. The small remainder — caches, MDC tags, PP registers, memory
 // controllers, port sequence counters — is deep-copied, so a snapshot is
 // immutable, costs O(state the donor touched), and may seed any number of
-// forks.
+// restores.
 //
-// A Snapshot deliberately does not capture workload coroutine state; the
-// workload package reconstructs its reference sources by replay (see
-// workload.Checkpoint) and reattaches them with AttachSources.
+// A Snapshot does not capture workload coroutine state, so a restored
+// machine holds the donor's simulated state but cannot run on.
 type Snapshot struct {
 	// SimKey is the donor's arch.Config.SimKey; Restore demands equality so
 	// a snapshot can only land on a machine simulating identical hardware.
 	SimKey string
-
-	// Now is the engine clock at capture: the earliest cycle at which a
-	// restored machine may resume.
-	Now sim.Cycle
-	// Executed is the donor's event count at capture, for accounting
-	// identities (cold total == prefix + fork executed).
-	Executed uint64
 
 	// Chunks is the frozen copy-on-write store image.
 	Chunks [][]uint64
@@ -61,7 +53,7 @@ type Snapshot struct {
 // no tracer, and no occupancy sampling. Each excluded feature holds run
 // state outside the captured components (fast-forward chains publish
 // through write-through views, tracers and occupancy series accumulate
-// history) that a fork could not reproduce.
+// history) that a restore could not reproduce.
 func (m *Machine) snapshotable() error {
 	if m.Cfg.Kind != arch.KindFLASH {
 		return fmt.Errorf("core: snapshots support FLASH machines only (kind %v)", m.Cfg.Kind)
@@ -103,12 +95,10 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 		}
 	}
 	s := &Snapshot{
-		SimKey:   m.Cfg.SimKey(),
-		Now:      m.Eng.Now(),
-		Executed: m.Eng.ExecutedEvents(),
-		Chunks:   m.Backing.SnapshotChunks(),
-		FinAt:    append([]sim.Cycle(nil), m.finAt...),
-		FinDone:  append([]bool(nil), m.finDone...),
+		SimKey:  m.Cfg.SimKey(),
+		Chunks:  m.Backing.SnapshotChunks(),
+		FinAt:   append([]sim.Cycle(nil), m.finAt...),
+		FinDone: append([]bool(nil), m.finDone...),
 	}
 	for _, n := range m.Nodes {
 		s.CPUs = append(s.CPUs, n.CPU.CaptureState())
@@ -120,16 +110,10 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 }
 
 // Restore installs a snapshot into this machine, which must simulate
-// identical hardware (SimKey equality). The engine clock rewinds to zero
-// and local event sequence numbers renumber from scratch; this is
-// invisible to simulated behavior because the queues are empty at capture,
-// renumbering preserves the relative order of same-cycle local events, and
-// dispatch order depends only on (cycle, key) ordering. The donor's clock
-// survives as the machine's quiesce floor (QuiesceTime), so a fork whose
-// processors all finished inside the prefix — and therefore never advances
-// its own clock — still reports the donor's drain time. After Restore the
-// caller reattaches replayed reference sources (AttachSources) and resumes
-// with ResumeRun at or after snapshot.Now.
+// identical hardware (SimKey equality): afterwards it holds the donor's
+// memories, caches, controllers and statistics, its engine clock at zero
+// and its event queues empty. Snapshot on the restored machine yields a
+// snapshot equal to the one installed.
 func (m *Machine) Restore(s *Snapshot) error {
 	if err := m.snapshotable(); err != nil {
 		return err
@@ -152,7 +136,6 @@ func (m *Machine) Restore(s *Snapshot) error {
 	m.finAt = append([]sim.Cycle(nil), s.FinAt...)
 	m.finDone = append([]bool(nil), s.FinDone...)
 	m.Elapsed = 0
-	m.restoredAt = s.Now
 	return nil
 }
 
@@ -186,18 +169,8 @@ func (m *Machine) Reset() {
 		}
 	}
 	m.Elapsed = 0
-	m.restoredAt = 0
 	m.finAt = nil
 	m.finDone = nil
-}
-
-// QuiesceTime returns the cycle at which the machine's last event ran: the
-// engine clock, or the donor's clock at capture when the machine was
-// restored from a snapshot and has executed nothing later. It is the
-// denominator of whole-run occupancies (controllers keep draining
-// writebacks briefly after the last processor retires).
-func (m *Machine) QuiesceTime() sim.Cycle {
-	return max(m.Eng.Now(), m.restoredAt)
 }
 
 // PauseAfterRefs arms every processor to pause at the first batch-refill
@@ -209,32 +182,6 @@ func (m *Machine) PauseAfterRefs(k uint64) {
 	for _, n := range m.Nodes {
 		n.CPU.PauseAfter(k)
 	}
-}
-
-// ResumeRun restarts a machine whose processors are parked at a pause
-// point — either the same machine that just ran a paused prefix, or a
-// machine freshly restored from a snapshot of one. Each paused processor
-// resumes at max(its pause cycle, at), in node order; passing the
-// snapshot's Now as `at` makes a restored fork schedule its resume events
-// at exactly the cycles the donor would, which is what makes forked and
-// cold continuations bit-identical. limit (0 = none) bounds the resumed
-// run as in Run.
-func (m *Machine) ResumeRun(at, limit sim.Cycle) error {
-	if m.finAt == nil {
-		return fmt.Errorf("core: ResumeRun without a paused run")
-	}
-	for _, n := range m.Nodes {
-		if !n.CPU.Paused() {
-			continue
-		}
-		rt := n.CPU.PausedAt()
-		if rt < at {
-			rt = at
-		}
-		n.CPU.ResumeAt(rt)
-	}
-	m.Eng.SetLimit(limit)
-	return m.finishRun()
 }
 
 // SimKeyFor returns cfg's simulated-behavior key after applying the same

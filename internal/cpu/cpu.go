@@ -394,8 +394,8 @@ func (c *CPU) Direct(r *Ref) (ok, blocked bool) {
 // hitDone releases the thread behind a read or RMW that hit in the cache.
 // From the run loop it resumes the thread with the loop marked live; from
 // Direct the thread is the caller, and returning to it is the release.
-// Snapshot prefixes (pauseAfter armed) never go live: their pause points
-// and pull counts are defined at batch boundaries.
+// Paused prefixes (pauseAfter armed) never go live: their pause points are
+// defined at batch boundaries.
 func (c *CPU) hitDone() {
 	if c.live {
 		return
@@ -1057,22 +1057,8 @@ func (c *CPU) PauseAfter(k uint64) { c.pauseAfter = k }
 // Paused reports whether the run loop is parked at a pause point.
 func (c *CPU) Paused() bool { return c.paused }
 
-// PausedAt returns the virtual cycle at which the run loop parked.
-func (c *CPU) PausedAt() sim.Cycle { return c.pausedAt }
-
 // Finished reports whether the reference stream ran out.
 func (c *CPU) Finished() bool { return c.done }
-
-// ResumeAt clears the pause and restarts the run loop at absolute cycle at
-// (>= both the engine clock and PausedAt). Callers disarm or re-arm
-// PauseAfter first. No-op for a finished processor.
-func (c *CPU) ResumeAt(at sim.Cycle) {
-	if c.done {
-		return
-	}
-	c.paused = false
-	c.eng.At(at, c.rerun)
-}
 
 // CPUState is the deterministic simulation state of one quiesced processor,
 // captured by CaptureState.
@@ -1111,8 +1097,7 @@ func (c *CPU) CaptureState() CPUState {
 
 // RestoreState installs a captured processor state into a freshly
 // constructed or Reset CPU of the same configuration, leaving it parked
-// exactly as the donor was. The reference source is reattached separately
-// (workload replay); ResumeAt restarts execution.
+// exactly as the donor was, with no reference source attached.
 func (c *CPU) RestoreState(st CPUState) {
 	c.Cache.RestoreState(st.Cache)
 	c.Bus = st.Bus

@@ -38,21 +38,13 @@ type Options struct {
 	// one OS thread hot plus one goroutine per simulated processor),
 	// floored at 2 so small hosts keep the FLASH/ideal pair concurrent.
 	Parallelism int
-	// Engine selects the event-engine backend for the profile harness.
-	Engine arch.EngineKind
-	// EngineSync selects the sharded engine's synchronization scheme for
-	// the profile harness.
-	EngineSync arch.EngineSync
-	// EngineWorkers overrides the sharded engine's worker-pool size for the
-	// profile harness (0 = GOMAXPROCS-derived).
-	EngineWorkers int
 	// NetModel selects the network latency model every experiment's machines
 	// use (the zero value is the paper's uniform average; NetMesh switches
 	// to per-pair 2-D mesh transit and changes simulated timing).
 	NetModel arch.NetModel
 	// Sample, when enabled, runs experiments under the sampled fast-forward
 	// schedule (see arch.SampleSpec). Most experiments ignore it; the
-	// sampled experiment and the profile harness honor it.
+	// sampled experiment honors it.
 	Sample arch.SampleSpec
 	// SampleApps restricts the sampled experiment to these applications
 	// (empty = the full Figure 4.1 suite). Sampling schedules are tuned
@@ -84,24 +76,10 @@ func (o Options) workers(simProcs int) int {
 // the simulation cost. Use Scale 1 or 2 to approach the paper sizes.
 func DefaultOptions() Options { return Options{Scale: 4, Verify: true} }
 
-// quickScale gives per-application divisors applied on top of
-// Options.Scale; Options.Scale == 1 runs the paper sizes.
-var quickScale = map[string]int{
-	"fft":    1,
-	"lu":     1,
-	"radix":  1,
-	"ocean":  1,
-	"barnes": 1,
-	"mp3d":   1,
-	"os":     1,
-}
-
+// paramsFor is the problem size every experiment runs: Options.Scale (at
+// least 1, the paper sizes) on procs processors.
 func (o Options) paramsFor(app string, procs int) apps.Params {
-	s := o.Scale
-	if s <= 0 {
-		s = 1
-	}
-	return apps.Params{Procs: procs, Scale: s * quickScale[app]}
+	return apps.Params{Procs: procs, Scale: max(o.Scale, 1)}
 }
 
 // Run is one completed simulation.
@@ -130,8 +108,7 @@ func RunApp(name string, cfg arch.Config, p apps.Params, verify bool) (*Run, err
 // The returned report carries host-cost accounting (Report.Host) sampled
 // around the run. The runtime counters are process-wide, so when several
 // simulations run concurrently (Pair, parallelMap) each delta includes its
-// neighbours' allocations; ProfileApps runs sequentially for exact
-// attribution.
+// neighbours' allocations.
 func RunAppObserved(name string, cfg arch.Config, p apps.Params, verify bool, observe func(*core.Machine)) (*Run, error) {
 	before := metrics.ReadHost()
 	m, err := core.New(cfg)

@@ -18,11 +18,11 @@ package exp
 //     no grouping: every point is its own job.
 //   - execute: the jobs the cache did not answer run on
 //     min(GOMAXPROCS, jobs) worker goroutines. Each builds a fresh machine,
-//     runs the point as a phased simulation (prefix to a pause point,
-//     checkpoint-compatible quiescence, resume in place) and drops the
-//     machine. Jobs share nothing mutable: protocol programs are memoized
-//     process-wide and read-only (TestSharedProgramConcurrentMachines), and
-//     a worker writes only its own job.
+//     runs the point exactly as flashsim runs it (World.Run, start to
+//     finish) and drops the machine. Jobs share nothing mutable: protocol
+//     programs are memoized process-wide and read-only
+//     (TestSharedProgramConcurrentMachines), and a worker writes only its
+//     own job.
 //   - assemble: one goroutine walks the grid in order, stores new reports
 //     in the cache, counts hits, misses and machines, digests each distinct
 //     report once, and joins the failures in grid order.
@@ -35,14 +35,10 @@ package exp
 // (TestExploreParallelDeterminism); scripts/bench.sh asserts cold == warm,
 // along with the warm speedup floor.
 //
-// The sweep forks no snapshots. No two simulated points share a simulated
-// prefix — every point differs in a simulated knob from cycle 0 — so a fork
-// has nothing to reuse. An earlier warm path ran each point's prefix on a
-// donor machine, checkpointed, and resumed on a snapshot fork; measured on
-// the repo benchmark that was two machines per point for +25 % wall and CPU
-// and +20 % peak RSS with zero reuse (DESIGN.md §15 keeps the table).
-// core/snapshot.go and workload/fork.go remain for callers that do share a
-// prefix, pinned by TestForkDeterminism.
+// A point's numbers are those of a standalone run of its configuration
+// (TestExplorePointIsStandaloneRun). No two simulated points share a
+// simulated prefix — every point differs in a simulated knob from cycle 0 —
+// so nothing is forked or replayed (DESIGN.md §15 keeps the post-mortem).
 
 import (
 	"crypto/sha256"
@@ -73,9 +69,6 @@ type ExploreOptions struct {
 	Scale int
 	// Procs is the node count (default 4).
 	Procs int
-	// PrefixRefs is the per-processor reference count at which each phased
-	// run pauses and resumes (default 20000, the fork-golden pause point).
-	PrefixRefs uint64
 	// Warm turns the result cache on; false runs the naive cold sweep,
 	// which simulates every point.
 	Warm bool
@@ -122,11 +115,10 @@ type ExplorePoint struct {
 // ExploreResult is the full sweep outcome. Marshaling it produces the
 // deterministic result file; the summary counters live outside it.
 type ExploreResult struct {
-	App        string         `json:"app"`
-	Scale      int            `json:"scale"`
-	Procs      int            `json:"procs"`
-	PrefixRefs uint64         `json:"prefix_refs"`
-	Points     []ExplorePoint `json:"points"`
+	App    string         `json:"app"`
+	Scale  int            `json:"scale"`
+	Procs  int            `json:"procs"`
+	Points []ExplorePoint `json:"points"`
 
 	// Summary counters, not part of the deterministic result payload.
 	// PoolBuilds counts the machines the sweep constructed (one per
@@ -254,11 +246,10 @@ func (c *ResultCache) Put(key string, rep stats.Report) error {
 
 // exploreCacheKey is the content address of one simulated point: the
 // normalized simulated-behavior key (engine/sync/dispatch excluded — they
-// cannot change the result) plus the workload identity and the phase
-// schedule.
-func exploreCacheKey(cfg arch.Config, app string, scale, procs int, prefixRefs uint64) string {
-	return fmt.Sprintf("explore-v1|%s|app=%s|scale=%d|procs=%d|prefix=%d",
-		core.SimKeyFor(cfg), app, scale, procs, prefixRefs)
+// cannot change the result) plus the workload identity.
+func exploreCacheKey(cfg arch.Config, app string, scale, procs int) string {
+	return fmt.Sprintf("explore-v2|%s|app=%s|scale=%d|procs=%d",
+		core.SimKeyFor(cfg), app, scale, procs)
 }
 
 func reportDigest(rep stats.Report) string {
@@ -272,14 +263,12 @@ func reportDigest(rep stats.Report) string {
 }
 
 // exploreJob is one distinct simulation of the sweep: the ideal baseline or
-// a FLASH design point. Plan fills name, key, cfg and pauseRefs (and rep, hit
-// when the cache answers); a worker fills rep or err; assemble fills the
-// rest.
+// a FLASH design point. Plan fills name, key and cfg (and rep, hit when the
+// cache answers); a worker fills rep or err; assemble fills the rest.
 type exploreJob struct {
-	name      string // the baseline, or the first grid point that needs it
-	key       string
-	cfg       arch.Config
-	pauseRefs uint64 // 0 runs unphased (the ideal baseline)
+	name string // the baseline, or the first grid point that needs it
+	key  string
+	cfg  arch.Config
 
 	hit    bool // served by the result cache: nothing to simulate
 	used   bool // a grid point has taken its report
@@ -290,9 +279,9 @@ type exploreJob struct {
 
 // simulate runs the job on a fresh machine, which is garbage when it
 // returns. A panic on this goroutine — an app builder, a workload thread
-// (coroutines propagate theirs to the resumer), a capture off quiescence —
-// comes back as the job's error; one raised on a sharded engine's own shard
-// goroutine still ends the process.
+// (coroutines propagate theirs to the resumer) — comes back as the job's
+// error; one raised on a sharded engine's own shard goroutine still ends
+// the process.
 func (j *exploreJob) simulate(o ExploreOptions, p apps.Params) (rep stats.Report, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -308,15 +297,7 @@ func (j *exploreJob) simulate(o ExploreOptions, p apps.Params) (rep stats.Report
 	if err != nil {
 		return stats.Report{}, err
 	}
-	if j.pauseRefs == 0 {
-		err = w.Run(a.Run, 0)
-	} else {
-		var pre *workload.Prefix
-		if pre, err = w.RunPrefix(a.Run, j.pauseRefs, 0); err == nil {
-			err = pre.Resume()
-		}
-	}
-	if err != nil {
+	if err := w.Run(a.Run, 0); err != nil {
 		return stats.Report{}, err
 	}
 	if o.Verify {
@@ -347,9 +328,6 @@ func Explore(o ExploreOptions) (*ExploreResult, error) {
 	if o.Scale <= 0 {
 		o.Scale = goldenScaleFor(o.App)
 	}
-	if o.PrefixRefs == 0 {
-		o.PrefixRefs = 20000
-	}
 	p := apps.Params{Procs: o.Procs, Scale: o.Scale}
 
 	var cache *ResultCache // nil unless reports outlive the call
@@ -366,12 +344,12 @@ func Explore(o ExploreOptions) (*ExploreResult, error) {
 	// every point is its own job.
 	var jobs, todo []*exploreJob
 	byKey := map[string]*exploreJob{}
-	plan := func(name string, cfg arch.Config, pauseRefs uint64) *exploreJob {
-		key := exploreCacheKey(cfg, o.App, o.Scale, o.Procs, pauseRefs)
+	plan := func(name string, cfg arch.Config) *exploreJob {
+		key := exploreCacheKey(cfg, o.App, o.Scale, o.Procs)
 		if j := byKey[key]; j != nil {
 			return j
 		}
-		j := &exploreJob{name: name, key: key, cfg: cfg, pauseRefs: pauseRefs}
+		j := &exploreJob{name: name, key: key, cfg: cfg}
 		if j.rep, j.hit = cache.Get(key); !j.hit {
 			todo = append(todo, j)
 		}
@@ -383,14 +361,14 @@ func Explore(o ExploreOptions) (*ExploreResult, error) {
 	}
 
 	// The ideal baseline: the hardwired machine's timing ignores every
-	// swept MAGIC knob, so one (unphased) run serves the whole sweep.
+	// swept MAGIC knob, so one run serves the whole sweep.
 	idealCfg := arch.DefaultConfig()
 	idealCfg.Kind = arch.KindIdeal
 	idealCfg.Nodes = o.Procs
 	idealCfg.MemBytesPerNode = 4 << 20
-	ideal := plan("ideal baseline", idealCfg, 0)
+	ideal := plan("ideal baseline", idealCfg)
 
-	res := &ExploreResult{App: o.App, Scale: o.Scale, Procs: o.Procs, PrefixRefs: o.PrefixRefs}
+	res := &ExploreResult{App: o.App, Scale: o.Scale, Procs: o.Procs}
 	var jobOf []*exploreJob
 	for _, proto := range exploreProto {
 		for _, mdc := range exploreMDC {
@@ -423,7 +401,7 @@ func Explore(o ExploreOptions) (*ExploreResult, error) {
 							name := fmt.Sprintf("point %s/%s proto=%s mdc=%d div=%d qcap=%d net=%d",
 								pt.Engine, pt.Sync, pt.Protocol, mdc, div, qcap, transit)
 							res.Points = append(res.Points, pt)
-							jobOf = append(jobOf, plan(name, cfg, o.PrefixRefs))
+							jobOf = append(jobOf, plan(name, cfg))
 						}
 					}
 				}
@@ -512,14 +490,17 @@ func markPareto(pts []ExplorePoint) {
 	}
 }
 
-// goldenScaleFor returns the per-app default problem divisor (the golden
-// suite's scales — small enough for second-scale sweeps).
+// goldenScales holds the golden suite's per-app problem divisors — small
+// enough for second-scale sweeps.
+var goldenScales = map[string]int{
+	"fft": 256, "lu": 8, "radix": 64, "ocean": 8,
+	"barnes": 32, "mp3d": 50, "os": 16,
+}
+
+// goldenScaleFor returns the per-app default problem divisor: the golden
+// scale, or 256 for an application outside the suite.
 func goldenScaleFor(app string) int {
-	scales := map[string]int{
-		"fft": 256, "lu": 8, "radix": 64, "ocean": 8,
-		"barnes": 32, "mp3d": 50, "os": 16,
-	}
-	if s, ok := scales[app]; ok {
+	if s, ok := goldenScales[app]; ok {
 		return s
 	}
 	return 256

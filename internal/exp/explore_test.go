@@ -32,9 +32,7 @@ func trimmedGrid(t *testing.T) {
 // TestExploreWarmMatchesCold requires the warm (cached) sweep to emit
 // byte-identical results to the naive cold sweep — with the in-memory cache
 // and with a cache directory — and a second warm sweep over the directory
-// (all cache hits) to reproduce them again. Procs 2 is the case where every
-// processor finishes inside the prefix, so the resume phase has nothing left
-// to run.
+// (all cache hits) to reproduce them again, at two machine sizes.
 func TestExploreWarmMatchesCold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -104,6 +102,63 @@ func TestExploreWarmMatchesCold(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestExplorePointIsStandaloneRun requires every point of a sweep to be the
+// run RunApp makes of the same configuration: equal Elapsed and an equal
+// report digest for each FLASH point and for the ideal baseline. Barnes is
+// the application whose numbers a paused-and-resumed schedule moves most.
+func TestExplorePointIsStandaloneRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	trimmedGrid(t)
+	exploreProto = []arch.Protocol{arch.ProtoDynPtr, arch.ProtoBitVector}
+	const app, scale, procs = "barnes", 32, 4
+	res, err := Explore(ExploreOptions{App: app, Scale: scale, Procs: procs, Warm: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	standalone := func(cfg arch.Config) (uint64, string) {
+		t.Helper()
+		cfg.Nodes, cfg.MemBytesPerNode = procs, 4<<20
+		r, err := RunApp(app, cfg, apps.Params{Procs: procs, Scale: scale}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Report.Host = nil
+		return uint64(r.Report.Elapsed), reportDigest(r.Report)
+	}
+	ideal := arch.DefaultConfig()
+	ideal.Kind = arch.KindIdeal
+	idealElapsed, _ := standalone(ideal)
+	for _, p := range res.Points {
+		cfg := arch.DefaultConfig()
+		cfg.Kind = arch.KindFLASH
+		for _, proto := range exploreProto {
+			if proto.String() == p.Protocol {
+				cfg.Protocol = proto
+			}
+		}
+		cfg.MDCSize, cfg.PPClockDiv, cfg.NetQueueCap = p.MDCSize, p.PPClockDiv, p.NetQueueCap
+		cfg.Timing.NetTransit = uint32(p.NetTransit)
+		var bad [2]error
+		cfg.Engine, bad[0] = arch.ParseEngineKind(p.Engine)
+		if p.Sync != "-" {
+			cfg.EngineSync, bad[1] = arch.ParseEngineSync(p.Sync)
+		}
+		if bad[0] != nil || bad[1] != nil {
+			t.Fatal(bad)
+		}
+		elapsed, digest := standalone(cfg)
+		if p.Elapsed != elapsed || p.ReportDigest != digest {
+			t.Errorf("%s/%s %s div=%d: sweep %d cycles, report %s; standalone %d cycles, report %s",
+				p.Engine, p.Sync, p.Protocol, p.PPClockDiv, p.Elapsed, p.ReportDigest, elapsed, digest)
+		}
+		if p.IdealElapsed != idealElapsed {
+			t.Errorf("ideal baseline %d cycles, standalone %d", p.IdealElapsed, idealElapsed)
+		}
 	}
 }
 
@@ -333,7 +388,7 @@ func TestResultCacheRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := goldenConfig()
-	key := exploreCacheKey(cfg, "fft", 256, 4, 20000)
+	key := exploreCacheKey(cfg, "fft", 256, 4)
 	if _, ok := c.Get(key); ok {
 		t.Fatal("empty cache hit")
 	}

@@ -33,11 +33,6 @@ func goldenConfig() arch.Config {
 	return cfg
 }
 
-var goldenScales = map[string]int{
-	"fft": 256, "lu": 8, "radix": 64, "ocean": 8,
-	"barnes": 32, "mp3d": 50, "os": 16,
-}
-
 // goldenBackends is the host-backend matrix the golden suites run over: every
 // row must reproduce the same recorded digests, which is the whole claim the
 // backends make (host speed only, simulated behaviour bit-identical).
@@ -108,7 +103,7 @@ func readGolden(t *testing.T, file string) map[string]goldenDigest {
 	t.Helper()
 	buf, err := os.ReadFile(filepath.Join("testdata", file))
 	if err != nil {
-		t.Fatalf("missing golden digests (run with -update-golden / -update-fork-golden to record): %v", err)
+		t.Fatalf("missing golden digests (run with -update-golden to record): %v", err)
 	}
 	want := map[string]goldenDigest{}
 	if err := json.Unmarshal(buf, &want); err != nil {

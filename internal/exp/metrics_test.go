@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"strings"
 	"testing"
 
 	"flashsim/internal/apps"
@@ -87,5 +88,45 @@ func TestMetricsProfileShape(t *testing.T) {
 	}
 	if r.Report.Host == nil || r.Report.Host.WallNS <= 0 {
 		t.Errorf("Report.Host = %+v, want positive wall time", r.Report.Host)
+	}
+}
+
+// TestProfileAttribution pins the acceptance bar for the engine's
+// self-profile on an application run (what `flashsim -engine sharded
+// -metrics` prints): the four phases {window execution, barrier wait, outbox
+// drain, merge} must account for at least 95% of total engine wall time —
+// the chained-timestamp design leaves no systematic gaps.
+func TestProfileAttribution(t *testing.T) {
+	cfg := Options{}.baseConfig(16)
+	cfg.Engine = arch.EngineSharded
+	r, err := RunAppObserved("fft", cfg, apps.Params{Procs: 16, Scale: 256}, true, func(m *core.Machine) {
+		m.EnableMetrics(metrics.NewRegistry())
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := r.Machine.Eng.Profile()
+	if p == nil {
+		t.Fatal("no engine profile collected")
+	}
+	if cov := p.Coverage(); cov < 0.95 {
+		t.Errorf("phase attribution covers %.1f%% of engine wall time, want >= 95%%", 100*cov)
+	}
+	var shardEvents uint64
+	for i := range p.Shards {
+		s := &p.Shards[i]
+		shardEvents += s.Executed
+		if s.EmptyWindows > s.Windows {
+			t.Errorf("shard %d: empty windows %d > windows %d", i, s.EmptyWindows, s.Windows)
+		}
+	}
+	if total := r.Machine.Eng.ExecutedEvents(); shardEvents != total {
+		t.Errorf("shard events sum %d != engine total %d", shardEvents, total)
+	}
+	out := p.String()
+	for _, want := range []string{"window exec", "barrier wait", "outbox drain", "merge"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report missing %q:\n%s", want, out)
+		}
 	}
 }

@@ -157,6 +157,11 @@ func minWallRun(name string, cfg arch.Config, p apps.Params, verify bool) (*Run,
 	return best, nil
 }
 
+// Fig41Apps is the Figure 4.1 suite in the paper's presentation order.
+func Fig41Apps() []string {
+	return []string{"fft", "lu", "radix", "ocean", "barnes", "mp3d", "os"}
+}
+
 func pickProcs(o Options) int {
 	if o.Procs > 0 {
 		return o.Procs

@@ -126,8 +126,8 @@ func (n *Network) total(f func(*Port) uint64) uint64 {
 }
 
 // PortState is a port's deterministic state: the send-sequence counter
-// (which keys delivery order, so forks must continue it exactly) and the
-// message counters.
+// (which keys delivery order, so a restored port must continue it exactly)
+// and the message counters.
 type PortState struct {
 	Seq       uint64
 	Msgs      uint64

@@ -146,7 +146,7 @@ func Collect(m *core.Machine) Report {
 	// draining writebacks briefly after the last processor retires. Under
 	// sampling, occupancy only accumulates in detailed phases, so the
 	// denominator shrinks to the detailed share of that span.
-	total := m.QuiesceTime()
+	total := m.Eng.Now()
 	if total < m.Elapsed {
 		total = m.Elapsed
 	}

@@ -199,16 +199,6 @@ type Ctx struct {
 	busy   uint32
 	senses map[*Barrier]uint64
 	prng   uint64
-
-	// Snapshot support (see Checkpoint). rec, when recording, accumulates
-	// the data result of every blocking reference in completion order.
-	// replay, when non-empty, holds recorded results still to be consumed:
-	// blocking references yield their batches normally (rebuilding the
-	// coroutine's parked position) but take their result from the log
-	// instead of from a simulated completion.
-	recOn  bool
-	rec    []uint64
-	replay []uint64
 }
 
 // maxBatch bounds how many non-blocking references a thread buffers before
@@ -268,19 +258,9 @@ func (c *Ctx) issueWait(r cpu.Ref) {
 }
 
 // wait issues a blocking reference and returns its data result — the value
-// the simulated machine completed it with, recorded if the thread is being
-// checkpointed. While replaying a recorded prefix the yields still run
-// (walking the coroutine back to its parked position and regenerating the
-// reference stream the donor already executed) but the result comes from
-// the log: no machine is consuming the batches, so c.out was never written.
+// the simulated machine completed it with.
 func (c *Ctx) wait(r cpu.Ref) uint64 {
 	c.issueWait(r)
-	if len(c.replay) > 0 {
-		c.out = c.replay[0]
-		c.replay = c.replay[1:]
-	} else if c.recOn {
-		c.rec = append(c.rec, c.out)
-	}
 	return c.out
 }
 
@@ -341,20 +321,9 @@ func (c *Ctx) Rand() uint64 {
 // pending for the NextBatch call that follows.
 type threadSource struct {
 	next       func() ([]cpu.Ref, bool)
-	ctx        *Ctx
-	pulls      int
 	pending    []cpu.Ref
 	pendingOK  bool
 	hasPending bool
-}
-
-// pull resumes the coroutine once, counting the resume so a checkpoint can
-// record how many times the donor advanced this thread — the fork replay
-// pumps its reconstructed coroutine exactly that many times to park it at
-// the same program point.
-func (s *threadSource) pull() ([]cpu.Ref, bool) {
-	s.pulls++
-	return s.next()
 }
 
 func (s *threadSource) NextBatch() ([]cpu.Ref, bool) {
@@ -363,40 +332,43 @@ func (s *threadSource) NextBatch() ([]cpu.Ref, bool) {
 		s.pending, s.hasPending = nil, false
 		return b, ok
 	}
-	return s.pull()
+	return s.next()
 }
 
 func (s *threadSource) ReadDone() {
-	s.pending, s.pendingOK = s.pull()
+	s.pending, s.pendingOK = s.next()
 	s.hasPending = true
 }
 
-// threadSeed is the per-thread xorshift PRNG seed; identical for a thread
-// and its replayed fork so Rand streams reproduce.
+// threadSeed is the per-thread xorshift PRNG seed, so Rand streams
+// reproduce from run to run.
 func threadSeed(i int) uint64 { return uint64(i)*0x9E3779B97F4A7C15 + 0x1234567 }
 
-// newThread builds a Ctx and its coroutine source for processor i running
-// fn. The coroutine body is shared by first runs, recorded prefixes, and
-// fork replays — only the Ctx mode fields differ.
-func (w *World) newThread(i int, fn func(*Ctx)) *threadSource {
-	c := &Ctx{
-		W: w, ID: i,
-		cpu:    w.M.Nodes[i].CPU,
-		senses: make(map[*Barrier]uint64),
-		prng:   threadSeed(i),
+// threads builds one Ctx and its coroutine source per processor, each
+// running fn.
+func (w *World) threads(fn func(*Ctx)) []cpu.RefSource {
+	srcs := make([]cpu.RefSource, w.Cfg.Nodes)
+	for i := range srcs {
+		c := &Ctx{
+			W: w, ID: i,
+			cpu:    w.M.Nodes[i].CPU,
+			senses: make(map[*Barrier]uint64),
+			prng:   threadSeed(i),
+		}
+		next, _ := iter.Pull(func(yield func([]cpu.Ref) bool) {
+			c.yield = yield
+			defer func() {
+				// Trailing non-blocking references still ride to the CPU
+				// before the stream ends.
+				if len(c.batch) > 0 {
+					yield(c.batch)
+				}
+			}()
+			fn(c)
+		})
+		srcs[i] = &threadSource{next: next}
 	}
-	next, _ := iter.Pull(func(yield func([]cpu.Ref) bool) {
-		c.yield = yield
-		defer func() {
-			// Trailing non-blocking references still ride to the CPU
-			// before the stream ends.
-			if len(c.batch) > 0 {
-				yield(c.batch)
-			}
-		}()
-		fn(c)
-	})
-	return &threadSource{next: next, ctx: c}
+	return srcs
 }
 
 // Run runs one coroutine per processor executing fn(ctx) and runs the
@@ -408,12 +380,27 @@ func (w *World) newThread(i int, fn func(*Ctx)) *threadSource {
 // control directly, and the simulated behavior is identical either way:
 // resume order is decided by simulated time, never by the host scheduler.
 func (w *World) Run(fn func(*Ctx), limit uint64) error {
-	srcs := make([]cpu.RefSource, w.Cfg.Nodes)
-	for i := range srcs {
-		srcs[i] = w.newThread(i, fn)
-	}
 	// A deadlocked or over-limit machine leaves thread coroutines parked in
 	// their yield; they are abandoned (the error is fatal to the simulation
 	// anyway). On success every source was drained, so every fn returned.
-	return w.M.Run(srcs, sim.Cycle(limit))
+	return w.M.Run(w.threads(fn), sim.Cycle(limit))
+}
+
+// Prefix is a run RunPrefix paused. It holds nothing: the paused state is
+// the machine's, and the parked threads are never resumed.
+type Prefix struct{}
+
+// RunPrefix runs fn on every processor until each has retired pauseRefs
+// references and paused at its next batch-refill boundary, with all
+// outstanding traffic drained: a quiescent machine that Machine.Snapshot can
+// capture. limit bounds simulated cycles (0 = none).
+func (w *World) RunPrefix(fn func(*Ctx), pauseRefs, limit uint64) (*Prefix, error) {
+	if pauseRefs == 0 {
+		return nil, fmt.Errorf("workload: RunPrefix needs a positive pause point")
+	}
+	w.M.PauseAfterRefs(pauseRefs)
+	if err := w.M.Run(w.threads(fn), sim.Cycle(limit)); err != nil {
+		return nil, err
+	}
+	return &Prefix{}, nil
 }

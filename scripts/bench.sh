@@ -11,9 +11,8 @@
 # section compares fast-forward execution against full simulation (error +
 # confidence intervals + speedup; gate: >= 3x at <= 5% error on >= 2 apps,
 # carried by per-app tuned schedules; a failed gate is recorded with its
-# table and fails the script at the end), a multicore section records
-# barrier-vs-watermark walls and a timed paper-size run (skipped, loudly, on
-# 1 core), and an explore section times the design-space sweep cold vs warm
+# table and fails the script at the end), a multicore section records a
+# timed paper-size run (skipped, loudly, on 1 core), and an explore section times the design-space sweep cold vs warm
 # (result cache on; gate: >= 2x, bit-identical output).
 #
 # Usage:  scripts/bench.sh            # -> BENCH_sim.json
@@ -320,37 +319,30 @@ GATE_PASSING_JSON="$(printf '%s\n' "$GATE_PASSING" | awk 'NF { s = s (s ? ", " :
 	printf '  },\n'
 } >>"$OUT"
 
-# Multicore measurement debt (ROADMAP): a wall-clock barrier-vs-watermark
-# comparison and a timed paper-size `flashexp all -scale 1` only mean
-# something when the sharded engine has real cores to spread over. On a
-# 1-core host both are recorded as explicitly skipped, not silently dropped.
+# Multicore measurement debt (ROADMAP): a timed paper-size `flashexp all
+# -scale 1` only means something with real cores to spread over. On a
+# 1-core host it is recorded as explicitly skipped, not silently dropped.
+# Barrier-vs-watermark walls are the repo benchmark's
+# sim.sharded_barrier_w2_ratio and sim.sharded_watermark_w2_ratio.
 if [ "$HOST_CPUS" -gt 1 ]; then
-	T_PB="$(now_s)"
-	go run ./cmd/flashexp profile -engine-sync=barrier >/dev/null
-	PROFILE_BARRIER_WALL="$(since "$T_PB")"
-	T_PW="$(now_s)"
-	go run ./cmd/flashexp profile -engine-sync=watermark >/dev/null
-	PROFILE_WATERMARK_WALL="$(since "$T_PW")"
 	T_ALL1="$(now_s)"
 	go run ./cmd/flashexp all -scale 1 >/dev/null
 	ALL_SCALE1_WALL="$(since "$T_ALL1")"
 	{
 		printf '  "multicore": {\n'
-		printf '    "note": "wall-clock barrier-vs-watermark (flashexp profile, Fig 4.1 suite) and end-to-end paper-size run (flashexp all -scale 1)",\n'
+		printf '    "note": "end-to-end paper-size run (flashexp all -scale 1)",\n'
 		printf '    "gomaxprocs": %s,\n' "$GOMAXPROCS_VAL"
 		printf '    "host_cpus": %s,\n' "$HOST_CPUS"
-		printf '    "profile_barrier_wall_seconds": %s,\n' "$PROFILE_BARRIER_WALL"
-		printf '    "profile_watermark_wall_seconds": %s,\n' "$PROFILE_WATERMARK_WALL"
 		printf '    "all_scale1_wall_seconds": %s\n' "$ALL_SCALE1_WALL"
 		printf '  },\n'
 	} >>"$OUT"
-	echo "bench.sh: multicore walls: profile barrier=${PROFILE_BARRIER_WALL}s watermark=${PROFILE_WATERMARK_WALL}s, all -scale 1=${ALL_SCALE1_WALL}s"
+	echo "bench.sh: multicore wall: all -scale 1=${ALL_SCALE1_WALL}s"
 else
 	{
 		printf '  "multicore": {\n'
 		printf '    "skipped": true,\n'
 		printf '    "host_cpus": %s,\n' "$HOST_CPUS"
-		printf '    "note": "barrier-vs-watermark wall comparison and timed flashexp all -scale 1 need host_cpus > 1 (the sharded engine degenerates to an in-order window loop on one core); rerun scripts/bench.sh on a multicore host to fill this section"\n'
+		printf '    "note": "the timed flashexp all -scale 1 needs host_cpus > 1; rerun scripts/bench.sh on a multicore host to fill this section"\n'
 		printf '  },\n'
 	} >>"$OUT"
 	echo "bench.sh: multicore wall comparison SKIPPED (host_cpus=$HOST_CPUS; needs > 1)"
