@@ -118,14 +118,6 @@ func run() (runErr error) {
 	default:
 		return fmt.Errorf("unknown placement %q", *placement)
 	}
-	switch *proto {
-	case "dynptr":
-		cfg.Protocol = arch.ProtoDynPtr
-	case "bitvec":
-		cfg.Protocol = arch.ProtoBitVector
-	default:
-		return fmt.Errorf("unknown protocol %q", *proto)
-	}
 	switch *ppmode {
 	case "dual":
 		cfg.PPMode = arch.PPDualIssue
@@ -136,12 +128,13 @@ func run() (runErr error) {
 	default:
 		return fmt.Errorf("unknown ppmode %q", *ppmode)
 	}
-	var bad [5]error
+	var bad [6]error
 	cfg.PPDispatch, bad[0] = arch.ParsePPDispatch(*ppDispatch)
 	cfg.Engine, bad[1] = arch.ParseEngineKind(*engine)
 	cfg.EngineSync, bad[2] = arch.ParseEngineSync(*engineSync)
 	cfg.NetModel, bad[3] = arch.ParseNetModel(*netModel)
 	cfg.Sample, bad[4] = arch.ParseSampleSpec(*sample)
+	cfg.Protocol, bad[5] = arch.ParseProtocol(*proto)
 	if err := errors.Join(bad[:]...); err != nil {
 		return err
 	}

@@ -85,13 +85,15 @@ func TestFailedRunLeavesCompleteTrace(t *testing.T) {
 }
 
 // TestRejectsUnknownBackends pins the flag-to-Config route: every backend
-// flag is parsed by arch, and the error names the accepted set.
+// flag, and -protocol, is parsed by arch, and the error names the accepted
+// set.
 func TestRejectsUnknownBackends(t *testing.T) {
 	for flag, want := range map[string]string{
 		"-engine":      `arch: unknown engine "bogus" (want seq or sharded)`,
 		"-engine-sync": `arch: unknown engine-sync "bogus" (want barrier or watermark)`,
 		"-pp-dispatch": `arch: unknown pp-dispatch "bogus" (want compiled or interp)`,
 		"-net":         `arch: unknown net model "bogus" (want uniform or mesh)`,
+		"-protocol":    `arch: unknown protocol "bogus" (want dynptr or bitvec)`,
 	} {
 		if _, stderr, code := flashsim(t, flag, "bogus"); code != 1 || !strings.Contains(stderr, want) {
 			t.Errorf("flashsim %s bogus: exit %d, stderr %q; want exit 1 and %q", flag, code, stderr, want)

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	ppasm [-mode dual|single|dlx] [-stats] [file.s]
+//	ppasm [-protocol dynptr|bitvec] [-mode dual|single|dlx] [-stats] [file.s]
 //
 // Without a file the built-in cache-coherence protocol is used.
 package main
@@ -21,46 +21,53 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintf(os.Stderr, "ppasm: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command; every failure returns through it.
+func run() error {
 	mode := flag.String("mode", "dual", "schedule mode: dual, single, dlx")
 	statsOnly := flag.Bool("stats", false, "print statistics only, not the listing")
 	proto := flag.String("protocol", "dynptr", "built-in protocol: dynptr, bitvec")
 	flag.Parse()
 
 	cfg := arch.DefaultConfig()
-	if *proto == "bitvec" {
-		cfg.Protocol = arch.ProtoBitVector
+	var err error
+	if cfg.Protocol, err = arch.ParseProtocol(*proto); err != nil {
+		return err
+	}
+	smode := ppisa.DualIssue
+	switch *mode {
+	case "dual", "dlx":
+	case "single":
+		smode = ppisa.SingleIssue
+	default:
+		return fmt.Errorf("unknown mode %q (want dual, single or dlx)", *mode)
 	}
 	layout := protocol.NewLayout(&cfg)
 
 	var src *ppisa.Source
-	var err error
 	if flag.NArg() > 0 {
-		text, rerr := os.ReadFile(flag.Arg(0))
-		if rerr != nil {
-			fatal("%v", rerr)
+		text, err := os.ReadFile(flag.Arg(0))
+		if err != nil {
+			return err
 		}
-		src, err = ppisa.Assemble(string(text), layout.Symbols())
+		if src, err = ppisa.Assemble(string(text), layout.Symbols()); err != nil {
+			return err
+		}
 	} else {
-		prog, perr := protocol.Build(&cfg)
-		if perr != nil {
-			fatal("%v", perr)
+		prog, err := protocol.Build(&cfg)
+		if err != nil {
+			return err
 		}
 		src = prog.Source
 	}
-	if err != nil {
-		fatal("%v", err)
-	}
-
-	smode := ppisa.DualIssue
-	switch *mode {
-	case "dual":
-	case "single":
-		smode = ppisa.SingleIssue
-	case "dlx":
+	if *mode == "dlx" {
 		src = ppisa.SubstituteDLX(src)
 		smode = ppisa.SingleIssue
-	default:
-		fatal("unknown mode %q", *mode)
 	}
 	prog := ppisa.Schedule(src, smode)
 
@@ -71,7 +78,7 @@ func main() {
 		float64(prog.StaticNonNops())/float64(len(prog.Pairs)))
 	fmt.Printf("entry points:        %d\n", len(prog.Entries))
 	if *statsOnly {
-		return
+		return nil
 	}
 
 	// Invert the entry map for labeling.
@@ -86,9 +93,5 @@ func main() {
 		}
 		fmt.Printf("  %4d: %-34s | %s\n", i, pr.A.String(), pr.B.String())
 	}
-}
-
-func fatal(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "ppasm: "+format+"\n", args...)
-	os.Exit(1)
+	return nil
 }

@@ -143,6 +143,21 @@ func TestParseBackendFlagsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseProtocol: the -protocol flag names map to the two handler
+// programs, and anything else is rejected with the accepted set named.
+func TestParseProtocol(t *testing.T) {
+	for s, want := range map[string]Protocol{"dynptr": ProtoDynPtr, "bitvec": ProtoBitVector} {
+		if got, err := ParseProtocol(s); err != nil || got != want {
+			t.Errorf("ParseProtocol(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "bit-vector", "bogus"} {
+		if _, err := ParseProtocol(bad); err == nil || !strings.Contains(err.Error(), "want dynptr or bitvec") {
+			t.Errorf("ParseProtocol(%q) error = %v; want one naming dynptr and bitvec", bad, err)
+		}
+	}
+}
+
 // Property: every address belongs to exactly one home and LocalLine is
 // consistent with NodeBase.
 func TestHomePartitionProperty(t *testing.T) {

@@ -157,9 +157,9 @@ const (
 	// EngineSyncBarrier selects the uniform-window full-barrier scheme (the
 	// default).
 	EngineSyncBarrier EngineSync = iota
-	// EngineSyncWatermark selects the per-pair watermark scheme: shards
-	// advance when their input watermarks allow, using the distance-aware
-	// lookahead matrix when NetModel is the mesh.
+	// EngineSyncWatermark selects the watermark scheme: shards run
+	// cooperative bursts up to the earliest cycle a peer's pending event
+	// could reach them, with the machine's window as the one lookahead.
 	EngineSyncWatermark
 )
 
@@ -185,9 +185,9 @@ const (
 	NetUniform NetModel = iota
 	// NetMesh charges per-pair 2-D mesh transit (enter + Manhattan hops +
 	// exit at 4 cycles/hop, plus 3 header cycles). An INTENTIONAL MODEL
-	// CHANGE relative to the goldens: nearby nodes get faster messages,
-	// far-apart ones slower, and the sharded engine derives a per-pair
-	// lookahead matrix from the same distances.
+	// CHANGE relative to the uniform goldens: nearby nodes get faster
+	// messages, far-apart ones slower. It is a timing model only: the
+	// lookahead window and store quantum are the closest pair's transit.
 	NetMesh
 )
 
@@ -235,6 +235,17 @@ func (p Protocol) String() string {
 		return "bit-vector"
 	}
 	return "dynamic-pointer-allocation"
+}
+
+// ParseProtocol parses a -protocol flag value: dynptr or bitvec.
+func ParseProtocol(s string) (Protocol, error) {
+	switch s {
+	case "dynptr":
+		return ProtoDynPtr, nil
+	case "bitvec":
+		return ProtoBitVector, nil
+	}
+	return ProtoDynPtr, fmt.Errorf("arch: unknown protocol %q (want dynptr or bitvec)", s)
 }
 
 // Config describes one simulated machine.

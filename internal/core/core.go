@@ -155,10 +155,9 @@ func New(cfg arch.Config) (*Machine, error) {
 	}
 	// The lookahead window and the store-visibility quantum are both the
 	// minimum cross-node interaction delay: the uniform transit latency, or
-	// the closest-pair transit under the mesh model. The per-pair horizons
-	// of the watermark scheduler never undercut this quantum — a shard's
-	// horizon is bounded by the flush gate — so store visibility follows the
-	// same window quantization on every engine.
+	// the closest-pair transit under the mesh model, which every pair's mesh
+	// transit meets or exceeds. Store visibility therefore follows the same
+	// window quantization on every engine.
 	w := sim.Cycle(cfg.Timing.NetTransit)
 	var mesh *network.Mesh
 	if cfg.NetModel == arch.NetMesh {
@@ -177,11 +176,6 @@ func New(cfg arch.Config) (*Machine, error) {
 		} else if cfg.EngineSync == arch.EngineSyncWatermark {
 			se.SetSync(sim.SyncWatermark)
 		}
-		if mesh != nil {
-			// Distance-aware lookahead: far-apart shards owe each other
-			// synchronization only at mesh-transit granularity.
-			se.SetLookahead(mesh)
-		}
 		m.Eng = se
 		m.sharded = true
 	default:
@@ -197,9 +191,7 @@ func New(cfg arch.Config) (*Machine, error) {
 		}
 	})
 	m.Net = network.New(cfg.Nodes, sim.Cycle(cfg.Timing.NetTransit))
-	if mesh != nil {
-		m.Net.SetDistance(mesh)
-	}
+	m.Net.SetMesh(mesh)
 
 	if cfg.Kind == arch.KindFLASH {
 		prog, err := protocol.Build(&m.Cfg)

@@ -92,9 +92,6 @@ func (m *Machine) publishMetrics() {
 		// Queue depth: the name predates the calendar queue and is kept for
 		// dashboards.
 		reg.Gauge("flashsim_engine_heap_hiwater", "shard", shard).SetMax(int64(s.HeapHiWater))
-		if s.Publishes != 0 {
-			reg.Counter("flashsim_engine_watermark_publishes_total", "shard", shard).Add(s.Publishes)
-		}
 		if s.InboxDrains != 0 {
 			reg.Counter("flashsim_engine_inbox_drains_total", "shard", shard).Add(s.InboxDrains)
 		}

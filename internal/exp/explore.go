@@ -278,10 +278,10 @@ type exploreJob struct {
 }
 
 // simulate runs the job on a fresh machine, which is garbage when it
-// returns. A panic on this goroutine — an app builder, a workload thread
-// (coroutines propagate theirs to the resumer) — comes back as the job's
-// error; one raised on a sharded engine's own shard goroutine still ends
-// the process.
+// returns. A panic in an app builder comes back as the job's error; a
+// workload thread's panic already comes back from World.Run as one, on
+// every engine. A panic elsewhere on a sharded engine's own shard
+// goroutine still ends the process.
 func (j *exploreJob) simulate(o ExploreOptions, p apps.Params) (rep stats.Report, err error) {
 	defer func() {
 		if r := recover(); r != nil {

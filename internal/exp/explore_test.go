@@ -215,10 +215,9 @@ func TestExploreParallelDeterminism(t *testing.T) {
 // TestExploreReportsEveryFailingPoint sweeps a problem size every point
 // rejects (Ocean's grid at scale 3 does not divide over 4 processors) and an
 // application that panics, once in its builder and once on a workload
-// thread (warm only: a warm sweep simulates on the sequential engine, which
-// runs threads on the worker's goroutine; the sharded engine's own
-// goroutines are out of a recover's reach). Explore must return — not hang,
-// not die — with one error per simulated job, each naming its point, in grid
+// thread (on every engine: World.Run recovers the thread on its own
+// coroutine, shard goroutine or not). Explore must return — not hang, not
+// die — with one error per simulated job, each naming its point, in grid
 // order, identically on every call, and leave no goroutine behind.
 func TestExploreReportsEveryFailingPoint(t *testing.T) {
 	trimmedGrid(t)
@@ -243,7 +242,7 @@ func TestExploreReportsEveryFailingPoint(t *testing.T) {
 	}{
 		{ExploreOptions{App: "ocean", Scale: 3}, "not divisible by 4 processors", []bool{false, true}},
 		{ExploreOptions{App: "boom-build", Scale: 1}, "panic: builder exploded", []bool{false, true}},
-		{ExploreOptions{App: "boom-run", Scale: 1}, "panic: thread exploded", []bool{true}},
+		{ExploreOptions{App: "boom-run", Scale: 1}, "thread 1 (node 1) panicked at cycle 0: thread exploded", []bool{false, true}},
 	} {
 		for _, warm := range tc.modes {
 			tc.o.Warm = warm

@@ -12,7 +12,7 @@ import (
 	"flashsim/internal/arch"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_digest.json from the current tree")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_digest*.json from the current tree")
 
 // goldenDigest is one application's determinism fingerprint: the parallel
 // execution time and the total number of simulation events dispatched. Any
@@ -51,10 +51,11 @@ var goldenBackends = []struct {
 }
 
 // goldenSuite runs digest over every application on every goldenBackends
-// row, one subtest per row, and compares the digests with testdata/file.
-// With update set, the first row (the default machine) rewrites the file
-// and the remaining rows check themselves against it.
-func goldenSuite(t *testing.T, file string, update bool, digest func(t *testing.T, name string, cfg arch.Config) goldenDigest) {
+// row, one subtest per row, on the network model net, and compares the
+// digests with testdata/file. With update set, the first row (the default
+// machine) rewrites the file and the remaining rows check themselves
+// against it.
+func goldenSuite(t *testing.T, file string, net arch.NetModel, update bool, digest func(t *testing.T, name string, cfg arch.Config) goldenDigest) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
@@ -68,6 +69,7 @@ func goldenSuite(t *testing.T, file string, update bool, digest func(t *testing.
 			for _, name := range apps.Names {
 				cfg := goldenConfig()
 				cfg.Engine, cfg.EngineSync, cfg.PPDispatch = b.engine, b.sync, b.dispatch
+				cfg.NetModel = net
 				if name == "os" {
 					cfg.Placement = arch.PlaceRoundRobin
 				}
@@ -112,20 +114,30 @@ func readGolden(t *testing.T, file string) map[string]goldenDigest {
 	return want
 }
 
+// runDigest runs one application at its golden scale and fingerprints it.
+func runDigest(t *testing.T, name string, cfg arch.Config) goldenDigest {
+	r, err := RunApp(name, cfg, apps.Params{Scale: goldenScales[name]}, true)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return goldenDigest{
+		Elapsed:  uint64(r.Report.Elapsed),
+		Executed: r.Machine.Eng.ExecutedEvents(),
+	}
+}
+
 // TestGoldenDigest locks down per-run cycle counts and event counts against
 // values recorded from the pre-optimization tree, on every host backend.
 // Performance work on the event queue, the handshake path, or experiment
 // parallelism must leave these bit-identical; regenerate with -update-golden
 // only for intentional model changes.
 func TestGoldenDigest(t *testing.T) {
-	goldenSuite(t, "golden_digest.json", *updateGolden, func(t *testing.T, name string, cfg arch.Config) goldenDigest {
-		r, err := RunApp(name, cfg, apps.Params{Scale: goldenScales[name]}, true)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		return goldenDigest{
-			Elapsed:  uint64(r.Report.Elapsed),
-			Executed: r.Machine.Eng.ExecutedEvents(),
-		}
-	})
+	goldenSuite(t, "golden_digest.json", arch.NetUniform, *updateGolden, runDigest)
+}
+
+// TestGoldenDigestMesh is TestGoldenDigest on the 2-D mesh network model:
+// per-pair transit latencies, with every backend's lookahead at the mesh's
+// minimum pair transit.
+func TestGoldenDigestMesh(t *testing.T) {
+	goldenSuite(t, "golden_digest_mesh.json", arch.NetMesh, *updateGolden, runDigest)
 }

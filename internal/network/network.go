@@ -1,7 +1,8 @@
 // Package network models the FLASH interconnect: a two-dimensional mesh
 // abstracted, as in the paper, by a fixed average transit latency per
 // message (22 cycles for 16 processors: one hop to enter and exit, 2.6 hops
-// of transit at 40 ns fall-through, and 3 cycles of header). Requests and
+// of transit at 40 ns fall-through, and 3 cycles of header), or — with a
+// Mesh installed — by each pair's exact hop-count transit. Requests and
 // replies travel on separate virtual networks so that replies can always
 // make progress.
 //
@@ -30,10 +31,10 @@ type Sink interface {
 }
 
 // Network delivers messages between nodes after a fixed transit latency, or
-// — when a distance model is installed — after the model's per-pair transit.
+// — when a Mesh is installed — after the mesh's per-pair transit.
 type Network struct {
 	transit sim.Cycle
-	dist    sim.DistanceModel // nil = uniform transit
+	mesh    *Mesh // nil = uniform transit
 	sinks   []Sink
 	ports   []*Port
 }
@@ -92,16 +93,15 @@ func (n *Network) Port(id arch.NodeID, sched sim.Scheduler) *Port {
 // Transit returns the fixed per-message transit latency.
 func (n *Network) Transit() sim.Cycle { return n.transit }
 
-// SetDistance installs a per-pair transit model (nil restores the uniform
-// latency). The model doubles as the engine's lookahead source, so actual
-// transit equals the conservative bound exactly — no message can undercut
-// the synchronization contract.
-func (n *Network) SetDistance(dm sim.DistanceModel) { n.dist = dm }
+// SetMesh installs per-pair mesh transit (nil restores the uniform
+// latency). The engine's lookahead must then be m.MinPairTransit(), which
+// every pair's transit meets or exceeds.
+func (n *Network) SetMesh(m *Mesh) { n.mesh = m }
 
 // TransitFor returns the transit latency charged from src to dst.
 func (n *Network) TransitFor(src, dst arch.NodeID) sim.Cycle {
-	if n.dist != nil {
-		return n.dist.MinTransit(int(src), int(dst))
+	if n.mesh != nil {
+		return n.mesh.MinTransit(int(src), int(dst))
 	}
 	return n.transit
 }
@@ -167,8 +167,8 @@ func (p *Port) Send(at sim.Cycle, m arch.Msg) {
 		panic(fmt.Sprintf("network: send %s to unattached node %d", m.Type, m.Dst))
 	}
 	arrive := at + n.transit
-	if n.dist != nil {
-		arrive = at + n.dist.MinTransit(int(p.src), int(m.Dst))
+	if n.mesh != nil {
+		arrive = at + n.mesh.MinTransit(int(p.src), int(m.Dst))
 	}
 	p.seq++
 	if p.Tr.Active() {
@@ -198,10 +198,10 @@ func (p *Port) Send(at sim.Cycle, m arch.Msg) {
 	// transit past the arrival. By then it has fired under every engine: the
 	// sequential one has a single clock, and the conservative parallel one
 	// never lets a node run a lookahead or more ahead of an event pending at
-	// a peer (that event could still send back) — the lookahead from the
-	// destination being at most the transit charged from it, the same
-	// distance model. The barrier or scheduler lock that let this node's
-	// clock get there also orders the destination's read before the re-arm.
+	// a peer (that event could still send back) — the lookahead being at most
+	// the transit charged from the destination. The barrier or scheduler
+	// lock that let this node's clock get there also orders the
+	// destination's read before the re-arm.
 	free := arrive + n.TransitFor(m.Dst, p.src)
 	ev := p.Evs.Get(uint64(p.sched.Now()), uint64(free), n.ports[m.Dst].arrive, m)
 	p.sched.Deliver(arrive, int(p.src), int(m.Dst), p.seq, ev.Fire)
@@ -227,12 +227,11 @@ func meshSide(p int) int {
 	return k
 }
 
-// Mesh is the explicit 2-D mesh distance model behind AvgTransitFor's
+// Mesh is the explicit 2-D mesh latency model behind AvgTransitFor's
 // average: nodes laid out row-major on the smallest k x k grid, transit from
 // src to dst = (1 hop in + Manhattan hops + 1 hop out) * 4 cycles + 3 header
-// cycles. It implements sim.DistanceModel, so the same distances that charge
-// message latency also bound the sharded engine's per-pair lookahead —
-// adjacent nodes synchronize tightly, opposite corners barely at all.
+// cycles. It is a timing model only: the sharded engine synchronizes every
+// pair at the closest pair's transit, MinPairTransit.
 type Mesh struct {
 	k int
 }
@@ -257,8 +256,9 @@ func (m *Mesh) MinTransit(src, dst int) sim.Cycle {
 	return sim.Cycle((1+hops+1)*4 + 3)
 }
 
-// MinPairTransit returns the smallest cross-node transit — the store
-// visibility quantum equivalent of the uniform model's fixed latency.
+// MinPairTransit returns the smallest cross-node transit — the lookahead
+// window and store-visibility quantum equivalent of the uniform model's
+// fixed latency.
 func (m *Mesh) MinPairTransit() sim.Cycle {
 	if m.k < 2 {
 		return m.MinTransit(0, 0)

@@ -85,3 +85,44 @@ func TestUnattachedPanics(t *testing.T) {
 	}()
 	p.Send(0, arch.Msg{Type: arch.MsgGET, Dst: 1})
 }
+
+// TestMeshTransit pins the 16-node mesh (a 4x4 grid): neighbours are one
+// hop apart, opposite corners six, transit is symmetric, the closest pair
+// sets the engine's lookahead, and a mesh Send arrives after exactly the
+// pair's transit.
+func TestMeshTransit(t *testing.T) {
+	m := NewMesh(16)
+	if got := m.MinTransit(0, 1); got != 15 {
+		t.Errorf("MinTransit(0,1) = %d, want 15", got)
+	}
+	if got := m.MinTransit(0, 15); got != 35 {
+		t.Errorf("MinTransit(0,15) = %d, want 35", got)
+	}
+	for s := 0; s < 16; s++ {
+		for d := 0; d < 16; d++ {
+			if m.MinTransit(s, d) != m.MinTransit(d, s) {
+				t.Fatalf("MinTransit(%d,%d) = %d but MinTransit(%d,%d) = %d",
+					s, d, m.MinTransit(s, d), d, s, m.MinTransit(d, s))
+			}
+		}
+	}
+	if got := m.MinPairTransit(); got != 15 {
+		t.Errorf("MinPairTransit() = %d, want 15", got)
+	}
+
+	eng := sim.NewEngine()
+	n := New(16, 22)
+	n.SetMesh(m)
+	s := &sink{eng: eng}
+	for i := arch.NodeID(0); i < 16; i++ {
+		n.Attach(i, s)
+	}
+	p := n.Port(0, eng)
+	eng.At(5, func() { p.Send(5, arch.Msg{Type: arch.MsgGET, Dst: 15}) })
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.got) != 1 || s.got[0].at != 5+m.MinTransit(0, 15) {
+		t.Fatalf("mesh delivery %+v, want one arrival at %d", s.got, 5+m.MinTransit(0, 15))
+	}
+}

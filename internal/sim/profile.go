@@ -40,13 +40,12 @@ type EngineProfile struct {
 	// Sync is the sharded engine's shard-synchronization scheme ("barrier"
 	// or "watermark"); empty for seq.
 	Sync string `json:"sync,omitempty"`
-	// HorizonNS is per-worker time spent asleep waiting for peer frontiers
-	// to uncover more safe work (watermark mode); index 0 is the goroutine
-	// that called Run.
+	// HorizonNS is per-worker time spent asleep waiting for peer bursts to
+	// uncover more safe work (watermark mode); index 0 is the goroutine that
+	// called Run.
 	HorizonNS []int64 `json:"horizon_ns,omitempty"`
 	// SolveNS is time spent in the quiescent decide step: sweeping mailboxes
-	// and solving the null-message fixpoint that advances frontiers
-	// (watermark mode).
+	// and solving the burst horizons (watermark mode).
 	SolveNS int64 `json:"solve_ns,omitempty"`
 	// Solves counts decide invocations and SolveOps the per-shard scan steps
 	// they performed (watermark mode).
@@ -86,18 +85,15 @@ type ShardProfile struct {
 	// OutboxSent counts cross-shard deliveries routed from this shard per
 	// destination shard — the (src,dst) traffic matrix row.
 	OutboxSent []uint64 `json:"outbox_sent,omitempty"`
-	// Publishes counts frontier watermark advances recorded for this shard
-	// (at burst completion, under the scheduler lock), InboxDrains its
-	// nonempty mailbox drains, and InboxFlushes the batched appends it made
-	// into peer mailboxes (the latter two one lock acquisition each).
-	// Watermark mode only.
-	Publishes    uint64 `json:"publishes,omitempty"`
+	// InboxDrains counts this shard's nonempty mailbox drains and
+	// InboxFlushes the batched appends it made into peer mailboxes, one lock
+	// acquisition each. Watermark mode only.
 	InboxDrains  uint64 `json:"inbox_drains,omitempty"`
 	InboxFlushes uint64 `json:"inbox_flushes,omitempty"`
 }
 
 // AccountedNS sums all attributed time: shard execution, barrier waits,
-// outbox drain, window merge, horizon waits, and frontier solving.
+// outbox drain, window merge, horizon waits, and horizon solving.
 func (p *EngineProfile) AccountedNS() int64 {
 	total := p.MergeNS + p.DrainNS + p.SolveNS
 	for _, ns := range p.BarrierNS {
@@ -121,9 +117,7 @@ func (p *EngineProfile) AccountedNS() int64 {
 // Watermark mode pays only for actual traffic and actual scheduling:
 // mailbox drains and batched mailbox flushes (one lock each), worker
 // sleeps, decide invocations (one queue rebuild + broadcast each), decide
-// scan steps, and gate advances. Frontier publishes ride inside scheduler
-// critical sections the worker already holds, so they appear in the
-// per-shard Publishes counters but add no operations here.
+// scan steps, and gate advances.
 func (p *EngineProfile) SyncOps() uint64 {
 	n := uint64(len(p.Shards))
 	if p.Sync == "watermark" {
@@ -198,18 +192,18 @@ func (p *EngineProfile) String() string {
 		return fmt.Sprintf("%.2fs (%.1f%%)", float64(ns)/1e9, 100*float64(ns)/float64(totalNS))
 	}
 	if p.Sync == "watermark" {
-		fmt.Fprintf(&b, "  burst exec %s  horizon wait %s  frontier solve %s\n",
+		fmt.Fprintf(&b, "  burst exec %s  horizon wait %s  horizon solve %s\n",
 			share(execNS), share(horizonNS), share(p.SolveNS))
 		fmt.Fprintf(&b, "  sync ops %d (solve %d in %d decides, waits %d, gate advances %d)\n",
 			p.SyncOps(), p.SolveOps, p.Solves, p.WaitOps, p.GateAdvances)
-		fmt.Fprintf(&b, "  %-5s %10s %7s %8s %7s %8s %9s %6s %7s %8s\n",
-			"shard", "exec_ms", "exec%", "bursts", "empty", "ev/burst", "heap_hw", "pubs", "drains", "flushes")
+		fmt.Fprintf(&b, "  %-5s %10s %7s %8s %7s %8s %9s %7s %8s\n",
+			"shard", "exec_ms", "exec%", "bursts", "empty", "ev/burst", "heap_hw", "drains", "flushes")
 		for i := range p.Shards {
 			s := &p.Shards[i]
-			fmt.Fprintf(&b, "  %-5d %10.2f %6.1f%% %8d %7d %8.1f %9d %6d %7d %8d\n",
+			fmt.Fprintf(&b, "  %-5d %10.2f %6.1f%% %8d %7d %8.1f %9d %7d %8d\n",
 				i, float64(s.ExecNS)/1e6, 100*float64(s.ExecNS)/float64(totalNS),
 				s.Windows, s.EmptyWindows, s.perWindow(), s.HeapHiWater,
-				s.Publishes, s.InboxDrains, s.InboxFlushes)
+				s.InboxDrains, s.InboxFlushes)
 		}
 		return b.String()
 	}
@@ -238,6 +232,18 @@ func (s *ShardProfile) perWindow() float64 {
 		return 0
 	}
 	return float64(s.Executed) / float64(s.Windows)
+}
+
+// endRun closes a profiled Run's chained timestamps. Every worker's chain
+// starts at start; the tail from its exit stamp to the pool's join, a wait
+// for the slowest peer, is charged to its wait slot, so each worker's laps
+// tile the whole run.
+func (e *ShardedEngine) endRun(start time.Time, wait []int64) {
+	end := time.Now()
+	for w, x := range e.exits {
+		wait[w] += end.Sub(x).Nanoseconds()
+	}
+	e.runNS += end.Sub(start).Nanoseconds()
 }
 
 // lap returns the nanoseconds since *mark and advances *mark to now, with a

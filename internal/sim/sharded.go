@@ -15,9 +15,9 @@ import (
 //
 // The lookahead argument: cross-node interaction happens only through
 // Deliver with an arrival at least `window` cycles after the send (the
-// network transit latency), so events inside the window [k·W, (k+1)·W)
-// on different shards cannot affect each other — a send during window k
-// arrives in window k+1 at the earliest. Shards therefore run the whole
+// machine's minimum network transit), so events inside the window
+// [k·W, (k+1)·W) on different shards cannot affect each other — a send
+// during window k arrives in window k+1 at the earliest. Shards run the whole
 // window without synchronization; cross-node arrivals accumulate in
 // per-(src,dst) outboxes and are merged into the destination queues at the
 // window barrier by the coordinator. The merge is deterministic because a
@@ -39,10 +39,8 @@ type ShardedEngine struct {
 	Workers int
 
 	// sync selects the shard-synchronization scheme: the full window
-	// barrier (default) or per-pair watermarks (watermark.go).
+	// barrier (default) or watermarks (watermark.go).
 	sync SyncMode
-	// look is the per-(src,dst) lookahead matrix (nil = uniform window).
-	look *lookahead
 	// wmGate is the watermark-mode store-visibility gate: events at cycles
 	// < wmGate may execute given the flushes already performed. 0 means
 	// uninitialized; set on the first watermark Run when a flush is
@@ -70,17 +68,19 @@ type ShardedEngine struct {
 
 	// Self-profiling (off unless EnableProfiling was called). The chained
 	// timestamps attribute the coordinator and worker loops to the four
-	// phases in profile.go; per-worker barrier slots are written only by
-	// their owning goroutine and read after the pool joins.
+	// phases in profile.go; per-worker barrier slots and exit stamps (the
+	// end of each worker's last lap) are written only by their owning
+	// goroutine and read after the pool joins.
 	profOn      bool
 	profWorkers int
 	runNS       int64
 	mergeNS     int64
 	drainNS     int64
 	barrierNS   []int64
+	exits       []time.Time
 
 	// Watermark-mode self-profiling: per-worker horizon-wait time, decide
-	// (frontier solve) time, and the synchronization-operation counters
+	// (horizon solve) time, and the synchronization-operation counters
 	// described in profile.go. Engine-level counters are only written under
 	// the scheduler lock or by the deciding worker.
 	horizonNS []int64
@@ -90,12 +90,8 @@ type ShardedEngine struct {
 	wmWaitOps uint64
 	wmGateAdv uint64
 
-	// Watermark scheduler state: frS holds every shard's committed frontier
-	// (written at burst completion and by the non-metric fixpoint, always
-	// under the scheduler lock); hzS/nextS/hasS are decide() scratch, reused
-	// across decisions to stay allocation-free.
-	frS   []Cycle
-	hzS   []Cycle
+	// Watermark decide() scratch, reused across decisions to stay
+	// allocation-free.
 	nextS []Cycle
 	hasS  []bool
 }
@@ -111,8 +107,6 @@ type Shard struct {
 	// Watermark-mode synchronization state: inbox is the MPSC mailbox peers
 	// append staged deliveries into (batched, one lock per burst per pair);
 	// the quiescent scheduler swaps it against inboxSpare when it drains.
-	// The shard's frontier itself lives in the scheduler's frS array,
-	// maintained under the scheduler lock (see watermark.go).
 	inMu       sync.Mutex
 	inbox      []delivery
 	inboxSpare []delivery
@@ -124,7 +118,6 @@ type Shard struct {
 	emptyWins   uint64
 	maxEvWindow uint64
 	sent        []uint64 // deliveries routed per destination shard
-	pubs        uint64   // frontier publishes (watermark)
 	drains      uint64   // nonempty inbox drains (watermark)
 	inFlushes   uint64   // batched appends into peer inboxes (watermark)
 }
@@ -217,7 +210,6 @@ func (e *ShardedEngine) Profile() *EngineProfile {
 			MaxEventsWindow: s.maxEvWindow,
 			HeapHiWater:     uint64(s.hiWater),
 			OutboxSent:      append([]uint64(nil), s.sent...),
-			Publishes:       s.pubs,
 			InboxDrains:     s.drains,
 			InboxFlushes:    s.inFlushes,
 		})
@@ -232,7 +224,7 @@ func (e *ShardedEngine) Stop() { e.stopReq.Store(true) }
 
 // Reset returns the engine to its freshly constructed state: every shard's
 // queue and mailboxes emptied, all clocks at 0, executed counts cleared.
-// Window/sync/lookahead configuration and profiling accumulation survive.
+// Window/sync configuration and profiling accumulation survive.
 // Must not be called while Run is in progress.
 func (e *ShardedEngine) Reset() {
 	for _, s := range e.shards {
@@ -249,10 +241,6 @@ func (e *ShardedEngine) Reset() {
 	e.limit = 0
 	e.wmGate = 0
 	e.stopReq.Store(false)
-	for i := range e.frS {
-		e.frS[i], e.hzS[i], e.nextS[i] = 0, 0, 0
-		e.hasS[i] = false
-	}
 }
 
 // Now returns the globally latest shard clock: the cycle of the last event
@@ -347,9 +335,9 @@ func (e *ShardedEngine) poolSize() int {
 // Run executes until every shard drains, Stop is called, or the cycle limit
 // is exceeded. Limit semantics match the sequential engine: an event at
 // exactly the limit runs; ErrLimit is returned when only events beyond it
-// remain. The barrier scheme below runs uniform lookahead windows separated
-// by full rendezvous; SyncWatermark delegates to the per-pair watermark
-// scheduler in watermark.go.
+// remain. The barrier scheme below runs lookahead windows separated by full
+// rendezvous; SyncWatermark delegates to the watermark scheduler in
+// watermark.go.
 func (e *ShardedEngine) Run() error {
 	e.stopReq.Store(false)
 	for _, s := range e.shards {
@@ -372,6 +360,7 @@ func (e *ShardedEngine) Run() error {
 	if prof {
 		e.profWorkers = p
 		e.barrierNS = make([]int64, p)
+		e.exits = make([]time.Time, p)
 		start = time.Now()
 		mark = start
 	}
@@ -383,10 +372,13 @@ func (e *ShardedEngine) Run() error {
 		base := e.phase.Load()
 		for w := 1; w < p; w++ {
 			wg.Add(1)
-			go e.workerLoop(w, p, base, &wg)
+			go e.workerLoop(w, p, base, start, &wg)
 		}
 	}
 	defer func() {
+		if prof {
+			e.exits[0] = mark
+		}
 		if p > 1 {
 			e.quit = true
 			e.phase.Add(1)
@@ -394,7 +386,7 @@ func (e *ShardedEngine) Run() error {
 		}
 		e.running = false
 		if prof {
-			e.runNS += time.Since(start).Nanoseconds()
+			e.endRun(start, e.barrierNS)
 		}
 	}()
 
@@ -451,14 +443,13 @@ func (e *ShardedEngine) Run() error {
 }
 
 // workerLoop is one pool worker: it spins on the barrier phase, runs its
-// fixed stride of shards for the published window, and checks in.
-func (e *ShardedEngine) workerLoop(w, p int, last uint64, wg *sync.WaitGroup) {
+// fixed stride of shards for the published window, and checks in. Its
+// chained timestamp starts at the run's start, so scheduling delay on an
+// oversubscribed host is charged to barrier wait.
+func (e *ShardedEngine) workerLoop(w, p int, last uint64, start time.Time, wg *sync.WaitGroup) {
 	defer wg.Done()
 	prof := e.profOn
-	var mark time.Time
-	if prof {
-		mark = time.Now()
-	}
+	mark := start
 	for {
 		for spins := 0; ; spins++ {
 			if ph := e.phase.Load(); ph != last {
@@ -473,6 +464,9 @@ func (e *ShardedEngine) workerLoop(w, p int, last uint64, wg *sync.WaitGroup) {
 			e.barrierNS[w] += lap(&mark)
 		}
 		if e.quit {
+			if prof {
+				e.exits[w] = mark
+			}
 			return
 		}
 		e.runStride(w, p, e.winEnd, e.winLim, &mark)
@@ -521,8 +515,8 @@ func (s *Shard) Stop() {
 // batch-appended to the destination inbox after the burst in watermark
 // mode); outside Run — e.g. test setup — it goes straight into the
 // destination queue. Arrivals whose transit undercuts the conservative
-// synchronization contract panic, naming the (src,dst) pair and the pair's
-// lookahead bound.
+// synchronization contract panic, naming the (src,dst) pair and the
+// lookahead.
 func (s *Shard) Deliver(at Cycle, src, dst int, seq uint64, fn func()) {
 	e := s.eng
 	if !e.running {
@@ -530,9 +524,9 @@ func (s *Shard) Deliver(at Cycle, src, dst int, seq uint64, fn func()) {
 		return
 	}
 	if e.sync == SyncWatermark {
-		if lb := e.pairLookahead(src, dst); at < s.now+lb {
-			panic(fmt.Sprintf("sim: sharded delivery %d->%d at cycle %d sent at %d: transit %d below pair lookahead %d",
-				src, dst, at, s.now, at-s.now, lb))
+		if at < s.now+e.window {
+			panic(fmt.Sprintf("sim: sharded delivery %d->%d at cycle %d sent at %d: transit %d below lookahead %d",
+				src, dst, at, s.now, at-s.now, e.window))
 		}
 		if dst == s.id {
 			// Self-deliveries join the shard's own queue directly: the
@@ -541,8 +535,8 @@ func (s *Shard) Deliver(at Cycle, src, dst int, seq uint64, fn func()) {
 			return
 		}
 	} else if at < e.winEnd {
-		panic(fmt.Sprintf("sim: sharded delivery %d->%d at cycle %d inside window ending %d (transit below pair lookahead %d)",
-			src, dst, at, e.winEnd, e.pairLookahead(src, dst)))
+		panic(fmt.Sprintf("sim: sharded delivery %d->%d at cycle %d inside window ending %d (transit below lookahead %d)",
+			src, dst, at, e.winEnd, e.window))
 	}
 	s.outbox[dst] = append(s.outbox[dst], delivery{at: at, key: deliveryKey(src, seq), fn: fn})
 }

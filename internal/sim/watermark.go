@@ -6,63 +6,50 @@ import (
 )
 
 // This file is the sharded engine's watermark synchronization scheme: the
-// conservative distance-aware replacement for the uniform-window full
-// barrier in sharded.go.
+// conservative replacement for the full window barrier in sharded.go.
 //
-// Protocol. Each shard a maintains a monotone frontier fr[a] (its
-// "sent-through" watermark): every event at a cycle < fr[a] has executed,
-// and no send will ever originate from a cycle < fr[a]. Because a delivery
-// from a to b takes at least the pair lookahead L[a][b] (the per-(src,dst)
-// matrix from SetLookahead, uniform window otherwise), every arrival at b
-// lands at or beyond fr[a] + L[a][b]. Shard b may therefore execute every
-// event strictly below its horizon
+// Protocol. Every cross-shard delivery takes at least the engine window W
+// (the machine's minimum pair transit), so an event on shard a at cycle t
+// can put an arrival on any peer no earlier than t + W. When the scheduler
+// is quiescent, each shard's next-event time next[a] is exact, and shard b
+// may execute every event strictly below its horizon
 //
-//	hz[b] = min over a != b of fr[a] + L[a][b]
+//	hz[b] = min(cap, next[b] + 2W, min over event-holding a != b of next[a] + W)
 //
-// without ever seeing a late arrival — shards synchronize exactly as much
-// as the distance model demands, instead of rendezvousing at every W
-// cycles. Deliveries stage in the sender's per-destination outbox during a
-// burst and are batch-appended to the destination's mailbox (one lock per
-// pair touched); the arrival bound above guarantees everything appended
-// while a burst runs lands at or beyond the receiver's horizon, so bursts
-// never need to re-check their mailboxes mid-flight.
+// without ever seeing a late arrival. The peer term bounds arrivals rooted
+// at peers' events; the self term bounds echoes of b's own sends (b sends to
+// a peer, whose handler replies, landing no earlier than one round trip
+// later — longer relays only add transits). Without it a shard whose peers
+// hold no events would see an unbounded horizon, execute far-future events,
+// and later receive the echo below them. The holder minimum is a min /
+// second-min over next-event times, so the solve is O(1) per shard.
+// Deliveries stage in the sender's per-destination outbox during a burst
+// and are batch-appended to the destination's mailbox (one lock per pair
+// touched); the arrival bound guarantees everything appended while a burst
+// runs lands at or beyond the receiver's horizon, so bursts never need to
+// re-check their mailboxes mid-flight.
 //
 // Scheduling is cooperative rather than free-running: a small worker pool
-// pulls (shard, horizon) bursts from a queue, and a completed burst
-// records its shard's new frontier (= the burst horizon) in the scheduler
-// under the scheduler lock. When the pool quiesces the last idle worker
-// runs decide(), which sweeps the nonempty mailboxes, snapshots next-event
-// times, and solves the horizons:
-//
-//   - When the lookahead matrix satisfies the triangle inequality (uniform
-//     and mesh both do), a null message relayed through an intermediate
-//     shard can never beat the direct pair bound, so the Chandy-Misra-Bryant
-//     fixpoint collapses to a closed form over next-event times —
-//     hz[b] = min(cap, next[b]+rt[b], min over event-holding a != b of
-//     next[a] + L[a][b]), where rt[b] is b's minimum round trip through any
-//     peer, bounding echoes of b's own sends — solved in one O(n) pass
-//     (min/second-min for uniform lookahead).
-//   - A non-metric matrix falls back to the iterative Gauss-Seidel fixpoint
-//     over the persistent frontier array, with idle shards promising
-//     silence up to min(horizon, next event).
-//
-// decide() then schedules every shard whose horizon uncovered work, and
-// fails over to the store-visibility gate, the cycle limit, or
-// termination. Progress: whenever events remain below the cap the
-// earliest-event shard is always schedulable (its bound exceeds its own
-// next-event time by at least the minimum lookahead), so either work is
-// scheduled, the gate advances (one flush per occupied window, mirroring
-// the sequential engine's flush-on-window-entry), the limit fires, or the
-// run is done — an idle shard with no traffic can never stall its peers.
+// pulls (shard, horizon) bursts from a queue. When the pool quiesces the
+// last idle worker runs decide(), which sweeps the nonempty mailboxes,
+// snapshots next-event times, solves the horizons above, schedules every
+// shard whose horizon uncovered work, and fails over to the
+// store-visibility gate, the cycle limit, or termination. Progress:
+// whenever events remain below the cap the earliest-event shard is always
+// schedulable (its horizon exceeds its own next-event time by at least W),
+// so either work is scheduled, the gate advances (one flush per occupied
+// window, mirroring the sequential engine's flush-on-window-entry), the
+// limit fires, or the run is done — an idle shard with no traffic can never
+// stall its peers.
 //
 // Store visibility. The memsys view flush must stay a global quantum (the
 // torture tests pin same-window same-word cross-node writes resolved by
 // node-ordered flushing), so the gate wmGate caps every horizon at the next
 // unflushed window boundary. decide() advances it only when the pool is
-// quiescent and every frontier has reached the gate — at that point no
-// shard is executing, every event below the boundary has run, and the
-// flush is race-free and bit-identical in content and order to the
-// sequential engine's.
+// quiescent and no event below the gate remains — at that point no shard is
+// executing, every event below the boundary has run, and the flush is
+// race-free and bit-identical in content and order to the sequential
+// engine's.
 //
 // Determinism. Horizons only gate WHEN an event may run, never its queue
 // order: the 64-bit (cycle, key) event keys fully determine per-shard
@@ -77,7 +64,7 @@ const (
 	// SyncBarrier is the uniform-window scheme: all shards rendezvous at a
 	// full spin-barrier every lookahead window (sharded.go).
 	SyncBarrier SyncMode = iota
-	// SyncWatermark is the per-pair watermark scheme described above.
+	// SyncWatermark is the watermark scheme described above.
 	SyncWatermark
 )
 
@@ -117,10 +104,7 @@ func (e *ShardedEngine) runWatermark() error {
 	if e.flush != nil && e.wmGate == 0 {
 		e.wmGate = e.window
 	}
-	n := len(e.shards)
-	if e.frS == nil || len(e.frS) != n {
-		e.frS = make([]Cycle, n)
-		e.hzS = make([]Cycle, n)
+	if n := len(e.shards); len(e.nextS) != n {
 		e.nextS = make([]Cycle, n)
 		e.hasS = make([]bool, n)
 	}
@@ -129,6 +113,7 @@ func (e *ShardedEngine) runWatermark() error {
 	if prof {
 		e.profWorkers = p
 		e.horizonNS = make([]int64, p)
+		e.exits = make([]time.Time, p)
 		start = time.Now()
 	}
 	st := &wmState{}
@@ -146,7 +131,7 @@ func (e *ShardedEngine) runWatermark() error {
 	wg.Wait()
 	e.running = false
 	if prof {
-		e.runNS += time.Since(start).Nanoseconds()
+		e.endRun(start, e.horizonNS)
 	}
 	return st.err
 }
@@ -168,7 +153,9 @@ func (e *ShardedEngine) wmWorker(w int, st *wmState, start time.Time) {
 	st.mu.Lock()
 	for {
 		if st.done {
-			waited()
+			if prof {
+				e.exits[w] = mark
+			}
 			st.mu.Unlock()
 			return
 		}
@@ -182,19 +169,10 @@ func (e *ShardedEngine) wmWorker(w int, st *wmState, start time.Time) {
 			if prof {
 				s.execNS += lap(&mark)
 			}
+			// Retaking the scheduler lock orders the burst's mailbox
+			// appends before decide()'s unlocked mailbox length reads.
 			st.mu.Lock()
 			st.running--
-			// Record the frontier the burst committed through. A plain
-			// write under the scheduler lock decide() already holds when it
-			// reads — the burst's mailbox appends happen-before via this
-			// same lock. A stopped shard publishes nothing: it did not
-			// commit through hz.
-			if !s.stopped && t.hz > e.frS[t.shard] {
-				e.frS[t.shard] = t.hz
-				if prof {
-					s.pubs++
-				}
-			}
 			if e.stopReq.Load() && !st.done {
 				// Bursts in flight finish; nothing new is scheduled.
 				st.done = true
@@ -242,9 +220,7 @@ func (s *Shard) drainInbox(prof bool) {
 // from next-event times shards cannot retract while quiescent, and decide()
 // already swept every mailbox before scheduling, so the queue holds all
 // events below hz; arrivals appended by concurrent bursts necessarily land
-// at or beyond hz and are swept at the next decide. The shard's frontier
-// advance is recorded by the worker loop under the scheduler lock once the
-// burst completes.
+// at or beyond hz and are swept at the next decide.
 func (e *ShardedEngine) burst(s *Shard, hz Cycle) {
 	prof := e.profOn
 	s.runWindow(hz, e.limit)
@@ -337,28 +313,8 @@ func (e *ShardedEngine) decide(st *wmState) {
 	if e.flush != nil && e.wmGate < eff {
 		eff = e.wmGate
 	}
-	if e.look != nil && !e.look.tri {
-		e.decideFixpoint(st, eff, m1)
-		return
-	}
-	// Direct solve. With a triangle-inequality matrix a relayed promise
-	// never beats the direct pair bound, and committed frontiers never
-	// exceed a holder's next-event time, so the null-message fixpoint is
-	// simply
-	//
-	//	hz[b] = min(eff, next[b]+rt[b], min over holders a != b of next[a]+L[a][b])
-	//
-	// where rt[b] is b's minimum round trip through any peer (2W uniform).
-	// The self term bounds echo chains rooted at b's OWN events: an event b
-	// executes at t >= next[b] can trigger a peer delivery whose handler
-	// sends back to b, landing no earlier than t + rt[b] (longer relays
-	// b->c->..->b fold onto the best two-hop round trip by the triangle
-	// inequality) — exactly the bound the iterative fixpoint enforces by
-	// stalling holders' frontiers at their next-event times. Without it a
-	// shard whose peers hold no events would see an unbounded horizon,
-	// execute far-future events, and later receive the echo below its
-	// committed frontier. Uniform lookahead reduces the holder scan to
-	// min/second-min in O(1) per shard.
+	// Solve the horizons of the file comment: the earliest holder other
+	// than b is m1, or m2 when b itself holds m1.
 	st.tasks = st.tasks[:0]
 	st.head = 0
 	steps := 0
@@ -366,29 +322,15 @@ func (e *ShardedEngine) decide(st *wmState) {
 		if !e.hasS[b] {
 			continue
 		}
-		var hz Cycle
-		if e.look == nil {
-			steps++
-			bound := m1
-			if b == a1 {
-				bound = m2
-			}
-			hz = bound + e.window
-			if n > 1 {
-				if v := e.nextS[b] + 2*e.window; v < hz {
-					hz = v
-				}
-			}
-		} else {
-			hz = e.nextS[b] + e.look.rt[b]
-			for a := range e.shards {
-				if a == b || !e.hasS[a] {
-					continue
-				}
-				steps++
-				if v := e.nextS[a] + e.look.at(a, b); v < hz {
-					hz = v
-				}
+		steps++
+		bound := m1
+		if b == a1 {
+			bound = m2
+		}
+		hz := bound + e.window
+		if n > 1 {
+			if v := e.nextS[b] + 2*e.window; v < hz {
+				hz = v
 			}
 		}
 		if hz > eff {
@@ -402,66 +344,8 @@ func (e *ShardedEngine) decide(st *wmState) {
 		e.wmSolveOp += uint64(steps)
 	}
 	if len(st.tasks) == 0 {
-		// Unreachable: the m1 holder's bound is at least min(m2+L, m1+rt),
+		// Unreachable: the m1 holder's bound is at least min(m2+W, m1+2W),
 		// both > m1, and the limit/gate checks above ensured eff > m1.
-		panic("sim: watermark scheduler stalled with pending work (lookahead bug)")
-	}
-	st.cond.Broadcast()
-}
-
-// decideFixpoint is decide's fallback for lookahead matrices that violate
-// the triangle inequality: a multi-hop chain of promises may then bound a
-// horizon tighter than any direct pair, so horizons are solved iteratively
-// over the persistent frontier array. Each round lets every shard promise
-// silence up to min(horizon, next event) — Chandy-Misra-Bryant null
-// messages solved centrally — and Gauss-Seidel iteration (each shard sees
-// its predecessors' updated frontiers) converges in a handful of rounds
-// because event-holding shards jump straight to their next-event time.
-// minNext (= the earliest event anywhere) is below eff: decide already
-// handled the limit and the gate.
-func (e *ShardedEngine) decideFixpoint(st *wmState, eff, minNext Cycle) {
-	prof := e.profOn
-	n := len(e.shards)
-	for {
-		changed := false
-		for b := range e.shards {
-			hz := eff
-			for a := range e.shards {
-				if a == b {
-					continue
-				}
-				if v := e.frS[a] + e.look.at(a, b); v < hz {
-					hz = v
-				}
-			}
-			e.hzS[b] = hz
-			target := hz
-			if e.hasS[b] && e.nextS[b] < target {
-				target = e.nextS[b]
-			}
-			if target > e.frS[b] {
-				e.frS[b] = target
-				changed = true
-			}
-		}
-		if prof {
-			e.wmSolveOp += uint64(n)
-		}
-		if !changed {
-			break
-		}
-	}
-	st.tasks = st.tasks[:0]
-	st.head = 0
-	for b := range e.shards {
-		if e.hasS[b] && e.nextS[b] < e.hzS[b] {
-			st.tasks = append(st.tasks, wmTask{shard: b, hz: e.hzS[b]})
-		}
-	}
-	if len(st.tasks) == 0 {
-		// Unreachable: at the fixpoint the minNext holder's frontier stalls
-		// at minNext < eff, so every other frontier exceeds minNext's pair
-		// bound and the holder's own horizon exceeds minNext.
 		panic("sim: watermark scheduler stalled with pending work (lookahead bug)")
 	}
 	st.cond.Broadcast()

@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"iter"
 	"math"
+	"runtime/debug"
+	"sync"
 
 	"flashsim/internal/arch"
 	"flashsim/internal/core"
@@ -30,6 +32,36 @@ type World struct {
 
 	bump   []arch.Addr // per-node page-aligned bump pointer
 	rrNext int
+
+	// panicked is the run's earliest thread panic (nil if none), recorded
+	// by the panicking thread's shard under panicMu.
+	panicMu  sync.Mutex
+	panicked *threadPanic
+}
+
+// threadPanic is the error a run returns when an application thread
+// panics: the thread is recovered, the machine stopped, and the panic
+// reported with the cycle it happened at and its stack.
+type threadPanic struct {
+	thread int
+	cycle  sim.Cycle
+	value  any
+	stack  []byte
+}
+
+func (p *threadPanic) Error() string {
+	return fmt.Sprintf("workload: thread %d (node %d) panicked at cycle %d: %v\n%s",
+		p.thread, p.thread, p.cycle, p.value, p.stack)
+}
+
+// recordPanic keeps the earliest panic of a run, by (cycle, thread), so the
+// report does not depend on which shard got there first.
+func (w *World) recordPanic(p *threadPanic) {
+	w.panicMu.Lock()
+	defer w.panicMu.Unlock()
+	if q := w.panicked; q == nil || p.cycle < q.cycle || p.cycle == q.cycle && p.thread < q.thread {
+		w.panicked = p
+	}
 }
 
 // NewWorld creates the workload environment for a machine.
@@ -345,7 +377,9 @@ func (s *threadSource) ReadDone() {
 func threadSeed(i int) uint64 { return uint64(i)*0x9E3779B97F4A7C15 + 0x1234567 }
 
 // threads builds one Ctx and its coroutine source per processor, each
-// running fn.
+// running fn. A thread that panics is recovered on its own coroutine — on
+// the sharded engine that is a shard goroutine no caller could recover —
+// ends its stream, and stops the machine through its scheduler.
 func (w *World) threads(fn func(*Ctx)) []cpu.RefSource {
 	srcs := make([]cpu.RefSource, w.Cfg.Nodes)
 	for i := range srcs {
@@ -358,6 +392,12 @@ func (w *World) threads(fn func(*Ctx)) []cpu.RefSource {
 		next, _ := iter.Pull(func(yield func([]cpu.Ref) bool) {
 			c.yield = yield
 			defer func() {
+				if r := recover(); r != nil {
+					sched := w.M.Eng.Node(c.ID)
+					w.recordPanic(&threadPanic{thread: c.ID, cycle: sched.Now(), value: r, stack: debug.Stack()})
+					sched.Stop()
+					return
+				}
 				// Trailing non-blocking references still ride to the CPU
 				// before the stream ends.
 				if len(c.batch) > 0 {
@@ -383,7 +423,14 @@ func (w *World) Run(fn func(*Ctx), limit uint64) error {
 	// A deadlocked or over-limit machine leaves thread coroutines parked in
 	// their yield; they are abandoned (the error is fatal to the simulation
 	// anyway). On success every source was drained, so every fn returned.
-	return w.M.Run(w.threads(fn), sim.Cycle(limit))
+	// A thread panic takes precedence over the deadlock error the stopped
+	// machine reports.
+	w.panicked = nil
+	err := w.M.Run(w.threads(fn), sim.Cycle(limit))
+	if w.panicked != nil {
+		return w.panicked
+	}
+	return err
 }
 
 // Prefix is a run RunPrefix paused. It holds nothing: the paused state is
@@ -399,7 +446,7 @@ func (w *World) RunPrefix(fn func(*Ctx), pauseRefs, limit uint64) (*Prefix, erro
 		return nil, fmt.Errorf("workload: RunPrefix needs a positive pause point")
 	}
 	w.M.PauseAfterRefs(pauseRefs)
-	if err := w.M.Run(w.threads(fn), sim.Cycle(limit)); err != nil {
+	if err := w.Run(fn, limit); err != nil {
 		return nil, err
 	}
 	return &Prefix{}, nil

@@ -1,10 +1,12 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
 	"flashsim/internal/arch"
 	"flashsim/internal/core"
+	"flashsim/internal/sim"
 )
 
 func newTestWorld(t *testing.T, nodes int, pl arch.Placement) *World {
@@ -136,5 +138,64 @@ func TestCtxRandDeterministic(t *testing.T) {
 		if c1.Rand() != c2.Rand() {
 			t.Fatal("Rand not deterministic")
 		}
+	}
+}
+
+// TestThreadPanicIsRunError: a panic in application code must come back
+// from Run as an error naming the thread and the panic value, with the
+// panic's stack, on every engine — including the sharded ones, where the
+// thread runs on a shard goroutine no caller could recover — instead of
+// killing the process.
+func TestThreadPanicIsRunError(t *testing.T) {
+	const k = 50 // references thread 2 retires before it panics
+	for _, tc := range []struct {
+		name   string
+		engine arch.EngineKind
+		sync   arch.EngineSync
+	}{
+		{"seq", arch.EngineSeq, arch.EngineSyncBarrier},
+		{"sharded-barrier", arch.EngineSharded, arch.EngineSyncBarrier},
+		{"sharded-watermark", arch.EngineSharded, arch.EngineSyncWatermark},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := arch.DefaultConfig()
+			cfg.Nodes = 4
+			cfg.MemBytesPerNode = 1 << 20
+			cfg.Engine, cfg.EngineSync = tc.engine, tc.sync
+			m, err := core.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if se, ok := m.Eng.(*sim.ShardedEngine); ok {
+				se.Workers = 2
+			}
+			w := NewWorld(m)
+			a := w.NewArray(4 * ElemsPerPage)
+			err = w.Run(func(c *Ctx) {
+				for i := 0; i < 4*k; i++ {
+					if c.ID == 2 && i == k {
+						panic("thread two gives up")
+					}
+					c.WriteU(a.Addr((c.ID*k+i)%a.Len()), uint64(i))
+					c.ReadU(a.Addr(i % a.Len()))
+				}
+			}, 10_000_000)
+			if err == nil {
+				t.Fatal("run with a panicking thread returned nil")
+			}
+			msg := err.Error()
+			for _, want := range []string{
+				"workload: thread 2 (node 2) panicked at cycle ",
+				": thread two gives up\n",
+				"TestThreadPanicIsRunError", // the panic's stack
+			} {
+				if !strings.Contains(msg, want) {
+					t.Fatalf("error missing %q:\n%s", want, msg)
+				}
+			}
+			if strings.Contains(msg, "deadlock") {
+				t.Fatalf("deadlock error not superseded:\n%s", msg)
+			}
+		})
 	}
 }
