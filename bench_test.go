@@ -63,13 +63,26 @@ func benchPair(b *testing.B, app string, cacheBytes int) {
 		if app == "os" {
 			cfg.Placement = arch.PlaceRoundRobin
 		}
-		f, id, err := exp.Pair(app, cfg, apps.Params{Procs: procs, Scale: o.Scale}, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(exp.Slowdown(f, id), "slowdown_%")
+		f, id := benchRunPair(b, app, cfg, apps.Params{Procs: procs, Scale: o.Scale})
+		b.ReportMetric(exp.Slowdown(f.Report, id.Report), "slowdown_%")
 		b.ReportMetric(float64(f.Report.Elapsed), "flash_cycles")
 	}
+}
+
+// benchRunPair runs app on FLASH and then on the ideal machine with
+// otherwise identical configuration.
+func benchRunPair(b *testing.B, app string, cfg arch.Config, p apps.Params) (flash, ideal *exp.Run) {
+	cfg.Kind = arch.KindFLASH
+	flash, err := exp.RunApp(app, cfg, p, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.Kind = arch.KindIdeal
+	ideal, err = exp.RunApp(app, cfg, p, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return flash, ideal
 }
 
 func BenchmarkFig41Barnes(b *testing.B) { benchPair(b, "barnes", 1<<20) }
@@ -99,14 +112,11 @@ func BenchmarkSec43Hotspot(b *testing.B) {
 		cfg.MemBytesPerNode = 8 << 20
 		cfg.CacheSize = 4 << 10
 		cfg.Placement = arch.PlaceNodeZero
-		f, id, err := exp.Pair("fft", cfg, apps.Params{Procs: 16, Scale: o.Scale}, false)
-		if err != nil {
-			b.Fatal(err)
-		}
+		f, id := benchRunPair(b, "fft", cfg, apps.Params{Procs: 16, Scale: o.Scale})
 		hot := f.Machine.Nodes[0]
 		b.ReportMetric(100*hot.Magic.PPOcc.Fraction(f.Machine.Elapsed), "hot_pp_occ_%")
 		b.ReportMetric(100*hot.Mem.Occupancy(f.Machine.Elapsed), "hot_mem_occ_%")
-		b.ReportMetric(exp.Slowdown(f, id), "slowdown_%")
+		b.ReportMetric(exp.Slowdown(f.Report, id.Report), "slowdown_%")
 	}
 }
 
@@ -118,11 +128,8 @@ func BenchmarkSec45FFT64(b *testing.B) {
 		cfg := arch.DefaultConfig()
 		cfg.Nodes = 64
 		cfg.MemBytesPerNode = 4 << 20
-		f, id, err := exp.Pair("fft", cfg, apps.Params{Procs: 64, Scale: o.Scale}, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(exp.Slowdown(f, id), "slowdown_%")
+		f, id := benchRunPair(b, "fft", cfg, apps.Params{Procs: 64, Scale: o.Scale})
+		b.ReportMetric(exp.Slowdown(f.Report, id.Report), "slowdown_%")
 	}
 }
 

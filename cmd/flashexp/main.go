@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	flashexp [-scale N] [-procs N] [-noverify] [-parallel N]
+//	flashexp [-scale N] [-procs N] [-cache bytes] [-noverify] [-json]
 //	         [-net uniform|mesh] [-metrics] [-metrics-out f]
 //	         [-pprof dir] <experiment>...
 //	flashexp all
@@ -11,12 +11,23 @@
 //	         [-cold] [-cache-dir dir] [-out f] [-table-out f] [-verify]
 //
 // Experiments: table3.3 table3.4 fig4.1 fig4.2 fig4.3 sec4.3 sec4.5
-// table5.1 table5.1small sec5.2 table5.2 table5.3 sec5.3
+// table5.1 table5.1small sec5.2 table5.2 table5.3 sec5.3 protocompare
+// ablations sampled
 //
 // -scale multiplies every application's problem-size divisor; -scale 1 runs
 // the paper's sizes (slow), the default 4 finishes the full suite in
-// minutes. A failed experiment still stops -pprof capture and writes
-// -metrics-out before the exit status 1; a usage error exits 2.
+// minutes. -scale below 1, or a negative -procs or -cache, is a usage error.
+//
+// The named experiments are planned together: every simulation they need is
+// declared first, each distinct machine and workload is simulated once
+// (Table 5.1 re-reads Figure 4.1's FLASH legs, for one) on GOMAXPROCS
+// workers, and stderr reports "flashexp: N runs planned, M simulated".
+// Experiments print in order, each as soon as it and every earlier one are
+// done, so the (N.Ns) in each "==== name (N.Ns) ====" header — and -json's
+// wall_seconds — is the wall time since the previous experiment printed,
+// not the experiment's own cost. A failed experiment still stops -pprof
+// capture and writes -metrics-out before the exit status 1; a usage error
+// exits 2.
 //
 // The explore subcommand sweeps the design space of Chapter 5's flexibility
 // knobs (protocol data structure, MAGIC data cache size, PP clock ratio,
@@ -78,7 +89,6 @@ func run() (runErr error) {
 	scale := flag.Int("scale", 4, "problem size divisor (1 = paper sizes)")
 	procs := flag.Int("procs", 0, "override processor count (0 = paper defaults)")
 	noverify := flag.Bool("noverify", false, "skip result verification after runs")
-	parallel := flag.Int("parallel", 0, "concurrent simulations per experiment (0 = adaptive from GOMAXPROCS)")
 	jsonOut := flag.Bool("json", false, "emit experiment results as a JSON array on stdout")
 	netModel := flag.String("net", "uniform", "network latency model: uniform (paper average) or mesh (changes simulated timing)")
 	sample := flag.String("sample", "", "sampled-execution schedule for the sampled experiment: default or detail/stride[/warmup] cycles")
@@ -99,14 +109,19 @@ func run() (runErr error) {
 		return usageError{err}
 	}
 
-	o := exp.Options{Scale: *scale, Verify: !*noverify, Parallelism: *parallel}
-	if *procs > 0 {
-		o.Procs = *procs
+	o := exp.Options{Scale: *scale, Procs: *procs, Verify: !*noverify, CacheBytes: *cacheBytes}
+	var bad [5]error
+	if *scale < 1 {
+		bad[0] = fmt.Errorf("-scale %d: must be at least 1", *scale)
 	}
-	o.CacheBytes = *cacheBytes
-	var bad [2]error
-	o.NetModel, bad[0] = arch.ParseNetModel(*netModel)
-	o.Sample, bad[1] = arch.ParseSampleSpec(*sample)
+	if *procs < 0 {
+		bad[1] = fmt.Errorf("-procs %d: must not be negative", *procs)
+	}
+	if *cacheBytes < 0 {
+		bad[2] = fmt.Errorf("-cache %d: must not be negative", *cacheBytes)
+	}
+	o.NetModel, bad[3] = arch.ParseNetModel(*netModel)
+	o.Sample, bad[4] = arch.ParseSampleSpec(*sample)
 	if err := errors.Join(bad[:]...); err != nil {
 		return usageError{err}
 	}
@@ -119,53 +134,22 @@ func run() (runErr error) {
 		}
 	}
 
-	type experiment struct {
-		name string
-		run  func() (string, error)
-	}
-	all := []experiment{
-		{"table3.3", exp.Table33},
-		{"table3.4", exp.Table34},
-		{"fig4.1", func() (string, error) { return exp.Fig41(o) }},
-		{"fig4.2", func() (string, error) { return exp.Fig42(o) }},
-		{"fig4.3", func() (string, error) { return exp.Fig43(o) }},
-		{"sec4.3", func() (string, error) { return exp.Sec43(o) }},
-		{"sec4.5", func() (string, error) { return exp.Sec45(o) }},
-		{"table5.1", func() (string, error) { return exp.Table51(o, 1<<20) }},
-		{"table5.1small", func() (string, error) { return exp.Table51(o, 4<<10) }},
-		{"sec5.2", func() (string, error) { return exp.Sec52(o) }},
-		{"table5.2", func() (string, error) { return exp.Table52(o, 1<<20) }},
-		{"table5.3", func() (string, error) { return exp.Table53() }},
-		{"sec5.3", func() (string, error) { return exp.Sec53(o) }},
-		{"protocompare", func() (string, error) { return exp.ProtoCompare(o) }},
-		{"ablations", func() (string, error) { return exp.Ablations(o) }},
-		{"sampled", func() (string, error) { return exp.Sampled(o) }},
-	}
-	byName := map[string]experiment{}
-	for _, e := range all {
-		byName[e.name] = e
-	}
-
-	args := flag.Args()
-	if len(args) == 0 {
+	names := flag.Args()
+	if len(names) == 0 {
 		fmt.Fprintln(os.Stderr, "usage: flashexp [-scale N] <experiment>|all ...")
-		for _, e := range all {
-			fmt.Fprintln(os.Stderr, "  ", e.name)
+		for _, e := range exp.Experiments() {
+			fmt.Fprintln(os.Stderr, "  ", e)
 		}
 		return usageError{errors.New("no experiment named")}
 	}
-	var selected []experiment
-	if len(args) == 1 && args[0] == "all" {
-		selected = all
-	} else {
-		for _, a := range args {
-			e, ok := byName[a]
-			if !ok {
-				return usageError{fmt.Errorf("unknown experiment %q", a)}
-			}
-			selected = append(selected, e)
-		}
+	if len(names) == 1 && names[0] == "all" {
+		names = exp.Experiments()
 	}
+	plan, err := exp.NewPlan(o, names)
+	if err != nil {
+		return usageError{err}
+	}
+	fmt.Fprintf(os.Stderr, "flashexp: %d runs planned, %d simulated\n", plan.Runs(), plan.Simulations())
 
 	prof, err := cliutil.StartPprof(*pprofDir)
 	if err != nil {
@@ -200,20 +184,20 @@ func run() (runErr error) {
 		Output      string  `json:"output"`
 	}
 	var results []result
-	for _, e := range selected {
-		start := time.Now()
-		out, err := e.run()
-		if err != nil {
-			return fmt.Errorf("%s: %w", e.name, err)
-		}
-		wall := time.Since(start).Seconds()
-		reg.Gauge("flashexp_experiment_wall_ns", "exp", e.name).Set(wall1e9(wall))
+	last := time.Now()
+	err = plan.Execute(func(name, out string) {
+		wall := time.Since(last).Seconds()
+		last = time.Now()
+		reg.Gauge("flashexp_experiment_wall_ns", "exp", name).Set(int64(wall * 1e9))
 		if *jsonOut {
-			results = append(results, result{Name: e.name, WallSeconds: wall, Output: out})
-			fmt.Fprintf(os.Stderr, "flashexp: %s done (%.1fs)\n", e.name, wall)
-			continue
+			results = append(results, result{Name: name, WallSeconds: wall, Output: out})
+			fmt.Fprintf(os.Stderr, "flashexp: %s done (%.1fs)\n", name, wall)
+			return
 		}
-		fmt.Printf("==== %s (%.1fs) ====\n%s\n", e.name, wall, out)
+		fmt.Printf("==== %s (%.1fs) ====\n%s\n", name, wall, out)
+	})
+	if err != nil {
+		return err
 	}
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -224,8 +208,6 @@ func run() (runErr error) {
 	}
 	return nil
 }
-
-func wall1e9(s float64) int64 { return int64(s * 1e9) }
 
 // writeSnapshot dumps the registry as indented JSON into path.
 func writeSnapshot(reg *metrics.Registry, path string) error {

@@ -43,6 +43,60 @@ func flashexp(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	return out.String(), errb.String(), code
 }
 
+// goldenArgs are the experiments that finish at -scale 16: sec4.5's
+// 64-processor Ocean leg livelocks, and sampled prints host wall times.
+var goldenArgs = []string{"-scale", "16", "table3.3", "table3.4", "fig4.1", "fig4.2", "fig4.3", "sec4.3",
+	"table5.1", "table5.1small", "sec5.2", "table5.2", "table5.3", "sec5.3", "protocompare", "ablations"}
+
+// wallTimes matches the one host-dependent part of the output: each
+// experiment header's wall time.
+var wallTimes = regexp.MustCompile(`(?m)^(==== \S+) \(\d+\.\ds\) ====$`)
+
+// TestExperimentsMatchGolden pins flashexp's stdout at -scale 16, wall
+// times masked, against testdata/experiments_scale16.txt, and its one
+// stderr line: 110 declared runs, of which 69 are distinct machines.
+func TestExperimentsMatchGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "experiments_scale16.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, code := flashexp(t, goldenArgs...)
+	if code != 0 || stderr != "flashexp: 110 runs planned, 69 simulated\n" {
+		t.Fatalf("exit %d, stderr %q; want exit 0 and the plan summary line alone", code, stderr)
+	}
+	if got := wallTimes.ReplaceAllString(stdout, "$1 (N.Ns) ===="); got != string(want) {
+		t.Errorf("stdout differs from testdata/experiments_scale16.txt; after an intended change, regenerate it with\n"+
+			"  go run ./cmd/flashexp %s | sed -E 's/^(==== [^ ]+) \\([0-9]+\\.[0-9]s\\) ====$/\\1 (N.Ns) ====/' > cmd/flashexp/testdata/experiments_scale16.txt\n"+
+			"got:\n%s", strings.Join(goldenArgs, " "), got)
+	}
+}
+
+// TestRejectsBadFlags pins the usage errors: exit 2 with a message naming
+// the flag, before anything is simulated (a zero scale used to divide by
+// zero in sec5.2, a negative one silently ran the paper sizes).
+func TestRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-scale", "0", "sec5.2"}, "-scale"},
+		{[]string{"-scale", "-2", "fig4.1"}, "-scale"},
+		{[]string{"-procs", "-1", "table3.3"}, "-procs"},
+		{[]string{"-cache", "-1", "table3.3"}, "-cache"},
+		{[]string{"-parallel", "2", "table3.3"}, "-parallel"},
+		{[]string{"nosuch"}, `"nosuch"`},
+	} {
+		stdout, stderr, code := flashexp(t, tc.args...)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, tc.flag) || strings.Contains(stderr, "goroutine 1 [") {
+			t.Errorf("flashexp %v: exit %d, stdout %q, stderr %q; want exit 2 and a message naming %s",
+				tc.args, code, stdout, stderr, tc.flag)
+		}
+	}
+}
+
 // TestExploreSummaryLine pins the shape and the counts of the one-line
 // summary `flashexp explore` prints on stderr, for the default warm sweep
 // (no -cache-dir: 48 simulated FLASH points + the ideal baseline miss, the

@@ -126,25 +126,31 @@ func (m *Machine) EnableOccSampling(w sim.Cycle) {
 	}
 }
 
-// New builds a machine. The configuration's network transit latency is
-// derived from the node count unless explicitly overridden beforehand.
-func New(cfg arch.Config) (*Machine, error) {
+// resolve returns the configuration New actually builds from cfg. An ideal
+// machine takes the hardwired controller's timing but keeps the caller's
+// memory and network latencies, which it shares with FLASH, and drops
+// sampling: its protocol already runs in zero time, so a functional phase
+// would change nothing it measures. A zero network transit is derived from
+// the node count.
+func resolve(cfg arch.Config) arch.Config {
 	if cfg.Kind == arch.KindIdeal {
 		ideal := arch.IdealTiming()
-		// Preserve any caller overrides of the shared parameters.
 		ideal.MemAccess = cfg.Timing.MemAccess
 		ideal.MemLineBusy = cfg.Timing.MemLineBusy
+		ideal.NetTransit = cfg.Timing.NetTransit
 		cfg.Timing = ideal
+		cfg.Sample = arch.SampleSpec{}
 	}
 	if cfg.Timing.NetTransit == 0 {
 		cfg.Timing.NetTransit = uint32(network.AvgTransitFor(cfg.Nodes))
 	}
-	// Sampled execution applies to FLASH machines only: the ideal
-	// controller's protocol already runs in zero time, so a functional
-	// phase would change nothing it measures.
-	if cfg.Kind == arch.KindIdeal {
-		cfg.Sample = arch.SampleSpec{}
-	}
+	return cfg
+}
+
+// New builds a machine. The configuration's network transit latency is
+// derived from the node count unless explicitly overridden beforehand.
+func New(cfg arch.Config) (*Machine, error) {
+	cfg = resolve(cfg)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -48,3 +48,39 @@ func TestTable33(t *testing.T) {
 		}
 	}
 }
+
+// TestIdealKeepsNetTransit pins that the network is shared, not part of the
+// controller: an ideal machine built with an explicit transit keeps it, so
+// its remote misses slow down with longer wires, and its key says so.
+func TestIdealKeepsNetTransit(t *testing.T) {
+	remoteClean := func(transit uint32) (arch.Config, int) {
+		cfg := testConfig(arch.KindIdeal)
+		cfg.Timing.NetTransit = transit
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sc := range MissScenarios(&cfg) {
+			if sc.Class == arch.MissRemoteClean {
+				lat, _, err := ProbeMiss(cfg, sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m.Cfg, int(lat)
+			}
+		}
+		t.Fatal("no remote-clean scenario")
+		return cfg, 0
+	}
+	cfg22, lat22 := remoteClean(22)
+	cfg44, lat44 := remoteClean(44)
+	if got := cfg44.Timing.NetTransit; got != 44 {
+		t.Errorf("ideal machine built at NetTransit 44 has %d", got)
+	}
+	if lat44 <= lat22 {
+		t.Errorf("ideal remote-clean miss: %d cycles at transit 44, %d at 22; want more at 44", lat44, lat22)
+	}
+	if SimKeyFor(cfg22) == SimKeyFor(cfg44) {
+		t.Error("ideal machines at transit 22 and 44 share a key")
+	}
+}

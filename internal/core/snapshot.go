@@ -184,24 +184,11 @@ func (m *Machine) PauseAfterRefs(k uint64) {
 	}
 }
 
-// SimKeyFor returns cfg's simulated-behavior key after applying the same
-// normalization New applies (ideal timing override, derived network
-// transit, no sampling on ideal machines): the key of the machine New
-// would actually build. Two configs with equal keys produce bit-identical
-// simulations regardless of host-side choices; the experiment result cache
-// keys on this.
+// SimKeyFor returns the simulated-behavior key of the machine New builds
+// from cfg (see resolve). Two configs with equal keys produce bit-identical
+// simulations regardless of host-side choices; the experiment planner and
+// the result cache key on this.
 func SimKeyFor(cfg arch.Config) string {
-	if cfg.Kind == arch.KindIdeal {
-		ideal := arch.IdealTiming()
-		ideal.MemAccess = cfg.Timing.MemAccess
-		ideal.MemLineBusy = cfg.Timing.MemLineBusy
-		cfg.Timing = ideal
-	}
-	if cfg.Timing.NetTransit == 0 {
-		cfg.Timing.NetTransit = uint32(network.AvgTransitFor(cfg.Nodes))
-	}
-	if cfg.Kind == arch.KindIdeal {
-		cfg.Sample = arch.SampleSpec{}
-	}
+	cfg = resolve(cfg)
 	return cfg.SimKey()
 }

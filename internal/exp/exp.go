@@ -1,16 +1,16 @@
-// Package exp regenerates the paper's tables and figures: each Experiment
-// runs the required simulations and renders rows in the paper's layout.
-// cmd/flashexp exposes them on the command line and bench_test.go wraps
-// them as benchmarks.
+// Package exp regenerates the paper's tables and figures. Each experiment
+// declares the simulations it needs and renders rows in the paper's layout
+// from their reports; a Plan dedupes the runs of every selected experiment
+// and simulates each distinct machine once (plan.go). cmd/flashexp exposes
+// the experiments on the command line, and Explore sweeps the MAGIC design
+// space on the same executor.
 package exp
 
 import (
-	"errors"
 	"fmt"
-	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"flashsim/internal/apps"
@@ -25,19 +25,13 @@ import (
 type Options struct {
 	// Scale multiplies every application's problem-size divisor: 1 runs the
 	// paper sizes, larger values shrink the problems. The default (4) keeps
-	// the full suite to minutes.
+	// the full suite to minutes. A Plan rejects values below 1.
 	Scale int
 	// Procs overrides the processor count where the paper doesn't fix it.
 	Procs int
 	// Verify re-checks application results and machine coherence after
 	// every run (slower; on by default in tests).
 	Verify bool
-	// Parallelism caps how many simulations an experiment runs at once.
-	// 0 sizes the fan-out adaptively from the host: GOMAXPROCS divided by
-	// the simulated processor count (each running simulation keeps roughly
-	// one OS thread hot plus one goroutine per simulated processor),
-	// floored at 2 so small hosts keep the FLASH/ideal pair concurrent.
-	Parallelism int
 	// NetModel selects the network latency model every experiment's machines
 	// use (the zero value is the paper's uniform average; NetMesh switches
 	// to per-pair 2-D mesh transit and changes simulated timing).
@@ -55,31 +49,15 @@ type Options struct {
 	CacheBytes int
 }
 
-// workers returns the experiment fan-out for simulations of simProcs
-// processors each: the explicit Parallelism override, or the adaptive size.
-func (o Options) workers(simProcs int) int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	if simProcs < 1 {
-		simProcs = 1
-	}
-	w := runtime.GOMAXPROCS(0) / simProcs
-	if w < 2 {
-		w = 2
-	}
-	return w
-}
-
 // DefaultOptions is the quick configuration: problem sizes a quarter of
 // the paper's, which preserves the qualitative results at a fraction of
 // the simulation cost. Use Scale 1 or 2 to approach the paper sizes.
 func DefaultOptions() Options { return Options{Scale: 4, Verify: true} }
 
-// paramsFor is the problem size every experiment runs: Options.Scale (at
-// least 1, the paper sizes) on procs processors.
-func (o Options) paramsFor(app string, procs int) apps.Params {
-	return apps.Params{Procs: procs, Scale: max(o.Scale, 1)}
+// paramsFor is the problem size every experiment runs: Options.Scale on
+// procs processors.
+func (o Options) paramsFor(procs int) apps.Params {
+	return apps.Params{Procs: procs, Scale: o.Scale}
 }
 
 // Run is one completed simulation.
@@ -105,11 +83,22 @@ func RunApp(name string, cfg arch.Config, p apps.Params, verify bool) (*Run, err
 // sampling (core.Machine.SetTracer, EnableOccSampling) without perturbing
 // the simulation itself.
 //
+// It is the one place exp runs a simulation: flashexp's experiments and
+// Explore's points are jobs that call it (plan.go). A panic in an app
+// builder comes back as the error; a workload thread's panic already comes
+// back from World.Run as one, on every engine. A panic elsewhere on a
+// sharded engine's own shard goroutine still ends the process.
+//
 // The returned report carries host-cost accounting (Report.Host) sampled
 // around the run. The runtime counters are process-wide, so when several
-// simulations run concurrently (Pair, parallelMap) each delta includes its
-// neighbours' allocations.
-func RunAppObserved(name string, cfg arch.Config, p apps.Params, verify bool, observe func(*core.Machine)) (*Run, error) {
+// simulations run concurrently each delta includes its neighbours'
+// allocations.
+func RunAppObserved(name string, cfg arch.Config, p apps.Params, verify bool, observe func(*core.Machine)) (r *Run, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			r, err = nil, fmt.Errorf("panic: %v\n%s", v, debug.Stack())
+		}
+	}()
 	before := metrics.ReadHost()
 	m, err := core.New(cfg)
 	if err != nil {
@@ -142,37 +131,9 @@ func RunAppObserved(name string, cfg arch.Config, p apps.Params, verify bool, ob
 	return &Run{App: name, Cfg: cfg, Report: rep, Machine: m, SimWall: simWall}, nil
 }
 
-// Pair runs an application on FLASH and on the ideal machine with otherwise
-// identical configuration, in parallel.
-func Pair(name string, base arch.Config, p apps.Params, verify bool) (flash, ideal *Run, err error) {
-	var wg sync.WaitGroup
-	var ef, ei error
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		cf := base
-		cf.Kind = arch.KindFLASH
-		flash, ef = RunApp(name, cf, p, verify)
-	}()
-	go func() {
-		defer wg.Done()
-		ci := base
-		ci.Kind = arch.KindIdeal
-		ideal, ei = RunApp(name, ci, p, verify)
-	}()
-	wg.Wait()
-	if ef != nil {
-		return nil, nil, ef
-	}
-	if ei != nil {
-		return nil, nil, ei
-	}
-	return flash, ideal, nil
-}
-
 // Slowdown returns FLASH execution time relative to ideal, in percent.
-func Slowdown(flash, ideal *Run) float64 {
-	return 100 * (float64(flash.Report.Elapsed)/float64(ideal.Report.Elapsed) - 1)
+func Slowdown(flash, ideal stats.Report) float64 {
+	return 100 * (float64(flash.Elapsed)/float64(ideal.Elapsed) - 1)
 }
 
 // baseConfig is the Section 3 machine with a memory size fit for the
@@ -188,39 +149,6 @@ func (o Options) baseConfig(procs int) arch.Config {
 		cfg.CacheSize = o.CacheBytes
 	}
 	return cfg
-}
-
-// parallelMap runs f over the items with at most `workers` in flight
-// (bounded: each simulation already spawns one goroutine per simulated
-// processor, and oversubscribing the host thrashes the workload handshake
-// channels), preserving result order. Every failure is reported, each
-// wrapped with the item that produced it.
-func parallelMap[T any](workers int, items []string, f func(string) (T, error)) ([]T, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	out := make([]T, len(items))
-	errs := make([]error, len(items))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, it := range items {
-		wg.Add(1)
-		go func(i int, it string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			var err error
-			out[i], err = f(it)
-			if err != nil {
-				errs[i] = fmt.Errorf("%s: %w", it, err)
-			}
-		}(i, it)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // table renders rows with aligned columns.

@@ -3,13 +3,59 @@ package exp
 import (
 	"strings"
 	"testing"
+
+	"flashsim/internal/apps"
+	"flashsim/internal/arch"
 )
 
-// tinyOptions keeps experiment smoke tests fast.
+// The experiments' rendered output at -scale 16 is pinned end to end by
+// cmd/flashexp's golden file; the tests below check what each experiment
+// declares — which machines it runs, and which of them it shares with
+// Figure 4.1 — without simulating anything.
+
+// tinyOptions is the scale the golden file is recorded at.
 func tinyOptions() Options { return Options{Scale: 16, Verify: true} }
 
+// declared plans the named experiments and returns the plan and each
+// experiment's declared runs.
+func declared(t *testing.T, o Options, names ...string) (*Plan, [][]*job) {
+	t.Helper()
+	p, err := NewPlan(o, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := make([][]*job, len(p.exps))
+	for i, e := range p.exps {
+		runs[i] = e.jobs
+	}
+	return p, runs
+}
+
+// sameJobs reports whether every job in a is the corresponding one in b.
+func sameJobs(a, b []*job) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// legs returns every other job of a pair list, starting at first (0 =
+// FLASH, 1 = ideal).
+func legs(jobs []*job, first int) []*job {
+	var out []*job
+	for i := first; i < len(jobs); i += 2 {
+		out = append(out, jobs[i])
+	}
+	return out
+}
+
 func TestTable33(t *testing.T) {
-	s, err := Table33()
+	s, err := table33()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +66,7 @@ func TestTable33(t *testing.T) {
 }
 
 func TestTable34(t *testing.T) {
-	s, err := Table34()
+	s, err := table34()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,85 +78,120 @@ func TestTable34(t *testing.T) {
 	}
 }
 
+// TestFig41 pins Figure 4.1's runs: a FLASH/ideal pair per application in
+// suite order, 16 processors (8 for the round-robin-paged OS workload), all
+// distinct.
 func TestFig41(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
+	p, runs := declared(t, tinyOptions(), "fig4.1")
+	if p.Runs() != 14 || p.Simulations() != 14 {
+		t.Fatalf("fig4.1: %d runs, %d simulated; want 14 and 14", p.Runs(), p.Simulations())
 	}
-	s, err := Fig41(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
+	for i, j := range runs[0] {
+		app := apps.Names[i/2]
+		kind := []arch.MachineKind{arch.KindFLASH, arch.KindIdeal}[i%2]
+		wantProcs, wantPlace := 16, arch.PlaceFirstTouch
+		if app == "os" {
+			wantProcs, wantPlace = 8, arch.PlaceRoundRobin
+		}
+		if j.app != app || j.cfg.Kind != kind || j.cfg.Nodes != wantProcs || j.p.Procs != wantProcs ||
+			j.cfg.Placement != wantPlace || j.cfg.CacheSize != 1<<20 {
+			t.Errorf("run %d: %s on %v, %d nodes, %v, %d-byte caches; want %s on %v, %d nodes, %v, 1 MB",
+				i, j.app, j.cfg.Kind, j.cfg.Nodes, j.cfg.Placement, j.cfg.CacheSize, app, kind, wantProcs, wantPlace)
+		}
 	}
-	t.Log("\n" + s)
 }
 
+// TestFig42 pins that the 64 KB suite shares no machine with the 1 MB one.
 func TestFig42(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
+	p, runs := declared(t, tinyOptions(), "fig4.1", "fig4.2")
+	if len(runs[1]) != 10 || p.Simulations() != 24 {
+		t.Fatalf("fig4.2 after fig4.1: %d runs, %d simulated in all; want 10 and 24", len(runs[1]), p.Simulations())
 	}
-	s, err := Fig42(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
+	for _, j := range runs[1] {
+		if j.cfg.CacheSize != 64<<10 {
+			t.Errorf("%s: %d-byte caches, want 64 KB", j.app, j.cfg.CacheSize)
+		}
 	}
-	t.Log("\n" + s)
 }
 
+// TestFig43 pins the paper's footnote: Ocean runs 16 KB caches where the
+// others run 4 KB.
 func TestFig43(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
+	_, runs := declared(t, tinyOptions(), "fig4.3")
+	if len(runs[0]) != 8 {
+		t.Fatalf("fig4.3: %d runs, want 8", len(runs[0]))
 	}
-	s, err := Fig43(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
+	for _, j := range runs[0] {
+		want := 4 << 10
+		if j.app == "ocean" {
+			want = 16 << 10
+		}
+		if j.cfg.CacheSize != want {
+			t.Errorf("%s: %d-byte caches, want %d", j.app, j.cfg.CacheSize, want)
+		}
 	}
-	t.Log("\n" + s)
 }
 
+// TestSec43 pins that Section 4.3's round-robin OS pair is Figure 4.1's,
+// while the node-zero FFT and OS pairs are new machines.
 func TestSec43(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
+	p, runs := declared(t, tinyOptions(), "fig4.1", "sec4.3")
+	fig, sec := runs[0], runs[1]
+	if len(sec) != 6 || !sameJobs(sec[2:4], fig[10:12]) || p.Simulations() != 18 {
+		t.Errorf("sec4.3 after fig4.1: %d runs, OS round-robin pair shared %v, %d simulated; want 6, true, 18",
+			len(sec), sameJobs(sec[2:4], fig[10:12]), p.Simulations())
 	}
-	s, err := Sec43(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + s)
 }
 
+// TestTable51 pins that Table 5.1's speculation-on legs are Figure 4.1's
+// FLASH legs, and that only the speculation-off legs are simulated anew.
 func TestTable51(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
+	p, runs := declared(t, tinyOptions(), "fig4.1", "table5.1")
+	if !sameJobs(legs(runs[1], 0), legs(runs[0], 0)) {
+		t.Error("table5.1's speculation-on legs are not fig4.1's FLASH legs")
 	}
-	s, err := Table51(tinyOptions(), 1<<20)
-	if err != nil {
-		t.Fatal(err)
+	for _, j := range legs(runs[1], 1) {
+		if j.cfg.Speculation {
+			t.Errorf("%s: speculation-off leg runs with speculation", j.app)
+		}
 	}
-	t.Log("\n" + s)
+	if p.Simulations() != 21 {
+		t.Errorf("fig4.1 + table5.1: %d simulated, want 21", p.Simulations())
+	}
 }
 
+// TestSec52 pins that Section 5.2's OS run is Figure 4.1's OS FLASH leg,
+// and that a plan rejects a scale below 1 (its key count divides by it).
 func TestSec52(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
+	_, runs := declared(t, tinyOptions(), "fig4.1", "sec5.2")
+	if runs[1][2] != runs[0][10] {
+		t.Error("sec5.2's OS run is not fig4.1's OS FLASH leg")
 	}
-	s, err := Sec52(Options{Scale: 64, Verify: true})
-	if err != nil {
-		t.Fatal(err)
+	for _, scale := range []int{0, -2} {
+		o := tinyOptions()
+		o.Scale = scale
+		if _, err := NewPlan(o, []string{"sec5.2"}); err == nil {
+			t.Errorf("scale %d accepted", scale)
+		}
 	}
-	t.Log("\n" + s)
 }
 
+// TestTable52 pins that Table 5.2 re-reads Figure 4.1's pairs and
+// simulates nothing of its own.
 func TestTable52(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
+	p, runs := declared(t, tinyOptions(), "fig4.1", "table5.2")
+	if p.Runs() != 26 || p.Simulations() != 14 {
+		t.Errorf("fig4.1 + table5.2: %d runs, %d simulated; want 26 and 14", p.Runs(), p.Simulations())
 	}
-	s, err := Table52(tinyOptions(), 1<<20)
-	if err != nil {
-		t.Fatal(err)
+	for _, j := range legs(runs[1], 0) {
+		if len(j.inspect) != 1 {
+			t.Errorf("%s: %d inspectors on the FLASH leg, want 1 (the PP counters)", j.app, len(j.inspect))
+		}
 	}
-	t.Log("\n" + s)
 }
 
 func TestTable53(t *testing.T) {
-	s, err := Table53()
+	s, err := table53()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,13 +201,22 @@ func TestTable53(t *testing.T) {
 	}
 }
 
+// TestSec53 pins that Section 5.3's optimized legs are Figure 4.1's FLASH
+// legs and its unoptimized legs run without special instructions.
 func TestSec53(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
+	_, runs := declared(t, tinyOptions(), "fig4.1", "sec5.3")
+	fig := map[string]*job{}
+	for _, j := range legs(runs[0], 0) {
+		fig[j.app] = j
 	}
-	s, err := Sec53(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
+	for _, j := range legs(runs[1], 0) {
+		if fig[j.app] != j {
+			t.Errorf("%s: sec5.3's optimized leg is not fig4.1's FLASH leg", j.app)
+		}
 	}
-	t.Log("\n" + s)
+	for _, j := range legs(runs[1], 1) {
+		if j.cfg.PPMode != arch.PPNoSpecial {
+			t.Errorf("%s: unoptimized leg runs PP mode %v", j.app, j.cfg.PPMode)
+		}
+	}
 }

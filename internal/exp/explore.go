@@ -11,18 +11,18 @@ package exp
 //
 // Explore is plan, execute, assemble:
 //
-//   - plan: enumerate the grid in order, compute each point's
-//     exploreCacheKey, group points that share a key (first-seen order) and
-//     ask the ResultCache for each distinct key once. The ideal baseline is
-//     one more job at the head of the list. A cold sweep has no cache and
-//     no grouping: every point is its own job.
-//   - execute: the jobs the cache did not answer run on
-//     min(GOMAXPROCS, jobs) worker goroutines. Each builds a fresh machine,
-//     runs the point exactly as flashsim runs it (World.Run, start to
-//     finish) and drops the machine. Jobs share nothing mutable: protocol
-//     programs are memoized process-wide and read-only
-//     (TestSharedProgramConcurrentMachines), and a worker writes only its
-//     own job.
+//   - plan: enumerate the grid in order, compute each point's runKey,
+//     group points that share a key (first-seen order) and ask the
+//     ResultCache for each distinct key once. The ideal baseline is one
+//     more job at the head of the list. A cold sweep has no cache and no
+//     grouping: every point is its own job.
+//   - execute: the jobs the cache did not answer run on the executor
+//     flashexp's experiments use (plan.go), min(GOMAXPROCS, jobs) worker
+//     goroutines. Each builds a fresh machine, runs the point exactly as
+//     flashsim runs it (World.Run, start to finish) and drops the machine.
+//     Jobs share nothing mutable: protocol programs are memoized
+//     process-wide and read-only (TestSharedProgramConcurrentMachines), and
+//     a worker writes only its own job.
 //   - assemble: one goroutine walks the grid in order, stores new reports
 //     in the cache, counts hits, misses and machines, digests each distinct
 //     report once, and joins the failures in grid order.
@@ -48,16 +48,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/debug"
 	"sort"
-	"sync"
 
 	"flashsim/internal/apps"
 	"flashsim/internal/arch"
-	"flashsim/internal/core"
 	"flashsim/internal/stats"
-	"flashsim/internal/workload"
 )
 
 // ExploreOptions configures the design-space sweep.
@@ -244,14 +239,6 @@ func (c *ResultCache) Put(key string, rep stats.Report) error {
 	return err
 }
 
-// exploreCacheKey is the content address of one simulated point: the
-// normalized simulated-behavior key (engine/sync/dispatch excluded — they
-// cannot change the result) plus the workload identity.
-func exploreCacheKey(cfg arch.Config, app string, scale, procs int) string {
-	return fmt.Sprintf("explore-v2|%s|app=%s|scale=%d|procs=%d",
-		core.SimKeyFor(cfg), app, scale, procs)
-}
-
 func reportDigest(rep stats.Report) string {
 	rep.Host = nil
 	buf, err := json.Marshal(rep)
@@ -263,54 +250,16 @@ func reportDigest(rep stats.Report) string {
 }
 
 // exploreJob is one distinct simulation of the sweep: the ideal baseline or
-// a FLASH design point. Plan fills name, key and cfg (and rep, hit when the
-// cache answers); a worker fills rep or err; assemble fills the rest.
+// a FLASH design point. Plan fills name and key (and rep, hit when the cache
+// answers); a worker fills rep or err; assemble fills the rest.
 type exploreJob struct {
+	*job
 	name string // the baseline, or the first grid point that needs it
 	key  string
-	cfg  arch.Config
 
 	hit    bool // served by the result cache: nothing to simulate
 	used   bool // a grid point has taken its report
-	rep    stats.Report
 	digest string
-	err    error
-}
-
-// simulate runs the job on a fresh machine, which is garbage when it
-// returns. A panic in an app builder comes back as the job's error; a
-// workload thread's panic already comes back from World.Run as one, on
-// every engine. A panic elsewhere on a sharded engine's own shard
-// goroutine still ends the process.
-func (j *exploreJob) simulate(o ExploreOptions, p apps.Params) (rep stats.Report, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
-		}
-	}()
-	m, err := core.New(j.cfg)
-	if err != nil {
-		return stats.Report{}, err
-	}
-	w := workload.NewWorld(m)
-	a, err := apps.Build(o.App, w, p)
-	if err != nil {
-		return stats.Report{}, err
-	}
-	if err := w.Run(a.Run, 0); err != nil {
-		return stats.Report{}, err
-	}
-	if o.Verify {
-		if err := a.Verify(); err != nil {
-			return stats.Report{}, err
-		}
-		if err := m.CheckCoherence(); err != nil {
-			return stats.Report{}, err
-		}
-	}
-	rep = stats.Collect(m)
-	rep.Host = nil
-	return rep, nil
 }
 
 // Explore runs the design-space sweep and returns Pareto-annotated points
@@ -342,16 +291,17 @@ func Explore(o ExploreOptions) (*ExploreResult, error) {
 	// Plan. jobs is in first-seen order; jobOf[i] serves res.Points[i].
 	// byKey is the cache within the call; a cold sweep leaves it empty, so
 	// every point is its own job.
-	var jobs, todo []*exploreJob
+	var jobs []*exploreJob
+	var todo []*job
 	byKey := map[string]*exploreJob{}
 	plan := func(name string, cfg arch.Config) *exploreJob {
-		key := exploreCacheKey(cfg, o.App, o.Scale, o.Procs)
+		key := runKey(cfg, o.App, p)
 		if j := byKey[key]; j != nil {
 			return j
 		}
-		j := &exploreJob{name: name, key: key, cfg: cfg}
+		j := &exploreJob{job: newJob(o.App, cfg, p, o.Verify), name: name, key: key}
 		if j.rep, j.hit = cache.Get(key); !j.hit {
-			todo = append(todo, j)
+			todo = append(todo, j.job)
 		}
 		if o.Warm {
 			byKey[key] = j
@@ -409,24 +359,12 @@ func Explore(o ExploreOptions) (*ExploreResult, error) {
 		}
 	}
 
-	// Execute. Each worker writes only the job it received; wg.Wait orders
-	// those writes before assemble reads them.
-	next := make(chan *exploreJob)
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), len(todo)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range next {
-				j.rep, j.err = j.simulate(o, p)
-			}
-		}()
-	}
+	// Execute. Each worker writes only the job it received; waiting on done
+	// orders those writes before assemble reads them.
+	execute(todo)
 	for _, j := range todo {
-		next <- j
+		<-j.done
 	}
-	close(next)
-	wg.Wait()
 
 	// Assemble. First the jobs, in first-seen (so grid) order: a job the
 	// cache answered is a hit for the point that planned it, any other built

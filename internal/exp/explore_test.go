@@ -387,7 +387,7 @@ func TestResultCacheRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := goldenConfig()
-	key := exploreCacheKey(cfg, "fft", 256, 4)
+	key := runKey(cfg, "fft", apps.Params{Procs: 4, Scale: 256})
 	if _, ok := c.Get(key); ok {
 		t.Fatal("empty cache hit")
 	}

@@ -6,68 +6,62 @@ import (
 
 	"flashsim/internal/apps"
 	"flashsim/internal/arch"
+	"flashsim/internal/core"
+	"flashsim/internal/stats"
 )
 
-// appRow is one application's FLASH/ideal pair.
-type appRow struct {
-	App          string
-	Flash, Ideal *Run
+// paperProcs is the paper's processor count for an application: 16, or 8
+// for the OS workload.
+func paperProcs(app string) int {
+	if app == "os" {
+		return 8
+	}
+	return 16
 }
 
-// runSuite runs the listed applications on both machines at the given cache
-// size. procs 0 means the paper's default (16, or 8 for the OS workload).
-func runSuite(o Options, names []string, cacheBytes, procs int) ([]appRow, error) {
-	sizing := procs
-	if sizing == 0 {
-		sizing = 16
+// appConfig is the Chapter 4 machine for one application on np processors
+// with cacheBytes caches: 16 KB instead of 4 KB for Ocean (the paper's
+// footnote: cache conflicts with 128-byte lines), and round-robin paging
+// for the OS workload.
+func (o Options) appConfig(app string, np, cacheBytes int) arch.Config {
+	cfg := o.baseConfig(np)
+	cfg.CacheSize = cacheBytes
+	if app == "ocean" && cacheBytes == 4<<10 {
+		cfg.CacheSize = 16 << 10
 	}
-	if o.Procs > 0 {
-		sizing = o.Procs
+	if app == "os" {
+		cfg.Placement = arch.PlaceRoundRobin
 	}
-	return parallelMap(o.workers(sizing), names, func(name string) (appRow, error) {
-		np := procs
-		if np == 0 {
-			np = 16
-			if name == "os" {
-				np = 8
-			}
+	return cfg
+}
+
+// suite declares the listed applications on both machines at the given
+// cache size, on the paper's processor counts unless Options.Procs is set.
+func (pl *planner) suite(names []string, cacheBytes int) []pair {
+	rows := make([]pair, len(names))
+	for i, name := range names {
+		np := paperProcs(name)
+		if pl.o.Procs > 0 {
+			np = pl.o.Procs
 		}
-		if o.Procs > 0 {
-			np = o.Procs
-		}
-		cfg := o.baseConfig(np)
-		if cacheBytes > 0 {
-			cfg.CacheSize = cacheBytes
-			// The paper uses 16 KB instead of 4 KB for Ocean (cache
-			// conflicts with 128-byte lines).
-			if name == "ocean" && cacheBytes == 4<<10 {
-				cfg.CacheSize = 16 << 10
-			}
-		}
-		if name == "os" {
-			cfg.Placement = arch.PlaceRoundRobin
-		}
-		f, i, err := Pair(name, cfg, o.paramsFor(name, np), o.Verify)
-		if err != nil {
-			return appRow{}, err
-		}
-		return appRow{App: name, Flash: f, Ideal: i}, nil
-	})
+		rows[i] = pl.pair(name, pl.o.appConfig(name, np, cacheBytes), pl.o.paramsFor(np))
+	}
+	return rows
 }
 
 // renderFig renders a Figure 4.x execution-time comparison: normalized
 // execution times with Busy/Read/Write/Sync breakdowns.
-func renderFig(title string, rows []appRow) string {
+func renderFig(title string, rows []pair) string {
 	var b strings.Builder
 	b.WriteString(title + "\n")
 	b.WriteString("(execution time normalized to FLASH = 100; components in points)\n")
 	hdr := []string{"App", "Machine", "Total", "Busy", "Read", "Write", "Sync", "Slowdown"}
 	out := [][]string{}
 	for _, r := range rows {
-		fl, id := r.Flash.Report, r.Ideal.Report
+		fl, id := r.flash.rep, r.ideal.rep
 		norm := 100.0 / float64(fl.Elapsed)
 		out = append(out, []string{
-			r.App, "FLASH", "100.0",
+			r.app, "FLASH", "100.0",
 			fmt.Sprintf("%.1f", float64(fl.Elapsed)*norm*fl.Breakdown.Busy),
 			fmt.Sprintf("%.1f", float64(fl.Elapsed)*norm*fl.Breakdown.Read),
 			fmt.Sprintf("%.1f", float64(fl.Elapsed)*norm*fl.Breakdown.Write),
@@ -80,7 +74,7 @@ func renderFig(title string, rows []appRow) string {
 			fmt.Sprintf("%.1f", float64(id.Elapsed)*norm*id.Breakdown.Read),
 			fmt.Sprintf("%.1f", float64(id.Elapsed)*norm*id.Breakdown.Write),
 			fmt.Sprintf("%.1f", float64(id.Elapsed)*norm*id.Breakdown.Sync),
-			fmt.Sprintf("+%.1f%%", Slowdown(r.Flash, r.Ideal)),
+			fmt.Sprintf("+%.1f%%", Slowdown(fl, id)),
 		})
 	}
 	b.WriteString(table(hdr, out))
@@ -88,7 +82,7 @@ func renderFig(title string, rows []appRow) string {
 }
 
 // renderTable41 renders the Table 4.1/4.2 statistics block.
-func renderTable41(title string, rows []appRow) (string, error) {
+func renderTable41(title string, rows []pair) (string, error) {
 	latF, err := MeasuredLatencies(arch.KindFLASH)
 	if err != nil {
 		return "", err
@@ -99,152 +93,134 @@ func renderTable41(title string, rows []appRow) (string, error) {
 	}
 	hdr := []string{"Metric"}
 	for _, r := range rows {
-		hdr = append(hdr, r.App)
+		hdr = append(hdr, r.app)
 	}
-	get := func(f func(r appRow) string) []string {
+	get := func(f func(fl, id stats.Report) string) []string {
 		out := []string{}
 		for _, r := range rows {
-			out = append(out, f(r))
+			out = append(out, f(r.flash.rep, r.ideal.rep))
 		}
 		return out
 	}
 	out := [][]string{
-		append([]string{"Miss rate"}, get(func(r appRow) string { return pct2(r.Flash.Report.MissRate) })...),
-		append([]string{"Local Clean"}, get(func(r appRow) string { return pct(r.Flash.Report.ReadClass[arch.MissLocalClean]) })...),
-		append([]string{"Local Dirty Remote"}, get(func(r appRow) string { return pct(r.Flash.Report.ReadClass[arch.MissLocalDirty]) })...),
-		append([]string{"Remote Clean"}, get(func(r appRow) string { return pct(r.Flash.Report.ReadClass[arch.MissRemoteClean]) })...),
-		append([]string{"Remote Dirty at Home"}, get(func(r appRow) string { return pct(r.Flash.Report.ReadClass[arch.MissRemoteDirtyHome]) })...),
-		append([]string{"Remote Dirty Remote"}, get(func(r appRow) string { return pct(r.Flash.Report.ReadClass[arch.MissRemoteDirty3rd]) })...),
-		append([]string{"FLASH CRMT"}, get(func(r appRow) string { return fmt.Sprintf("%.0f", r.Flash.Report.CRMT(latF)) })...),
-		append([]string{"Ideal CRMT"}, get(func(r appRow) string { return fmt.Sprintf("%.0f", r.Ideal.Report.CRMT(latI)) })...),
-		append([]string{"Avg Mem Occupancy"}, get(func(r appRow) string { return pct(r.Flash.Report.AvgMemOcc) })...),
-		append([]string{"Avg PP Occupancy"}, get(func(r appRow) string { return pct(r.Flash.Report.AvgPPOcc) })...),
-		append([]string{"Max PP Occupancy"}, get(func(r appRow) string { return pct(r.Flash.Report.MaxPPOcc) })...),
+		append([]string{"Miss rate"}, get(func(fl, id stats.Report) string { return pct2(fl.MissRate) })...),
+		append([]string{"Local Clean"}, get(func(fl, id stats.Report) string { return pct(fl.ReadClass[arch.MissLocalClean]) })...),
+		append([]string{"Local Dirty Remote"}, get(func(fl, id stats.Report) string { return pct(fl.ReadClass[arch.MissLocalDirty]) })...),
+		append([]string{"Remote Clean"}, get(func(fl, id stats.Report) string { return pct(fl.ReadClass[arch.MissRemoteClean]) })...),
+		append([]string{"Remote Dirty at Home"}, get(func(fl, id stats.Report) string { return pct(fl.ReadClass[arch.MissRemoteDirtyHome]) })...),
+		append([]string{"Remote Dirty Remote"}, get(func(fl, id stats.Report) string { return pct(fl.ReadClass[arch.MissRemoteDirty3rd]) })...),
+		append([]string{"FLASH CRMT"}, get(func(fl, id stats.Report) string { return fmt.Sprintf("%.0f", fl.CRMT(latF)) })...),
+		append([]string{"Ideal CRMT"}, get(func(fl, id stats.Report) string { return fmt.Sprintf("%.0f", id.CRMT(latI)) })...),
+		append([]string{"Avg Mem Occupancy"}, get(func(fl, id stats.Report) string { return pct(fl.AvgMemOcc) })...),
+		append([]string{"Avg PP Occupancy"}, get(func(fl, id stats.Report) string { return pct(fl.AvgPPOcc) })...),
+		append([]string{"Max PP Occupancy"}, get(func(fl, id stats.Report) string { return pct(fl.MaxPPOcc) })...),
 	}
 	return title + "\n" + table(hdr, out), nil
 }
 
-// Fig41 regenerates Figure 4.1 and Table 4.1 (1 MB caches).
-func Fig41(o Options) (string, error) {
-	rows, err := runSuite(o, apps.Names, 1<<20, 0)
-	if err != nil {
-		return "", err
+// renderSuite renders a Figure 4.x comparison and its Table 4.x block.
+func renderSuite(fig, tab string, rows []pair) render {
+	return func() (string, error) {
+		t, err := renderTable41(tab, rows)
+		if err != nil {
+			return "", err
+		}
+		return renderFig(fig, rows) + "\n" + t, nil
 	}
-	s := renderFig("Figure 4.1: execution times, FLASH vs ideal, 1 MB caches", rows)
-	t, err := renderTable41("Table 4.1: read miss distributions and CRMT, 1 MB caches", rows)
-	if err != nil {
-		return "", err
-	}
-	return s + "\n" + t, nil
 }
 
-// Fig42 regenerates Figure 4.2 and the 64 KB half of Table 4.2.
-func Fig42(o Options) (string, error) {
-	names := []string{"barnes", "fft", "mp3d", "ocean", "radix"}
-	rows, err := runSuite(o, names, 64<<10, 0)
-	if err != nil {
-		return "", err
-	}
-	s := renderFig("Figure 4.2: execution times, FLASH vs ideal, 64 KB caches", rows)
-	t, err := renderTable41("Table 4.2 (64 KB columns)", rows)
-	if err != nil {
-		return "", err
-	}
-	return s + "\n" + t, nil
+// fig41 regenerates Figure 4.1 and Table 4.1 (1 MB caches).
+func fig41(pl *planner) render {
+	return renderSuite("Figure 4.1: execution times, FLASH vs ideal, 1 MB caches",
+		"Table 4.1: read miss distributions and CRMT, 1 MB caches", pl.suite(apps.Names, 1<<20))
 }
 
-// Fig43 regenerates Figure 4.3 and the 4 KB half of Table 4.2 (16 KB for
+// fig42 regenerates Figure 4.2 and the 64 KB half of Table 4.2.
+func fig42(pl *planner) render {
+	return renderSuite("Figure 4.2: execution times, FLASH vs ideal, 64 KB caches",
+		"Table 4.2 (64 KB columns)", pl.suite([]string{"barnes", "fft", "mp3d", "ocean", "radix"}, 64<<10))
+}
+
+// fig43 regenerates Figure 4.3 and the 4 KB half of Table 4.2 (16 KB for
 // Ocean, per the paper's footnote; Barnes is omitted as in the paper).
-func Fig43(o Options) (string, error) {
-	names := []string{"fft", "mp3d", "ocean", "radix"}
-	rows, err := runSuite(o, names, 4<<10, 0)
-	if err != nil {
-		return "", err
-	}
-	s := renderFig("Figure 4.3: execution times, FLASH vs ideal, 4 KB caches", rows)
-	t, err := renderTable41("Table 4.2 (4 KB columns)", rows)
-	if err != nil {
-		return "", err
-	}
-	return s + "\n" + t, nil
+func fig43(pl *planner) render {
+	return renderSuite("Figure 4.3: execution times, FLASH vs ideal, 4 KB caches",
+		"Table 4.2 (4 KB columns)", pl.suite([]string{"fft", "mp3d", "ocean", "radix"}, 4<<10))
 }
 
-// Sec43 reproduces the Section 4.3 occupancy experiments: FFT with all
+// sec43 reproduces the Section 4.3 occupancy experiments: FFT with all
 // memory on node 0 (high PP occupancy AND high memory occupancy at the hot
 // node -> small slowdown), and the OS workload without round-robin paging
 // (the original IRIX port: high PP occupancy, low memory occupancy -> large
-// slowdown).
-func Sec43(o Options) (string, error) {
-	var b strings.Builder
-	b.WriteString("Section 4.3: PP occupancy effects (hot-spotting)\n\n")
-
+// slowdown). Both read per-node occupancies off the finished FLASH machine.
+func sec43(pl *planner) render {
+	o := pl.o
 	// FFT, 4 KB caches, all pages from node 0.
 	cfg := o.baseConfig(16)
 	cfg.CacheSize = 4 << 10
 	cfg.Placement = arch.PlaceNodeZero
-	f, i, err := Pair("fft", cfg, o.paramsFor("fft", 16), o.Verify)
-	if err != nil {
-		return "", err
-	}
-	hot := f.Machine.Nodes[0]
-	b.WriteString(fmt.Sprintf("FFT (4 KB caches, all memory on node 0):\n"))
-	b.WriteString(fmt.Sprintf("  node-0 PP occupancy  %.1f%%   (paper: 81.6%%)\n",
-		100*hot.Magic.PPOcc.Fraction(f.Machine.Elapsed)))
-	b.WriteString(fmt.Sprintf("  node-0 mem occupancy %.1f%%   (paper: 67.7%%)\n",
-		100*hot.Mem.Occupancy(f.Machine.Elapsed)))
-	b.WriteString(fmt.Sprintf("  FLASH vs ideal       +%.1f%%  (paper: +2.6%%)\n\n", Slowdown(f, i)))
+	fft := pl.pair("fft", cfg, o.paramsFor(16))
+	var hotPP, hotMem float64
+	fft.flash.inspect = append(fft.flash.inspect, func(m *core.Machine) {
+		hot := m.Nodes[0]
+		hotPP, hotMem = hot.Magic.PPOcc.Fraction(m.Elapsed), hot.Mem.Occupancy(m.Elapsed)
+	})
 
 	// OS workload: round-robin (tuned) vs node-zero (original IRIX port).
-	for _, pl := range []arch.Placement{arch.PlaceRoundRobin, arch.PlaceNodeZero} {
+	placements := []arch.Placement{arch.PlaceRoundRobin, arch.PlaceNodeZero}
+	osRuns := make([]pair, len(placements))
+	maxPP, maxMem := make([]float64, len(placements)), make([]float64, len(placements))
+	for i, place := range placements {
 		cfg := o.baseConfig(8)
-		cfg.Placement = pl
-		f, i, err := Pair("os", cfg, o.paramsFor("os", 8), o.Verify)
-		if err != nil {
-			return "", err
-		}
-		maxPP, maxMem := 0.0, 0.0
-		for _, n := range f.Machine.Nodes {
-			if v := n.Magic.PPOcc.Fraction(f.Machine.Elapsed); v > maxPP {
-				maxPP = v
+		cfg.Placement = place
+		osRuns[i] = pl.pair("os", cfg, o.paramsFor(8))
+		osRuns[i].flash.inspect = append(osRuns[i].flash.inspect, func(m *core.Machine) {
+			for _, n := range m.Nodes {
+				maxPP[i] = max(maxPP[i], n.Magic.PPOcc.Fraction(m.Elapsed))
+				maxMem[i] = max(maxMem[i], n.Mem.Occupancy(m.Elapsed))
 			}
-			if v := n.Mem.Occupancy(f.Machine.Elapsed); v > maxMem {
-				maxMem = v
-			}
-		}
-		b.WriteString(fmt.Sprintf("OS workload, %v pages:\n", pl))
-		b.WriteString(fmt.Sprintf("  max PP occupancy  %.1f%%\n", 100*maxPP))
-		b.WriteString(fmt.Sprintf("  max mem occupancy %.1f%%\n", 100*maxMem))
-		b.WriteString(fmt.Sprintf("  FLASH vs ideal    +%.1f%%\n", Slowdown(f, i)))
+		})
 	}
-	b.WriteString("(paper: original port had 81% max PP occupancy vs 33% memory and a 29% slowdown)\n")
-	return b.String(), nil
+
+	return func() (string, error) {
+		var b strings.Builder
+		b.WriteString("Section 4.3: PP occupancy effects (hot-spotting)\n\n")
+		b.WriteString(fmt.Sprintf("FFT (4 KB caches, all memory on node 0):\n"))
+		b.WriteString(fmt.Sprintf("  node-0 PP occupancy  %.1f%%   (paper: 81.6%%)\n", 100*hotPP))
+		b.WriteString(fmt.Sprintf("  node-0 mem occupancy %.1f%%   (paper: 67.7%%)\n", 100*hotMem))
+		b.WriteString(fmt.Sprintf("  FLASH vs ideal       +%.1f%%  (paper: +2.6%%)\n\n", Slowdown(fft.flash.rep, fft.ideal.rep)))
+		for i, r := range osRuns {
+			b.WriteString(fmt.Sprintf("OS workload, %v pages:\n", placements[i]))
+			b.WriteString(fmt.Sprintf("  max PP occupancy  %.1f%%\n", 100*maxPP[i]))
+			b.WriteString(fmt.Sprintf("  max mem occupancy %.1f%%\n", 100*maxMem[i]))
+			b.WriteString(fmt.Sprintf("  FLASH vs ideal    +%.1f%%\n", Slowdown(r.flash.rep, r.ideal.rep)))
+		}
+		b.WriteString("(paper: original port had 81% max PP occupancy vs 33% memory and a 29% slowdown)\n")
+		return b.String(), nil
+	}
 }
 
-// Sec45 reproduces the Section 4.5 scaling experiment: 64 processors with
+// sec45 reproduces the Section 4.5 scaling experiment: 64 processors with
 // the 16-processor problem sizes.
-func Sec45(o Options) (string, error) {
+func sec45(pl *planner) render {
 	names := []string{"fft", "lu", "ocean"}
 	paper := map[string]string{"fft": "17%", "lu": "0.7%", "ocean": "12%"}
-	var b strings.Builder
-	b.WriteString("Section 4.5: 64-processor runs at 16-processor problem sizes\n")
-	rows := [][]string{}
-	res, err := parallelMap(o.workers(64), names, func(name string) (appRow, error) {
-		cfg := o.baseConfig(64)
+	runs := make([]pair, len(names))
+	for i, name := range names {
+		cfg := pl.o.baseConfig(64)
 		cfg.MemBytesPerNode = 2 << 20 // keep the 64-node footprint sane
-		f, i, err := Pair(name, cfg, o.paramsFor(name, 64), o.Verify)
-		if err != nil {
-			return appRow{}, err
+		runs[i] = pl.pair(name, cfg, pl.o.paramsFor(64))
+	}
+	return func() (string, error) {
+		var b strings.Builder
+		b.WriteString("Section 4.5: 64-processor runs at 16-processor problem sizes\n")
+		rows := [][]string{}
+		for _, r := range runs {
+			rows = append(rows, []string{r.app,
+				fmt.Sprintf("+%.1f%%", Slowdown(r.flash.rep, r.ideal.rep)),
+				"(" + paper[r.app] + ")"})
 		}
-		return appRow{App: name, Flash: f, Ideal: i}, nil
-	})
-	if err != nil {
-		return "", err
+		b.WriteString(table([]string{"App", "FLASH vs ideal", "paper"}, rows))
+		return b.String(), nil
 	}
-	for _, r := range res {
-		rows = append(rows, []string{r.App,
-			fmt.Sprintf("+%.1f%%", Slowdown(r.Flash, r.Ideal)),
-			"(" + paper[r.App] + ")"})
-	}
-	b.WriteString(table([]string{"App", "FLASH vs ideal", "paper"}, rows))
-	return b.String(), nil
 }

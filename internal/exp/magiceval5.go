@@ -3,163 +3,138 @@ package exp
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"flashsim/internal/apps"
 	"flashsim/internal/arch"
+	"flashsim/internal/core"
 	"flashsim/internal/ppisa"
 	"flashsim/internal/protocol"
 )
 
-// Table51 measures the impact of speculative memory operations: the
+// table51 measures the impact of speculative memory operations: the
 // fraction of useless speculative reads with speculation on, and the
-// execution-time increase with it disabled (Section 5.1).
-func Table51(o Options, cacheBytes int) (string, error) {
+// execution-time increase with it disabled (Section 5.1). The
+// speculation-on legs are the Figure 4.1/4.3 FLASH legs.
+func table51(pl *planner, cacheBytes int) render {
 	names := apps.Names
 	if cacheBytes <= 16<<10 {
 		// The paper omits Barnes, LU, and OS at the small cache size.
 		names = []string{"fft", "mp3d", "ocean", "radix"}
 	}
-	type row struct {
-		app               string
-		useless, slowdown float64
-	}
-	rows, err := parallelMap(o.workers(16), names, func(name string) (row, error) {
-		np := 16
-		if name == "os" {
-			np = 8
-		}
-		cfg := o.baseConfig(np)
-		cfg.CacheSize = cacheBytes
-		if name == "ocean" && cacheBytes == 4<<10 {
-			cfg.CacheSize = 16 << 10
-		}
-		if name == "os" {
-			cfg.Placement = arch.PlaceRoundRobin
-		}
-		p := o.paramsFor(name, np)
-		on, err := RunApp(name, cfg, p, o.Verify)
-		if err != nil {
-			return row{}, err
-		}
+	on, off := make([]*job, len(names)), make([]*job, len(names))
+	for i, name := range names {
+		np := paperProcs(name)
+		cfg := pl.o.appConfig(name, np, cacheBytes)
+		p := pl.o.paramsFor(np)
+		on[i] = pl.run(name, cfg, p)
 		cfg.Speculation = false
-		off, err := RunApp(name, cfg, p, o.Verify)
-		if err != nil {
-			return row{}, err
+		off[i] = pl.run(name, cfg, p)
+	}
+	return func() (string, error) {
+		out := [][]string{}
+		for i, name := range names {
+			slowdown := 100 * (float64(off[i].rep.Elapsed)/float64(on[i].rep.Elapsed) - 1)
+			out = append(out, []string{name, fmt.Sprintf("%.1f%%", 100*on[i].rep.SpecUseless), fmt.Sprintf("%+.1f%%", slowdown)})
 		}
-		return row{
-			app:      name,
-			useless:  on.Report.SpecUseless,
-			slowdown: 100 * (float64(off.Report.Elapsed)/float64(on.Report.Elapsed) - 1),
-		}, nil
-	})
-	if err != nil {
-		return "", err
+		title := fmt.Sprintf("Table 5.1: speculative memory operations, %d KB caches", cacheBytes>>10)
+		return title + "\n" + table([]string{"App", "Useless spec reads", "Exec time w/o speculation"}, out), nil
 	}
-	out := [][]string{}
-	for _, r := range rows {
-		out = append(out, []string{r.app, fmt.Sprintf("%.1f%%", 100*r.useless), fmt.Sprintf("%+.1f%%", r.slowdown)})
-	}
-	title := fmt.Sprintf("Table 5.1: speculative memory operations, %d KB caches", cacheBytes>>10)
-	return title + "\n" + table([]string{"App", "Useless spec reads", "Exec time w/o speculation"}, out), nil
 }
 
-// Sec52 stresses the MAGIC data cache: a uniprocessor radix sort over a
+// sec52 stresses the MAGIC data cache: a uniprocessor radix sort over a
 // data set whose directory footprint exceeds the MDC, plus the OS
 // workload's MDC rates (Section 5.2).
-func Sec52(o Options) (string, error) {
-	var b strings.Builder
-	b.WriteString("Section 5.2: MAGIC data cache behaviour\n\n")
-
+func sec52(pl *planner) render {
+	o := pl.o
 	// Uniprocessor radix with a large data set: the paper used 16 MB and a
 	// radix of 2048 on one processor (MDC read miss rate 30%, 14% slower
 	// than a no-MDC-penalty machine).
 	keys := (4 << 20) / 8 / o.Scale // 4 MB of keys per unit scale
-	scale := (256 * 1024) / keys
-	if scale < 1 {
-		scale = 1
-	}
 	cfg := o.baseConfig(1)
 	cfg.Nodes = 1
 	cfg.MemBytesPerNode = 32 << 20
-	p := apps.Params{Procs: 1, Scale: scale}
-	run, err := RunApp("radix", cfg, p, o.Verify)
-	if err != nil {
-		return "", err
-	}
-	b.WriteString(fmt.Sprintf("Uniprocessor radix sort (%d KB of keys):\n", keys*8>>10))
-	b.WriteString(fmt.Sprintf("  processor cache miss rate %.2f%%  (paper: 1.4%%)\n", 100*run.Report.MissRate))
-	b.WriteString(fmt.Sprintf("  MDC miss rate             %.1f%%  (paper: 14.9%%)\n", 100*run.Report.MDCMissRate))
-	b.WriteString(fmt.Sprintf("  MDC read miss rate        %.1f%%  (paper: 30%%)\n", 100*run.Report.MDCReadMissRate))
-
+	p := apps.Params{Procs: 1, Scale: max((256*1024)/keys, 1)}
+	uni := pl.run("radix", cfg, p)
 	// Compare against a FLASH machine with a huge MDC (the paper's "no MDC
 	// miss penalty" uniprocessor).
-	big := cfg
-	big.MDCSize = 8 << 20
-	ideal, err := RunApp("radix", big, p, o.Verify)
-	if err != nil {
-		return "", err
-	}
-	b.WriteString(fmt.Sprintf("  slowdown vs no-MDC-miss machine: +%.1f%%  (paper: +14%%)\n\n",
-		100*(float64(run.Report.Elapsed)/float64(ideal.Report.Elapsed)-1)))
-
+	cfg.MDCSize = 8 << 20
+	big := pl.run("radix", cfg, p)
 	// OS workload MDC rates.
 	oc := o.baseConfig(8)
 	oc.Placement = arch.PlaceRoundRobin
-	osr, err := RunApp("os", oc, o.paramsFor("os", 8), o.Verify)
-	if err != nil {
-		return "", err
+	osr := pl.run("os", oc, o.paramsFor(8))
+
+	return func() (string, error) {
+		run := uni.rep
+		var b strings.Builder
+		b.WriteString("Section 5.2: MAGIC data cache behaviour\n\n")
+		b.WriteString(fmt.Sprintf("Uniprocessor radix sort (%d KB of keys):\n", keys*8>>10))
+		b.WriteString(fmt.Sprintf("  processor cache miss rate %.2f%%  (paper: 1.4%%)\n", 100*run.MissRate))
+		b.WriteString(fmt.Sprintf("  MDC miss rate             %.1f%%  (paper: 14.9%%)\n", 100*run.MDCMissRate))
+		b.WriteString(fmt.Sprintf("  MDC read miss rate        %.1f%%  (paper: 30%%)\n", 100*run.MDCReadMissRate))
+		b.WriteString(fmt.Sprintf("  slowdown vs no-MDC-miss machine: +%.1f%%  (paper: +14%%)\n\n",
+			100*(float64(run.Elapsed)/float64(big.rep.Elapsed)-1)))
+		b.WriteString("OS workload:\n")
+		b.WriteString(fmt.Sprintf("  MDC miss rate      %.1f%%  (paper: 4.1%%)\n", 100*osr.rep.MDCMissRate))
+		b.WriteString(fmt.Sprintf("  MDC read miss rate %.1f%%  (paper: 8.7%%)\n", 100*osr.rep.MDCReadMissRate))
+		b.WriteString(fmt.Sprintf("  MDC fills / memory operations %.1f%%  (paper: 34%%)\n", 100*osr.rep.MDCFillsOfMemOps))
+		return b.String(), nil
 	}
-	b.WriteString("OS workload:\n")
-	b.WriteString(fmt.Sprintf("  MDC miss rate      %.1f%%  (paper: 4.1%%)\n", 100*osr.Report.MDCMissRate))
-	b.WriteString(fmt.Sprintf("  MDC read miss rate %.1f%%  (paper: 8.7%%)\n", 100*osr.Report.MDCReadMissRate))
-	b.WriteString(fmt.Sprintf("  MDC fills / memory operations %.1f%%  (paper: 34%%)\n", 100*osr.Report.MDCFillsOfMemOps))
-	return b.String(), nil
 }
 
-// Table52 reports the PP architecture statistics of Table 5.2: static code
-// size and the dynamic dual-issue/special-instruction figures from the
-// parallel application suite.
-func Table52(o Options, cacheBytes int) (string, error) {
-	cfg := arch.DefaultConfig()
-	prog, err := protocol.Build(&cfg)
-	if err != nil {
-		return "", err
-	}
+// table52 reports the PP architecture statistics of Table 5.2: static code
+// size and the dynamic dual-issue/special-instruction figures summed over
+// the parallel application suite's FLASH legs, read off each finished
+// machine's protocol processors.
+func table52(pl *planner, cacheBytes int) render {
 	names := []string{"barnes", "fft", "lu", "mp3d", "ocean", "radix"}
 	if cacheBytes <= 64<<10 {
 		names = []string{"barnes", "fft", "mp3d", "ocean", "radix"}
 	}
-	rows, err := runSuite(o, names, cacheBytes, 0)
-	if err != nil {
-		return "", err
-	}
-	// Aggregate dynamic stats across the suite.
-	var sInstr, sPairs, sALU, sSpec, sInv, sMiss uint64
+	rows := pl.suite(names, cacheBytes)
+	// Dynamic stats summed across the suite, by every FLASH leg's worker.
+	var mu sync.Mutex
+	var sInstr, sPairs, sALU, sSpec, sInv uint64
 	for _, r := range rows {
-		for _, n := range r.Flash.Machine.Nodes {
-			ps := n.Magic.PP.Stats
-			sInstr += ps.Instrs
-			sPairs += ps.Pairs
-			sALU += ps.ALUOrBranch
-			sSpec += ps.Special
-			sInv += n.Magic.Stats.Dispatches
-		}
-		sMiss += r.Flash.Report.Misses
+		r.flash.inspect = append(r.flash.inspect, func(m *core.Machine) {
+			mu.Lock()
+			defer mu.Unlock()
+			for _, n := range m.Nodes {
+				ps := n.Magic.PP.Stats
+				sInstr += ps.Instrs
+				sPairs += ps.Pairs
+				sALU += ps.ALUOrBranch
+				sSpec += ps.Special
+				sInv += n.Magic.Stats.Dispatches
+			}
+		})
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table 5.2: PP architecture evaluation (%d KB caches)\n", cacheBytes>>10)
-	fmt.Fprintf(&b, "  static code size (with NOPs)        %.1f KB   (paper: 14.8 KB)\n", float64(prog.Code.CodeBytes())/1024)
-	fmt.Fprintf(&b, "  dynamic dual-issue efficiency       %.2f     (paper: 1.43-1.54)\n", float64(sInstr)/float64(sPairs))
-	fmt.Fprintf(&b, "  special instruction use             %.0f%%     (paper: 37-43%%)\n", 100*float64(sSpec)/float64(sALU))
-	fmt.Fprintf(&b, "  instruction pairs per handler       %.1f     (paper: 10.8-13.5)\n", float64(sPairs)/float64(sInv))
-	fmt.Fprintf(&b, "  handler invocations per cache miss  %.2f     (paper: 3.51-3.87)\n", float64(sInv)/float64(sMiss))
-	return b.String(), nil
+	return func() (string, error) {
+		cfg := arch.DefaultConfig()
+		prog, err := protocol.Build(&cfg)
+		if err != nil {
+			return "", err
+		}
+		var sMiss uint64
+		for _, r := range rows {
+			sMiss += r.flash.rep.Misses
+		}
+		var b strings.Builder
+		fmt.Fprintf(&b, "Table 5.2: PP architecture evaluation (%d KB caches)\n", cacheBytes>>10)
+		fmt.Fprintf(&b, "  static code size (with NOPs)        %.1f KB   (paper: 14.8 KB)\n", float64(prog.Code.CodeBytes())/1024)
+		fmt.Fprintf(&b, "  dynamic dual-issue efficiency       %.2f     (paper: 1.43-1.54)\n", float64(sInstr)/float64(sPairs))
+		fmt.Fprintf(&b, "  special instruction use             %.0f%%     (paper: 37-43%%)\n", 100*float64(sSpec)/float64(sALU))
+		fmt.Fprintf(&b, "  instruction pairs per handler       %.1f     (paper: 10.8-13.5)\n", float64(sPairs)/float64(sInv))
+		fmt.Fprintf(&b, "  handler invocations per cache miss  %.2f     (paper: 3.51-3.87)\n", float64(sInv)/float64(sMiss))
+		return b.String(), nil
+	}
 }
 
-// Table53 performs the static special-instruction analysis of Table 5.3:
+// table53 performs the static special-instruction analysis of Table 5.3:
 // for each special instruction in the protocol, the size of its DLX
 // substitution sequence.
-func Table53() (string, error) {
+func table53() (string, error) {
 	cfg := arch.DefaultConfig()
 	prog, err := protocol.Build(&cfg)
 	if err != nil {
@@ -209,93 +184,66 @@ func Table53() (string, error) {
 	return title + table([]string{"Instruction type", "Static uses", "Mean DLX instrs"}, rows), nil
 }
 
-// Sec53 measures the Section 5.3 ablation: protocol handlers compiled
+// sec53 measures the Section 5.3 ablation: protocol handlers compiled
 // without special instructions and scheduled single-issue.
-func Sec53(o Options) (string, error) {
+func sec53(pl *planner) render {
 	names := []string{"fft", "lu", "mp3d", "ocean", "radix", "barnes"}
-	type row struct {
-		app      string
-		slowdown float64
-	}
-	rows, err := parallelMap(o.workers(16), names, func(name string) (row, error) {
-		cfg := o.baseConfig(16)
-		p := o.paramsFor(name, 16)
-		opt, err := RunApp(name, cfg, p, o.Verify)
-		if err != nil {
-			return row{}, err
-		}
+	opt, slow := make([]*job, len(names)), make([]*job, len(names))
+	for i, name := range names {
+		cfg := pl.o.baseConfig(16)
+		p := pl.o.paramsFor(16)
+		opt[i] = pl.run(name, cfg, p)
 		cfg.PPMode = arch.PPNoSpecial
-		slow, err := RunApp(name, cfg, p, o.Verify)
-		if err != nil {
-			return row{}, err
-		}
-		return row{name, 100 * (float64(slow.Report.Elapsed)/float64(opt.Report.Elapsed) - 1)}, nil
-	})
-	if err != nil {
-		return "", err
+		slow[i] = pl.run(name, cfg, p)
 	}
-	out := [][]string{}
-	sum, max := 0.0, 0.0
-	for _, r := range rows {
-		out = append(out, []string{r.app, fmt.Sprintf("+%.1f%%", r.slowdown)})
-		sum += r.slowdown
-		if r.slowdown > max {
-			max = r.slowdown
+	return func() (string, error) {
+		out := [][]string{}
+		sum, max := 0.0, 0.0
+		for i, name := range names {
+			slowdown := 100 * (float64(slow[i].rep.Elapsed)/float64(opt[i].rep.Elapsed) - 1)
+			out = append(out, []string{name, fmt.Sprintf("+%.1f%%", slowdown)})
+			sum += slowdown
+			if slowdown > max {
+				max = slowdown
+			}
 		}
+		var b strings.Builder
+		b.WriteString("Section 5.3: non-optimized PP (single-issue, DLX substitution)\n")
+		b.WriteString(table([]string{"App", "Execution time increase"}, out))
+		fmt.Fprintf(&b, "average +%.1f%%, maximum +%.1f%%  (paper: average +40%%, max +137%% on MP3D)\n", sum/float64(len(names)), max)
+		return b.String(), nil
 	}
-	var b strings.Builder
-	b.WriteString("Section 5.3: non-optimized PP (single-issue, DLX substitution)\n")
-	b.WriteString(table([]string{"App", "Execution time increase"}, out))
-	fmt.Fprintf(&b, "average +%.1f%%, maximum +%.1f%%  (paper: average +40%%, max +137%% on MP3D)\n", sum/float64(len(rows)), max)
-	return b.String(), nil
 }
 
-// ProtoCompare runs the application suite under both coherence protocol
+// protoCompare runs the application suite under both coherence protocol
 // programs — dynamic pointer allocation and the DASH-style bit-vector
 // directory — demonstrating the flexibility the paper's conclusion argues
 // for: the same machine, a different handler program.
-func ProtoCompare(o Options) (string, error) {
+func protoCompare(pl *planner) render {
 	names := []string{"fft", "ocean", "radix", "mp3d"}
-	type row struct {
-		app               string
-		dyn, bv           uint64
-		dynOcc, bvOcc     float64
-		dynPairs, bvPairs float64
-	}
-	rows, err := parallelMap(o.workers(16), names, func(name string) (row, error) {
-		cfg := o.baseConfig(16)
-		p := o.paramsFor(name, 16)
-		dyn, err := RunApp(name, cfg, p, o.Verify)
-		if err != nil {
-			return row{}, err
-		}
+	dyn, bv := make([]*job, len(names)), make([]*job, len(names))
+	for i, name := range names {
+		cfg := pl.o.baseConfig(16)
+		p := pl.o.paramsFor(16)
+		dyn[i] = pl.run(name, cfg, p)
 		cfg.Protocol = arch.ProtoBitVector
-		bv, err := RunApp(name, cfg, p, o.Verify)
-		if err != nil {
-			return row{}, err
+		bv[i] = pl.run(name, cfg, p)
+	}
+	return func() (string, error) {
+		out := [][]string{}
+		for i, name := range names {
+			d, v := dyn[i].rep, bv[i].rep
+			out = append(out, []string{
+				name,
+				fmt.Sprint(uint64(d.Elapsed)), fmt.Sprint(uint64(v.Elapsed)),
+				fmt.Sprintf("%+.1f%%", 100*(float64(v.Elapsed)/float64(d.Elapsed)-1)),
+				pct(d.AvgPPOcc), pct(v.AvgPPOcc),
+				fmt.Sprintf("%.1f", d.PairsPerHandler), fmt.Sprintf("%.1f", v.PairsPerHandler),
+			})
 		}
-		return row{
-			app: name,
-			dyn: uint64(dyn.Report.Elapsed), bv: uint64(bv.Report.Elapsed),
-			dynOcc: dyn.Report.AvgPPOcc, bvOcc: bv.Report.AvgPPOcc,
-			dynPairs: dyn.Report.PairsPerHandler, bvPairs: bv.Report.PairsPerHandler,
-		}, nil
-	})
-	if err != nil {
-		return "", err
+		title := "Protocol flexibility: dynamic pointer allocation vs bit-vector directory\n" +
+			"(same machine, same jump table — a different handler program)\n"
+		return title + table([]string{"App", "dynptr cycles", "bitvec cycles", "delta",
+			"dynptr PP occ", "bitvec PP occ", "dynptr pairs/h", "bitvec pairs/h"}, out), nil
 	}
-	out := [][]string{}
-	for _, r := range rows {
-		out = append(out, []string{
-			r.app,
-			fmt.Sprint(r.dyn), fmt.Sprint(r.bv),
-			fmt.Sprintf("%+.1f%%", 100*(float64(r.bv)/float64(r.dyn)-1)),
-			pct(r.dynOcc), pct(r.bvOcc),
-			fmt.Sprintf("%.1f", r.dynPairs), fmt.Sprintf("%.1f", r.bvPairs),
-		})
-	}
-	title := "Protocol flexibility: dynamic pointer allocation vs bit-vector directory\n" +
-		"(same machine, same jump table — a different handler program)\n"
-	return title + table([]string{"App", "dynptr cycles", "bitvec cycles", "delta",
-		"dynptr PP occ", "bitvec PP occ", "dynptr pairs/h", "bitvec pairs/h"}, out), nil
 }

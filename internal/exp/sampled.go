@@ -52,7 +52,7 @@ func SampledCompare(o Options, appNames []string, spec arch.SampleSpec) ([]Sampl
 	for _, name := range appNames {
 		cfg := o.baseConfig(procs)
 		cfg.Kind = arch.KindFLASH
-		p := o.paramsFor(name, procs)
+		p := o.paramsFor(procs)
 
 		full, err := minWallRun(name, cfg, p, o.Verify)
 		if err != nil {
@@ -87,11 +87,11 @@ func SampledCompare(o Options, appNames []string, spec arch.SampleSpec) ([]Sampl
 	return rows, nil
 }
 
-// Sampled renders the full-vs-sampled comparison for the Figure 4.1
+// sampled renders the full-vs-sampled comparison for the Figure 4.1
 // applications: estimation error with 95% confidence intervals alongside the
 // event-loop wall-clock speedup. The spec comes from o.Sample (default
 // schedule when unset).
-func Sampled(o Options) (string, error) {
+func sampled(o Options) (string, error) {
 	spec := o.Sample
 	if !spec.Enabled() {
 		spec = arch.DefaultSampleSpec()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"flashsim/internal/arch"
 	"flashsim/internal/core"
@@ -20,9 +21,9 @@ var paperLat33 = map[string][3]int{
 	"Remote read miss, dirty in 3rd node":    {136, 191, 61},
 }
 
-// Table33 measures the no-contention read miss latencies and FLASH PP
+// table33 measures the no-contention read miss latencies and FLASH PP
 // occupancies of Table 3.3 on both machines.
-func Table33() (string, error) {
+func table33() (string, error) {
 	cfg := arch.DefaultConfig()
 	cfg.MemBytesPerNode = 1 << 20
 	rows := [][]string{}
@@ -80,24 +81,13 @@ func MeasuredLatencies(kind arch.MachineKind) ([arch.NumMissClasses]sim.Cycle, e
 }
 
 var (
-	latMu    chanMutex
+	latMu    sync.Mutex
 	latCache = map[arch.MachineKind][arch.NumMissClasses]sim.Cycle{}
 )
 
-// chanMutex is a tiny mutex (avoids importing sync just for this).
-type chanMutex struct{ ch chan struct{} }
-
-func (m *chanMutex) Lock() {
-	if m.ch == nil {
-		m.ch = make(chan struct{}, 1)
-	}
-	m.ch <- struct{}{}
-}
-func (m *chanMutex) Unlock() { <-m.ch }
-
-// Table34 reports mean per-handler PP occupancies, gathered from a mixed
+// table34 reports mean per-handler PP occupancies, gathered from a mixed
 // protocol workout (Table 3.4's decomposition).
-func Table34() (string, error) {
+func table34() (string, error) {
 	cfg := arch.DefaultConfig()
 	cfg.MemBytesPerNode = 1 << 20
 	m, err := core.New(cfg)
