@@ -16,7 +16,8 @@
 //
 // -scale multiplies every application's problem-size divisor; -scale 1 runs
 // the paper's sizes (slow), the default 4 finishes the full suite in
-// minutes. -scale below 1, or a negative -procs or -cache, is a usage error.
+// minutes. -scale below 1, a negative -procs, or a -cache that is not a
+// power-of-two number of two-way sets, is a usage error.
 //
 // The named experiments are planned together: every simulation they need is
 // declared first, each distinct machine and workload is simulated once
@@ -117,8 +118,8 @@ func run() (runErr error) {
 	if *procs < 0 {
 		bad[1] = fmt.Errorf("-procs %d: must not be negative", *procs)
 	}
-	if *cacheBytes < 0 {
-		bad[2] = fmt.Errorf("-cache %d: must not be negative", *cacheBytes)
+	if *cacheBytes != 0 {
+		bad[2] = arch.CacheGeometry("-cache", *cacheBytes, "CacheWays", arch.DefaultConfig().CacheWays)
 	}
 	o.NetModel, bad[3] = arch.ParseNetModel(*netModel)
 	o.Sample, bad[4] = arch.ParseSampleSpec(*sample)

@@ -86,6 +86,7 @@ func TestRejectsBadFlags(t *testing.T) {
 		{[]string{"-scale", "-2", "fig4.1"}, "-scale"},
 		{[]string{"-procs", "-1", "table3.3"}, "-procs"},
 		{[]string{"-cache", "-1", "table3.3"}, "-cache"},
+		{[]string{"-cache", "393216", "table3.3"}, "-cache 393216"},
 		{[]string{"-parallel", "2", "table3.3"}, "-parallel"},
 		{[]string{"nosuch"}, `"nosuch"`},
 	} {

@@ -100,3 +100,21 @@ func TestRejectsUnknownBackends(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectsBadCacheGeometry pins one geometry rule for both caches: a
+// size that is not a power-of-two number of sets is a returned error naming
+// the field, not a panic in the cache constructor.
+func TestRejectsBadCacheGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		flag, size, field string
+	}{
+		{"-mdc", "49152", "MDCSize 49152"},
+		{"-cache", "393216", "CacheSize 393216"},
+	} {
+		_, stderr, code := flashsim(t, tc.flag, tc.size, "-app", "fft", "-procs", "4", "-scale", "64")
+		if code != 1 || !strings.Contains(stderr, tc.field) || strings.Contains(stderr, "goroutine") {
+			t.Errorf("flashsim %s %s: exit %d, stderr %q; want exit 1 naming %s and no goroutine dump",
+				tc.flag, tc.size, code, stderr, tc.field)
+		}
+	}
+}

@@ -54,6 +54,42 @@ func TestConfigValidate(t *testing.T) {
 			t.Fatalf("case %d: invalid config accepted", i)
 		}
 	}
+
+	// Both caches obey one geometry rule: at least one way, and a
+	// power-of-two set count. Every violation is an error naming the field
+	// and its value, never a panic or a division by zero.
+	for _, tc := range []struct {
+		mut  func(*Config)
+		want string
+	}{
+		{func(c *Config) { c.CacheWays = 0 }, "CacheWays 0"},
+		{func(c *Config) { c.MDCWays = 0 }, "MDCWays 0"},
+		{func(c *Config) { c.CacheWays = -2 }, "CacheWays -2"},
+		{func(c *Config) { c.CacheSize = 393216 }, "CacheSize 393216"}, // 1 536 sets
+		{func(c *Config) { c.MDCSize = 49152 }, "MDCSize 49152"},       // 192 sets
+		{func(c *Config) { c.CacheSize = 0 }, "CacheSize 0"},
+		{func(c *Config) { c.CacheWays = 3 }, "CacheSize 1048576"}, // not whole 3-way sets
+	} {
+		cfg := DefaultConfig()
+		tc.mut(&cfg)
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want an error naming %q", tc.want, err, tc.want)
+		}
+	}
+	for _, ok := range []func(*Config){
+		func(c *Config) { c.CacheSize = 4 << 10 },
+		func(c *Config) { c.CacheSize, c.CacheWays = 1<<20, 1 },
+		func(c *Config) { c.MDCSize, c.MDCWays = 16<<10, 4 },
+		func(c *Config) { c.CacheSize, c.CacheWays = 3<<14, 3 },   // 128 sets of 3 ways
+		func(c *Config) { c.Kind = KindIdeal; c.MDCSize = 49152 }, // no MDC on the ideal machine
+	} {
+		cfg := DefaultConfig()
+		ok(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("valid geometry rejected: %v", err)
+		}
+	}
 }
 
 func TestMsgClassification(t *testing.T) {

@@ -338,15 +338,15 @@ func (c *Config) Validate() error {
 	if c.Nodes <= 0 {
 		return fmt.Errorf("arch: Nodes must be positive, got %d", c.Nodes)
 	}
-	if c.CacheSize <= 0 || c.CacheSize%(LineSize*c.CacheWays) != 0 {
-		return fmt.Errorf("arch: CacheSize %d not divisible into %d-way sets of %d-byte lines", c.CacheSize, c.CacheWays, LineSize)
+	if err := CacheGeometry("CacheSize", c.CacheSize, "CacheWays", c.CacheWays); err != nil {
+		return fmt.Errorf("arch: %w", err)
 	}
 	if c.MSHRs <= 0 {
 		return fmt.Errorf("arch: MSHRs must be positive, got %d", c.MSHRs)
 	}
 	if c.Kind == KindFLASH {
-		if c.MDCSize <= 0 || c.MDCSize%(LineSize*c.MDCWays) != 0 {
-			return fmt.Errorf("arch: MDCSize %d not divisible into %d-way sets", c.MDCSize, c.MDCWays)
+		if err := CacheGeometry("MDCSize", c.MDCSize, "MDCWays", c.MDCWays); err != nil {
+			return fmt.Errorf("arch: %w", err)
 		}
 	}
 	if c.MemBytesPerNode <= 0 || c.MemBytesPerNode%PageSize != 0 {
@@ -363,6 +363,21 @@ func (c *Config) Validate() error {
 	}
 	if err := c.Sample.Validate(); err != nil {
 		return err
+	}
+	return nil
+}
+
+// CacheGeometry checks a cache of size bytes and the given associativity,
+// naming each quantity as sizeName or waysName in its error: at least one
+// way, and a positive power-of-two number of sets of ways lines each, since
+// both the processor cache and the MDC index a set with address bits.
+func CacheGeometry(sizeName string, size int, waysName string, ways int) error {
+	if ways < 1 {
+		return fmt.Errorf("%s %d: must be at least 1", waysName, ways)
+	}
+	setBytes := LineSize * ways
+	if sets := size / setBytes; size <= 0 || size%setBytes != 0 || sets&(sets-1) != 0 {
+		return fmt.Errorf("%s %d: must be a power-of-two number of %d-way sets of %d-byte lines", sizeName, size, ways, LineSize)
 	}
 	return nil
 }

@@ -33,125 +33,115 @@ func (s LineState) String() string {
 // Cache is the processor's secondary cache. It tracks tags and states only;
 // data values live in the workload's backing store (timing-directed
 // simulation).
+//
+// Each set is ways consecutive words kept in recency order: way 0 is the
+// most recently used, and empty ways (0) trail the resident ones. A way
+// holds line<<2 | state. Recency order is LRU without stamps: a hit or a
+// fill moves its way to the front, an invalidation closes its way's gap,
+// and a fill takes the last way — free, or else the one a stamp cache
+// would have found oldest.
 type Cache struct {
-	ways     int
-	sets     int
-	tags     []uint64 // (line | 1<<63) per way; 0 = empty
-	state    []LineState
-	lastUsed []uint64 // LRU stamps
-	clock    uint64
+	ways int
+	mask uint64 // sets - 1; the set count is a power of two
+	tags []uint64
 }
 
-// NewCache builds a cache of size bytes with the given associativity.
+// NewCache builds a cache of size bytes with the given associativity. The
+// set count must be a positive power of two (arch.CacheGeometry).
 func NewCache(size, ways int) *Cache {
-	sets := size / (arch.LineSize * ways)
-	if sets <= 0 {
-		panic("cpu: cache too small")
+	if err := arch.CacheGeometry("cache size", size, "cache ways", ways); err != nil {
+		panic("cpu: " + err.Error())
 	}
 	return &Cache{
-		ways:     ways,
-		sets:     sets,
-		tags:     make([]uint64, sets*ways),
-		state:    make([]LineState, sets*ways),
-		lastUsed: make([]uint64, sets*ways),
+		ways: ways,
+		mask: uint64(size/(arch.LineSize*ways)) - 1,
+		tags: make([]uint64, size/arch.LineSize),
 	}
 }
 
-// Sets returns the number of cache sets.
-func (c *Cache) Sets() int { return c.sets }
+// set returns the ways of line's set, in recency order.
+func (c *Cache) set(line uint64) []uint64 {
+	base := int(line&c.mask) * c.ways
+	return c.tags[base : base+c.ways]
+}
 
-func (c *Cache) set(line uint64) int { return int(line % uint64(c.sets)) }
-
-// Lookup returns the state of line, touching LRU on a hit.
-func (c *Cache) Lookup(line uint64) LineState {
-	base := c.set(line) * c.ways
-	tag := line | 1<<63
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == tag {
-			if c.state[base+w] == Invalid {
-				return Invalid
-			}
-			c.clock++
-			c.lastUsed[base+w] = c.clock
-			return c.state[base+w]
+// find returns the way holding line in set, or -1. The t != 0 test keeps
+// an empty way from matching line 0.
+func find(set []uint64, line uint64) int {
+	for w, t := range set {
+		if t>>2 == line && t != 0 {
+			return w
 		}
 	}
-	return Invalid
+	return -1
+}
+
+// promote moves way w of set to the front, shifting ways 0..w-1 back one,
+// and stores t there.
+func promote(set []uint64, w int, t uint64) {
+	for ; w > 0; w-- {
+		set[w] = set[w-1]
+	}
+	set[0] = t
+}
+
+// Lookup returns the state of line, making it most recently used on a hit.
+func (c *Cache) Lookup(line uint64) LineState {
+	set := c.set(line)
+	w := find(set, line)
+	if w < 0 {
+		return Invalid
+	}
+	t := set[w]
+	if w > 0 {
+		promote(set, w, t)
+	}
+	return LineState(t & 3)
 }
 
 // SetState transitions an existing line (no-op if not resident). Used by
-// interventions: invalidate or downgrade.
+// interventions: invalidate or downgrade. Neither touches recency.
 func (c *Cache) SetState(line uint64, s LineState) (had LineState) {
-	base := c.set(line) * c.ways
-	tag := line | 1<<63
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == tag {
-			had = c.state[base+w]
-			if s == Invalid {
-				c.tags[base+w] = 0
-			}
-			c.state[base+w] = s
-			return had
-		}
+	set := c.set(line)
+	w := find(set, line)
+	if w < 0 {
+		return Invalid
 	}
-	return Invalid
+	had = LineState(set[w] & 3)
+	if s == Invalid {
+		copy(set[w:], set[w+1:])
+		set[c.ways-1] = 0
+	} else {
+		set[w] = line<<2 | uint64(s)
+	}
+	return had
 }
 
-// Fill inserts line in state s, returning an evicted victim if any. If the
-// line is already resident (e.g. an upgrade fill) only its state changes.
+// Fill inserts line in state s (Shared or Modified), returning an evicted
+// victim if any. If the line is already resident (e.g. an upgrade fill)
+// only its state changes. Either way the line becomes most recently used.
 func (c *Cache) Fill(line uint64, s LineState) (victim uint64, victimState LineState, evicted bool) {
-	base := c.set(line) * c.ways
-	tag := line | 1<<63
-	c.clock++
-	// Already resident?
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == tag {
-			c.state[base+w] = s
-			c.lastUsed[base+w] = c.clock
-			return 0, Invalid, false
+	set := c.set(line)
+	w := find(set, line)
+	if w < 0 {
+		w = c.ways - 1
+		if t := set[w]; t != 0 {
+			victim, victimState, evicted = t>>2, LineState(t&3), true
 		}
 	}
-	// Free way?
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == 0 {
-			c.tags[base+w] = tag
-			c.state[base+w] = s
-			c.lastUsed[base+w] = c.clock
-			return 0, Invalid, false
-		}
-	}
-	// Evict LRU.
-	lru := 0
-	for w := 1; w < c.ways; w++ {
-		if c.lastUsed[base+w] < c.lastUsed[base+lru] {
-			lru = w
-		}
-	}
-	victim = c.tags[base+lru] &^ (1 << 63)
-	victimState = c.state[base+lru]
-	c.tags[base+lru] = tag
-	c.state[base+lru] = s
-	c.lastUsed[base+lru] = c.clock
-	return victim, victimState, true
+	promote(set, w, line<<2|uint64(s))
+	return victim, victimState, evicted
 }
 
-// CacheState is a deep copy of a cache's tag/state/LRU arrays, captured by
-// CaptureState for machine snapshots.
+// CacheState is a deep copy of a cache's tags, captured by CaptureState
+// for machine snapshots.
 type CacheState struct {
-	Tags     []uint64
-	State    []LineState
-	LastUsed []uint64
-	Clock    uint64
+	Tags []uint64
 }
 
 // CaptureState deep-copies the cache contents.
 func (c *Cache) CaptureState() CacheState {
-	return CacheState{
-		Tags:     append([]uint64(nil), c.tags...),
-		State:    append([]LineState(nil), c.state...),
-		LastUsed: append([]uint64(nil), c.lastUsed...),
-		Clock:    c.clock,
-	}
+	return CacheState{Tags: append([]uint64(nil), c.tags...)}
 }
 
 // RestoreState installs a captured state into a same-geometry cache.
@@ -160,30 +150,20 @@ func (c *Cache) RestoreState(st CacheState) {
 		panic("cpu: cache geometry mismatch in RestoreState")
 	}
 	copy(c.tags, st.Tags)
-	copy(c.state, st.State)
-	copy(c.lastUsed, st.LastUsed)
-	c.clock = st.Clock
 }
 
 // Reset empties the cache.
-func (c *Cache) Reset() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.state[i] = Invalid
-		c.lastUsed[i] = 0
-	}
-	c.clock = 0
-}
+func (c *Cache) Reset() { clear(c.tags) }
 
 // SameSet reports whether two lines map to the same cache set.
-func (c *Cache) SameSet(a, b uint64) bool { return c.set(a) == c.set(b) }
+func (c *Cache) SameSet(a, b uint64) bool { return a&c.mask == b&c.mask }
 
 // Lines returns the resident lines and their states (for invariant checks).
 func (c *Cache) Lines() map[uint64]LineState {
 	out := make(map[uint64]LineState)
-	for i, tag := range c.tags {
-		if tag != 0 && c.state[i] != Invalid {
-			out[tag&^(1<<63)] = c.state[i]
+	for _, t := range c.tags {
+		if t != 0 {
+			out[t>>2] = LineState(t & 3)
 		}
 	}
 	return out

@@ -1,8 +1,11 @@
 package cpu
 
 import (
+	"maps"
 	"testing"
 	"testing/quick"
+
+	"flashsim/internal/arch"
 )
 
 func TestCacheFillLookup(t *testing.T) {
@@ -90,4 +93,134 @@ func TestCacheCapacityProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// stampCache is the reference LRU cache: per-way tags, states and
+// last-use stamps from a global clock, victim = smallest stamp. Cache must
+// return exactly what it returns for every operation sequence.
+type stampCache struct {
+	ways, sets int
+	tags       []uint64 // line | 1<<63 per way; 0 = empty
+	state      []LineState
+	lastUsed   []uint64
+	clock      uint64
+}
+
+func newStampCache(size, ways int) *stampCache {
+	n := size / arch.LineSize
+	return &stampCache{ways: ways, sets: n / ways,
+		tags: make([]uint64, n), state: make([]LineState, n), lastUsed: make([]uint64, n)}
+}
+
+// find returns the index of line's way, or of the set's first way and false.
+func (c *stampCache) find(line uint64) (int, bool) {
+	base := int(line%uint64(c.sets)) * c.ways
+	for i := base; i < base+c.ways; i++ {
+		if c.tags[i] == line|1<<63 {
+			return i, true
+		}
+	}
+	return base, false
+}
+
+func (c *stampCache) Lookup(line uint64) LineState {
+	i, ok := c.find(line)
+	if !ok || c.state[i] == Invalid {
+		return Invalid
+	}
+	c.clock++
+	c.lastUsed[i] = c.clock
+	return c.state[i]
+}
+
+func (c *stampCache) SetState(line uint64, s LineState) LineState {
+	i, ok := c.find(line)
+	if !ok {
+		return Invalid
+	}
+	had := c.state[i]
+	if s == Invalid {
+		c.tags[i] = 0
+	}
+	c.state[i] = s
+	return had
+}
+
+func (c *stampCache) Fill(line uint64, s LineState) (victim uint64, vs LineState, evicted bool) {
+	i, ok := c.find(line)
+	if !ok {
+		lru := i
+		for w := i; w < i+c.ways && !ok; w++ {
+			if c.tags[w] == 0 {
+				i, ok = w, true
+			} else if c.lastUsed[w] < c.lastUsed[lru] {
+				lru = w
+			}
+		}
+		if !ok {
+			i = lru
+			victim, vs, evicted = c.tags[i]&^(1<<63), c.state[i], true
+		}
+	}
+	c.clock++
+	c.tags[i], c.state[i], c.lastUsed[i] = line|1<<63, s, c.clock
+	return victim, vs, evicted
+}
+
+func (c *stampCache) Lines() map[uint64]LineState {
+	out := make(map[uint64]LineState)
+	for i, tag := range c.tags {
+		if tag != 0 && c.state[i] != Invalid {
+			out[tag&^(1<<63)] = c.state[i]
+		}
+	}
+	return out
+}
+
+// FuzzCacheLRU drives Cache and the stamp reference through the same
+// Lookup, Fill and SetState sequence — 1, 2 or 4 ways over four sets, lines
+// 0..31 so every set sees evictions — and requires every return value and
+// the resident lines to agree after each operation. The first byte picks
+// the associativity; each following pair is an operation and a line.
+func FuzzCacheLRU(f *testing.F) {
+	f.Add([]byte{0, 0x10, 1, 0x10, 5, 0x20, 1, 0x00, 1})                             // 1 way: fill, conflict, lookup
+	f.Add([]byte{1, 0x10, 0, 0x10, 4, 0x10, 8, 0x00, 0, 0x10, 12, 0x30, 4, 0x10, 8}) // 2 ways, line 0
+	f.Add([]byte{2, 0x10, 1, 0x10, 5, 0x10, 9, 0x10, 13, 0x00, 1, 0x10, 17, 0x00, 5, 0x10, 21})
+	// Invalidate then refill: the freed way is reused, not the LRU one.
+	f.Add([]byte{1, 0x10, 2, 0x10, 6, 0x30, 2, 0x10, 10, 0x10, 14, 0x00, 6, 0x10, 2})
+	f.Add([]byte{2, 0x10, 3, 0x10, 7, 0x10, 11, 0x10, 15, 0x40, 7, 0x00, 3, 0x10, 19, 0x10, 23, 0x20, 11})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		ways := 1 << (ops[0] % 3)
+		size := 4 * ways * arch.LineSize
+		got, want := NewCache(size, ways), newStampCache(size, ways)
+		for k := 1; k+1 < len(ops); k += 2 {
+			// kind: 0 Lookup, 1 Fill Shared, 2 Fill Modified,
+			// 3 SetState Invalid, 4 SetState Shared, 5 SetState Modified.
+			kind, line := ops[k]>>4%6, uint64(ops[k+1]%32)
+			switch {
+			case kind == 0:
+				if g, w := got.Lookup(line), want.Lookup(line); g != w {
+					t.Fatalf("op %d: Lookup(%d) = %v, reference %v", k/2, line, g, w)
+				}
+			case kind <= 2:
+				s := LineState(kind)
+				gv, gs, ge := got.Fill(line, s)
+				wv, ws, we := want.Fill(line, s)
+				if gv != wv || gs != ws || ge != we {
+					t.Fatalf("op %d: Fill(%d, %v) = %d %v %v, reference %d %v %v", k/2, line, s, gv, gs, ge, wv, ws, we)
+				}
+			default:
+				s := LineState(kind - 3)
+				if g, w := got.SetState(line, s), want.SetState(line, s); g != w {
+					t.Fatalf("op %d: SetState(%d, %v) = %v, reference %v", k/2, line, s, g, w)
+				}
+			}
+			if g, w := got.Lines(), want.Lines(); !maps.Equal(g, w) {
+				t.Fatalf("op %d: Lines = %v, reference %v", k/2, g, w)
+			}
+		}
+	})
 }

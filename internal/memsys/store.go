@@ -8,9 +8,8 @@ package memsys
 // node) but scaled-down workloads touch a small fraction of that, so a
 // dense []uint64 spends more host time zeroing, initializing and copying
 // memory at construction, reset and snapshot than the simulation spends
-// running. A never-written chunk reads its pristine value — zero, or a pure
-// function of the word index installed with SetPristine — matching the
-// dense semantics exactly.
+// running. A never-written chunk reads its pristine value — zero, or the
+// image installed with SetPristine — matching the dense semantics exactly.
 type Store struct {
 	chunks [][]uint64
 	// owned[i] marks chunk i as materialized and private to this store, so
@@ -20,11 +19,12 @@ type Store struct {
 	// private copy before the next write. Reads go through frozen chunks
 	// directly.
 	owned []bool
-	// pristine gives the value of word i in a never-written chunk (nil =
-	// zero). It must be a pure function of i: a chunk table frozen by
+	// pristine writes the nonzero never-written values of words base,
+	// base+1, ... into dst, which starts zeroed (nil = all zero). The image
+	// must be a pure function of the word index: a chunk table frozen by
 	// SnapshotChunks omits never-written chunks, so every store the table
-	// is restored into must compute the same value for them.
-	pristine func(i uint64) uint64
+	// is restored into must compute the same values for them.
+	pristine func(base uint64, dst []uint64)
 }
 
 const (
@@ -39,11 +39,13 @@ func NewStore(words int) *Store {
 	return &Store{chunks: make([][]uint64, n), owned: make([]bool, n)}
 }
 
-// SetPristine drops every materialized chunk and installs f as the value
-// of never-written words (nil = zero).
-func (s *Store) SetPristine(f func(i uint64) uint64) {
+// SetPristine drops every materialized chunk and installs fill as the
+// image of never-written words (nil = zero). fill(base, dst) writes the
+// nonzero values of words base..base+len(dst)-1 into the zeroed dst, so an
+// image that is mostly zero costs only its nonzero words to materialize.
+func (s *Store) SetPristine(fill func(base uint64, dst []uint64)) {
 	s.Reset()
-	s.pristine = f
+	s.pristine = fill
 }
 
 // Load returns word i. Reads of never-written chunks return the pristine
@@ -62,10 +64,12 @@ func (s *Store) loadUnowned(i uint64) uint64 {
 	if c := s.chunks[i>>storeChunkShift]; c != nil {
 		return c[i&(storeChunkWords-1)]
 	}
-	if s.pristine != nil {
-		return s.pristine(i)
+	if s.pristine == nil {
+		return 0
 	}
-	return 0
+	var w [1]uint64
+	s.pristine(i, w[:])
+	return w[0]
 }
 
 // NextMaterialized returns the smallest word index >= i that lies in a
@@ -107,10 +111,7 @@ func (s *Store) own(i uint64) *uint64 {
 	if old := s.chunks[ci]; old != nil {
 		copy(c, old)
 	} else if s.pristine != nil {
-		base := ci << storeChunkShift
-		for j := range c {
-			c[j] = s.pristine(base + uint64(j))
-		}
+		s.pristine(ci<<storeChunkShift, c)
 	}
 	s.chunks[ci] = c
 	s.owned[ci] = true

@@ -101,8 +101,13 @@ func TestStoreReset(t *testing.T) {
 func TestStorePristine(t *testing.T) {
 	words := 2*storeChunkWords + 100 // partial last chunk
 	pristine := func(i uint64) uint64 { return i*3 + 1 }
+	fill := func(base uint64, dst []uint64) {
+		for j := range dst {
+			dst[j] = pristine(base + uint64(j))
+		}
+	}
 	s := NewStore(words)
-	s.SetPristine(pristine)
+	s.SetPristine(fill)
 	last := uint64(words - 1)
 	for _, i := range []uint64{0, storeChunkWords - 1, storeChunkWords, last} {
 		if got := s.Load(i); got != pristine(i) {
@@ -128,7 +133,7 @@ func TestStorePristine(t *testing.T) {
 	}
 
 	f := NewStore(words)
-	f.SetPristine(pristine)
+	f.SetPristine(fill)
 	f.RestoreShared(s.SnapshotChunks())
 	for _, i := range []uint64{0, storeChunkWords + 7, storeChunkWords + 8, last} {
 		if f.Load(i) != s.Load(i) {
@@ -140,6 +145,56 @@ func TestStorePristine(t *testing.T) {
 	s.SetPristine(nil)
 	if got := s.Load(0); got != 0 {
 		t.Fatalf("SetPristine kept a written chunk: word0=%d", got)
+	}
+}
+
+// A pristine image that is nonzero only in a pool of words — like the
+// protocol free list — reads and materializes exactly like its word-by-word
+// definition in every chunk: wholly below the pool, straddling its start,
+// inside it, straddling its end and wholly above it, and in the store's
+// partial last chunk. fill writes only the pool words, so every other word
+// of a fresh chunk must come out zero.
+func TestStorePristineFill(t *testing.T) {
+	const (
+		words     = 5*storeChunkWords + 100
+		pool, end = storeChunkWords + 300, 3*storeChunkWords + 17
+	)
+	word := func(i uint64) uint64 {
+		if i < pool || i >= end {
+			return 0
+		}
+		return (i-pool)<<8 | 1
+	}
+	calls := 0
+	fill := func(base uint64, dst []uint64) {
+		calls++
+		for i := max(base, pool); i < min(base+uint64(len(dst)), end); i++ {
+			dst[i-base] = word(i)
+		}
+	}
+	s := NewStore(words)
+	s.SetPristine(fill)
+	check := func(when string, chunk uint64) {
+		t.Helper()
+		for i := chunk * storeChunkWords; i < min((chunk+1)*storeChunkWords, words); i++ {
+			if got := s.Load(i); got != word(i) {
+				t.Fatalf("%s: chunk %d word %d = %#x, want %#x", when, chunk, i, got, word(i))
+			}
+		}
+	}
+	for chunk := uint64(0); chunk < 6; chunk++ {
+		check("unowned", chunk)
+	}
+	calls = 0
+	for chunk := uint64(0); chunk < 6; chunk++ {
+		p := s.Word(chunk*storeChunkWords + 5)
+		if *p != word(chunk*storeChunkWords+5) {
+			t.Fatalf("chunk %d: Word = %#x before any write", chunk, *p)
+		}
+		check("owned", chunk)
+	}
+	if calls != 6 {
+		t.Fatalf("materializing 6 chunks called fill %d times, want once each", calls)
 	}
 }
 

@@ -50,10 +50,10 @@ func (s *MDCStats) ReadMissRate() float64 {
 
 // NewMDC builds an MDC of the given total size and associativity.
 func NewMDC(size, ways int) *MDC {
-	sets := size / (arch.LineSize * ways)
-	if sets <= 0 || sets&(sets-1) != 0 {
-		panic("ppsim: MDC set count must be a positive power of two")
+	if err := arch.CacheGeometry("MDC size", size, "MDC ways", ways); err != nil {
+		panic("ppsim: " + err.Error())
 	}
+	sets := size / (arch.LineSize * ways)
 	m := &MDC{
 		ways:  ways,
 		sets:  sets,

@@ -42,18 +42,23 @@ func newSparseRig(t *testing.T, proto arch.Protocol) *sparseRig {
 	return r
 }
 
-// denseInit is the dense InitMemory: every word from the layout's pristine
-// function, then the globals.
+// denseInit is the dense InitMemory: the layout's pristine image filled in
+// one call over the whole memory, then the globals.
 func (r *sparseRig) denseInit(id arch.NodeID) []uint64 {
 	d := make([]uint64, r.words)
-	for i := range d {
-		d[i] = r.lay.Pristine(uint64(i))
-	}
+	r.lay.FillPristine(0, d)
 	d[protocol.GMyID/8] = uint64(id)
 	d[protocol.GHomeBase/8] = uint64(r.cfg.NodeBase(id))
 	d[protocol.GNNodes/8] = uint64(r.cfg.Nodes)
 	d[protocol.GFreeHead/8] = 0
 	return d
+}
+
+// pristine is protocol-memory word i before any handler writes it.
+func (r *sparseRig) pristine(i uint64) uint64 {
+	var w [1]uint64
+	r.lay.FillPristine(i, w[:])
+	return w[0]
 }
 
 func (r *sparseRig) newModel(id arch.NodeID) *memModel {
@@ -160,7 +165,7 @@ func TestSparseMemoryCOWIsolation(t *testing.T) {
 		if got := f.pp.load(dir); got != 0xD1 {
 			t.Errorf("%s sees the donor's post-capture directory write: %#x", name, got)
 		}
-		if got, want := f.pp.load(pool), r.lay.Pristine(pool/8); got != want {
+		if got, want := f.pp.load(pool), r.pristine(pool/8); got != want {
 			t.Errorf("%s sees the donor's post-capture pool write: %#x, want pristine %#x", name, got, want)
 		}
 	}
@@ -176,7 +181,7 @@ func TestSparseMemoryCOWIsolation(t *testing.T) {
 	if got := forkB.pp.load(dir); got != 0xD1 {
 		t.Errorf("fork write reached a sibling fork's directory: %#x", got)
 	}
-	if got, want := forkB.pp.load(pool), r.lay.Pristine(pool/8); got != want {
+	if got, want := forkB.pp.load(pool), r.pristine(pool/8); got != want {
 		t.Errorf("fork write reached a sibling fork's pool: %#x, want pristine %#x", got, want)
 	}
 	forkC := r.newModel(0)

@@ -135,32 +135,34 @@ func (l Layout) Symbols() map[string]int64 {
 	return syms
 }
 
-// Pristine returns the value protocol-memory word i holds before any
-// handler writes it: zero for the globals and the all-clean directory, and
-// the free list threaded through the pointer pool (entry k links to k+1,
-// the last to NullPtr). It is a pure function of the layout and the word
-// index — the same on every node — which is what lets a node's protocol
-// memory stay unmaterialized until touched and lets snapshots share the
-// untouched part by construction (see memsys.Store).
-func (l Layout) Pristine(i uint64) uint64 {
-	k := int64(i) - l.PtrBase/8
-	switch {
-	case k < 0 || k >= l.PoolSize:
-		return 0
-	case k == l.PoolSize-1:
-		return NullPtr << NextPos
+// FillPristine writes into dst, which the caller has zeroed, the nonzero
+// words among protocol-memory words base..base+len(dst)-1 as they stand
+// before any handler writes them. Only the free list threaded through the
+// pointer pool is nonzero (entry k links to k+1, the last to NullPtr); the
+// globals and the all-clean directory are zero. The image is a pure
+// function of the layout and the word index — the same on every node —
+// which is what lets a node's protocol memory stay unmaterialized until
+// touched and lets snapshots share the untouched part by construction (see
+// memsys.Store).
+func (l Layout) FillPristine(base uint64, dst []uint64) {
+	pool, end := l.poolWord(0), l.poolWord(uint64(l.PoolSize))
+	lo, hi := max(base, pool), min(base+uint64(len(dst)), end)
+	for i := lo; i < hi; i++ {
+		dst[i-base] = (i - pool + 1) << NextPos
 	}
-	return uint64(k+1) << NextPos
+	if lo < hi && hi == end {
+		dst[end-1-base] = NullPtr << NextPos
+	}
 }
 
 // InitMemory initializes one node's protocol memory image: the pristine
-// directory and free list by construction, plus the globals.
+// directory and free list by construction, plus the globals. The free-list
+// head, entry 0, is the pristine zero.
 func (l Layout) InitMemory(mem *memsys.Store, id arch.NodeID, homeBase arch.Addr, nnodes int) {
-	mem.SetPristine(l.Pristine)
+	mem.SetPristine(l.FillPristine)
 	*mem.Word(GMyID / 8) = uint64(id)
 	*mem.Word(GHomeBase / 8) = uint64(homeBase)
 	*mem.Word(GNNodes / 8) = uint64(nnodes)
-	*mem.Word(GFreeHead / 8) = 0
 }
 
 // DirOffset returns the protocol-memory byte offset of the directory header
