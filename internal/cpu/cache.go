@@ -65,11 +65,14 @@ func (c *Cache) set(line uint64) []uint64 {
 	return c.tags[base : base+c.ways]
 }
 
-// find returns the way holding line in set, or -1. The t != 0 test keeps
-// an empty way from matching line 0.
+// holds reports whether way word t holds line. The t != 0 test keeps an
+// empty way from matching line 0.
+func holds(t, line uint64) bool { return t>>2 == line && t != 0 }
+
+// find returns the way holding line in set, or -1.
 func find(set []uint64, line uint64) int {
 	for w, t := range set {
-		if t>>2 == line && t != 0 {
+		if holds(t, line) {
 			return w
 		}
 	}
@@ -86,17 +89,19 @@ func promote(set []uint64, w int, t uint64) {
 }
 
 // Lookup returns the state of line, making it most recently used on a hit.
+// A hit on way 0, the most recent, moves nothing.
 func (c *Cache) Lookup(line uint64) LineState {
 	set := c.set(line)
-	w := find(set, line)
-	if w < 0 {
-		return Invalid
+	if t := set[0]; holds(t, line) {
+		return LineState(t & 3)
 	}
-	t := set[w]
-	if w > 0 {
-		promote(set, w, t)
+	for w := 1; w < len(set); w++ {
+		if t := set[w]; holds(t, line) {
+			promote(set, w, t)
+			return LineState(t & 3)
+		}
 	}
-	return LineState(t & 3)
+	return Invalid
 }
 
 // SetState transitions an existing line (no-op if not resident). Used by

@@ -50,7 +50,7 @@ type RefSource interface {
 	// ReadDone is invoked after a read or RMW completes and its Out value
 	// is filled, releasing the workload thread. When the run loop calls it
 	// for a cache hit, the thread it resumes may execute its next
-	// references through Direct before ReadDone returns.
+	// references through Hit and Direct before ReadDone returns.
 	ReadDone()
 }
 
@@ -161,10 +161,26 @@ type pendingStore struct {
 
 // CPU is one node's compute processor.
 type CPU struct {
-	ID    arch.NodeID
-	Cache *Cache
-	Bus   sim.Server
-	Stats Stats
+	// vt is the processor's virtual clock and limit the end of the current
+	// run slice; both are only meaningful while run is on the stack. They
+	// are fields rather than run's locals because the workload thread
+	// advances them too: live is set while run is parked inside a cache
+	// hit's ReadDone (hitDone), and for that long the resumed thread executes
+	// its references itself through Hit and Direct — the same charge, the
+	// same limit test between references — instead of batching them back
+	// to the loop. These fields lead the struct with the rest of what every
+	// hit reads, so a hit touches few host cache lines.
+	vt, limit sim.Cycle
+	live      bool
+	sampling  bool
+	instFrac  uint32 // leftover instructions (< 4) not yet charged as a cycle
+	inUse     int    // valid MSHR entries
+	Cache     *Cache
+	mem       *memsys.View // this node's window-quantized view of the backing store
+	Stats     Stats
+
+	ID  arch.NodeID
+	Bus sim.Server
 
 	// Tr, when non-nil, receives structured cache/miss events. Injected per
 	// machine (core.Machine.SetTracer); nil costs one branch per site.
@@ -175,37 +191,25 @@ type CPU struct {
 	cfg   *arch.Config
 	ctl   Ctl
 	src   RefSource
-	mem   *memsys.View // this node's window-quantized view of the backing store
 	chunk sim.Cycle
 
 	// Sampled execution: phase is a pure function of the cycle (spec is
 	// immutable after construction), so every decision below is
 	// deterministic across engine backends and worker counts.
-	sampling bool
-	spec     arch.SampleSpec
-	ffChunk  sim.Cycle // longer run slices between yields while fast-forwarding
+	spec    arch.SampleSpec
+	ffChunk sim.Cycle // longer run slices between yields while fast-forwarding
 	// phaseDet/phaseEnd cache the schedule phase for the run loop's
 	// monotonic virtual clock: one compare per reference instead of a
 	// modulo (see SampleSpec.PhaseAt).
 	phaseDet bool
 	phaseEnd uint64
 
-	// vt is the processor's virtual clock and limit the end of the current
-	// run slice; both are only meaningful while run is on the stack. They
-	// are fields rather than run's locals because the workload thread
-	// advances them too: live is set while run is parked inside a cache
-	// hit's ReadDone (hitDone), and for that long the resumed thread executes
-	// its references itself through Direct — the same step, the same limit
-	// test between references — instead of batching them back to the loop.
-	vt, limit sim.Cycle
-	live      bool
 	// rerun restarts the run loop at the engine clock: the one event body
 	// behind every reschedule, built once (events fire at the cycle they
 	// were scheduled for, so the clock is the loop's start time).
 	rerun func()
 
 	mshrs []mshrEntry
-	inUse int
 	// retry[e] reissues MSHR e's request at the engine clock: the NAK
 	// backoff event, one per entry, built once like rerun.
 	retry []func()
@@ -226,7 +230,6 @@ type CPU struct {
 	// it before issue() returns, the reference retires without blocking.
 	issuing int
 
-	instFrac uint32 // leftover instructions (< 4) not yet charged as a cycle
 	running  bool
 	done     bool
 	onFinish func(at sim.Cycle)
@@ -353,7 +356,7 @@ func (c *CPU) run(vt sim.Cycle) {
 // blocked, with the reference retained in c.pending. This is the whole
 // per-reference body of the run loop, and Direct runs exactly it.
 func (c *CPU) step(ref *Ref) bool {
-	c.vt += c.charge(ref)
+	c.vt += c.charge(ref.Kind, ref.Busy, ref.Sync)
 	if c.sampling {
 		c.noteRef(c.vt, ref.Sync)
 	}
@@ -389,6 +392,22 @@ func (c *CPU) Direct(r *Ref) (ok, blocked bool) {
 		return false, false
 	}
 	return true, !c.step(r)
+}
+
+// Hit is step for a reference that hits, taken as its fields instead of a
+// Ref: under Direct's gate, with no miss outstanding (so tryRef would find
+// no MSHR for the line) and no sampling (so step would note nothing), a
+// reference whose line state satisfies it retires through the loop's own
+// charge, hits and access, and Hit returns the value a read or RMW
+// observes. On false nothing has changed but the line's recency, which the
+// reference's own Lookup in tryRef sets identically; the caller goes on to
+// Direct or its batch.
+func (c *CPU) Hit(kind arch.RefKind, op RMWOp, a arch.Addr, v uint64, busy uint32, sync bool) (uint64, bool) {
+	if !c.live || c.vt >= c.limit || c.inUse != 0 || c.sampling || !hits(kind, c.Cache.Lookup(a.Line())) {
+		return 0, false
+	}
+	c.vt += c.charge(kind, busy, sync)
+	return c.access(kind, op, a, v), true
 }
 
 // hitDone releases the thread behind a read or RMW that hit in the cache.
@@ -444,19 +463,19 @@ func (c *CPU) nextRef() (*Ref, bool) {
 	return r, true
 }
 
-// charge converts the reference's busy instruction count to cycles and
-// accounts them.
-func (c *CPU) charge(ref *Ref) sim.Cycle {
-	inst := ref.Busy + c.instFrac
+// charge converts a reference's busy instruction count to cycles and
+// accounts them and the reference.
+func (c *CPU) charge(kind arch.RefKind, busy uint32, sync bool) sim.Cycle {
+	inst := busy + c.instFrac
 	cyc := sim.Cycle(inst / 4)
 	c.instFrac = inst % 4
-	if ref.Sync {
+	if sync {
 		c.Stats.SyncStall += cyc
 	} else {
 		c.Stats.Busy += cyc
 	}
 	c.Stats.Refs++
-	switch ref.Kind {
+	switch kind {
 	case arch.RefRead:
 		c.Stats.Reads++
 	case arch.RefWrite:
@@ -465,6 +484,15 @@ func (c *CPU) charge(ref *Ref) sim.Cycle {
 		c.Stats.RMWs++
 	}
 	return cyc
+}
+
+// hits is the hit rule: a read needs any copy of its line, a write or RMW
+// ownership.
+func hits(kind arch.RefKind, st LineState) bool {
+	if kind == arch.RefRead {
+		return st != Invalid
+	}
+	return st == Modified
 }
 
 // tryRef attempts ref at the processor's virtual clock. It returns false if
@@ -491,24 +519,15 @@ func (c *CPU) tryRef(ref *Ref) bool {
 	}
 
 	st := c.Cache.Lookup(line)
-	switch ref.Kind {
-	case arch.RefRead:
-		if st != Invalid {
-			c.load(ref)
+	if hits(ref.Kind, st) {
+		v := c.access(ref.Kind, ref.RMW, ref.Addr, ref.WVal)
+		if ref.Kind != arch.RefWrite {
+			if ref.Out != nil {
+				*ref.Out = v
+			}
 			c.hitDone()
-			return true
 		}
-	case arch.RefWrite:
-		if st == Modified {
-			c.store(ref)
-			return true
-		}
-	case arch.RefRMW:
-		if st == Modified {
-			c.rmw(ref)
-			c.hitDone()
-			return true
-		}
+		return true
 	}
 
 	// Miss. Structural checks: one outstanding miss per cache set, and a
@@ -717,15 +736,11 @@ func (c *CPU) deliver(m arch.Msg, at sim.Cycle, ff bool) {
 	// arriving behind an outstanding write miss) retries its reference.
 	consumed := false
 	if ent.hasRef {
-		switch ent.ref.Kind {
-		case arch.RefRead:
-			c.load(&ent.ref)
-		case arch.RefWrite:
-			// Value is ent.stores[0]; applied below.
-		case arch.RefRMW:
-			c.rmw(&ent.ref)
-		}
-		if ent.ref.Kind != arch.RefWrite {
+		// A write's value is ent.stores[0], applied below.
+		if r := &ent.ref; r.Kind != arch.RefWrite {
+			if v := c.access(r.Kind, r.RMW, r.Addr, r.WVal); r.Out != nil {
+				*r.Out = v
+			}
 			// A direct reference filled inside its own issue() (a
 			// synchronous fast-forward chain): its thread is the caller,
 			// and returning to it is the release.
@@ -987,28 +1002,22 @@ func (c *CPU) complete(at sim.Cycle, resp arch.MsgType, req arch.Msg, done Inter
 
 // --- backing-store access (run loop or, while it is live, its thread) ---
 
-func (c *CPU) load(ref *Ref) {
-	if ref.Out != nil {
-		*ref.Out = c.mem.Load(uint64(ref.Addr) / 8)
+// access applies a reference's data action to the node's view and returns
+// the value a read or RMW observes.
+func (c *CPU) access(kind arch.RefKind, op RMWOp, a arch.Addr, v uint64) uint64 {
+	i := uint64(a) / 8
+	if kind == arch.RefWrite {
+		c.mem.Store(i, v)
+		return 0
 	}
-}
-
-func (c *CPU) store(ref *Ref) {
-	c.mem.Store(uint64(ref.Addr)/8, ref.WVal)
-}
-
-func (c *CPU) rmw(ref *Ref) {
-	i := uint64(ref.Addr) / 8
 	old := c.mem.Load(i)
-	if ref.Out != nil {
-		*ref.Out = old
+	if kind == arch.RefRMW {
+		if op == RMWAdd {
+			v += old
+		}
+		c.mem.Store(i, v)
 	}
-	switch ref.RMW {
-	case RMWSwap:
-		c.mem.Store(i, ref.WVal)
-	case RMWAdd:
-		c.mem.Store(i, old+ref.WVal)
-	}
+	return old
 }
 
 // --- MSHR helpers ---

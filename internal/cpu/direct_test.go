@@ -11,9 +11,9 @@ import (
 )
 
 // directThread is a workload thread reduced to its handshake with the
-// processor: the issue/flush/park protocol of workload.Ctx and the prepulled
-// batch of its RefSource, run on the caller's stack in place of a coroutine.
-// Being resumed means walking prog until the next yield.
+// processor: the hit/issue/flush/park protocol of workload.Ctx and the
+// prepulled batch of its RefSource, run on the caller's stack in place of a
+// coroutine. Being resumed means walking prog until the next yield.
 type directThread struct {
 	c     *CPU
 	prog  []Ref
@@ -23,7 +23,9 @@ type directThread struct {
 	pending            []Ref
 	pendingOK, prepull bool
 
-	direct, parked, refused int // Direct outcomes, for asserting the path taken
+	// Outcomes, for asserting the path taken: references retired by Hit,
+	// executed by Direct, parked on, and refused by both while live.
+	hit, direct, parked, refused int
 }
 
 func (t *directThread) resume() ([]Ref, bool) {
@@ -32,6 +34,13 @@ func (t *directThread) resume() ([]Ref, bool) {
 		r := t.prog[t.pos]
 		t.pos++
 		if len(t.batch) == 0 {
+			if v, ok := t.c.Hit(r.Kind, r.RMW, r.Addr, r.WVal, r.Busy, r.Sync); ok {
+				t.hit++
+				if r.Out != nil {
+					*r.Out = v
+				}
+				continue
+			}
 			if ok, blocked := t.c.Direct(&r); ok {
 				t.direct++
 				if blocked {
@@ -98,7 +107,7 @@ type directCase struct {
 	// stream can produce).
 	plant func(c *CPU, eng *sim.Engine)
 
-	direct, parked, refused int
+	hit, direct, parked, refused int
 }
 
 // run executes the case's program, through a directThread when threaded
@@ -145,12 +154,13 @@ func (tc *directCase) run(t *testing.T, threaded bool) (directRun, *directThread
 }
 
 // TestDirectMatchesLoop drives the same reference program through a thread
-// that executes directly whenever the run loop is live and through a
-// scripted source that never can, and requires the processor to be unable
-// to tell: identical stats, identical requests at identical bus times,
-// identical data. Each case opens with a read miss and a read hit of line
-// A — the hit is what makes the loop live — and then aims one edge of the
-// direct path; the Direct outcome counts pin that the edge was reached.
+// that executes directly whenever the run loop is live — by Hit, else by
+// Direct — and through a scripted source that never can, and requires the
+// processor to be unable to tell: identical stats, identical requests at
+// identical bus times, identical data. Each case opens with a read miss and
+// a read hit of line A, which leave A Shared — the hit is what makes the
+// loop live — and then aims one edge of the direct path; the outcome counts
+// pin that the edge was reached.
 func TestDirectMatchesLoop(t *testing.T) {
 	const (
 		A = arch.Addr(0x1000)
@@ -214,7 +224,7 @@ func TestDirectMatchesLoop(t *testing.T) {
 					Ref{Kind: arch.RefRead, Addr: B, Out: &out[2], Busy: 1},
 					Ref{Kind: arch.RefWrite, Addr: B + 8, WVal: 10, Busy: 1})
 			},
-			direct: 3, parked: 1,
+			hit: 1, direct: 2, parked: 1,
 		},
 		{
 			// 64 instructions are the whole 16-cycle slice: the write retires
@@ -251,7 +261,7 @@ func TestDirectMatchesLoop(t *testing.T) {
 					{Kind: arch.RefRead, Addr: A, Out: &out[4], Busy: 1},
 				}
 			},
-			direct: 4,
+			hit: 4,
 		},
 		{
 			name: "thread returns while live",
@@ -259,6 +269,60 @@ func TestDirectMatchesLoop(t *testing.T) {
 				return live(out, Ref{Kind: arch.RefWrite, Addr: A + 8, WVal: 1, Busy: 8})
 			},
 			direct: 1,
+		},
+		{
+			// Once the write's GETX fills, A is Modified: every kind hits on
+			// the thread's stack.
+			name: "thread-side hits: read, sync read, write on M, RMW",
+			prog: func(out []uint64) []Ref {
+				return []Ref{
+					{Kind: arch.RefWrite, Addr: A, WVal: 40},
+					{Kind: arch.RefRead, Addr: A, Out: &out[0]}, // waits for the GETX
+					{Kind: arch.RefRead, Addr: A, Out: &out[1], Busy: 3},
+					{Kind: arch.RefRead, Addr: A + 8, Out: &out[2], Busy: 5, Sync: true},
+					{Kind: arch.RefWrite, Addr: A + 8, WVal: 41, Busy: 2},
+					{Kind: arch.RefWrite, Addr: A + 16, WVal: 42, Busy: 1, Sync: true},
+					{Kind: arch.RefRMW, RMW: RMWSwap, Addr: A + 8, WVal: 43, Out: &out[3], Busy: 7, Sync: true},
+					{Kind: arch.RefRead, Addr: A + 8, Out: &out[4], Busy: 1},
+				}
+			},
+			hit: 6,
+		},
+		{
+			// A is Shared: the write is no hit but an upgrade miss, and Hit
+			// leaves it to Direct. The read behind it waits for the GETX.
+			name: "write to a Shared line upgrades",
+			prog: func(out []uint64) []Ref {
+				return live(out,
+					Ref{Kind: arch.RefWrite, Addr: A + 8, WVal: 1, Busy: 1},
+					Ref{Kind: arch.RefRead, Addr: A + 8, Out: &out[2], Busy: 1})
+			},
+			direct: 2, parked: 1,
+		},
+		{
+			// 60 instructions leave one cycle of the slice; the next hit
+			// retires on that last cycle, and the reference behind it must
+			// batch.
+			name: "hit on the slice's last cycle",
+			prog: func(out []uint64) []Ref {
+				return live(out,
+					Ref{Kind: arch.RefRead, Addr: A + 8, Out: &out[2], Busy: 60},
+					Ref{Kind: arch.RefRead, Addr: A + 16, Out: &out[3], Busy: 4},
+					Ref{Kind: arch.RefRead, Addr: A + 24, Out: &out[4], Busy: 1})
+			},
+			hit: 2, refused: 1,
+		},
+		{
+			// The write miss stays outstanding, so the read of A — a hit —
+			// must take the general path, where tryRef checks the MSHRs.
+			name: "hit with a miss outstanding",
+			prog: func(out []uint64) []Ref {
+				return live(out,
+					Ref{Kind: arch.RefWrite, Addr: B, WVal: 1, Busy: 1},
+					Ref{Kind: arch.RefRead, Addr: A + 8, Out: &out[2], Busy: 1},
+					Ref{Kind: arch.RefRead, Addr: B + 8, Out: &out[3], Busy: 1})
+			},
+			direct: 3, parked: 1,
 		},
 		{
 			// Fast-forward phase: the direct read's miss fills inside its own
@@ -277,14 +341,24 @@ func TestDirectMatchesLoop(t *testing.T) {
 			},
 			direct: 4,
 		},
+		{
+			// step notes every reference for the sampling estimator, so
+			// under sampling Hit refuses even a hit and Direct runs it.
+			name:   "sampled: hits take the general path",
+			sample: arch.SampleSpec{Detail: 1, Stride: 1 << 40, Warmup: 40},
+			prog: func(out []uint64) []Ref {
+				return live(out, Ref{Kind: arch.RefRead, Addr: A + 8, Out: &out[2], Busy: 1})
+			},
+			direct: 1,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			want, _ := tc.run(t, false)
 			got, th := tc.run(t, true)
-			if th.direct != tc.direct || th.parked != tc.parked || th.refused != tc.refused {
-				t.Errorf("Direct outcomes: %d executed, %d parked, %d refused; want %d, %d, %d",
-					th.direct, th.parked, th.refused, tc.direct, tc.parked, tc.refused)
+			if th.hit != tc.hit || th.direct != tc.direct || th.parked != tc.parked || th.refused != tc.refused {
+				t.Errorf("outcomes: %d hits, %d direct, %d parked, %d refused; want %d, %d, %d, %d",
+					th.hit, th.direct, th.parked, th.refused, tc.hit, tc.direct, tc.parked, tc.refused)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("direct run diverged from the loop:\n got %+v\nwant %+v", got, want)
@@ -293,8 +367,9 @@ func TestDirectMatchesLoop(t *testing.T) {
 	}
 }
 
-// TestDirectRefusedOffTheLoop pins the two gates that keep Direct exact: it
-// runs only while the loop is live, and never under an armed snapshot pause.
+// TestDirectRefusedOffTheLoop pins the two gates that keep Direct and Hit
+// exact: they run only while the loop is live, and never under an armed
+// snapshot pause.
 func TestDirectRefusedOffTheLoop(t *testing.T) {
 	var out [2]uint64
 	prog := []Ref{
@@ -314,17 +389,56 @@ func TestDirectRefusedOffTheLoop(t *testing.T) {
 	if ok, _ := c.Direct(&prog[2]); ok {
 		t.Fatal("Direct executed a reference with no run loop on the stack")
 	}
+	c.Cache.Fill(arch.Addr(0x1000).Line(), Modified)
+	if _, ok := c.Hit(arch.RefWrite, 0, 0x1008, 1, 1, false); ok {
+		t.Fatal("Hit executed a reference with no run loop on the stack")
+	}
+	c.Cache.Reset()
 	c.PauseAfter(1 << 30)
 	c.Start()
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if th.direct != 0 || c.Stats.Refs != 3 {
-		t.Fatalf("pause armed: %d direct references of %d, want 0 of 3", th.direct, c.Stats.Refs)
+	if th.direct != 0 || th.hit != 0 || c.Stats.Refs != 3 {
+		t.Fatalf("pause armed: %d direct references and %d hits of %d, want 0 of 3", th.direct, th.hit, c.Stats.Refs)
 	}
 	for _, f := range []string{"vt=", "limit=", "live=false"} {
 		if s := c.DebugState(); !strings.Contains(s, f) {
 			t.Fatalf("DebugState %q lacks %q", s, f)
 		}
+	}
+}
+
+// TestHitDoesNotAllocate pins the thread-side hit's steady state at zero
+// allocations: a read hit, and a write hit whose value the view buffers
+// until a window boundary flushes it.
+func TestHitDoesNotAllocate(t *testing.T) {
+	cfg := arch.DefaultConfig()
+	cfg.Nodes = 2
+	cfg.MemBytesPerNode = 1 << 20
+	eng := sim.NewEngine()
+	c := New(0, eng, &cfg, &echoCtl{eng: eng, latency: 50}, memsys.NewView(memsys.NewStore(cfg.MemBytesPerNode/4)))
+	const a = arch.Addr(0x1000)
+	c.Cache.Fill(a.Line(), Modified)
+	c.live, c.limit = true, 1<<40 // as inside the loop's hitDone
+	var v uint64
+	if n := testing.AllocsPerRun(100, func() {
+		var ok bool
+		if v, ok = c.Hit(arch.RefRead, 0, a, 0, 1, false); !ok {
+			t.Fatal("read of a Modified line is not a hit")
+		}
+	}); n != 0 {
+		t.Errorf("read hit: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := c.Hit(arch.RefWrite, 0, a+8, v+1, 1, false); !ok {
+			t.Fatal("write to a Modified line is not a hit")
+		}
+		c.mem.Flush()
+	}); n != 0 {
+		t.Errorf("write hit: %v allocs, want 0", n)
+	}
+	if c.Stats.Refs != 202 || c.Stats.Reads != 101 || c.Stats.Writes != 101 {
+		t.Errorf("stats %+v: want 202 references, 101 reads, 101 writes", c.Stats)
 	}
 }

@@ -165,8 +165,12 @@ func (s *Store) Reset() {
 // windows) apart, and synchronization spin loops tolerate a bounded,
 // deterministic staleness of at most one window.
 type View struct {
-	s            *Store
-	log          []writeRec
+	s   *Store
+	log []writeRec
+	// filter has bit i&255 set for every word i in log, so Load scans the
+	// log only for words that may be in it: most loads in a window touch
+	// words the node has not stored to in that window.
+	filter       [4]uint64
 	writeThrough bool
 }
 
@@ -179,9 +183,18 @@ type writeRec struct {
 func NewView(s *Store) *View { return &View{s: s} }
 
 // Load returns word i as seen by this node: its own latest unflushed write
-// if any, else the shared store. The log stays short (a node's stores in
-// one window), so the backward scan is cheaper than a map.
+// if any, else the shared store. Only a word whose filter bit is set can be
+// in the log; the log stays short (a node's stores in one window), so for
+// those a backward scan is cheaper than a map.
 func (v *View) Load(i uint64) uint64 {
+	if v.filter[i>>6&3]&(1<<(i&63)) != 0 {
+		return v.loadLogged(i)
+	}
+	return v.s.Load(i)
+}
+
+// loadLogged is Load for a word the filter cannot rule out of the log.
+func (v *View) loadLogged(i uint64) uint64 {
 	for j := len(v.log) - 1; j >= 0; j-- {
 		if v.log[j].idx == i {
 			return v.log[j].val
@@ -198,6 +211,7 @@ func (v *View) Store(i, x uint64) {
 		return
 	}
 	v.log = append(v.log, writeRec{idx: i, val: x})
+	v.filter[i>>6&3] |= 1 << (i & 63)
 }
 
 // SetWriteThrough makes every Store publish to the shared backing
@@ -216,6 +230,7 @@ func (v *View) Flush() {
 		*v.s.Word(r.idx) = r.val
 	}
 	v.log = v.log[:0]
+	v.filter = [4]uint64{}
 }
 
 // Pending reports how many buffered writes have not been flushed.
@@ -225,5 +240,6 @@ func (v *View) Pending() int { return len(v.log) }
 // Reset empties the log and clears write-through mode.
 func (v *View) Reset() {
 	v.log = v.log[:0]
+	v.filter = [4]uint64{}
 	v.writeThrough = false
 }

@@ -125,21 +125,20 @@ func (w *World) AllocPlaced(bytes int, preferred arch.NodeID) arch.Addr {
 	}
 }
 
-// Array is a distributed array of 8-byte elements: a sequence of extents,
-// each homed on one node, indexed globally. It gives workloads contiguous
-// logical indexing over physically distributed pages.
+// Array is a distributed array of 8-byte elements: a sequence of page
+// extents, each holding ElemsPerPage elements homed on one node, indexed
+// globally. It gives workloads contiguous logical indexing over physically
+// distributed pages.
 type Array struct {
-	extents []extent
-	perExt  int // elements per extent
+	pages []arch.Addr // base of each extent's ElemsPerPage elements
+	n     int
 }
 
-type extent struct {
-	base arch.Addr
-	n    int
-}
-
-// ElemsPerPage is the number of 8-byte elements in one placement page.
-const ElemsPerPage = arch.PageSize / 8
+const (
+	// ElemsPerPage is the number of 8-byte elements in one placement page.
+	ElemsPerPage = arch.PageSize / 8
+	elemShift    = arch.PageShift - 3
+)
 
 // NewArray builds a distributed array of n 8-byte elements, placed
 // page-by-page per the machine's policy: round-robin rotates pages across
@@ -147,13 +146,9 @@ const ElemsPerPage = arch.PageSize / 8
 // information behaves like round-robin (partitioned workloads use
 // NewArrayBlocked for explicit good placement instead).
 func (w *World) NewArray(n int) *Array {
-	a := &Array{perExt: ElemsPerPage}
+	a := &Array{n: n}
 	for off := 0; off < n; off += ElemsPerPage {
-		sz := ElemsPerPage
-		if n-off < sz {
-			sz = n - off
-		}
-		a.extents = append(a.extents, extent{w.Alloc(arch.PageSize), sz})
+		a.pages = append(a.pages, w.Alloc(arch.PageSize))
 	}
 	return a
 }
@@ -161,19 +156,18 @@ func (w *World) NewArray(n int) *Array {
 // NewArrayBlocked builds a distributed array of n elements split into
 // `parts` contiguous blocks, block i homed on node i%Nodes — the layout a
 // NUMA-aware application (or a first-touch policy under a partitioned
-// access pattern) produces.
+// access pattern) produces. Element i lives in extent i/ElemsPerPage, so
+// the placement follows the blocks only when a block is a whole number of
+// pages: otherwise later blocks' elements fill earlier blocks' last pages.
 func (w *World) NewArrayBlocked(n, parts int) *Array {
 	if parts <= 0 {
 		parts = w.Cfg.Nodes
 	}
-	a := &Array{perExt: ElemsPerPage}
+	a := &Array{n: n}
 	per := (n + parts - 1) / parts
 	for p := 0; p < parts; p++ {
 		lo := p * per
-		hi := lo + per
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+per, n)
 		if lo >= hi {
 			break
 		}
@@ -181,15 +175,10 @@ func (w *World) NewArrayBlocked(n, parts int) *Array {
 		if w.Cfg.Placement == arch.PlaceNodeZero {
 			node = 0
 		}
-		bytes := (hi - lo) * 8
-		base := w.AllocOnNode(bytes, node)
+		base := w.AllocOnNode((hi-lo)*8, node)
 		for off := lo; off < hi; off += ElemsPerPage {
-			sz := ElemsPerPage
-			if hi-off < sz {
-				sz = hi - off
-			}
-			a.extents = append(a.extents, extent{base, sz})
-			base += arch.Addr(sz * 8)
+			a.pages = append(a.pages, base)
+			base += arch.PageSize
 		}
 	}
 	return a
@@ -198,23 +187,32 @@ func (w *World) NewArrayBlocked(n, parts int) *Array {
 // SingleExtent wraps one contiguous region of n 8-byte elements as an
 // Array (for explicitly placed structures like LU blocks).
 func SingleExtent(base arch.Addr, n int) *Array {
-	return &Array{perExt: n, extents: []extent{{base, n}}}
+	a := &Array{n: n}
+	for off := 0; off < n; off += ElemsPerPage {
+		a.pages = append(a.pages, base+arch.Addr(off*8))
+	}
+	return a
 }
 
-// Addr returns the physical address of element i.
+// Addr returns the physical address of element i, which must lie in
+// [0, Len()).
 func (a *Array) Addr(i int) arch.Addr {
-	e := a.extents[i/a.perExt]
-	return e.base + arch.Addr(i%a.perExt)*8
+	if uint(i) >= uint(a.n) {
+		panic(indexError{i, a.n})
+	}
+	return a.pages[i>>elemShift] + arch.Addr(i&(ElemsPerPage-1))*8
+}
+
+// indexError is the panic of an Array index outside [0, n): a value that
+// formats itself only when printed, which keeps Addr inlinable.
+type indexError struct{ i, n int }
+
+func (e indexError) Error() string {
+	return fmt.Sprintf("workload: index %d out of range [0,%d)", e.i, e.n)
 }
 
 // Len returns the element count.
-func (a *Array) Len() int {
-	n := 0
-	for _, e := range a.extents {
-		n += e.n
-	}
-	return n
-}
+func (a *Array) Len() int { return a.n }
 
 // --- thread contexts ---
 
@@ -278,62 +276,67 @@ func (c *Ctx) flush() {
 	c.batch = c.batch[:0]
 }
 
-// issueWait issues r and returns once the simulated machine has completed
-// it (reads and RMWs): either r executed directly, or it rides at the end
-// of the pending batch and the CPU resumes the coroutine only after r's
-// done handshake fires.
-func (c *Ctx) issueWait(r cpu.Ref) {
+// wait issues a blocking reference (a read or RMW, r.Out = &c.out) and
+// returns the value the simulated machine completed it with: either r
+// executed directly, or it rides at the end of the pending batch and the
+// CPU resumes the coroutine only after r's done handshake fires.
+func (c *Ctx) wait(r cpu.Ref) uint64 {
 	c.issue(r)
 	if len(c.batch) > 0 {
 		c.flush()
 	}
-}
-
-// wait issues a blocking reference and returns its data result — the value
-// the simulated machine completed it with.
-func (c *Ctx) wait(r cpu.Ref) uint64 {
-	c.issueWait(r)
 	return c.out
 }
 
-// ReadU loads the 8-byte word at a.
-func (c *Ctx) ReadU(a arch.Addr) uint64 {
-	return c.wait(cpu.Ref{Kind: arch.RefRead, Addr: a, Out: &c.out})
+// ref performs one reference and returns the value a read or RMW observes.
+// A cache hit the processor can retire right now runs as one call on the
+// thread's stack (cpu.Hit), with no Ref built; only an empty batch may try
+// it, since a batched reference ahead has not executed yet. Anything else
+// goes through issue, blocking reads and RMWs until they complete.
+func (c *Ctx) ref(kind arch.RefKind, op cpu.RMWOp, a arch.Addr, v uint64, sync bool) uint64 {
+	if len(c.batch) == 0 {
+		if old, ok := c.cpu.Hit(kind, op, a, v, c.busy+1, sync); ok {
+			c.busy = 0
+			return old
+		}
+	}
+	r := cpu.Ref{Kind: kind, RMW: op, Addr: a, WVal: v, Sync: sync}
+	if kind == arch.RefWrite {
+		c.issue(r)
+		return 0
+	}
+	r.Out = &c.out
+	return c.wait(r)
 }
 
+// ReadU loads the 8-byte word at a.
+func (c *Ctx) ReadU(a arch.Addr) uint64 { return c.ref(arch.RefRead, 0, a, 0, false) }
+
 // WriteU stores v at a (non-blocking in the simulated machine).
-func (c *Ctx) WriteU(a arch.Addr, v uint64) {
-	c.issue(cpu.Ref{Kind: arch.RefWrite, Addr: a, WVal: v})
-}
+func (c *Ctx) WriteU(a arch.Addr, v uint64) { c.ref(arch.RefWrite, 0, a, v, false) }
 
 // ReadF and WriteF move float64 values.
 func (c *Ctx) ReadF(a arch.Addr) float64     { return math.Float64frombits(c.ReadU(a)) }
 func (c *Ctx) WriteF(a arch.Addr, v float64) { c.WriteU(a, math.Float64bits(v)) }
 
 // readSync is a spin-loop read, attributed to synchronization time.
-func (c *Ctx) readSync(a arch.Addr) uint64 {
-	return c.wait(cpu.Ref{Kind: arch.RefRead, Addr: a, Out: &c.out, Sync: true})
-}
+func (c *Ctx) readSync(a arch.Addr) uint64 { return c.ref(arch.RefRead, 0, a, 0, true) }
 
-func (c *Ctx) writeSync(a arch.Addr, v uint64) {
-	c.issue(cpu.Ref{Kind: arch.RefWrite, Addr: a, WVal: v, Sync: true})
-}
+func (c *Ctx) writeSync(a arch.Addr, v uint64) { c.ref(arch.RefWrite, 0, a, v, true) }
 
 // Swap atomically exchanges v into a, returning the old value.
-func (c *Ctx) Swap(a arch.Addr, v uint64) uint64 {
-	return c.wait(cpu.Ref{Kind: arch.RefRMW, RMW: cpu.RMWSwap, Addr: a, WVal: v, Out: &c.out, Sync: true})
-}
+func (c *Ctx) Swap(a arch.Addr, v uint64) uint64 { return c.ref(arch.RefRMW, cpu.RMWSwap, a, v, true) }
 
 // FetchAdd atomically adds v to a, returning the old value. It is part of
 // the synchronization library (stall time charged to Sync).
 func (c *Ctx) FetchAdd(a arch.Addr, v uint64) uint64 {
-	return c.wait(cpu.Ref{Kind: arch.RefRMW, RMW: cpu.RMWAdd, Addr: a, WVal: v, Out: &c.out, Sync: true})
+	return c.ref(arch.RefRMW, cpu.RMWAdd, a, v, true)
 }
 
 // FetchAddData is an atomic add on application data (stall time charged as
 // an ordinary write): the shared-counter updates of codes like MP3D.
 func (c *Ctx) FetchAddData(a arch.Addr, v uint64) uint64 {
-	return c.wait(cpu.Ref{Kind: arch.RefRMW, RMW: cpu.RMWAdd, Addr: a, WVal: v, Out: &c.out})
+	return c.ref(arch.RefRMW, cpu.RMWAdd, a, v, false)
 }
 
 // Rand returns a deterministic per-thread pseudo-random uint64 (xorshift);

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -116,6 +117,55 @@ func TestSingleExtent(t *testing.T) {
 	a := SingleExtent(0x1000, 64)
 	if a.Len() != 64 || a.Addr(0) != 0x1000 || a.Addr(63) != 0x1000+63*8 {
 		t.Fatal("single extent addressing wrong")
+	}
+	// Longer than a page: still one contiguous region.
+	b := SingleExtent(0x1008, 3*ElemsPerPage+5)
+	for _, i := range []int{ElemsPerPage - 1, ElemsPerPage, 3*ElemsPerPage + 4} {
+		if got, want := b.Addr(i), arch.Addr(0x1008+8*i); got != want {
+			t.Fatalf("Addr(%d) = %#x, want %#x", i, got, want)
+		}
+	}
+}
+
+// TestArrayIndexOutOfRange: every constructor's array rejects an index
+// outside [0, Len()) — even one that still falls in its last page — and
+// World.Run reports the panic as the indexing thread's error.
+func TestArrayIndexOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		make func(w *World) *Array
+	}{
+		{"NewArray", func(w *World) *Array { return w.NewArray(5) }},
+		{"NewArrayBlocked", func(w *World) *Array { return w.NewArrayBlocked(5, 2) }},
+		{"SingleExtent", func(w *World) *Array { return SingleExtent(w.AllocOnNode(5*8, 1), 5) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newTestWorld(t, 4, arch.PlaceFirstTouch)
+			a := tc.make(w)
+			if a.Len() != 5 {
+				t.Fatalf("Len = %d, want 5", a.Len())
+			}
+			err := w.Run(func(c *Ctx) {
+				c.WriteU(a.Addr(a.Len()-1), 1)
+				if c.ID == 1 {
+					c.ReadU(a.Addr(a.Len()))
+				}
+			}, 0)
+			if err == nil {
+				t.Fatal("indexing Len() succeeded")
+			}
+			for _, want := range []string{"thread 1 ", "workload: index 5 out of range [0,5)"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("run error lacks %q:\n%v", want, err)
+				}
+			}
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "index -1 out of range [0,5)") {
+					t.Fatalf("Addr(-1) panicked with %v", r)
+				}
+			}()
+			a.Addr(-1)
+		})
 	}
 }
 
