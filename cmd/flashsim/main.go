@@ -118,23 +118,14 @@ func run() (runErr error) {
 	default:
 		return fmt.Errorf("unknown placement %q", *placement)
 	}
-	switch *ppmode {
-	case "dual":
-		cfg.PPMode = arch.PPDualIssue
-	case "single":
-		cfg.PPMode = arch.PPSingleIssue
-	case "dlx":
-		cfg.PPMode = arch.PPNoSpecial
-	default:
-		return fmt.Errorf("unknown ppmode %q", *ppmode)
-	}
-	var bad [6]error
+	var bad [7]error
 	cfg.PPDispatch, bad[0] = arch.ParsePPDispatch(*ppDispatch)
 	cfg.Engine, bad[1] = arch.ParseEngineKind(*engine)
 	cfg.EngineSync, bad[2] = arch.ParseEngineSync(*engineSync)
 	cfg.NetModel, bad[3] = arch.ParseNetModel(*netModel)
 	cfg.Sample, bad[4] = arch.ParseSampleSpec(*sample)
 	cfg.Protocol, bad[5] = arch.ParseProtocol(*proto)
+	cfg.PPMode, bad[6] = arch.ParsePPMode(*ppmode)
 	if err := errors.Join(bad[:]...); err != nil {
 		return err
 	}
@@ -189,7 +180,7 @@ func run() (runErr error) {
 	}
 	m.EnableOccSampling(sim.Cycle(*occWindow))
 	w := workload.NewWorld(m)
-	a, err := apps.Build(*app, w, apps.Params{Procs: *procs, Scale: *scale})
+	a, err := buildApp(*app, w, apps.Params{Procs: *procs, Scale: *scale})
 	if err != nil {
 		return err
 	}
@@ -245,4 +236,15 @@ func run() (runErr error) {
 		*app, *machine, *scale, time.Since(start).Seconds())
 	fmt.Print(r)
 	return nil
+}
+
+// buildApp is apps.Build with a builder's panic (a data set that does not
+// fit in -membytes, say) returned as an error naming the app.
+func buildApp(name string, w *workload.World, p apps.Params) (a *apps.App, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			a, err = nil, fmt.Errorf("%s: %v", name, v)
+		}
+	}()
+	return apps.Build(name, w, p)
 }

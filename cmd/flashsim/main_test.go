@@ -85,8 +85,8 @@ func TestFailedRunLeavesCompleteTrace(t *testing.T) {
 }
 
 // TestRejectsUnknownBackends pins the flag-to-Config route: every backend
-// flag, and -protocol, is parsed by arch, and the error names the accepted
-// set.
+// flag, -protocol and -ppmode, is parsed by arch, and the error names the
+// accepted set.
 func TestRejectsUnknownBackends(t *testing.T) {
 	for flag, want := range map[string]string{
 		"-engine":      `arch: unknown engine "bogus" (want seq or sharded)`,
@@ -94,6 +94,7 @@ func TestRejectsUnknownBackends(t *testing.T) {
 		"-pp-dispatch": `arch: unknown pp-dispatch "bogus" (want compiled or interp)`,
 		"-net":         `arch: unknown net model "bogus" (want uniform or mesh)`,
 		"-protocol":    `arch: unknown protocol "bogus" (want dynptr or bitvec)`,
+		"-ppmode":      `arch: unknown PP mode "bogus" (want dual, single or dlx)`,
 	} {
 		if _, stderr, code := flashsim(t, flag, "bogus"); code != 1 || !strings.Contains(stderr, want) {
 			t.Errorf("flashsim %s bogus: exit %d, stderr %q; want exit 1 and %q", flag, code, stderr, want)
@@ -116,5 +117,16 @@ func TestRejectsBadCacheGeometry(t *testing.T) {
 			t.Errorf("flashsim %s %s: exit %d, stderr %q; want exit 1 naming %s and no goroutine dump",
 				tc.flag, tc.size, code, stderr, tc.field)
 		}
+	}
+}
+
+// TestAppBuildOutOfMemoryIsAnError: a data set that does not fit in
+// -membytes panics inside the app builder; flashsim returns it as an error
+// naming the app, with no goroutine dump.
+func TestAppBuildOutOfMemoryIsAnError(t *testing.T) {
+	stdout, stderr, code := flashsim(t, "-app", "fft", "-membytes", "65536")
+	want := "flashsim: fft: workload: node 13 out of memory\n"
+	if code != 1 || stderr != want || stdout != "" {
+		t.Errorf("exit %d, stdout %q, stderr %q; want exit 1 and stderr %q", code, stdout, stderr, want)
 	}
 }

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -35,17 +36,11 @@ func run() error {
 	flag.Parse()
 
 	cfg := arch.DefaultConfig()
-	var err error
-	if cfg.Protocol, err = arch.ParseProtocol(*proto); err != nil {
+	var bad [2]error
+	cfg.Protocol, bad[0] = arch.ParseProtocol(*proto)
+	cfg.PPMode, bad[1] = arch.ParsePPMode(*mode)
+	if err := errors.Join(bad[:]...); err != nil {
 		return err
-	}
-	smode := ppisa.DualIssue
-	switch *mode {
-	case "dual", "dlx":
-	case "single":
-		smode = ppisa.SingleIssue
-	default:
-		return fmt.Errorf("unknown mode %q (want dual, single or dlx)", *mode)
 	}
 	layout := protocol.NewLayout(&cfg)
 
@@ -65,11 +60,7 @@ func run() error {
 		}
 		src = prog.Source
 	}
-	if *mode == "dlx" {
-		src = ppisa.SubstituteDLX(src)
-		smode = ppisa.SingleIssue
-	}
-	prog := ppisa.Schedule(src, smode)
+	prog := protocol.Schedule(src, cfg.PPMode)
 
 	fmt.Printf("source instructions: %d\n", prog.SrcInstrs)
 	fmt.Printf("scheduled:           %d pairs, %d non-NOP slots\n", len(prog.Pairs), prog.StaticNonNops())

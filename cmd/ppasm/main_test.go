@@ -67,7 +67,7 @@ func TestRejectsBadInput(t *testing.T) {
 		want string
 	}{
 		{[]string{"-protocol", "bogus", "-stats"}, `ppasm: arch: unknown protocol "bogus" (want dynptr or bitvec)`},
-		{[]string{"-mode", "bogus", "-stats"}, `ppasm: unknown mode "bogus" (want dual, single or dlx)`},
+		{[]string{"-mode", "bogus", "-stats"}, `ppasm: arch: unknown PP mode "bogus" (want dual, single or dlx)`},
 		{[]string{"-stats", missing}, "ppasm: open " + missing},
 	} {
 		stdout, stderr, code := ppasm(t, tc.args...)

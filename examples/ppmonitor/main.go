@@ -53,15 +53,14 @@ func main() {
 	agg := map[string]*prof{}
 	var pairs, instrs uint64
 	for _, n := range m.Nodes {
-		counts := n.Magic.HandlerCounts()
-		for h, c := range n.Magic.HandlerCycles() {
+		for h, st := range n.Magic.Handlers() {
 			p := agg[h]
 			if p == nil {
 				p = &prof{}
 				agg[h] = p
 			}
-			p.cycles += c
-			p.count += counts[h]
+			p.cycles += st.Cycles
+			p.count += st.Count
 		}
 		pairs += n.Magic.PP.Stats.Pairs
 		instrs += n.Magic.PP.Stats.Instrs

@@ -194,6 +194,22 @@ func TestParseProtocol(t *testing.T) {
 	}
 }
 
+// TestParsePPMode: the mode names flashsim -ppmode and ppasm -mode share
+// map to the three Section 5.3 variants, and anything else is rejected with
+// the accepted set named.
+func TestParsePPMode(t *testing.T) {
+	for s, want := range map[string]PPMode{"dual": PPDualIssue, "single": PPSingleIssue, "dlx": PPNoSpecial} {
+		if got, err := ParsePPMode(s); err != nil || got != want {
+			t.Errorf("ParsePPMode(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "dual-issue", "bogus"} {
+		if _, err := ParsePPMode(bad); err == nil || !strings.Contains(err.Error(), "want dual, single or dlx") {
+			t.Errorf("ParsePPMode(%q) error = %v; want one naming dual, single and dlx", bad, err)
+		}
+	}
+}
+
 // Property: every address belongs to exactly one home and LocalLine is
 // consistent with NodeBase.
 func TestHomePartitionProperty(t *testing.T) {

@@ -99,6 +99,20 @@ func (m PPMode) String() string {
 	}
 }
 
+// ParsePPMode parses a -ppmode (flashsim) or -mode (ppasm) flag value:
+// dual, single or dlx.
+func ParsePPMode(s string) (PPMode, error) {
+	switch s {
+	case "dual":
+		return PPDualIssue, nil
+	case "single":
+		return PPSingleIssue, nil
+	case "dlx":
+		return PPNoSpecial, nil
+	}
+	return PPDualIssue, fmt.Errorf("arch: unknown PP mode %q (want dual, single or dlx)", s)
+}
+
 // PPDispatch selects the PP emulator's execution engine. Both engines are
 // bit-identical in simulated behaviour; the choice only affects host-side
 // simulation speed (ppsim compile.go documents the equivalence argument).

@@ -17,8 +17,9 @@ import (
 //     else;
 //   - every cached copy of a clean line is recorded in the sharer set (the
 //     LOCAL bit for the home's own processor, pool entries otherwise);
-//   - on FLASH nodes, the pointer pool's free list plus all sharer-list
-//     entries account for every pool entry (no leaks, no cycles).
+//   - on FLASH nodes whose directory has a pointer pool, the free list plus
+//     all sharer-list entries account for every pool entry (no leaks, no
+//     cycles; protocol.Layout.AuditPool).
 //
 // Replacement hints make the recorded sharer set exact on a quiesced
 // machine, but the check only requires it to be a superset of the true
@@ -99,24 +100,11 @@ func (m *Machine) CheckCoherence() error {
 		}
 	}
 
-	// Pool accounting on FLASH machines running the dynamic pointer
-	// allocation protocol: free entries plus all recorded sharer entries
-	// must cover the pool exactly. Both counts skip protocol memory no
-	// handler ever wrote, so the audit costs what the run touched.
-	if m.Prog != nil && m.Prog.Layout.Proto == arch.ProtoDynPtr {
-		lay := m.Prog.Layout
-		nlines := uint64(m.Cfg.MemBytesPerNode / arch.LineSize)
+	if m.Prog != nil {
 		for i, n := range m.Nodes {
-			free, err := lay.FreeCount(n.Magic.PP.Mem, n.Magic.PP.Reg(24))
-			if err != nil {
+			pp := n.Magic.PP
+			if err := m.Prog.Layout.AuditPool(pp.Mem, pp.Reg(protocol.FreeHeadReg)); err != nil {
 				return fmt.Errorf("node %d: %w", i, err)
-			}
-			inUse, err := lay.SharerCount(n.Magic.PP.Mem, nlines)
-			if err != nil {
-				return fmt.Errorf("node %d %w", i, err)
-			}
-			if free+inUse != int(lay.PoolSize) {
-				return fmt.Errorf("node %d: pool leak: free %d + in-use %d != %d", i, free, inUse, lay.PoolSize)
 			}
 		}
 	}

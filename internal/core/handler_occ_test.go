@@ -37,11 +37,10 @@ func TestHandlerOccupancies(t *testing.T) {
 	}
 	agg := map[string][2]uint64{}
 	for _, n := range m.Nodes {
-		counts := n.Magic.HandlerCounts()
-		for h, c := range n.Magic.HandlerCycles() {
+		for h, st := range n.Magic.Handlers() {
 			v := agg[h]
-			v[0] += uint64(c)
-			v[1] += counts[h]
+			v[0] += uint64(st.Cycles)
+			v[1] += st.Count
 			agg[h] = v
 		}
 	}

@@ -36,16 +36,16 @@ type Stats struct {
 	BufOverflow   uint64
 }
 
-// handlerAgg accumulates per-handler occupancy (Table 3.4) and the service
-// time histogram for one entry point. Completion accounting bumps these
+// HandlerStat accumulates one handler entry's PP occupancy (Table 3.4),
+// invocation count and service-time histogram (dispatch through completion,
+// including send/intervention stalls). Completion accounting bumps it
 // through a pointer interned in the jump table, keeping handler names (and
-// map lookups) entirely off the dispatch hot path.
-type handlerAgg struct {
-	cycles sim.Cycle
-	count  uint64
-	// lat histograms PP service time (dispatch through completion,
-	// including send/intervention stalls).
-	lat trace.Histogram
+// map lookups) entirely off the dispatch hot path. A snapshot stores it by
+// value.
+type HandlerStat struct {
+	Cycles sim.Cycle
+	Count  uint64
+	Lat    trace.Histogram
 }
 
 // jtSlot is one predecoded jump-table slot: the handler's pair index and
@@ -56,7 +56,7 @@ type jtSlot struct {
 	spec  bool
 	ok    bool // false: no handler for this (type, path, home) combination
 	entry string
-	agg   *handlerAgg
+	agg   *HandlerStat
 }
 
 type queued struct {
@@ -105,7 +105,7 @@ type handlerCtx struct {
 	msg        arch.Msg
 	entry      string // handler name, for traces and diagnostics only
 	pc         int    // interned entry pair index (jump table)
-	agg        *handlerAgg
+	agg        *HandlerStat
 	viaNet     bool
 	ff         bool      // functional (fast-forward) invocation: ppEnv skips timing
 	dispatched sim.Cycle // handler start time
@@ -179,7 +179,7 @@ type Magic struct {
 
 	// handlers interns one accumulator per handler entry name; jump-table
 	// slots sharing an entry share the accumulator.
-	handlers map[string]*handlerAgg
+	handlers map[string]*HandlerStat
 
 	dispatchScheduled bool
 
@@ -230,7 +230,7 @@ func New(id arch.NodeID, eng sim.Scheduler, cfg *arch.Config, prog *protocol.Pro
 		Prog:     prog,
 		Mem:      mem,
 		Net:      net,
-		handlers: make(map[string]*handlerAgg),
+		handlers: make(map[string]*HandlerStat),
 		sampling: cfg.Sample.Enabled(),
 		sample:   cfg.Sample,
 	}
@@ -265,7 +265,7 @@ func New(id arch.NodeID, eng sim.Scheduler, cfg *arch.Config, prog *protocol.Pro
 				}
 				agg := m.handlers[jt.Entry]
 				if agg == nil {
-					agg = &handlerAgg{}
+					agg = &HandlerStat{}
 					m.handlers[jt.Entry] = agg
 				}
 				m.jt[viaNet][isHome][t] = jtSlot{pc: pc, spec: jt.Spec, ok: true, entry: jt.Entry, agg: agg}
@@ -275,38 +275,15 @@ func New(id arch.NodeID, eng sim.Scheduler, cfg *arch.Config, prog *protocol.Pro
 	return m, nil
 }
 
-// HandlerCycles returns per-handler PP occupancy (Table 3.4), keyed by
-// entry-point name. The map is materialized on demand; mutating it does not
-// affect the controller.
-func (m *Magic) HandlerCycles() map[string]sim.Cycle {
-	out := make(map[string]sim.Cycle, len(m.handlers))
-	for name, agg := range m.handlers {
-		if agg.count > 0 {
-			out[name] = agg.cycles
-		}
-	}
-	return out
-}
-
-// HandlerCounts returns per-handler invocation counts, keyed by entry name.
-func (m *Magic) HandlerCounts() map[string]uint64 {
-	out := make(map[string]uint64, len(m.handlers))
-	for name, agg := range m.handlers {
-		if agg.count > 0 {
-			out[name] = agg.count
-		}
-	}
-	return out
-}
-
-// HandlerLatencies returns per-handler PP service-time histograms (dispatch
-// through completion, including send/intervention stalls). The histograms
-// are the live accumulators; callers must not mutate them.
-func (m *Magic) HandlerLatencies() map[string]*trace.Histogram {
-	out := make(map[string]*trace.Histogram, len(m.handlers))
-	for name, agg := range m.handlers {
-		if agg.count > 0 {
-			out[name] = &agg.lat
+// Handlers returns the statistics of every handler invoked so far, keyed
+// by entry-point name. The entries are the live accumulators, not copies:
+// callers must not modify them, and they keep counting if the machine runs
+// on.
+func (m *Magic) Handlers() map[string]*HandlerStat {
+	out := make(map[string]*HandlerStat, len(m.handlers))
+	for name, h := range m.handlers {
+		if h.Count > 0 {
+			out[name] = h
 		}
 	}
 	return out
@@ -518,7 +495,7 @@ func (m *Magic) runHandlerFF(msg arch.Msg, viaNet bool, at sim.Cycle) {
 	}
 	// Census only: invocation counts stay exact, timing aggregates
 	// (occupancy, service-time histograms) see no functional handlers.
-	ctx.agg.count++
+	ctx.agg.Count++
 	m.ctx = nil
 }
 
@@ -567,9 +544,9 @@ func (m *Magic) handleStatus(st ppsim.Status, cyc uint64) {
 		occ := end - ctx.dispatched
 		m.PPOcc.AddBusy(occ)
 		m.PPSeries.Add(uint64(ctx.dispatched), uint64(occ))
-		ctx.agg.cycles += occ
-		ctx.agg.count++
-		ctx.agg.lat.Observe(uint64(occ))
+		ctx.agg.Cycles += occ
+		ctx.agg.Count++
+		ctx.agg.Lat.Observe(uint64(occ))
 		if m.Tr.Active() {
 			m.Tr.Emit(trace.Event{
 				Cycle: uint64(ctx.dispatched), Dur: uint64(occ), Node: int32(m.ID),
@@ -927,13 +904,6 @@ func (e *ppEnv) MDCFill(addr uint64, writeback bool, dt uint64) uint64 {
 	return uint64((done - t + m.ppDiv - 1) / m.ppDiv)
 }
 
-// HandlerStat is one handler entry's accumulated occupancy in a snapshot.
-type HandlerStat struct {
-	Cycles sim.Cycle
-	Count  uint64
-	Lat    trace.Histogram
-}
-
 // MagicState is the deterministic simulation state of one quiesced
 // controller: protocol processor (registers + protocol memory, which holds
 // the directory), MDC contents, occupancy and statistics. Queues must be
@@ -967,7 +937,7 @@ func (m *Magic) CaptureState() MagicState {
 		Handlers: make(map[string]HandlerStat, len(m.handlers)),
 	}
 	for name, agg := range m.handlers {
-		st.Handlers[name] = HandlerStat{Cycles: agg.cycles, Count: agg.count, Lat: agg.lat}
+		st.Handlers[name] = *agg
 	}
 	return st
 }
@@ -982,8 +952,7 @@ func (m *Magic) RestoreState(st MagicState) {
 	m.lastEnd = st.LastEnd
 	m.rrPI = st.RRPI
 	for name, agg := range m.handlers {
-		h := st.Handlers[name] // zero value for never-invoked handlers
-		agg.cycles, agg.count, agg.lat = h.Cycles, h.Count, h.Lat
+		*agg = st.Handlers[name] // zero value for never-invoked handlers
 	}
 	m.resetQueues()
 }
@@ -1012,7 +981,7 @@ func (m *Magic) Reset() {
 	m.PPOcc = sim.OccupancyMeter{}
 	m.Stats = Stats{}
 	for _, agg := range m.handlers {
-		*agg = handlerAgg{}
+		*agg = HandlerStat{}
 	}
 	m.resetQueues()
 	m.rrPI = false

@@ -75,14 +75,23 @@ func buildRig(t *testing.T, cfg arch.Config, refs [2][]cpu.Ref) *rig {
 	return r
 }
 
+// counts returns mg's per-handler invocation counts.
+func counts(mg *Magic) map[string]uint64 {
+	out := map[string]uint64{}
+	for name, h := range mg.Handlers() {
+		out[name] = h.Count
+	}
+	return out
+}
+
 func TestHandlerDispatchLocalRead(t *testing.T) {
 	r := newRig(t, arch.DefaultConfig(), [2][]cpu.Ref{
 		{{Kind: arch.RefRead, Addr: 0x1000}},
 		nil,
 	})
 	mg := r.magics[0]
-	if mg.HandlerCounts()["pi_get_local"] != 1 {
-		t.Fatalf("handler counts: %v", mg.HandlerCounts())
+	if counts(mg)["pi_get_local"] != 1 {
+		t.Fatalf("handler counts: %v", counts(mg))
 	}
 	if mg.Stats.PISends != 1 {
 		t.Fatalf("PI sends = %d, want 1 (data reply)", mg.Stats.PISends)
@@ -139,14 +148,14 @@ func TestRemoteReadHandlers(t *testing.T) {
 		nil,
 		{{Kind: arch.RefRead, Addr: 0x1000}}, // remote read of node 0's line
 	})
-	if r.magics[1].HandlerCounts()["pi_get_remote"] != 1 {
-		t.Fatalf("requester handlers: %v", r.magics[1].HandlerCounts())
+	if counts(r.magics[1])["pi_get_remote"] != 1 {
+		t.Fatalf("requester handlers: %v", counts(r.magics[1]))
 	}
-	if r.magics[0].HandlerCounts()["ni_get"] != 1 {
-		t.Fatalf("home handlers: %v", r.magics[0].HandlerCounts())
+	if counts(r.magics[0])["ni_get"] != 1 {
+		t.Fatalf("home handlers: %v", counts(r.magics[0]))
 	}
-	if r.magics[1].HandlerCounts()["ni_put"] != 1 {
-		t.Fatalf("reply handlers: %v", r.magics[1].HandlerCounts())
+	if counts(r.magics[1])["ni_put"] != 1 {
+		t.Fatalf("reply handlers: %v", counts(r.magics[1]))
 	}
 	// Sharer recorded in the home's pointer pool.
 	d, err := r.prog.Layout.Decode(r.magics[0].PP.Mem, r.magics[0].Cfg.LocalLine(0x1000))
@@ -209,7 +218,7 @@ func TestLateInvalCompletionSparesNextHandler(t *testing.T) {
 		}
 	}
 	if inval == nil || fwd == nil {
-		t.Fatalf("node 1 handlers %v: want one ni_inval and one ni_fwd_get", r.magics[1].HandlerCounts())
+		t.Fatalf("node 1 handlers %v: want one ni_inval and one ni_fwd_get", counts(r.magics[1]))
 	}
 	// The PIInval completes PCacheState cycles after it crosses the outbox
 	// and the PI (the bus is idle): between 20 cycles after ni_inval started

@@ -81,8 +81,8 @@ func TestBitfieldEdgeWidths(t *testing.T) {
 		single(ppisa.Instr{Op: ppisa.ANDFI, Rd: 7, Rs: 1, Imm: 0, Imm2: 64}),
 		single(ppisa.Instr{Op: ppisa.ANDFI, Rd: 8, Rs: 1, Imm: 0, Imm2: 0}),
 		single(ppisa.Instr{Op: ppisa.ADDI, Rd: 9, Imm: 0x5A}),
-		single(ppisa.Instr{Op: ppisa.INS, Rd: 9, Rs: 1, Imm: 0, Imm2: 0}),   // no-op insert
-		single(ppisa.Instr{Op: ppisa.INS, Rd: 9, Rs: 1, Imm: 0, Imm2: 64}),  // full replace
+		single(ppisa.Instr{Op: ppisa.INS, Rd: 9, Rs: 1, Imm: 0, Imm2: 0}),  // no-op insert
+		single(ppisa.Instr{Op: ppisa.INS, Rd: 9, Rs: 1, Imm: 0, Imm2: 64}), // full replace
 		single(ppisa.Instr{Op: ppisa.ADDI, Rd: 10, Imm: 0x77}),
 		single(ppisa.Instr{Op: ppisa.INS, Rd: 10, Rs: 1, Imm: 1, Imm2: 63}), // keep bit 0
 		single(ppisa.Instr{Op: ppisa.DONE}),
@@ -93,7 +93,7 @@ func TestBitfieldEdgeWidths(t *testing.T) {
 		2: all, 3: 1<<63 - 1, 4: 0,
 		5: all, 6: 0,
 		7: 0, 8: all,
-		9: all, 10: all &^ 1 | 1,
+		9: all, 10: all&^1 | 1,
 	}
 	for r, w := range want {
 		if got := pp.Reg(r); got != w {

@@ -107,9 +107,9 @@ func newTortNode(t *testing.T, cfg *arch.Config, prog *protocol.Program, self ar
 func (n *tortNode) deliver(m arch.Msg, viaNet bool, pcKind uint64) []envSend {
 	n.t.Helper()
 	isHome := n.cfg.HomeOf(m.Addr) == n.self
-	jt, err := protocol.Dispatch(m.Type, viaNet, isHome)
-	if err != nil {
-		n.t.Fatal(err)
+	jt, ok := protocol.Lookup(m.Type, viaNet, isHome)
+	if !ok {
+		n.t.Fatalf("no handler for %v (viaNet=%v, home=%v)", m.Type, viaNet, isHome)
 	}
 	mark := len(n.envs[0].sends)
 	type seg struct {

@@ -1,7 +1,9 @@
 // Package ppsim emulates MAGIC's protocol processor: it executes scheduled
 // dual-issue handler code (package ppisa) against the node's protocol
-// memory, models the MAGIC data cache (MDC) and instruction cache, and
-// gathers the dynamic statistics reported in Tables 5.1-5.3 of the paper.
+// memory, models the MAGIC data cache (MDC), and gathers the dynamic
+// statistics reported in Tables 5.1-5.3 of the paper. No instruction cache
+// is modeled: PP instruction fetch always hits, so where a handler sits in
+// the image changes no cycle count.
 package ppsim
 
 import "flashsim/internal/arch"

@@ -164,7 +164,7 @@ func TestPoolAuditMatchesDenseOnRunMachine(t *testing.T) {
 				if proto != arch.ProtoDynPtr {
 					continue // no pointer pool
 				}
-				head := n.Magic.PP.Reg(24)
+				head := n.Magic.PP.Reg(protocol.FreeHeadReg)
 				free, err := lay.FreeCount(mem, head)
 				if err != nil {
 					t.Fatalf("node %d: %v", i, err)

@@ -11,7 +11,8 @@ package protocol
 // *different* protocols: the same machine, jump table, and message set run
 // either this program or the dynamic-pointer-allocation one, selected by
 // arch.Config.Protocol. Handler entry names match the dynptr program, so
-// Dispatch is shared.
+// the jump table is shared, and so is every handler that never touches a
+// directory (sharedSource): this text holds only the bit-vector home side.
 //
 // Header layout (64 bits):
 //
@@ -59,20 +60,6 @@ inval_vector:
 	j     .loop
 .done:
 	jr    r28
-
-; shared tails -----------------------------------------------------------------
-nak_pi:
-	li    r5, M_NAK
-	mth   H_TYPE, r5
-	send  PI
-	done
-nak_net:
-	li    r5, M_NAK
-	mth   H_TYPE, r5
-	mfh   r4, H_SRC
-	mth   H_DST, r4
-	send  NET
-	done
 
 ; local read miss ---------------------------------------------------------------
 pi_get_local:
@@ -176,31 +163,6 @@ pi_rpl_local:
 	and   r3, r3, r6
 	st    r3, 0(r2)
 .out:
-	done
-
-; remote-address forwards --------------------------------------------------------
-pi_get_remote:
-	mfh   r4, H_DIROFF
-	mth   H_DST, r4
-	send  NET
-	done
-
-pi_getx_remote:
-	mfh   r4, H_DIROFF
-	mth   H_DST, r4
-	send  NET
-	done
-
-pi_wb_remote:
-	mfh   r4, H_DIROFF
-	mth   H_DST, r4
-	send  NET|DATA
-	done
-
-pi_rpl_remote:
-	mfh   r4, H_DIROFF
-	mth   H_DST, r4
-	send  NET
 	done
 
 ; read at home from remote -------------------------------------------------------
@@ -379,85 +341,6 @@ ni_rpl:
 	and   r3, r3, r6
 	st    r3, 0(r2)
 .out:
-	done
-
-; forwarded requests at the dirty node --------------------------------------------
-ni_fwd_get:
-	li    r5, M_PIDOWNGR
-	mth   H_TYPE, r5
-	send  PI
-	waitpc
-	mfh   r6, H_PCKIND
-	beq   r6, r0, fwd_gone
-	mfh   r4, H_REQ
-	mth   H_DST, r4
-	li    r5, M_PUT
-	mth   H_TYPE, r5
-	addi  r5, r0, 3
-	mth   H_AUX, r5
-	send  NET|DATA
-	mfh   r4, H_SRC
-	mth   H_DST, r4
-	li    r5, M_SWB
-	mth   H_TYPE, r5
-	send  NET|DATA
-	done
-
-ni_fwd_getx:
-	li    r5, M_PIFLUSH
-	mth   H_TYPE, r5
-	send  PI
-	waitpc
-	mfh   r6, H_PCKIND
-	beq   r6, r0, fwd_gone
-	mfh   r4, H_REQ
-	mth   H_DST, r4
-	li    r5, M_PUTX
-	mth   H_TYPE, r5
-	addi  r5, r0, 3
-	mth   H_AUX, r5
-	send  NET|DATA
-	mfh   r4, H_SRC
-	mth   H_DST, r4
-	li    r5, M_XFER
-	mth   H_TYPE, r5
-	send  NET
-	done
-
-fwd_gone:
-	mfh   r4, H_SRC
-	mth   H_DST, r4
-	li    r5, M_PCLR
-	mth   H_TYPE, r5
-	send  NET
-	mfh   r4, H_REQ
-	mth   H_DST, r4
-	li    r5, M_NAK
-	mth   H_TYPE, r5
-	send  NET
-	done
-
-; invalidation at a sharer ---------------------------------------------------------
-ni_inval:
-	li    r5, M_PIINVAL
-	mth   H_TYPE, r5
-	send  PI
-	li    r5, M_IACK
-	mth   H_TYPE, r5
-	send  NET
-	done
-
-; replies at the requester ----------------------------------------------------------
-ni_put:
-	send  PI|DATA
-	done
-
-ni_putx:
-	send  PI|DATA
-	done
-
-ni_nak:
-	send  PI
 	done
 
 ; replies at the home ----------------------------------------------------------------

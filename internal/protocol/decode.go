@@ -85,8 +85,32 @@ func (l Layout) SharerCount(mem *memsys.Store, nlines uint64) (int, error) {
 	return n, nil
 }
 
+// AuditPool checks one quiesced node's pointer-pool accounting: the free
+// list headed by freeHead (the PP's FreeHeadReg) plus every recorded sharer
+// entry must cover the pool exactly, with no cycles. A layout with no pool,
+// the bit-vector directory's, has nothing to audit. Both counts skip
+// protocol memory no handler ever wrote, so the audit costs what the run
+// touched.
+func (l Layout) AuditPool(mem *memsys.Store, freeHead uint64) error {
+	if l.PoolSize == 0 {
+		return nil
+	}
+	free, err := l.FreeCount(mem, freeHead)
+	if err != nil {
+		return err
+	}
+	inUse, err := l.SharerCount(mem, uint64(l.PtrBase-l.DirBase)/8)
+	if err != nil {
+		return err
+	}
+	if free+inUse != int(l.PoolSize) {
+		return fmt.Errorf("pool leak: free %d + in-use %d != %d", free, inUse, l.PoolSize)
+	}
+	return nil
+}
+
 // FreeCount walks the free list given the current head index (held in the
-// PP's r24 at run time) and returns its length; it errors on cycles. A run
+// PP's FreeHeadReg at run time) and returns its length; it errors on cycles. A run
 // of entries in never-written chunks is counted arithmetically — pristine
 // entry k links to k+1, the last to NullPtr — so the walk costs O(pool
 // chunks written), with exactly the result and the cycle bound of the

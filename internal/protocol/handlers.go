@@ -1,10 +1,12 @@
 package protocol
 
-// handlerSource is the complete dynamic pointer allocation protocol in PP
-// assembly, covering local and remote read/write misses, writebacks,
-// replacement hints, invalidation fan-out and acknowledgment collection,
-// 3-hop forwarding with sharing writebacks and ownership transfers, and the
-// NAK/retry races between writebacks and forwarded requests.
+// handlerSource is the home side of the dynamic pointer allocation protocol
+// in PP assembly: local and remote read/write misses, writebacks, replacement
+// hints, invalidation fan-out and acknowledgment collection, the home's half
+// of 3-hop forwarding with sharing writebacks and ownership transfers, and
+// the NAK/retry races between writebacks and forwarded requests. The
+// directory-free handlers it branches to (nak_pi, nak_net) and the rest of
+// the requester and sharer side are sharedSource, appended by assemble.
 //
 // Conventions:
 //   - The inbox preprocesses headers: H_DIROFF holds the protocol-memory
@@ -12,8 +14,9 @@ package protocol
 //     node id for the pi_*_remote forwarding handlers.
 //   - The outgoing header bank is initialized from the incoming header
 //     (type and address carry over; destination defaults to the sender).
-//   - Persistent registers, set up once by pp_init: r24 = free-list head,
-//     r25 = pointer-pool base, r26 = NULLPTR, r27 = this node's id.
+//   - Persistent registers, set up once by pp_init: r24 = free-list head
+//     (FreeHeadReg), r25 = pointer-pool base, r26 = NULLPTR, r27 = this
+//     node's id.
 //   - r28 is the subroutine link register; r1-r13 are handler scratch.
 //   - Data-reply handlers always execute memrd: when the inbox already
 //     issued the speculative read MAGIC coalesces the two, and with
@@ -124,22 +127,6 @@ inval_sharers:
 	jr    r28
 
 ; ---------------------------------------------------------------------------
-; shared tails: negative acknowledgments
-; ---------------------------------------------------------------------------
-nak_pi:
-	li    r5, M_NAK
-	mth   H_TYPE, r5
-	send  PI
-	done
-nak_net:
-	li    r5, M_NAK
-	mth   H_TYPE, r5
-	mfh   r4, H_SRC
-	mth   H_DST, r4
-	send  NET
-	done
-
-; ---------------------------------------------------------------------------
 ; local read miss (PI GET, this node is home)
 ; ---------------------------------------------------------------------------
 pi_get_local:
@@ -233,34 +220,6 @@ pi_rpl_local:
 	andfi r3, r3, B_LOCAL, 1
 	st    r3, 0(r2)
 .out:
-	done
-
-; ---------------------------------------------------------------------------
-; remote-address requests from the local processor: forward to home.
-; H_DIROFF carries the home node id for these handlers.
-; ---------------------------------------------------------------------------
-pi_get_remote:
-	mfh   r4, H_DIROFF
-	mth   H_DST, r4
-	send  NET
-	done
-
-pi_getx_remote:
-	mfh   r4, H_DIROFF
-	mth   H_DST, r4
-	send  NET
-	done
-
-pi_wb_remote:
-	mfh   r4, H_DIROFF
-	mth   H_DST, r4
-	send  NET|DATA
-	done
-
-pi_rpl_remote:
-	mfh   r4, H_DIROFF
-	mth   H_DST, r4
-	send  NET
 	done
 
 ; ---------------------------------------------------------------------------
@@ -450,93 +409,6 @@ ni_rpl:
 	slli  r9, r24, NEXT_POS
 	st    r9, 0(r10)
 	add   r24, r13, r0
-	done
-
-; ---------------------------------------------------------------------------
-; forwarded requests at the (believed) dirty node
-; ---------------------------------------------------------------------------
-ni_fwd_get:
-	li    r5, M_PIDOWNGR
-	mth   H_TYPE, r5
-	send  PI
-	waitpc
-	mfh   r6, H_PCKIND
-	beq   r6, r0, fwd_gone
-	mfh   r4, H_REQ
-	mth   H_DST, r4
-	li    r5, M_PUT
-	mth   H_TYPE, r5
-	addi  r5, r0, 3
-	mth   H_AUX, r5            ; dirty + third-party source
-	send  NET|DATA
-	mfh   r4, H_SRC
-	mth   H_DST, r4
-	li    r5, M_SWB
-	mth   H_TYPE, r5
-	send  NET|DATA
-	done
-
-ni_fwd_getx:
-	li    r5, M_PIFLUSH
-	mth   H_TYPE, r5
-	send  PI
-	waitpc
-	mfh   r6, H_PCKIND
-	beq   r6, r0, fwd_gone
-	mfh   r4, H_REQ
-	mth   H_DST, r4
-	li    r5, M_PUTX
-	mth   H_TYPE, r5
-	addi  r5, r0, 3
-	mth   H_AUX, r5
-	send  NET|DATA
-	mfh   r4, H_SRC
-	mth   H_DST, r4
-	li    r5, M_XFER
-	mth   H_TYPE, r5
-	send  NET
-	done
-
-fwd_gone:
-	; the line was already written back: clear the home's pending bit and
-	; bounce the requester.
-	mfh   r4, H_SRC
-	mth   H_DST, r4
-	li    r5, M_PCLR
-	mth   H_TYPE, r5
-	send  NET
-	mfh   r4, H_REQ
-	mth   H_DST, r4
-	li    r5, M_NAK
-	mth   H_TYPE, r5
-	send  NET
-	done
-
-; ---------------------------------------------------------------------------
-; invalidation at a sharer
-; ---------------------------------------------------------------------------
-ni_inval:
-	li    r5, M_PIINVAL
-	mth   H_TYPE, r5
-	send  PI
-	li    r5, M_IACK
-	mth   H_TYPE, r5
-	send  NET                  ; destination defaults to the home (sender)
-	done
-
-; ---------------------------------------------------------------------------
-; replies arriving at the requester: hand to the processor interface
-; ---------------------------------------------------------------------------
-ni_put:
-	send  PI|DATA
-	done
-
-ni_putx:
-	send  PI|DATA
-	done
-
-ni_nak:
-	send  PI
 	done
 
 ; ---------------------------------------------------------------------------

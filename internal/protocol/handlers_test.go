@@ -76,9 +76,9 @@ func newHandlerRig(t *testing.T, self arch.NodeID) *handlerRig {
 func (r *handlerRig) deliver(m arch.Msg, viaNet bool) []sentMsg {
 	r.t.Helper()
 	isHome := r.cfg.HomeOf(m.Addr) == r.self
-	jt, err := Dispatch(m.Type, viaNet, isHome)
-	if err != nil {
-		r.t.Fatal(err)
+	jt, ok := Lookup(m.Type, viaNet, isHome)
+	if !ok {
+		r.t.Fatalf("no handler for %v (viaNet=%v, home=%v)", m.Type, viaNet, isHome)
 	}
 	r.pp.InHeader(ppisa.HdrType, uint64(m.Type))
 	r.pp.InHeader(ppisa.HdrAddr, uint64(m.Addr))
@@ -304,7 +304,7 @@ func TestHandlerReplacementHints(t *testing.T) {
 	// Removing an absent sharer is a no-op.
 	r.deliver(arch.Msg{Type: arch.MsgRPL, Addr: testAddr, Src: 9}, true)
 	// Pool fully recovered.
-	free, err := r.lay.FreeCount(r.pp.Mem, r.pp.Reg(24))
+	free, err := r.lay.FreeCount(r.pp.Mem, r.pp.Reg(FreeHeadReg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestHandlerPoolOverflowBroadcast(t *testing.T) {
 		t.Fatalf("post-broadcast dir = %+v", d)
 	}
 	// The list entries were released back to the free list.
-	free, err := r.lay.FreeCount(r.pp.Mem, r.pp.Reg(24))
+	free, err := r.lay.FreeCount(r.pp.Mem, r.pp.Reg(FreeHeadReg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,6 +48,11 @@ const (
 	GlobalsSize = 128 // one MDC line
 )
 
+// FreeHeadReg is the PP register in which the dynamic pointer allocation
+// program keeps the free-list head at run time (pp_init loads it from
+// G_FREEHEAD); the pool audit reads it from there.
+const FreeHeadReg = 24
+
 // Layout describes where protocol structures live in a node's protocol
 // memory, derived from the machine configuration.
 type Layout struct {

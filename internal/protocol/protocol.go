@@ -68,24 +68,24 @@ func assemble(cfg *arch.Config) (*Program, error) {
 		}
 		text = bitvecSource
 	}
-	src, err := ppisa.Assemble(text, l.Symbols())
+	src, err := ppisa.Assemble(text+sharedSource, l.Symbols())
 	if err != nil {
 		return nil, fmt.Errorf("protocol: %w", err)
 	}
-	scheduled := src
-	mode := ppisa.DualIssue
-	switch cfg.PPMode {
+	return &Program{Code: Schedule(src, cfg.PPMode), Layout: l, Source: src}, nil
+}
+
+// Schedule turns assembled handler source into the image a PP in the given
+// mode runs: dual- or single-issue pairing, and for PPNoSpecial the DLX
+// substitution of every special instruction first (Table 5.3).
+func Schedule(src *ppisa.Source, mode arch.PPMode) *ppisa.Program {
+	switch mode {
 	case arch.PPSingleIssue:
-		mode = ppisa.SingleIssue
+		return ppisa.Schedule(src, ppisa.SingleIssue)
 	case arch.PPNoSpecial:
-		scheduled = ppisa.SubstituteDLX(src)
-		mode = ppisa.SingleIssue
+		return ppisa.Schedule(ppisa.SubstituteDLX(src), ppisa.SingleIssue)
 	}
-	return &Program{
-		Code:   ppisa.Schedule(scheduled, mode),
-		Layout: l,
-		Source: src,
-	}, nil
+	return ppisa.Schedule(src, ppisa.DualIssue)
 }
 
 // JTEntry is one jump table entry: the handler to dispatch and whether the
@@ -160,20 +160,10 @@ func fromNet(t arch.MsgType) (JTEntry, bool) {
 	return JTEntry{}, false
 }
 
-// Dispatch is the jump table lookup: it maps an incoming message to its
-// handler. fromNet distinguishes the network interface from the processor
-// interface; isHome reports whether this node is the home of the address.
-func Dispatch(t arch.MsgType, viaNet, isHome bool) (JTEntry, error) {
-	e, ok := Lookup(t, viaNet, isHome)
-	if !ok {
-		return JTEntry{}, fmt.Errorf("protocol: no handler for %v (viaNet=%v, home=%v)", t, viaNet, isHome)
-	}
-	return e, nil
-}
-
-// Lookup is Dispatch without the error value, for callers that enumerate
-// the whole table (most of whose slots are empty) rather than dispatch a
-// message.
+// Lookup is the jump table: it maps a message arriving from the network
+// (viaNet) or the processor interface to its handler; isHome reports whether
+// this node is the home of the address. Most of the table's slots are
+// empty (ok false).
 func Lookup(t arch.MsgType, viaNet, isHome bool) (JTEntry, bool) {
 	if viaNet {
 		return fromNet(t)

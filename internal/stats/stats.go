@@ -235,13 +235,13 @@ func Collect(m *core.Machine) Report {
 			if occ > ppMax {
 				ppMax = occ
 			}
-			for entry, h := range mg.HandlerLatencies() {
+			for entry, h := range mg.Handlers() {
 				agg := r.HandlerLatency[entry]
 				if agg == nil {
 					agg = &trace.Histogram{}
 					r.HandlerLatency[entry] = agg
 				}
-				agg.Merge(h)
+				agg.Merge(&h.Lat)
 			}
 			ppSeries.Merge(mg.PPSeries)
 			ps := mg.PP.Stats
