@@ -7,7 +7,7 @@
 //	         [-scale 4] [-placement rr|ft|node0] [-nospec] [-ppmode dual|single|dlx]
 //	         [-pp-dispatch compiled|interp] [-engine seq|sharded]
 //	         [-engine-sync barrier|watermark] [-net uniform|mesh]
-//	         [-mdc bytes] [-pp-clock-div N] [-net-queue-cap N] [-data-bufs N]
+//	         [-mdc bytes] [-pp-clock-div N] [-net-queue-cap N]
 //	         [-sample default|detail/stride[/warmup]]
 //	         [-json] [-trace out.jsonl]
 //	         [-trace-format jsonl|chrome] [-occ-window N]
@@ -73,7 +73,6 @@ func run() (runErr error) {
 	mdc := flag.Int("mdc", 0, "MAGIC data cache bytes (0 = paper default)")
 	ppClockDiv := flag.Int("pp-clock-div", 0, "PP clock divisor vs the 100 MHz system clock (0 = 1, full speed)")
 	netQueueCap := flag.Int("net-queue-cap", 0, "MAGIC outgoing network queue entries (0 = paper default 16)")
-	dataBufs := flag.Int("data-bufs", 0, "MAGIC data buffer pool size (0 = paper default)")
 	jsonOut := flag.Bool("json", false, "emit the statistics report as JSON on stdout")
 	traceFile := flag.String("trace", "", "write a simulation event trace to this file")
 	traceFormat := flag.String("trace-format", "jsonl", "trace file format: jsonl or chrome")
@@ -134,7 +133,6 @@ func run() (runErr error) {
 	}
 	cfg.PPClockDiv = *ppClockDiv
 	cfg.NetQueueCap = *netQueueCap
-	cfg.DataBufs = *dataBufs
 
 	prof, err := cliutil.StartPprof(*pprofDir)
 	if err != nil {

@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 
 	"flashsim/internal/arch"
 	"flashsim/internal/ppisa"
@@ -72,10 +73,13 @@ func run() error {
 		return nil
 	}
 
-	// Invert the entry map for labeling.
+	// Invert the entry map for labeling; labels sharing a pc print sorted.
 	labels := map[int][]string{}
 	for name, pc := range prog.Entries {
 		labels[pc] = append(labels[pc], name)
+	}
+	for _, names := range labels {
+		sort.Strings(names)
 	}
 	fmt.Println()
 	for i, pr := range prog.Pairs {

@@ -76,3 +76,22 @@ func TestRejectsBadInput(t *testing.T) {
 		}
 	}
 }
+
+// TestListingSortsSharedLabels: labels that share a pc print in name order,
+// so the listing is the same on every run.
+func TestListingSortsSharedLabels(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "labels.s")
+	if err := os.WriteFile(file, []byte("alpha:\nbeta:\ngamma: nop\n done\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 8; run++ {
+		stdout, stderr, code := ppasm(t, file)
+		if code != 0 || stderr != "" {
+			t.Fatalf("exit %d, stderr %q", code, stderr)
+		}
+		_, listing, _ := strings.Cut(stdout, "\n\n")
+		if want := "alpha:\nbeta:\ngamma:\n"; !strings.HasPrefix(listing, want) {
+			t.Fatalf("run %d: listing starts %q, want %q", run, listing, want)
+		}
+	}
+}

@@ -310,11 +310,9 @@ type Config struct {
 	Sample SampleSpec
 
 	// NetQueueCap bounds MAGIC's outgoing network queue (0 = the default
-	// 16 entries of Table 3.1); DataBufs bounds its data-buffer pool (0 =
-	// the default 16). Both change simulated timing under load: a full
-	// queue stalls the PP, an exhausted buffer pool NAKs the request.
+	// 16 entries of Table 3.1). It changes simulated timing under load: a
+	// full queue stalls the PP.
 	NetQueueCap int
-	DataBufs    int
 
 	// PPClockDiv divides the protocol processor's clock relative to the
 	// 100 MHz system clock: every PP cycle costs PPClockDiv system cycles
@@ -369,9 +367,6 @@ func (c *Config) Validate() error {
 	if c.NetQueueCap < 0 {
 		return fmt.Errorf("arch: NetQueueCap must be non-negative, got %d", c.NetQueueCap)
 	}
-	if c.DataBufs < 0 {
-		return fmt.Errorf("arch: DataBufs must be non-negative, got %d", c.DataBufs)
-	}
 	if c.PPClockDiv < 0 {
 		return fmt.Errorf("arch: PPClockDiv must be non-negative, got %d", c.PPClockDiv)
 	}
@@ -404,10 +399,10 @@ func CacheGeometry(sizeName string, size int, waysName string, ways int) error {
 // deliberately absent.
 func (c *Config) SimKey() string {
 	return fmt.Sprintf(
-		"kind=%v nodes=%d cache=%d/%d mshrs=%d place=%v spec=%v ppmode=%d proto=%d mdc=%d/%d net=%v nqcap=%d dbufs=%d ppdiv=%d sample=%d/%d/%d timing=%+v mem=%d",
+		"kind=%v nodes=%d cache=%d/%d mshrs=%d place=%v spec=%v ppmode=%d proto=%d mdc=%d/%d net=%v nqcap=%d ppdiv=%d sample=%d/%d/%d timing=%+v mem=%d",
 		c.Kind, c.Nodes, c.CacheSize, c.CacheWays, c.MSHRs, c.Placement,
 		c.Speculation, c.PPMode, c.Protocol, c.MDCSize, c.MDCWays, c.NetModel,
-		c.NetQueueCap, c.DataBufs, c.PPClockDiv,
+		c.NetQueueCap, c.PPClockDiv,
 		c.Sample.Detail, c.Sample.Stride, c.Sample.Warmup,
 		c.Timing, c.MemBytesPerNode)
 }

@@ -49,11 +49,6 @@ type Options struct {
 	CacheBytes int
 }
 
-// DefaultOptions is the quick configuration: problem sizes a quarter of
-// the paper's, which preserves the qualitative results at a fraction of
-// the simulation cost. Use Scale 1 or 2 to approach the paper sizes.
-func DefaultOptions() Options { return Options{Scale: 4, Verify: true} }
-
 // paramsFor is the problem size every experiment runs: Options.Scale on
 // procs processors.
 func (o Options) paramsFor(procs int) apps.Params {

@@ -33,7 +33,6 @@ type Stats struct {
 	QueueHighPI   int
 	QueueHighNet  int
 	BufHigh       int // data buffer high-water mark
-	BufOverflow   uint64
 }
 
 // HandlerStat accumulates one handler entry's PP occupancy (Table 3.4),
@@ -200,20 +199,18 @@ type Magic struct {
 	// Safe only because sampling serializes the sharded engine.
 	Peers []*Magic
 
-	// Resolved design knobs: queue/buffer capacities (Table 3.1 defaults,
-	// overridable through arch.Config for the design-space sweep) and the
-	// PP clock divisor — every PP cycle costs ppDiv system cycles.
-	netQCap    int
-	dataBufCap int
-	ppDiv      sim.Cycle
+	// Resolved design knobs: the outgoing network queue capacity (Table 3.1
+	// default, overridable through arch.Config for the design-space sweep)
+	// and the PP clock divisor — every PP cycle costs ppDiv system cycles.
+	netQCap int
+	ppDiv   sim.Cycle
 }
 
-// queue capacities from Table 3.1 (the defaults when arch.Config leaves
-// NetQueueCap/DataBufs zero).
+// queue capacities from Table 3.1 (netQueueCap is the default when
+// arch.Config leaves NetQueueCap zero).
 const (
 	netQueueCap = 16
 	piOutCap    = 1
-	dataBufs    = 16
 )
 
 // New builds a MAGIC controller. Call Attach afterwards to wire the CPU
@@ -237,10 +234,6 @@ func New(id arch.NodeID, eng sim.Scheduler, cfg *arch.Config, prog *protocol.Pro
 	m.netQCap = cfg.NetQueueCap
 	if m.netQCap == 0 {
 		m.netQCap = netQueueCap
-	}
-	m.dataBufCap = cfg.DataBufs
-	if m.dataBufCap == 0 {
-		m.dataBufCap = dataBufs
 	}
 	m.ppDiv = sim.Cycle(cfg.PPClockDiv)
 	if m.ppDiv < 1 {
@@ -628,9 +621,6 @@ func (m *Magic) allocBuf() {
 	m.bufs++
 	if m.bufs > m.Stats.BufHigh {
 		m.Stats.BufHigh = m.bufs
-	}
-	if m.bufs > m.dataBufCap {
-		m.Stats.BufOverflow++
 	}
 }
 

@@ -3,16 +3,13 @@ package metrics
 import (
 	"encoding/json"
 	"io"
-
-	"flashsim/internal/trace"
 )
 
 // Snapshot is a point-in-time copy of every instrument in a registry,
 // keyed by the canonical series id (name{k="v",...}).
 type Snapshot struct {
-	Counters   map[string]uint64          `json:"counters,omitempty"`
-	Gauges     map[string]int64           `json:"gauges,omitempty"`
-	Histograms map[string]trace.Histogram `json:"histograms,omitempty"`
+	Counters map[string]uint64 `json:"counters,omitempty"`
+	Gauges   map[string]int64  `json:"gauges,omitempty"`
 }
 
 // Snapshot copies the registry's current values.
@@ -30,11 +27,6 @@ func (r *Registry) Snapshot() Snapshot {
 				s.Gauges = map[string]int64{}
 			}
 			s.Gauges[e.id] = e.g.Value()
-		case kindHistogram:
-			if s.Histograms == nil {
-				s.Histograms = map[string]trace.Histogram{}
-			}
-			s.Histograms[e.id] = e.h.Snapshot()
 		}
 	}
 	return s

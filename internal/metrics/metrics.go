@@ -1,5 +1,5 @@
 // Package metrics is the simulator's host-side observability layer: a
-// registry of named counters, gauges, and pow2-bucket histograms describing
+// registry of named counters and gauges describing
 // the cost of running the simulation itself (as opposed to internal/trace
 // and internal/stats, which describe the simulated machine).
 //
@@ -13,20 +13,17 @@
 //
 // Instrument values use atomics throughout, so a registry may be shared by
 // concurrent simulations and read (Snapshot, WriteJSON) while runs are in
-// flight. Snapshot reads are per-field atomic, not globally linearizable: a
-// read racing a writer can observe a histogram whose sum is momentarily
-// ahead of its buckets.
+// flight. Snapshot reads are per-instrument atomic, not globally
+// linearizable: a read racing writers can observe one counter's update
+// before another's.
 package metrics
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"flashsim/internal/trace"
 )
 
 // Counter is a monotonically increasing uint64.
@@ -64,77 +61,22 @@ func (g *Gauge) SetMax(v int64) {
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Histogram is an atomic power-of-two-bucket histogram with the same bucket
-// shape as trace.Histogram (bucket i counts values v with bits.Len64(v) ==
-// i), safe for concurrent Observe from many goroutines.
-type Histogram struct {
-	count, sum atomic.Uint64
-	// minC holds the bitwise complement of the minimum, so the zero value
-	// (^uint64(0) complemented) reads as "no observation yet" and the CAS
-	// race always keeps the smaller value.
-	minC, max atomic.Uint64
-	buckets   [trace.HistBuckets]atomic.Uint64
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v uint64) {
-	i := bits.Len64(v)
-	if i >= trace.HistBuckets {
-		i = trace.HistBuckets - 1
-	}
-	h.buckets[i].Add(1)
-	h.sum.Add(v)
-	h.count.Add(1)
-	for {
-		cur := h.minC.Load()
-		if ^cur <= v || h.minC.CompareAndSwap(cur, ^v) {
-			break
-		}
-	}
-	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-}
-
-// Snapshot materializes the histogram as a plain trace.Histogram.
-func (h *Histogram) Snapshot() trace.Histogram {
-	var s trace.Histogram
-	s.Count = h.count.Load()
-	s.Sum = h.sum.Load()
-	if s.Count > 0 {
-		s.Min = ^h.minC.Load()
-		s.Max = h.max.Load()
-	}
-	for i := range s.Buckets {
-		s.Buckets[i] = h.buckets[i].Load()
-	}
-	return s
-}
-
 type metricKind uint8
 
 const (
 	kindCounter metricKind = iota
 	kindGauge
-	kindHistogram
 )
 
 func (k metricKind) String() string {
-	switch k {
-	case kindCounter:
+	if k == kindCounter {
 		return "counter"
-	case kindGauge:
-		return "gauge"
-	default:
-		return "histogram"
 	}
+	return "gauge"
 }
 
 // entry is one registered instrument: a name, an optional label set, and
-// exactly one of the three value types.
+// exactly one of the two value types.
 type entry struct {
 	name   string
 	labels []string // alternating key, value
@@ -143,7 +85,6 @@ type entry struct {
 
 	c *Counter
 	g *Gauge
-	h *Histogram
 }
 
 // Registry is a concurrent-safe set of named instruments. Instruments are
@@ -199,8 +140,6 @@ func (r *Registry) lookup(kind metricKind, name string, labels []string) *entry 
 			e.c = new(Counter)
 		case kindGauge:
 			e.g = new(Gauge)
-		case kindHistogram:
-			e.h = new(Histogram)
 		}
 		r.byID[key] = e
 		r.all = append(r.all, e)
@@ -227,15 +166,6 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 		return new(Gauge)
 	}
 	return r.lookup(kindGauge, name, labels).g
-}
-
-// Histogram returns the histogram for name and labels, creating it on
-// first use.
-func (r *Registry) Histogram(name string, labels ...string) *Histogram {
-	if r == nil {
-		return new(Histogram)
-	}
-	return r.lookup(kindHistogram, name, labels).h
 }
 
 // sorted returns the entries ordered by id, for stable exposition.

@@ -51,41 +51,6 @@ func TestGaugeSetMaxConcurrent(t *testing.T) {
 	}
 }
 
-func TestHistogramConcurrent(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("lat")
-	const goroutines, perG = 8, 5000
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				h.Observe(uint64(g*perG + i))
-			}
-		}(g)
-	}
-	wg.Wait()
-	s := h.Snapshot()
-	n := uint64(goroutines * perG)
-	if s.Count != n {
-		t.Errorf("count = %d, want %d", s.Count, n)
-	}
-	if want := n * (n - 1) / 2; s.Sum != want {
-		t.Errorf("sum = %d, want %d", s.Sum, want)
-	}
-	if s.Min != 0 || s.Max != n-1 {
-		t.Errorf("min/max = %d/%d, want 0/%d", s.Min, s.Max, n-1)
-	}
-	var bucketSum uint64
-	for _, b := range s.Buckets {
-		bucketSum += b
-	}
-	if bucketSum != n {
-		t.Errorf("bucket total = %d, want %d", bucketSum, n)
-	}
-}
-
 func TestRegistryIdentityAndKinds(t *testing.T) {
 	reg := NewRegistry()
 	a := reg.Counter("x_total", "k", "v")
@@ -108,9 +73,8 @@ func TestNilRegistryDiscards(t *testing.T) {
 	var reg *Registry
 	reg.Counter("a").Inc()
 	reg.Gauge("b").Set(7)
-	reg.Histogram("c").Observe(3)
 	s := reg.Snapshot()
-	if len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
+	if len(s.Counters)+len(s.Gauges) != 0 {
 		t.Errorf("nil registry snapshot not empty: %+v", s)
 	}
 }
@@ -119,7 +83,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	reg := NewRegistry()
 	reg.Gauge("flash_cycles").Set(19307)
 	reg.Counter("flashsim_sim_events_total").Add(6277)
-	reg.Histogram("window_events", "shard", "0").Observe(5)
 
 	var sb strings.Builder
 	if err := reg.WriteJSON(&sb); err != nil {
@@ -134,9 +97,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 	if s.Counters["flashsim_sim_events_total"] != 6277 {
 		t.Errorf("events = %d, want 6277", s.Counters["flashsim_sim_events_total"])
-	}
-	if h := s.Histograms[`window_events{shard="0"}`]; h.Count != 1 || h.Sum != 5 {
-		t.Errorf("histogram round-trip = %+v", h)
 	}
 }
 

@@ -46,10 +46,10 @@ type Port struct {
 	sched sim.Scheduler
 	seq   uint64 // monotonic send sequence; orders this port's deliveries
 
-	// Tr, when non-nil, receives the send half of each message's trace
-	// pair (the recv half is emitted through the destination port's
-	// tracer, since the arrival runs on the destination's shard). Injected
-	// per machine (core.Machine.SetTracer).
+	// Tr, when non-nil, receives the send event of each message this port
+	// sends and the recv event of each message it delivers (the arrival
+	// runs on the destination's shard). Injected per machine
+	// (core.Machine.SetTracer).
 	Tr *trace.Tracer
 
 	// Stats. Single-writer: only the owning node's events send.
@@ -58,7 +58,8 @@ type Port struct {
 	ReplyMsgs uint64
 
 	// Evs recycles the arrival events of the messages this port sends (see
-	// Send); arrive is what they fire, on the destination port.
+	// Send); arrive is what they fire, on the destination port: it emits
+	// the recv event when tracing and hands the message to the sink.
 	Evs    arch.MsgEventFIFO
 	arrive func(*arch.MsgEvent)
 }
@@ -72,7 +73,15 @@ func New(n int, transit sim.Cycle) *Network {
 	}
 	for i := range nw.ports {
 		p := &Port{net: nw, src: arch.NodeID(i)}
-		p.arrive = func(ev *arch.MsgEvent) { nw.sinks[p.src].FromNet(ev.Msg) }
+		p.arrive = func(ev *arch.MsgEvent) {
+			if m := &ev.Msg; p.Tr.Active() {
+				p.Tr.Emit(trace.Event{
+					Cycle: uint64(p.sched.Now()), Node: int32(m.Dst), Kind: trace.KindMsgRecv,
+					Addr: uint64(m.Addr), ID: m.TID, Name: m.Type.String(),
+				})
+			}
+			nw.sinks[p.src].FromNet(ev.Msg)
+		}
 		nw.ports[i] = p
 	}
 	return nw
@@ -181,17 +190,6 @@ func (p *Port) Send(at sim.Cycle, m arch.Msg) {
 			Name: m.Type.String(),
 		})
 		m.TID = id
-		// The arrival runs on the destination's shard, so the recv event
-		// goes through the destination port's tracer.
-		dst, recvTr := n.sinks[m.Dst], n.ports[m.Dst].Tr
-		p.sched.Deliver(arrive, int(p.src), int(m.Dst), p.seq, func() {
-			recvTr.Emit(trace.Event{
-				Cycle: uint64(arrive), Node: int32(m.Dst), Kind: trace.KindMsgRecv,
-				Addr: uint64(m.Addr), ID: id, Name: m.Type.String(),
-			})
-			dst.FromNet(m)
-		})
-		return
 	}
 	// The arrival event stays this port's: the destination reads the message
 	// out of it and the port re-arms it once its own clock is a reverse

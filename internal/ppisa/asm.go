@@ -139,9 +139,6 @@ func (a *asm) reg(s string) (uint8, error) {
 	return uint8(n), nil
 }
 
-// rawReg parses rN allowing reserved registers (for internal expansion).
-func rawReg(n int) uint8 { return uint8(n) }
-
 // imm evaluates an immediate expression.
 func (a *asm) imm(s string) (int64, error) {
 	s = strings.TrimSpace(s)
@@ -237,325 +234,96 @@ func (a *asm) labelRef(s string) string {
 	return s
 }
 
-func (a *asm) push(in Instr) { a.instrs = append(a.instrs, in) }
+// mnemonics maps every opcode's table name to the opcode.
+var mnemonics = func() map[string]Op {
+	m := make(map[string]Op, NumOps)
+	for op := Op(0); op < NumOps; op++ {
+		m[opTable[op].name] = op
+	}
+	return m
+}()
+
+// pseudos are the pseudo-instructions that are one real instruction with
+// their own operand syntax and a fixed immediate. li, which expands to a
+// sequence, has its own case in emit.
+var pseudos = map[string]struct {
+	op   Op
+	args string
+	imm  int64
+}{
+	"mv":  {ADD, "ds", 0},   // add rd, rs, r0
+	"not": {XORI, "ds", -1}, // xori rd, rs, -1
+	"b":   {J, "L", 0},      // j label
+}
 
 func (a *asm) emit(mnem string, ops []string) error {
-	need := func(n int) error {
-		if len(ops) != n {
-			return a.errf("%s wants %d operands, got %d", mnem, n, len(ops))
+	if mnem == "li" {
+		in, err := a.operands(mnem, Instr{Op: ADDI}, "di", ops)
+		if err != nil {
+			return err
 		}
+		a.instrs = append(a.instrs, LoadImm(in.Rd, in.Imm)...)
 		return nil
 	}
-	switch mnem {
-	case "nop":
-		a.push(Instr{Op: NOP})
-	case "done":
-		a.push(Instr{Op: DONE})
-	case "waitpc":
-		a.push(Instr{Op: WAITPC})
-
-	case "add", "sub", "and", "or", "xor", "sll", "srl", "sra", "slt", "sltu":
-		if err := need(3); err != nil {
-			return err
-		}
-		rd, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		rs, err := a.reg(ops[1])
-		if err != nil {
-			return err
-		}
-		rt, err := a.reg(ops[2])
-		if err != nil {
-			return err
-		}
-		a.push(Instr{Op: aluOp(mnem), Rd: rd, Rs: rs, Rt: rt})
-
-	case "addi", "andi", "ori", "xori", "slli", "srli", "srai", "slti":
-		if err := need(3); err != nil {
-			return err
-		}
-		rd, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		rs, err := a.reg(ops[1])
-		if err != nil {
-			return err
-		}
-		imm, err := a.imm(ops[2])
-		if err != nil {
-			return err
-		}
-		a.push(Instr{Op: aluImmOp(mnem), Rd: rd, Rs: rs, Imm: imm})
-
-	case "lui":
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		imm, err := a.imm(ops[1])
-		if err != nil {
-			return err
-		}
-		a.push(Instr{Op: LUI, Rd: rd, Imm: imm})
-
-	case "ffs":
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		rs, err := a.reg(ops[1])
-		if err != nil {
-			return err
-		}
-		a.push(Instr{Op: FFS, Rd: rd, Rs: rs})
-
-	case "ext", "ins", "orfi", "andfi":
-		if err := need(4); err != nil {
-			return err
-		}
-		rd, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		rs, err := a.reg(ops[1])
-		if err != nil {
-			return err
-		}
-		pos, err := a.imm(ops[2])
-		if err != nil {
-			return err
-		}
-		w, err := a.imm(ops[3])
-		if err != nil {
-			return err
-		}
-		if pos < 0 || w <= 0 || pos+w > 64 {
-			return a.errf("%s field [%d,%d) out of range", mnem, pos, pos+w)
-		}
-		var op Op
-		switch mnem {
-		case "ext":
-			op = EXT
-		case "ins":
-			op = INS
-		case "orfi":
-			op = ORFI
-		default:
-			op = ANDFI
-		}
-		a.push(Instr{Op: op, Rd: rd, Rs: rs, Imm: pos, Imm2: w})
-
-	case "ld", "st":
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		off, rs, err := a.memOperand(ops[1])
-		if err != nil {
-			return err
-		}
-		op := LD
-		if mnem == "st" {
-			op = ST
-		}
-		a.push(Instr{Op: op, Rd: rd, Rs: rs, Imm: off})
-
-	case "beq", "bne":
-		if err := need(3); err != nil {
-			return err
-		}
-		rs, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		rt, err := a.reg(ops[1])
-		if err != nil {
-			return err
-		}
-		op := BEQ
-		if mnem == "bne" {
-			op = BNE
-		}
-		a.push(Instr{Op: op, Rs: rs, Rt: rt, Sym: a.labelRef(ops[2])})
-
-	case "blez", "bgtz":
-		if err := need(2); err != nil {
-			return err
-		}
-		rs, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		op := BLEZ
-		if mnem == "bgtz" {
-			op = BGTZ
-		}
-		a.push(Instr{Op: op, Rs: rs, Sym: a.labelRef(ops[1])})
-
-	case "bbs", "bbc":
-		if err := need(3); err != nil {
-			return err
-		}
-		rs, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		bit, err := a.imm(ops[1])
-		if err != nil {
-			return err
-		}
-		if bit < 0 || bit > 63 {
-			return a.errf("bit %d out of range", bit)
-		}
-		op := BBS
-		if mnem == "bbc" {
-			op = BBC
-		}
-		a.push(Instr{Op: op, Rs: rs, Imm: bit, Sym: a.labelRef(ops[2])})
-
-	case "j", "jal", "b":
-		if err := need(1); err != nil {
-			return err
-		}
-		op := J
-		if mnem == "jal" {
-			op = JAL
-		}
-		in := Instr{Op: op, Sym: a.labelRef(ops[0])}
-		if mnem == "jal" {
-			in.Rd = 28 // link register convention: r28
-		}
-		a.push(in)
-
-	case "jr":
-		if err := need(1); err != nil {
-			return err
-		}
-		rs, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		a.push(Instr{Op: JR, Rs: rs})
-
-	case "mfh":
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		f, err := a.imm(ops[1])
-		if err != nil {
-			return err
-		}
-		if f < 0 || f >= NumHdrFields {
-			return a.errf("header field %d out of range", f)
-		}
-		a.push(Instr{Op: MFH, Rd: rd, Imm: f})
-
-	case "mth":
-		if err := need(2); err != nil {
-			return err
-		}
-		f, err := a.imm(ops[0])
-		if err != nil {
-			return err
-		}
-		rs, err := a.reg(ops[1])
-		if err != nil {
-			return err
-		}
-		if f < 0 || f >= NumHdrFields {
-			return a.errf("header field %d out of range", f)
-		}
-		a.push(Instr{Op: MTH, Rs: rs, Imm: f})
-
-	case "send":
-		if err := need(1); err != nil {
-			return err
-		}
-		flags, err := a.imm(ops[0])
-		if err != nil {
-			return err
-		}
-		a.push(Instr{Op: SEND, Imm: flags})
-
-	case "memrd", "memwr":
-		if err := need(1); err != nil {
-			return err
-		}
-		rs, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		op := MEMRD
-		if mnem == "memwr" {
-			op = MEMWR
-		}
-		a.push(Instr{Op: op, Rs: rs})
-
-	// Pseudo-instructions.
-	case "mv":
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		rs, err := a.reg(ops[1])
-		if err != nil {
-			return err
-		}
-		a.push(Instr{Op: ADD, Rd: rd, Rs: rs})
-
-	case "not":
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		rs, err := a.reg(ops[1])
-		if err != nil {
-			return err
-		}
-		a.push(Instr{Op: XORI, Rd: rd, Rs: rs, Imm: -1})
-
-	case "li":
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		imm, err := a.imm(ops[1])
-		if err != nil {
-			return err
-		}
-		for _, in := range LoadImm(rd, imm) {
-			a.push(in)
-		}
-
-	default:
+	in, args := Instr{}, ""
+	if op, ok := mnemonics[mnem]; ok {
+		in.Op, args = op, opTable[op].args
+	} else if p, ok := pseudos[mnem]; ok {
+		in.Op, in.Imm, args = p.op, p.imm, p.args
+	} else {
 		return a.errf("unknown mnemonic %q", mnem)
 	}
+	in, err := a.operands(mnem, in, args, ops)
+	if err != nil {
+		return err
+	}
+	if in.Op == JAL {
+		in.Rd = 28 // link register convention: r28
+	}
+	a.instrs = append(a.instrs, in)
 	return nil
+}
+
+// operands parses ops into in's fields as the operand syntax args spells
+// them (see opInfo). Range checks run once every operand has parsed, so a
+// malformed operand is reported before an out-of-range one.
+func (a *asm) operands(mnem string, in Instr, args string, ops []string) (Instr, error) {
+	if len(ops) != len(args) {
+		return in, a.errf("%s wants %d operands, got %d", mnem, len(args), len(ops))
+	}
+	for k, c := range args {
+		var err error
+		switch s := ops[k]; c {
+		case 'd':
+			in.Rd, err = a.reg(s)
+		case 's':
+			in.Rs, err = a.reg(s)
+		case 't':
+			in.Rt, err = a.reg(s)
+		case 'i', 'b', 'h':
+			in.Imm, err = a.imm(s)
+		case 'w':
+			in.Imm2, err = a.imm(s)
+		case 'm':
+			in.Imm, in.Rs, err = a.memOperand(s)
+		case 'L':
+			in.Sym = a.labelRef(s)
+		}
+		if err != nil {
+			return in, err
+		}
+	}
+	for _, c := range args {
+		switch {
+		case c == 'b' && (in.Imm < 0 || in.Imm > 63):
+			return in, a.errf("bit %d out of range", in.Imm)
+		case c == 'h' && (in.Imm < 0 || in.Imm >= NumHdrFields):
+			return in, a.errf("header field %d out of range", in.Imm)
+		case c == 'w' && (in.Imm < 0 || in.Imm2 <= 0 || in.Imm+in.Imm2 > 64):
+			return in, a.errf("%s field [%d,%d) out of range", mnem, in.Imm, in.Imm+in.Imm2)
+		}
+	}
+	return in, nil
 }
 
 // LoadImm returns the shortest instruction sequence materializing v in rd.
@@ -585,52 +353,6 @@ func LoadImm(rd uint8, v int64) []Instr {
 	return seq
 }
 
-func aluOp(m string) Op {
-	switch m {
-	case "add":
-		return ADD
-	case "sub":
-		return SUB
-	case "and":
-		return AND
-	case "or":
-		return OR
-	case "xor":
-		return XOR
-	case "sll":
-		return SLL
-	case "srl":
-		return SRL
-	case "sra":
-		return SRA
-	case "slt":
-		return SLT
-	default:
-		return SLTU
-	}
-}
-
-func aluImmOp(m string) Op {
-	switch m {
-	case "addi":
-		return ADDI
-	case "andi":
-		return ANDI
-	case "ori":
-		return ORI
-	case "xori":
-		return XORI
-	case "slli":
-		return SLLI
-	case "srli":
-		return SRLI
-	case "srai":
-		return SRAI
-	default:
-		return SLTI
-	}
-}
-
 func (a *asm) resolve() error {
 	for i := range a.instrs {
 		in := &a.instrs[i]
@@ -640,6 +362,9 @@ func (a *asm) resolve() error {
 		t, ok := a.labels[in.Sym]
 		if !ok {
 			return fmt.Errorf("ppisa: undefined label %q", in.Sym)
+		}
+		if t == len(a.instrs) {
+			return fmt.Errorf("ppisa: branch to label %q, which ends the program", in.Sym)
 		}
 		in.Target = t
 	}

@@ -1,6 +1,7 @@
 package ppisa
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -117,5 +118,55 @@ func TestLoadImm64(t *testing.T) {
 		if got := eval(LoadImm(1, v)); got != uint64(v) {
 			t.Errorf("LoadImm(%#x) evaluates to %#x", v, got)
 		}
+	}
+}
+
+// FuzzAssemble feeds the assembler arbitrary text. It must never panic, and
+// a program it accepts must assemble the same way twice and schedule in
+// every mode (dual, single, and DLX substitution scheduled single) without
+// losing or duplicating a non-NOP instruction, into hazard-free pairs whose
+// branch targets are pairs.
+func FuzzAssemble(f *testing.F) {
+	for _, seed := range []string{
+		schedSample,
+		"a: b: nop\nc:\n done",
+		"h: li r4, 0x123456789\n ins r4, r5, 40, 24\n andfi r4, r4, 3, 50\n ffs r2, r4\n done",
+		"h: jal .s\n bbc r1, 20, h\n b .s\n.s: jr r28",
+		"h: beq r1, r2, .t\n.t:",
+		"bbs r1, 71, x\nx: nop",
+		"x: ld r1, B+8|2<<1(r2)\n st r1, -4(r2)\n mth 3, r1\n send 1|2",
+	} {
+		f.Add(seed)
+	}
+	syms := map[string]int64{"B": 0x40}
+	f.Fuzz(func(t *testing.T, text string) {
+		src, err := Assemble(text, syms)
+		if err != nil {
+			return
+		}
+		if again, _ := Assemble(text, syms); !reflect.DeepEqual(src, again) {
+			t.Fatalf("assembling twice differs:\n%#v\n%#v", src, again)
+		}
+		for _, p := range []*Program{
+			Schedule(src, DualIssue),
+			Schedule(src, SingleIssue),
+			Schedule(SubstituteDLX(src), SingleIssue),
+		} {
+			if p.StaticNonNops() != p.SrcInstrs {
+				t.Fatalf("mode %v: %d non-NOP slots scheduled from %d source instructions", p.Mode, p.StaticNonNops(), p.SrcInstrs)
+			}
+			checkProgram(t, p)
+		}
+	})
+}
+
+// TestAssembleBranchPastEnd: a label with no instruction after it may name
+// an entry point but not a branch target, which would leave the image.
+func TestAssembleBranchPastEnd(t *testing.T) {
+	if _, err := Assemble("h: nop\nend:", nil); err != nil {
+		t.Fatalf("trailing label rejected: %v", err)
+	}
+	if _, err := Assemble("h: beq r1, r2, .t\n.t:", nil); err == nil || !strings.Contains(err.Error(), "ends the program") {
+		t.Fatalf("branch past the end: err = %v", err)
 	}
 }

@@ -10,7 +10,10 @@
 // messages, and direct the hardwired data-transfer logic.
 package ppisa
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Op is a PP opcode.
 type Op uint8
@@ -75,19 +78,89 @@ const (
 	NumOps
 )
 
-var opNames = [NumOps]string{
-	"nop",
-	"add", "sub", "and", "or", "xor", "sll", "srl", "sra", "slt", "sltu",
-	"addi", "andi", "ori", "xori", "slli", "srli", "srai", "slti", "lui",
-	"ffs", "ext", "ins", "orfi", "andfi",
-	"ld", "st",
-	"beq", "bne", "blez", "bgtz", "bbs", "bbc", "j", "jal", "jr",
-	"mfh", "mth", "send", "memrd", "memwr", "waitpc", "done",
+// opInfo is one row of the opcode table: the mnemonic, the operand syntax
+// and the statistics class. args spells the operands in source order, one
+// letter each:
+//
+//	d, s, t  the Rd, Rs and Rt registers
+//	i        Imm
+//	w        Imm2, a field width; Imm+Imm2 must describe a field inside 64 bits
+//	b        Imm, a bit number 0-63
+//	h        Imm, a header field index
+//	m        a memory operand off(rs): Imm and Rs
+//	L        a label, resolved into Target
+//
+// The assembler, Instr.String, Def/Uses, Classify, IsControl and HasTarget
+// all read this table, so an opcode's operands are stated only here.
+type opInfo struct {
+	name  string
+	args  string
+	class Class
+}
+
+var opTable = [NumOps]opInfo{
+	NOP: {"nop", "", ClassNop},
+
+	ADD:  {"add", "dst", ClassALU},
+	SUB:  {"sub", "dst", ClassALU},
+	AND:  {"and", "dst", ClassALU},
+	OR:   {"or", "dst", ClassALU},
+	XOR:  {"xor", "dst", ClassALU},
+	SLL:  {"sll", "dst", ClassALU},
+	SRL:  {"srl", "dst", ClassALU},
+	SRA:  {"sra", "dst", ClassALU},
+	SLT:  {"slt", "dst", ClassALU},
+	SLTU: {"sltu", "dst", ClassALU},
+
+	ADDI: {"addi", "dsi", ClassALU},
+	ANDI: {"andi", "dsi", ClassALU},
+	ORI:  {"ori", "dsi", ClassALU},
+	XORI: {"xori", "dsi", ClassALU},
+	SLLI: {"slli", "dsi", ClassALU},
+	SRLI: {"srli", "dsi", ClassALU},
+	SRAI: {"srai", "dsi", ClassALU},
+	SLTI: {"slti", "dsi", ClassALU},
+	LUI:  {"lui", "di", ClassALU},
+
+	FFS:   {"ffs", "ds", ClassSpecial},
+	EXT:   {"ext", "dsiw", ClassSpecial},
+	INS:   {"ins", "dsiw", ClassSpecial},
+	ORFI:  {"orfi", "dsiw", ClassSpecial},
+	ANDFI: {"andfi", "dsiw", ClassSpecial},
+
+	LD: {"ld", "dm", ClassMem},
+	ST: {"st", "dm", ClassMem},
+
+	BEQ:  {"beq", "stL", ClassBranch},
+	BNE:  {"bne", "stL", ClassBranch},
+	BLEZ: {"blez", "sL", ClassBranch},
+	BGTZ: {"bgtz", "sL", ClassBranch},
+	BBS:  {"bbs", "sbL", ClassBranchBit},
+	BBC:  {"bbc", "sbL", ClassBranchBit},
+	J:    {"j", "L", ClassBranch},
+	JAL:  {"jal", "L", ClassBranch},
+	JR:   {"jr", "s", ClassBranch},
+
+	MFH:    {"mfh", "dh", ClassMagic},
+	MTH:    {"mth", "hs", ClassMagic},
+	SEND:   {"send", "i", ClassMagic},
+	MEMRD:  {"memrd", "s", ClassMagic},
+	MEMWR:  {"memwr", "s", ClassMagic},
+	WAITPC: {"waitpc", "", ClassMagic},
+	DONE:   {"done", "", ClassMagic},
+}
+
+// info returns op's table row; an out-of-range op has no operands.
+func (o Op) info() opInfo {
+	if o < NumOps {
+		return opTable[o]
+	}
+	return opInfo{}
 }
 
 func (o Op) String() string {
-	if int(o) < len(opNames) {
-		return opNames[o]
+	if o < NumOps {
+		return opTable[o].name
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
@@ -150,24 +223,7 @@ const (
 )
 
 // Classify returns the statistics class of op.
-func Classify(op Op) Class {
-	switch op {
-	case NOP:
-		return ClassNop
-	case FFS, EXT, INS, ORFI, ANDFI:
-		return ClassSpecial
-	case BBS, BBC:
-		return ClassBranchBit
-	case LD, ST:
-		return ClassMem
-	case BEQ, BNE, BLEZ, BGTZ, J, JAL, JR:
-		return ClassBranch
-	case MFH, MTH, SEND, MEMRD, MEMWR, WAITPC, DONE:
-		return ClassMagic
-	default:
-		return ClassALU
-	}
-}
+func Classify(op Op) Class { return op.info().class }
 
 // StatDeltas returns the dynamic-statistics increments (Table 5.2) that one
 // executed instance of op contributes: the non-NOP instruction count, the
@@ -193,45 +249,59 @@ func StatDeltas(op Op) (instrs, aluBranch, special uint64) {
 // the slots sequentially (a then b) is equivalent exactly when no such
 // read-after-write exists — WAR and WAW resolve identically either way,
 // since writes commit in slot order. The scheduler never emits RAW pairs
-// (pairable rejects them), so this is a load-time validity check for
+// (regHazard rejects them), so this is a load-time validity check for
 // predecoded backends, not a run-time concern.
 func RAWHazard(a, b *Instr) bool {
 	def := a.Def()
-	if def < 0 {
-		return false
-	}
-	for _, r := range b.Uses(nil) {
-		if r == def {
-			return true
+	return def >= 0 && b.reads(def)
+}
+
+// IsControl reports whether op transfers control: a branch, a jump, or
+// DONE, which returns to the inbox.
+func IsControl(op Op) bool {
+	c := Classify(op)
+	return c == ClassBranch || c == ClassBranchBit || op == DONE
+}
+
+// HasTarget reports whether op carries a resolved label in Target.
+func HasTarget(op Op) bool { return strings.IndexByte(op.info().args, 'L') >= 0 }
+
+// Register fields, as a bit set.
+const (
+	fieldRd = 1 << iota
+	fieldRs
+	fieldRt
+)
+
+// regs returns the register fields op reads and writes. The table's d is a
+// write and s, t and m are reads, with three exceptions: ST reads the value
+// it stores from Rd, INS merges into Rd, and JAL writes the link register
+// r28, which the assembler places in Rd.
+func (o Op) regs() (read, write uint8) {
+	for _, c := range o.info().args {
+		switch c {
+		case 'd':
+			write |= fieldRd
+		case 's', 'm':
+			read |= fieldRs
+		case 't':
+			read |= fieldRt
 		}
 	}
-	return false
-}
-
-// IsControl reports whether op transfers control.
-func IsControl(op Op) bool {
-	switch op {
-	case BEQ, BNE, BLEZ, BGTZ, BBS, BBC, J, JAL, JR, DONE:
-		return true
-	}
-	return false
-}
-
-// writesRd reports whether op writes its Rd register.
-func writesRd(op Op) bool {
-	switch op {
-	case NOP, ST, BEQ, BNE, BLEZ, BGTZ, BBS, BBC, J, JR, DONE,
-		MTH, SEND, MEMRD, MEMWR, WAITPC:
-		return false
+	switch o {
+	case ST:
+		read, write = read|fieldRd, 0
+	case INS:
+		read |= fieldRd
 	case JAL:
-		return true // link register, held in Rd
+		write = fieldRd
 	}
-	return true
+	return read, write
 }
 
-// Def returns the register op writes, or -1.
+// Def returns the register in writes, or -1.
 func (in *Instr) Def() int {
-	if writesRd(in.Op) && in.Rd != 0 {
+	if _, w := in.Op.regs(); w != 0 && in.Rd != 0 {
 		return int(in.Rd)
 	}
 	return -1
@@ -239,75 +309,52 @@ func (in *Instr) Def() int {
 
 // Uses appends the registers in reads to dst and returns it.
 func (in *Instr) Uses(dst []int) []int {
-	add := func(r uint8) []int {
-		if r != 0 {
-			dst = append(dst, int(r))
+	read, _ := in.Op.regs()
+	for _, f := range [...]struct {
+		bit uint8
+		r   uint8
+	}{{fieldRs, in.Rs}, {fieldRt, in.Rt}, {fieldRd, in.Rd}} {
+		if read&f.bit != 0 && f.r != 0 {
+			dst = append(dst, int(f.r))
 		}
-		return dst
-	}
-	switch in.Op {
-	case ADD, SUB, AND, OR, XOR, SLL, SRL, SRA, SLT, SLTU:
-		dst = add(in.Rs)
-		dst = add(in.Rt)
-	case ADDI, ANDI, ORI, XORI, SLLI, SRLI, SRAI, SLTI:
-		dst = add(in.Rs)
-	case FFS, EXT, ORFI, ANDFI:
-		dst = add(in.Rs)
-	case INS:
-		dst = add(in.Rs)
-		dst = add(in.Rd) // INS reads and writes Rd
-	case LD:
-		dst = add(in.Rs)
-	case ST:
-		dst = add(in.Rs)
-		dst = add(in.Rd) // stored value
-	case BEQ, BNE:
-		dst = add(in.Rs)
-		dst = add(in.Rt)
-	case BLEZ, BGTZ, BBS, BBC, JR:
-		dst = add(in.Rs)
-	case MTH, MEMRD, MEMWR:
-		dst = add(in.Rs)
 	}
 	return dst
 }
 
+// reads reports whether in reads register r (r0 is never read), without
+// building the Uses list.
+func (in *Instr) reads(r int) bool {
+	read, _ := in.Op.regs()
+	return r > 0 && (read&fieldRs != 0 && int(in.Rs) == r ||
+		read&fieldRt != 0 && int(in.Rt) == r ||
+		read&fieldRd != 0 && int(in.Rd) == r)
+}
+
+// String prints in in assembler syntax, with a resolved target as @index.
 func (in *Instr) String() string {
-	switch in.Op {
-	case NOP, DONE, WAITPC:
-		return in.Op.String()
-	case ADD, SUB, AND, OR, XOR, SLL, SRL, SRA, SLT, SLTU:
-		return fmt.Sprintf("%s r%d, r%d, r%d", in.Op, in.Rd, in.Rs, in.Rt)
-	case ADDI, ANDI, ORI, XORI, SLLI, SRLI, SRAI, SLTI:
-		return fmt.Sprintf("%s r%d, r%d, %d", in.Op, in.Rd, in.Rs, in.Imm)
-	case LUI:
-		return fmt.Sprintf("lui r%d, %d", in.Rd, in.Imm)
-	case FFS:
-		return fmt.Sprintf("ffs r%d, r%d", in.Rd, in.Rs)
-	case EXT, INS, ORFI, ANDFI:
-		return fmt.Sprintf("%s r%d, r%d, %d, %d", in.Op, in.Rd, in.Rs, in.Imm, in.Imm2)
-	case LD:
-		return fmt.Sprintf("ld r%d, %d(r%d)", in.Rd, in.Imm, in.Rs)
-	case ST:
-		return fmt.Sprintf("st r%d, %d(r%d)", in.Rd, in.Imm, in.Rs)
-	case BEQ, BNE:
-		return fmt.Sprintf("%s r%d, r%d, @%d", in.Op, in.Rs, in.Rt, in.Target)
-	case BLEZ, BGTZ:
-		return fmt.Sprintf("%s r%d, @%d", in.Op, in.Rs, in.Target)
-	case BBS, BBC:
-		return fmt.Sprintf("%s r%d, %d, @%d", in.Op, in.Rs, in.Imm, in.Target)
-	case J, JAL:
-		return fmt.Sprintf("%s @%d", in.Op, in.Target)
-	case JR:
-		return fmt.Sprintf("jr r%d", in.Rs)
-	case MFH:
-		return fmt.Sprintf("mfh r%d, %d", in.Rd, in.Imm)
-	case MTH:
-		return fmt.Sprintf("mth %d, r%d", in.Imm, in.Rs)
-	case SEND:
-		return fmt.Sprintf("send %d", in.Imm)
-	case MEMRD, MEMWR:
-		return fmt.Sprintf("%s r%d", in.Op, in.Rs)
+	s := in.Op.String()
+	for k, c := range in.Op.info().args {
+		if k == 0 {
+			s += " "
+		} else {
+			s += ", "
+		}
+		switch c {
+		case 'd':
+			s += fmt.Sprintf("r%d", in.Rd)
+		case 's':
+			s += fmt.Sprintf("r%d", in.Rs)
+		case 't':
+			s += fmt.Sprintf("r%d", in.Rt)
+		case 'i', 'b', 'h':
+			s += fmt.Sprint(in.Imm)
+		case 'w':
+			s += fmt.Sprint(in.Imm2)
+		case 'm':
+			s += fmt.Sprintf("%d(r%d)", in.Imm, in.Rs)
+		case 'L':
+			s += fmt.Sprintf("@%d", in.Target)
+		}
 	}
-	return in.Op.String()
+	return s
 }

@@ -1,6 +1,7 @@
 package ppisa
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -67,24 +68,74 @@ func TestDefUses(t *testing.T) {
 	}
 }
 
-func TestInstrString(t *testing.T) {
-	cases := []struct {
-		in   Instr
-		want string
+// TestOpTableRoundTrip assembles one line per opcode and pseudo-instruction,
+// built from the operand syntax in the table, and checks the fields it
+// fills and that String prints the line back (branch targets as @index).
+func TestOpTableRoundTrip(t *testing.T) {
+	// One spelling per operand letter, and the fields it sets.
+	operand := map[rune]struct {
+		text string
+		set  func(*Instr)
 	}{
-		{Instr{Op: ADD, Rd: 1, Rs: 2, Rt: 3}, "add r1, r2, r3"},
-		{Instr{Op: ADDI, Rd: 1, Rs: 2, Imm: -5}, "addi r1, r2, -5"},
-		{Instr{Op: LD, Rd: 4, Rs: 2, Imm: 16}, "ld r4, 16(r2)"},
-		{Instr{Op: EXT, Rd: 1, Rs: 2, Imm: 8, Imm2: 20}, "ext r1, r2, 8, 20"},
-		{Instr{Op: BBS, Rs: 3, Imm: 5, Target: 7}, "bbs r3, 5, @7"},
-		{Instr{Op: MFH, Rd: 2, Imm: 1}, "mfh r2, 1"},
-		{Instr{Op: SEND, Imm: 3}, "send 3"},
-		{Instr{Op: DONE}, "done"},
+		'd': {"r3", func(in *Instr) { in.Rd = 3 }},
+		's': {"r5", func(in *Instr) { in.Rs = 5 }},
+		't': {"r7", func(in *Instr) { in.Rt = 7 }},
+		'i': {"12", func(in *Instr) { in.Imm = 12 }},
+		'w': {"9", func(in *Instr) { in.Imm2 = 9 }},
+		'b': {"40", func(in *Instr) { in.Imm = 40 }},
+		'h': {"2", func(in *Instr) { in.Imm = HdrSrc }},
+		'm': {"16(r5)", func(in *Instr) { in.Imm, in.Rs = 16, 5 }},
+		'L': {"h", func(in *Instr) { in.Sym, in.Target = "h", 1 }},
 	}
-	for _, c := range cases {
-		if got := c.in.String(); got != c.want {
-			t.Errorf("String() = %q, want %q", got, c.want)
+	line := func(mnem, args string) (text string, want Instr) {
+		text = mnem
+		for k, c := range args {
+			if k == 0 {
+				text += " "
+			} else {
+				text += ", "
+			}
+			text += operand[c].text
+			operand[c].set(&want)
 		}
+		return text, want
+	}
+	check := func(text string, want Instr, print string) {
+		t.Helper()
+		src, err := Assemble("g: nop\nh: "+text, nil)
+		if err != nil {
+			t.Fatalf("%q: %v", text, err)
+		}
+		if len(src.Instrs) != 2 {
+			t.Fatalf("%q: %d instructions, want 1", text, len(src.Instrs)-1)
+		}
+		if got := src.Instrs[1]; got != want {
+			t.Errorf("%q assembles to %#v, want %#v", text, got, want)
+		}
+		if got := src.Instrs[1].String(); got != print {
+			t.Errorf("%q prints as %q, want %q", text, got, print)
+		}
+	}
+	for op := Op(0); op < NumOps; op++ {
+		text, want := line(op.String(), opTable[op].args)
+		want.Op = op
+		if op == JAL {
+			want.Rd = 28
+		}
+		check(text, want, strings.ReplaceAll(text, " h", " @1"))
+	}
+	for mnem, p := range pseudos {
+		text, want := line(mnem, p.args)
+		want.Op, want.Imm = p.op, p.imm
+		print := map[string]string{
+			"mv":  "add r3, r5, r0",
+			"not": "xori r3, r5, -1",
+			"b":   "j @1",
+		}[mnem]
+		check(text, want, print)
+	}
+	if got := Op(NumOps + 1).String(); got != fmt.Sprintf("op(%d)", NumOps+1) {
+		t.Errorf("out-of-range op prints as %q", got)
 	}
 }
 

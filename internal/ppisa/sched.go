@@ -91,8 +91,7 @@ func Schedule(src *Source, mode Mode) *Program {
 		if IsControl(in.Op) && i+1 <= n {
 			leader[i+1] = true
 		}
-		switch in.Op {
-		case BEQ, BNE, BLEZ, BGTZ, BBS, BBC, J, JAL:
+		if HasTarget(in.Op) {
 			leader[in.Target] = true
 		}
 	}
@@ -150,14 +149,14 @@ func allNops(block []Instr) bool {
 }
 
 func remap(in *Instr, leaderPair map[int]int) {
-	switch in.Op {
-	case BEQ, BNE, BLEZ, BGTZ, BBS, BBC, J, JAL:
-		if pi, ok := leaderPair[in.Target]; ok {
-			in.Target = pi
-		} else {
-			panic("ppisa: branch target is not a block leader")
-		}
+	if !HasTarget(in.Op) {
+		return
 	}
+	pi, ok := leaderPair[in.Target]
+	if !ok {
+		panic("ppisa: branch target is not a block leader")
+	}
+	in.Target = pi
 }
 
 // scheduleBlock list-schedules one basic block into pairs. A trailing
@@ -209,33 +208,11 @@ func scheduleStraight(ins []Instr) []Pair {
 		succ[i] = append(succ[i], j)
 		npred[j]++
 	}
-	var uses, usesJ []int
 	for j := 1; j < m; j++ {
-		usesJ = ins[j].Uses(usesJ[:0])
-		defJ := ins[j].Def()
 		cj := Classify(ins[j].Op)
 		for i := j - 1; i >= 0; i-- {
-			uses = ins[i].Uses(uses[:0])
-			defI := ins[i].Def()
 			ci := Classify(ins[i].Op)
-			dep := false
-			if defI >= 0 {
-				for _, u := range usesJ {
-					if u == defI {
-						dep = true // RAW
-					}
-				}
-			}
-			if defJ >= 0 {
-				if defJ == defI {
-					dep = true // WAW
-				}
-				for _, u := range uses {
-					if u == defJ {
-						dep = true // WAR
-					}
-				}
-			}
+			dep := regHazard(&ins[i], &ins[j])
 			// Conservative memory and MAGIC-interface ordering.
 			if ci == ClassMem && cj == ClassMem &&
 				(ins[i].Op == ST || ins[j].Op == ST) {
@@ -345,29 +322,17 @@ func pairable(a, b *Instr) bool {
 	if SideEffect(a.Op) && SideEffect(b.Op) {
 		return false
 	}
-	// Register hazards within the pair.
+	return !regHazard(a, b)
+}
+
+// regHazard reports whether b, which follows a, must stay ordered after a
+// because of a register: b reads a's def (RAW), writes it too (WAW), or
+// writes a register a reads (WAR). The scheduler orders such pairs and never
+// issues them together: a WAR pair would be harmless under read-old-state
+// semantics, but the paper's PP has no conflict detection at all, so
+// PPtwine scheduled around every hazard, and so do we.
+func regHazard(a, b *Instr) bool {
 	defA, defB := a.Def(), b.Def()
-	if defA >= 0 {
-		var u []int
-		for _, r := range b.Uses(u) {
-			if r == defA {
-				return false // RAW
-			}
-		}
-		if defA == defB {
-			return false // WAW
-		}
-	}
-	if defB >= 0 {
-		var u []int
-		for _, r := range a.Uses(u) {
-			if r == defB {
-				// WAR within the pair would be fine under read-old-state
-				// semantics, but the paper's PP has no conflict detection at
-				// all, so PPtwine scheduled around every hazard; we do too.
-				return false
-			}
-		}
-	}
-	return true
+	return defA >= 0 && (b.reads(defA) || defA == defB) ||
+		defB >= 0 && a.reads(defB)
 }

@@ -55,11 +55,8 @@ func checkProgram(t *testing.T, p *Program) {
 	// Branch targets must be valid pair indices.
 	for i, pr := range p.Pairs {
 		for _, in := range []Instr{pr.A, pr.B} {
-			switch in.Op {
-			case BEQ, BNE, BLEZ, BGTZ, BBS, BBC, J, JAL:
-				if in.Target < 0 || in.Target >= len(p.Pairs) {
-					t.Fatalf("pair %d: branch target %d out of range", i, in.Target)
-				}
+			if HasTarget(in.Op) && (in.Target < 0 || in.Target >= len(p.Pairs)) {
+				t.Fatalf("pair %d: branch target %d out of range", i, in.Target)
 			}
 		}
 	}
@@ -226,5 +223,34 @@ func TestSchedulePropertyNoLoss(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRegHazard: the one register rule behind both dependence edges and
+// pairing — RAW, WAW and WAR each order two instructions; r0, reads of
+// unrelated registers and the exceptions (ST reads Rd, INS reads and writes
+// it, JAL writes r28) are handled the way Def and Uses state them.
+func TestRegHazard(t *testing.T) {
+	add := func(rd, rs, rt uint8) Instr { return Instr{Op: ADD, Rd: rd, Rs: rs, Rt: rt} }
+	for _, c := range []struct {
+		name string
+		a, b Instr
+		want bool
+	}{
+		{"RAW", add(1, 2, 3), add(4, 1, 5), true},
+		{"WAW", add(1, 2, 3), add(1, 4, 5), true},
+		{"WAR", add(1, 2, 3), add(3, 4, 5), true},
+		{"independent", add(1, 2, 3), add(4, 5, 6), false},
+		{"r0 is no register", add(0, 2, 3), add(0, 0, 5), false},
+		{"ST reads Rd", add(1, 2, 3), Instr{Op: ST, Rd: 1, Rs: 4}, true},
+		{"ST writes nothing", Instr{Op: ST, Rd: 1, Rs: 4}, add(5, 6, 7), false},
+		{"INS reads Rd", add(1, 2, 3), Instr{Op: INS, Rd: 1, Rs: 4, Imm: 0, Imm2: 4}, true},
+		{"JAL writes r28", Instr{Op: JAL, Rd: 28}, Instr{Op: JR, Rs: 28}, true},
+		{"branch reads Rt", add(1, 2, 3), Instr{Op: BEQ, Rs: 4, Rt: 1}, true},
+		{"MTH reads Rs", add(1, 2, 3), Instr{Op: MTH, Rs: 1, Imm: HdrAddr}, true},
+	} {
+		if got := regHazard(&c.a, &c.b); got != c.want {
+			t.Errorf("%s: regHazard(%v, %v) = %v, want %v", c.name, &c.a, &c.b, got, c.want)
+		}
 	}
 }

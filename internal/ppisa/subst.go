@@ -23,13 +23,13 @@ func SubstituteDLX(src *Source) *Source {
 	// tag and already hold new-space targets.
 	for k := range out.Instrs {
 		in := &out.Instrs[k]
-		switch in.Op {
-		case BEQ, BNE, BLEZ, BGTZ, J, JAL:
-			if in.Imm2 == synthMark {
-				in.Imm2 = 0
-			} else {
-				in.Target = indexMap[in.Target]
-			}
+		if !HasTarget(in.Op) {
+			continue
+		}
+		if in.Imm2 == synthMark {
+			in.Imm2 = 0
+		} else {
+			in.Target = indexMap[in.Target]
 		}
 	}
 	for name, idx := range src.Labels {

@@ -84,14 +84,6 @@ func (s *Stats) SpecialUse() float64 {
 	return float64(s.Special) / float64(s.ALUOrBranch)
 }
 
-// PairsPerInvocation returns mean instruction pairs per handler invocation.
-func (s *Stats) PairsPerInvocation() float64 {
-	if s.Invocations == 0 {
-		return 0
-	}
-	return float64(s.Pairs) / float64(s.Invocations)
-}
-
 // PP is one protocol processor instance. It executes at most one handler at
 // a time; MAGIC serializes invocations.
 type PP struct {

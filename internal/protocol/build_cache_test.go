@@ -19,7 +19,7 @@ func TestBuildSharesPrograms(t *testing.T) {
 	unread := map[string]func(*arch.Config){
 		"MDC size":    func(c *arch.Config) { c.MDCSize = 16 << 10; c.MDCWays = 4 },
 		"PP clock":    func(c *arch.Config) { c.PPClockDiv = 2 },
-		"queue cap":   func(c *arch.Config) { c.NetQueueCap = 8; c.DataBufs = 4 },
+		"queue cap":   func(c *arch.Config) { c.NetQueueCap = 8 },
 		"transit":     func(c *arch.Config) { c.Timing.NetTransit = 14 },
 		"engine":      func(c *arch.Config) { c.Engine = arch.EngineSharded; c.EngineSync = arch.EngineSyncWatermark },
 		"dispatch":    func(c *arch.Config) { c.PPDispatch = arch.PPDispatchInterp },

@@ -92,6 +92,3 @@ func (r *Reduction) AddF(c *Ctx, v float64) {
 	c.WriteF(r.cell, c.ReadF(r.cell)+v)
 	r.lock.Release(c)
 }
-
-// ValueF reads the accumulator.
-func (r *Reduction) ValueF(c *Ctx) float64 { return c.ReadF(r.cell) }
