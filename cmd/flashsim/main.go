@@ -5,8 +5,8 @@
 //
 //	flashsim [-machine flash|ideal] [-app fft] [-procs 16] [-cache 1048576]
 //	         [-scale 4] [-placement rr|ft|node0] [-nospec] [-ppmode dual|single|dlx]
-//	         [-pp-dispatch compiled|interp] [-engine seq|sharded]
-//	         [-engine-sync barrier|watermark] [-net uniform|mesh]
+//	         [-engine seq|sharded] [-engine-sync barrier|watermark]
+//	         [-net uniform|mesh]
 //	         [-mdc bytes] [-pp-clock-div N] [-net-queue-cap N]
 //	         [-sample default|detail/stride[/warmup]]
 //	         [-json] [-trace out.jsonl]
@@ -63,7 +63,6 @@ func run() (runErr error) {
 	placement := flag.String("placement", "ft", "page placement: rr, ft, node0")
 	nospec := flag.Bool("nospec", false, "disable speculative memory reads")
 	ppmode := flag.String("ppmode", "dual", "PP mode: dual, single, dlx")
-	ppDispatch := flag.String("pp-dispatch", "compiled", "PP emulator engine: compiled or interp (host speed only; simulated results are identical)")
 	engine := flag.String("engine", "seq", "event engine: seq or sharded (host speed only; simulated results are identical)")
 	engineSync := flag.String("engine-sync", "barrier", "sharded engine synchronization: barrier or watermark (host speed only; simulated results are identical)")
 	netModel := flag.String("net", "uniform", "network latency model: uniform (paper average) or mesh (per-pair 2-D mesh transit; changes simulated timing)")
@@ -117,14 +116,13 @@ func run() (runErr error) {
 	default:
 		return fmt.Errorf("unknown placement %q", *placement)
 	}
-	var bad [7]error
-	cfg.PPDispatch, bad[0] = arch.ParsePPDispatch(*ppDispatch)
-	cfg.Engine, bad[1] = arch.ParseEngineKind(*engine)
-	cfg.EngineSync, bad[2] = arch.ParseEngineSync(*engineSync)
-	cfg.NetModel, bad[3] = arch.ParseNetModel(*netModel)
-	cfg.Sample, bad[4] = arch.ParseSampleSpec(*sample)
-	cfg.Protocol, bad[5] = arch.ParseProtocol(*proto)
-	cfg.PPMode, bad[6] = arch.ParsePPMode(*ppmode)
+	var bad [6]error
+	cfg.Engine, bad[0] = arch.ParseEngineKind(*engine)
+	cfg.EngineSync, bad[1] = arch.ParseEngineSync(*engineSync)
+	cfg.NetModel, bad[2] = arch.ParseNetModel(*netModel)
+	cfg.Sample, bad[3] = arch.ParseSampleSpec(*sample)
+	cfg.Protocol, bad[4] = arch.ParseProtocol(*proto)
+	cfg.PPMode, bad[5] = arch.ParsePPMode(*ppmode)
 	if err := errors.Join(bad[:]...); err != nil {
 		return err
 	}

@@ -91,7 +91,6 @@ func TestRejectsUnknownBackends(t *testing.T) {
 	for flag, want := range map[string]string{
 		"-engine":      `arch: unknown engine "bogus" (want seq or sharded)`,
 		"-engine-sync": `arch: unknown engine-sync "bogus" (want barrier or watermark)`,
-		"-pp-dispatch": `arch: unknown pp-dispatch "bogus" (want compiled or interp)`,
 		"-net":         `arch: unknown net model "bogus" (want uniform or mesh)`,
 		"-protocol":    `arch: unknown protocol "bogus" (want dynptr or bitvec)`,
 		"-ppmode":      `arch: unknown PP mode "bogus" (want dual, single or dlx)`,

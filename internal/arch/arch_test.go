@@ -168,7 +168,6 @@ func roundTrip[T interface {
 func TestParseBackendFlagsRoundTrip(t *testing.T) {
 	roundTrip(t, ParseEngineKind, EngineSeq, EngineSharded)
 	roundTrip(t, ParseEngineSync, EngineSyncBarrier, EngineSyncWatermark)
-	roundTrip(t, ParsePPDispatch, PPDispatchCompiled, PPDispatchInterp)
 	roundTrip(t, ParseNetModel, NetUniform, NetMesh)
 	// The zero Config is the default machine: sequential engine, barrier
 	// sync, compiled dispatch, uniform network, sampling off.

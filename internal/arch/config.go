@@ -113,30 +113,19 @@ func ParsePPMode(s string) (PPMode, error) {
 	return PPDualIssue, fmt.Errorf("arch: unknown PP mode %q (want dual, single or dlx)", s)
 }
 
-// PPDispatch selects the PP emulator's execution engine. Both engines are
-// bit-identical in simulated behaviour; the choice only affects host-side
-// simulation speed (ppsim compile.go documents the equivalence argument).
+// PPDispatch selects the image the PP emulator's run loop executes. Both
+// are bit-identical in simulated behaviour; the interpreter image is the
+// reference semantics (ppsim compile.go documents the equivalence argument)
+// and no command-line flag selects it.
 type PPDispatch uint8
 
 const (
-	// PPDispatchCompiled selects the predecoded closure backend (the
+	// PPDispatchCompiled selects the predecoded closure image (the
 	// default).
 	PPDispatchCompiled PPDispatch = iota
-	// PPDispatchInterp selects the reference switch interpreter.
+	// PPDispatchInterp selects the reference image.
 	PPDispatchInterp
 )
-
-func (d PPDispatch) String() string {
-	if d == PPDispatchInterp {
-		return "interp"
-	}
-	return "compiled"
-}
-
-// ParsePPDispatch parses a -pp-dispatch flag value.
-func ParsePPDispatch(s string) (PPDispatch, error) {
-	return parseEnum("pp-dispatch", s, PPDispatchCompiled, PPDispatchInterp)
-}
 
 // EngineKind selects the discrete-event engine backend. Both engines are
 // bit-identical in simulated behaviour; the choice only affects host-side
@@ -282,8 +271,9 @@ type Config struct {
 	MDCSize     int      // MAGIC data cache bytes (paper: 64 KB)
 	MDCWays     int      // MDC associativity (paper: 2)
 
-	// PPDispatch selects the host-side PP execution engine (simulation
-	// speed only; simulated results are bit-identical across engines).
+	// PPDispatch selects the image the PP run loop executes (simulation
+	// speed only; simulated results are bit-identical). The benchmark
+	// harness sets it to time the reference image; no flag does.
 	PPDispatch PPDispatch
 
 	// Engine selects the host-side discrete-event backend (simulation

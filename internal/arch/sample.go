@@ -2,6 +2,7 @@ package arch
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -106,6 +107,9 @@ func (s SampleSpec) DetailedCyclesThrough(e uint64) uint64 {
 func (s SampleSpec) Validate() error {
 	if s.Stride > 0 && s.Detail == 0 {
 		return fmt.Errorf("arch: SampleSpec with Stride %d needs a positive Detail window (pure fast-forward has no measurement windows to extrapolate from)", s.Stride)
+	}
+	if s.Stride > 0 && s.Detail > math.MaxUint64-s.Stride {
+		return fmt.Errorf("arch: SampleSpec period Detail %d + Stride %d overflows uint64", s.Detail, s.Stride)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -39,6 +40,7 @@ func TestParseSampleSpecErrors(t *testing.T) {
 		{"100/-5", "sample spec"},
 		{"/", "sample spec"},
 		{"0/900", "positive Detail"}, // Validate: stride without a window
+		{"1/18446744073709551615", "overflows uint64"},
 	} {
 		_, err := ParseSampleSpec(tc.in)
 		if err == nil {
@@ -151,4 +153,55 @@ func TestDetailedCyclesThroughBoundaries(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzParseSampleSpec feeds ParseSampleSpec arbitrary flag values. It must
+// never panic; every spec it accepts must survive String and reparse, and
+// on sampled specs PhaseAt must agree with Detailed and
+// DetailedCyclesThrough must count exactly the detailed cycles, around the
+// fuzzed cycle c and the schedule's first boundaries.
+func FuzzParseSampleSpec(f *testing.F) {
+	for _, s := range []string{"", "off", "default", "100/900", "100/900/50", "1/0/0", "0/900",
+		"1/18446744073709551615", "18446744073709551615/1/7", "9223372036854775808/9223372036854775807/3"} {
+		f.Add(s, uint64(12345))
+	}
+	f.Fuzz(func(t *testing.T, v string, c uint64) {
+		s, err := ParseSampleSpec(v)
+		if err != nil {
+			return
+		}
+		back, err := ParseSampleSpec(s.String())
+		if err != nil || back.String() != s.String() || s.Enabled() && back != s {
+			t.Fatalf("%q parsed to %+v, whose String %q reparses to %+v (%v)", v, s, s.String(), back, err)
+		}
+		if !s.Enabled() {
+			return
+		}
+		probes := []uint64{c, s.Warmup, s.Warmup + s.Stride, s.Warmup + s.Stride + s.Detail}
+		for _, p := range probes {
+			for _, x := range []uint64{p - 1, p, p + 1} {
+				det, end := s.PhaseAt(x)
+				if det != s.Detailed(x) {
+					t.Fatalf("%+v: PhaseAt(%d) detailed=%v, Detailed=%v", s, x, det, s.Detailed(x))
+				}
+				if end > x && s.Detailed(end-1) != det {
+					t.Fatalf("%+v: PhaseAt(%d) ends at %d, but cycle %d is in the other phase", s, x, end, end-1)
+				}
+				if x == math.MaxUint64 {
+					continue
+				}
+				inc := s.DetailedCyclesThrough(x+1) - s.DetailedCyclesThrough(x)
+				if want := b2u(s.Detailed(x)); inc != want {
+					t.Fatalf("%+v: DetailedCyclesThrough steps by %d at cycle %d, want %d", s, int64(inc), x, want)
+				}
+			}
+		}
+	})
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }

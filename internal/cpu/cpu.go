@@ -42,15 +42,13 @@ type Ref struct {
 // workload thread produces its next flush; it must never depend on another
 // simulated processor making progress except through simulated memory. The
 // returned slice is owned by the CPU until every element has been consumed
-// and the final blocking reference's ReadDone has fired. A batch may be
-// empty: a thread that parked on a Direct reference has nothing to hand
-// over until that reference retires.
+// and the final blocking reference's ReadDone has fired.
 type RefSource interface {
 	NextBatch() ([]Ref, bool)
 	// ReadDone is invoked after a read or RMW completes and its Out value
 	// is filled, releasing the workload thread. When the run loop calls it
-	// for a cache hit, the thread it resumes may execute its next
-	// references through Hit and Direct before ReadDone returns.
+	// for a cache hit, the thread it resumes may retire its next cache hits
+	// through Hit before ReadDone returns.
 	ReadDone()
 }
 
@@ -165,11 +163,11 @@ type CPU struct {
 	// run slice; both are only meaningful while run is on the stack. They
 	// are fields rather than run's locals because the workload thread
 	// advances them too: live is set while run is parked inside a cache
-	// hit's ReadDone (hitDone), and for that long the resumed thread executes
-	// its references itself through Hit and Direct — the same charge, the
-	// same limit test between references — instead of batching them back
-	// to the loop. These fields lead the struct with the rest of what every
-	// hit reads, so a hit touches few host cache lines.
+	// hit's ReadDone (hitDone), and for that long the resumed thread retires
+	// its cache hits itself through Hit — the same charge, the same limit
+	// test between references — and batches everything else back to the
+	// loop. These fields lead the struct with the rest of what every hit
+	// reads, so a hit touches few host cache lines.
 	vt, limit sim.Cycle
 	live      bool
 	sampling  bool
@@ -354,7 +352,7 @@ func (c *CPU) run(vt sim.Cycle) {
 // step executes one reference at the processor's virtual clock: charge its
 // busy instructions, then attempt it. It returns false if the processor
 // blocked, with the reference retained in c.pending. This is the whole
-// per-reference body of the run loop, and Direct runs exactly it.
+// per-reference body of the run loop; Hit is its hit branch.
 func (c *CPU) step(ref *Ref) bool {
 	c.vt += c.charge(ref.Kind, ref.Busy, ref.Sync)
 	if c.sampling {
@@ -364,14 +362,10 @@ func (c *CPU) step(ref *Ref) bool {
 }
 
 // sliceOver ends the run loop's turn after a retired reference. The thread
-// may have executed further references inside that reference's ReadDone, so
-// the state tested is the processor's, not the loop's: a direct reference
-// that blocked leaves the processor blocked (resume() restarts the loop),
-// and a spent slice reschedules the loop at the clock the thread reached.
+// may have retired further hits inside that reference's ReadDone, so the
+// clock tested is the processor's, not the loop's: a spent slice
+// reschedules the loop at the clock the thread reached.
 func (c *CPU) sliceOver() bool {
-	if c.blocked != blockNone {
-		return true
-	}
 	if c.vt >= c.limit {
 		c.eng.At(c.vt, c.rerun)
 		return true
@@ -379,46 +373,35 @@ func (c *CPU) sliceOver() bool {
 	return false
 }
 
-// Direct executes r on the calling workload thread's own stack when the
-// run loop is live — parked inside the ReadDone that resumed this thread —
-// and its slice is not spent. ok reports that r was executed (otherwise the
-// thread batches it for the loop, as it must whenever the loop is not on
-// the stack); blocked that the processor blocked on it, in which case the
-// thread parks by yielding an empty batch and is resumed once r retires.
-// Exactly the loop's step under exactly the loop's limit test, so the
-// processor cannot tell who drove it.
-func (c *CPU) Direct(r *Ref) (ok, blocked bool) {
-	if !c.live || c.vt >= c.limit {
-		return false, false
-	}
-	return true, !c.step(r)
-}
-
 // Hit is step for a reference that hits, taken as its fields instead of a
-// Ref: under Direct's gate, with no miss outstanding (so tryRef would find
-// no MSHR for the line) and no sampling (so step would note nothing), a
-// reference whose line state satisfies it retires through the loop's own
-// charge, hits and access, and Hit returns the value a read or RMW
-// observes. On false nothing has changed but the line's recency, which the
-// reference's own Lookup in tryRef sets identically; the caller goes on to
-// Direct or its batch.
+// Ref, on the calling workload thread's own stack. It runs only while the
+// run loop is live — parked inside the ReadDone that resumed this thread —
+// and its slice is not spent; otherwise, or when the line has a miss
+// outstanding or its state does not satisfy the reference, it refuses and
+// the thread batches the reference for the loop. A reference it takes
+// retires through exactly step's charge, noteRef and tryRef hit branch, so
+// the processor cannot tell who drove it; Hit returns the value a read or
+// RMW observes. On false nothing has changed but the line's recency, which
+// the reference's own Lookup in tryRef sets identically.
 func (c *CPU) Hit(kind arch.RefKind, op RMWOp, a arch.Addr, v uint64, busy uint32, sync bool) (uint64, bool) {
-	if !c.live || c.vt >= c.limit || c.inUse != 0 || c.sampling || !hits(kind, c.Cache.Lookup(a.Line())) {
+	if !c.live || c.vt >= c.limit {
+		return 0, false
+	}
+	line := a.Line()
+	if c.inUse != 0 && c.findMSHR(line) >= 0 || !hits(kind, c.Cache.Lookup(line)) {
 		return 0, false
 	}
 	c.vt += c.charge(kind, busy, sync)
+	if c.sampling {
+		c.noteRef(c.vt, sync)
+	}
 	return c.access(kind, op, a, v), true
 }
 
-// hitDone releases the thread behind a read or RMW that hit in the cache.
-// From the run loop it resumes the thread with the loop marked live; from
-// Direct the thread is the caller, and returning to it is the release.
-// Paused prefixes (pauseAfter armed) never go live: their pause points are
-// defined at batch boundaries.
+// hitDone releases the thread behind a read or RMW that hit in the cache,
+// resuming it with the loop marked live. Paused prefixes (pauseAfter armed)
+// never go live: their pause points are defined at batch boundaries.
 func (c *CPU) hitDone() {
-	if c.live {
-		return
-	}
 	c.live = c.pauseAfter == 0
 	c.src.ReadDone()
 	c.live = false
@@ -741,12 +724,7 @@ func (c *CPU) deliver(m arch.Msg, at sim.Cycle, ff bool) {
 			if v := c.access(r.Kind, r.RMW, r.Addr, r.WVal); r.Out != nil {
 				*r.Out = v
 			}
-			// A direct reference filled inside its own issue() (a
-			// synchronous fast-forward chain): its thread is the caller,
-			// and returning to it is the release.
-			if !c.live {
-				c.src.ReadDone()
-			}
+			c.src.ReadDone()
 			consumed = true
 		}
 	}
@@ -899,25 +877,36 @@ func (c *CPU) evict(line uint64, st LineState, at sim.Cycle, ff bool) {
 // handler path calls it mid-handler, so the protocol sees exactly the same
 // state transitions as the detailed path in zero time.
 func (c *CPU) InterveneFF(kind arch.MsgType, addr arch.Addr) arch.MsgType {
-	line := addr.Line()
+	_, resp := c.snoop(kind, addr.Line())
+	return resp
+}
+
+// snoop is the cache-state transition of a controller-initiated
+// transaction, shared by Intervene and InterveneFF. An invalidation racing
+// this node's outstanding read miss marks it invalidate-on-fill. Anything
+// but a Modified line (and any invalidation) answers clean: a downgrade
+// leaves the line as it was, the rest invalidate it. A Modified line
+// answers with its data and ends Invalid (flush) or Shared (downgrade).
+// prior is the line's state before the transition.
+func (c *CPU) snoop(kind arch.MsgType, line uint64) (prior LineState, resp arch.MsgType) {
 	if kind == arch.MsgPIInval {
 		if e := c.findMSHR(line); e >= 0 && c.mshrs[e].kind == arch.MsgGET {
 			c.mshrs[e].invalOnFill = true
 		}
 	}
-	st := c.Cache.Lookup(line)
-	if kind == arch.MsgPIInval || st != Modified {
+	prior = c.Cache.Lookup(line)
+	if kind == arch.MsgPIInval || prior != Modified {
 		if kind != arch.MsgPIDowngr {
 			c.Cache.SetState(line, Invalid)
 		}
-		return arch.MsgPCClean
+		return prior, arch.MsgPCClean
 	}
 	if kind == arch.MsgPIFlush {
 		c.Cache.SetState(line, Invalid)
 	} else {
 		c.Cache.SetState(line, Shared)
 	}
-	return arch.MsgPCData
+	return prior, arch.MsgPCData
 }
 
 // InterventionDone is Intervene's completion callback.
@@ -931,26 +920,17 @@ type InterventionDone func(req arch.Msg, resp arch.MsgType, firstData sim.Cycle)
 // the first double word is available; a nil done still costs the completion
 // event, so event counts do not depend on whether the controller listens.
 func (c *CPU) Intervene(kind arch.MsgType, addr arch.Addr, at sim.Cycle, req arch.Msg, done InterventionDone) {
-	line := addr.Line()
-	if kind == arch.MsgPIInval {
-		if e := c.findMSHR(line); e >= 0 && c.mshrs[e].kind == arch.MsgGET {
-			c.mshrs[e].invalOnFill = true
-		}
-	}
-	st := c.Cache.Lookup(line)
+	st, resp := c.snoop(kind, addr.Line())
 	if c.Tr.Active() {
 		c.Tr.Emit(trace.Event{
 			Cycle: uint64(c.eng.Now()), Node: int32(c.ID), Kind: trace.KindIntervene,
 			Addr: uint64(addr), Arg: uint64(st), Name: kind.String(),
 		})
 	}
-	if kind == arch.MsgPIInval || st != Modified {
+	if resp == arch.MsgPCClean {
 		// State-only transaction: 15 cycles to probe/invalidate.
 		_, end := c.Bus.Reserve(at, sim.Cycle(c.t.PCacheState))
-		if kind != arch.MsgPIDowngr {
-			c.Cache.SetState(line, Invalid)
-		}
-		c.complete(end, arch.MsgPCClean, req, done)
+		c.complete(end, resp, req, done)
 		return
 	}
 	// Retrieve dirty data: 20 cycles to the first double word, then the
@@ -958,13 +938,7 @@ func (c *CPU) Intervene(kind arch.MsgType, addr arch.Addr, at sim.Cycle, req arc
 	// while the rest of the line streams.
 	dur := sim.Cycle(c.t.PCacheData) + sim.Cycle(c.t.BusLineBusy)
 	start, _ := c.Bus.Reserve(at, dur)
-	first := start + sim.Cycle(c.t.PCacheData)
-	if kind == arch.MsgPIFlush {
-		c.Cache.SetState(line, Invalid)
-	} else {
-		c.Cache.SetState(line, Shared)
-	}
-	c.complete(first, arch.MsgPCData, req, done)
+	c.complete(start+sim.Cycle(c.t.PCacheData), resp, req, done)
 }
 
 // intervention is the completion event of one Intervene: a pooled record

@@ -10,11 +10,11 @@ import (
 	"flashsim/internal/sim"
 )
 
-// directThread is a workload thread reduced to its handshake with the
-// processor: the hit/issue/flush/park protocol of workload.Ctx and the
-// prepulled batch of its RefSource, run on the caller's stack in place of a
+// hitThread is a workload thread reduced to its handshake with the
+// processor: the hit/batch/flush protocol of workload.Ctx and the prepulled
+// batch of its RefSource, run on the caller's stack in place of a
 // coroutine. Being resumed means walking prog until the next yield.
-type directThread struct {
+type hitThread struct {
 	c     *CPU
 	prog  []Ref
 	pos   int
@@ -23,12 +23,12 @@ type directThread struct {
 	pending            []Ref
 	pendingOK, prepull bool
 
-	// Outcomes, for asserting the path taken: references retired by Hit,
-	// executed by Direct, parked on, and refused by both while live.
-	hit, direct, parked, refused int
+	// Outcomes, for asserting the path taken: references retired by Hit on
+	// the thread, and references Hit refused while the loop was live.
+	hit, refused int
 }
 
-func (t *directThread) resume() ([]Ref, bool) {
+func (t *hitThread) resume() ([]Ref, bool) {
 	t.batch = t.batch[:0]
 	for t.pos < len(t.prog) {
 		r := t.prog[t.pos]
@@ -38,14 +38,6 @@ func (t *directThread) resume() ([]Ref, bool) {
 				t.hit++
 				if r.Out != nil {
 					*r.Out = v
-				}
-				continue
-			}
-			if ok, blocked := t.c.Direct(&r); ok {
-				t.direct++
-				if blocked {
-					t.parked++
-					return nil, true
 				}
 				continue
 			}
@@ -61,7 +53,7 @@ func (t *directThread) resume() ([]Ref, bool) {
 	return t.batch, len(t.batch) > 0
 }
 
-func (t *directThread) NextBatch() ([]Ref, bool) {
+func (t *hitThread) NextBatch() ([]Ref, bool) {
 	if t.prepull {
 		t.prepull = false
 		return t.pending, t.pendingOK
@@ -69,7 +61,7 @@ func (t *directThread) NextBatch() ([]Ref, bool) {
 	return t.resume()
 }
 
-func (t *directThread) ReadDone() {
+func (t *hitThread) ReadDone() {
 	t.pending, t.pendingOK = t.resume()
 	t.prepull = true
 }
@@ -89,7 +81,7 @@ func (c *syncCtl) FromProcFF(m arch.Msg, at sim.Cycle) {
 	}
 }
 
-type directRun struct {
+type threadRun struct {
 	stats Stats
 	reqs  []arch.Msg
 	ats   []sim.Cycle
@@ -98,7 +90,7 @@ type directRun struct {
 	mem   []uint64
 }
 
-type directCase struct {
+type threadCase struct {
 	name   string
 	prog   func(out []uint64) []Ref
 	mshrs  int
@@ -107,12 +99,12 @@ type directCase struct {
 	// stream can produce).
 	plant func(c *CPU, eng *sim.Engine)
 
-	hit, direct, parked, refused int
+	hit, refused int
 }
 
-// run executes the case's program, through a directThread when threaded
+// run executes the case's program, through a hitThread when threaded
 // (returned for its outcome counts) and through the scripted source otherwise.
-func (tc *directCase) run(t *testing.T, threaded bool) (directRun, *directThread) {
+func (tc *threadCase) run(t *testing.T, threaded bool) (threadRun, *hitThread) {
 	t.Helper()
 	cfg := arch.DefaultConfig()
 	cfg.Nodes = 2
@@ -126,11 +118,11 @@ func (tc *directCase) run(t *testing.T, threaded bool) (directRun, *directThread
 	store := memsys.NewStore(cfg.MemBytesPerNode / 4)
 	c := New(0, eng, &cfg, ctl, memsys.NewView(store))
 	ctl.cpu = c
-	r := directRun{outs: make([]uint64, 8)}
+	r := threadRun{outs: make([]uint64, 8)}
 	prog := tc.prog(r.outs)
-	var th *directThread
+	var th *hitThread
 	if threaded {
-		th = &directThread{c: c, prog: prog}
+		th = &hitThread{c: c, prog: prog}
 		c.SetSource(th, nil)
 	} else {
 		c.SetSource(&scripted{refs: prog}, nil)
@@ -154,17 +146,18 @@ func (tc *directCase) run(t *testing.T, threaded bool) (directRun, *directThread
 }
 
 // TestDirectMatchesLoop drives the same reference program through a thread
-// that executes directly whenever the run loop is live — by Hit, else by
-// Direct — and through a scripted source that never can, and requires the
-// processor to be unable to tell: identical stats, identical requests at
-// identical bus times, identical data. Each case opens with a read miss and
-// a read hit of line A, which leave A Shared — the hit is what makes the
-// loop live — and then aims one edge of the direct path; the outcome counts
-// pin that the edge was reached.
+// that retires hits on its own stack (Hit) whenever the run loop is live and
+// batches everything else, and through a scripted source that never can,
+// and requires the processor to be unable to tell: identical stats,
+// identical requests at identical bus times, identical data. Each case opens
+// with a read miss and a read hit of line A, which leave A Shared — the hit
+// is what makes the loop live — and then aims one edge of the thread/loop
+// boundary; the outcome counts pin that the edge was reached.
 func TestDirectMatchesLoop(t *testing.T) {
 	const (
 		A = arch.Addr(0x1000)
 		B = arch.Addr(0x2000)
+		C = A + arch.LineSize
 	)
 	setSpan := arch.Addr(arch.DefaultConfig().CacheSize / arch.DefaultConfig().CacheWays)
 	live := func(out []uint64, rest ...Ref) []Ref {
@@ -173,11 +166,12 @@ func TestDirectMatchesLoop(t *testing.T) {
 			{Kind: arch.RefRead, Addr: A, Out: &out[1]},
 		}, rest...)
 	}
-	cases := []directCase{
+	cases := []threadCase{
 		{
-			// Two write misses fill both MSHRs; the third parks the thread
-			// until one frees, and being a write it retires inside the loop's
-			// retry with no ReadDone: the thread is resumed by the next pull.
+			// Hit refuses the first write miss, so the rest ride its batch.
+			// Two write misses fill both MSHRs; the third blocks the loop
+			// until one frees, and being a write it retires inside the
+			// loop's retry with no ReadDone.
 			name: "structural block, all MSHRs busy", mshrs: 2,
 			prog: func(out []uint64) []Ref {
 				return live(out,
@@ -186,7 +180,7 @@ func TestDirectMatchesLoop(t *testing.T) {
 					Ref{Kind: arch.RefWrite, Addr: B + 0x100, WVal: 3, Busy: 1},
 					Ref{Kind: arch.RefRead, Addr: B + 0x100, Out: &out[2], Busy: 1})
 			},
-			direct: 3, parked: 1,
+			refused: 1,
 		},
 		{
 			name: "structural block, set conflict",
@@ -196,12 +190,13 @@ func TestDirectMatchesLoop(t *testing.T) {
 					Ref{Kind: arch.RefRead, Addr: B + setSpan, Out: &out[2], Busy: 1},
 					Ref{Kind: arch.RefRead, Addr: B, Out: &out[3], Busy: 1})
 			},
-			direct: 2, parked: 1,
+			refused: 1,
 		},
 		{
 			// Reads block, so no reference stream leaves a read miss
 			// outstanding behind a running processor; the entry is planted.
-			// The write waits for the fill, then upgrades the Shared line.
+			// Hit refuses the write (its line has an MSHR); on the loop it
+			// waits for the fill, then upgrades the Shared line.
 			name: "write behind an outstanding read miss",
 			prog: func(out []uint64) []Ref {
 				return live(out,
@@ -212,11 +207,12 @@ func TestDirectMatchesLoop(t *testing.T) {
 				c.mshrs[c.allocMSHR()] = mshrEntry{valid: true, line: B.Line(), kind: arch.MsgGET}
 				eng.At(400, func() { c.Deliver(arch.Msg{Type: arch.MsgPUT, Addr: B}, eng.Now()) })
 			},
-			direct: 1, parked: 1,
+			refused: 1,
 		},
 		{
 			// The read waits on the write's GETX and is resumed unconsumed:
-			// the loop retries it, it hits, and the thread goes live again.
+			// the loop retries it, it hits, and the thread goes live again
+			// and retires the write to the now Modified line itself.
 			name: "read behind an outstanding GETX",
 			prog: func(out []uint64) []Ref {
 				return live(out,
@@ -224,12 +220,12 @@ func TestDirectMatchesLoop(t *testing.T) {
 					Ref{Kind: arch.RefRead, Addr: B, Out: &out[2], Busy: 1},
 					Ref{Kind: arch.RefWrite, Addr: B + 8, WVal: 10, Busy: 1})
 			},
-			hit: 1, direct: 2, parked: 1,
+			hit: 1, refused: 1,
 		},
 		{
-			// 64 instructions are the whole 16-cycle slice: the write retires
-			// at vt == limit, and the test between references must refuse the
-			// one behind it.
+			// 64 instructions are the whole 16-cycle slice: the upgrade
+			// retires on the loop at vt == limit, and the test between
+			// references must end the slice before the one behind it.
 			name: "reference lands exactly on the limit",
 			prog: func(out []uint64) []Ref {
 				return live(out,
@@ -237,7 +233,7 @@ func TestDirectMatchesLoop(t *testing.T) {
 					Ref{Kind: arch.RefWrite, Addr: A + 16, WVal: 2, Busy: 1},
 					Ref{Kind: arch.RefRead, Addr: A + 16, Out: &out[2], Busy: 1})
 			},
-			direct: 1, refused: 1,
+			refused: 1,
 		},
 		{
 			name: "reference lands one cycle short of the limit",
@@ -247,7 +243,7 @@ func TestDirectMatchesLoop(t *testing.T) {
 					Ref{Kind: arch.RefWrite, Addr: A + 16, WVal: 2, Busy: 4},
 					Ref{Kind: arch.RefRead, Addr: A + 16, Out: &out[2], Busy: 1})
 			},
-			direct: 2, refused: 1,
+			refused: 1,
 		},
 		{
 			name: "RMW hit",
@@ -268,7 +264,7 @@ func TestDirectMatchesLoop(t *testing.T) {
 			prog: func(out []uint64) []Ref {
 				return live(out, Ref{Kind: arch.RefWrite, Addr: A + 8, WVal: 1, Busy: 8})
 			},
-			direct: 1,
+			refused: 1,
 		},
 		{
 			// Once the write's GETX fills, A is Modified: every kind hits on
@@ -290,14 +286,14 @@ func TestDirectMatchesLoop(t *testing.T) {
 		},
 		{
 			// A is Shared: the write is no hit but an upgrade miss, and Hit
-			// leaves it to Direct. The read behind it waits for the GETX.
+			// leaves it to the loop. The read behind it waits for the GETX.
 			name: "write to a Shared line upgrades",
 			prog: func(out []uint64) []Ref {
 				return live(out,
 					Ref{Kind: arch.RefWrite, Addr: A + 8, WVal: 1, Busy: 1},
 					Ref{Kind: arch.RefRead, Addr: A + 8, Out: &out[2], Busy: 1})
 			},
-			direct: 2, parked: 1,
+			refused: 1,
 		},
 		{
 			// 60 instructions leave one cycle of the slice; the next hit
@@ -313,21 +309,38 @@ func TestDirectMatchesLoop(t *testing.T) {
 			hit: 2, refused: 1,
 		},
 		{
-			// The write miss stays outstanding, so the read of A — a hit —
-			// must take the general path, where tryRef checks the MSHRs.
+			// The loop issues B's GETX, then hits A+8 and goes live with
+			// the miss still outstanding: Hit takes the read of A+16 (its
+			// line has no MSHR) and refuses the read of B+8 (its line has).
 			name: "hit with a miss outstanding",
 			prog: func(out []uint64) []Ref {
 				return live(out,
 					Ref{Kind: arch.RefWrite, Addr: B, WVal: 1, Busy: 1},
 					Ref{Kind: arch.RefRead, Addr: A + 8, Out: &out[2], Busy: 1},
-					Ref{Kind: arch.RefRead, Addr: B + 8, Out: &out[3], Busy: 1})
+					Ref{Kind: arch.RefRead, Addr: A + 16, Out: &out[3], Busy: 1},
+					Ref{Kind: arch.RefRead, Addr: B + 8, Out: &out[4], Busy: 1})
 			},
-			direct: 3, parked: 1,
+			hit: 1, refused: 2,
 		},
 		{
-			// Fast-forward phase: the direct read's miss fills inside its own
-			// issue(), so deliver must release nobody — the thread is the
-			// caller — and the clock must catch up to the fill.
+			// The loop issues A's upgrade, then hits C and goes live with it
+			// outstanding: A is still Shared, so a read of it would hit the
+			// cache, but Hit must refuse it — on the loop it waits for the
+			// upgrade's fill.
+			name: "read of a line with its upgrade outstanding",
+			prog: func(out []uint64) []Ref {
+				return live(out,
+					Ref{Kind: arch.RefRead, Addr: C, Out: &out[2], Busy: 1},
+					Ref{Kind: arch.RefWrite, Addr: A + 8, WVal: 1, Busy: 1},
+					Ref{Kind: arch.RefRead, Addr: C + 8, Out: &out[3], Busy: 1},
+					Ref{Kind: arch.RefRead, Addr: A + 16, Out: &out[4], Busy: 1})
+			},
+			refused: 2,
+		},
+		{
+			// Fast-forward phase: the read's miss fills inside its own
+			// issue() on the loop's stack, so deliver releases the thread
+			// from inside tryRef and the clock must catch up to the fill.
 			name: "sampled: miss fills synchronously inside a direct read",
 			// Detailed for the first 40 cycles (the opening miss issues in
 			// them), functional ever after.
@@ -339,37 +352,36 @@ func TestDirectMatchesLoop(t *testing.T) {
 					Ref{Kind: arch.RefWrite, Addr: B + 0x100, WVal: 4, Busy: 1},
 					Ref{Kind: arch.RefRead, Addr: B + 0x100, Out: &out[4], Busy: 1})
 			},
-			direct: 4,
+			refused: 1,
 		},
 		{
-			// step notes every reference for the sampling estimator, so
-			// under sampling Hit refuses even a hit and Direct runs it.
+			// step notes every reference for the sampling estimator, and so
+			// does Hit: under sampling a hit still retires on the thread.
 			name:   "sampled: hits take the general path",
 			sample: arch.SampleSpec{Detail: 1, Stride: 1 << 40, Warmup: 40},
 			prog: func(out []uint64) []Ref {
 				return live(out, Ref{Kind: arch.RefRead, Addr: A + 8, Out: &out[2], Busy: 1})
 			},
-			direct: 1,
+			hit: 1,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			want, _ := tc.run(t, false)
 			got, th := tc.run(t, true)
-			if th.hit != tc.hit || th.direct != tc.direct || th.parked != tc.parked || th.refused != tc.refused {
-				t.Errorf("outcomes: %d hits, %d direct, %d parked, %d refused; want %d, %d, %d, %d",
-					th.hit, th.direct, th.parked, th.refused, tc.hit, tc.direct, tc.parked, tc.refused)
+			if th.hit != tc.hit || th.refused != tc.refused {
+				t.Errorf("outcomes: %d hits, %d refused; want %d, %d", th.hit, th.refused, tc.hit, tc.refused)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("direct run diverged from the loop:\n got %+v\nwant %+v", got, want)
+				t.Errorf("threaded run diverged from the loop:\n got %+v\nwant %+v", got, want)
 			}
 		})
 	}
 }
 
-// TestDirectRefusedOffTheLoop pins the two gates that keep Direct and Hit
-// exact: they run only while the loop is live, and never under an armed
-// snapshot pause.
+// TestDirectRefusedOffTheLoop pins the two gates that keep Hit exact: it
+// runs only while the loop is live, and never under an armed snapshot
+// pause.
 func TestDirectRefusedOffTheLoop(t *testing.T) {
 	var out [2]uint64
 	prog := []Ref{
@@ -384,11 +396,8 @@ func TestDirectRefusedOffTheLoop(t *testing.T) {
 	ctl := &echoCtl{eng: eng, latency: 50}
 	c := New(0, eng, &cfg, ctl, memsys.NewView(memsys.NewStore(cfg.MemBytesPerNode/4)))
 	ctl.cpu = c
-	th := &directThread{c: c, prog: prog}
+	th := &hitThread{c: c, prog: prog}
 	c.SetSource(th, nil)
-	if ok, _ := c.Direct(&prog[2]); ok {
-		t.Fatal("Direct executed a reference with no run loop on the stack")
-	}
 	c.Cache.Fill(arch.Addr(0x1000).Line(), Modified)
 	if _, ok := c.Hit(arch.RefWrite, 0, 0x1008, 1, 1, false); ok {
 		t.Fatal("Hit executed a reference with no run loop on the stack")
@@ -399,8 +408,8 @@ func TestDirectRefusedOffTheLoop(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if th.direct != 0 || th.hit != 0 || c.Stats.Refs != 3 {
-		t.Fatalf("pause armed: %d direct references and %d hits of %d, want 0 of 3", th.direct, th.hit, c.Stats.Refs)
+	if th.hit != 0 || c.Stats.Refs != 3 {
+		t.Fatalf("pause armed: %d hits of %d, want 0 of 3", th.hit, c.Stats.Refs)
 	}
 	for _, f := range []string{"vt=", "limit=", "live=false"} {
 		if s := c.DebugState(); !strings.Contains(s, f) {

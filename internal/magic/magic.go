@@ -350,12 +350,7 @@ func (m *Magic) tryDispatch() {
 
 	now := m.Eng.Now()
 	dispatch := now + sim.Cycle(m.T.InboxSelect) + sim.Cycle(m.T.JumpTable)
-	isHome := m.Cfg.HomeOf(msg.Addr) == m.ID
-	slot := &m.jt[b2i(viaNet)][b2i(isHome)][msg.Type]
-	if !slot.ok {
-		panic(fmt.Sprintf("magic%d: no handler for %s (viaNet=%v isHome=%v)", m.ID, msg.Type, viaNet, isHome))
-	}
-
+	slot := m.slot(msg, viaNet)
 	ctx := &m.hctx
 	*ctx = handlerCtx{msg: msg, entry: slot.entry, pc: slot.pc, agg: slot.agg, viaNet: viaNet, dispatched: dispatch}
 	if msg.Type.CarriesData() {
@@ -450,11 +445,7 @@ func (m *Magic) drainFF() {
 // resolve synchronously, so the PP can only return WaitPC transiently —
 // never BlockedSend — and the resume loop below is bounded.
 func (m *Magic) runHandlerFF(msg arch.Msg, viaNet bool, at sim.Cycle) {
-	isHome := m.Cfg.HomeOf(msg.Addr) == m.ID
-	slot := &m.jt[b2i(viaNet)][b2i(isHome)][msg.Type]
-	if !slot.ok {
-		panic(fmt.Sprintf("magic%d: no handler for %s (viaNet=%v isHome=%v)", m.ID, msg.Type, viaNet, isHome))
-	}
+	slot := m.slot(msg, viaNet)
 	dispatch := at + sim.Cycle(m.T.InboxSelect) + sim.Cycle(m.T.JumpTable)
 	ctx := &m.hctx
 	*ctx = handlerCtx{msg: msg, entry: slot.entry, pc: slot.pc, agg: slot.agg, viaNet: viaNet, ff: true, dispatched: dispatch, segStart: dispatch}
@@ -466,19 +457,8 @@ func (m *Magic) runHandlerFF(msg arch.Msg, viaNet bool, at sim.Cycle) {
 	m.Stats.Dispatches++
 	m.Stats.FFDispatches++
 
+	m.loadHeader(msg)
 	pp := m.PP
-	pp.InHeader(ppisa.HdrType, uint64(msg.Type))
-	pp.InHeader(ppisa.HdrAddr, uint64(msg.Addr))
-	pp.InHeader(ppisa.HdrSrc, uint64(msg.Src))
-	pp.InHeader(ppisa.HdrReq, uint64(msg.Req))
-	pp.InHeader(ppisa.HdrAux, uint64(msg.Aux))
-	pp.InHeader(ppisa.HdrSelf, uint64(m.ID))
-	if isHome {
-		pp.InHeader(ppisa.HdrDirOff, m.Prog.Layout.DirOffset(m.Cfg.LocalLine(msg.Addr)))
-	} else {
-		pp.InHeader(ppisa.HdrDirOff, uint64(m.Cfg.HomeOf(msg.Addr)))
-	}
-
 	st, _ := pp.StartAt(ctx.pc)
 	for i := 0; st != ppsim.StatusDone; i++ {
 		if i > 1<<16 {
@@ -504,23 +484,39 @@ func (m *Magic) startHandler() {
 		ctx.tid = m.Tr.NewID()
 	}
 
-	// Inbox header preprocessing.
-	pp := m.PP
-	pp.InHeader(ppisa.HdrType, uint64(ctx.msg.Type))
-	pp.InHeader(ppisa.HdrAddr, uint64(ctx.msg.Addr))
-	pp.InHeader(ppisa.HdrSrc, uint64(ctx.msg.Src))
-	pp.InHeader(ppisa.HdrReq, uint64(ctx.msg.Req))
-	pp.InHeader(ppisa.HdrAux, uint64(ctx.msg.Aux))
-	pp.InHeader(ppisa.HdrSelf, uint64(m.ID))
-	if m.Cfg.HomeOf(ctx.msg.Addr) == m.ID {
-		pp.InHeader(ppisa.HdrDirOff, m.Prog.Layout.DirOffset(m.Cfg.LocalLine(ctx.msg.Addr)))
-	} else {
-		pp.InHeader(ppisa.HdrDirOff, uint64(m.Cfg.HomeOf(ctx.msg.Addr)))
-	}
-
+	m.loadHeader(ctx.msg)
 	ctx.segStart = ctx.dispatched
-	st, cyc := pp.StartAt(ctx.pc)
+	st, cyc := m.PP.StartAt(ctx.pc)
 	m.handleStatus(st, cyc)
+}
+
+// slot is the jump-table lookup for msg, arriving from the network (viaNet)
+// or the processor; a combination with no handler is a protocol bug.
+func (m *Magic) slot(msg arch.Msg, viaNet bool) *jtSlot {
+	isHome := m.Cfg.HomeOf(msg.Addr) == m.ID
+	s := &m.jt[b2i(viaNet)][b2i(isHome)][msg.Type]
+	if !s.ok {
+		panic(fmt.Sprintf("magic%d: no handler for %s (viaNet=%v isHome=%v)", m.ID, msg.Type, viaNet, isHome))
+	}
+	return s
+}
+
+// loadHeader is the inbox's header preprocessing: it loads msg into the
+// PP's incoming header registers, with HdrDirOff the line's directory
+// offset at its home and the home's node id elsewhere.
+func (m *Magic) loadHeader(msg arch.Msg) {
+	pp := m.PP
+	pp.InHeader(ppisa.HdrType, uint64(msg.Type))
+	pp.InHeader(ppisa.HdrAddr, uint64(msg.Addr))
+	pp.InHeader(ppisa.HdrSrc, uint64(msg.Src))
+	pp.InHeader(ppisa.HdrReq, uint64(msg.Req))
+	pp.InHeader(ppisa.HdrAux, uint64(msg.Aux))
+	pp.InHeader(ppisa.HdrSelf, uint64(m.ID))
+	if home := m.Cfg.HomeOf(msg.Addr); home == m.ID {
+		pp.InHeader(ppisa.HdrDirOff, m.Prog.Layout.DirOffset(m.Cfg.LocalLine(msg.Addr)))
+	} else {
+		pp.InHeader(ppisa.HdrDirOff, uint64(home))
+	}
 }
 
 // handleStatus advances MAGIC state after a PP run segment.

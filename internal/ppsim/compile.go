@@ -9,13 +9,14 @@ import (
 	"flashsim/internal/ppisa"
 )
 
-// This file implements the compiled dispatch backend: at program load every
-// instruction pair is translated into a predecoded µop record — register
-// indices resolved, immediates widened and pre-masked, branch targets and
-// JAL link values pre-bound, per-pair statistics deltas folded to constants
-// — executed by per-opcode closures in a threaded-code loop. The reference
-// interpreter (pp.go) re-decodes each pair through its eval switch on every
-// execution; the compiled loop pays decode cost exactly once per program.
+// This file implements the PP's one run loop and the images it executes. At
+// program load every instruction pair is translated into a predecoded µop
+// record — register indices resolved, immediates widened and pre-masked,
+// branch targets and JAL link values pre-bound, per-pair statistics deltas
+// folded to constants — executed by per-opcode closures, so decode is paid
+// once per program. A fallback pair instead runs through the reference eval
+// switch (pp.go), re-decoded on every execution; the interpreter image is
+// all fallback pairs, so both images share everything but slot evaluation.
 //
 // Equivalence argument: pair semantics evaluate both slots against pre-pair
 // register state and commit writes afterwards. The scheduler guarantees no
@@ -25,16 +26,17 @@ import (
 // conflict commits B's value under either order. compile therefore executes
 // slots sequentially with direct register writes, and falls back to the
 // reference eval for any (hand-built) pair where ppisa.RAWHazard holds, so
-// the two backends are bit-identical on every input program, not just
+// the two images are bit-identical on every input program, not just
 // scheduler output.
 
-// Backend selects the PP execution engine.
+// Backend selects the image the PP's run loop executes.
 type Backend uint8
 
 const (
 	// BackendCompiled executes the predecoded closure image (the default).
 	BackendCompiled Backend = iota
-	// BackendInterp executes the reference switch interpreter.
+	// BackendInterp executes the reference image: every pair a fallback
+	// pair, evaluated through the eval switch.
 	BackendInterp
 )
 
@@ -65,27 +67,32 @@ type cpair struct {
 	// Static Table 5.2 statistics for the pair, folded at compile time.
 	instrs, aluBr, special uint64
 
-	// fallback routes a pair the threaded loop cannot express exactly —
-	// an intra-pair RAW hazard, or two action-producing slots (the
-	// interpreter lets slot A's handled action suppress slot B's) —
-	// through the reference eval. Both are impossible in scheduler output
-	// (pairable rejects them); the fallback exists so hand-built programs
-	// stay bit-identical too. Such pairs carry zero static statistics:
-	// eval counts them itself.
+	// fallback routes a pair through the reference eval (evalPair): every
+	// pair of the interpreter image, and in the compiled image a pair the
+	// closures cannot express exactly — an intra-pair RAW hazard, or two
+	// action-producing slots (slot A's action suppresses slot B's). Both
+	// are impossible in scheduler output (pairable rejects them); the
+	// fallback exists so hand-built programs stay bit-identical too. Such
+	// pairs carry zero static statistics: eval counts them itself.
 	fallback *ppisa.Pair
 }
 
-// compileCache shares closure images between PPs built from the same
-// Program: protocol.Build hands every machine with the same protocol,
-// PP mode and memory layout one shared Program, so a whole sweep compiles
-// each protocol once. Keyed by Program identity — the map entry keeps its
-// key alive, so a cached image can never alias a recycled pointer. Bounded
-// for callers that assemble programs of their own (tests, ppasm), whose
-// images must not accumulate.
+// compileCache shares images between PPs built from the same Program and
+// backend: protocol.Build hands every machine with the same protocol, PP
+// mode and memory layout one shared Program, so a whole sweep compiles each
+// protocol once. Keyed by Program identity — the map entry keeps its key
+// alive, so a cached image can never alias a recycled pointer. Bounded for
+// callers that assemble programs of their own (tests, ppasm), whose images
+// must not accumulate.
 var compileCache = struct {
 	sync.Mutex
-	m map[*ppisa.Program][]cpair
-}{m: map[*ppisa.Program][]cpair{}}
+	m map[imageKey][]cpair
+}{m: map[imageKey][]cpair{}}
+
+type imageKey struct {
+	prog *ppisa.Program
+	b    Backend
+}
 
 // Compile-cache traffic counters, process-wide like the cache itself;
 // exported to the metrics registry via CompileCacheStats.
@@ -97,20 +104,21 @@ func CompileCacheStats() (hits, misses, evictions uint64) {
 	return cacheHits.Load(), cacheMisses.Load(), cacheEvictions.Load()
 }
 
-// compiledImage returns the (shared, immutable at run time) closure image
-// for prog, compiling on first sight.
-func compiledImage(prog *ppisa.Program) []cpair {
+// image returns the (shared, immutable at run time) image of prog for
+// backend b, compiling on first sight.
+func image(prog *ppisa.Program, b Backend) []cpair {
 	cc := &compileCache
+	k := imageKey{prog, b}
 	cc.Lock()
-	code, ok := cc.m[prog]
+	code, ok := cc.m[k]
 	if !ok {
 		cacheMisses.Add(1)
-		code = compile(prog)
+		code = compile(prog, b == BackendInterp)
 		if len(cc.m) >= 64 {
 			cacheEvictions.Add(uint64(len(cc.m)))
 			clear(cc.m)
 		}
-		cc.m[prog] = code
+		cc.m[k] = code
 	} else {
 		cacheHits.Add(1)
 	}
@@ -118,13 +126,14 @@ func compiledImage(prog *ppisa.Program) []cpair {
 	return code
 }
 
-// compile predecodes a scheduled program into its closure image.
-func compile(prog *ppisa.Program) []cpair {
+// compile predecodes a scheduled program into its image; interp makes
+// every pair a fallback pair.
+func compile(prog *ppisa.Program, interp bool) []cpair {
 	code := make([]cpair, len(prog.Pairs))
 	for i := range prog.Pairs {
 		pr := &prog.Pairs[i]
 		c := &code[i]
-		if ppisa.RAWHazard(&pr.A, &pr.B) ||
+		if interp || ppisa.RAWHazard(&pr.A, &pr.B) ||
 			(ppisa.SideEffect(pr.A.Op) && ppisa.SideEffect(pr.B.Op)) {
 			c.fallback = pr
 			continue
@@ -141,9 +150,11 @@ func compile(prog *ppisa.Program) []cpair {
 	return code
 }
 
-// runCompiled is the threaded-code loop: no per-pair opcode switch, no
-// entry-name lookups, no per-instruction classification.
-func (p *PP) runCompiled() (Status, uint64) {
+// run is the PP's one run loop: it executes pairs until the handler blocks
+// or completes. A closure pair runs its slots in place; a fallback pair
+// runs through evalPair. No per-pair opcode switch, no entry-name lookups,
+// no per-instruction classification outside the fallback.
+func (p *PP) run() (Status, uint64) {
 	p.segCycles = 0
 	code := p.code
 	for {
@@ -158,22 +169,18 @@ func (p *PP) runCompiled() (Status, uint64) {
 		p.Stats.ALUOrBranch += c.aluBr
 		p.Stats.Special += c.special
 
-		if c.fallback != nil {
-			st, done := p.runFallbackPair(c.fallback)
-			if done {
-				return st, p.segCycles
-			}
-			continue
-		}
-
 		p.nextPC = p.pc + 1
 		var act action
-		if c.a != nil {
-			act = c.a(p)
-		}
-		if c.b != nil {
-			if ab := c.b(p); act == actNone {
-				act = ab
+		if c.fallback != nil {
+			act = p.evalPair(c.fallback)
+		} else {
+			if c.a != nil {
+				act = c.a(p)
+			}
+			if c.b != nil {
+				if ab := c.b(p); act == actNone {
+					act = ab
+				}
 			}
 		}
 		switch act {
@@ -195,33 +202,6 @@ func (p *PP) runCompiled() (Status, uint64) {
 		}
 		p.pc = p.nextPC
 	}
-}
-
-// runFallbackPair executes one hazard pair through the reference eval with
-// deferred commits, mirroring the interpreter's inner loop body. It reports
-// the segment status and whether the segment ended.
-func (p *PP) runFallbackPair(pair *ppisa.Pair) (Status, bool) {
-	var wrA, wrB regWrite
-	actA := p.eval(&pair.A, &wrA)
-	actB := p.eval(&pair.B, &wrB)
-	wrA.commit(&p.regs)
-	wrB.commit(&p.regs)
-
-	next := p.pc + 1
-	st, handled := p.apply(actA, &pair.A, &next)
-	if !handled {
-		st, handled = p.apply(actB, &pair.B, &next)
-	}
-	if handled {
-		if st == StatusDone {
-			p.running = false
-		}
-		if st != statusContinue {
-			return st, true
-		}
-	}
-	p.pc = next
-	return statusContinue, false
 }
 
 // compileSlot predecodes one slot into its closure. It returns nil for NOP

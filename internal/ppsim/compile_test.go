@@ -1,11 +1,13 @@
 package ppsim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"flashsim/internal/arch"
 	"flashsim/internal/ppisa"
+	"flashsim/internal/protocol"
 )
 
 func TestMaskEdgeWidths(t *testing.T) {
@@ -192,6 +194,54 @@ func TestHazardPairFallback(t *testing.T) {
 	if len(envs[0].sends) != len(envs[1].sends) {
 		t.Fatalf("backends disagree on suppressed send: interp %d, compiled %d",
 			len(envs[0].sends), len(envs[1].sends))
+	}
+}
+
+// TestInterpImageIsReference pins what the interpreter backend is: the
+// run loop over an image in which every pair of a real protocol program is
+// a fallback pair with zero static statistics (eval counts them), and a
+// hand-built pair with a SEND in slot A and a branch in slot B — slot A's
+// action wins, so the send goes out and the branch is dropped — behaves
+// the same on both images.
+func TestInterpImageIsReference(t *testing.T) {
+	cfg := arch.DefaultConfig()
+	prog, err := protocol.Build(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code := image(prog.Code, BackendInterp)
+	if len(code) != len(prog.Code.Pairs) {
+		t.Fatalf("interp image has %d pairs, program %d", len(code), len(prog.Code.Pairs))
+	}
+	for i := range code {
+		c := &code[i]
+		if c.fallback != &prog.Code.Pairs[i] || c.a != nil || c.b != nil || c.instrs|c.aluBr|c.special != 0 {
+			t.Fatalf("pair %d of the interp image is not a bare fallback pair", i)
+		}
+	}
+
+	sendBranch := pairProg(
+		ppisa.Pair{
+			A: ppisa.Instr{Op: ppisa.SEND, Imm: ppisa.SendNet},
+			B: ppisa.Instr{Op: ppisa.J, Target: 2},
+		},
+		single(ppisa.Instr{Op: ppisa.ADDI, Rd: 1, Imm: 5}),
+		single(ppisa.Instr{Op: ppisa.DONE}),
+	)
+	var envs [2]*mockEnv
+	var pps [2]*PP
+	for i, b := range [2]Backend{BackendInterp, BackendCompiled} {
+		envs[i] = &mockEnv{}
+		pps[i] = NewBackend(sendBranch, 4096, NewMDC(4096, 2), envs[i], b)
+		if st, _ := pps[i].Start("h"); st != StatusDone {
+			t.Fatalf("%v: status %v", b, st)
+		}
+		if len(envs[i].sends) != 1 || pps[i].Reg(1) != 5 {
+			t.Fatalf("%v: %d sends, r1=%d; want the send and the fall-through pair (1, 5)", b, len(envs[i].sends), pps[i].Reg(1))
+		}
+	}
+	if pps[0].Stats != pps[1].Stats || !reflect.DeepEqual(envs[0].sends, envs[1].sends) {
+		t.Fatalf("images disagree: stats %+v vs %+v", pps[0].Stats, pps[1].Stats)
 	}
 }
 

@@ -97,8 +97,8 @@ type PP struct {
 
 	Stats Stats
 
-	// backend selects the execution engine; code is the predecoded image
-	// when backend is BackendCompiled (see compile.go).
+	// backend selects the image the run loop executes; code is that image
+	// (see compile.go).
 	backend Backend
 	code    []cpair
 
@@ -107,7 +107,7 @@ type PP struct {
 	// Execution state of the in-flight handler.
 	regs    [32]uint64
 	pc      int
-	nextPC  int // successor pair chosen by the compiled loop's current pair
+	nextPC  int // successor pair chosen by the run loop's current pair
 	running bool
 
 	inHdr  [ppisa.NumHdrFields]uint64
@@ -138,18 +138,15 @@ func New(prog *ppisa.Program, memBytes int, mdc *MDC, env Env) *PP {
 	return NewBackend(prog, memBytes, mdc, env, BackendCompiled)
 }
 
-// NewBackend is New with an explicit execution backend. For BackendCompiled
-// the program is predecoded into the closure image executed by the
-// threaded-code loop — once per Program, shared by every PP built from it.
+// NewBackend is New with an explicit backend: the program is predecoded
+// into that backend's image — once per Program, shared by every PP built
+// from it.
 func NewBackend(prog *ppisa.Program, memBytes int, mdc *MDC, env Env, b Backend) *PP {
-	p := &PP{Prog: prog, Mem: memsys.NewStore(memBytes / 8), memWords: uint64(memBytes / 8), MDC: mdc, Env: env, backend: b}
-	if b == BackendCompiled {
-		p.code = compiledImage(prog)
-	}
-	return p
+	return &PP{Prog: prog, Mem: memsys.NewStore(memBytes / 8), memWords: uint64(memBytes / 8), MDC: mdc, Env: env,
+		backend: b, code: image(prog, b)}
 }
 
-// Backend reports which execution engine this PP uses.
+// Backend reports which image this PP's run loop executes.
 func (p *PP) Backend() Backend { return p.backend }
 
 // InHeader sets incoming-message header field f (visible to MFH).
@@ -286,59 +283,6 @@ func (p *PP) Resume() (Status, uint64) {
 // Running reports whether a handler is in flight (blocked or mid-Resume).
 func (p *PP) Running() bool { return p.running }
 
-// run executes until the handler blocks or completes, via the selected
-// backend. Both backends produce bit-identical registers, protocol memory,
-// statistics, statuses, and cycle counts (enforced by the differential
-// torture test and the exp golden-digest regression).
-func (p *PP) run() (Status, uint64) {
-	if p.backend == BackendCompiled {
-		return p.runCompiled()
-	}
-	return p.runInterp()
-}
-
-// runInterp is the reference backend: it re-decodes each pair through the
-// eval switch on every execution.
-func (p *PP) runInterp() (Status, uint64) {
-	p.segCycles = 0
-	for {
-		if p.stepBudget <= 0 {
-			panic("ppsim: handler exceeded pair budget (protocol livelock?)")
-		}
-		p.stepBudget--
-		pair := &p.Prog.Pairs[p.pc]
-		p.segCycles++
-		p.Stats.Pairs++
-
-		// Both slots read pre-pair register state. Evaluate A then B against
-		// the same snapshot, then commit. The scheduler guarantees no
-		// intra-pair hazards, so evaluating against live registers with
-		// deferred writes is equivalent.
-		var wrA, wrB regWrite
-		actA := p.eval(&pair.A, &wrA)
-		actB := p.eval(&pair.B, &wrB)
-		wrA.commit(&p.regs)
-		wrB.commit(&p.regs)
-
-		next := p.pc + 1
-		st, handled := p.apply(actA, &pair.A, &next)
-		if !handled {
-			st, handled = p.apply(actB, &pair.B, &next)
-		}
-		if handled {
-			if st == StatusDone {
-				p.running = false
-			}
-			if st != statusContinue {
-				return st, p.segCycles
-			}
-		}
-		p.pc = next
-	}
-}
-
-const statusContinue Status = 0xFF
-
 // action describes a side effect computed by eval that must take place
 // after the pair commits.
 type action uint8
@@ -363,33 +307,29 @@ func (w *regWrite) commit(regs *[32]uint64) {
 	}
 }
 
-// apply performs post-commit control actions. It reports (status, true) if
-// the instruction produced one.
-func (p *PP) apply(a action, in *ppisa.Instr, next *int) (Status, bool) {
-	switch a {
-	case actBranch:
-		*next = in.Target
-		return statusContinue, true
-	case actBranchDyn:
-		*next = p.jrTarget
-		return statusContinue, true
-	case actSend:
-		if !p.Env.TrySend(p.outHdr, p.segCycles) {
-			p.pendingSend = p.outHdr
-			p.hasPending = true
-			// Re-execution resumes at the *next* pair: the send itself
-			// completes when Resume retries it.
-			p.pc = *next
-			return StatusBlockedSend, true
-		}
-		return statusContinue, true
-	case actWaitPC:
-		p.pc = *next
-		return StatusWaitPC, true
-	case actDone:
-		return StatusDone, true
+// evalPair executes one fallback pair through the reference eval: both
+// slots read pre-pair register state, so they evaluate against the same
+// snapshot and commit afterwards (the scheduler guarantees no intra-pair
+// hazards, so live registers with deferred writes are equivalent). Slot A's
+// action takes precedence over slot B's; a branch redirects p.nextPC and
+// any other action returns to the run loop.
+func (p *PP) evalPair(pair *ppisa.Pair) action {
+	var wrA, wrB regWrite
+	act, in := p.eval(&pair.A, &wrA), &pair.A
+	if actB := p.eval(&pair.B, &wrB); act == actNone {
+		act, in = actB, &pair.B
 	}
-	return statusContinue, false
+	wrA.commit(&p.regs)
+	wrB.commit(&p.regs)
+	switch act {
+	case actBranch:
+		p.nextPC = in.Target
+	case actBranchDyn:
+		p.nextPC = p.jrTarget
+	default:
+		return act
+	}
+	return actNone
 }
 
 // eval computes one slot. Register writes are returned via wr; control and

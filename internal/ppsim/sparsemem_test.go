@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"flashsim/internal/arch"
+	"flashsim/internal/ppisa"
 	"flashsim/internal/protocol"
 )
 
@@ -62,7 +63,7 @@ func (r *sparseRig) pristine(i uint64) uint64 {
 }
 
 func (r *sparseRig) newModel(id arch.NodeID) *memModel {
-	pp := NewBackend(nil, int(r.lay.MemBytes), nil, nil, BackendInterp)
+	pp := NewBackend(&ppisa.Program{}, int(r.lay.MemBytes), nil, nil, BackendInterp)
 	r.lay.InitMemory(pp.Mem, id, r.cfg.NodeBase(id), r.cfg.Nodes)
 	return &memModel{pp: pp, dense: r.denseInit(id)}
 }

@@ -11,30 +11,21 @@ import (
 
 // tape is a thread that keeps a copy of every reference it issues, exactly
 // as issued (busy instructions included), so the stream can be replayed
-// without the thread. It goes through Ctx.wait and Ctx.issue like every
-// public operation does, so whether a reference executes directly or rides
-// a batch is decided by the code under test, not by the test.
+// without the thread. It goes through Ctx.ref like every public operation
+// does, so whether a reference retires on the thread (cpu.Hit) or rides a
+// batch to the loop is decided by the code under test, not by the test.
 type tape struct {
 	c    *Ctx
 	refs []cpu.Ref
 }
 
-func (t *tape) log(r cpu.Ref) {
-	r.Busy = t.c.busy + 1
-	r.Out = nil
-	t.refs = append(t.refs, r)
-}
-
 func (t *tape) wait(r cpu.Ref) uint64 {
-	t.log(r)
-	r.Out = &t.c.out
-	return t.c.wait(r)
+	r.Busy = t.c.busy + 1
+	t.refs = append(t.refs, r)
+	return t.c.ref(r.Kind, r.RMW, r.Addr, r.WVal, r.Sync)
 }
 
-func (t *tape) issue(r cpu.Ref) {
-	t.log(r)
-	t.c.issue(r)
-}
+func (t *tape) issue(r cpu.Ref) { t.wait(r) }
 
 // tapeMix is a seeded thread body over every reference kind: data reads,
 // writes and fetch-adds on a shared array larger than the cache (evictions,
@@ -99,14 +90,14 @@ func outcomeOf(t *testing.T, m *core.Machine) machineOutcome {
 	return o
 }
 
-// TestDirectMatchesScriptedReplay is the differential test of direct
-// reference execution. Threads run the seeded mix on a machine (executing
-// directly whenever their processor's loop is live) and tape what they
-// issue; the tapes are then replayed on a fresh machine through
-// core.ScriptSource, which has no thread and so can only take the batch
-// path. Every per-processor counter and stall total, the elapsed time and
-// the executed-event count must be identical.
-func TestDirectMatchesScriptedReplay(t *testing.T) {
+// TestThreadMatchesScriptedReplay is the differential test of thread-side
+// hits. Threads run the seeded mix on a machine (retiring hits on their own
+// stack whenever their processor's loop is live) and tape what they issue;
+// the tapes are then replayed on a fresh machine through core.ScriptSource,
+// which has no thread and so runs every reference on the loop. Every
+// per-processor counter and stall total, the elapsed time and the
+// executed-event count must be identical.
+func TestThreadMatchesScriptedReplay(t *testing.T) {
 	for _, kind := range []arch.MachineKind{arch.KindFLASH, arch.KindIdeal} {
 		t.Run(kind.String(), func(t *testing.T) {
 			cfg := tortureConfig(kind)

@@ -46,7 +46,8 @@ func (p publicOps) rmw(op cpu.RMWOp, a arch.Addr, v uint64, sync bool) uint64 {
 }
 
 // refOnlyOps builds every reference as a cpu.Ref and hands it to Ctx.wait
-// or Ctx.issue, which go to CPU.Direct or the batch and never try cpu.Hit.
+// or Ctx.issue, which batch it for the processor's loop and never try
+// cpu.Hit.
 type refOnlyOps struct{ c *Ctx }
 
 func (p refOnlyOps) read(a arch.Addr, sync bool) uint64 {
@@ -100,12 +101,12 @@ func hitMix(c *Ctx, o refOps, nodes int, shared *Array, lock, total, arrivals, s
 	}
 }
 
-// TestHitMatchesDirect: threads running the same seeded program, once
+// TestThreadHitsMatchLoop: threads running the same seeded program, once
 // through the public operations (thread-side hits) and once through
-// Ctx.wait/issue alone, must leave identical machines — every processor
-// counter and stall total, the elapsed time, the executed-event count and
-// the shared array's data.
-func TestHitMatchesDirect(t *testing.T) {
+// Ctx.wait/issue alone (every reference on the loop), must leave identical
+// machines — every processor counter and stall total, the elapsed time, the
+// executed-event count and the shared array's data.
+func TestThreadHitsMatchLoop(t *testing.T) {
 	for _, kind := range []arch.MachineKind{arch.KindFLASH, arch.KindIdeal} {
 		t.Run(kind.String(), func(t *testing.T) {
 			cfg := tortureConfig(kind)

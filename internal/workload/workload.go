@@ -224,7 +224,7 @@ type Ctx struct {
 
 	yield  func([]cpu.Ref) bool // hands a batch to the CPU, parks until resumed
 	batch  []cpu.Ref            // references issued but not yet handed to the CPU
-	cpu    *cpu.CPU             // the thread's processor, for direct execution
+	cpu    *cpu.CPU             // the thread's processor, for thread-side hits
 	out    uint64
 	busy   uint32
 	senses map[*Barrier]uint64
@@ -240,26 +240,13 @@ const maxBatch = 256
 // reference (4 instructions per system cycle).
 func (c *Ctx) Busy(n int) { c.busy += uint32(n) }
 
-// issue hands the thread's next reference to its processor. While the
-// processor's run loop is live (parked in the cache hit that resumed this
-// thread) the reference executes right here, on the thread's stack, with no
-// coroutine switch; if the processor blocks on it the thread parks with an
-// empty batch and is resumed when the reference retires. Otherwise — the
-// loop's slice is spent, or the loop is not on the stack at all — the
-// reference joins the pending batch, which crosses the workload⇄cpu
-// boundary once, at the next blocking reference (or at capacity/exit).
-// Once anything is batched everything behind it is too: program order.
+// issue appends the thread's next reference to the pending batch, which
+// crosses the workload⇄cpu boundary once, at the next blocking reference
+// (or at capacity/exit), and runs on the processor's own loop. Once anything
+// is batched everything behind it is too: program order.
 func (c *Ctx) issue(r cpu.Ref) {
 	r.Busy = c.busy + 1 // every reference is at least one instruction
 	c.busy = 0
-	if len(c.batch) == 0 {
-		if ok, blocked := c.cpu.Direct(&r); ok {
-			if blocked {
-				c.yield(nil)
-			}
-			return
-		}
-	}
 	c.batch = append(c.batch, r)
 	if len(c.batch) >= maxBatch {
 		c.flush()
@@ -277,9 +264,9 @@ func (c *Ctx) flush() {
 }
 
 // wait issues a blocking reference (a read or RMW, r.Out = &c.out) and
-// returns the value the simulated machine completed it with: either r
-// executed directly, or it rides at the end of the pending batch and the
-// CPU resumes the coroutine only after r's done handshake fires.
+// returns the value the simulated machine completed it with: r rides at the
+// end of the pending batch and the CPU resumes the coroutine only after r's
+// done handshake fires.
 func (c *Ctx) wait(r cpu.Ref) uint64 {
 	c.issue(r)
 	if len(c.batch) > 0 {
@@ -292,7 +279,8 @@ func (c *Ctx) wait(r cpu.Ref) uint64 {
 // A cache hit the processor can retire right now runs as one call on the
 // thread's stack (cpu.Hit), with no Ref built; only an empty batch may try
 // it, since a batched reference ahead has not executed yet. Anything else
-// goes through issue, blocking reads and RMWs until they complete.
+// is batched for the processor's loop, blocking reads and RMWs until they
+// complete.
 func (c *Ctx) ref(kind arch.RefKind, op cpu.RMWOp, a arch.Addr, v uint64, sync bool) uint64 {
 	if len(c.batch) == 0 {
 		if old, ok := c.cpu.Hit(kind, op, a, v, c.busy+1, sync); ok {
@@ -352,8 +340,7 @@ func (c *Ctx) Rand() uint64 {
 // the thread until its next yield, by direct coroutine switch — no
 // scheduler round trip, no cross-processor wakeup. ReadDone (the completion
 // of a blocking reference) resumes the thread immediately; the batch it
-// yields — empty if it parked on a direct reference that blocked — is held
-// pending for the NextBatch call that follows.
+// yields is held pending for the NextBatch call that follows.
 type threadSource struct {
 	next       func() ([]cpu.Ref, bool)
 	pending    []cpu.Ref
