@@ -16,18 +16,20 @@ build:
 # (message events cross shards without a lock of their own), machines
 # sharing one memoized protocol program and the sampling suite; over the
 # sharded engine's own differential tests; over the metrics registry; and
-# three bounded fuzzes: the calendar event queue against a sorted-slice
+# four bounded fuzzes: the calendar event queue against a sorted-slice
 # reference, the PP assembler (no input panics it; every program it accepts
-# schedules in each mode without losing an instruction), and the -sample
+# schedules in each mode without losing an instruction), the -sample
 # parser (no input panics it; every spec it accepts round-trips through
-# String and keeps its phase arithmetic consistent).
+# String and keeps its phase arithmetic consistent), and the explore result
+# cache's entries (no bytes panic Get; bytes that are not an entry for the
+# key miss; a report Get accepts keeps its digest through Put and Get).
 verify:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
 	! grep -rnE 'os\.(Getenv|Setenv|LookupEnv)' cmd internal --include='*.go' --exclude='*_test.go' && test -z "$$(gofmt -l cmd internal bench examples)"
 	$(GO) test -race ./internal/exp -run 'Parallel|GoldenDigest|SharedProgram|Sampled'
 	$(GO) test -race ./internal/sim -run 'Sharded|Watermark'
 	$(GO) test -race ./internal/metrics
-	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzQueueOrder -fuzztime 10s && $(GO) test ./internal/ppisa -run '^$$' -fuzz FuzzAssemble -fuzztime 10s && $(GO) test ./internal/arch -run '^$$' -fuzz FuzzParseSampleSpec -fuzztime 10s
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzQueueOrder -fuzztime 10s && $(GO) test ./internal/ppisa -run '^$$' -fuzz FuzzAssemble -fuzztime 10s && $(GO) test ./internal/arch -run '^$$' -fuzz FuzzParseSampleSpec -fuzztime 10s && $(GO) test ./internal/exp -run '^$$' -fuzz FuzzResultCacheEntry -fuzztime 10s
 
 test:
 	$(GO) test ./...

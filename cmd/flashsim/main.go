@@ -116,13 +116,22 @@ func run() (runErr error) {
 	default:
 		return fmt.Errorf("unknown placement %q", *placement)
 	}
-	var bad [6]error
+	var bad [9]error
 	cfg.Engine, bad[0] = arch.ParseEngineKind(*engine)
 	cfg.EngineSync, bad[1] = arch.ParseEngineSync(*engineSync)
 	cfg.NetModel, bad[2] = arch.ParseNetModel(*netModel)
 	cfg.Sample, bad[3] = arch.ParseSampleSpec(*sample)
 	cfg.Protocol, bad[4] = arch.ParseProtocol(*proto)
 	cfg.PPMode, bad[5] = arch.ParsePPMode(*ppmode)
+	if *scale < 1 {
+		bad[6] = fmt.Errorf("-scale %d: must be at least 1", *scale)
+	}
+	if *mdc < 0 {
+		bad[7] = fmt.Errorf("-mdc %d: must not be negative", *mdc)
+	}
+	if *traceFormat != "jsonl" && *traceFormat != "chrome" {
+		bad[8] = fmt.Errorf("-trace-format %q: want jsonl or chrome", *traceFormat)
+	}
 	if err := errors.Join(bad[:]...); err != nil {
 		return err
 	}
@@ -156,15 +165,9 @@ func run() (runErr error) {
 		if err != nil {
 			return err
 		}
-		var sink trace.Sink
-		switch *traceFormat {
-		case "jsonl":
-			sink = trace.NewJSONLSink(f)
-		case "chrome":
+		var sink trace.Sink = trace.NewJSONLSink(f)
+		if *traceFormat == "chrome" {
 			sink = trace.NewChromeSink(f)
-		default:
-			f.Close()
-			return fmt.Errorf("unknown trace format %q", *traceFormat)
 		}
 		tr := trace.New(sink)
 		defer func() {

@@ -119,6 +119,34 @@ func TestRejectsBadCacheGeometry(t *testing.T) {
 	}
 }
 
+// TestRejectsBadFlagValues pins the flags checked before anything runs: a
+// value out of range exits 1 naming its flag, and a bad -trace-format
+// leaves an existing -trace file as it was.
+func TestRejectsBadFlagValues(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "keep")
+	const kept = "not a trace\n"
+	if err := os.WriteFile(path, []byte(kept), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-scale", "0"}, "-scale 0: must be at least 1"},
+		{[]string{"-scale", "-3"}, "-scale -3: must be at least 1"},
+		{[]string{"-mdc", "-5"}, "-mdc -5: must not be negative"},
+		{[]string{"-trace", path, "-trace-format", "bogus"}, `-trace-format "bogus": want jsonl or chrome`},
+	} {
+		args := append([]string{"-app", "fft", "-procs", "4", "-scale", "64"}, tc.args...)
+		if stdout, stderr, code := flashsim(t, args...); code != 1 || !strings.Contains(stderr, tc.want) || stdout != "" {
+			t.Errorf("flashsim %v: exit %d, stdout %q, stderr %q; want exit 1 and %q", tc.args, code, stdout, stderr, tc.want)
+		}
+	}
+	if buf, err := os.ReadFile(path); err != nil || string(buf) != kept {
+		t.Errorf("-trace file after a bad -trace-format: %q, %v; want it untouched", buf, err)
+	}
+}
+
 // TestAppBuildOutOfMemoryIsAnError: a data set that does not fit in
 // -membytes panics inside the app builder; flashsim returns it as an error
 // naming the app, with no goroutine dump.

@@ -32,7 +32,6 @@ type Controller interface {
 type Node struct {
 	CPU *cpu.CPU
 	Mem *memsys.Memory
-	Ctl Controller
 
 	// Magic is non-nil on FLASH machines.
 	Magic *magic.Magic
@@ -66,11 +65,6 @@ type Machine struct {
 
 	sharded   bool
 	shardBufs []*trace.Buffer
-
-	// Per-node finish records: each processor's completion is written into
-	// its own slot (disjoint across shards) and aggregated after Run.
-	finAt   []sim.Cycle
-	finDone []bool
 }
 
 // SetTracer attaches tr to every component of the machine — processors,
@@ -213,22 +207,21 @@ func New(cfg arch.Config) (*Machine, error) {
 		port := m.Net.Port(id, sched)
 		mem := memsys.New(m.Cfg.Timing)
 		n := &Node{Mem: mem}
+		var ctl Controller
 		switch cfg.Kind {
 		case arch.KindFLASH:
 			mg, err := magic.New(id, sched, &m.Cfg, m.Prog, mem, port)
 			if err != nil {
 				return nil, err
 			}
-			n.Magic = mg
-			n.Ctl = mg
+			n.Magic, ctl = mg, mg
 		case arch.KindIdeal:
-			ic := ideal.New(id, sched, &m.Cfg, mem, port)
-			n.Ideal = ic
-			n.Ctl = ic
+			n.Ideal = ideal.New(id, sched, &m.Cfg, mem, port)
+			ctl = n.Ideal
 		}
-		n.CPU = cpu.New(id, sched, &m.Cfg, n.Ctl, m.Views[i])
-		n.Ctl.Attach(n.CPU)
-		m.Net.Attach(id, n.Ctl)
+		n.CPU = cpu.New(id, sched, &m.Cfg, ctl, m.Views[i])
+		ctl.Attach(n.CPU)
+		m.Net.Attach(id, ctl)
 		m.Nodes = append(m.Nodes, n)
 	}
 	if cfg.Kind == arch.KindFLASH && cfg.Sample.Enabled() {
@@ -255,17 +248,21 @@ func (m *Machine) Word(a arch.Addr) *uint64 { return m.Backing.Word(uint64(a) / 
 // the parallel execution time. limit (0 = none) bounds the simulation in
 // cycles as a hang guard. Processors parked at a PauseAfterRefs pause point
 // are accounted for — only a genuinely stuck processor is a deadlock.
+// Elapsed is the latest processor finish time, so Run refuses a machine
+// with a processor already finished (a second Run without Reset, or a
+// Restore of a snapshot taken after one finished): that finish time
+// belongs to an earlier run's clock.
 func (m *Machine) Run(sources []cpu.RefSource, limit sim.Cycle) error {
 	if len(sources) != len(m.Nodes) {
 		return fmt.Errorf("core: %d sources for %d processors", len(sources), len(m.Nodes))
 	}
-	m.finAt = make([]sim.Cycle, len(m.Nodes))
-	m.finDone = make([]bool, len(m.Nodes))
 	for i, n := range m.Nodes {
-		n.CPU.SetSource(sources[i], func(at sim.Cycle) {
-			m.finDone[i] = true
-			m.finAt[i] = at
-		})
+		if n.CPU.Stats.Finished {
+			return fmt.Errorf("core: Run: processor %d already finished an earlier run; Reset the machine first", i)
+		}
+	}
+	for i, n := range m.Nodes {
+		n.CPU.SetSource(sources[i])
 	}
 	for _, n := range m.Nodes {
 		n.CPU.Start()
@@ -285,15 +282,12 @@ func (m *Machine) Run(sources []cpu.RefSource, limit sim.Cycle) error {
 		return err
 	}
 	running := 0
-	for i, done := range m.finDone {
-		if !done {
-			if !m.Nodes[i].CPU.Paused() {
-				running++
-			}
-			continue
-		}
-		if m.finAt[i] > m.Elapsed {
-			m.Elapsed = m.finAt[i]
+	for _, n := range m.Nodes {
+		switch st := &n.CPU.Stats; {
+		case st.Finished:
+			m.Elapsed = max(m.Elapsed, st.FinishedAt)
+		case !n.CPU.Paused():
+			running++
 		}
 	}
 	m.publishMetrics()

@@ -66,3 +66,63 @@ func TestLifecycleCostIndependentOfMemorySize(t *testing.T) {
 		t.Errorf("lifecycle allocated %d bytes at 64 MB/node, %d at 4 MB/node: want less than 2x", large, small)
 	}
 }
+
+// TestSnapshotNeedsARun pins that a machine that has not run since New or
+// Reset has no pause point to capture: its processors are neither paused
+// nor finished.
+func TestSnapshotNeedsARun(t *testing.T) {
+	cfg := arch.DefaultConfig()
+	cfg.Nodes = 2
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Snapshot(); err == nil {
+		t.Fatal("Snapshot of a machine that never ran succeeded")
+	}
+	if err := m.Run([]cpu.RefSource{&ScriptSource{}, &ScriptSource{}}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Snapshot(); err != nil {
+		t.Fatalf("Snapshot after a run: %v", err)
+	}
+	m.Reset()
+	if _, err := m.Snapshot(); err == nil {
+		t.Fatal("Snapshot of a machine reset since its run succeeded")
+	}
+}
+
+// TestRunNeedsUnfinishedProcessors pins that Run refuses a machine whose
+// processors finished an earlier run, directly or through a restored
+// snapshot: Elapsed would otherwise mix that run's finish times with this
+// run's clock.
+func TestRunNeedsUnfinishedProcessors(t *testing.T) {
+	cfg := arch.DefaultConfig()
+	cfg.Nodes = 2
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := func() []cpu.RefSource { return []cpu.RefSource{&ScriptSource{}, &ScriptSource{}} }
+	if err := m.Run(empty(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(empty(), 0); err == nil {
+		t.Fatal("second Run without Reset succeeded")
+	}
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Reset()
+	if err := m.Run(empty(), 0); err != nil {
+		t.Fatalf("Run after Reset: %v", err)
+	}
+	m.Reset()
+	if err := m.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(empty(), 0); err == nil {
+		t.Fatal("Run after restoring a finished snapshot succeeded")
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"flashsim/internal/magic"
 	"flashsim/internal/memsys"
 	"flashsim/internal/network"
-	"flashsim/internal/sim"
 )
 
 // Snapshot is a deterministic machine checkpoint taken at a quiescent pause
@@ -41,11 +40,6 @@ type Snapshot struct {
 	Magics []magic.MagicState
 	Mems   []memsys.MemoryState
 	Ports  []network.PortState
-
-	// Per-node finish records at capture (processors that already retired
-	// their final reference during the prefix).
-	FinAt   []sim.Cycle
-	FinDone []bool
 }
 
 // snapshotable reports whether the machine is in a configuration the
@@ -81,11 +75,8 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 	if err := m.snapshotable(); err != nil {
 		return nil, err
 	}
-	if m.finAt == nil {
-		return nil, fmt.Errorf("core: Snapshot before any Run")
-	}
 	for i, n := range m.Nodes {
-		if !n.CPU.Paused() && !n.CPU.Finished() {
+		if !n.CPU.Paused() && !n.CPU.Stats.Finished {
 			return nil, fmt.Errorf("core: Snapshot: processor %d neither paused nor finished: %s", i, n.CPU.DebugState())
 		}
 	}
@@ -95,10 +86,8 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 		}
 	}
 	s := &Snapshot{
-		SimKey:  m.Cfg.SimKey(),
-		Chunks:  m.Backing.SnapshotChunks(),
-		FinAt:   append([]sim.Cycle(nil), m.finAt...),
-		FinDone: append([]bool(nil), m.finDone...),
+		SimKey: m.Cfg.SimKey(),
+		Chunks: m.Backing.SnapshotChunks(),
 	}
 	for _, n := range m.Nodes {
 		s.CPUs = append(s.CPUs, n.CPU.CaptureState())
@@ -133,8 +122,6 @@ func (m *Machine) Restore(s *Snapshot) error {
 		n.Mem.RestoreState(s.Mems[i])
 		m.Net.Port(n.CPU.ID, nil).RestoreState(s.Ports[i])
 	}
-	m.finAt = append([]sim.Cycle(nil), s.FinAt...)
-	m.finDone = append([]bool(nil), s.FinDone...)
 	m.Elapsed = 0
 	return nil
 }
@@ -169,8 +156,6 @@ func (m *Machine) Reset() {
 		}
 	}
 	m.Elapsed = 0
-	m.finAt = nil
-	m.finDone = nil
 }
 
 // PauseAfterRefs arms every processor to pause at the first batch-refill

@@ -94,16 +94,10 @@ type Stats struct {
 	FFWork  uint64
 	WinWork []uint64
 
+	// Finished is set, with FinishedAt the processor's clock, when the
+	// reference stream runs out.
 	FinishedAt sim.Cycle
 	Finished   bool
-}
-
-// MissRate returns overall misses per reference.
-func (s *Stats) MissRate() float64 {
-	if s.Refs == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Refs)
 }
 
 type blockReason uint8
@@ -115,13 +109,10 @@ const (
 )
 
 type mshrEntry struct {
-	valid   bool
-	line    uint64
-	kind    arch.MsgType // MsgGET or MsgGETX
-	ref     Ref          // the triggering reference (for Out/WVal/classify)
-	hasRef  bool         // whether ref needs completion actions
-	waiting bool         // the processor is blocked on this entry
-	upgrade bool         // line was Shared when the miss was issued
+	valid bool
+	line  uint64
+	kind  arch.MsgType // MsgGET or MsgGETX
+	ref   Ref          // the triggering reference (for Out/WVal/classify)
 
 	// invalOnFill is set when an invalidation arrives for a line with a
 	// read miss outstanding: the read was serialized before the writer at
@@ -221,16 +212,12 @@ type CPU struct {
 	hasPending bool // pending holds an unretired reference
 	pendingAt  sim.Cycle
 	blocked    blockReason
-	blockEntry int
+	blockEntry int // the MSHR a blockMiss processor waits on
 
 	// issuing marks the MSHR entry whose request is mid-flight through a
 	// synchronous fast-forward chain (-1 otherwise): if Deliver completes
 	// it before issue() returns, the reference retires without blocking.
 	issuing int
-
-	running  bool
-	done     bool
-	onFinish func(at sim.Cycle)
 
 	// Snapshot pause support: when pauseAfter is nonzero, the run loop
 	// parks itself at the first batch-refill boundary at or after retiring
@@ -294,11 +281,8 @@ func (c *CPU) phaseDetailed(t uint64) bool {
 	return c.phaseDet
 }
 
-// SetSource attaches the reference stream; onFinish fires when it ends.
-func (c *CPU) SetSource(src RefSource, onFinish func(at sim.Cycle)) {
-	c.src = src
-	c.onFinish = onFinish
-}
+// SetSource attaches the reference stream.
+func (c *CPU) SetSource(src RefSource) { c.src = src }
 
 // Start schedules the processor's first fetch.
 func (c *CPU) Start() {
@@ -309,7 +293,7 @@ func (c *CPU) Start() {
 // hits inline and yielding an event every `chunk` cycles so that the rest
 // of the machine interleaves.
 func (c *CPU) run(vt sim.Cycle) {
-	if c.done {
+	if c.Stats.Finished {
 		return
 	}
 	// Fast-forward phases yield far less often: the processor's compute
@@ -335,12 +319,7 @@ func (c *CPU) run(vt sim.Cycle) {
 		}
 		ref, ok := c.nextRef()
 		if !ok {
-			c.done = true
-			c.Stats.Finished = true
-			c.Stats.FinishedAt = c.vt
-			if c.onFinish != nil {
-				c.onFinish(c.vt)
-			}
+			c.Stats.Finished, c.Stats.FinishedAt = true, c.vt
 			return
 		}
 		if !c.step(ref) || c.sliceOver() {
@@ -497,7 +476,6 @@ func (c *CPU) tryRef(ref *Ref) bool {
 		}
 		// Reads (and RMWs, and writes behind a read miss) wait for the line.
 		c.block(blockMiss, e, ref)
-		ent.waiting = true
 		return false
 	}
 
@@ -524,18 +502,17 @@ func (c *CPU) tryRef(ref *Ref) bool {
 	e := c.allocMSHR()
 	ent := &c.mshrs[e]
 	stores := ent.stores[:0] // reuse the deferred-store buffer
-	*ent = mshrEntry{valid: true, line: line, ref: *ref, hasRef: true, issuedAt: vt}
+	*ent = mshrEntry{valid: true, line: line, ref: *ref, issuedAt: vt}
 	ent.stores = stores
 	ent.kind = arch.MsgGETX
 	if ref.Kind == arch.RefRead {
 		ent.kind = arch.MsgGET
 	}
-	ent.upgrade = st == Shared
 	c.Stats.Misses++
 	if ref.Kind == arch.RefRead {
 		c.Stats.ReadMisses++
 	}
-	if ent.upgrade {
+	if st == Shared {
 		c.Stats.UpgradeMisses++
 	}
 	// Non-blocking write: the store value queues on the MSHR and enters
@@ -557,7 +534,6 @@ func (c *CPU) tryRef(ref *Ref) bool {
 			return true
 		}
 		c.block(blockMiss, e, ref)
-		ent.waiting = true
 		return false
 	}
 	return true
@@ -569,16 +545,9 @@ func (c *CPU) tryRef(ref *Ref) bool {
 func (c *CPU) issue(e int, vt sim.Cycle) {
 	ent := &c.mshrs[e]
 	req := vt + sim.Cycle(c.t.MissDetect)
+	m := arch.Msg{Type: ent.kind, Addr: arch.Addr(ent.line << arch.LineShift), Src: c.ID, Req: c.ID, Dst: c.ID, DB: -1}
 	if !c.detailed(req) {
 		ent.ffIssued = true
-		m := arch.Msg{
-			Type: ent.kind,
-			Addr: arch.Addr(ent.line << arch.LineShift),
-			Src:  c.ID,
-			Req:  c.ID,
-			Dst:  c.ID,
-			DB:   -1,
-		}
 		// The controller runs the whole chain — including remote handlers —
 		// before this call returns; issuing tells Deliver that tryRef is on
 		// the stack inside issue(), so a completion needs no resume event.
@@ -601,15 +570,7 @@ func (c *CPU) issue(e int, vt sim.Cycle) {
 			Arg: uint64(ent.retries), Name: ent.kind.String(),
 		})
 	}
-	m := arch.Msg{
-		Type: ent.kind,
-		Addr: arch.Addr(ent.line << arch.LineShift),
-		Src:  c.ID,
-		Req:  c.ID,
-		Dst:  c.ID,
-		DB:   -1,
-		TID:  ent.tid,
-	}
+	m.TID = ent.tid
 	c.ctl.FromProc(m, end)
 }
 
@@ -693,7 +654,7 @@ func (c *CPU) deliver(m arch.Msg, at sim.Cycle, ff bool) {
 	// class census is exact under sampling (classification depends on
 	// protocol state, not timing); the latency histogram only sees misses
 	// whose issue AND fill both ran detailed.
-	if ent.hasRef && ent.ref.Kind == arch.RefRead {
+	if ent.ref.Kind == arch.RefRead {
 		class := c.classify(m)
 		c.Stats.MissClass[class]++
 		if !ffFill {
@@ -717,16 +678,14 @@ func (c *CPU) deliver(m arch.Msg, at sim.Cycle, ff bool) {
 	// blocked on exactly this reference, so completing it also consumes the
 	// pending slot; a processor blocked on someone else's entry (a read
 	// arriving behind an outstanding write miss) retries its reference.
+	// A write's value is ent.stores[0], applied below.
 	consumed := false
-	if ent.hasRef {
-		// A write's value is ent.stores[0], applied below.
-		if r := &ent.ref; r.Kind != arch.RefWrite {
-			if v := c.access(r.Kind, r.RMW, r.Addr, r.WVal); r.Out != nil {
-				*r.Out = v
-			}
-			c.src.ReadDone()
-			consumed = true
+	if r := &ent.ref; r.Kind != arch.RefWrite {
+		if v := c.access(r.Kind, r.RMW, r.Addr, r.WVal); r.Out != nil {
+			*r.Out = v
 		}
+		c.src.ReadDone()
+		consumed = true
 	}
 	// Apply the deferred stores (the triggering write plus merged writes),
 	// in program order, after any triggering RMW read its old value.
@@ -735,10 +694,8 @@ func (c *CPU) deliver(m arch.Msg, at sim.Cycle, ff bool) {
 	}
 	ent.stores = ent.stores[:0]
 
-	waiting := ent.waiting
+	waiting := c.blocked == blockMiss && c.blockEntry == e
 	ent.valid = false
-	ent.hasRef = false
-	ent.waiting = false
 	c.inUse--
 	if e == c.issuing && !waiting && c.blocked == blockNone {
 		// Synchronous fast-forward completion: tryRef is on the stack inside
@@ -782,7 +739,7 @@ func (c *CPU) classify(m arch.Msg) arch.MissClass {
 // resume restarts the processor after a miss completion if it was blocked.
 // consumed reports that the pending reference itself was the completed miss.
 func (c *CPU) resume(at sim.Cycle, consumed bool) {
-	if c.blocked == blockNone || c.done {
+	if c.blocked == blockNone || c.Stats.Finished {
 		return
 	}
 	c.blocked = blockNone
@@ -1040,9 +997,6 @@ func (c *CPU) PauseAfter(k uint64) { c.pauseAfter = k }
 // Paused reports whether the run loop is parked at a pause point.
 func (c *CPU) Paused() bool { return c.paused }
 
-// Finished reports whether the reference stream ran out.
-func (c *CPU) Finished() bool { return c.done }
-
 // CPUState is the deterministic simulation state of one quiesced processor,
 // captured by CaptureState.
 type CPUState struct {
@@ -1050,7 +1004,6 @@ type CPUState struct {
 	Bus      sim.Server
 	Stats    Stats
 	InstFrac uint32
-	Done     bool
 	PausedAt sim.Cycle
 }
 
@@ -1060,7 +1013,7 @@ type CPUState struct {
 // draining the engine after every pause fires; anything else is a bug, so
 // it panics rather than capturing an unreproducible state.
 func (c *CPU) CaptureState() CPUState {
-	if !c.paused && !c.done {
+	if !c.paused && !c.Stats.Finished {
 		panic(fmt.Sprintf("cpu%d: CaptureState while running", c.ID))
 	}
 	if c.inUse != 0 || c.hasPending || c.blocked != blockNone || c.batchPos < len(c.batch) {
@@ -1071,7 +1024,6 @@ func (c *CPU) CaptureState() CPUState {
 		Bus:      c.Bus,
 		Stats:    c.Stats,
 		InstFrac: c.instFrac,
-		Done:     c.done,
 		PausedAt: c.pausedAt,
 	}
 	st.Stats.WinWork = append([]uint64(nil), c.Stats.WinWork...)
@@ -1087,8 +1039,7 @@ func (c *CPU) RestoreState(st CPUState) {
 	c.Stats = st.Stats
 	c.Stats.WinWork = append([]uint64(nil), st.Stats.WinWork...)
 	c.instFrac = st.InstFrac
-	c.done = st.Done
-	c.paused = !st.Done
+	c.paused = !st.Stats.Finished
 	c.pausedAt = st.PausedAt
 	c.pauseAfter = 0
 	c.batch, c.batchPos = nil, 0
@@ -1117,8 +1068,7 @@ func (c *CPU) Reset() {
 	c.blocked, c.blockEntry = blockNone, 0
 	c.issuing = -1
 	c.instFrac = 0
-	c.done = false
-	c.src, c.onFinish = nil, nil
+	c.src = nil
 	c.paused, c.pausedAt, c.pauseAfter = false, 0, 0
 	c.vt, c.limit, c.live = 0, 0, false
 	c.phaseDet, c.phaseEnd = false, 0
@@ -1126,12 +1076,12 @@ func (c *CPU) Reset() {
 
 // DebugState renders the processor's blocking state for hang diagnosis.
 func (c *CPU) DebugState() string {
-	s := fmt.Sprintf("done=%v vt=%d limit=%d live=%v blocked=%d hasPending=%v pendingAt=%d pending={%v %#x sync=%v} inUse=%d",
-		c.done, c.vt, c.limit, c.live, c.blocked, c.hasPending, c.pendingAt, c.pending.Kind, c.pending.Addr, c.pending.Sync, c.inUse)
+	s := fmt.Sprintf("done=%v vt=%d limit=%d live=%v blocked=%d blockEntry=%d hasPending=%v pendingAt=%d pending={%v %#x sync=%v} inUse=%d",
+		c.Stats.Finished, c.vt, c.limit, c.live, c.blocked, c.blockEntry, c.hasPending, c.pendingAt, c.pending.Kind, c.pending.Addr, c.pending.Sync, c.inUse)
 	for i := range c.mshrs {
 		e := &c.mshrs[i]
 		if e.valid {
-			s += fmt.Sprintf(" mshr%d={line=%#x kind=%v waiting=%v retries=%d ffIssued=%v}", i, e.line, e.kind, e.waiting, e.retries, e.ffIssued)
+			s += fmt.Sprintf(" mshr%d={line=%#x kind=%v retries=%d ffIssued=%v}", i, e.line, e.kind, e.retries, e.ffIssued)
 		}
 	}
 	return s

@@ -66,7 +66,7 @@ func testCPU(t *testing.T, refs []Ref, nak int) (*CPU, *echoCtl, *sim.Engine) {
 	mem := memsys.NewStore(cfg.MemBytesPerNode / 4)
 	c := New(0, eng, &cfg, ctl, memsys.NewView(mem))
 	ctl.cpu = c
-	c.SetSource(&scripted{refs: refs}, nil)
+	c.SetSource(&scripted{refs: refs})
 	c.Start()
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func TestMissClassification(t *testing.T) {
 		c := New(0, eng, &cfg, ctl, memsys.NewView(memsys.NewStore(1<<18)))
 		ctl.cpu = c
 		var out uint64
-		c.SetSource(&scripted{refs: []Ref{{Kind: arch.RefRead, Addr: cse.addr, Out: &out}}}, nil)
+		c.SetSource(&scripted{refs: []Ref{{Kind: arch.RefRead, Addr: cse.addr, Out: &out}}})
 		c.Start()
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)

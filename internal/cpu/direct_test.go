@@ -98,6 +98,9 @@ type threadCase struct {
 	// plant, when set, runs before Start (to place state no reference
 	// stream can produce).
 	plant func(c *CPU, eng *sim.Engine)
+	// check, when set, asserts the case's outcome on the threaded run (the
+	// loop run must equal it).
+	check func(t *testing.T, r threadRun)
 
 	hit, refused int
 }
@@ -123,9 +126,9 @@ func (tc *threadCase) run(t *testing.T, threaded bool) (threadRun, *hitThread) {
 	var th *hitThread
 	if threaded {
 		th = &hitThread{c: c, prog: prog}
-		c.SetSource(th, nil)
+		c.SetSource(th)
 	} else {
-		c.SetSource(&scripted{refs: prog}, nil)
+		c.SetSource(&scripted{refs: prog})
 	}
 	if tc.plant != nil {
 		tc.plant(c, eng)
@@ -204,8 +207,22 @@ func TestDirectMatchesLoop(t *testing.T) {
 					Ref{Kind: arch.RefRead, Addr: B, Out: &out[2], Busy: 1})
 			},
 			plant: func(c *CPU, eng *sim.Engine) {
-				c.mshrs[c.allocMSHR()] = mshrEntry{valid: true, line: B.Line(), kind: arch.MsgGET}
+				// A write ref: the fill completes no reference of its own,
+				// so the blocked write retries rather than being consumed.
+				c.mshrs[c.allocMSHR()] = mshrEntry{valid: true, line: B.Line(), kind: arch.MsgGET, ref: Ref{Kind: arch.RefWrite}}
 				eng.At(400, func() { c.Deliver(arch.Msg{Type: arch.MsgPUT, Addr: B}, eng.Now()) })
+			},
+			check: func(t *testing.T, r threadRun) {
+				if r.outs[2] != 7 {
+					t.Errorf("read B = %d after the write of 7", r.outs[2])
+				}
+				upgraded := false
+				for _, m := range r.reqs {
+					upgraded = upgraded || m.Type == arch.MsgGETX && m.Addr.Line() == B.Line()
+				}
+				if !upgraded {
+					t.Errorf("no GETX for B among %v", r.reqs)
+				}
 			},
 			refused: 1,
 		},
@@ -375,6 +392,9 @@ func TestDirectMatchesLoop(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("threaded run diverged from the loop:\n got %+v\nwant %+v", got, want)
 			}
+			if tc.check != nil {
+				tc.check(t, got)
+			}
 		})
 	}
 }
@@ -397,7 +417,7 @@ func TestDirectRefusedOffTheLoop(t *testing.T) {
 	c := New(0, eng, &cfg, ctl, memsys.NewView(memsys.NewStore(cfg.MemBytesPerNode/4)))
 	ctl.cpu = c
 	th := &hitThread{c: c, prog: prog}
-	c.SetSource(th, nil)
+	c.SetSource(th)
 	c.Cache.Fill(arch.Addr(0x1000).Line(), Modified)
 	if _, ok := c.Hit(arch.RefWrite, 0, 0x1008, 1, 1, false); ok {
 		t.Fatal("Hit executed a reference with no run loop on the stack")

@@ -424,3 +424,52 @@ func TestResultCacheRoundTrip(t *testing.T) {
 		t.Error("corrupt entry hit")
 	}
 }
+
+// FuzzResultCacheEntry writes arbitrary bytes as a cache entry. Get must
+// not panic; bytes that do not decode to an entry for the key read as a
+// miss; and a report Get accepts survives Put and Get with its digest. The
+// seeds are small, hand-written entries, so minimizing an input stays cheap.
+func FuzzResultCacheEntry(f *testing.F) {
+	const key = "fuzz"
+	for _, s := range []string{
+		`{"key":"fuzz","report":{"Machine":"FLASH","Nodes":4,"Elapsed":19373,"MissRate":0.25,` +
+			`"ReadClass":[0.5,0.5,0,0,0],"HandlerLatency":{"ni_get":{"count":1,"sum":9,"min":9,"max":9}},"Sampled":{}}}`,
+		`{"key":"fuzz","report":{"Machine":7,"PPOccSeries":[1e-3]}}`,
+		`{"key":"other","report":{}}`,
+		`{"key":"fuzz","report":null} {}`,
+		`{"key":"fuzz"}`,
+		`null`,
+		`{`,
+		``,
+	} {
+		f.Add([]byte(s))
+	}
+	// One cache serves every input: a worker runs its inputs one at a time.
+	c, err := NewResultCache(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(c.path(key), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rep, ok := c.Get(key)
+		var e cacheEntry
+		if entry := json.Unmarshal(data, &e) == nil && e.Key == key; ok != entry {
+			t.Fatalf("Get hit %v on bytes that decode to an entry for the key: %v", ok, entry)
+		}
+		if !ok {
+			return
+		}
+		if err := c.Put(key, rep); err != nil {
+			t.Fatalf("Put of an accepted report: %v", err)
+		}
+		again, ok := c.Get(key)
+		if !ok {
+			t.Fatal("a report Get accepted misses after Put")
+		}
+		if a, b := reportDigest(rep), reportDigest(again); a != b {
+			t.Fatalf("Put/Get changed the report digest from %s to %s", a, b)
+		}
+	})
+}

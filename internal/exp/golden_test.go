@@ -51,11 +51,11 @@ var goldenBackends = []struct {
 }
 
 // goldenSuite runs digest over every application on every goldenBackends
-// row, one subtest per row, on the network model net, and compares the
-// digests with testdata/file. With update set, the first row (the default
-// machine) rewrites the file and the remaining rows check themselves
-// against it.
-func goldenSuite(t *testing.T, file string, net arch.NetModel, update bool, digest func(t *testing.T, name string, cfg arch.Config) goldenDigest) {
+// row, one subtest per row, on the golden machine as machine alters it, and
+// compares the digests with testdata/file. With update set, the first row
+// (the default backend) rewrites the file and the remaining rows check
+// themselves against it.
+func goldenSuite(t *testing.T, file string, machine func(*arch.Config), update bool, digest func(t *testing.T, name string, cfg arch.Config) goldenDigest) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
@@ -69,7 +69,7 @@ func goldenSuite(t *testing.T, file string, net arch.NetModel, update bool, dige
 			for _, name := range apps.Names {
 				cfg := goldenConfig()
 				cfg.Engine, cfg.EngineSync, cfg.PPDispatch = b.engine, b.sync, b.dispatch
-				cfg.NetModel = net
+				machine(&cfg)
 				if name == "os" {
 					cfg.Placement = arch.PlaceRoundRobin
 				}
@@ -132,12 +132,20 @@ func runDigest(t *testing.T, name string, cfg arch.Config) goldenDigest {
 // parallelism must leave these bit-identical; regenerate with -update-golden
 // only for intentional model changes.
 func TestGoldenDigest(t *testing.T) {
-	goldenSuite(t, "golden_digest.json", arch.NetUniform, *updateGolden, runDigest)
+	goldenSuite(t, "golden_digest.json", func(*arch.Config) {}, *updateGolden, runDigest)
 }
 
 // TestGoldenDigestMesh is TestGoldenDigest on the 2-D mesh network model:
 // per-pair transit latencies, with every backend's lookahead at the mesh's
 // minimum pair transit.
 func TestGoldenDigestMesh(t *testing.T) {
-	goldenSuite(t, "golden_digest_mesh.json", arch.NetMesh, *updateGolden, runDigest)
+	goldenSuite(t, "golden_digest_mesh.json", func(c *arch.Config) { c.NetModel = arch.NetMesh }, *updateGolden, runDigest)
+}
+
+// TestGoldenDigestNetQueue1 is TestGoldenDigest with a one-entry outgoing
+// network queue in every MAGIC. The default queue never fills on the golden
+// machine; this one refuses sends on every app, so the handler's
+// blocked-send and wake paths are pinned cycle for cycle.
+func TestGoldenDigestNetQueue1(t *testing.T) {
+	goldenSuite(t, "golden_digest_netq1.json", func(c *arch.Config) { c.NetQueueCap = 1 }, *updateGolden, runDigest)
 }

@@ -46,13 +46,6 @@ func (e *dirEntry) removeSharer(n arch.NodeID) {
 	}
 }
 
-// Stats counts ideal-controller activity.
-type Stats struct {
-	Handled uint64
-	Naks    uint64
-	Invals  uint64
-}
-
 // Controller is one node's idealized controller.
 type Controller struct {
 	ID  arch.NodeID
@@ -69,8 +62,7 @@ type Controller struct {
 	// race-prone package-global printf hook.
 	Tr *trace.Tracer
 
-	dir   map[uint64]*dirEntry
-	Stats Stats
+	dir map[uint64]*dirEntry
 
 	// curTID is the trace id of the handler event currently executing, used
 	// to stamp outgoing messages. Best-effort for sends made from deferred
@@ -105,10 +97,9 @@ func New(id arch.NodeID, eng sim.Scheduler, cfg *arch.Config, mem *memsys.Memory
 func (c *Controller) Attach(p *cpu.CPU) { c.CPU = p }
 
 // Reset returns the controller to its freshly constructed state: an empty
-// oracle directory and zeroed counters.
+// oracle directory.
 func (c *Controller) Reset() {
 	c.dir = make(map[uint64]*dirEntry)
-	c.Stats = Stats{}
 	c.curTID = 0
 }
 
@@ -190,7 +181,6 @@ func (c *Controller) toProc(r sim.Cycle, m arch.Msg, firstData sim.Cycle) {
 
 // nak bounces a request back to its origin.
 func (c *Controller) nak(r sim.Cycle, m arch.Msg, viaNet bool) {
-	c.Stats.Naks++
 	n := arch.Msg{Type: arch.MsgNAK, Addr: m.Addr, Src: c.ID, Dst: m.Src, Req: m.Req, DB: -1}
 	if viaNet {
 		c.toNet(r, n, 0)
@@ -212,7 +202,6 @@ func (c *Controller) reply(r sim.Cycle, t arch.MsgType, m arch.Msg, aux uint32, 
 // handle processes one message in zero time at the current instant.
 func (c *Controller) handle(m arch.Msg, viaNet bool) {
 	r := c.Eng.Now()
-	c.Stats.Handled++
 	isHome := c.Cfg.HomeOf(m.Addr) == c.ID
 	c.curTID = 0
 	if c.Tr.Active() {
@@ -356,7 +345,6 @@ func (c *Controller) getx(r sim.Cycle, m arch.Msg, viaNet bool) {
 			if s == m.Src {
 				continue
 			}
-			c.Stats.Invals++
 			c.toNet(r, arch.Msg{Type: arch.MsgINVAL, Addr: m.Addr, Src: c.ID, Dst: s, Req: m.Src, DB: -1}, 0)
 			acks++
 		}

@@ -8,12 +8,14 @@ import (
 	"flashsim/internal/memsys"
 	"flashsim/internal/network"
 	"flashsim/internal/sim"
+	"flashsim/internal/trace"
 )
 
 // rig builds a two-node ideal machine by hand (core would be a circular
 // import) with scripted reference streams.
 type rig struct {
 	eng  *sim.Engine
+	net  *network.Network
 	ctls [2]*Controller
 	cpus [2]*cpu.CPU
 }
@@ -35,13 +37,22 @@ func (s *script) ReadDone() {}
 
 func newRig(t *testing.T, refs [2][]cpu.Ref) *rig {
 	t.Helper()
+	r := buildRig(refs)
+	if err := r.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// buildRig wires the machine and starts the processors without running it.
+func buildRig(refs [2][]cpu.Ref) *rig {
 	cfg := arch.DefaultConfig()
 	cfg.Kind = arch.KindIdeal
 	cfg.Nodes = 2
 	cfg.MemBytesPerNode = 1 << 20
 	cfg.Timing = arch.IdealTiming()
-	r := &rig{eng: sim.NewEngine()}
 	net := network.New(2, 22)
+	r := &rig{eng: sim.NewEngine(), net: net}
 	mem := memsys.NewStore(1 << 18)
 	for i := 0; i < 2; i++ {
 		m := memsys.New(cfg.Timing)
@@ -51,11 +62,8 @@ func newRig(t *testing.T, refs [2][]cpu.Ref) *rig {
 		net.Attach(arch.NodeID(i), c)
 		r.ctls[i] = c
 		r.cpus[i] = p
-		p.SetSource(&script{refs: refs[i]}, nil)
+		p.SetSource(&script{refs: refs[i]})
 		p.Start()
-	}
-	if err := r.eng.Run(); err != nil {
-		t.Fatal(err)
 	}
 	return r
 }
@@ -91,10 +99,15 @@ func TestIdealRemoteWriteOwnership(t *testing.T) {
 func TestIdealInvalidationOnWrite(t *testing.T) {
 	// Node 1 reads (shared), then node 0 writes: node 1 must be
 	// invalidated and acks collected.
-	r := newRig(t, [2][]cpu.Ref{
+	r := buildRig([2][]cpu.Ref{
 		{{Kind: arch.RefWrite, Addr: 0x3000, Busy: 4000}},
 		{{Kind: arch.RefRead, Addr: 0x3000}},
 	})
+	var sent trace.Buffer
+	r.net.Port(0, nil).Tr = trace.New(&sent)
+	if err := r.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
 	e := r.ctls[0].Line(arch.Addr(0x3000).Line())
 	if !e.Dirty || e.Owner != 0 || e.Pending || e.Acks != 0 {
 		t.Fatalf("dir = %+v, want dirty owner=0 quiesced", e)
@@ -102,8 +115,14 @@ func TestIdealInvalidationOnWrite(t *testing.T) {
 	if r.cpus[1].Cache.Lookup(arch.Addr(0x3000).Line()) != cpu.Invalid {
 		t.Fatal("old sharer not invalidated")
 	}
-	if r.ctls[0].Stats.Invals != 1 {
-		t.Fatalf("invals = %d, want 1", r.ctls[0].Stats.Invals)
+	invals := 0
+	for _, ev := range sent.Events {
+		if ev.Kind == trace.KindMsgSend && ev.Name == arch.MsgINVAL.String() {
+			invals++
+		}
+	}
+	if invals != 1 {
+		t.Fatalf("node 0 sent %d INVALs, want 1", invals)
 	}
 }
 

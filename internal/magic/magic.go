@@ -22,17 +22,9 @@ import (
 
 // Stats aggregates MAGIC-level statistics.
 type Stats struct {
-	Dispatches    uint64 // handler invocations (excluding pp_init)
-	FFDispatches  uint64 // of which ran functionally (fast-forward phases)
-	FFNetSends    uint64 // functional node-to-node sends (bypass the modeled network)
-	NetSends      uint64
-	PISends       uint64
-	Interventions uint64
-	NetBlocks     uint64 // PP stalls on a full outgoing network queue
-	PIBlocks      uint64 // PP stalls on a busy outgoing PI slot
-	QueueHighPI   int
-	QueueHighNet  int
-	BufHigh       int // data buffer high-water mark
+	Dispatches   uint64 // handler invocations (excluding pp_init)
+	FFDispatches uint64 // of which ran functionally (fast-forward phases)
+	FFNetSends   uint64 // functional node-to-node sends (bypass the modeled network)
 }
 
 // HandlerStat accumulates one handler entry's PP occupancy (Table 3.4),
@@ -96,32 +88,38 @@ func (q *inbox) at(i int) *queued { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
 // reset empties the queue, keeping its storage.
 func (q *inbox) reset() { q.head, q.n = 0, 0 }
 
+// waitFor is what a blocked handler waits for: a slot in the outgoing
+// network queue, the outgoing PI slot, or the processor cache's answer to
+// an intervention.
+type waitFor uint8
+
+const (
+	waitNone waitFor = iota // running, or woken and about to resume
+	waitNet
+	waitPI
+	waitPC
+)
+
 // handlerCtx tracks one in-flight handler invocation. A controller has
 // exactly one, embedded (Magic.hctx): the PP runs one handler at a time,
 // detailed or functional, so the invocation record is reused rather than
 // allocated per dispatch.
 type handlerCtx struct {
 	msg        arch.Msg
-	entry      string // handler name, for traces and diagnostics only
-	pc         int    // interned entry pair index (jump table)
-	agg        *HandlerStat
-	viaNet     bool
+	slot       *jtSlot   // the jump-table slot dispatched: entry pc, name and statistics
 	ff         bool      // functional (fast-forward) invocation: ppEnv skips timing
 	dispatched sim.Cycle // handler start time
 	segStart   sim.Cycle // start of the current PP run segment
 
-	tid         uint64    // trace id of this invocation (0 = untraced)
-	dataReady   sim.Cycle // first word of the data buffer is available
-	hasData     bool
-	specIssued  bool
-	specUsed    bool
-	intervened  bool // data buffer was overwritten by a cache retrieval
-	blockedNet  bool
-	blockedPI   bool
-	waitingPC   bool
-	pcDone      bool // intervention response arrived before WAITPC executed
-	blockedAt   sim.Cycle
-	pendingWake bool
+	tid        uint64    // trace id of this invocation (0 = untraced)
+	dataReady  sim.Cycle // first word of the data buffer is available
+	hasData    bool
+	specIssued bool
+	specUsed   bool
+	intervened bool // data buffer was overwritten by a cache retrieval
+	wait       waitFor
+	pcDone     bool // intervention response arrived before WAITPC executed
+	blockedAt  sim.Cycle
 }
 
 // Magic is one node's controller.
@@ -179,8 +177,6 @@ type Magic struct {
 	// handlers interns one accumulator per handler entry name; jump-table
 	// slots sharing an entry share the accumulator.
 	handlers map[string]*HandlerStat
-
-	dispatchScheduled bool
 
 	// lastEnd tracks the previous handler's completion for the
 	// non-overlap invariant (occupancies must never double-count).
@@ -302,9 +298,6 @@ func (m *Magic) FromProc(msg arch.Msg, at sim.Cycle) {
 
 func (m *Magic) arriveProc(ev *arch.MsgEvent) {
 	m.qPI.push(queued{m.Evs.Take(ev), m.Eng.Now()})
-	if m.qPI.n > m.Stats.QueueHighPI {
-		m.Stats.QueueHighPI = m.qPI.n
-	}
 	m.tryDispatch()
 }
 
@@ -316,9 +309,6 @@ func (m *Magic) FromNet(msg arch.Msg) {
 func (m *Magic) arriveNet(ev *arch.MsgEvent) {
 	msg := m.Evs.Take(ev)
 	m.netInbox(msg.Type).push(queued{msg, m.Eng.Now()})
-	if n := m.qNetReq.n + m.qNetRpl.n; n > m.Stats.QueueHighNet {
-		m.Stats.QueueHighNet = n
-	}
 	m.tryDispatch()
 }
 
@@ -336,7 +326,7 @@ func (m *Magic) netInbox(t arch.MsgType) *inbox {
 // request queues alternate. In fast-forward phases the queues drain
 // functionally instead.
 func (m *Magic) tryDispatch() {
-	if m.ctx != nil || m.dispatchScheduled {
+	if m.ctx != nil {
 		return
 	}
 	if m.sampling && !m.sample.Detailed(uint64(m.Eng.Now())) {
@@ -352,23 +342,22 @@ func (m *Magic) tryDispatch() {
 	dispatch := now + sim.Cycle(m.T.InboxSelect) + sim.Cycle(m.T.JumpTable)
 	slot := m.slot(msg, viaNet)
 	ctx := &m.hctx
-	*ctx = handlerCtx{msg: msg, entry: slot.entry, pc: slot.pc, agg: slot.agg, viaNet: viaNet, dispatched: dispatch}
+	*ctx = handlerCtx{msg: msg, slot: slot, dispatched: dispatch}
 	if msg.Type.CarriesData() {
 		// The data streamed into a buffer alongside the header.
 		ctx.hasData = true
 		ctx.dataReady = now
-		m.allocBuf()
+		m.bufs++
 	}
 	if slot.spec && m.Cfg.Speculation {
 		fw, _ := m.Mem.SpeculativeRead(dispatch)
 		ctx.specIssued = true
 		if !ctx.hasData {
 			ctx.dataReady = fw + 1
-			m.allocBuf()
+			m.bufs++
 		}
 	}
-	m.ctx = ctx
-	m.dispatchScheduled = true
+	m.ctx = ctx // claims the PP until retire
 	m.Eng.At(dispatch, m.startFn)
 }
 
@@ -445,10 +434,9 @@ func (m *Magic) drainFF() {
 // resolve synchronously, so the PP can only return WaitPC transiently —
 // never BlockedSend — and the resume loop below is bounded.
 func (m *Magic) runHandlerFF(msg arch.Msg, viaNet bool, at sim.Cycle) {
-	slot := m.slot(msg, viaNet)
 	dispatch := at + sim.Cycle(m.T.InboxSelect) + sim.Cycle(m.T.JumpTable)
 	ctx := &m.hctx
-	*ctx = handlerCtx{msg: msg, entry: slot.entry, pc: slot.pc, agg: slot.agg, viaNet: viaNet, ff: true, dispatched: dispatch, segStart: dispatch}
+	*ctx = handlerCtx{msg: msg, slot: m.slot(msg, viaNet), ff: true, dispatched: dispatch, segStart: dispatch}
 	if msg.Type.CarriesData() {
 		ctx.hasData = true
 		ctx.dataReady = dispatch
@@ -459,23 +447,22 @@ func (m *Magic) runHandlerFF(msg arch.Msg, viaNet bool, at sim.Cycle) {
 
 	m.loadHeader(msg)
 	pp := m.PP
-	st, _ := pp.StartAt(ctx.pc)
+	st, _ := pp.StartAt(ctx.slot.pc)
 	for i := 0; st != ppsim.StatusDone; i++ {
 		if i > 1<<16 {
-			panic(fmt.Sprintf("magic%d: functional handler %s did not converge (status %v)", m.ID, ctx.entry, st))
+			panic(fmt.Sprintf("magic%d: functional handler %s did not converge (status %v)", m.ID, ctx.slot.entry, st))
 		}
 		st, _ = pp.Resume()
 	}
 	// Census only: invocation counts stay exact, timing aggregates
 	// (occupancy, service-time histograms) see no functional handlers.
-	ctx.agg.Count++
+	ctx.slot.agg.Count++
 	m.ctx = nil
 }
 
 // startHandler is the dispatch event: the inbox's selection and jump-table
 // stages are over and the PP begins the handler tryDispatch claimed it for.
 func (m *Magic) startHandler() {
-	m.dispatchScheduled = false
 	ctx := m.ctx
 	m.Stats.Dispatches++
 	if m.Tr.Active() {
@@ -486,7 +473,7 @@ func (m *Magic) startHandler() {
 
 	m.loadHeader(ctx.msg)
 	ctx.segStart = ctx.dispatched
-	st, cyc := m.PP.StartAt(ctx.pc)
+	st, cyc := m.PP.StartAt(ctx.slot.pc)
 	m.handleStatus(st, cyc)
 }
 
@@ -527,20 +514,21 @@ func (m *Magic) handleStatus(st ppsim.Status, cyc uint64) {
 	case ppsim.StatusDone:
 		if ctx.dispatched < m.lastEnd {
 			panic(fmt.Sprintf("magic%d: handler %s dispatched at %d overlaps previous end %d",
-				m.ID, ctx.entry, ctx.dispatched, m.lastEnd))
+				m.ID, ctx.slot.entry, ctx.dispatched, m.lastEnd))
 		}
 		m.lastEnd = end
 		occ := end - ctx.dispatched
 		m.PPOcc.AddBusy(occ)
 		m.PPSeries.Add(uint64(ctx.dispatched), uint64(occ))
-		ctx.agg.Cycles += occ
-		ctx.agg.Count++
-		ctx.agg.Lat.Observe(uint64(occ))
+		agg := ctx.slot.agg
+		agg.Cycles += occ
+		agg.Count++
+		agg.Lat.Observe(uint64(occ))
 		if m.Tr.Active() {
 			m.Tr.Emit(trace.Event{
 				Cycle: uint64(ctx.dispatched), Dur: uint64(occ), Node: int32(m.ID),
 				Kind: trace.KindHandler, Addr: uint64(ctx.msg.Addr),
-				ID: ctx.tid, Parent: ctx.msg.TID, Name: ctx.entry,
+				ID: ctx.tid, Parent: ctx.msg.TID, Name: ctx.slot.entry,
 			})
 		}
 		if ctx.specIssued && (!ctx.specUsed || ctx.intervened) {
@@ -554,15 +542,10 @@ func (m *Magic) handleStatus(st ppsim.Status, cyc uint64) {
 		m.Eng.At(end, m.retireFn)
 
 	case ppsim.StatusBlockedSend:
+		// The refused send set ctx.wait; the event that frees its slot
+		// resumes us. No event ran since the refusal, so the slot is still
+		// taken.
 		ctx.blockedAt = end
-		// The waker (an injection/delivery completion event) resumes us.
-		// If capacity already freed between the failed TrySend and now,
-		// wake immediately.
-		if ctx.blockedNet && m.outNet < m.netQCap {
-			m.wake(end)
-		} else if ctx.blockedPI && m.outPI < piOutCap {
-			m.wake(end)
-		}
 
 	case ppsim.StatusWaitPC:
 		ctx.blockedAt = end
@@ -570,8 +553,7 @@ func (m *Magic) handleStatus(st ppsim.Status, cyc uint64) {
 			ctx.pcDone = false
 			m.wake(end)
 		} else {
-			ctx.waitingPC = true
-			// The intervention completion callback resumes us.
+			ctx.wait = waitPC // the intervention completion resumes us
 		}
 	}
 }
@@ -582,25 +564,18 @@ func (m *Magic) retire() {
 	m.tryDispatch()
 }
 
-// wake resumes a blocked PP at time t (>= the block time).
+// wake resumes the blocked PP at time t (>= the block time). It clears
+// ctx.wait, so a second release before the resume wakes nothing.
 func (m *Magic) wake(t sim.Cycle) {
 	ctx := m.ctx
-	if ctx == nil || ctx.pendingWake {
-		return
-	}
-	ctx.pendingWake = true
-	if t < ctx.blockedAt {
-		t = ctx.blockedAt
-	}
-	m.Eng.At(t, m.wakeFn)
+	ctx.wait = waitNone
+	m.Eng.At(max(t, ctx.blockedAt), m.wakeFn)
 }
 
 // resumePP is the wake event. The handler it resumes is still the one that
-// blocked: a blocked handler cannot retire, and pendingWake admits one wake.
+// blocked: a blocked handler cannot retire, and wake admits one resume.
 func (m *Magic) resumePP() {
 	ctx := m.ctx
-	ctx.pendingWake = false
-	ctx.blockedNet, ctx.blockedPI, ctx.waitingPC = false, false, false
 	ctx.segStart = m.Eng.Now()
 	st, cyc := m.PP.Resume()
 	m.handleStatus(st, cyc)
@@ -611,13 +586,6 @@ func b2i(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-func (m *Magic) allocBuf() {
-	m.bufs++
-	if m.bufs > m.Stats.BufHigh {
-		m.Stats.BufHigh = m.bufs
-	}
 }
 
 func (m *Magic) freeBuf() {
@@ -664,7 +632,6 @@ func (m *Magic) sendFF(h ppsim.OutHeader) bool {
 	if h.Iface == ppisa.SendPI {
 		switch mt {
 		case arch.MsgPIInval, arch.MsgPIDowngr, arch.MsgPIFlush:
-			m.Stats.Interventions++
 			resp := m.CPU.InterveneFF(mt, arch.Addr(h.Addr))
 			if mt != arch.MsgPIInval {
 				// The handler's upcoming WAITPC finds the response already
@@ -679,7 +646,6 @@ func (m *Magic) sendFF(h ppsim.OutHeader) bool {
 			}
 			return true
 		}
-		m.Stats.PISends++
 		at := ctx.dispatched + sim.Cycle(m.T.OutboxOut) + sim.Cycle(m.T.PIOutbound) + sim.Cycle(m.T.PIBusWord)
 		// Synchronous delivery: if this resumes the processor and it issues
 		// a new miss, the re-entrant request queues (the PP is busy with
@@ -687,7 +653,6 @@ func (m *Magic) sendFF(h ppsim.OutHeader) bool {
 		m.CPU.DeliverFF(m.msgFrom(h), at)
 		return true
 	}
-	m.Stats.NetSends++
 	m.Stats.FFNetSends++
 	at := ctx.dispatched + sim.Cycle(m.T.OutboxOut) + sim.Cycle(m.T.NIOutbound) +
 		sim.Cycle(m.T.NetTransit) + sim.Cycle(m.T.NIInbound)
@@ -699,7 +664,6 @@ func (m *Magic) sendFF(h ppsim.OutHeader) bool {
 // PIDowngr/PIFlush the handler stalls with WAITPC afterwards; PIInval is
 // fire-and-forget.
 func (m *Magic) sendIntervention(mt arch.MsgType, addr arch.Addr, tSend sim.Cycle) bool {
-	m.Stats.Interventions++
 	at := tSend + sim.Cycle(m.T.OutboxOut) + sim.Cycle(m.T.PIOutbound)
 	done := m.pcDoneFn
 	if mt == arch.MsgPIInval {
@@ -722,7 +686,7 @@ func (m *Magic) pcDone(_ arch.Msg, resp arch.MsgType, firstData sim.Cycle) {
 	if resp == arch.MsgPCData {
 		m.PP.SetPCResponse(1)
 		if !ctx.hasData && !ctx.specIssued {
-			m.allocBuf()
+			m.bufs++
 		}
 		ctx.hasData = true
 		ctx.intervened = true
@@ -730,7 +694,7 @@ func (m *Magic) pcDone(_ arch.Msg, resp arch.MsgType, firstData sim.Cycle) {
 	} else {
 		m.PP.SetPCResponse(0)
 	}
-	if ctx.waitingPC {
+	if ctx.wait == waitPC {
 		m.wake(m.Eng.Now())
 	} else {
 		// The PP has not reached its WAITPC yet (response raced the
@@ -742,12 +706,10 @@ func (m *Magic) pcDone(_ arch.Msg, resp arch.MsgType, firstData sim.Cycle) {
 // sendToPI delivers a reply (PUT/PUTX/NAK) to the local processor.
 func (m *Magic) sendToPI(h ppsim.OutHeader, tSend sim.Cycle) bool {
 	if m.outPI >= piOutCap {
-		m.ctx.blockedPI = true
-		m.Stats.PIBlocks++
+		m.ctx.wait = waitPI
 		return false
 	}
 	m.outPI++
-	m.Stats.PISends++
 	ctx := m.ctx
 	hdrReady := tSend + sim.Cycle(m.T.OutboxOut)
 	var deliver sim.Cycle
@@ -772,7 +734,7 @@ func (m *Magic) sendToPI(h ppsim.OutHeader, tSend sim.Cycle) bool {
 // completes.
 func (m *Magic) deliverPI(ev *arch.MsgEvent) {
 	m.outPI--
-	if m.ctx != nil && m.ctx.blockedPI {
+	if m.ctx != nil && m.ctx.wait == waitPI {
 		m.wake(m.Eng.Now())
 	}
 	m.CPU.Deliver(m.Evs.Take(ev), m.Eng.Now())
@@ -782,12 +744,10 @@ func (m *Magic) deliverPI(ev *arch.MsgEvent) {
 // network queue (capacity 16) and the NI outbound stage.
 func (m *Magic) sendToNet(h ppsim.OutHeader, tSend sim.Cycle) bool {
 	if m.outNet >= m.netQCap {
-		m.ctx.blockedNet = true
-		m.Stats.NetBlocks++
+		m.ctx.wait = waitNet
 		return false
 	}
 	m.outNet++
-	m.Stats.NetSends++
 	ctx := m.ctx
 	hdrReady := tSend + sim.Cycle(m.T.OutboxOut)
 	inject := hdrReady
@@ -808,7 +768,7 @@ func (m *Magic) sendToNet(h ppsim.OutHeader, tSend sim.Cycle) bool {
 // outgoing network queue frees (waking a handler stalled on it).
 func (m *Magic) injectNet(ev *arch.MsgEvent) {
 	m.outNet--
-	if m.ctx != nil && m.ctx.blockedNet {
+	if m.ctx != nil && m.ctx.wait == waitNet {
 		m.wake(m.Eng.Now())
 	}
 	m.Net.Send(m.Eng.Now(), m.Evs.Take(ev))
@@ -853,7 +813,7 @@ func (e *ppEnv) MemRead(addr uint64, dt uint64) {
 	}
 	fw, _ := m.Mem.Read(ctx.segStart + sim.Cycle(dt)*m.ppDiv)
 	if !ctx.hasData {
-		m.allocBuf()
+		m.bufs++
 		ctx.hasData = true
 	}
 	ctx.dataReady = fw + 1
@@ -909,7 +869,7 @@ type MagicState struct {
 // are in use: such a machine has pending events and is not at a snapshot
 // point.
 func (m *Magic) CaptureState() MagicState {
-	if m.ctx != nil || m.dispatchScheduled || !m.queuesEmpty() ||
+	if m.ctx != nil || !m.queuesEmpty() ||
 		m.outNet != 0 || m.outPI != 0 || m.bufs != 0 {
 		panic(fmt.Sprintf("magic%d: CaptureState before quiescence: %s", m.ID, m.DebugState()))
 	}
@@ -951,7 +911,6 @@ func (m *Magic) resetQueues() {
 	m.qNetRpl.reset()
 	m.outNet, m.outPI, m.bufs = 0, 0, 0
 	m.ctx = nil
-	m.dispatchScheduled = false
 }
 
 // Reset returns the controller to its freshly constructed-and-attached

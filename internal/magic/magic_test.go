@@ -1,6 +1,7 @@
 package magic
 
 import (
+	"fmt"
 	"testing"
 
 	"flashsim/internal/arch"
@@ -30,6 +31,7 @@ func (s *script) ReadDone() {}
 // rig hand-builds a two-node FLASH machine (core would be circular).
 type rig struct {
 	eng    *sim.Engine
+	net    *network.Network
 	magics [2]*Magic
 	cpus   [2]*cpu.CPU
 	prog   *protocol.Program
@@ -54,8 +56,14 @@ func buildRig(t *testing.T, cfg arch.Config, refs [2][]cpu.Ref) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &rig{eng: sim.NewEngine(), prog: prog}
+	return buildRigProg(t, cfg, prog, refs)
+}
+
+// buildRigProg is buildRig running prog, a program built for cfg's layout.
+func buildRigProg(t *testing.T, cfg arch.Config, prog *protocol.Program, refs [2][]cpu.Ref) *rig {
+	t.Helper()
 	net := network.New(2, 22)
+	r := &rig{eng: sim.NewEngine(), net: net, prog: prog}
 	mem := memsys.NewStore(1 << 18)
 	for i := 0; i < 2; i++ {
 		ms := memsys.New(cfg.Timing)
@@ -69,7 +77,7 @@ func buildRig(t *testing.T, cfg arch.Config, refs [2][]cpu.Ref) *rig {
 		net.Attach(arch.NodeID(i), mg)
 		r.magics[i] = mg
 		r.cpus[i] = p
-		p.SetSource(&script{refs: refs[i]}, nil)
+		p.SetSource(&script{refs: refs[i]})
 		p.Start()
 	}
 	return r
@@ -93,8 +101,9 @@ func TestHandlerDispatchLocalRead(t *testing.T) {
 	if counts(mg)["pi_get_local"] != 1 {
 		t.Fatalf("handler counts: %v", counts(mg))
 	}
-	if mg.Stats.PISends != 1 {
-		t.Fatalf("PI sends = %d, want 1 (data reply)", mg.Stats.PISends)
+	// One data reply reached the processor: exactly one local clean miss.
+	if mc := r.cpus[0].Stats.MissClass; mc[arch.MissLocalClean] != 1 || r.cpus[0].Stats.Misses != 1 {
+		t.Fatalf("node 0 miss classes %v of %d misses, want the one local clean read", mc, r.cpus[0].Stats.Misses)
 	}
 	// The directory must now record the local copy.
 	d, err := r.prog.Layout.Decode(mg.PP.Mem, r.magics[0].Cfg.LocalLine(0x1000))
@@ -201,8 +210,9 @@ func TestLateInvalCompletionSparesNextHandler(t *testing.T) {
 		{{Kind: arch.RefRead, Addr: x}, {Kind: arch.RefWrite, Addr: y}, {Kind: arch.RefRead, Addr: private1},
 			{Kind: arch.RefRead, Addr: private1, Busy: 7148}, {Kind: arch.RefWrite, Addr: own1, Busy: 4}},
 	})
-	var buf trace.Buffer
+	var buf, cache trace.Buffer
 	r.magics[1].Tr = trace.New(&buf)
+	r.cpus[1].Tr = trace.New(&cache)
 	if err := r.eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -235,8 +245,17 @@ func TestLateInvalCompletionSparesNextHandler(t *testing.T) {
 	if st.MissClass[arch.MissLocalDirty] != 1 || st.Naks != 0 {
 		t.Errorf("node 0 miss classes %v, %d NAKs: the forwarded read was disturbed", st.MissClass, st.Naks)
 	}
-	if m := r.magics[1]; m.ctx != nil || m.Stats.Interventions != 2 || m.bufs != 0 {
-		t.Errorf("node 1 controller after the run: %s, %d interventions, %d buffers", m.DebugState(), m.Stats.Interventions, m.bufs)
+	var interventions []string
+	for _, ev := range cache.Events {
+		if ev.Kind == trace.KindIntervene {
+			interventions = append(interventions, ev.Name)
+		}
+	}
+	if want := []string{arch.MsgPIInval.String(), arch.MsgPIDowngr.String()}; fmt.Sprint(interventions) != fmt.Sprint(want) {
+		t.Errorf("node 1's cache saw interventions %v, want %v", interventions, want)
+	}
+	if m := r.magics[1]; m.ctx != nil || m.bufs != 0 {
+		t.Errorf("node 1 controller after the run: %s, %d buffers", m.DebugState(), m.bufs)
 	}
 }
 

@@ -1,0 +1,160 @@
+package magic
+
+import (
+	"testing"
+
+	"flashsim/internal/arch"
+	"flashsim/internal/cpu"
+	"flashsim/internal/ppisa"
+	"flashsim/internal/protocol"
+	"flashsim/internal/trace"
+)
+
+// waitSource is a handler program built to stall MAGIC's PP in each of the
+// ways it can wait. A local read (pi_get_local) sends a PIDowngr to its own
+// processor, then eight messages to node 1 through a one-entry outgoing
+// network queue, then executes WAITPC: the cache answers while the handler
+// is still blocked on a send, so WAITPC finds the answer already recorded.
+// A local write (pi_getx_local) replies at once; two back to back meet the
+// one-entry PI slot still held by the first reply. Every other entry, node
+// 1's receipt of the messages included, does nothing.
+const waitSource = `
+pi_get_local:
+	li    r5, M_PIDOWNGR
+	mth   H_TYPE, r5
+	send  PI
+	li    r4, 1
+	mth   H_DST, r4
+	li    r5, M_IACK
+	mth   H_TYPE, r5
+	send  NET
+	send  NET
+	send  NET
+	send  NET
+	send  NET
+	send  NET
+	send  NET
+	send  NET
+	waitpc
+	mfh   r4, H_SRC
+	mth   H_DST, r4
+	li    r5, M_PUT
+	mth   H_TYPE, r5
+	send  PI|DATA
+	done
+pi_getx_local:
+	li    r5, M_PUTX
+	mth   H_TYPE, r5
+	send  PI|DATA
+	done
+pp_init:
+pi_wb_local:
+pi_rpl_local:
+pi_get_remote:
+pi_getx_remote:
+pi_wb_remote:
+pi_rpl_remote:
+ni_get:
+ni_getx:
+ni_wb:
+ni_rpl:
+ni_fwd_get:
+ni_fwd_getx:
+ni_inval:
+ni_put:
+ni_putx:
+ni_nak:
+ni_iack:
+ni_swb:
+ni_xfer:
+ni_pclr:
+	done
+`
+
+// TestHandlerWaits runs waitSource and checks each wait from the outside:
+// the cycles of node 0's sends, handler spans and cache fills.
+func TestHandlerWaits(t *testing.T) {
+	cfg := arch.DefaultConfig()
+	cfg.Kind = arch.KindFLASH
+	cfg.Nodes = 2
+	cfg.MemBytesPerNode = 1 << 20
+	cfg.NetQueueCap = 1
+	l := protocol.NewLayout(&cfg)
+	src, err := ppisa.Assemble(waitSource, l.Symbols())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := &protocol.Program{Code: protocol.Schedule(src, cfg.PPMode), Layout: l, Source: src}
+	const x, y, z = 0x1000, 0x2000, 0x3000 // homed at node 0
+	r := buildRigProg(t, cfg, prog, [2][]cpu.Ref{
+		{{Kind: arch.RefRead, Addr: x}, {Kind: arch.RefWrite, Addr: y}, {Kind: arch.RefWrite, Addr: z}},
+		nil,
+	})
+	var buf trace.Buffer
+	tr := trace.New(&buf)
+	r.magics[0].Tr, r.cpus[0].Tr, r.net.Port(0, nil).Tr = tr, tr, tr
+	if err := r.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range r.magics {
+		if m.ctx != nil || m.outNet != 0 || m.outPI != 0 || m.bufs != 0 {
+			t.Errorf("node %d controller after the run: %s, %d buffers", i, m.DebugState(), m.bufs)
+		}
+	}
+	if st := &r.cpus[0].Stats; !st.Finished || st.Misses != 3 {
+		t.Fatalf("node 0 finished %v after %d misses, want 3", st.Finished, st.Misses)
+	}
+
+	var sends []uint64
+	var spans []trace.Event
+	fills := map[uint64]uint64{}
+	for _, ev := range buf.Events {
+		switch ev.Kind {
+		case trace.KindMsgSend:
+			sends = append(sends, ev.Cycle)
+		case trace.KindHandler:
+			spans = append(spans, ev)
+		case trace.KindFill:
+			fills[ev.Addr] = ev.Cycle
+		}
+	}
+	if len(spans) != 3 || spans[0].Name != "pi_get_local" || spans[1].Name != "pi_getx_local" || spans[2].Name != "pi_getx_local" {
+		t.Fatalf("node 0 handlers %v, want pi_get_local then pi_getx_local twice", spans)
+	}
+	T := r.magics[0].T
+
+	// A full network queue: each send waits for the previous message to
+	// leave the NI, is accepted the cycle it does, and leaves in turn
+	// OutboxOut+NIOutbound later.
+	if len(sends) != 8 {
+		t.Fatalf("node 0 sent %d messages, want 8", len(sends))
+	}
+	step := uint64(T.OutboxOut + T.NIOutbound)
+	for i := 1; i < len(sends); i++ {
+		if sends[i]-sends[i-1] != step {
+			t.Fatalf("node 0 injections at %v: want one every %d cycles", sends, step)
+		}
+	}
+
+	// The PIDowngr answer arrives while the handler is blocked on a send:
+	// it was issued before the first send was accepted, so it is in by
+	// PCacheState after crossing the outbox and the PI, which is before the
+	// last send is accepted. WAITPC then proceeds without a second wait.
+	firstAccept, lastAccept := sends[0]-step, sends[len(sends)-1]-step
+	answerBy := firstAccept + uint64(T.OutboxOut+T.PIOutbound+T.PCacheState)
+	if answerBy >= lastAccept {
+		t.Fatalf("PIDowngr answered by %d, last send accepted at %d: the answer does not land during the sends", answerBy, lastAccept)
+	}
+	if get := spans[0]; get.Cycle+get.Dur >= lastAccept+uint64(T.PCacheState) {
+		t.Errorf("pi_get_local ran [%d,%d) with its last send accepted at %d: WAITPC waited for an answer already in", get.Cycle, get.Cycle+get.Dur, lastAccept)
+	}
+
+	// A busy PI slot: the second write's handler dispatches while the first
+	// reply is still on its way to the processor and holds the PP until that
+	// reply crosses the bus, while the first handler retired without waiting.
+	first, second, fillY := spans[1], spans[2], fills[y]
+	if !(first.Cycle+first.Dur < fillY && second.Cycle < fillY && second.Cycle+second.Dur > fillY) {
+		t.Errorf("pi_getx_local ran [%d,%d) and [%d,%d), first reply filled at %d: want the second to wait for it",
+			first.Cycle, first.Cycle+first.Dur, second.Cycle, second.Cycle+second.Dur, fillY)
+	}
+}

@@ -75,13 +75,11 @@ func (k metricKind) String() string {
 	return "gauge"
 }
 
-// entry is one registered instrument: a name, an optional label set, and
-// exactly one of the two value types.
+// entry is one registered instrument: its series id and exactly one of the
+// two value types.
 type entry struct {
-	name   string
-	labels []string // alternating key, value
-	id     string   // name plus rendered labels; the registry key
-	kind   metricKind
+	id   string // name plus rendered labels; the registry key
+	kind metricKind
 
 	c *Counter
 	g *Gauge
@@ -95,7 +93,6 @@ type entry struct {
 type Registry struct {
 	mu   sync.Mutex
 	byID map[string]*entry
-	all  []*entry
 }
 
 // NewRegistry returns an empty registry.
@@ -134,7 +131,7 @@ func (r *Registry) lookup(kind metricKind, name string, labels []string) *entry 
 	defer r.mu.Unlock()
 	e, ok := r.byID[key]
 	if !ok {
-		e = &entry{name: name, labels: labels, id: key, kind: kind}
+		e = &entry{id: key, kind: kind}
 		switch kind {
 		case kindCounter:
 			e.c = new(Counter)
@@ -142,7 +139,6 @@ func (r *Registry) lookup(kind metricKind, name string, labels []string) *entry 
 			e.g = new(Gauge)
 		}
 		r.byID[key] = e
-		r.all = append(r.all, e)
 	}
 	if e.kind != kind {
 		panic(fmt.Sprintf("metrics: %s registered as %s, requested as %s", key, e.kind, kind))
@@ -174,8 +170,10 @@ func (r *Registry) sorted() []*entry {
 		return nil
 	}
 	r.mu.Lock()
-	out := make([]*entry, len(r.all))
-	copy(out, r.all)
+	out := make([]*entry, 0, len(r.byID))
+	for _, e := range r.byID {
+		out = append(out, e)
+	}
 	r.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out

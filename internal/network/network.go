@@ -99,9 +99,6 @@ func (n *Network) Port(id arch.NodeID, sched sim.Scheduler) *Port {
 	return p
 }
 
-// Transit returns the fixed per-message transit latency.
-func (n *Network) Transit() sim.Cycle { return n.transit }
-
 // SetMesh installs per-pair mesh transit (nil restores the uniform
 // latency). The engine's lookahead must then be m.MinPairTransit(), which
 // every pair's transit meets or exceeds.

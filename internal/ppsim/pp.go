@@ -63,7 +63,6 @@ type Stats struct {
 	Instrs      uint64 // non-NOP instructions executed
 	ALUOrBranch uint64 // dynamic ALU + branch instruction count
 	Special     uint64 // bitfield/branch-on-bit/ffs instructions
-	Invocations uint64 // handler invocations
 	StallCycles uint64 // MDC-miss and send-stall cycles inside handlers
 }
 
@@ -250,7 +249,6 @@ func (p *PP) StartAt(pc int) (Status, uint64) {
 	p.running = true
 	p.hasPending = false
 	p.stepBudget = maxHandlerPairs
-	p.Stats.Invocations++
 	// The inbox initializes the outgoing header bank from the incoming
 	// header: type and address carry over and the destination defaults to
 	// the sender (reply semantics), so short forwarding handlers only touch

@@ -238,7 +238,7 @@ h:	ld   r1, 0(r0)
 func TestStatsAccumulate(t *testing.T) {
 	pp, _, _, _ := runRef(t, ppisa.DualIssue, false, 0x2A80, 0)
 	s := pp.Stats
-	if s.Invocations != 1 || s.Pairs == 0 || s.Instrs == 0 {
+	if s.Pairs == 0 || s.Instrs == 0 {
 		t.Fatalf("stats = %+v", s)
 	}
 	if eff := s.DualIssueEfficiency(); eff <= 1.0 || eff > 2.0 {

@@ -18,7 +18,6 @@ type Server struct {
 	busyUntil Cycle
 	lastAt    Cycle
 	Occ       OccupancyMeter
-	Jobs      uint64
 
 	// Strict makes Reserve panic when a reservation's request time precedes
 	// the previous call's, turning the documented invariant into an
@@ -41,9 +40,5 @@ func (s *Server) Reserve(at Cycle, dur Cycle) (start, end Cycle) {
 	end = start + dur
 	s.busyUntil = end
 	s.Occ.AddBusy(dur)
-	s.Jobs++
 	return start, end
 }
-
-// BusyUntil reports when the server frees up.
-func (s *Server) BusyUntil() Cycle { return s.busyUntil }

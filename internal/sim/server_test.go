@@ -21,11 +21,11 @@ func TestServerReserveFIFO(t *testing.T) {
 	if start != 100 || end != 101 {
 		t.Fatalf("idle reservation [%d,%d), want [100,101)", start, end)
 	}
-	if s.Jobs != 3 || s.Occ.Busy != 11 {
-		t.Fatalf("jobs=%d busy=%d, want 3, 11", s.Jobs, s.Occ.Busy)
+	if s.Occ.Busy != 11 {
+		t.Fatalf("busy=%d, want 11", s.Occ.Busy)
 	}
-	if s.BusyUntil() != 101 {
-		t.Fatalf("busyUntil = %d, want 101", s.BusyUntil())
+	if s.busyUntil != 101 {
+		t.Fatalf("busyUntil = %d, want 101", s.busyUntil)
 	}
 }
 
