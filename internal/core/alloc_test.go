@@ -111,7 +111,10 @@ func poolSizes(m *Machine) (ctl, ports []int) {
 // leaves every controller's free list and every port's send queue exactly
 // as long as the first run did (each holds what was in flight at once, no
 // more), and allocates next to nothing: rings, slabs and pooled events all
-// kept their capacity.
+// kept their capacity. Every node that sends keeps a port queue, and every
+// requester's controller keeps a free list (it schedules its processor's
+// arrivals and the replies to it); the home, node 0, only talks to the
+// network and may pool nothing, and node 3 is idle.
 func TestPooledEventsSurviveReset(t *testing.T) {
 	for _, kind := range []arch.MachineKind{arch.KindFLASH, arch.KindIdeal} {
 		cfg := pingPongConfig(kind)
@@ -138,7 +141,7 @@ func TestPooledEventsSurviveReset(t *testing.T) {
 			t.Errorf("%v: second run on the Reset machine: %d cycles %d events, first %d cycles %d events", kind, e2, x2, e1, x1)
 		}
 		for i := range ctl1 {
-			if ctl2[i] != ctl1[i] || ports2[i] != ports1[i] || (ctl1[i] == 0 || ports1[i] == 0) && i != 3 {
+			if ctl2[i] != ctl1[i] || ports2[i] != ports1[i] || ports1[i] == 0 && i != 3 || ctl1[i] == 0 && i != 0 && i != 3 {
 				t.Errorf("%v node %d: controller free list %d and port queue %d after the first run, %d and %d after the second",
 					kind, i, ctl1[i], ports1[i], ctl2[i], ports2[i])
 			}

@@ -68,35 +68,11 @@ func MissScenarios(cfg *arch.Config) []MissScenario {
 // no-contention assumptions; setup and warm-up costs are excluded by
 // differencing a warm-up-only run against a warm-up-plus-probe run.
 func ProbeMiss(cfg arch.Config, sc MissScenario) (latency, ppOcc sim.Cycle, err error) {
-	warm := sc.Addr + arch.LineSize // same home, same MDC directory line
-	run := func(probe bool) (*Machine, error) {
-		m, err := New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		srcs := make([]cpu.RefSource, cfg.Nodes)
-		for i := range srcs {
-			refs := append([]cpu.Ref(nil), sc.Setup[arch.NodeID(i)]...)
-			if arch.NodeID(i) == sc.Probe {
-				// Long busy periods let all prior traffic quiesce.
-				refs = append(refs, cpu.Ref{Kind: arch.RefRead, Addr: warm, Busy: 8000})
-				if probe {
-					refs = append(refs, cpu.Ref{Kind: arch.RefRead, Addr: sc.Addr, Busy: 8000})
-				}
-			}
-			srcs[i] = &ScriptSource{Refs: refs}
-		}
-		if err := m.Run(srcs, 1_000_000); err != nil {
-			return nil, err
-		}
-		return m, nil
-	}
-
-	base, err := run(false)
+	base, err := probeRun(cfg, sc, false)
 	if err != nil {
 		return 0, 0, fmt.Errorf("setup run: %w", err)
 	}
-	full, err := run(true)
+	full, err := probeRun(cfg, sc, true)
 	if err != nil {
 		return 0, 0, fmt.Errorf("probe run: %w", err)
 	}
@@ -121,4 +97,30 @@ func ProbeMiss(cfg arch.Config, sc MissScenario) (latency, ppOcc sim.Cycle, err 
 		ppOcc = occ1 - occ0
 	}
 	return latency, ppOcc, nil
+}
+
+// probeRun is one of ProbeMiss's two runs: sc's setup and the warm-up read,
+// then, with probe set, the probe read.
+func probeRun(cfg arch.Config, sc MissScenario, probe bool) (*Machine, error) {
+	warm := sc.Addr + arch.LineSize // same home, same MDC directory line
+	m, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	srcs := make([]cpu.RefSource, cfg.Nodes)
+	for i := range srcs {
+		refs := append([]cpu.Ref(nil), sc.Setup[arch.NodeID(i)]...)
+		if arch.NodeID(i) == sc.Probe {
+			// Long busy periods let all prior traffic quiesce.
+			refs = append(refs, cpu.Ref{Kind: arch.RefRead, Addr: warm, Busy: 8000})
+			if probe {
+				refs = append(refs, cpu.Ref{Kind: arch.RefRead, Addr: sc.Addr, Busy: 8000})
+			}
+		}
+		srcs[i] = &ScriptSource{Refs: refs}
+	}
+	if err := m.Run(srcs, 1_000_000); err != nil {
+		return nil, err
+	}
+	return m, nil
 }

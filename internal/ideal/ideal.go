@@ -69,14 +69,14 @@ type Controller struct {
 	// intervention callbacks, which run after handle returns.
 	curTID uint64
 
-	// Evs recycles this node's message events; the three handlers are what
-	// they fire (a processor-side arrival, a network arrival, a reply
-	// crossing the bus to the processor), built once — as are the two
-	// continuations of a data intervention, which get their request back
-	// from the processor instead of capturing it.
-	Evs                      arch.MsgEventPool
-	onProc, onNet, onDeliver func(*arch.MsgEvent)
-	homeDone, fwdDone        cpu.InterventionDone
+	// Evs recycles this node's message events; the two handlers are what
+	// they fire (a processor-side arrival, a reply crossing the bus to the
+	// processor), built once — as are the two continuations of a data
+	// intervention, which get their request back from the processor instead
+	// of capturing it.
+	Evs               arch.MsgEventPool
+	onProc, onDeliver func(*arch.MsgEvent)
+	homeDone, fwdDone cpu.InterventionDone
 }
 
 // New builds an idealized controller; call Attach to wire the CPU.
@@ -87,7 +87,6 @@ func New(id arch.NodeID, eng sim.Scheduler, cfg *arch.Config, mem *memsys.Memory
 		dir: make(map[uint64]*dirEntry),
 	}
 	c.onProc = func(ev *arch.MsgEvent) { c.handle(c.Evs.Take(ev), false) }
-	c.onNet = func(ev *arch.MsgEvent) { c.handle(c.Evs.Take(ev), true) }
 	c.onDeliver = func(ev *arch.MsgEvent) { c.CPU.Deliver(c.Evs.Take(ev), c.Eng.Now()) }
 	c.homeDone, c.fwdDone = c.retrieved, c.forwarded
 	return c
@@ -146,10 +145,12 @@ func (c *Controller) FromProcFF(m arch.Msg, at sim.Cycle) {
 	panic("ideal: FromProcFF on a machine with sampling disabled")
 }
 
-// FromNet receives a network message (network.Sink).
-func (c *Controller) FromNet(m arch.Msg) {
-	c.Eng.After(sim.Cycle(c.T.NIInbound), c.Evs.Get(c.onNet, m).Fire)
-}
+// NIInbound is the NI inbound stage ahead of FromNet (network.NISink).
+func (c *Controller) NIInbound() sim.Cycle { return sim.Cycle(c.T.NIInbound) }
+
+// FromNet receives a network message past the NI inbound stage
+// (network.Sink).
+func (c *Controller) FromNet(m arch.Msg) { c.handle(m, true) }
 
 // --- send helpers (all timed from r, the processing instant) ---
 

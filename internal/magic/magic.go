@@ -150,23 +150,23 @@ type Magic struct {
 	qNetRpl inbox
 	rrPI    bool // round-robin fairness between PI and NI request queues
 
-	outNet int // accepted but not yet injected
-	outPI  int // accepted but not yet delivered (capacity 1)
-	bufs   int // data buffers in use
+	outNet []injection // the outgoing network queue; see netQueued
+	outPI  int         // accepted but not yet delivered (capacity 1)
+	bufs   int         // data buffers in use
 
 	ctx  *handlerCtx // &hctx while a handler is in flight, nil when the PP is idle
 	hctx handlerCtx
 
 	// The event bodies of the miss path, built once: the three steps of a
 	// handler's life (start at dispatch, resume after a stall, retire at its
-	// last cycle), the intervention completion, and the four message events
-	// (arrival from the processor and from the network, a reply reaching the
-	// processor, an injection into the network), whose messages ride in
+	// last cycle), the release of a handler blocked on a full network queue,
+	// the intervention completion, and the two message events (arrival from
+	// the processor, a reply reaching the processor), whose messages ride in
 	// pooled arch.MsgEvents from Evs. Nothing on the path allocates.
-	startFn, wakeFn, retireFn      func()
-	pcDoneFn                       cpu.InterventionDone
-	onProc, onNet, onToPI, onToNet func(*arch.MsgEvent)
-	Evs                            arch.MsgEventPool
+	startFn, wakeFn, retireFn, releaseFn func()
+	pcDoneFn                             cpu.InterventionDone
+	onProc, onToPI                       func(*arch.MsgEvent)
+	Evs                                  arch.MsgEventPool
 
 	// jt is the inbox jump table, indexed [viaNet][isHome][msg type]: the
 	// protocol's dispatch rules and the handler entry-point map, both
@@ -202,6 +202,12 @@ type Magic struct {
 	ppDiv   sim.Cycle
 }
 
+// injection is a queued network message's injection cycle and send key.
+type injection struct {
+	at  sim.Cycle
+	key sim.Key
+}
+
 // queue capacities from Table 3.1 (netQueueCap is the default when
 // arch.Config leaves NetQueueCap zero).
 const (
@@ -235,8 +241,9 @@ func New(id arch.NodeID, eng sim.Scheduler, cfg *arch.Config, prog *protocol.Pro
 	if m.ppDiv < 1 {
 		m.ppDiv = 1
 	}
-	m.startFn, m.wakeFn, m.retireFn, m.pcDoneFn = m.startHandler, m.resumePP, m.retire, m.pcDone
-	m.onProc, m.onNet, m.onToPI, m.onToNet = m.arriveProc, m.arriveNet, m.deliverPI, m.injectNet
+	m.outNet = make([]injection, 0, min(m.netQCap, netQueueCap))
+	m.startFn, m.wakeFn, m.retireFn, m.releaseFn, m.pcDoneFn = m.startHandler, m.resumePP, m.retire, m.releaseNet, m.pcDone
+	m.onProc, m.onToPI = m.arriveProc, m.deliverPI
 	mdc := ppsim.NewMDC(cfg.MDCSize, cfg.MDCWays)
 	m.PP = ppsim.NewBackend(prog.Code, int(prog.Layout.MemBytes), mdc, (*ppEnv)(m), ppsim.BackendFor(cfg.PPDispatch))
 	prog.Layout.InitMemory(m.PP.Mem, id, cfg.NodeBase(id), cfg.Nodes)
@@ -301,13 +308,11 @@ func (m *Magic) arriveProc(ev *arch.MsgEvent) {
 	m.tryDispatch()
 }
 
-// FromNet receives a message from the interconnect (network.Sink).
-func (m *Magic) FromNet(msg arch.Msg) {
-	m.Eng.After(sim.Cycle(m.T.NIInbound), m.Evs.Get(m.onNet, msg).Fire)
-}
+// NIInbound is the NI inbound stage ahead of FromNet (network.NISink).
+func (m *Magic) NIInbound() sim.Cycle { return sim.Cycle(m.T.NIInbound) }
 
-func (m *Magic) arriveNet(ev *arch.MsgEvent) {
-	msg := m.Evs.Take(ev)
+// FromNet receives a message past the NI inbound stage (network.Sink).
+func (m *Magic) FromNet(msg arch.Msg) {
 	m.netInbox(msg.Type).push(queued{msg, m.Eng.Now()})
 	m.tryDispatch()
 }
@@ -741,13 +746,28 @@ func (m *Magic) deliverPI(ev *arch.MsgEvent) {
 }
 
 // sendToNet injects a message into the interconnect through the outgoing
-// network queue (capacity 16) and the NI outbound stage.
+// network queue (capacity 16) and the NI outbound stage; the port takes it
+// now, stamped with its injection cycle.
 func (m *Magic) sendToNet(h ppsim.OutHeader, tSend sim.Cycle) bool {
-	if m.outNet >= m.netQCap {
-		m.ctx.wait = waitNet
-		return false
+	if len(m.outNet) >= m.netQCap {
+		// Forget the messages that have left (see netQueued). If none has,
+		// the first injection to come frees a slot, released under the key
+		// reserved at its send (DESIGN.md §11, TestNetReleaseInSendOrder).
+		now, q, first := m.Eng.Now(), m.outNet[:0], m.outNet[0]
+		for _, x := range m.outNet {
+			if x.at > now {
+				q = append(q, x)
+			}
+			if x.at < first.at {
+				first = x
+			}
+		}
+		if m.outNet = q; len(q) >= m.netQCap {
+			m.Eng.AtKey(first.at, first.key, m.releaseFn)
+			m.ctx.wait = waitNet
+			return false
+		}
 	}
-	m.outNet++
 	ctx := m.ctx
 	hdrReady := tSend + sim.Cycle(m.T.OutboxOut)
 	inject := hdrReady
@@ -760,19 +780,27 @@ func (m *Magic) sendToNet(h ppsim.OutHeader, tSend sim.Cycle) bool {
 		}
 	}
 	inject += sim.Cycle(m.T.NIOutbound)
-	m.Eng.At(inject, m.Evs.Get(m.onToNet, m.msgFrom(h)).Fire)
+	m.outNet = append(m.outNet, injection{inject, m.Eng.Reserve()})
+	m.Net.Send(inject, m.msgFrom(h))
 	return true
 }
 
-// injectNet is a message leaving the NI outbound stage: its slot in the
-// outgoing network queue frees (waking a handler stalled on it).
-func (m *Magic) injectNet(ev *arch.MsgEvent) {
-	m.outNet--
-	if m.ctx != nil && m.ctx.wait == waitNet {
-		m.wake(m.Eng.Now())
+// netQueued counts the messages in the outgoing network queue. A message
+// leaves at its injection cycle, one due at Now included: a handler's event
+// is scheduled after every earlier send, so it sorts after the key reserved
+// at that send (and OutboxOut + NIOutbound > 0 keeps an injection off the
+// cycle of its send).
+func (m *Magic) netQueued() (n int) {
+	for _, x := range m.outNet {
+		if x.at > m.Eng.Now() {
+			n++
+		}
 	}
-	m.Net.Send(m.Eng.Now(), m.Evs.Take(ev))
+	return n
 }
+
+// releaseNet wakes the handler blocked on a full network queue.
+func (m *Magic) releaseNet() { m.wake(m.Eng.Now()) }
 
 func (m *Magic) msgFrom(h ppsim.OutHeader) arch.Msg {
 	db := int16(-1)
@@ -870,7 +898,7 @@ type MagicState struct {
 // point.
 func (m *Magic) CaptureState() MagicState {
 	if m.ctx != nil || !m.queuesEmpty() ||
-		m.outNet != 0 || m.outPI != 0 || m.bufs != 0 {
+		m.netQueued() != 0 || m.outPI != 0 || m.bufs != 0 {
 		panic(fmt.Sprintf("magic%d: CaptureState before quiescence: %s", m.ID, m.DebugState()))
 	}
 	st := MagicState{
@@ -909,7 +937,7 @@ func (m *Magic) resetQueues() {
 	m.qPI.reset()
 	m.qNetReq.reset()
 	m.qNetRpl.reset()
-	m.outNet, m.outPI, m.bufs = 0, 0, 0
+	m.outNet, m.outPI, m.bufs = m.outNet[:0], 0, 0
 	m.ctx = nil
 }
 
@@ -935,7 +963,7 @@ func (m *Magic) Reset() {
 
 // DebugState renders the controller's queue/handler state for hang diagnosis.
 func (m *Magic) DebugState() string {
-	s := fmt.Sprintf("ctx=%v qPI=%d qNetReq=%d qNetRpl=%d outPI=%d outNet=%d", m.ctx != nil, m.qPI.n, m.qNetReq.n, m.qNetRpl.n, m.outPI, m.outNet)
+	s := fmt.Sprintf("ctx=%v qPI=%d qNetReq=%d qNetRpl=%d outPI=%d outNet=%d", m.ctx != nil, m.qPI.n, m.qNetReq.n, m.qNetRpl.n, m.outPI, m.netQueued())
 	for _, nq := range []struct {
 		name string
 		q    *inbox

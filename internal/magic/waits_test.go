@@ -97,7 +97,7 @@ func TestHandlerWaits(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, m := range r.magics {
-		if m.ctx != nil || m.outNet != 0 || m.outPI != 0 || m.bufs != 0 {
+		if m.ctx != nil || m.netQueued() != 0 || m.outPI != 0 || m.bufs != 0 {
 			t.Errorf("node %d controller after the run: %s, %d buffers", i, m.DebugState(), m.bufs)
 		}
 	}
@@ -156,5 +156,196 @@ func TestHandlerWaits(t *testing.T) {
 	if !(first.Cycle+first.Dur < fillY && second.Cycle < fillY && second.Cycle+second.Dur > fillY) {
 		t.Errorf("pi_getx_local ran [%d,%d) and [%d,%d), first reply filled at %d: want the second to wait for it",
 			first.Cycle, first.Cycle+first.Dur, second.Cycle, second.Cycle+second.Dur, fillY)
+	}
+}
+
+// releaseSource fills a two-entry outgoing network queue out of injection
+// order: a local read (pi_get_local, which the inbox reads memory for
+// speculatively) sends a data message to node 1 that injects once the data
+// is in, then a header-only one that injects at once, then a third that
+// finds the queue full. It then answers its processor.
+const releaseSource = `
+pi_get_local:
+	li    r4, 1
+	mth   H_DST, r4
+	li    r5, M_IACK
+	mth   H_TYPE, r5
+	send  NET|DATA
+	send  NET
+	send  NET
+	mfh   r4, H_SRC
+	mth   H_DST, r4
+	li    r5, M_PUT
+	mth   H_TYPE, r5
+	send  PI|DATA
+	done
+pp_init:
+pi_getx_local:
+pi_wb_local:
+pi_rpl_local:
+pi_get_remote:
+pi_getx_remote:
+pi_wb_remote:
+pi_rpl_remote:
+ni_get:
+ni_getx:
+ni_wb:
+ni_rpl:
+ni_fwd_get:
+ni_fwd_getx:
+ni_inval:
+ni_put:
+ni_putx:
+ni_nak:
+ni_iack:
+ni_swb:
+ni_xfer:
+ni_pclr:
+	done
+`
+
+// TestNetReleaseAtEarliestInjection pins which slot a send refused by a
+// full network queue waits for: the first injection to come, not the oldest
+// accepted message. The third send is accepted the cycle the header-only
+// message leaves, while the data message is still waiting for its data.
+func TestNetReleaseAtEarliestInjection(t *testing.T) {
+	cfg := arch.DefaultConfig()
+	cfg.Kind = arch.KindFLASH
+	cfg.Nodes = 2
+	cfg.MemBytesPerNode = 1 << 20
+	cfg.NetQueueCap = 2
+	l := protocol.NewLayout(&cfg)
+	src, err := ppisa.Assemble(releaseSource, l.Symbols())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := &protocol.Program{Code: protocol.Schedule(src, cfg.PPMode), Layout: l, Source: src}
+	r := buildRigProg(t, cfg, prog, [2][]cpu.Ref{{{Kind: arch.RefRead, Addr: 0x1000}}, nil})
+	var buf trace.Buffer
+	tr := trace.New(&buf)
+	r.net.Port(0, nil).Tr = tr
+	if err := r.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var sends []uint64
+	for _, ev := range buf.Events {
+		if ev.Kind == trace.KindMsgSend {
+			sends = append(sends, ev.Cycle)
+		}
+	}
+	if len(sends) != 3 {
+		t.Fatalf("node 0 injected at %v, want three messages", sends)
+	}
+	T := r.magics[0].T
+	data, hdr, third := sends[0], sends[1], sends[2]
+	if data <= hdr {
+		t.Fatalf("injections at %v: the data message does not leave after the header-only one", sends)
+	}
+	if want := hdr + uint64(T.OutboxOut+T.NIOutbound); third != want {
+		t.Errorf("injections at %v: third injected at %d, want %d (accepted when the header-only message left at %d)", sends, third, want, hdr)
+	}
+}
+
+// orderSource makes a release's place among its cycle's events visible. A
+// local read (pi_get_local) sends a data message to node 1, which injects
+// once the speculative read's data is in; then answers its processor with a
+// header-only reply timed (by the addi chain) to cross the bus the cycle
+// that message injects; then finds the one-entry network queue full; and,
+// once released, invalidates the line it just supplied.
+const orderSource = `
+pi_get_local:
+	li    r4, 1
+	mth   H_DST, r4
+	li    r5, M_IACK
+	mth   H_TYPE, r5
+	send  NET|DATA
+	mfh   r4, H_SRC
+	addi  r4, r4, 0
+	addi  r4, r4, 0
+	addi  r4, r4, 0
+	addi  r4, r4, 0
+	addi  r4, r4, 0
+	mth   H_DST, r4
+	li    r5, M_PUT
+	mth   H_TYPE, r5
+	send  PI
+	li    r4, 1
+	mth   H_DST, r4
+	li    r5, M_IACK
+	mth   H_TYPE, r5
+	send  NET
+	li    r5, M_PIINVAL
+	mth   H_TYPE, r5
+	send  PI
+	done
+pp_init:
+pi_getx_local:
+pi_wb_local:
+pi_rpl_local:
+pi_get_remote:
+pi_getx_remote:
+pi_wb_remote:
+pi_rpl_remote:
+ni_get:
+ni_getx:
+ni_wb:
+ni_rpl:
+ni_fwd_get:
+ni_fwd_getx:
+ni_inval:
+ni_put:
+ni_putx:
+ni_nak:
+ni_iack:
+ni_swb:
+ni_xfer:
+ni_pclr:
+	done
+`
+
+// TestNetReleaseInSendOrder pins where a release runs within its cycle:
+// where the injection it waits for ran, which was scheduled at that
+// message's send, ahead of the reply sent after it. The reply and the
+// injection land on the same cycle, so the released handler resumes ahead
+// of the processor the reply restarts, and its invalidation turns the
+// processor's next read of the line into a second miss. A release that
+// sorted as scheduled at the refusal would run after the reply, and the
+// read would hit.
+func TestNetReleaseInSendOrder(t *testing.T) {
+	cfg := arch.DefaultConfig()
+	cfg.Kind = arch.KindFLASH
+	cfg.Nodes = 2
+	cfg.MemBytesPerNode = 1 << 20
+	cfg.NetQueueCap = 1
+	l := protocol.NewLayout(&cfg)
+	src, err := ppisa.Assemble(orderSource, l.Symbols())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := &protocol.Program{Code: protocol.Schedule(src, cfg.PPMode), Layout: l, Source: src}
+	const x = 0x1000 // homed at node 0
+	r := buildRigProg(t, cfg, prog, [2][]cpu.Ref{{{Kind: arch.RefRead, Addr: x}, {Kind: arch.RefRead, Addr: x + 8}}, nil})
+	var buf trace.Buffer
+	tr := trace.New(&buf)
+	r.net.Port(0, nil).Tr, r.cpus[0].Tr = tr, tr
+	if err := r.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var send, fill, inval uint64
+	for _, ev := range buf.Events {
+		switch {
+		case ev.Kind == trace.KindMsgSend && send == 0:
+			send = ev.Cycle
+		case ev.Kind == trace.KindFill && fill == 0:
+			fill = ev.Cycle
+		case ev.Kind == trace.KindIntervene && inval == 0:
+			inval = ev.Cycle
+		}
+	}
+	if send == 0 || send != fill || inval != send {
+		t.Fatalf("first injection at %d, first fill at %d, first invalidation at %d: want one cycle", send, fill, inval)
+	}
+	if st := &r.cpus[0].Stats; !st.Finished || st.Misses != 2 {
+		t.Errorf("node 0 finished %v after %d misses, want 2: the resumed handler's invalidation did not precede the processor's next read", st.Finished, st.Misses)
 	}
 }

@@ -7,11 +7,12 @@
 // make progress.
 //
 // Each node sends through its own Port. Ports are the only cross-node edge
-// in the simulator: a send turns into a Scheduler.Deliver on the source
-// node's shard, keyed by (source, per-port send sequence), which is what
-// makes delivery order — and therefore the whole simulation — deterministic
-// under the parallel engine. Message counters live on the port (single
-// writer: the owning node's events) and are summed on demand.
+// in the simulator: a send turns into a Scheduler.DeliverSettled on the
+// source node's shard, keyed by (source, per-port send sequence), which is
+// what makes delivery order — and therefore the whole simulation —
+// deterministic under the parallel engine; a destination's fixed NI inbound
+// stage (NISink) rides in the same event. Message counters live on the port
+// (single writer: the owning node's events) and are summed on demand.
 package network
 
 import (
@@ -24,10 +25,19 @@ import (
 
 // Sink receives messages delivered to a node.
 type Sink interface {
-	// FromNet delivers m to the node. The callee owns any further queueing;
-	// a full inbound queue backs messages up into (unbounded) network
-	// buffering on the callee side, exactly as Table 3.1 specifies.
+	// FromNet delivers m to the node past its NI inbound stage (NISink).
+	// The callee owns any further queueing; a full inbound queue backs
+	// messages up into (unbounded) network buffering on the callee side,
+	// exactly as Table 3.1 specifies.
 	FromNet(m arch.Msg)
+}
+
+// NISink is a Sink whose network interface holds every message NIInbound()
+// cycles (arch.Timing.NIInbound) between its arrival and FromNet, in the
+// same event. A plain Sink receives each message at its arrival.
+type NISink interface {
+	Sink
+	NIInbound() sim.Cycle
 }
 
 // Network delivers messages between nodes after a fixed transit latency, or
@@ -41,15 +51,16 @@ type Network struct {
 
 // Port is node src's injection point into the network.
 type Port struct {
-	net   *Network
-	src   arch.NodeID
-	sched sim.Scheduler
-	seq   uint64 // monotonic send sequence; orders this port's deliveries
+	net     *Network
+	src     arch.NodeID
+	sched   sim.Scheduler
+	seq     uint64    // monotonic send sequence; orders this port's deliveries
+	inbound sim.Cycle // node src's NI inbound stage (NISink)
 
 	// Tr, when non-nil, receives the send event of each message this port
-	// sends and the recv event of each message it delivers (the arrival
-	// runs on the destination's shard). Injected per machine
-	// (core.Machine.SetTracer).
+	// sends and the recv event, stamped with the arrival cycle, of each
+	// message it delivers (the delivery runs on the destination's shard).
+	// Injected per machine (core.Machine.SetTracer).
 	Tr *trace.Tracer
 
 	// Stats. Single-writer: only the owning node's events send.
@@ -57,9 +68,9 @@ type Port struct {
 	DataMsgs  uint64
 	ReplyMsgs uint64
 
-	// Evs recycles the arrival events of the messages this port sends (see
-	// Send); arrive is what they fire, on the destination port: it emits
-	// the recv event when tracing and hands the message to the sink.
+	// Evs recycles the delivery events of the messages this port sends
+	// (see Send); arrive is what they fire, on the destination port: it
+	// emits the recv event when tracing and hands the message to the sink.
 	Evs    arch.MsgEventFIFO
 	arrive func(*arch.MsgEvent)
 }
@@ -76,7 +87,7 @@ func New(n int, transit sim.Cycle) *Network {
 		p.arrive = func(ev *arch.MsgEvent) {
 			if m := &ev.Msg; p.Tr.Active() {
 				p.Tr.Emit(trace.Event{
-					Cycle: uint64(p.sched.Now()), Node: int32(m.Dst), Kind: trace.KindMsgRecv,
+					Cycle: uint64(p.sched.Now() - p.inbound), Node: int32(m.Dst), Kind: trace.KindMsgRecv,
 					Addr: uint64(m.Addr), ID: m.TID, Name: m.Type.String(),
 				})
 			}
@@ -87,8 +98,14 @@ func New(n int, transit sim.Cycle) *Network {
 	return nw
 }
 
-// Attach registers the sink for node id.
-func (n *Network) Attach(id arch.NodeID, s Sink) { n.sinks[id] = s }
+// Attach registers the sink for node id, and its NI inbound stage if it is
+// an NISink.
+func (n *Network) Attach(id arch.NodeID, s Sink) {
+	n.sinks[id] = s
+	if ni, ok := s.(NISink); ok {
+		n.ports[id].inbound = ni.NIInbound()
+	}
+}
 
 // Port returns node id's port, binding it to sched on first use.
 func (n *Network) Port(id arch.NodeID, sched sim.Scheduler) *Port {
@@ -159,7 +176,7 @@ func (p *Port) Reset() {
 }
 
 // Send injects m at time `at` (which must be >= the owning node's current
-// time); it is delivered to m.Dst after the transit latency.
+// time); m.Dst's sink gets it after the transit and its inbound stage.
 func (p *Port) Send(at sim.Cycle, m arch.Msg) {
 	n := p.net
 	p.Msgs++
@@ -188,18 +205,20 @@ func (p *Port) Send(at sim.Cycle, m arch.Msg) {
 		})
 		m.TID = id
 	}
-	// The arrival event stays this port's: the destination reads the message
-	// out of it and the port re-arms it once its own clock is a reverse
-	// transit past the arrival. By then it has fired under every engine: the
-	// sequential one has a single clock, and the conservative parallel one
-	// never lets a node run a lookahead or more ahead of an event pending at
-	// a peer (that event could still send back) — the lookahead being at most
-	// the transit charged from the destination. The barrier or scheduler
-	// lock that let this node's clock get there also orders the
-	// destination's read before the re-arm.
-	free := arrive + n.TransitFor(m.Dst, p.src)
-	ev := p.Evs.Get(uint64(p.sched.Now()), uint64(free), n.ports[m.Dst].arrive, m)
-	p.sched.Deliver(arrive, int(p.src), int(m.Dst), p.seq, ev.Fire)
+	// The delivery event stays this port's: the destination reads the
+	// message out of it and the port re-arms it once its own clock is a
+	// reverse transit past the delivery (arrival plus the inbound stage).
+	// By then it has fired under every engine: the sequential one has a
+	// single clock, and the conservative parallel one never lets a node run
+	// a lookahead or more ahead of an event pending at a peer (that event
+	// could still send back) — the lookahead being at most the transit
+	// charged from the destination. The barrier or scheduler lock that let
+	// this node's clock get there also orders the destination's read before
+	// the re-arm.
+	dst := n.ports[m.Dst]
+	free := arrive + dst.inbound + n.TransitFor(m.Dst, p.src)
+	ev := p.Evs.Get(uint64(p.sched.Now()), uint64(free), dst.arrive, m)
+	p.sched.DeliverSettled(arrive, dst.inbound, int(p.src), int(m.Dst), p.seq, ev.Fire)
 }
 
 // AvgTransitFor returns the paper's average transit estimate for a p-node

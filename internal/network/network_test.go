@@ -6,6 +6,7 @@ import (
 
 	"flashsim/internal/arch"
 	"flashsim/internal/sim"
+	"flashsim/internal/trace"
 )
 
 type sink struct {
@@ -126,3 +127,59 @@ func TestMeshTransit(t *testing.T) {
 		t.Fatalf("mesh delivery %+v, want one arrival at %d", s.got, 5+m.MinTransit(0, 15))
 	}
 }
+
+// TestInboundStage pins the NI inbound stage: the sink sees a message
+// inbound cycles after its arrival, in the place an event scheduled at the
+// arrival would have had — after the locals scheduled for that cycle before
+// the arrival, ahead of those scheduled at or after it — while the recv
+// trace event keeps the arrival cycle.
+func TestInboundStage(t *testing.T) {
+	eng := sim.NewEngine()
+	n := New(2, 22)
+	var order []string
+	s := niSink{func(m arch.Msg) { order = append(order, fmt.Sprintf("sink@%d", eng.Now())) }, 8}
+	n.Attach(0, s)
+	n.Attach(1, s)
+	var buf trace.Buffer
+	tr := trace.New(&buf)
+	p := n.Port(0, eng)
+	p.Tr, n.Port(1, eng).Tr = tr, tr
+
+	local := func(name string) func() {
+		return func() { order = append(order, fmt.Sprintf("%s@%d", name, eng.Now())) }
+	}
+	eng.At(2, func() { p.Send(5, arch.Msg{Type: arch.MsgGET, Dst: 1, Addr: 0x100}) }) // arrives 27
+	eng.At(26, func() { eng.At(35, local("before")) })
+	eng.At(27, func() { eng.At(35, local("after")) })
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(order); got != "[before@35 sink@35 after@35]" || eng.ExecutedEvents() != 6 {
+		t.Fatalf("ran %s in %d events, want [before@35 sink@35 after@35] in 6", got, eng.ExecutedEvents())
+	}
+	var recv, send []uint64
+	for _, ev := range buf.Events {
+		switch ev.Kind {
+		case trace.KindMsgSend:
+			send = append(send, ev.Cycle)
+		case trace.KindMsgRecv:
+			recv = append(recv, ev.Cycle)
+		}
+	}
+	if len(send) != 1 || send[0] != 5 || len(recv) != 1 || recv[0] != 27 {
+		t.Fatalf("send at %v, recv at %v: want [5] and the arrival, [27]", send, recv)
+	}
+}
+
+// logSink adapts a function to Sink.
+type logSink func(arch.Msg)
+
+func (f logSink) FromNet(m arch.Msg) { f(m) }
+
+// niSink is a logSink behind an NI inbound stage of d cycles.
+type niSink struct {
+	logSink
+	d sim.Cycle
+}
+
+func (s niSink) NIInbound() sim.Cycle { return s.d }

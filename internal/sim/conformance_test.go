@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"fmt"
 	"testing"
 
 	"flashsim/internal/sim"
@@ -175,6 +176,40 @@ func TestConformanceDeliveryOrdering(t *testing.T) {
 				if order[i] != want[i] {
 					t.Fatalf("order = %v, want %v", order, want)
 				}
+			}
+		})
+	}
+}
+
+// TestConformanceSettledDelivery pins a settled delivery's place among the
+// events of its cycle: after the locals scheduled before its arrival, after
+// plain deliveries, ahead of the locals scheduled at or after its arrival,
+// and among settled peers by (source node, send sequence); and a reserved
+// key's: where At at the reservation would have put the event.
+func TestConformanceSettledDelivery(t *testing.T) {
+	for _, bc := range backendCases() {
+		t.Run(bc.name, func(t *testing.T) {
+			b := bc.mk(3, 10)
+			n1 := b.Node(1)
+			var order []string
+			log := func(name string) func() { return func() { order = append(order, name) } }
+			var k sim.Key
+			n1.At(5, func() {
+				n1.At(38, log("early"))
+				k = n1.Reserve()
+				n1.At(38, log("mid"))
+			})
+			n1.At(30, func() { n1.At(38, log("late")) })
+			n1.At(31, func() { n1.AtKey(38, k, log("reserved")) })
+			b.Node(2).DeliverSettled(30, 8, 2, 1, 1, log("s2.1"))
+			b.Node(0).DeliverSettled(30, 8, 0, 1, 1, log("s0.1"))
+			b.Node(0).Deliver(38, 0, 1, 2, log("d0.2"))
+			if err := b.Run(); err != nil {
+				t.Fatal(err)
+			}
+			want := "[d0.2 early reserved mid s0.1 s2.1 late]"
+			if got := fmt.Sprint(order); got != want {
+				t.Fatalf("order = %s, want %s", got, want)
 			}
 		})
 	}

@@ -1,38 +1,42 @@
 // Package sim provides the deterministic discrete-event simulation kernel
 // that underlies the FLASH system simulator. Components schedule closures at
-// future cycle times; an engine runs them in (cycle, key) order, so
-// simulations are bit-for-bit reproducible across runs.
+// future cycle times; an engine runs them in an order fixed by what was
+// scheduled, so simulations are bit-for-bit reproducible across runs.
 //
 // All times are expressed in 10 ns system clock cycles (the 100 MHz MAGIC
 // clock of the paper).
 //
 // Two engines implement the same reference semantics behind the Backend
 // interface: the sequential Engine in this file, and the conservative
-// parallel ShardedEngine in sharded.go. The event ordering rule shared by
-// both is encoded in each event's 64-bit key:
+// parallel ShardedEngine in sharded.go. Both sort events by (cycle, the
+// cycle they count as scheduled in, key):
 //
-//   - network deliveries carry key = src<<40 | sendSeq (top bit clear), so
-//     at a given cycle all deliveries dispatch before locally scheduled
-//     events, ordered by (source node, per-source send order);
-//   - locally scheduled events carry key = 1<<63 | localSeq, preserving
-//     insertion order among themselves.
+//   - a local event counts as scheduled at the clock's cycle, with key =
+//     1<<63 | localSeq (insertion order); Reserve takes such a key now and
+//     AtKey spends it later, where an At at the reservation would have been;
+//   - a plain delivery (Deliver) counts as scheduled at cycle 0, with key =
+//     src<<40 | sendSeq, so at a given cycle it dispatches before every
+//     local, in (source node, per-source send order);
+//   - a settled delivery (DeliverSettled: arrival at cycle a, work d cycles
+//     later) counts as scheduled at a with the same key: the place of the
+//     After(d) a plain delivery at a would have made, one event, not two.
 //
-// This rule is what makes the parallel engine exact: a delivery's key is a
-// pure function of (source, send order), not of when the scheduling call
-// happened to interleave with other nodes' scheduling calls.
+// This rule is what makes the parallel engine exact: a delivery's place is
+// a pure function of (arrival, source, send order), not of when the
+// scheduling call happened to interleave with other nodes' calls.
 //
 // The event queue (queue.go) is a calendar queue: a power-of-two ring of
 // per-cycle slots over one slab of index-linked nodes, with an occupancy
-// bitmap to find the next nonempty slot. A slot's list is kept in (cycle,
-// key) order, so its head is its earliest event and the dispatch test is
+// bitmap to find the next nonempty slot. A slot's list is kept in event
+// order, so its head is its earliest event and the dispatch test is
 // head.cycle == now; an event more than a rotation ahead waits in its slot
 // behind nearer ones, which is why far events need no overflow structure.
-// Scheduling is an O(1) tail append except for a delivery landing behind
-// locals already queued for its cycle or a near event sharing a slot with a
-// far one; nodes recycle through a free list, so nothing allocates. Events
-// scheduled for the current cycle bypass the ring through a same-cycle FIFO
-// and run in insertion order after the ring events already queued for that
-// cycle (scheduled earlier, those precede them in (cycle, key) order;
+// Scheduling is an O(1) tail append except for an event sorting ahead of
+// one already queued for its cycle (a delivery ahead of locals) or a near
+// event sharing a slot with a far one; nodes recycle through a free list, so
+// nothing allocates. Events scheduled for the current cycle bypass the ring
+// through a same-cycle FIFO and run in insertion order after the ring events
+// already queued for that cycle (scheduled earlier, those precede them;
 // deliveries never land at the current cycle: network transit is positive).
 package sim
 
@@ -58,6 +62,13 @@ func deliveryKey(src int, seq uint64) uint64 {
 	return uint64(src)<<deliverySeqBits | seq&(1<<deliverySeqBits-1)
 }
 
+// Key is an event's place among the events of its cycle: the cycle it
+// counts as scheduled in, then its tiebreak (see the package doc).
+type Key struct {
+	sched Cycle
+	tie   uint64
+}
+
 // Scheduler is the per-node scheduling surface components program against.
 // On the sequential engine every node shares one Scheduler (the Engine
 // itself); on the sharded engine each node gets its own shard.
@@ -74,6 +85,15 @@ type Scheduler interface {
 	// the future — in fact at least one lookahead window away, which the
 	// network's positive transit latency guarantees.
 	Deliver(at Cycle, src, dst int, seq uint64, fn func())
+	// DeliverSettled is Deliver arriving at cycle arrive whose fn runs d
+	// cycles later, exactly where an After(d, fn) made by a Deliver at
+	// arrive would have run, without the intermediate event.
+	DeliverSettled(arrive, d Cycle, src, dst int, seq uint64, fn func())
+	// Reserve takes the key a local scheduled now would get.
+	Reserve() Key
+	// AtKey schedules fn at cycle t (> Now) where an At(t, fn) made at k's
+	// Reserve would have run.
+	AtKey(t Cycle, k Key, fn func())
 	// Stop makes the engine's Run return; immediately for events on this
 	// node, at the current window barrier for other shards.
 	Stop()
@@ -146,7 +166,12 @@ func (e *Engine) Reset() {
 // Deliver schedules a cross-node message arrival; dst is ignored by the
 // sequential engine, which holds every node's events in one queue.
 func (e *Engine) Deliver(at Cycle, src, dst int, seq uint64, fn func()) {
-	e.deliver(at, src, seq, fn)
+	e.deliver(at, at, Key{0, deliveryKey(src, seq)}, fn)
+}
+
+// DeliverSettled schedules a settled message arrival; see Scheduler.
+func (e *Engine) DeliverSettled(arrive, d Cycle, src, dst int, seq uint64, fn func()) {
+	e.deliver(arrive, arrive+d, Key{arrive, deliveryKey(src, seq)}, fn)
 }
 
 // Node returns the Scheduler for node i: the engine itself, shared by all

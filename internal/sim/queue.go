@@ -23,7 +23,7 @@ const (
 // zero queue is empty and ready.
 type node struct {
 	at   Cycle
-	key  uint64 // dispatch order among events at the same cycle; see package doc
+	key  Key // dispatch order among events at the same cycle; see package doc
 	fn   func()
 	next int32
 }
@@ -43,7 +43,7 @@ type queue struct {
 
 	nodes []node // slab; free nodes chain through next from free
 	free  int32
-	head  [ringSize]int32 // slot = cycle & ringMask; list in (at, key) order
+	head  [ringSize]int32 // slot = cycle & ringMask; list in event order
 	tail  [ringSize]int32
 	occ   [ringWords]uint64 // bit per nonempty slot
 	n     int               // events in the ring
@@ -70,23 +70,37 @@ func (q *queue) At(t Cycle, fn func()) {
 		}
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, q.now))
 	}
+	q.push(t, q.Reserve(), fn)
+}
+
+// Reserve takes the key the next local scheduled now would get.
+func (q *queue) Reserve() Key {
 	q.seq++
-	q.push(t, localKeyBit|q.seq, fn)
+	return Key{q.now, localKeyBit | q.seq}
 }
 
-// deliver enqueues a message arrival with the delivery key for (src, seq).
-func (q *queue) deliver(at Cycle, src int, seq uint64, fn func()) {
-	if at <= q.now {
-		panic(fmt.Sprintf("sim: delivery at %d not after now %d", at, q.now))
+// AtKey schedules fn at cycle t under the reserved key k; t <= now panics.
+func (q *queue) AtKey(t Cycle, k Key, fn func()) {
+	if t <= q.now {
+		panic(fmt.Sprintf("sim: reserved event at %d not after now %d", t, q.now))
 	}
-	q.push(at, deliveryKey(src, seq), fn)
+	q.push(t, k, fn)
 }
 
-// push links a future event into its slot's (at, key)-ordered list. Nearly
-// every push appends — local keys grow with the clock — and only a delivery
-// landing behind locals already queued for its cycle, or a near event
-// sharing a slot with a far one, walks the list.
-func (q *queue) push(at Cycle, key uint64, fn func()) {
+// deliver enqueues a message arriving at cycle arrive that runs at cycle at
+// under key k.
+func (q *queue) deliver(arrive, at Cycle, k Key, fn func()) {
+	if arrive <= q.now {
+		panic(fmt.Sprintf("sim: delivery at %d not after now %d", arrive, q.now))
+	}
+	q.push(at, k, fn)
+}
+
+// push links a future event into its slot's ordered list. Nearly every push
+// appends — local keys grow with the clock — and only an event sorting ahead
+// of one queued for its cycle, or a near event sharing a slot with a far
+// one, walks the list.
+func (q *queue) push(at Cycle, key Key, fn func()) {
 	i := q.free
 	if i != 0 {
 		q.free = q.nodes[i].next
@@ -124,8 +138,8 @@ func (q *queue) push(at Cycle, key uint64, fn func()) {
 }
 
 // before reports whether n dispatches before an event with (at, key).
-func (n *node) before(at Cycle, key uint64) bool {
-	return n.at < at || (n.at == at && n.key < key)
+func (n *node) before(at Cycle, key Key) bool {
+	return n.at < at || n.at == at && (n.key.sched < key.sched || n.key.sched == key.sched && n.key.tie < key.tie)
 }
 
 // pop unlinks slot s's head h and returns its callback.

@@ -8,8 +8,9 @@ import (
 )
 
 // refQueue is the trivially correct model the calendar queue is checked
-// against: every future event in one slice kept sorted by (at, key), the
-// same-cycle FIFO as a second slice, and the dispatch rule written out
+// against: every future event in one slice kept sorted by (at, sched, key)
+// — the cycle, the cycle the event counts as scheduled in, the tiebreak —
+// the same-cycle FIFO as a second slice, and the dispatch rule written out
 // longhand. It shares only the key encoding with the real queue.
 type refQueue struct {
 	now      Cycle
@@ -18,22 +19,34 @@ type refQueue struct {
 	stopped  bool
 	evs      []refEvent
 	fifo     []uint64
+	reserved []refKey // keys taken by reserve and not yet spent, oldest first
+}
+
+type refKey struct {
+	sched Cycle
+	key   uint64
 }
 
 type refEvent struct {
-	at  Cycle
-	key uint64
-	id  uint64
+	at Cycle
+	k  refKey
+	id uint64
 }
 
-func (r *refQueue) insert(at Cycle, key uint64, id uint64) {
+func (r *refQueue) insert(at Cycle, k refKey, id uint64) {
 	i := sort.Search(len(r.evs), func(i int) bool {
 		e := r.evs[i]
-		return e.at > at || (e.at == at && e.key > key)
+		return e.at > at || (e.at == at && (e.k.sched > k.sched || e.k.sched == k.sched && e.k.key > k.key))
 	})
 	r.evs = append(r.evs, refEvent{})
 	copy(r.evs[i+1:], r.evs[i:])
-	r.evs[i] = refEvent{at, key, id}
+	r.evs[i] = refEvent{at, k, id}
+}
+
+// reserve is the key a local scheduled now would get.
+func (r *refQueue) reserve() refKey {
+	r.seq++
+	return refKey{r.now, localKeyBit | r.seq}
 }
 
 func (r *refQueue) at(t Cycle, id uint64) {
@@ -41,12 +54,18 @@ func (r *refQueue) at(t Cycle, id uint64) {
 		r.fifo = append(r.fifo, id)
 		return
 	}
-	r.seq++
-	r.insert(t, localKeyBit|r.seq, id)
+	r.insert(t, r.reserve(), id)
 }
 
+// deliver is a plain delivery: it counts as scheduled at cycle 0.
 func (r *refQueue) deliver(at Cycle, src int, seq uint64, id uint64) {
-	r.insert(at, deliveryKey(src, seq), id)
+	r.insert(at, refKey{0, deliveryKey(src, seq)}, id)
+}
+
+// settle is a settled delivery: it runs d cycles after its arrival and
+// counts as scheduled at the arrival.
+func (r *refQueue) settle(arrive, d Cycle, src int, seq uint64, id uint64) {
+	r.insert(arrive+d, refKey{arrive, deliveryKey(src, seq)}, id)
 }
 
 func (r *refQueue) pending() int { return len(r.evs) + len(r.fifo) }
@@ -100,13 +119,14 @@ var queueDeltas = [16]Cycle{
 // queuePair drives the calendar queue and the reference with one program and
 // fails on the first observable difference.
 type queuePair struct {
-	t       *testing.T
-	q       queue
-	r       refQueue
-	qLog    []uint64
-	rLog    []uint64
-	nextID  uint64
-	sendSeq [4]uint64
+	t        *testing.T
+	q        queue
+	r        refQueue
+	qLog     []uint64
+	rLog     []uint64
+	nextID   uint64
+	sendSeq  [4]uint64
+	reserved []Key // the calendar queue's side of r.reserved
 }
 
 const queueEventBudget = 3000
@@ -125,17 +145,50 @@ func (p *queuePair) atBoth(d Cycle) {
 func (p *queuePair) deliverBoth(d Cycle, src int) {
 	id := p.newID()
 	p.sendSeq[src]++
-	p.q.deliver(p.q.now+d, src, p.sendSeq[src], p.fireQ(id))
+	p.q.deliver(p.q.now+d, p.q.now+d, Key{0, deliveryKey(src, p.sendSeq[src])}, p.fireQ(id))
 	p.r.deliver(p.r.now+d, src, p.sendSeq[src], id)
 }
 
-// childOp is one thing a fired event does: schedule at the current cycle,
-// ahead, or as a delivery, or stop the run.
+// settleBoth is a settled delivery arriving d cycles from now and running
+// settle cycles after that.
+func (p *queuePair) settleBoth(d, settle Cycle, src int) {
+	id := p.newID()
+	p.sendSeq[src]++
+	qSettle(&p.q, p.q.now+d, settle, src, p.sendSeq[src], p.fireQ(id))
+	p.r.settle(p.r.now+d, settle, src, p.sendSeq[src], id)
+}
+
+// qSettle is Engine.DeliverSettled on a bare queue.
+func qSettle(q *queue, arrive, d Cycle, src int, seq uint64, fn func()) {
+	q.deliver(arrive, arrive+d, Key{arrive, deliveryKey(src, seq)}, fn)
+}
+
+// reserveBoth takes a key now on both sides; spendBoth schedules an event d
+// cycles from now under the oldest key still unspent, if any.
+func (p *queuePair) reserveBoth() {
+	p.reserved = append(p.reserved, p.q.Reserve())
+	p.r.reserved = append(p.r.reserved, p.r.reserve())
+}
+
+func (p *queuePair) spendBoth(d Cycle) {
+	if len(p.reserved) == 0 {
+		return
+	}
+	id := p.newID()
+	p.q.AtKey(p.q.now+d, p.reserved[0], p.fireQ(id))
+	p.r.insert(p.r.now+d, p.r.reserved[0], id)
+	p.reserved, p.r.reserved = p.reserved[1:], p.r.reserved[1:]
+}
+
+// childOp is one thing a fired event does: schedule at the current cycle or
+// ahead, send a plain or a settled delivery, reserve a key or spend the
+// oldest reserved one, or stop the run.
 type childOp struct {
-	kind int // 0 at(now), 1 at(now+d), 2 deliver(now+d), 3 stop
-	d    Cycle
-	src  int
-	id   uint64
+	kind   int // 0 at(now), 1 at(now+d), 2 deliver(now+d), 3 stop, 4 settle(now+d, settle), 5 reserve, 6 spend(now+d)
+	d      Cycle
+	settle Cycle
+	src    int
+	id     uint64
 }
 
 func mix(x uint64) uint64 { // splitmix64
@@ -149,19 +202,34 @@ func mix(x uint64) uint64 { // splitmix64
 // zero to three operations (mean 1.5, so chains grow until the budget
 // bites). Child ids are hashes of the parent's; a child delivery's send
 // sequence is 40 bits of its id with the top one set, clear of the counters
-// top-level deliveries use.
+// top-level deliveries use. A settled delivery's settle delay is 0, the NI
+// inbound stage's 8, or one of the deltas.
 func childrenOf(id uint64) (ops []childOp) {
 	h := mix(id)
 	for i := h & 3; i > 0; i-- {
 		h = mix(h)
 		op := childOp{id: h | 1<<39, d: queueDeltas[h>>8&15], src: int(h >> 12 & 3)}
+		switch s := h >> 24 & 3; s {
+		case 0:
+			op.settle = 0
+		case 1:
+			op.settle = 8
+		default:
+			op.settle = queueDeltas[h>>28&15]
+		}
 		switch k := h >> 16 & 15; {
-		case k < 4:
+		case k < 3:
 			op.kind = 0
-		case k < 11:
+		case k < 8:
 			op.kind = 1
-		case k < 15:
+		case k < 10:
 			op.kind = 2
+		case k < 12:
+			op.kind = 4
+		case k < 13:
+			op.kind = 5
+		case k < 15:
+			op.kind = 6
 		default:
 			op.kind = 3
 		}
@@ -183,9 +251,18 @@ func (p *queuePair) fireQ(id uint64) func() {
 			case 1:
 				p.q.At(p.q.now+op.d, p.fireQ(op.id))
 			case 2:
-				p.q.deliver(p.q.now+op.d, op.src, op.id, p.fireQ(op.id))
+				p.q.deliver(p.q.now+op.d, p.q.now+op.d, Key{0, deliveryKey(op.src, op.id)}, p.fireQ(op.id))
 			case 3:
 				p.q.stopped = true
+			case 4:
+				qSettle(&p.q, p.q.now+op.d, op.settle, op.src, op.id, p.fireQ(op.id))
+			case 5:
+				p.reserved = append(p.reserved, p.q.Reserve())
+			case 6:
+				if len(p.reserved) > 0 {
+					p.q.AtKey(p.q.now+op.d, p.reserved[0], p.fireQ(op.id))
+					p.reserved = p.reserved[1:]
+				}
 			}
 		}
 	}
@@ -206,6 +283,15 @@ func (p *queuePair) fireR(id uint64) {
 			p.r.deliver(p.r.now+op.d, op.src, op.id, op.id)
 		case 3:
 			p.r.stopped = true
+		case 4:
+			p.r.settle(p.r.now+op.d, op.settle, op.src, op.id, op.id)
+		case 5:
+			p.r.reserved = append(p.r.reserved, p.r.reserve())
+		case 6:
+			if len(p.r.reserved) > 0 {
+				p.r.insert(p.r.now+op.d, p.r.reserved[0], op.id)
+				p.r.reserved = p.r.reserved[1:]
+			}
 		}
 	}
 }
@@ -250,7 +336,7 @@ func runQueueProgram(t *testing.T, prog []byte) {
 	}
 	for i := 0; i < len(prog) && p.nextID < queueEventBudget; i++ {
 		what := ""
-		switch op := prog[i] % 8; op {
+		switch op := prog[i] % 10; op {
 		case 0: // local event, possibly at now (the FIFO) when the top bit is set
 			a := arg(&i)
 			d := queueDeltas[a%16]
@@ -285,7 +371,7 @@ func runQueueProgram(t *testing.T, prog []byte) {
 			what = "reset"
 			p.q.reset()
 			p.r = refQueue{}
-			p.qLog, p.rLog = p.qLog[:0], p.rLog[:0]
+			p.qLog, p.rLog, p.reserved = p.qLog[:0], p.rLog[:0], nil
 		case 6: // several sources at one cycle, behind locals queued for it
 			d := queueDeltas[arg(&i)%16]
 			what = fmt.Sprintf("crowd +%d", d)
@@ -297,6 +383,20 @@ func runQueueProgram(t *testing.T, prog []byte) {
 		case 7: // one dispatch step's worth: a window ending just past now
 			what = "run this cycle"
 			p.runBoth(p.q.now+1, 0)
+		case 8: // settled delivery: arrival +d, settle from the high bits
+			a := arg(&i)
+			settle := [4]Cycle{0, 1, 8, 22}[a>>6]
+			what = fmt.Sprintf("settle +%d+%d from %d", queueDeltas[a%16], settle, a>>4&3)
+			p.settleBoth(queueDeltas[a%16], settle, int(a>>4&3))
+		case 9: // reserve a key now (top bit set) or spend the oldest at +d
+			a := arg(&i)
+			if a&0x80 != 0 {
+				what = "reserve"
+				p.reserveBoth()
+			} else {
+				what = fmt.Sprintf("spend at +%d", queueDeltas[a%16])
+				p.spendBoth(queueDeltas[a%16])
+			}
 		}
 		p.check(i, what)
 	}
@@ -325,10 +425,17 @@ var queueCorpus = [][]byte{
 	{0, 13, 0, 1, 6, 9, 5, 0, 2, 1, 0x43, 2, 5, 5, 0, 9, 2},
 	// Windows that end inside, at and beyond a rotation.
 	{6, 8, 6, 9, 6, 10, 3, 8, 3, 1, 3, 11, 2},
+	// A settled delivery behind locals scheduled before its arrival and
+	// ahead of those scheduled at or after it, with and without a settle.
+	{0, 5, 8, 0x80 | 1, 7, 7, 0, 3, 0, 0x80, 8, 1, 2},
+	{9, 0x80, 0, 4, 9, 0x80, 9, 5, 0, 5, 9, 5, 8, 0x40 | 1, 2},
+	// Keys reserved before and after a run, spent behind and ahead of
+	// locals and settled deliveries at the same cycle.
+	{9, 0x80, 0, 1, 7, 9, 0x80, 0, 2, 9, 4, 9, 4, 8, 0x80 | 2, 2},
 }
 
 // FuzzQueueOrder drives the calendar queue and the sorted-slice reference
-// with arbitrary at/deliver/run/reset programs and asserts identical
+// with arbitrary at/deliver/settle/reserve/run/reset programs and asserts identical
 // dispatch order, Pending, nextAt, Executed and Now after every step. go
 // test runs the seed corpus; make verify fuzzes for a bounded time.
 func FuzzQueueOrder(f *testing.F) {

@@ -124,7 +124,7 @@ type Shard struct {
 
 type delivery struct {
 	at  Cycle
-	key uint64
+	key Key
 	fn  func()
 }
 
@@ -510,33 +510,44 @@ func (s *Shard) Stop() {
 	s.eng.stopReq.Store(true)
 }
 
-// Deliver routes a message arrival to shard dst. During a run the delivery
-// parks in this shard's outbox (merged at the barrier in barrier mode,
-// batch-appended to the destination inbox after the burst in watermark
-// mode); outside Run — e.g. test setup — it goes straight into the
-// destination queue. Arrivals whose transit undercuts the conservative
-// synchronization contract panic, naming the (src,dst) pair and the
-// lookahead.
+// Deliver routes a message arrival to shard dst; see send.
 func (s *Shard) Deliver(at Cycle, src, dst int, seq uint64, fn func()) {
+	s.send(at, at, Key{0, deliveryKey(src, seq)}, src, dst, fn)
+}
+
+// DeliverSettled routes a settled message arrival to shard dst; see
+// Scheduler and send.
+func (s *Shard) DeliverSettled(arrive, d Cycle, src, dst int, seq uint64, fn func()) {
+	s.send(arrive, arrive+d, Key{arrive, deliveryKey(src, seq)}, src, dst, fn)
+}
+
+// send routes a message arriving at cycle arrive, to run at cycle at under
+// key k, to shard dst. During a run the delivery parks in this shard's
+// outbox (merged at the barrier in barrier mode, batch-appended to the
+// destination inbox after the burst in watermark mode); outside Run — e.g.
+// test setup — it goes straight into the destination queue. Arrivals whose
+// transit undercuts the conservative synchronization contract panic, naming
+// the (src,dst) pair and the lookahead.
+func (s *Shard) send(arrive, at Cycle, k Key, src, dst int, fn func()) {
 	e := s.eng
 	if !e.running {
-		e.shards[dst].deliver(at, src, seq, fn)
+		e.shards[dst].deliver(arrive, at, k, fn)
 		return
 	}
 	if e.sync == SyncWatermark {
-		if at < s.now+e.window {
+		if arrive < s.now+e.window {
 			panic(fmt.Sprintf("sim: sharded delivery %d->%d at cycle %d sent at %d: transit %d below lookahead %d",
-				src, dst, at, s.now, at-s.now, e.window))
+				src, dst, arrive, s.now, arrive-s.now, e.window))
 		}
 		if dst == s.id {
 			// Self-deliveries join the shard's own queue directly: the
-			// (at, key) order is identical to routing through a mailbox.
-			s.push(at, deliveryKey(src, seq), fn)
+			// event order is identical to routing through a mailbox.
+			s.push(at, k, fn)
 			return
 		}
-	} else if at < e.winEnd {
+	} else if arrive < e.winEnd {
 		panic(fmt.Sprintf("sim: sharded delivery %d->%d at cycle %d inside window ending %d (transit below lookahead %d)",
-			src, dst, at, e.winEnd, e.window))
+			src, dst, arrive, e.winEnd, e.window))
 	}
-	s.outbox[dst] = append(s.outbox[dst], delivery{at: at, key: deliveryKey(src, seq), fn: fn})
+	s.outbox[dst] = append(s.outbox[dst], delivery{at: at, key: k, fn: fn})
 }

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -39,7 +40,20 @@ func xorshift(s *uint64) uint64 {
 	return x
 }
 
+// arrival is how the torture sends a message: it arranges for work to run
+// on dst for a delivery arriving at cycle at.
+type arrival func(b sim.Backend, at sim.Cycle, src, dst int, seq uint64, work func())
+
+// plainArrival runs work as the delivery event itself.
+func plainArrival(b sim.Backend, at sim.Cycle, src, dst int, seq uint64, work func()) {
+	b.Node(src).Deliver(at, src, dst, seq, work)
+}
+
 func runTorture(b sim.Backend, limit sim.Cycle) tortureResult {
+	return runTortureWith(b, limit, plainArrival)
+}
+
+func runTortureWith(b sim.Backend, limit sim.Cycle, send arrival) tortureResult {
 	store := memsys.NewStore(tortureWords * 8)
 	views := make([]*memsys.View, tortureNodes)
 	for i := range views {
@@ -76,7 +90,7 @@ func runTorture(b sim.Backend, limit sim.Cycle) tortureResult {
 			seqs[i]++
 			payload := r
 			src := i
-			s.Deliver(at, src, dst, seqs[i], func() {
+			send(b, at, src, dst, seqs[i], func() {
 				d := b.Node(dst)
 				logs[dst] = append(logs[dst], uint64(d.Now())<<24|uint64(src)<<4|0xf)
 				views[dst].Store(payload%tortureWords, payload)
@@ -176,6 +190,44 @@ func TestShardedDifferentialTortureWithLimit(t *testing.T) {
 		e.Workers = workers
 		got := runTorture(e, limit)
 		compareTorture(t, "sharded-limit", want, got)
+	}
+}
+
+// TestShardedSettledDeliveryMatchesDeliverAfter is the settled delivery's
+// contract: DeliverSettled(at, d, ...) runs its work exactly where a Deliver
+// at `at` whose event did After(d, work) ran it — the same per-node logs
+// (so the same place among that cycle's locals), store contents and final
+// clock, one event fewer per message — on the sequential engine and on the
+// sharded engine under both synchronization schemes.
+func TestShardedSettledDeliveryMatchesDeliverAfter(t *testing.T) {
+	backends := []struct {
+		name string
+		mk   func() sim.Backend
+	}{
+		{"seq", func() sim.Backend { return sim.NewEngine() }},
+		{"barrier", func() sim.Backend { return sim.NewShardedEngine(tortureNodes, tortureWindow) }},
+		{"barrier-1worker", func() sim.Backend {
+			e := sim.NewShardedEngine(tortureNodes, tortureWindow)
+			e.Workers = 1
+			return e
+		}},
+		{"watermark", func() sim.Backend { return newWatermarkEngine(0) }},
+		{"watermark-1worker", func() sim.Backend { return newWatermarkEngine(1) }},
+	}
+	for _, d := range []sim.Cycle{0, 1, 8, 37} {
+		after := func(b sim.Backend, at sim.Cycle, src, dst int, seq uint64, work func()) {
+			b.Node(src).Deliver(at, src, dst, seq, func() { b.Node(dst).After(d, work) })
+		}
+		settled := func(b sim.Backend, at sim.Cycle, src, dst int, seq uint64, work func()) {
+			b.Node(src).DeliverSettled(at, d, src, dst, seq, work)
+		}
+		want := runTortureWith(sim.NewEngine(), 0, after)
+		for _, bc := range backends {
+			name := fmt.Sprintf("settle=%d/%s", d, bc.name)
+			got := runTortureWith(bc.mk(), 0, settled)
+			got.executed += got.sends // the After events the fold removed
+			compareTorture(t, name, want, got)
+		}
 	}
 }
 
