@@ -243,3 +243,13 @@ var missClassNames = [NumMissClasses]string{
 }
 
 func (c MissClass) String() string { return missClassNames[c] }
+
+// RestoreSlice installs a captured fixed-size state array into dst: a copy
+// taken from a unit of the same geometry is copied in, and nil (a zero
+// state record) clears dst.
+func RestoreSlice[T any](dst, src []T) {
+	if src != nil && len(src) != len(dst) {
+		panic(fmt.Sprintf("arch: restoring %d state entries into %d", len(src), len(dst)))
+	}
+	clear(dst[copy(dst, src):])
+}

@@ -14,7 +14,7 @@ import (
 // point (every processor parked at a batch-refill boundary or finished, all
 // controller queues and network traffic drained). Both memories are
 // captured copy-on-write: Chunks aliases the data store's chunk table and
-// each Magics[i].PP.Mem aliases that node's protocol-memory chunk table
+// each Nodes[i].Magic aliases that node's protocol-memory chunk table
 // (directory and pointer pool), frozen at capture time, and both the donor
 // and any machine restored from the snapshot clone a chunk on its first
 // subsequent write. Chunks no run ever wrote are not in the tables at all —
@@ -34,12 +34,18 @@ type Snapshot struct {
 	// Chunks is the frozen copy-on-write store image.
 	Chunks [][]uint64
 
-	// Per-node component states, indexed by node: deep copies, except the
-	// protocol-memory chunk table inside each MagicState.
-	CPUs   []cpu.CPUState
-	Magics []magic.MagicState
-	Mems   []memsys.MemoryState
-	Ports  []network.PortState
+	// Nodes holds each node's unit states, indexed by node: deep copies,
+	// except the protocol-memory chunk table inside each MagicState.
+	Nodes []NodeState
+}
+
+// NodeState is one node's captured units. The zero NodeState is a freshly
+// constructed node.
+type NodeState struct {
+	CPU   cpu.CPUState
+	Magic magic.MagicState
+	Mem   memsys.MemoryState
+	Port  network.PortState
 }
 
 // snapshotable reports whether the machine is in a configuration the
@@ -68,33 +74,31 @@ func (m *Machine) snapshotable() error {
 // must have run the machine with PauseAfterRefs so that every processor is
 // either paused at a batch boundary or finished, and the run must have
 // drained (Run returned nil): outstanding misses completed, controller
-// queues empty, buffered store views flushed. Component CaptureState
-// methods assert the fine-grained invariants and panic with diagnostics if
-// the machine is not actually quiescent.
+// queues empty, buffered store views flushed. Otherwise the first unit
+// found not quiescent names itself, the cycle and what it still holds.
 func (m *Machine) Snapshot() (*Snapshot, error) {
 	if err := m.snapshotable(); err != nil {
 		return nil, err
-	}
-	for i, n := range m.Nodes {
-		if !n.CPU.Paused() && !n.CPU.Stats.Finished {
-			return nil, fmt.Errorf("core: Snapshot: processor %d neither paused nor finished: %s", i, n.CPU.DebugState())
-		}
 	}
 	for i, v := range m.Views {
 		if p := v.Pending(); p != 0 {
 			return nil, fmt.Errorf("core: Snapshot: node %d view holds %d unflushed writes", i, p)
 		}
 	}
-	s := &Snapshot{
-		SimKey: m.Cfg.SimKey(),
-		Chunks: m.Backing.SnapshotChunks(),
+	s := &Snapshot{SimKey: m.Cfg.SimKey(), Nodes: make([]NodeState, len(m.Nodes))}
+	for i, n := range m.Nodes {
+		st := &s.Nodes[i]
+		var err error
+		if st.CPU, err = n.CPU.CaptureState(); err != nil {
+			return nil, fmt.Errorf("core: Snapshot: %w", err)
+		}
+		if st.Magic, err = n.Magic.CaptureState(); err != nil {
+			return nil, fmt.Errorf("core: Snapshot: %w", err)
+		}
+		st.Mem = n.Mem.CaptureState()
+		st.Port = m.Net.Port(n.CPU.ID, nil).CaptureState()
 	}
-	for _, n := range m.Nodes {
-		s.CPUs = append(s.CPUs, n.CPU.CaptureState())
-		s.Magics = append(s.Magics, n.Magic.CaptureState())
-		s.Mems = append(s.Mems, n.Mem.CaptureState())
-		s.Ports = append(s.Ports, m.Net.Port(n.CPU.ID, nil).CaptureState())
-	}
+	s.Chunks = m.Backing.SnapshotChunks()
 	return s, nil
 }
 
@@ -110,46 +114,44 @@ func (m *Machine) Restore(s *Snapshot) error {
 	if got := m.Cfg.SimKey(); got != s.SimKey {
 		return fmt.Errorf("core: Restore: config mismatch:\n  machine:  %s\n  snapshot: %s", got, s.SimKey)
 	}
-	if len(s.CPUs) != len(m.Nodes) {
-		return fmt.Errorf("core: Restore: %d node states for %d nodes", len(s.CPUs), len(m.Nodes))
+	if len(s.Nodes) != len(m.Nodes) {
+		return fmt.Errorf("core: Restore: %d node states for %d nodes", len(s.Nodes), len(m.Nodes))
 	}
-	m.Eng.Reset()
-	m.Backing.RestoreShared(s.Chunks)
-	for i, n := range m.Nodes {
-		m.Views[i].Reset()
-		n.CPU.RestoreState(s.CPUs[i])
-		n.Magic.RestoreState(s.Magics[i])
-		n.Mem.RestoreState(s.Mems[i])
-		m.Net.Port(n.CPU.ID, nil).RestoreState(s.Ports[i])
-	}
-	m.Elapsed = 0
+	m.install(s.Chunks, s.Nodes)
 	return nil
 }
 
 // Reset returns the machine to its freshly constructed state — engine
 // clock at zero, data store and protocol memories pristine, caches cold,
-// controllers idle, statistics cleared — so experiment drivers can recycle
-// a machine across runs instead of paying core.New (component allocation)
-// per run. Like New, it costs O(state the previous run touched), not
-// O(configured memory). Host-side attachments survive where they are
-// construction choices (engine kind, sync scheme, PP dispatch backend);
-// tracers and metrics registries attached by the previous user stay
-// attached and should be re-set by the next user if unwanted.
-func (m *Machine) Reset() {
+// controllers idle and booted, statistics and occupancy samples cleared —
+// so experiment drivers can recycle a machine across runs instead of
+// paying core.New (component allocation) per run. It is Restore's install
+// of the zero node state, on either machine kind. Like New, it costs
+// O(state the previous run touched), not O(configured memory). Host-side
+// attachments survive where they are construction choices (engine kind,
+// sync scheme, PP dispatch backend, store write-through, occupancy
+// sampling); tracers and metrics registries attached by the previous user
+// stay attached and should be re-set by the next user if unwanted.
+func (m *Machine) Reset() { m.install(nil, nil) }
+
+// install is Restore and Reset's one per-node loop: it empties the engine
+// and the store views and installs chunks and each node's state, or
+// pristine memory and zero node states when they are nil.
+func (m *Machine) install(chunks [][]uint64, nodes []NodeState) {
 	m.Eng.Reset()
-	m.Backing.Reset()
+	m.Backing.RestoreShared(chunks)
+	var zero NodeState
 	for i, n := range m.Nodes {
-		m.Views[i].Reset()
-		if m.Cfg.Sample.Enabled() {
-			// cpu.New put sampled machines' views in write-through mode;
-			// View.Reset cleared it.
-			m.Views[i].SetWriteThrough(true)
+		st := &zero
+		if nodes != nil {
+			st = &nodes[i]
 		}
-		n.CPU.Reset()
-		n.Mem.Reset()
-		m.Net.Port(n.CPU.ID, nil).Reset()
+		m.Views[i].Reset()
+		n.CPU.RestoreState(st.CPU)
+		n.Mem.RestoreState(st.Mem)
+		m.Net.Port(n.CPU.ID, nil).RestoreState(st.Port)
 		if n.Magic != nil {
-			n.Magic.Reset()
+			n.Magic.RestoreState(st.Magic)
 		}
 		if n.Ideal != nil {
 			n.Ideal.Reset()

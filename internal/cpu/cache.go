@@ -6,6 +6,8 @@
 package cpu
 
 import (
+	"slices"
+
 	"flashsim/internal/arch"
 )
 
@@ -41,8 +43,16 @@ func (s LineState) String() string {
 // and a fill takes the last way — free, or else the one a stamp cache
 // would have found oldest.
 type Cache struct {
+	CacheState
+
 	ways int
 	mask uint64 // sets - 1; the set count is a power of two
+}
+
+// CacheState is the cache's simulated state, listed once: Cache embeds it,
+// CaptureState copies it and RestoreState installs it (the zero CacheState
+// is an empty cache).
+type CacheState struct {
 	tags []uint64
 }
 
@@ -53,9 +63,9 @@ func NewCache(size, ways int) *Cache {
 		panic("cpu: " + err.Error())
 	}
 	return &Cache{
-		ways: ways,
-		mask: uint64(size/(arch.LineSize*ways)) - 1,
-		tags: make([]uint64, size/arch.LineSize),
+		CacheState: CacheState{tags: make([]uint64, size/arch.LineSize)},
+		ways:       ways,
+		mask:       uint64(size/(arch.LineSize*ways)) - 1,
 	}
 }
 
@@ -138,27 +148,11 @@ func (c *Cache) Fill(line uint64, s LineState) (victim uint64, victimState LineS
 	return victim, victimState, evicted
 }
 
-// CacheState is a deep copy of a cache's tags, captured by CaptureState
-// for machine snapshots.
-type CacheState struct {
-	Tags []uint64
-}
-
 // CaptureState deep-copies the cache contents.
-func (c *Cache) CaptureState() CacheState {
-	return CacheState{Tags: append([]uint64(nil), c.tags...)}
-}
+func (c *Cache) CaptureState() CacheState { return CacheState{slices.Clone(c.tags)} }
 
-// RestoreState installs a captured state into a same-geometry cache.
-func (c *Cache) RestoreState(st CacheState) {
-	if len(st.Tags) != len(c.tags) {
-		panic("cpu: cache geometry mismatch in RestoreState")
-	}
-	copy(c.tags, st.Tags)
-}
-
-// Reset empties the cache.
-func (c *Cache) Reset() { clear(c.tags) }
+// RestoreState installs a state captured from a same-geometry cache.
+func (c *Cache) RestoreState(st CacheState) { arch.RestoreSlice(c.tags, st.tags) }
 
 // SameSet reports whether two lines map to the same cache set.
 func (c *Cache) SameSet(a, b uint64) bool { return a&c.mask == b&c.mask }

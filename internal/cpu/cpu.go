@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"slices"
 
 	"flashsim/internal/arch"
 	"flashsim/internal/memsys"
@@ -158,18 +159,17 @@ type CPU struct {
 	// its cache hits itself through Hit — the same charge, the same limit
 	// test between references — and batches everything else back to the
 	// loop. These fields lead the struct with the rest of what every hit
-	// reads, so a hit touches few host cache lines.
+	// reads (procState opens with instFrac and Stats), so a hit touches few
+	// host cache lines.
 	vt, limit sim.Cycle
 	live      bool
 	sampling  bool
-	instFrac  uint32 // leftover instructions (< 4) not yet charged as a cycle
-	inUse     int    // valid MSHR entries
+	inUse     int // valid MSHR entries
 	Cache     *Cache
 	mem       *memsys.View // this node's window-quantized view of the backing store
-	Stats     Stats
+	procState
 
-	ID  arch.NodeID
-	Bus sim.Server
+	ID arch.NodeID
 
 	// Tr, when non-nil, receives structured cache/miss events. Injected per
 	// machine (core.Machine.SetTracer); nil costs one branch per site.
@@ -227,8 +227,17 @@ type CPU struct {
 	// outstanding non-blocking write misses then drain through deliver()
 	// without resuming the loop, so the machine quiesces.
 	pauseAfter uint64
-	paused     bool
-	pausedAt   sim.Cycle
+}
+
+// procState is the processor's simulated state, listed once: CPU embeds
+// it, and CPUState carries a copy. Everything else in CPU is configuration,
+// wiring, or in flight during a run (RestoreState clears that).
+type procState struct {
+	instFrac uint32 // leftover instructions (< 4) not yet charged as a cycle
+	Stats    Stats
+	Bus      sim.Server
+	paused   bool // the run loop is parked at a PauseAfter pause point
+	pausedAt sim.Cycle
 }
 
 // New creates a CPU. mem is this node's view of the machine-wide backing
@@ -987,7 +996,7 @@ func (c *CPU) allocMSHR() int {
 	panic("cpu: allocMSHR with none free")
 }
 
-// --- snapshot pause / capture / restore / reset ---
+// --- snapshot pause / capture / restore ---
 
 // PauseAfter arms (nonzero) or disarms (zero) the snapshot pause: the run
 // loop parks at the first batch-refill boundary at or after retiring k
@@ -997,81 +1006,45 @@ func (c *CPU) PauseAfter(k uint64) { c.pauseAfter = k }
 // Paused reports whether the run loop is parked at a pause point.
 func (c *CPU) Paused() bool { return c.paused }
 
-// CPUState is the deterministic simulation state of one quiesced processor,
-// captured by CaptureState.
+// CPUState is a captured processor: its procState and its cache's state.
+// The zero CPUState is a freshly constructed processor.
 type CPUState struct {
-	Cache    CacheState
-	Bus      sim.Server
-	Stats    Stats
-	InstFrac uint32
-	PausedAt sim.Cycle
+	procState
+	cache CacheState
 }
 
 // CaptureState snapshots a quiesced processor: parked at a pause point (or
 // finished) with no outstanding misses, no partially consumed batch, and no
-// pending reference. Machine.Snapshot establishes those conditions by
-// draining the engine after every pause fires; anything else is a bug, so
-// it panics rather than capturing an unreproducible state.
-func (c *CPU) CaptureState() CPUState {
-	if !c.paused && !c.Stats.Finished {
-		panic(fmt.Sprintf("cpu%d: CaptureState while running", c.ID))
+// pending reference. Anything else is an error naming the processor, the
+// cycle and its blocking state.
+func (c *CPU) CaptureState() (CPUState, error) {
+	if !c.paused && !c.Stats.Finished || c.inUse != 0 || c.hasPending || c.blocked != blockNone || c.batchPos < len(c.batch) {
+		return CPUState{}, fmt.Errorf("cpu%d: not quiescent at cycle %d (paused=%v, %d of %d batch refs left): %s",
+			c.ID, c.eng.Now(), c.paused, len(c.batch)-c.batchPos, len(c.batch), c.DebugState())
 	}
-	if c.inUse != 0 || c.hasPending || c.blocked != blockNone || c.batchPos < len(c.batch) {
-		panic(fmt.Sprintf("cpu%d: CaptureState before quiescence: %s", c.ID, c.DebugState()))
-	}
-	st := CPUState{
-		Cache:    c.Cache.CaptureState(),
-		Bus:      c.Bus,
-		Stats:    c.Stats,
-		InstFrac: c.instFrac,
-		PausedAt: c.pausedAt,
-	}
-	st.Stats.WinWork = append([]uint64(nil), c.Stats.WinWork...)
-	return st
+	st := CPUState{c.procState, c.Cache.CaptureState()}
+	st.Stats.WinWork = slices.Clone(c.Stats.WinWork)
+	return st, nil
 }
 
-// RestoreState installs a captured processor state into a freshly
-// constructed or Reset CPU of the same configuration, leaving it parked
-// exactly as the donor was, with no reference source attached.
+// RestoreState installs a captured processor state into a CPU of the same
+// configuration, leaving it parked exactly as the donor was. Everything in
+// flight during a run — MSHRs, batch, pending and blocked reference, issuing
+// entry, phase cache, run-slice clock, pause arm — is cleared, and no
+// reference source is attached.
 func (c *CPU) RestoreState(st CPUState) {
-	c.Cache.RestoreState(st.Cache)
-	c.Bus = st.Bus
-	c.Stats = st.Stats
-	c.Stats.WinWork = append([]uint64(nil), st.Stats.WinWork...)
-	c.instFrac = st.InstFrac
-	c.paused = !st.Stats.Finished
-	c.pausedAt = st.PausedAt
-	c.pauseAfter = 0
-	c.batch, c.batchPos = nil, 0
-	c.pending, c.hasPending, c.pendingAt = Ref{}, false, 0
-	c.blocked, c.blockEntry = blockNone, 0
-	c.issuing = -1
-	c.vt, c.limit, c.live = 0, 0, false
-	for i := range c.mshrs {
-		c.mshrs[i] = mshrEntry{}
-	}
-	c.inUse = 0
-}
-
-// Reset returns the processor to its freshly constructed state, keeping
-// configuration, engine wiring, and the store view attachment.
-func (c *CPU) Reset() {
-	c.Cache.Reset()
-	c.Bus = sim.Server{Strict: c.Bus.Strict}
-	c.Stats = Stats{}
-	for i := range c.mshrs {
-		c.mshrs[i] = mshrEntry{}
-	}
+	c.procState = st.procState
+	c.Stats.WinWork = slices.Clone(st.Stats.WinWork)
+	c.Cache.RestoreState(st.cache)
+	clear(c.mshrs)
 	c.inUse = 0
 	c.batch, c.batchPos = nil, 0
 	c.pending, c.hasPending, c.pendingAt = Ref{}, false, 0
 	c.blocked, c.blockEntry = blockNone, 0
 	c.issuing = -1
-	c.instFrac = 0
-	c.src = nil
-	c.paused, c.pausedAt, c.pauseAfter = false, 0, 0
 	c.vt, c.limit, c.live = 0, 0, false
 	c.phaseDet, c.phaseEnd = false, 0
+	c.src, c.pauseAfter = nil, 0
 }
 
 // DebugState renders the processor's blocking state for hang diagnosis.

@@ -422,7 +422,7 @@ func TestDirectRefusedOffTheLoop(t *testing.T) {
 	if _, ok := c.Hit(arch.RefWrite, 0, 0x1008, 1, 1, false); ok {
 		t.Fatal("Hit executed a reference with no run loop on the stack")
 	}
-	c.Cache.Reset()
+	c.Cache.RestoreState(CacheState{})
 	c.PauseAfter(1 << 30)
 	c.Start()
 	if err := eng.Run(); err != nil {

@@ -33,6 +33,16 @@ func goldenConfig() arch.Config {
 	return cfg
 }
 
+// goldenAppConfig is goldenConfig as the golden suites run name on it: os
+// places its pages round-robin.
+func goldenAppConfig(name string) arch.Config {
+	cfg := goldenConfig()
+	if name == "os" {
+		cfg.Placement = arch.PlaceRoundRobin
+	}
+	return cfg
+}
+
 // goldenBackends is the host-backend matrix the golden suites run over: every
 // row must reproduce the same recorded digests, which is the whole claim the
 // backends make (host speed only, simulated behaviour bit-identical).
@@ -67,12 +77,9 @@ func goldenSuite(t *testing.T, file string, machine func(*arch.Config), update b
 			}
 			got := map[string]goldenDigest{}
 			for _, name := range apps.Names {
-				cfg := goldenConfig()
+				cfg := goldenAppConfig(name)
 				cfg.Engine, cfg.EngineSync, cfg.PPDispatch = b.engine, b.sync, b.dispatch
 				machine(&cfg)
-				if name == "os" {
-					cfg.Placement = arch.PlaceRoundRobin
-				}
 				got[name] = digest(t, name, cfg)
 			}
 			if update && i == 0 {

@@ -79,10 +79,7 @@ func TestSampledRepeatable(t *testing.T) {
 	for _, name := range apps.Names {
 		var d [2]sampledDigest
 		for i := range d {
-			cfg := goldenConfig()
-			if name == "os" {
-				cfg.Placement = arch.PlaceRoundRobin
-			}
+			cfg := goldenAppConfig(name)
 			cfg.Sample = spec
 			r, err := RunApp(name, cfg, apps.Params{Scale: goldenScales[name]}, true)
 			if err != nil {

@@ -8,6 +8,7 @@ package magic
 
 import (
 	"fmt"
+	"slices"
 
 	"flashsim/internal/arch"
 	"flashsim/internal/cpu"
@@ -30,9 +31,8 @@ type Stats struct {
 // HandlerStat accumulates one handler entry's PP occupancy (Table 3.4),
 // invocation count and service-time histogram (dispatch through completion,
 // including send/intervention stalls). Completion accounting bumps it
-// through a pointer interned in the jump table, keeping handler names (and
-// map lookups) entirely off the dispatch hot path. A snapshot stores it by
-// value.
+// through an index interned in the jump table, keeping handler names (and
+// map lookups) entirely off the dispatch hot path.
 type HandlerStat struct {
 	Cycles sim.Cycle
 	Count  uint64
@@ -43,11 +43,10 @@ type HandlerStat struct {
 // speculation flag from the protocol's dispatch rules, resolved once at
 // construction.
 type jtSlot struct {
-	pc    int
-	spec  bool
-	ok    bool // false: no handler for this (type, path, home) combination
-	entry string
-	agg   *HandlerStat
+	pc   int
+	spec bool
+	ok   bool // false: no handler for this (type, path, home) combination
+	h    int  // index of the entry's name and accumulator in Magic.names and Magic.handlers
 }
 
 type queued struct {
@@ -106,7 +105,7 @@ const (
 // allocated per dispatch.
 type handlerCtx struct {
 	msg        arch.Msg
-	slot       *jtSlot   // the jump-table slot dispatched: entry pc, name and statistics
+	slot       *jtSlot   // the jump-table slot dispatched: entry pc and handler index
 	ff         bool      // functional (fast-forward) invocation: ppEnv skips timing
 	dispatched sim.Cycle // handler start time
 	segStart   sim.Cycle // start of the current PP run segment
@@ -135,8 +134,7 @@ type Magic struct {
 	CPU  *cpu.CPU
 	Net  *network.Port
 
-	PPOcc sim.OccupancyMeter
-	Stats Stats
+	ctlState
 
 	// Tr, when non-nil, receives handler spans and message events. Injected
 	// per machine (core.Machine.SetTracer).
@@ -148,7 +146,6 @@ type Magic struct {
 	qPI     inbox
 	qNetReq inbox
 	qNetRpl inbox
-	rrPI    bool // round-robin fairness between PI and NI request queues
 
 	outNet []injection // the outgoing network queue; see netQueued
 	outPI  int         // accepted but not yet delivered (capacity 1)
@@ -174,13 +171,8 @@ type Magic struct {
 	// jump table did the same lookup in a dedicated RAM).
 	jt [2][2][arch.NumMsgTypes]jtSlot
 
-	// handlers interns one accumulator per handler entry name; jump-table
-	// slots sharing an entry share the accumulator.
-	handlers map[string]*HandlerStat
-
-	// lastEnd tracks the previous handler's completion for the
-	// non-overlap invariant (occupancies must never double-count).
-	lastEnd sim.Cycle
+	// names[i] is the handler entry whose accumulator is handlers[i].
+	names []string
 
 	// Sampled execution (arch.Config.Sample): in fast-forward phases
 	// messages are processed functionally through runHandlerFF — the same
@@ -200,6 +192,28 @@ type Magic struct {
 	// and the PP clock divisor — every PP cycle costs ppDiv system cycles.
 	netQCap int
 	ppDiv   sim.Cycle
+}
+
+// ctlState is the controller's simulated state, listed once: Magic embeds
+// it, and MagicState carries a copy. Everything else in Magic is
+// configuration, wiring, or in flight while a handler runs or a message
+// waits (RestoreState clears that).
+type ctlState struct {
+	PPOcc sim.OccupancyMeter
+	Stats Stats
+	rrPI  bool // round-robin fairness between PI and NI request queues
+
+	// lastEnd tracks the previous handler's completion for the
+	// non-overlap invariant (occupancies must never double-count).
+	lastEnd sim.Cycle
+
+	// handlers holds one accumulator per handler entry name, interned at
+	// construction: jump-table slots sharing an entry share its index.
+	handlers []HandlerStat
+
+	// booted is set once protocol memory is initialized and pp_init has
+	// run (boot); a zero ctlState is a controller still to boot.
+	booted bool
 }
 
 // injection is a queued network message's injection cycle and send key.
@@ -229,7 +243,6 @@ func New(id arch.NodeID, eng sim.Scheduler, cfg *arch.Config, prog *protocol.Pro
 		Prog:     prog,
 		Mem:      mem,
 		Net:      net,
-		handlers: make(map[string]*HandlerStat),
 		sampling: cfg.Sample.Enabled(),
 		sample:   cfg.Sample,
 	}
@@ -246,7 +259,7 @@ func New(id arch.NodeID, eng sim.Scheduler, cfg *arch.Config, prog *protocol.Pro
 	m.onProc, m.onToPI = m.arriveProc, m.deliverPI
 	mdc := ppsim.NewMDC(cfg.MDCSize, cfg.MDCWays)
 	m.PP = ppsim.NewBackend(prog.Code, int(prog.Layout.MemBytes), mdc, (*ppEnv)(m), ppsim.BackendFor(cfg.PPDispatch))
-	prog.Layout.InitMemory(m.PP.Mem, id, cfg.NodeBase(id), cfg.Nodes)
+	index := map[string]int{}
 	for viaNet := 0; viaNet < 2; viaNet++ {
 		for isHome := 0; isHome < 2; isHome++ {
 			for t := arch.MsgType(0); t < arch.NumMsgTypes; t++ {
@@ -259,15 +272,17 @@ func New(id arch.NodeID, eng sim.Scheduler, cfg *arch.Config, prog *protocol.Pro
 					return nil, fmt.Errorf("magic%d: jump table slot %s (viaNet=%v isHome=%v): %w",
 						id, t, viaNet == 1, isHome == 1, err)
 				}
-				agg := m.handlers[jt.Entry]
-				if agg == nil {
-					agg = &HandlerStat{}
-					m.handlers[jt.Entry] = agg
+				h, ok := index[jt.Entry]
+				if !ok {
+					h = len(m.names)
+					index[jt.Entry] = h
+					m.names = append(m.names, jt.Entry)
 				}
-				m.jt[viaNet][isHome][t] = jtSlot{pc: pc, spec: jt.Spec, ok: true, entry: jt.Entry, agg: agg}
+				m.jt[viaNet][isHome][t] = jtSlot{pc: pc, spec: jt.Spec, ok: true, h: h}
 			}
 		}
 	}
+	m.handlers = make([]HandlerStat, len(m.names))
 	return m, nil
 }
 
@@ -277,21 +292,29 @@ func New(id arch.NodeID, eng sim.Scheduler, cfg *arch.Config, prog *protocol.Pro
 // on.
 func (m *Magic) Handlers() map[string]*HandlerStat {
 	out := make(map[string]*HandlerStat, len(m.handlers))
-	for name, h := range m.handlers {
-		if h.Count > 0 {
-			out[name] = h
+	for i := range m.handlers {
+		if h := &m.handlers[i]; h.Count > 0 {
+			out[m.names[i]] = h
 		}
 	}
 	return out
 }
 
-// Attach wires the processor and boots the PP (runs pp_init to establish
-// the protocol's persistent registers).
+// Attach wires the processor and boots the controller.
 func (m *Magic) Attach(c *cpu.CPU) {
 	m.CPU = c
+	m.boot()
+}
+
+// boot initializes protocol memory and runs pp_init to establish the
+// protocol's persistent registers: the one boot path, taken at Attach and
+// when RestoreState installs a zero state.
+func (m *Magic) boot() {
+	m.Prog.Layout.InitMemory(m.PP.Mem, m.ID, m.Cfg.NodeBase(m.ID), m.Cfg.Nodes)
 	if st, _ := m.PP.Start("pp_init"); st != ppsim.StatusDone {
 		panic("magic: pp_init did not complete")
 	}
+	m.booted = true
 }
 
 // MDC exposes the MAGIC data cache for statistics.
@@ -455,13 +478,13 @@ func (m *Magic) runHandlerFF(msg arch.Msg, viaNet bool, at sim.Cycle) {
 	st, _ := pp.StartAt(ctx.slot.pc)
 	for i := 0; st != ppsim.StatusDone; i++ {
 		if i > 1<<16 {
-			panic(fmt.Sprintf("magic%d: functional handler %s did not converge (status %v)", m.ID, ctx.slot.entry, st))
+			panic(fmt.Sprintf("magic%d: functional handler %s did not converge (status %v)", m.ID, m.names[ctx.slot.h], st))
 		}
 		st, _ = pp.Resume()
 	}
 	// Census only: invocation counts stay exact, timing aggregates
 	// (occupancy, service-time histograms) see no functional handlers.
-	ctx.slot.agg.Count++
+	m.handlers[ctx.slot.h].Count++
 	m.ctx = nil
 }
 
@@ -519,13 +542,13 @@ func (m *Magic) handleStatus(st ppsim.Status, cyc uint64) {
 	case ppsim.StatusDone:
 		if ctx.dispatched < m.lastEnd {
 			panic(fmt.Sprintf("magic%d: handler %s dispatched at %d overlaps previous end %d",
-				m.ID, ctx.slot.entry, ctx.dispatched, m.lastEnd))
+				m.ID, m.names[ctx.slot.h], ctx.dispatched, m.lastEnd))
 		}
 		m.lastEnd = end
 		occ := end - ctx.dispatched
 		m.PPOcc.AddBusy(occ)
 		m.PPSeries.Add(uint64(ctx.dispatched), uint64(occ))
-		agg := ctx.slot.agg
+		agg := &m.handlers[ctx.slot.h]
 		agg.Cycles += occ
 		agg.Count++
 		agg.Lat.Observe(uint64(occ))
@@ -533,7 +556,7 @@ func (m *Magic) handleStatus(st ppsim.Status, cyc uint64) {
 			m.Tr.Emit(trace.Event{
 				Cycle: uint64(ctx.dispatched), Dur: uint64(occ), Node: int32(m.ID),
 				Kind: trace.KindHandler, Addr: uint64(ctx.msg.Addr),
-				ID: ctx.tid, Parent: ctx.msg.TID, Name: ctx.slot.entry,
+				ID: ctx.tid, Parent: ctx.msg.TID, Name: m.names[ctx.slot.h],
 			})
 		}
 		if ctx.specIssued && (!ctx.specUsed || ctx.intervened) {
@@ -878,92 +901,56 @@ func (e *ppEnv) MDCFill(addr uint64, writeback bool, dt uint64) uint64 {
 	return uint64((done - t + m.ppDiv - 1) / m.ppDiv)
 }
 
-// MagicState is the deterministic simulation state of one quiesced
-// controller: protocol processor (registers + protocol memory, which holds
-// the directory), MDC contents, occupancy and statistics. Queues must be
-// empty and the PP idle — Machine.Snapshot drains the engine first.
+// MagicState is a captured quiesced controller: its ctlState, its PP
+// (registers and protocol memory, which holds the directory) and its MDC.
+// The zero MagicState is a freshly constructed-and-attached controller.
 type MagicState struct {
-	PP       ppsim.PPState
-	MDC      ppsim.MDCState
-	PPOcc    sim.OccupancyMeter
-	Stats    Stats
-	LastEnd  sim.Cycle
-	RRPI     bool
-	Handlers map[string]HandlerStat
+	ctlState
+	pp  ppsim.PPState
+	mdc ppsim.MDCState
 }
 
-// CaptureState snapshots a quiesced controller. It panics if a handler is
-// in flight, any inbox queue is nonempty, or outbound slots / data buffers
-// are in use: such a machine has pending events and is not at a snapshot
-// point.
-func (m *Magic) CaptureState() MagicState {
-	if m.ctx != nil || !m.queuesEmpty() ||
-		m.netQueued() != 0 || m.outPI != 0 || m.bufs != 0 {
-		panic(fmt.Sprintf("magic%d: CaptureState before quiescence: %s", m.ID, m.DebugState()))
+// CaptureState snapshots a quiesced controller. A handler in flight, a
+// nonempty inbox queue, or outbound slots or data buffers in use mean the
+// machine has pending events and is not at a snapshot point: an error
+// naming the node and the cycle.
+func (m *Magic) CaptureState() (MagicState, error) {
+	if m.ctx != nil || !m.queuesEmpty() || m.netQueued() != 0 || m.outPI != 0 || m.bufs != 0 {
+		return MagicState{}, fmt.Errorf("magic%d: not quiescent at cycle %d: %s", m.ID, m.Eng.Now(), m.DebugState())
 	}
-	st := MagicState{
-		PP:       m.PP.CaptureState(),
-		MDC:      m.PP.MDC.CaptureState(),
-		PPOcc:    m.PPOcc,
-		Stats:    m.Stats,
-		LastEnd:  m.lastEnd,
-		RRPI:     m.rrPI,
-		Handlers: make(map[string]HandlerStat, len(m.handlers)),
+	pp, err := m.PP.CaptureState()
+	if err != nil {
+		return MagicState{}, fmt.Errorf("magic%d: cycle %d: %w", m.ID, m.Eng.Now(), err)
 	}
-	for name, agg := range m.handlers {
-		st.Handlers[name] = *agg
-	}
-	return st
+	st := MagicState{m.ctlState, pp, m.PP.MDC.CaptureState()}
+	st.handlers = slices.Clone(m.handlers)
+	return st, nil
 }
 
 // RestoreState installs a captured state into a controller built for the
-// same protocol program and configuration.
+// same protocol program and configuration, emptying its queues and idling
+// its PP; a zero state boots the controller afresh. An attached PP
+// occupancy sampler forgets its windows.
 func (m *Magic) RestoreState(st MagicState) {
-	m.PP.RestoreState(st.PP)
-	m.PP.MDC.RestoreState(st.MDC)
-	m.PPOcc = st.PPOcc
-	m.Stats = st.Stats
-	m.lastEnd = st.LastEnd
-	m.rrPI = st.RRPI
-	for name, agg := range m.handlers {
-		*agg = st.Handlers[name] // zero value for never-invoked handlers
-	}
-	m.resetQueues()
-}
-
-// resetQueues empties the inbox queues and the outbound/buffer accounting
-// and idles the PP; queue storage and pooled events are kept.
-func (m *Magic) resetQueues() {
+	m.PP.RestoreState(st.pp)
+	m.PP.MDC.RestoreState(st.mdc)
+	arch.RestoreSlice(m.handlers, st.handlers) // Handlers hands out pointers into it
+	st.handlers = m.handlers
+	m.ctlState = st.ctlState
 	m.qPI.reset()
 	m.qNetReq.reset()
 	m.qNetRpl.reset()
 	m.outNet, m.outPI, m.bufs = m.outNet[:0], 0, 0
 	m.ctx = nil
-}
-
-// Reset returns the controller to its freshly constructed-and-attached
-// state: protocol memory reinitialized and pp_init re-run, MDC and all
-// statistics cleared. The interned jump table and handler map survive.
-func (m *Magic) Reset() {
-	m.PP.Reset()
-	m.PP.MDC.Reset()
-	m.Prog.Layout.InitMemory(m.PP.Mem, m.ID, m.Cfg.NodeBase(m.ID), m.Cfg.Nodes)
-	if st, _ := m.PP.Start("pp_init"); st != ppsim.StatusDone {
-		panic("magic: pp_init did not complete")
+	m.PPSeries.Reset()
+	if !m.booted {
+		m.boot()
 	}
-	m.PPOcc = sim.OccupancyMeter{}
-	m.Stats = Stats{}
-	for _, agg := range m.handlers {
-		*agg = HandlerStat{}
-	}
-	m.resetQueues()
-	m.rrPI = false
-	m.lastEnd = 0
 }
 
 // DebugState renders the controller's queue/handler state for hang diagnosis.
 func (m *Magic) DebugState() string {
-	s := fmt.Sprintf("ctx=%v qPI=%d qNetReq=%d qNetRpl=%d outPI=%d outNet=%d", m.ctx != nil, m.qPI.n, m.qNetReq.n, m.qNetRpl.n, m.outPI, m.netQueued())
+	s := fmt.Sprintf("ctx=%v qPI=%d qNetReq=%d qNetRpl=%d outPI=%d outNet=%d bufs=%d", m.ctx != nil, m.qPI.n, m.qNetReq.n, m.qNetRpl.n, m.outPI, m.netQueued(), m.bufs)
 	for _, nq := range []struct {
 		name string
 		q    *inbox

@@ -13,12 +13,20 @@ import (
 
 // Memory is one node's memory controller.
 type Memory struct {
+	MemoryState
+
 	t    arch.Timing
-	srv  sim.Server
 	node arch.NodeID
 
 	tr     *trace.Tracer
 	series *trace.TimeSeries
+}
+
+// MemoryState is the controller's simulated state, listed once: Memory
+// embeds it, CaptureState copies it and RestoreState installs it. Server is
+// a value type (busyUntil / occupancy / job count), so assignment copies it.
+type MemoryState struct {
+	srv sim.Server
 
 	// Stats.
 	Reads       uint64
@@ -90,38 +98,16 @@ func (m *Memory) Write(at sim.Cycle) (done sim.Cycle) {
 	return end
 }
 
-// MemoryState is the deterministic simulation state of one memory
-// controller, as captured by CaptureState. Server is a value type
-// (busyUntil / occupancy / job count), so plain assignment deep-copies it.
-type MemoryState struct {
-	Srv         sim.Server
-	Reads       uint64
-	Writes      uint64
-	SpecReads   uint64
-	SpecUseless uint64
-}
+// CaptureState returns a copy of the controller's simulated state. Tracer
+// and sampler attachments are host-side observers and are not captured.
+func (m *Memory) CaptureState() MemoryState { return m.MemoryState }
 
-// CaptureState snapshots the controller's simulation state. Tracer and
-// sampler attachments are host-side observers and are not captured.
-func (m *Memory) CaptureState() MemoryState {
-	return MemoryState{
-		Srv: m.srv, Reads: m.Reads, Writes: m.Writes,
-		SpecReads: m.SpecReads, SpecUseless: m.SpecUseless,
-	}
-}
-
-// RestoreState installs a previously captured state.
+// RestoreState installs st; the zero MemoryState is a fresh controller. An
+// attached occupancy sampler stays attached and forgets its windows, which
+// belong to the run st did not come from.
 func (m *Memory) RestoreState(st MemoryState) {
-	m.srv = st.Srv
-	m.Reads, m.Writes = st.Reads, st.Writes
-	m.SpecReads, m.SpecUseless = st.SpecReads, st.SpecUseless
-}
-
-// Reset returns the controller to its freshly constructed state, keeping
-// timing and attachments.
-func (m *Memory) Reset() {
-	m.srv = sim.Server{Strict: m.srv.Strict}
-	m.Reads, m.Writes, m.SpecReads, m.SpecUseless = 0, 0, 0, 0
+	m.MemoryState = st
+	m.series.Reset()
 }
 
 // Occupancy returns the controller's busy fraction over total cycles.

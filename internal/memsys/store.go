@@ -44,7 +44,7 @@ func NewStore(words int) *Store {
 // nonzero values of words base..base+len(dst)-1 into the zeroed dst, so an
 // image that is mostly zero costs only its nonzero words to materialize.
 func (s *Store) SetPristine(fill func(base uint64, dst []uint64)) {
-	s.Reset()
+	s.RestoreShared(nil)
 	s.pristine = fill
 }
 
@@ -133,19 +133,17 @@ func (s *Store) SnapshotChunks() [][]uint64 {
 // RestoreShared replaces the store's contents with a chunk table produced
 // by SnapshotChunks on a same-sized store with the same pristine function.
 // No installed chunk is owned: the first write to each clones it, leaving
-// the snapshot intact.
+// the snapshot intact. A nil table drops every chunk, returning each word
+// to its pristine value.
 func (s *Store) RestoreShared(chunks [][]uint64) {
-	if len(chunks) != len(s.chunks) {
+	switch {
+	case chunks == nil:
+		clear(s.chunks)
+	case len(chunks) != len(s.chunks):
 		panic("memsys: RestoreShared chunk count mismatch")
+	default:
+		copy(s.chunks, chunks)
 	}
-	copy(s.chunks, chunks)
-	clear(s.owned)
-}
-
-// Reset drops all materialized chunks, returning every word to its
-// pristine value.
-func (s *Store) Reset() {
-	clear(s.chunks)
 	clear(s.owned)
 }
 
@@ -237,9 +235,9 @@ func (v *View) Flush() {
 // Snapshot capture asserts this is zero after a boundary flush.
 func (v *View) Pending() int { return len(v.log) }
 
-// Reset empties the log and clears write-through mode.
+// Reset empties the log. Write-through mode is configuration, not state:
+// it stays as set.
 func (v *View) Reset() {
 	v.log = v.log[:0]
 	v.filter = [4]uint64{}
-	v.writeThrough = false
 }

@@ -84,9 +84,9 @@ func TestStoreReset(t *testing.T) {
 	s := NewStore(storeChunkWords)
 	*s.Word(3) = 42
 	s.SnapshotChunks()
-	s.Reset()
+	s.RestoreShared(nil)
 	if got := s.Load(3); got != 0 {
-		t.Fatalf("after Reset word3=%d, want 0", got)
+		t.Fatalf("after RestoreShared(nil) word3=%d, want 0", got)
 	}
 	// Post-reset writes land in a fresh chunk, not the frozen one.
 	*s.Word(3) = 7
@@ -210,13 +210,17 @@ func TestViewPendingAndReset(t *testing.T) {
 	if v.Pending() != 0 {
 		t.Fatalf("Pending after flush=%d, want 0", v.Pending())
 	}
+	v.Store(3, 30)
 	v.SetWriteThrough(true)
 	v.Reset()
-	v.Store(3, 30)
-	if s.Load(3) != 0 {
-		t.Fatalf("Reset did not clear write-through mode")
+	if v.Pending() != 0 {
+		t.Fatalf("Pending after Reset=%d, want 0", v.Pending())
 	}
-	if v.Pending() != 1 {
-		t.Fatalf("Pending=%d, want 1", v.Pending())
+	v.Store(4, 40)
+	if s.Load(4) != 40 {
+		t.Fatalf("Reset cleared write-through mode")
+	}
+	if s.Load(3) != 0 {
+		t.Fatalf("Reset published an unflushed write")
 	}
 }

@@ -67,7 +67,7 @@ func FuzzViewLog(f *testing.F) {
 				ref.pending = ref.pending[:0]
 			case 4:
 				v.Reset()
-				ref.pending, ref.writeThrough = ref.pending[:0], false
+				ref.pending = ref.pending[:0]
 			default:
 				wt := ops[k]%7 == 5
 				v.SetWriteThrough(wt)

@@ -51,10 +51,11 @@ type Network struct {
 
 // Port is node src's injection point into the network.
 type Port struct {
+	PortState
+
 	net     *Network
 	src     arch.NodeID
 	sched   sim.Scheduler
-	seq     uint64    // monotonic send sequence; orders this port's deliveries
 	inbound sim.Cycle // node src's NI inbound stage (NISink)
 
 	// Tr, when non-nil, receives the send event of each message this port
@@ -62,11 +63,6 @@ type Port struct {
 	// message it delivers (the delivery runs on the destination's shard).
 	// Injected per machine (core.Machine.SetTracer).
 	Tr *trace.Tracer
-
-	// Stats. Single-writer: only the owning node's events send.
-	Msgs      uint64
-	DataMsgs  uint64
-	ReplyMsgs uint64
 
 	// Evs recycles the delivery events of the messages this port sends
 	// (see Send); arrive is what they fire, on the destination port: it
@@ -148,32 +144,24 @@ func (n *Network) total(f func(*Port) uint64) uint64 {
 	return t
 }
 
-// PortState is a port's deterministic state: the send-sequence counter
-// (which keys delivery order, so a restored port must continue it exactly)
-// and the message counters.
+// PortState is a port's simulated state, listed once: Port embeds it,
+// CaptureState copies it and RestoreState installs it (the zero PortState
+// is a fresh port). The send sequence keys delivery order, so a restored
+// port must continue it exactly.
 type PortState struct {
-	Seq       uint64
+	seq uint64 // monotonic send sequence; orders this port's deliveries
+
+	// Stats. Single-writer: only the owning node's events send.
 	Msgs      uint64
 	DataMsgs  uint64
 	ReplyMsgs uint64
 }
 
-// CaptureState snapshots the port counters.
-func (p *Port) CaptureState() PortState {
-	return PortState{Seq: p.seq, Msgs: p.Msgs, DataMsgs: p.DataMsgs, ReplyMsgs: p.ReplyMsgs}
-}
+// CaptureState returns a copy of the port's simulated state.
+func (p *Port) CaptureState() PortState { return p.PortState }
 
-// RestoreState installs captured port counters.
-func (p *Port) RestoreState(st PortState) {
-	p.seq = st.Seq
-	p.Msgs, p.DataMsgs, p.ReplyMsgs = st.Msgs, st.DataMsgs, st.ReplyMsgs
-}
-
-// Reset zeroes the sequence and message counters.
-func (p *Port) Reset() {
-	p.seq = 0
-	p.Msgs, p.DataMsgs, p.ReplyMsgs = 0, 0, 0
-}
+// RestoreState installs st.
+func (p *Port) RestoreState(st PortState) { p.PortState = st }
 
 // Send injects m at time `at` (which must be >= the owning node's current
 // time); m.Dst's sink gets it after the transit and its inbound stage.

@@ -6,7 +6,11 @@
 // the image changes no cycle count.
 package ppsim
 
-import "flashsim/internal/arch"
+import (
+	"slices"
+
+	"flashsim/internal/arch"
+)
 
 // MDC models the MAGIC data cache: 64 KB, 2-way set associative, 128-byte
 // lines, write-back with write-allocate. Since almost all directory
@@ -14,12 +18,20 @@ import "flashsim/internal/arch"
 // (the paper notes the MDC write miss rate is approximately zero because of
 // this).
 type MDC struct {
+	MDCState
+
 	ways     int
 	sets     int
 	setShift uint
-	tags     []uint64 // sets*ways; 0 = empty
-	dirty    []bool
-	lru      []uint8 // per-set counter for 2-way pseudo-LRU
+}
+
+// MDCState is the cache's simulated state, listed once: MDC embeds it,
+// CaptureState copies it and RestoreState installs it (the zero MDCState is
+// an empty cache with zeroed counters).
+type MDCState struct {
+	tags  []uint64 // sets*ways; 0 = empty
+	dirty []bool
+	lru   []uint8 // per-set counter for 2-way pseudo-LRU
 
 	Stats MDCStats
 }
@@ -56,13 +68,11 @@ func NewMDC(size, ways int) *MDC {
 		panic("ppsim: " + err.Error())
 	}
 	sets := size / (arch.LineSize * ways)
-	m := &MDC{
-		ways:  ways,
-		sets:  sets,
+	m := &MDC{ways: ways, sets: sets, MDCState: MDCState{
 		tags:  make([]uint64, sets*ways),
 		dirty: make([]bool, sets*ways),
 		lru:   make([]uint8, sets),
-	}
+	}}
 	for s := uint(1); 1<<s < sets; s++ {
 		m.setShift = s + 1
 	}
@@ -117,43 +127,17 @@ func (m *MDC) Flush() {
 	}
 }
 
-// MDCState is a deep copy of the cache's tag/dirty/LRU arrays plus the
-// traffic counters, captured by CaptureState for machine snapshots.
-type MDCState struct {
-	Tags  []uint64
-	Dirty []bool
-	LRU   []uint8
-	Stats MDCStats
-}
-
 // CaptureState deep-copies the MDC contents and counters.
 func (m *MDC) CaptureState() MDCState {
-	return MDCState{
-		Tags:  append([]uint64(nil), m.tags...),
-		Dirty: append([]bool(nil), m.dirty...),
-		LRU:   append([]uint8(nil), m.lru...),
-		Stats: m.Stats,
-	}
+	return MDCState{slices.Clone(m.tags), slices.Clone(m.dirty), slices.Clone(m.lru), m.Stats}
 }
 
-// RestoreState installs a captured state into a same-geometry MDC.
+// RestoreState installs a state captured from a same-geometry MDC.
 func (m *MDC) RestoreState(st MDCState) {
-	if len(st.Tags) != len(m.tags) {
-		panic("ppsim: MDC geometry mismatch in RestoreState")
-	}
-	copy(m.tags, st.Tags)
-	copy(m.dirty, st.Dirty)
-	copy(m.lru, st.LRU)
+	arch.RestoreSlice(m.tags, st.tags)
+	arch.RestoreSlice(m.dirty, st.dirty)
+	arch.RestoreSlice(m.lru, st.lru)
 	m.Stats = st.Stats
-}
-
-// Reset empties the cache and zeroes the counters.
-func (m *MDC) Reset() {
-	m.Flush()
-	for i := range m.lru {
-		m.lru[i] = 0
-	}
-	m.Stats = MDCStats{}
 }
 
 func (m *MDC) touch(set, way int) {

@@ -1,6 +1,7 @@
 package ppsim
 
 import (
+	"errors"
 	"fmt"
 
 	"flashsim/internal/memsys"
@@ -94,7 +95,7 @@ type PP struct {
 	MDC *MDC
 	Env Env
 
-	Stats Stats
+	ppState
 
 	// backend selects the image the run loop executes; code is that image
 	// (see compile.go).
@@ -104,12 +105,10 @@ type PP struct {
 	memWords uint64 // protocol memory size; loads and stores bound-check against it
 
 	// Execution state of the in-flight handler.
-	regs    [32]uint64
 	pc      int
 	nextPC  int // successor pair chosen by the run loop's current pair
 	running bool
 
-	inHdr  [ppisa.NumHdrFields]uint64
 	outHdr OutHeader
 
 	// pendingSend holds the header of a SEND that blocked.
@@ -125,6 +124,15 @@ type PP struct {
 	// stall penalties. Env implementations read it to timestamp sends and
 	// memory operations.
 	segCycles uint64
+}
+
+// ppState is the PP's between-handlers simulated state, listed once: the
+// persistent register conventions, the incoming-header bank and the dynamic
+// statistics. PP embeds it; PPState carries a copy.
+type ppState struct {
+	regs  [32]uint64
+	inHdr [ppisa.NumHdrFields]uint64
+	Stats Stats
 }
 
 // maxHandlerPairs bounds a single handler invocation; real handlers run tens
@@ -172,60 +180,34 @@ func (p *PP) EntryPC(entry string) (int, error) {
 	return pc, nil
 }
 
-// PPState is the deterministic between-handlers state of a protocol
-// processor: the persistent register conventions, the node's protocol
-// memory (which holds the directory) as a frozen copy-on-write chunk table,
-// the incoming-header bank, and the dynamic statistics. Per-invocation
-// transients (pc, outgoing header, pending send, step budget) are excluded
-// — capture is only legal with no handler in flight.
+// PPState is a captured idle PP: its ppState and its protocol memory
+// (which holds the directory) as a frozen copy-on-write chunk table. The
+// zero PPState is a PP with zeroed registers and pristine memory, before
+// protocol-memory initialization and pp_init.
 type PPState struct {
-	Regs  [32]uint64
-	Mem   [][]uint64
-	InHdr [ppisa.NumHdrFields]uint64
-	Stats Stats
+	ppState
+	mem [][]uint64
 }
 
-// CaptureState snapshots an idle PP. It panics if a handler is running or a
-// send is pending: MAGIC only snapshots a quiesced machine. Protocol memory
-// is captured copy-on-write (memsys.Store.SnapshotChunks): the PP clones a
-// chunk on its first write afterwards, so the state stays immutable.
-func (p *PP) CaptureState() PPState {
+// CaptureState snapshots an idle PP; a handler in flight or a pending send
+// is an error. Protocol memory is captured copy-on-write
+// (memsys.Store.SnapshotChunks): the PP clones a chunk on its first write
+// afterwards, so the state stays immutable.
+func (p *PP) CaptureState() (PPState, error) {
 	if p.running || p.hasPending {
-		panic("ppsim: CaptureState with a handler in flight")
+		return PPState{}, errors.New("ppsim: handler in flight")
 	}
-	return PPState{
-		Regs:  p.regs,
-		Mem:   p.Mem.SnapshotChunks(),
-		InHdr: p.inHdr,
-		Stats: p.Stats,
-	}
+	return PPState{p.ppState, p.Mem.SnapshotChunks()}, nil
 }
 
-// RestoreState installs a captured state into a PP built from the same
-// program and memory size, sharing the state's protocol-memory chunks
-// copy-on-write.
+// RestoreState installs a state captured from a PP built from the same
+// program and memory size, sharing its protocol-memory chunks
+// copy-on-write, and idles the PP: no handler in flight.
 func (p *PP) RestoreState(st PPState) {
-	p.regs = st.Regs
-	p.Mem.RestoreShared(st.Mem)
-	p.inHdr = st.InHdr
-	p.Stats = st.Stats
-	p.running = false
-	p.hasPending = false
-}
-
-// Reset clears the PP's persistent state (registers, headers, statistics)
-// and drops every written protocol-memory chunk. The caller re-runs
-// protocol-memory initialization and the pp_init handler afterwards,
-// exactly as at machine construction.
-func (p *PP) Reset() {
-	p.regs = [32]uint64{}
-	p.Mem.Reset()
-	p.inHdr = [ppisa.NumHdrFields]uint64{}
-	p.outHdr = OutHeader{}
-	p.pendingSend = OutHeader{}
-	p.hasPending = false
-	p.running = false
-	p.Stats = Stats{}
+	p.ppState = st.ppState
+	p.Mem.RestoreShared(st.mem)
+	p.running, p.hasPending = false, false
+	p.outHdr, p.pendingSend = OutHeader{}, OutHeader{}
 	p.segCycles = 0
 }
 

@@ -122,7 +122,11 @@ func TestSparseMemoryModel(t *testing.T) {
 							t.Fatalf("op %d: load word %d = %#x, dense image has %#x", op, w, got, m.dense[w])
 						}
 					case k < 91:
-						caps = append(caps, capture{m.pp.CaptureState(), append([]uint64(nil), m.dense...)})
+						st, err := m.pp.CaptureState()
+						if err != nil {
+							t.Fatal(err)
+						}
+						caps = append(caps, capture{st, append([]uint64(nil), m.dense...)})
 					case k < 97:
 						if len(caps) > 0 {
 							c := caps[rng.Intn(len(caps))]
@@ -131,7 +135,7 @@ func TestSparseMemoryModel(t *testing.T) {
 						}
 					default:
 						id := arch.NodeID(rng.Intn(r.cfg.Nodes))
-						m.pp.Reset()
+						m.pp.RestoreState(PPState{})
 						r.lay.InitMemory(m.pp.Mem, id, r.cfg.NodeBase(id), r.cfg.Nodes)
 						m.dense = r.denseInit(id)
 					}
@@ -155,7 +159,10 @@ func TestSparseMemoryCOWIsolation(t *testing.T) {
 	dir := uint64(r.lay.DirBase) + 8*100
 	pool := uint64(r.lay.PtrBase) + 8*5
 	donor.pp.store(dir, 0xD1)
-	st := donor.pp.CaptureState()
+	st, err := donor.pp.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	donor.pp.store(dir, 0xD2)  // chunk written before the capture
 	donor.pp.store(pool, 0xD3) // chunk pristine at the capture

@@ -40,6 +40,13 @@ func (s *TimeSeries) Add(at, dur uint64) {
 	}
 }
 
+// Reset forgets every window, keeping the width: sampling stays on.
+func (s *TimeSeries) Reset() {
+	if s != nil {
+		s.Busy = s.Busy[:0]
+	}
+}
+
 // Merge folds o (which must share the window width) into s, summing busy
 // counts per window.
 func (s *TimeSeries) Merge(o *TimeSeries) {
