@@ -23,6 +23,9 @@
 // additionally writes the full metrics registry snapshot as JSON. Both are
 // purely observational: simulated cycles are bit-identical with metrics on
 // or off. -pprof captures cpu.pprof and heap.pprof into the given directory.
+// A run stopped by -limit or a deadlock fails with core.Machine.Run's error,
+// which carries every node's in-flight state: a cpu and, on FLASH, a magic
+// line per node, naming any handler in flight, its message and its wait.
 package main
 
 import (
@@ -185,12 +188,6 @@ func run() (runErr error) {
 	}
 	start := time.Now()
 	if err := w.Run(a.Run, *limit); err != nil {
-		for i, n := range m.Nodes {
-			fmt.Fprintf(os.Stderr, "cpu%d: %s\n", i, n.CPU.DebugState())
-			if n.Magic != nil {
-				fmt.Fprintf(os.Stderr, "magic%d: %s\n", i, n.Magic.DebugState())
-			}
-		}
 		return err
 	}
 	if err := a.Verify(); err != nil {

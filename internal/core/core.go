@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"flashsim/internal/arch"
 	"flashsim/internal/cpu"
@@ -263,8 +264,6 @@ func (m *Machine) Run(sources []cpu.RefSource, limit sim.Cycle) error {
 	}
 	for i, n := range m.Nodes {
 		n.CPU.SetSource(sources[i])
-	}
-	for _, n := range m.Nodes {
 		n.CPU.Start()
 	}
 	m.Eng.SetLimit(limit)
@@ -279,7 +278,7 @@ func (m *Machine) Run(sources []cpu.RefSource, limit sim.Cycle) error {
 	}
 	if err != nil {
 		m.publishMetrics()
-		return err
+		return fmt.Errorf("%w\n%s", err, m.DebugState())
 	}
 	running := 0
 	for _, n := range m.Nodes {
@@ -292,7 +291,21 @@ func (m *Machine) Run(sources []cpu.RefSource, limit sim.Cycle) error {
 	}
 	m.publishMetrics()
 	if running != 0 {
-		return fmt.Errorf("core: deadlock: %d processors never finished (cycle %d)", running, m.Eng.Now())
+		return fmt.Errorf("core: deadlock: %d processors never finished (cycle %d)\n%s", running, m.Eng.Now(), m.DebugState())
 	}
 	return nil
+}
+
+// DebugState is the stuck-run report Run's cycle-limit and deadlock errors
+// carry: one line per processor and, on FLASH, one per controller, each that
+// unit's in-flight state.
+func (m *Machine) DebugState() string {
+	var lines []string
+	for i, n := range m.Nodes {
+		lines = append(lines, fmt.Sprintf("cpu%d: %s", i, n.CPU.DebugState()))
+		if n.Magic != nil {
+			lines = append(lines, fmt.Sprintf("magic%d: %s", i, n.Magic.DebugState()))
+		}
+	}
+	return strings.Join(lines, "\n")
 }

@@ -5,6 +5,7 @@ import (
 
 	"flashsim/internal/arch"
 	"flashsim/internal/cpu"
+	"flashsim/internal/ideal"
 	"flashsim/internal/magic"
 	"flashsim/internal/memsys"
 	"flashsim/internal/network"
@@ -46,6 +47,7 @@ type NodeState struct {
 	Magic magic.MagicState
 	Mem   memsys.MemoryState
 	Port  network.PortState
+	Ideal ideal.ControllerState // always zero: snapshots are FLASH-only
 }
 
 // snapshotable reports whether the machine is in a configuration the
@@ -154,7 +156,7 @@ func (m *Machine) install(chunks [][]uint64, nodes []NodeState) {
 			n.Magic.RestoreState(st.Magic)
 		}
 		if n.Ideal != nil {
-			n.Ideal.Reset()
+			n.Ideal.RestoreState(st.Ideal)
 		}
 	}
 	m.Elapsed = 0

@@ -109,6 +109,8 @@ const (
 	blockStructural             // waiting for any MSHR to free / conflict to clear
 )
 
+func (r blockReason) String() string { return [...]string{"none", "miss", "structural"}[r] }
+
 type mshrEntry struct {
 	valid bool
 	line  uint64
@@ -151,22 +153,10 @@ type pendingStore struct {
 
 // CPU is one node's compute processor.
 type CPU struct {
-	// vt is the processor's virtual clock and limit the end of the current
-	// run slice; both are only meaningful while run is on the stack. They
-	// are fields rather than run's locals because the workload thread
-	// advances them too: live is set while run is parked inside a cache
-	// hit's ReadDone (hitDone), and for that long the resumed thread retires
-	// its cache hits itself through Hit — the same charge, the same limit
-	// test between references — and batches everything else back to the
-	// loop. These fields lead the struct with the rest of what every hit
-	// reads (procState opens with instFrac and Stats), so a hit touches few
-	// host cache lines.
-	vt, limit sim.Cycle
-	live      bool
-	sampling  bool
-	inUse     int // valid MSHR entries
-	Cache     *Cache
-	mem       *memsys.View // this node's window-quantized view of the backing store
+	flight   // leads: a hit reads its first fields, then Cache, mem and procState
+	Cache    *Cache
+	mem      *memsys.View // this node's window-quantized view of the backing store
+	sampling bool
 	procState
 
 	ID arch.NodeID
@@ -179,7 +169,6 @@ type CPU struct {
 	t     arch.Timing
 	cfg   *arch.Config
 	ctl   Ctl
-	src   RefSource
 	chunk sim.Cycle
 
 	// Sampled execution: phase is a pure function of the cycle (spec is
@@ -187,24 +176,38 @@ type CPU struct {
 	// deterministic across engine backends and worker counts.
 	spec    arch.SampleSpec
 	ffChunk sim.Cycle // longer run slices between yields while fast-forwarding
-	// phaseDet/phaseEnd cache the schedule phase for the run loop's
-	// monotonic virtual clock: one compare per reference instead of a
-	// modulo (see SampleSpec.PhaseAt).
-	phaseDet bool
-	phaseEnd uint64
 
 	// rerun restarts the run loop at the engine clock: the one event body
 	// behind every reschedule, built once (events fire at the cycle they
 	// were scheduled for, so the clock is the loop's start time).
 	rerun func()
 
-	mshrs []mshrEntry
 	// retry[e] reissues MSHR e's request at the engine clock: the NAK
 	// backoff event, one per entry, built once like rerun.
 	retry []func()
 	// ivFree recycles intervention completion events.
 	ivFree *intervention
+}
 
+// flight is what a run holds in flight between its events, listed once:
+// RestoreState resets it in one statement, quiet tests it, DebugState prints
+// every field.
+type flight struct {
+	// vt is the processor's virtual clock and limit the end of the current
+	// run slice; both are only meaningful while run is on the stack. They
+	// are fields rather than run's locals because the workload thread
+	// advances them too: live is set while run is parked inside a cache
+	// hit's ReadDone (hitDone), and for that long the resumed thread retires
+	// its cache hits itself through Hit — the same charge, the same limit
+	// test between references — and batches everything else back to the
+	// loop.
+	vt, limit sim.Cycle
+	live      bool
+	inUse     int // valid MSHR entries
+
+	mshrs []mshrEntry // cfg.MSHRs entries
+
+	src      RefSource
 	batch    []Ref // current batch from the source
 	batchPos int   // next unconsumed batch element
 
@@ -214,10 +217,16 @@ type CPU struct {
 	blocked    blockReason
 	blockEntry int // the MSHR a blockMiss processor waits on
 
-	// issuing marks the MSHR entry whose request is mid-flight through a
-	// synchronous fast-forward chain (-1 otherwise): if Deliver completes
-	// it before issue() returns, the reference retires without blocking.
+	// issuing is 1 + the MSHR entry whose request is mid-flight through a
+	// synchronous fast-forward chain (0 otherwise): if Deliver completes it
+	// before issue() returns, the reference retires without blocking.
 	issuing int
+
+	// phaseDet/phaseEnd cache the schedule phase for the run loop's
+	// monotonic virtual clock: one compare per reference instead of a
+	// modulo (see SampleSpec.PhaseAt).
+	phaseDet bool
+	phaseEnd uint64
 
 	// Snapshot pause support: when pauseAfter is nonzero, the run loop
 	// parks itself at the first batch-refill boundary at or after retiring
@@ -227,6 +236,13 @@ type CPU struct {
 	// outstanding non-blocking write misses then drain through deliver()
 	// without resuming the loop, so the machine quiesces.
 	pauseAfter uint64
+}
+
+// quiet reports whether nothing is in flight: no outstanding miss, no
+// blocked or pending reference, no partially consumed batch. The pause arm,
+// the phase cache and the slice clock may hold anything.
+func (f *flight) quiet() bool {
+	return f.inUse == 0 && !f.hasPending && f.blocked == blockNone && f.batchPos >= len(f.batch)
 }
 
 // procState is the processor's simulated state, listed once: CPU embeds
@@ -263,8 +279,7 @@ func New(id arch.NodeID, eng sim.Scheduler, cfg *arch.Config, ctl Ctl, mem *mems
 		sampling: cfg.Sample.Enabled(),
 		spec:     cfg.Sample,
 		ffChunk:  256,
-		issuing:  -1,
-		mshrs:    make([]mshrEntry, cfg.MSHRs),
+		flight:   flight{mshrs: make([]mshrEntry, cfg.MSHRs)},
 	}
 	c.rerun = func() { c.run(c.eng.Now()) }
 	c.retry = make([]func(), len(c.mshrs))
@@ -561,7 +576,7 @@ func (c *CPU) issue(e int, vt sim.Cycle) {
 		// before this call returns; issuing tells Deliver that tryRef is on
 		// the stack inside issue(), so a completion needs no resume event.
 		prev := c.issuing
-		c.issuing = e
+		c.issuing = e + 1
 		c.ctl.FromProcFF(m, req+sim.Cycle(c.t.BusTransit))
 		c.issuing = prev
 		return
@@ -614,10 +629,7 @@ func (c *CPU) deliver(m arch.Msg, at sim.Cycle, ff bool) {
 		}
 		// Retry after an exponential, node-jittered backoff; the entry
 		// stays allocated.
-		sh := ent.retries
-		if sh > 5 {
-			sh = 5
-		}
+		sh := min(ent.retries, 5)
 		ent.retries++
 		jitter := (uint64(c.ID)*13 + uint64(ent.retries)*7) % 23
 		delay := sim.Cycle(c.t.NakBackoff)<<uint(sh) + sim.Cycle(jitter)
@@ -667,10 +679,7 @@ func (c *CPU) deliver(m arch.Msg, at sim.Cycle, ff bool) {
 		class := c.classify(m)
 		c.Stats.MissClass[class]++
 		if !ffFill {
-			lat := fillAt - ent.issuedAt
-			if fillAt < ent.issuedAt {
-				lat = 0
-			}
+			lat := max(fillAt, ent.issuedAt) - ent.issuedAt
 			c.Stats.ReadLat[class].Observe(uint64(lat))
 		}
 	}
@@ -706,7 +715,7 @@ func (c *CPU) deliver(m arch.Msg, at sim.Cycle, ff bool) {
 	waiting := c.blocked == blockMiss && c.blockEntry == e
 	ent.valid = false
 	c.inUse--
-	if e == c.issuing && !waiting && c.blocked == blockNone {
+	if e+1 == c.issuing && !waiting && c.blocked == blockNone {
 		// Synchronous fast-forward completion: tryRef is on the stack inside
 		// issue(), so charge the miss stall against the reference, catch the
 		// virtual clock up to the fill and return — tryRef sees the freed
@@ -760,9 +769,7 @@ func (c *CPU) resume(at sim.Cycle, consumed bool) {
 	// can land before the blocked reference's virtual issue time (the
 	// processor runs ahead of the clock within a chunk); that is a zero
 	// stall, not an underflow.
-	if at < c.pendingAt {
-		at = c.pendingAt
-	}
+	at = max(at, c.pendingAt)
 	c.chargeStall(&c.pending, at-c.pendingAt)
 	c.pendingAt = at
 	if consumed {
@@ -1014,13 +1021,11 @@ type CPUState struct {
 }
 
 // CaptureState snapshots a quiesced processor: parked at a pause point (or
-// finished) with no outstanding misses, no partially consumed batch, and no
-// pending reference. Anything else is an error naming the processor, the
-// cycle and its blocking state.
+// finished) with nothing in flight. Anything else is an error naming the
+// processor, the cycle and its in-flight state.
 func (c *CPU) CaptureState() (CPUState, error) {
-	if !c.paused && !c.Stats.Finished || c.inUse != 0 || c.hasPending || c.blocked != blockNone || c.batchPos < len(c.batch) {
-		return CPUState{}, fmt.Errorf("cpu%d: not quiescent at cycle %d (paused=%v, %d of %d batch refs left): %s",
-			c.ID, c.eng.Now(), c.paused, len(c.batch)-c.batchPos, len(c.batch), c.DebugState())
+	if !c.paused && !c.Stats.Finished || !c.quiet() {
+		return CPUState{}, fmt.Errorf("cpu%d: not quiescent at cycle %d: %s", c.ID, c.eng.Now(), c.DebugState())
 	}
 	st := CPUState{c.procState, c.Cache.CaptureState()}
 	st.Stats.WinWork = slices.Clone(c.Stats.WinWork)
@@ -1028,34 +1033,26 @@ func (c *CPU) CaptureState() (CPUState, error) {
 }
 
 // RestoreState installs a captured processor state into a CPU of the same
-// configuration, leaving it parked exactly as the donor was. Everything in
-// flight during a run — MSHRs, batch, pending and blocked reference, issuing
-// entry, phase cache, run-slice clock, pause arm — is cleared, and no
-// reference source is attached.
+// configuration, leaving it parked exactly as the donor was, with nothing in
+// flight and no reference source attached.
 func (c *CPU) RestoreState(st CPUState) {
 	c.procState = st.procState
 	c.Stats.WinWork = slices.Clone(st.Stats.WinWork)
 	c.Cache.RestoreState(st.cache)
-	clear(c.mshrs)
-	c.inUse = 0
-	c.batch, c.batchPos = nil, 0
-	c.pending, c.hasPending, c.pendingAt = Ref{}, false, 0
-	c.blocked, c.blockEntry = blockNone, 0
-	c.issuing = -1
-	c.vt, c.limit, c.live = 0, 0, false
-	c.phaseDet, c.phaseEnd = false, 0
-	c.src, c.pauseAfter = nil, 0
+	c.flight = flight{mshrs: make([]mshrEntry, len(c.mshrs))}
 }
 
-// DebugState renders the processor's blocking state for hang diagnosis.
+// DebugState renders the processor's finish and pause state and every
+// in-flight field, for hang diagnosis.
 func (c *CPU) DebugState() string {
-	s := fmt.Sprintf("done=%v vt=%d limit=%d live=%v blocked=%d blockEntry=%d hasPending=%v pendingAt=%d pending={%v %#x sync=%v} inUse=%d",
-		c.Stats.Finished, c.vt, c.limit, c.live, c.blocked, c.blockEntry, c.hasPending, c.pendingAt, c.pending.Kind, c.pending.Addr, c.pending.Sync, c.inUse)
+	var mshrs []string
 	for i := range c.mshrs {
-		e := &c.mshrs[i]
-		if e.valid {
-			s += fmt.Sprintf(" mshr%d={line=%#x kind=%v retries=%d ffIssued=%v}", i, e.line, e.kind, e.retries, e.ffIssued)
+		if e := &c.mshrs[i]; e.valid {
+			mshrs = append(mshrs, fmt.Sprintf("%d={line=%#x kind=%v retries=%d ffIssued=%v invalOnFill=%v issuedAt=%d stores=%d}",
+				i, e.line, e.kind, e.retries, e.ffIssued, e.invalOnFill, e.issuedAt, len(e.stores)))
 		}
 	}
-	return s
+	return fmt.Sprintf("done=%v paused=%v vt=%d limit=%d live=%v inUse=%d src=%v batchPos=%d batch=%d blocked=%v blockEntry=%d hasPending=%v pendingAt=%d pending={%v %#x sync=%v} issuing=%d phaseDet=%v phaseEnd=%d pauseAfter=%d mshrs=%v",
+		c.Stats.Finished, c.paused, c.vt, c.limit, c.live, c.inUse, c.src != nil, c.batchPos, len(c.batch), c.blocked, c.blockEntry,
+		c.hasPending, c.pendingAt, c.pending.Kind, c.pending.Addr, c.pending.Sync, c.issuing, c.phaseDet, c.phaseEnd, c.pauseAfter, mshrs)
 }

@@ -471,3 +471,21 @@ func TestHitDoesNotAllocate(t *testing.T) {
 		t.Errorf("stats %+v: want 202 references, 101 reads, 101 writes", c.Stats)
 	}
 }
+
+// TestDebugStateNamesEveryField pins the hang dump to the in-flight record:
+// DebugState prints every flight field as name=value, so a field added to
+// the record fails here until the dump shows it.
+func TestDebugStateNamesEveryField(t *testing.T) {
+	cfg := arch.DefaultConfig()
+	c := New(0, sim.NewEngine(), &cfg, nil, memsys.NewView(memsys.NewStore(1<<10)))
+	c.mshrs[c.allocMSHR()] = mshrEntry{valid: true, line: 0x40, kind: arch.MsgGETX}
+	s := " " + c.DebugState()
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(flight{})) {
+		if !strings.Contains(s, " "+f.Name+"=") {
+			t.Errorf("DebugState lacks %s=: %s", f.Name, s)
+		}
+	}
+	if !strings.Contains(s, "mshrs=[0={line=0x40 kind=GETX") {
+		t.Errorf("DebugState does not list the valid MSHR: %s", s)
+	}
+}

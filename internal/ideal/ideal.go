@@ -62,12 +62,7 @@ type Controller struct {
 	// race-prone package-global printf hook.
 	Tr *trace.Tracer
 
-	dir map[uint64]*dirEntry
-
-	// curTID is the trace id of the handler event currently executing, used
-	// to stamp outgoing messages. Best-effort for sends made from deferred
-	// intervention callbacks, which run after handle returns.
-	curTID uint64
+	ControllerState
 
 	// Evs recycles this node's message events; the two handlers are what
 	// they fire (a processor-side arrival, a reply crossing the bus to the
@@ -79,12 +74,23 @@ type Controller struct {
 	homeDone, fwdDone cpu.InterventionDone
 }
 
+// ControllerState is the controller's simulated state, listed once; the
+// zero ControllerState is a freshly constructed controller, with an empty
+// oracle directory.
+type ControllerState struct {
+	dir map[uint64]*dirEntry // created on the first entry recorded
+
+	// curTID is the trace id of the handler event currently executing, used
+	// to stamp outgoing messages. Best-effort for sends made from deferred
+	// intervention callbacks, which run after handle returns.
+	curTID uint64
+}
+
 // New builds an idealized controller; call Attach to wire the CPU.
 func New(id arch.NodeID, eng sim.Scheduler, cfg *arch.Config, mem *memsys.Memory, net *network.Port) *Controller {
 	c := &Controller{
 		ID: id, Eng: eng, Cfg: cfg, T: cfg.Timing,
 		Mem: mem, Net: net,
-		dir: make(map[uint64]*dirEntry),
 	}
 	c.onProc = func(ev *arch.MsgEvent) { c.handle(c.Evs.Take(ev), false) }
 	c.onDeliver = func(ev *arch.MsgEvent) { c.CPU.Deliver(c.Evs.Take(ev), c.Eng.Now()) }
@@ -95,12 +101,8 @@ func New(id arch.NodeID, eng sim.Scheduler, cfg *arch.Config, mem *memsys.Memory
 // Attach wires the processor.
 func (c *Controller) Attach(p *cpu.CPU) { c.CPU = p }
 
-// Reset returns the controller to its freshly constructed state: an empty
-// oracle directory.
-func (c *Controller) Reset() {
-	c.dir = make(map[uint64]*dirEntry)
-	c.curTID = 0
-}
+// RestoreState installs st.
+func (c *Controller) RestoreState(st ControllerState) { c.ControllerState = st }
 
 // DirState is one line's oracle directory state, for invariant checking.
 type DirState struct {
@@ -128,6 +130,9 @@ func (c *Controller) entry(a arch.Addr) *dirEntry {
 	l := a.Line()
 	e := c.dir[l]
 	if e == nil {
+		if c.dir == nil {
+			c.dir = make(map[uint64]*dirEntry)
+		}
 		e = &dirEntry{}
 		c.dir[l] = e
 	}

@@ -84,8 +84,18 @@ func (q *inbox) pop() queued {
 // at returns the i-th oldest queued message.
 func (q *inbox) at(i int) *queued { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
 
-// reset empties the queue, keeping its storage.
-func (q *inbox) reset() { q.head, q.n = 0, 0 }
+// emptied is the queue with nothing in it and the same storage.
+func (q *inbox) emptied() inbox { return inbox{buf: q.buf} }
+
+// String lists the queued messages, oldest first.
+func (q *inbox) String() string {
+	msgs := make([]string, q.n)
+	for i := range msgs {
+		msg := q.at(i).msg
+		msgs[i] = fmt.Sprintf("{%v %#x src=%d}", msg.Type, msg.Addr, msg.Src)
+	}
+	return fmt.Sprintf("%d%v", q.n, msgs)
+}
 
 // waitFor is what a blocked handler waits for: a slot in the outgoing
 // network queue, the outgoing PI slot, or the processor cache's answer to
@@ -99,11 +109,14 @@ const (
 	waitPC
 )
 
+func (w waitFor) String() string { return [...]string{"none", "net", "pi", "pc"}[w] }
+
 // handlerCtx tracks one in-flight handler invocation. A controller has
-// exactly one, embedded (Magic.hctx): the PP runs one handler at a time,
-// detailed or functional, so the invocation record is reused rather than
-// allocated per dispatch.
+// exactly one, in its in-flight record (Magic.handler): the PP runs one
+// handler at a time, detailed or functional, so the invocation record is
+// reused rather than allocated per dispatch.
 type handlerCtx struct {
+	busy       bool // claims the PP from dispatch until retire
 	msg        arch.Msg
 	slot       *jtSlot   // the jump-table slot dispatched: entry pc and handler index
 	ff         bool      // functional (fast-forward) invocation: ppEnv skips timing
@@ -119,6 +132,16 @@ type handlerCtx struct {
 	wait       waitFor
 	pcDone     bool // intervention response arrived before WAITPC executed
 	blockedAt  sim.Cycle
+}
+
+// useData records a send of the data buffer, which makes a speculative read
+// no cache retrieval overwrote of use, and returns when the buffer's first
+// word is ready.
+func (ctx *handlerCtx) useData() sim.Cycle {
+	if ctx.specIssued && !ctx.intervened {
+		ctx.specUsed = true
+	}
+	return ctx.dataReady
 }
 
 // Magic is one node's controller.
@@ -143,16 +166,7 @@ type Magic struct {
 	// (core.Machine.EnableOccSampling).
 	PPSeries *trace.TimeSeries
 
-	qPI     inbox
-	qNetReq inbox
-	qNetRpl inbox
-
-	outNet []injection // the outgoing network queue; see netQueued
-	outPI  int         // accepted but not yet delivered (capacity 1)
-	bufs   int         // data buffers in use
-
-	ctx  *handlerCtx // &hctx while a handler is in flight, nil when the PP is idle
-	hctx handlerCtx
+	flight
 
 	// The event bodies of the miss path, built once: the three steps of a
 	// handler's life (start at dispatch, resume after a stall, retire at its
@@ -194,10 +208,9 @@ type Magic struct {
 	ppDiv   sim.Cycle
 }
 
-// ctlState is the controller's simulated state, listed once: Magic embeds
-// it, and MagicState carries a copy. Everything else in Magic is
-// configuration, wiring, or in flight while a handler runs or a message
-// waits (RestoreState clears that).
+// ctlState is the controller's simulated state between runs, listed once:
+// Magic embeds it, and MagicState carries a copy. What a run holds in flight
+// is the flight record; everything else in Magic is configuration or wiring.
 type ctlState struct {
 	PPOcc sim.OccupancyMeter
 	Stats Stats
@@ -214,6 +227,46 @@ type ctlState struct {
 	// booted is set once protocol memory is initialized and pp_init has
 	// run (boot); a zero ctlState is a controller still to boot.
 	booted bool
+}
+
+// flight is the controller's in-flight state, listed once: the inbox
+// queues, the outgoing slots, the data buffers and the handler the PP runs.
+// RestoreState resets it in one statement, quiet tests it, DebugState prints
+// every field.
+type flight struct {
+	qPI     inbox
+	qNetReq inbox
+	qNetRpl inbox
+
+	outNet []injection // the outgoing network queue; see netQueued
+	outPI  int         // accepted but not yet delivered (capacity 1)
+	bufs   int         // data buffers in use
+
+	handler handlerCtx
+}
+
+func (f *flight) queuesEmpty() bool {
+	return f.qPI.n == 0 && f.qNetReq.n == 0 && f.qNetRpl.n == 0
+}
+
+// netQueued counts the messages in the outgoing network queue at cycle now.
+// A message leaves at its injection cycle, one due at now included: a
+// handler's event is scheduled after every earlier send, so it sorts after
+// the key reserved at that send (and OutboxOut + NIOutbound > 0 keeps an
+// injection off the cycle of its send).
+func (f *flight) netQueued(now sim.Cycle) (n int) {
+	for _, x := range f.outNet {
+		if x.at > now {
+			n++
+		}
+	}
+	return n
+}
+
+// quiet reports whether nothing is in flight at cycle now: no handler, no
+// queued message in or out, no slot or buffer held.
+func (f *flight) quiet(now sim.Cycle) bool {
+	return !f.handler.busy && f.queuesEmpty() && f.netQueued(now) == 0 && f.outPI == 0 && f.bufs == 0
 }
 
 // injection is a queued network message's injection cycle and send key.
@@ -317,9 +370,6 @@ func (m *Magic) boot() {
 	m.booted = true
 }
 
-// MDC exposes the MAGIC data cache for statistics.
-func (m *Magic) MDC() *ppsim.MDC { return m.PP.MDC }
-
 // FromProc receives a message from the processor side; at is when it
 // crossed the processor bus.
 func (m *Magic) FromProc(msg arch.Msg, at sim.Cycle) {
@@ -354,7 +404,7 @@ func (m *Magic) netInbox(t arch.MsgType) *inbox {
 // request queues alternate. In fast-forward phases the queues drain
 // functionally instead.
 func (m *Magic) tryDispatch() {
-	if m.ctx != nil {
+	if m.handler.busy {
 		return
 	}
 	if m.sampling && !m.sample.Detailed(uint64(m.Eng.Now())) {
@@ -369,8 +419,8 @@ func (m *Magic) tryDispatch() {
 	now := m.Eng.Now()
 	dispatch := now + sim.Cycle(m.T.InboxSelect) + sim.Cycle(m.T.JumpTable)
 	slot := m.slot(msg, viaNet)
-	ctx := &m.hctx
-	*ctx = handlerCtx{msg: msg, slot: slot, dispatched: dispatch}
+	ctx := &m.handler
+	*ctx = handlerCtx{busy: true, msg: msg, slot: slot, dispatched: dispatch} // claims the PP until retire
 	if msg.Type.CarriesData() {
 		// The data streamed into a buffer alongside the header.
 		ctx.hasData = true
@@ -385,7 +435,6 @@ func (m *Magic) tryDispatch() {
 			m.bufs++
 		}
 	}
-	m.ctx = ctx // claims the PP until retire
 	m.Eng.At(dispatch, m.startFn)
 }
 
@@ -417,13 +466,13 @@ func (m *Magic) popQueue() (msg arch.Msg, viaNet bool, ready sim.Cycle, ok bool)
 // the sequential engine always is, and core serializes the sharded engine
 // whenever sampling is enabled.
 func (m *Magic) injectFF(msg arch.Msg, viaNet bool, at sim.Cycle) {
-	if m.ctx != nil || !m.queuesEmpty() {
+	if m.handler.busy || !m.queuesEmpty() {
 		q := &m.qPI
 		if viaNet {
 			q = m.netInbox(msg.Type)
 		}
 		q.push(queued{msg, at})
-		if m.ctx == nil {
+		if !m.handler.busy {
 			m.drainFF()
 		}
 		return
@@ -438,17 +487,13 @@ func (m *Magic) FromProcFF(msg arch.Msg, at sim.Cycle) {
 	m.injectFF(msg, false, at+sim.Cycle(m.T.PIInbound))
 }
 
-func (m *Magic) queuesEmpty() bool {
-	return m.qPI.n == 0 && m.qNetReq.n == 0 && m.qNetRpl.n == 0
-}
-
 // drainFF empties the inbox queues functionally: each handler runs to
 // completion through the regular jump table and PP program, so directory
 // state, the MDC, processor caches, and memory values evolve exactly as the
 // protocol dictates — only the timing (PP occupancy, queue contention,
 // memory/bus reservations, network transit) is replaced by fixed charges.
 func (m *Magic) drainFF() {
-	for m.ctx == nil {
+	for !m.handler.busy {
 		msg, viaNet, ready, ok := m.popQueue()
 		if !ok {
 			return
@@ -463,13 +508,12 @@ func (m *Magic) drainFF() {
 // never BlockedSend — and the resume loop below is bounded.
 func (m *Magic) runHandlerFF(msg arch.Msg, viaNet bool, at sim.Cycle) {
 	dispatch := at + sim.Cycle(m.T.InboxSelect) + sim.Cycle(m.T.JumpTable)
-	ctx := &m.hctx
-	*ctx = handlerCtx{msg: msg, slot: m.slot(msg, viaNet), ff: true, dispatched: dispatch, segStart: dispatch}
+	ctx := &m.handler
+	*ctx = handlerCtx{busy: true, msg: msg, slot: m.slot(msg, viaNet), ff: true, dispatched: dispatch, segStart: dispatch}
 	if msg.Type.CarriesData() {
 		ctx.hasData = true
 		ctx.dataReady = dispatch
 	}
-	m.ctx = ctx
 	m.Stats.Dispatches++
 	m.Stats.FFDispatches++
 
@@ -485,13 +529,13 @@ func (m *Magic) runHandlerFF(msg arch.Msg, viaNet bool, at sim.Cycle) {
 	// Census only: invocation counts stay exact, timing aggregates
 	// (occupancy, service-time histograms) see no functional handlers.
 	m.handlers[ctx.slot.h].Count++
-	m.ctx = nil
+	ctx.busy = false
 }
 
 // startHandler is the dispatch event: the inbox's selection and jump-table
 // stages are over and the PP begins the handler tryDispatch claimed it for.
 func (m *Magic) startHandler() {
-	ctx := m.ctx
+	ctx := &m.handler
 	m.Stats.Dispatches++
 	if m.Tr.Active() {
 		// The invocation's id is minted at dispatch; the span itself is
@@ -536,7 +580,7 @@ func (m *Magic) loadHeader(msg arch.Msg) {
 
 // handleStatus advances MAGIC state after a PP run segment.
 func (m *Magic) handleStatus(st ppsim.Status, cyc uint64) {
-	ctx := m.ctx
+	ctx := &m.handler
 	end := ctx.segStart + sim.Cycle(cyc)*m.ppDiv
 	switch st {
 	case ppsim.StatusDone:
@@ -562,8 +606,8 @@ func (m *Magic) handleStatus(st ppsim.Status, cyc uint64) {
 		if ctx.specIssued && (!ctx.specUsed || ctx.intervened) {
 			m.Mem.MarkUseless()
 		}
-		if ctx.hasData || ctx.specIssued {
-			m.freeBuf()
+		if (ctx.hasData || ctx.specIssued) && m.bufs > 0 {
+			m.bufs--
 		}
 		// The PP stays claimed until the handler's last cycle retires; the
 		// run segment executed synchronously ahead of the clock.
@@ -588,14 +632,14 @@ func (m *Magic) handleStatus(st ppsim.Status, cyc uint64) {
 
 // retire is a handler's last cycle: the PP frees and the inbox arbitrates.
 func (m *Magic) retire() {
-	m.ctx = nil
+	m.handler.busy = false
 	m.tryDispatch()
 }
 
 // wake resumes the blocked PP at time t (>= the block time). It clears
 // ctx.wait, so a second release before the resume wakes nothing.
 func (m *Magic) wake(t sim.Cycle) {
-	ctx := m.ctx
+	ctx := &m.handler
 	ctx.wait = waitNone
 	m.Eng.At(max(t, ctx.blockedAt), m.wakeFn)
 }
@@ -603,7 +647,7 @@ func (m *Magic) wake(t sim.Cycle) {
 // resumePP is the wake event. The handler it resumes is still the one that
 // blocked: a blocked handler cannot retire, and wake admits one resume.
 func (m *Magic) resumePP() {
-	ctx := m.ctx
+	ctx := &m.handler
 	ctx.segStart = m.Eng.Now()
 	st, cyc := m.PP.Resume()
 	m.handleStatus(st, cyc)
@@ -616,12 +660,6 @@ func b2i(b bool) int {
 	return 0
 }
 
-func (m *Magic) freeBuf() {
-	if m.bufs > 0 {
-		m.bufs--
-	}
-}
-
 // ppEnv adapts Magic to the ppsim.Env interface.
 type ppEnv Magic
 
@@ -630,7 +668,7 @@ func (e *ppEnv) magic() *Magic { return (*Magic)(e) }
 // TrySend launches an outgoing message composed by the handler.
 func (e *ppEnv) TrySend(h ppsim.OutHeader, dt uint64) bool {
 	m := e.magic()
-	ctx := m.ctx
+	ctx := &m.handler
 	if ctx.ff {
 		return m.sendFF(h)
 	}
@@ -655,7 +693,7 @@ func (e *ppEnv) TrySend(h ppsim.OutHeader, dt uint64) bool {
 // immediately (the destination PP is busy) queues there and drains when it
 // frees, so chains always terminate.
 func (m *Magic) sendFF(h ppsim.OutHeader) bool {
-	ctx := m.ctx
+	ctx := &m.handler
 	mt := arch.MsgType(h.Type)
 	if h.Iface == ppisa.SendPI {
 		switch mt {
@@ -697,7 +735,7 @@ func (m *Magic) sendIntervention(mt arch.MsgType, addr arch.Addr, tSend sim.Cycl
 	if mt == arch.MsgPIInval {
 		done = nil
 	}
-	m.CPU.Intervene(mt, addr, at, m.ctx.msg, done)
+	m.CPU.Intervene(mt, addr, at, m.handler.msg, done)
 	return true
 }
 
@@ -710,7 +748,7 @@ func (m *Magic) sendIntervention(mt arch.MsgType, addr arch.Addr, tSend sim.Cycl
 // before the cache answers — and PIInval registers no callback at all, so a
 // late completion touches nothing.
 func (m *Magic) pcDone(_ arch.Msg, resp arch.MsgType, firstData sim.Cycle) {
-	ctx := m.ctx
+	ctx := &m.handler
 	if resp == arch.MsgPCData {
 		m.PP.SetPCResponse(1)
 		if !ctx.hasData && !ctx.specIssued {
@@ -734,25 +772,15 @@ func (m *Magic) pcDone(_ arch.Msg, resp arch.MsgType, firstData sim.Cycle) {
 // sendToPI delivers a reply (PUT/PUTX/NAK) to the local processor.
 func (m *Magic) sendToPI(h ppsim.OutHeader, tSend sim.Cycle) bool {
 	if m.outPI >= piOutCap {
-		m.ctx.wait = waitPI
+		m.handler.wait = waitPI
 		return false
 	}
 	m.outPI++
-	ctx := m.ctx
-	hdrReady := tSend + sim.Cycle(m.T.OutboxOut)
-	var deliver sim.Cycle
+	deliver := tSend + sim.Cycle(m.T.OutboxOut) + sim.Cycle(m.T.PIOutbound)
 	if h.Data {
-		if ctx.specIssued && !ctx.intervened {
-			ctx.specUsed = true
-		}
-		deliver = hdrReady + sim.Cycle(m.T.PIOutbound)
-		if ctx.dataReady > deliver {
-			deliver = ctx.dataReady
-		}
-		deliver += sim.Cycle(m.T.PIBusWord)
-	} else {
-		deliver = hdrReady + sim.Cycle(m.T.PIOutbound) + sim.Cycle(m.T.PIBusWord)
+		deliver = max(deliver, m.handler.useData())
 	}
+	deliver += sim.Cycle(m.T.PIBusWord)
 	m.Eng.At(deliver, m.Evs.Get(m.onToPI, m.msgFrom(h)).Fire)
 	return true
 }
@@ -762,7 +790,7 @@ func (m *Magic) sendToPI(h ppsim.OutHeader, tSend sim.Cycle) bool {
 // completes.
 func (m *Magic) deliverPI(ev *arch.MsgEvent) {
 	m.outPI--
-	if m.ctx != nil && m.ctx.wait == waitPI {
+	if m.handler.busy && m.handler.wait == waitPI {
 		m.wake(m.Eng.Now())
 	}
 	m.CPU.Deliver(m.Evs.Take(ev), m.Eng.Now())
@@ -787,39 +815,18 @@ func (m *Magic) sendToNet(h ppsim.OutHeader, tSend sim.Cycle) bool {
 		}
 		if m.outNet = q; len(q) >= m.netQCap {
 			m.Eng.AtKey(first.at, first.key, m.releaseFn)
-			m.ctx.wait = waitNet
+			m.handler.wait = waitNet
 			return false
 		}
 	}
-	ctx := m.ctx
-	hdrReady := tSend + sim.Cycle(m.T.OutboxOut)
-	inject := hdrReady
+	inject := tSend + sim.Cycle(m.T.OutboxOut)
 	if h.Data {
-		if ctx.specIssued && !ctx.intervened {
-			ctx.specUsed = true
-		}
-		if ctx.dataReady > inject {
-			inject = ctx.dataReady
-		}
+		inject = max(inject, m.handler.useData())
 	}
 	inject += sim.Cycle(m.T.NIOutbound)
 	m.outNet = append(m.outNet, injection{inject, m.Eng.Reserve()})
 	m.Net.Send(inject, m.msgFrom(h))
 	return true
-}
-
-// netQueued counts the messages in the outgoing network queue. A message
-// leaves at its injection cycle, one due at Now included: a handler's event
-// is scheduled after every earlier send, so it sorts after the key reserved
-// at that send (and OutboxOut + NIOutbound > 0 keeps an injection off the
-// cycle of its send).
-func (m *Magic) netQueued() (n int) {
-	for _, x := range m.outNet {
-		if x.at > m.Eng.Now() {
-			n++
-		}
-	}
-	return n
 }
 
 // releaseNet wakes the handler blocked on a full network queue.
@@ -830,10 +837,6 @@ func (m *Magic) msgFrom(h ppsim.OutHeader) arch.Msg {
 	if h.Data {
 		db = 0
 	}
-	var tid uint64
-	if m.ctx != nil {
-		tid = m.ctx.tid // causal parent: the composing handler invocation
-	}
 	return arch.Msg{
 		Type: arch.MsgType(h.Type),
 		Addr: arch.Addr(h.Addr),
@@ -842,7 +845,7 @@ func (m *Magic) msgFrom(h ppsim.OutHeader) arch.Msg {
 		Req:  arch.NodeID(h.Req),
 		Aux:  uint32(h.Aux),
 		DB:   db,
-		TID:  tid,
+		TID:  m.handler.tid, // causal parent: the composing handler invocation
 	}
 }
 
@@ -850,7 +853,7 @@ func (m *Magic) msgFrom(h ppsim.OutHeader) arch.Msg {
 // issued the speculative read for this message the two coalesce.
 func (e *ppEnv) MemRead(addr uint64, dt uint64) {
 	m := e.magic()
-	ctx := m.ctx
+	ctx := &m.handler
 	if ctx.ff {
 		// Functional: data values live in the backing store, so there is
 		// nothing to move — just mark the buffer present, with no memory
@@ -873,10 +876,10 @@ func (e *ppEnv) MemRead(addr uint64, dt uint64) {
 // MemWrite writes the handler's data buffer back to memory (posted).
 func (e *ppEnv) MemWrite(addr uint64, dt uint64) {
 	m := e.magic()
-	if m.ctx.ff {
+	if m.handler.ff {
 		return
 	}
-	m.Mem.Write(m.ctx.segStart + sim.Cycle(dt)*m.ppDiv)
+	m.Mem.Write(m.handler.segStart + sim.Cycle(dt)*m.ppDiv)
 }
 
 // MDCFill services a MAGIC data cache miss: a full-line read from local
@@ -884,14 +887,14 @@ func (e *ppEnv) MemWrite(addr uint64, dt uint64) {
 // stall covers queueing plus the 29-cycle line access.
 func (e *ppEnv) MDCFill(addr uint64, writeback bool, dt uint64) uint64 {
 	m := e.magic()
-	if m.ctx == nil || m.ctx.ff {
+	if !m.handler.busy || m.handler.ff {
 		// Boot-time fill (pp_init) or a functional handler: the MDC tag
 		// state already updated inside ppsim; charge the flat miss penalty
 		// with no memory reservation. The penalty is system cycles; the PP
 		// counts its own (possibly slower) cycles, so divide rounding up.
 		return uint64((m.T.MDCMiss + uint32(m.ppDiv) - 1) / uint32(m.ppDiv))
 	}
-	t := m.ctx.segStart + sim.Cycle(dt)*m.ppDiv
+	t := m.handler.segStart + sim.Cycle(dt)*m.ppDiv
 	_, done := m.Mem.Read(t)
 	if writeback {
 		m.Mem.Write(done)
@@ -915,7 +918,7 @@ type MagicState struct {
 // machine has pending events and is not at a snapshot point: an error
 // naming the node and the cycle.
 func (m *Magic) CaptureState() (MagicState, error) {
-	if m.ctx != nil || !m.queuesEmpty() || m.netQueued() != 0 || m.outPI != 0 || m.bufs != 0 {
+	if !m.quiet(m.Eng.Now()) {
 		return MagicState{}, fmt.Errorf("magic%d: not quiescent at cycle %d: %s", m.ID, m.Eng.Now(), m.DebugState())
 	}
 	pp, err := m.PP.CaptureState()
@@ -937,28 +940,24 @@ func (m *Magic) RestoreState(st MagicState) {
 	arch.RestoreSlice(m.handlers, st.handlers) // Handlers hands out pointers into it
 	st.handlers = m.handlers
 	m.ctlState = st.ctlState
-	m.qPI.reset()
-	m.qNetReq.reset()
-	m.qNetRpl.reset()
-	m.outNet, m.outPI, m.bufs = m.outNet[:0], 0, 0
-	m.ctx = nil
+	m.flight = flight{qPI: m.qPI.emptied(), qNetReq: m.qNetReq.emptied(), qNetRpl: m.qNetRpl.emptied(), outNet: m.outNet[:0]}
 	m.PPSeries.Reset()
 	if !m.booted {
 		m.boot()
 	}
 }
 
-// DebugState renders the controller's queue/handler state for hang diagnosis.
+// DebugState renders every in-flight field — for the handler its entry
+// name, message, wait and the rest of its context — and the PP's execution
+// state, for hang diagnosis.
 func (m *Magic) DebugState() string {
-	s := fmt.Sprintf("ctx=%v qPI=%d qNetReq=%d qNetRpl=%d outPI=%d outNet=%d bufs=%d", m.ctx != nil, m.qPI.n, m.qNetReq.n, m.qNetRpl.n, m.outPI, m.netQueued(), m.bufs)
-	for _, nq := range []struct {
-		name string
-		q    *inbox
-	}{{"PI", &m.qPI}, {"NReq", &m.qNetReq}, {"NRpl", &m.qNetRpl}} {
-		for i := 0; i < nq.q.n; i++ {
-			msg := nq.q.at(i).msg
-			s += fmt.Sprintf(" %s{%v %#x src=%d}", nq.name, msg.Type, msg.Addr, msg.Src)
-		}
+	s := fmt.Sprintf("qPI=%v qNetReq=%v qNetRpl=%v outNet=%d outPI=%d bufs=%d handler=", &m.qPI, &m.qNetReq, &m.qNetRpl, m.netQueued(m.Eng.Now()), m.outPI, m.bufs)
+	if h := &m.handler; h.busy {
+		s += fmt.Sprintf("{busy=true entry=%s msg={%v %#x src=%d req=%d} wait=%v blockedAt=%d pcDone=%v ff=%v dispatched=%d segStart=%d tid=%d slot={pc=%d spec=%v} hasData=%v dataReady=%d specIssued=%v specUsed=%v intervened=%v}",
+			m.names[h.slot.h], h.msg.Type, h.msg.Addr, h.msg.Src, h.msg.Req, h.wait, h.blockedAt, h.pcDone, h.ff, h.dispatched, h.segStart, h.tid,
+			h.slot.pc, h.slot.spec, h.hasData, h.dataReady, h.specIssued, h.specUsed, h.intervened)
+	} else {
+		s += "idle"
 	}
-	return s
+	return s + " pp={" + m.PP.DebugState() + "}"
 }

@@ -2,6 +2,8 @@ package magic
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"flashsim/internal/arch"
@@ -254,8 +256,8 @@ func TestLateInvalCompletionSparesNextHandler(t *testing.T) {
 	if want := []string{arch.MsgPIInval.String(), arch.MsgPIDowngr.String()}; fmt.Sprint(interventions) != fmt.Sprint(want) {
 		t.Errorf("node 1's cache saw interventions %v, want %v", interventions, want)
 	}
-	if m := r.magics[1]; m.ctx != nil || m.bufs != 0 {
-		t.Errorf("node 1 controller after the run: %s, %d buffers", m.DebugState(), m.bufs)
+	if m := r.magics[1]; !m.quiet(m.Eng.Now()) {
+		t.Errorf("node 1 controller after the run: %s", m.DebugState())
 	}
 }
 
@@ -294,12 +296,36 @@ func TestInboxRing(t *testing.T) {
 	if q.n != 0 || len(q.buf) != 16 {
 		t.Fatalf("after draining: n %d, capacity %d, want 0 and 16", q.n, len(q.buf))
 	}
-	q.reset()
+	q = q.emptied()
 	if a := testing.AllocsPerRun(100, func() {
 		push(12)
 		pop(12)
-		q.reset()
+		q = q.emptied()
 	}); a != 0 {
 		t.Errorf("a grown ring allocates %.0f times per 12 pushes", a)
+	}
+}
+
+// TestDebugStateNamesEveryField pins the hang dump to the in-flight record:
+// DebugState prints every flight field, and every field of the handler in
+// flight, as name=value, so a field added to either fails here until the
+// dump shows it. The handler is named by its entry.
+func TestDebugStateNamesEveryField(t *testing.T) {
+	m := newRig(t, arch.DefaultConfig(), [2][]cpu.Ref{}).magics[0]
+	m.handler = handlerCtx{busy: true, msg: arch.Msg{Type: arch.MsgGET, Addr: 0x1000}, wait: waitNet, blockedAt: 77}
+	m.handler.slot = m.slot(m.handler.msg, false)
+	m.qNetReq.push(queued{msg: arch.Msg{Type: arch.MsgGETX, Addr: 0x2000, Src: 1}})
+	s := " " + m.DebugState()
+	for _, typ := range []reflect.Type{reflect.TypeOf(flight{}), reflect.TypeOf(handlerCtx{})} {
+		for _, f := range reflect.VisibleFields(typ) {
+			if !strings.Contains(s, " "+f.Name+"=") && !strings.Contains(s, "{"+f.Name+"=") {
+				t.Errorf("DebugState lacks %s=: %s", f.Name, s)
+			}
+		}
+	}
+	for _, want := range []string{"entry=pi_get_local ", "msg={GET 0x1000 ", "wait=net ", "blockedAt=77 ", "qNetReq=1[{GETX 0x2000 src=1}]", " pp={pc="} {
+		if !strings.Contains(s, want) {
+			t.Errorf("DebugState lacks %q: %s", want, s)
+		}
 	}
 }

@@ -113,8 +113,5 @@ func (m *Memory) RestoreState(st MemoryState) {
 // Occupancy returns the controller's busy fraction over total cycles.
 func (m *Memory) Occupancy(total sim.Cycle) float64 { return m.srv.Occ.Fraction(total) }
 
-// BusyCycles returns total busy cycles.
-func (m *Memory) BusyCycles() sim.Cycle { return m.srv.Occ.Busy }
-
 // Accesses returns the total number of line accesses.
 func (m *Memory) Accesses() uint64 { return m.Reads + m.Writes }

@@ -251,7 +251,7 @@ func TestInterpImageIsReference(t *testing.T) {
 // cycle-identical).
 func TestCompiledIsDefault(t *testing.T) {
 	prog := pairProg(single(ppisa.Instr{Op: ppisa.DONE}))
-	if b := New(prog, 4096, NewMDC(4096, 2), &mockEnv{}).Backend(); b != BackendCompiled {
+	if b := New(prog, 4096, NewMDC(4096, 2), &mockEnv{}).backend; b != BackendCompiled {
 		t.Fatalf("New built the %v backend", b)
 	}
 	if BackendFor(arch.Config{}.PPDispatch) != BackendCompiled {

@@ -1,7 +1,6 @@
 package ppsim
 
 import (
-	"errors"
 	"fmt"
 
 	"flashsim/internal/memsys"
@@ -67,23 +66,6 @@ type Stats struct {
 	StallCycles uint64 // MDC-miss and send-stall cycles inside handlers
 }
 
-// DualIssueEfficiency returns dynamic non-NOP instructions per pair.
-func (s *Stats) DualIssueEfficiency() float64 {
-	if s.Pairs == 0 {
-		return 0
-	}
-	return float64(s.Instrs) / float64(s.Pairs)
-}
-
-// SpecialUse returns the dynamic fraction of ALU and branch instructions
-// that are bitfield or branch-on-bit instructions.
-func (s *Stats) SpecialUse() float64 {
-	if s.ALUOrBranch == 0 {
-		return 0
-	}
-	return float64(s.Special) / float64(s.ALUOrBranch)
-}
-
 // PP is one protocol processor instance. It executes at most one handler at
 // a time; MAGIC serializes invocations.
 type PP struct {
@@ -104,7 +86,13 @@ type PP struct {
 
 	memWords uint64 // protocol memory size; loads and stores bound-check against it
 
-	// Execution state of the in-flight handler.
+	flight
+}
+
+// flight is the execution state of the in-flight handler, listed once:
+// RestoreState resets it in one statement, idle tests it, DebugState prints
+// every field.
+type flight struct {
 	pc      int
 	nextPC  int // successor pair chosen by the run loop's current pair
 	running bool
@@ -125,6 +113,10 @@ type PP struct {
 	// memory operations.
 	segCycles uint64
 }
+
+// idle reports whether no handler is in flight: none running, no send
+// waiting to be retried.
+func (f *flight) idle() bool { return !f.running && !f.hasPending }
 
 // ppState is the PP's between-handlers simulated state, listed once: the
 // persistent register conventions, the incoming-header bank and the dynamic
@@ -152,9 +144,6 @@ func NewBackend(prog *ppisa.Program, memBytes int, mdc *MDC, env Env, b Backend)
 	return &PP{Prog: prog, Mem: memsys.NewStore(memBytes / 8), memWords: uint64(memBytes / 8), MDC: mdc, Env: env,
 		backend: b, code: image(prog, b)}
 }
-
-// Backend reports which image this PP's run loop executes.
-func (p *PP) Backend() Backend { return p.backend }
 
 // InHeader sets incoming-message header field f (visible to MFH).
 func (p *PP) InHeader(f int, v uint64) { p.inHdr[f] = v }
@@ -194,8 +183,8 @@ type PPState struct {
 // (memsys.Store.SnapshotChunks): the PP clones a chunk on its first write
 // afterwards, so the state stays immutable.
 func (p *PP) CaptureState() (PPState, error) {
-	if p.running || p.hasPending {
-		return PPState{}, errors.New("ppsim: handler in flight")
+	if !p.idle() {
+		return PPState{}, fmt.Errorf("ppsim: handler in flight: %s", p.DebugState())
 	}
 	return PPState{p.ppState, p.Mem.SnapshotChunks()}, nil
 }
@@ -206,9 +195,14 @@ func (p *PP) CaptureState() (PPState, error) {
 func (p *PP) RestoreState(st PPState) {
 	p.ppState = st.ppState
 	p.Mem.RestoreShared(st.mem)
-	p.running, p.hasPending = false, false
-	p.outHdr, p.pendingSend = OutHeader{}, OutHeader{}
-	p.segCycles = 0
+	p.flight = flight{}
+}
+
+// DebugState renders every field of the in-flight handler's execution
+// state, for hang diagnosis.
+func (p *PP) DebugState() string {
+	return fmt.Sprintf("pc=%d nextPC=%d running=%v outHdr=%+v pendingSend=%+v hasPending=%v jrTarget=%d stepBudget=%d segCycles=%d",
+		p.pc, p.nextPC, p.running, p.outHdr, p.pendingSend, p.hasPending, p.jrTarget, p.stepBudget, p.segCycles)
 }
 
 // Start begins executing the handler named entry and runs until it blocks
@@ -259,9 +253,6 @@ func (p *PP) Resume() (Status, uint64) {
 	}
 	return p.run()
 }
-
-// Running reports whether a handler is in flight (blocked or mid-Resume).
-func (p *PP) Running() bool { return p.running }
 
 // action describes a side effect computed by eval that must take place
 // after the pair commits.
@@ -329,10 +320,7 @@ func (p *PP) eval(in *ppisa.Instr, wr *regWrite) action {
 		switch ppisa.Classify(in.Op) {
 		case ppisa.ClassALU, ppisa.ClassBranch:
 			p.Stats.ALUOrBranch++
-		case ppisa.ClassSpecial:
-			p.Stats.ALUOrBranch++
-			p.Stats.Special++
-		case ppisa.ClassBranchBit:
+		case ppisa.ClassSpecial, ppisa.ClassBranchBit:
 			p.Stats.ALUOrBranch++
 			p.Stats.Special++
 		}

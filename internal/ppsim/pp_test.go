@@ -1,6 +1,8 @@
 package ppsim
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"flashsim/internal/ppisa"
@@ -168,7 +170,7 @@ h:	mth  H_ADDR, r1
 	if st != StatusBlockedSend {
 		t.Fatalf("status = %v, want blocked", st)
 	}
-	if !pp.Running() {
+	if pp.idle() {
 		t.Fatal("PP should still be running")
 	}
 	st, _ = pp.Resume() // still blocked once more
@@ -241,14 +243,14 @@ func TestStatsAccumulate(t *testing.T) {
 	if s.Pairs == 0 || s.Instrs == 0 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if eff := s.DualIssueEfficiency(); eff <= 1.0 || eff > 2.0 {
-		t.Fatalf("dual-issue efficiency = %v", eff)
+	if s.Instrs <= s.Pairs || s.Instrs > 2*s.Pairs { // dual-issue efficiency in (1, 2]
+		t.Fatalf("dual-issue efficiency = %d instructions in %d pairs", s.Instrs, s.Pairs)
 	}
 	if s.Special == 0 {
 		t.Fatal("special instructions not counted")
 	}
-	if su := s.SpecialUse(); su <= 0 || su >= 1 {
-		t.Fatalf("special use = %v", su)
+	if s.Special >= s.ALUOrBranch { // special use in (0, 1)
+		t.Fatalf("special use = %d of %d ALU and branch instructions", s.Special, s.ALUOrBranch)
 	}
 }
 
@@ -269,5 +271,18 @@ h:	li    r1, 0x1400
 	}
 	if len(env.memWrites) != 1 || env.memWrites[0] != 0x1400 {
 		t.Fatalf("memWrites = %v", env.memWrites)
+	}
+}
+
+// TestDebugStateNamesEveryField pins the hang dump to the in-flight record:
+// DebugState prints every flight field as name=value, so a field added to
+// the record fails here until the dump shows it.
+func TestDebugStateNamesEveryField(t *testing.T) {
+	pp := newPP(build(t, "h:\tdone\n", ppisa.DualIssue, false), &mockEnv{})
+	s := " " + pp.DebugState()
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(flight{})) {
+		if !strings.Contains(s, " "+f.Name+"=") {
+			t.Errorf("DebugState lacks %s=: %s", f.Name, s)
+		}
 	}
 }

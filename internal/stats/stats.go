@@ -250,7 +250,7 @@ func Collect(m *core.Machine) Report {
 			aluBr += ps.ALUOrBranch
 			special += ps.Special
 			invocations += mg.Stats.Dispatches
-			md := mg.MDC().Stats
+			md := mg.PP.MDC.Stats
 			mdcR += md.Reads
 			mdcW += md.Writes
 			mdcRM += md.ReadMisses
