@@ -114,7 +114,7 @@ func BenchmarkSec43Hotspot(b *testing.B) {
 		cfg.Placement = arch.PlaceNodeZero
 		f, id := benchRunPair(b, "fft", cfg, apps.Params{Procs: 16, Scale: o.Scale})
 		hot := f.Machine.Nodes[0]
-		b.ReportMetric(100*hot.Magic.PPOcc.Fraction(f.Machine.Elapsed), "hot_pp_occ_%")
+		b.ReportMetric(100*float64(hot.Magic.PPBusy())/float64(f.Machine.Elapsed), "hot_pp_occ_%")
 		b.ReportMetric(100*hot.Mem.Occupancy(f.Machine.Elapsed), "hot_mem_occ_%")
 		b.ReportMetric(exp.Slowdown(f.Report, id.Report), "slowdown_%")
 	}

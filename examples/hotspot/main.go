@@ -46,7 +46,7 @@ func main() {
 		fmt.Printf("FFT, 4 KB caches, %v placement (%d cycles):\n", pl, m.Elapsed)
 		fmt.Println("  node   PP occupancy   memory occupancy")
 		for i, n := range m.Nodes {
-			pp := n.Magic.PPOcc.Fraction(m.Elapsed)
+			pp := float64(n.Magic.PPBusy()) / float64(m.Elapsed)
 			mem := n.Mem.Occupancy(m.Elapsed)
 			marker := ""
 			if pp > 0.5 {

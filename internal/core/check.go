@@ -54,11 +54,7 @@ func (m *Machine) CheckCoherence() error {
 		}
 		// One line's state, read in place: copying the home's whole
 		// directory per cached line made the audit quadratic.
-		d := n.Ideal.Line(line)
-		return protocol.DirInfo{
-			Dirty: d.Dirty, Pending: d.Pending, Local: d.Local,
-			Owner: d.Owner, Sharers: d.Sharers, Acks: d.Acks,
-		}, nil
+		return n.Ideal.Line(line), nil
 	}
 
 	check := func(line uint64, ci *copyInfo) error {

@@ -89,10 +89,10 @@ func ProbeMiss(cfg arch.Config, sc MissScenario) (latency, ppOcc sim.Cycle, err 
 	if full.Prog != nil {
 		var occ0, occ1 sim.Cycle
 		for _, n := range base.Nodes {
-			occ0 += n.Magic.PPOcc.Busy
+			occ0 += n.Magic.PPBusy()
 		}
 		for _, n := range full.Nodes {
-			occ1 += n.Magic.PPOcc.Busy
+			occ1 += n.Magic.PPBusy()
 		}
 		ppOcc = occ1 - occ0
 	}

@@ -83,11 +83,11 @@ func renderFig(title string, rows []pair) string {
 
 // renderTable41 renders the Table 4.1/4.2 statistics block.
 func renderTable41(title string, rows []pair) (string, error) {
-	latF, err := MeasuredLatencies(arch.KindFLASH)
+	latF, _, err := MeasuredLatencies(arch.KindFLASH)
 	if err != nil {
 		return "", err
 	}
-	latI, err := MeasuredLatencies(arch.KindIdeal)
+	latI, _, err := MeasuredLatencies(arch.KindIdeal)
 	if err != nil {
 		return "", err
 	}
@@ -163,7 +163,7 @@ func sec43(pl *planner) render {
 	var hotPP, hotMem float64
 	fft.flash.inspect = append(fft.flash.inspect, func(m *core.Machine) {
 		hot := m.Nodes[0]
-		hotPP, hotMem = hot.Magic.PPOcc.Fraction(m.Elapsed), hot.Mem.Occupancy(m.Elapsed)
+		hotPP, hotMem = float64(hot.Magic.PPBusy())/float64(m.Elapsed), hot.Mem.Occupancy(m.Elapsed)
 	})
 
 	// OS workload: round-robin (tuned) vs node-zero (original IRIX port).
@@ -176,7 +176,7 @@ func sec43(pl *planner) render {
 		osRuns[i] = pl.pair("os", cfg, o.paramsFor(8))
 		osRuns[i].flash.inspect = append(osRuns[i].flash.inspect, func(m *core.Machine) {
 			for _, n := range m.Nodes {
-				maxPP[i] = max(maxPP[i], n.Magic.PPOcc.Fraction(m.Elapsed))
+				maxPP[i] = max(maxPP[i], float64(n.Magic.PPBusy())/float64(m.Elapsed))
 				maxMem[i] = max(maxMem[i], n.Mem.Occupancy(m.Elapsed))
 			}
 		})

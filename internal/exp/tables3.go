@@ -21,34 +21,26 @@ var paperLat33 = map[string][3]int{
 	"Remote read miss, dirty in 3rd node":    {136, 191, 61},
 }
 
-// table33 measures the no-contention read miss latencies and FLASH PP
+// table33 renders the no-contention read miss latencies and FLASH PP
 // occupancies of Table 3.3 on both machines.
 func table33() (string, error) {
-	cfg := arch.DefaultConfig()
-	cfg.MemBytesPerNode = 1 << 20
+	idealLat, _, err := MeasuredLatencies(arch.KindIdeal)
+	if err != nil {
+		return "", err
+	}
+	flashLat, flashOcc, err := MeasuredLatencies(arch.KindFLASH)
+	if err != nil {
+		return "", err
+	}
+	cfg := probeConfig(arch.KindFLASH)
 	rows := [][]string{}
-	var flashLat, idealLat [arch.NumMissClasses]sim.Cycle
 	for _, sc := range core.MissScenarios(&cfg) {
-		ci := cfg
-		ci.Kind = arch.KindIdeal
-		li, _, err := core.ProbeMiss(ci, sc)
-		if err != nil {
-			return "", fmt.Errorf("ideal %s: %w", sc.Name, err)
-		}
-		cf := cfg
-		cf.Kind = arch.KindFLASH
-		lf, occ, err := core.ProbeMiss(cf, sc)
-		if err != nil {
-			return "", fmt.Errorf("flash %s: %w", sc.Name, err)
-		}
-		idealLat[sc.Class] = li
-		flashLat[sc.Class] = lf
 		p := paperLat33[sc.Name]
 		rows = append(rows, []string{
 			sc.Name,
-			fmt.Sprint(li), fmt.Sprintf("(%d)", p[0]),
-			fmt.Sprint(lf), fmt.Sprintf("(%d)", p[1]),
-			fmt.Sprint(occ), fmt.Sprintf("(%d)", p[2]),
+			fmt.Sprint(idealLat[sc.Class]), fmt.Sprintf("(%d)", p[0]),
+			fmt.Sprint(flashLat[sc.Class]), fmt.Sprintf("(%d)", p[1]),
+			fmt.Sprint(flashOcc[sc.Class]), fmt.Sprintf("(%d)", p[2]),
 		})
 	}
 	s := "Table 3.3: memory latencies and PP occupancies, no contention, in cycles\n" +
@@ -57,39 +49,45 @@ func table33() (string, error) {
 	return s, nil
 }
 
-// MeasuredLatencies probes the five no-contention miss latencies for CRMT
-// computation (memoized).
-func MeasuredLatencies(kind arch.MachineKind) ([arch.NumMissClasses]sim.Cycle, error) {
-	latMu.Lock()
-	defer latMu.Unlock()
-	if v, ok := latCache[kind]; ok {
-		return v, nil
-	}
+// probeConfig is the machine the Table 3.3 probes run on.
+func probeConfig(kind arch.MachineKind) arch.Config {
 	cfg := arch.DefaultConfig()
 	cfg.MemBytesPerNode = 1 << 20
 	cfg.Kind = kind
-	var out [arch.NumMissClasses]sim.Cycle
-	for _, sc := range core.MissScenarios(&cfg) {
-		l, _, err := core.ProbeMiss(cfg, sc)
-		if err != nil {
-			return out, err
-		}
-		out[sc.Class] = l
+	return cfg
+}
+
+// MeasuredLatencies probes the five no-contention misses of Table 3.3 on
+// one machine kind, for the table itself and for CRMT computation: each
+// miss class's latency and PP occupancy (zero on the ideal machine).
+// Memoized per kind.
+func MeasuredLatencies(kind arch.MachineKind) (lat, ppOcc [arch.NumMissClasses]sim.Cycle, err error) {
+	latMu.Lock()
+	defer latMu.Unlock()
+	if v, ok := latCache[kind]; ok {
+		return v[0], v[1], nil
 	}
-	latCache[kind] = out
-	return out, nil
+	cfg := probeConfig(kind)
+	for _, sc := range core.MissScenarios(&cfg) {
+		l, occ, err := core.ProbeMiss(cfg, sc)
+		if err != nil {
+			return lat, ppOcc, fmt.Errorf("%v %s: %w", kind, sc.Name, err)
+		}
+		lat[sc.Class], ppOcc[sc.Class] = l, occ
+	}
+	latCache[kind] = [2][arch.NumMissClasses]sim.Cycle{lat, ppOcc}
+	return lat, ppOcc, nil
 }
 
 var (
 	latMu    sync.Mutex
-	latCache = map[arch.MachineKind][arch.NumMissClasses]sim.Cycle{}
+	latCache = map[arch.MachineKind][2][arch.NumMissClasses]sim.Cycle{} // latencies, PP occupancies
 )
 
 // table34 reports mean per-handler PP occupancies, gathered from a mixed
 // protocol workout (Table 3.4's decomposition).
 func table34() (string, error) {
-	cfg := arch.DefaultConfig()
-	cfg.MemBytesPerNode = 1 << 20
+	cfg := probeConfig(arch.KindFLASH)
 	m, err := core.New(cfg)
 	if err != nil {
 		return "", err

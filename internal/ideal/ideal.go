@@ -10,41 +10,16 @@
 package ideal
 
 import (
+	"slices"
+
 	"flashsim/internal/arch"
 	"flashsim/internal/cpu"
 	"flashsim/internal/memsys"
 	"flashsim/internal/network"
+	"flashsim/internal/protocol"
 	"flashsim/internal/sim"
 	"flashsim/internal/trace"
 )
-
-// dirEntry is the oracle directory state for one line.
-type dirEntry struct {
-	dirty   bool
-	pending bool
-	local   bool
-	owner   arch.NodeID
-	sharers []arch.NodeID
-	acks    int
-}
-
-func (e *dirEntry) addSharer(n arch.NodeID) {
-	for _, s := range e.sharers {
-		if s == n {
-			return
-		}
-	}
-	e.sharers = append(e.sharers, n)
-}
-
-func (e *dirEntry) removeSharer(n arch.NodeID) {
-	for i, s := range e.sharers {
-		if s == n {
-			e.sharers = append(e.sharers[:i], e.sharers[i+1:]...)
-			return
-		}
-	}
-}
 
 // Controller is one node's idealized controller.
 type Controller struct {
@@ -78,7 +53,7 @@ type Controller struct {
 // zero ControllerState is a freshly constructed controller, with an empty
 // oracle directory.
 type ControllerState struct {
-	dir map[uint64]*dirEntry // created on the first entry recorded
+	dir map[uint64]*protocol.DirInfo // created on the first entry recorded
 
 	// curTID is the trace id of the handler event currently executing, used
 	// to stamp outgoing messages. Best-effort for sends made from deferred
@@ -104,36 +79,24 @@ func (c *Controller) Attach(p *cpu.CPU) { c.CPU = p }
 // RestoreState installs st.
 func (c *Controller) RestoreState(st ControllerState) { c.ControllerState = st }
 
-// DirState is one line's oracle directory state, for invariant checking.
-type DirState struct {
-	Dirty, Pending, Local bool
-	Owner                 arch.NodeID
-	Sharers               []arch.NodeID
-	Acks                  int
-}
-
 // Line returns the oracle directory state of one line homed here (the zero
 // state if nothing was ever recorded for it). Sharers aliases the live
 // directory: read it, do not keep or modify it.
-func (c *Controller) Line(line uint64) DirState {
-	e := c.dir[line]
-	if e == nil {
-		return DirState{}
+func (c *Controller) Line(line uint64) protocol.DirInfo {
+	if e := c.dir[line]; e != nil {
+		return *e
 	}
-	return DirState{
-		Dirty: e.dirty, Pending: e.pending, Local: e.local,
-		Owner: e.owner, Sharers: e.sharers, Acks: e.acks,
-	}
+	return protocol.DirInfo{}
 }
 
-func (c *Controller) entry(a arch.Addr) *dirEntry {
+func (c *Controller) entry(a arch.Addr) *protocol.DirInfo {
 	l := a.Line()
 	e := c.dir[l]
 	if e == nil {
 		if c.dir == nil {
-			c.dir = make(map[uint64]*dirEntry)
+			c.dir = make(map[uint64]*protocol.DirInfo)
 		}
-		e = &dirEntry{}
+		e = &protocol.DirInfo{}
 		c.dir[l] = e
 	}
 	return e
@@ -242,9 +205,12 @@ func (c *Controller) handle(m arch.Msg, viaNet bool) {
 	case arch.MsgWB:
 		c.writeback(r, m)
 	case arch.MsgRPL:
-		c.entry(m.Addr).removeSharer(m.Src)
+		e := c.entry(m.Addr)
+		if i := slices.Index(e.Sharers, m.Src); i >= 0 {
+			e.Sharers = slices.Delete(e.Sharers, i, i+1)
+		}
 		if !viaNet {
-			c.entry(m.Addr).local = false
+			e.Local = false
 		}
 	case arch.MsgFwdGET:
 		c.fwdGet(r, m, false)
@@ -263,39 +229,39 @@ func (c *Controller) handle(m arch.Msg, viaNet bool) {
 	case arch.MsgSWB:
 		c.Mem.Write(r)
 		e := c.entry(m.Addr)
-		if e.dirty && e.owner == m.Src {
-			e.dirty, e.pending = false, false
+		if e.Dirty && e.Owner == m.Src {
+			e.Dirty, e.Pending = false, false
 			c.noteSharer(e, m.Src)
 			c.noteSharer(e, m.Req)
 		}
 	case arch.MsgXFER:
 		e := c.entry(m.Addr)
-		if e.dirty && e.owner == m.Src {
-			e.owner = m.Req
-			e.pending = false
+		if e.Dirty && e.Owner == m.Src {
+			e.Owner = m.Req
+			e.Pending = false
 		}
 	case arch.MsgPCLR:
 		e := c.entry(m.Addr)
-		if e.dirty && e.owner == m.Src {
-			e.pending = false
+		if e.Dirty && e.Owner == m.Src {
+			e.Pending = false
 		}
 	case arch.MsgIACK:
 		e := c.entry(m.Addr)
-		e.acks--
-		if e.acks <= 0 {
-			e.acks = 0
-			e.pending = false
+		e.Acks--
+		if e.Acks <= 0 {
+			e.Acks = 0
+			e.Pending = false
 		}
 	default:
 		panic("ideal: unexpected message " + m.Type.String())
 	}
 }
 
-func (c *Controller) noteSharer(e *dirEntry, n arch.NodeID) {
+func (c *Controller) noteSharer(e *protocol.DirInfo, n arch.NodeID) {
 	if n == c.ID {
-		e.local = true
-	} else {
-		e.addSharer(n)
+		e.Local = true
+	} else if !slices.Contains(e.Sharers, n) {
+		e.Sharers = append(e.Sharers, n)
 	}
 }
 
@@ -303,21 +269,21 @@ func (c *Controller) noteSharer(e *dirEntry, n arch.NodeID) {
 func (c *Controller) get(r sim.Cycle, m arch.Msg, viaNet bool) {
 	e := c.entry(m.Addr)
 	switch {
-	case e.pending:
+	case e.Pending:
 		c.nak(r, m, viaNet)
-	case e.dirty && e.owner == c.ID:
+	case e.Dirty && e.Owner == c.ID:
 		// Dirty in our own processor cache: retrieve and downgrade. Pending
 		// guards the window (the flexible machine's PP serializes this
 		// naturally; the oracle must do it explicitly).
-		e.pending = true
+		e.Pending = true
 		c.CPU.Intervene(arch.MsgPIDowngr, m.Addr, r+sim.Cycle(c.T.PIOutbound), m, c.homeDone)
-	case e.dirty:
-		if e.owner == m.Src {
+	case e.Dirty:
+		if e.Owner == m.Src {
 			c.nak(r, m, viaNet) // requester's own writeback is in flight
 			return
 		}
-		e.pending = true
-		c.toNet(r, arch.Msg{Type: arch.MsgFwdGET, Addr: m.Addr, Src: c.ID, Dst: e.owner, Req: m.Src, DB: -1}, 0)
+		e.Pending = true
+		c.toNet(r, arch.Msg{Type: arch.MsgFwdGET, Addr: m.Addr, Src: c.ID, Dst: e.Owner, Req: m.Src, DB: -1}, 0)
 	default:
 		c.noteSharer(e, m.Src)
 		fw, _ := c.Mem.Read(r)
@@ -329,43 +295,43 @@ func (c *Controller) get(r sim.Cycle, m arch.Msg, viaNet bool) {
 func (c *Controller) getx(r sim.Cycle, m arch.Msg, viaNet bool) {
 	e := c.entry(m.Addr)
 	switch {
-	case e.pending:
+	case e.Pending:
 		c.nak(r, m, viaNet)
-	case e.dirty && e.owner == c.ID && m.Src == c.ID:
+	case e.Dirty && e.Owner == c.ID && m.Src == c.ID:
 		c.nak(r, m, viaNet) // our writeback is in flight
-	case e.dirty && e.owner == c.ID:
-		e.pending = true
+	case e.Dirty && e.Owner == c.ID:
+		e.Pending = true
 		c.CPU.Intervene(arch.MsgPIFlush, m.Addr, r+sim.Cycle(c.T.PIOutbound), m, c.homeDone)
-	case e.dirty:
-		if e.owner == m.Src {
+	case e.Dirty:
+		if e.Owner == m.Src {
 			c.nak(r, m, viaNet)
 			return
 		}
-		e.pending = true
-		c.toNet(r, arch.Msg{Type: arch.MsgFwdGETX, Addr: m.Addr, Src: c.ID, Dst: e.owner, Req: m.Src, DB: -1}, 0)
+		e.Pending = true
+		c.toNet(r, arch.Msg{Type: arch.MsgFwdGETX, Addr: m.Addr, Src: c.ID, Dst: e.Owner, Req: m.Src, DB: -1}, 0)
 	default:
 		// Invalidate all sharers except the requester. The zero-occupancy
 		// controller issues every invalidation at the same instant.
 		acks := 0
-		for _, s := range e.sharers {
+		for _, s := range e.Sharers {
 			if s == m.Src {
 				continue
 			}
 			c.toNet(r, arch.Msg{Type: arch.MsgINVAL, Addr: m.Addr, Src: c.ID, Dst: s, Req: m.Src, DB: -1}, 0)
 			acks++
 		}
-		e.sharers = e.sharers[:0]
-		if e.local && m.Src != c.ID {
+		e.Sharers = e.Sharers[:0]
+		if e.Local && m.Src != c.ID {
 			c.CPU.Intervene(arch.MsgPIInval, m.Addr, r, m, nil)
-			e.local = false
+			e.Local = false
 		}
 		if m.Src == c.ID {
-			e.local = true
+			e.Local = true
 		}
-		e.dirty = true
-		e.owner = m.Src
-		e.acks = acks
-		e.pending = acks > 0
+		e.Dirty = true
+		e.Owner = m.Src
+		e.Acks = acks
+		e.Pending = acks > 0
 		fw, _ := c.Mem.Read(r)
 		c.reply(r, arch.MsgPUTX, m, 0, fw, viaNet)
 	}
@@ -376,21 +342,21 @@ func (c *Controller) getx(r sim.Cycle, m arch.Msg, viaNet bool) {
 // at its home came over the network exactly when its source is another node.
 func (c *Controller) retrieved(m arch.Msg, resp arch.MsgType, first sim.Cycle) {
 	now, e, viaNet := c.Eng.Now(), c.entry(m.Addr), m.Src != c.ID
-	e.pending = false
+	e.Pending = false
 	if resp != arch.MsgPCData {
 		c.nak(now, m, viaNet)
 		return
 	}
 	c.Mem.Write(now)
 	if m.Type == arch.MsgGET {
-		e.dirty = false
-		e.local = true // our processor keeps the downgraded copy
+		e.Dirty = false
+		e.Local = true // our processor keeps the downgraded copy
 		c.noteSharer(e, m.Src)
 		c.reply(now, arch.MsgPUT, m, 1, first, viaNet)
 		return
 	}
-	e.local = false
-	e.owner = m.Src
+	e.Local = false
+	e.Owner = m.Src
 	c.reply(now, arch.MsgPUTX, m, 1, first, viaNet)
 }
 
@@ -398,13 +364,13 @@ func (c *Controller) retrieved(m arch.Msg, resp arch.MsgType, first sim.Cycle) {
 func (c *Controller) writeback(r sim.Cycle, m arch.Msg) {
 	c.Mem.Write(r)
 	e := c.entry(m.Addr)
-	if e.dirty && e.owner == m.Src {
-		e.dirty = false
+	if e.Dirty && e.Owner == m.Src {
+		e.Dirty = false
 		if m.Src == c.ID {
-			e.local = false
+			e.Local = false
 		}
-		if e.acks == 0 {
-			e.pending = false
+		if e.Acks == 0 {
+			e.Pending = false
 		}
 	}
 }

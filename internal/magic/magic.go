@@ -212,7 +212,6 @@ type Magic struct {
 // Magic embeds it, and MagicState carries a copy. What a run holds in flight
 // is the flight record; everything else in Magic is configuration or wiring.
 type ctlState struct {
-	PPOcc sim.OccupancyMeter
 	Stats Stats
 	rrPI  bool // round-robin fairness between PI and NI request queues
 
@@ -351,6 +350,15 @@ func (m *Magic) Handlers() map[string]*HandlerStat {
 		}
 	}
 	return out
+}
+
+// PPBusy returns the PP's busy cycles so far: the sum of every handler's
+// occupancy.
+func (m *Magic) PPBusy() (busy sim.Cycle) {
+	for i := range m.handlers {
+		busy += m.handlers[i].Cycles
+	}
+	return busy
 }
 
 // Attach wires the processor and boots the controller.
@@ -590,7 +598,6 @@ func (m *Magic) handleStatus(st ppsim.Status, cyc uint64) {
 		}
 		m.lastEnd = end
 		occ := end - ctx.dispatched
-		m.PPOcc.AddBusy(occ)
 		m.PPSeries.Add(uint64(ctx.dispatched), uint64(occ))
 		agg := &m.handlers[ctx.slot.h]
 		agg.Cycles += occ

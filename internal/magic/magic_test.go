@@ -183,7 +183,7 @@ func TestPPOccupancyAccumulates(t *testing.T) {
 		{{Kind: arch.RefRead, Addr: 0x1000}},
 		nil,
 	})
-	if r.magics[0].PPOcc.Busy == 0 {
+	if r.magics[0].PPBusy() == 0 {
 		t.Fatal("no PP occupancy recorded")
 	}
 	if r.magics[0].Stats.Dispatches != 1 {

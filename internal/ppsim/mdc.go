@@ -7,32 +7,26 @@
 package ppsim
 
 import (
-	"slices"
-
 	"flashsim/internal/arch"
+	"flashsim/internal/cpu"
 )
 
 // MDC models the MAGIC data cache: 64 KB, 2-way set associative, 128-byte
-// lines, write-back with write-allocate. Since almost all directory
+// lines, write-back with write-allocate. It has the processor cache's
+// structure, so it is a cpu.Cache: a Modified line is a dirty one, and
+// replacement is the cache's LRU recency order. Since almost all directory
 // operations are read-modify-write, write misses behave like read misses
 // (the paper notes the MDC write miss rate is approximately zero because of
 // this).
 type MDC struct {
-	MDCState
-
-	ways     int
-	sets     int
-	setShift uint
+	cache cpu.Cache
+	Stats MDCStats
 }
 
-// MDCState is the cache's simulated state, listed once: MDC embeds it,
-// CaptureState copies it and RestoreState installs it (the zero MDCState is
-// an empty cache with zeroed counters).
+// MDCState is the MDC's simulated state: the cache's lines plus the
+// counters. The zero MDCState is an empty cache with zeroed counters.
 type MDCState struct {
-	tags  []uint64 // sets*ways; 0 = empty
-	dirty []bool
-	lru   []uint8 // per-set counter for 2-way pseudo-LRU
-
+	cpu.CacheState
 	Stats MDCStats
 }
 
@@ -45,38 +39,12 @@ type MDCStats struct {
 	Writebacks  uint64
 }
 
-// MissRate returns the overall MDC miss rate.
-func (s *MDCStats) MissRate() float64 {
-	t := s.Reads + s.Writes
-	if t == 0 {
-		return 0
-	}
-	return float64(s.ReadMisses+s.WriteMisses) / float64(t)
-}
-
-// ReadMissRate returns the MDC read miss rate.
-func (s *MDCStats) ReadMissRate() float64 {
-	if s.Reads == 0 {
-		return 0
-	}
-	return float64(s.ReadMisses) / float64(s.Reads)
-}
-
 // NewMDC builds an MDC of the given total size and associativity.
 func NewMDC(size, ways int) *MDC {
 	if err := arch.CacheGeometry("MDC size", size, "MDC ways", ways); err != nil {
 		panic("ppsim: " + err.Error())
 	}
-	sets := size / (arch.LineSize * ways)
-	m := &MDC{ways: ways, sets: sets, MDCState: MDCState{
-		tags:  make([]uint64, sets*ways),
-		dirty: make([]bool, sets*ways),
-		lru:   make([]uint8, sets),
-	}}
-	for s := uint(1); 1<<s < sets; s++ {
-		m.setShift = s + 1
-	}
-	return m
+	return &MDC{cache: *cpu.NewCache(size, ways)}
 }
 
 // Access looks up the protocol-memory address a. It returns whether the
@@ -84,74 +52,37 @@ func NewMDC(size, ways int) *MDC {
 // isWrite marks the line dirty.
 func (m *MDC) Access(a uint64, isWrite bool) (hit, writeback bool) {
 	line := a >> arch.LineShift
-	set := int(line) & (m.sets - 1)
-	tag := line | 1<<63 // bit 63 marks a valid entry so tag 0 is distinct
-	base := set * m.ways
+	st := cpu.Shared
 	if isWrite {
+		st = cpu.Modified
 		m.Stats.Writes++
 	} else {
 		m.Stats.Reads++
 	}
-	for w := 0; w < m.ways; w++ {
-		if m.tags[base+w] == tag {
-			if isWrite {
-				m.dirty[base+w] = true
-			}
-			m.touch(set, w)
-			return true, false
+	if had := m.cache.Lookup(line); had != cpu.Invalid {
+		if isWrite && had != cpu.Modified {
+			m.cache.SetState(line, cpu.Modified)
 		}
+		return true, false
 	}
 	if isWrite {
 		m.Stats.WriteMisses++
 	} else {
 		m.Stats.ReadMisses++
 	}
-	// Fill, evicting the LRU way.
-	victim := m.victim(set)
-	idx := base + victim
-	writeback = m.tags[idx] != 0 && m.dirty[idx]
+	_, victim, evicted := m.cache.Fill(line, st)
+	writeback = evicted && victim == cpu.Modified
 	if writeback {
 		m.Stats.Writebacks++
 	}
-	m.tags[idx] = tag
-	m.dirty[idx] = isWrite
-	m.touch(set, victim)
 	return false, writeback
 }
 
-// Flush invalidates the whole cache (used between experiment phases).
-func (m *MDC) Flush() {
-	for i := range m.tags {
-		m.tags[i] = 0
-		m.dirty[i] = false
-	}
-}
-
 // CaptureState deep-copies the MDC contents and counters.
-func (m *MDC) CaptureState() MDCState {
-	return MDCState{slices.Clone(m.tags), slices.Clone(m.dirty), slices.Clone(m.lru), m.Stats}
-}
+func (m *MDC) CaptureState() MDCState { return MDCState{m.cache.CaptureState(), m.Stats} }
 
 // RestoreState installs a state captured from a same-geometry MDC.
 func (m *MDC) RestoreState(st MDCState) {
-	arch.RestoreSlice(m.tags, st.tags)
-	arch.RestoreSlice(m.dirty, st.dirty)
-	arch.RestoreSlice(m.lru, st.lru)
+	m.cache.RestoreState(st.CacheState)
 	m.Stats = st.Stats
-}
-
-func (m *MDC) touch(set, way int) {
-	if m.ways == 2 {
-		m.lru[set] = uint8(way)
-		return
-	}
-	// For >2 ways fall back to a rotating counter biased away from `way`.
-	m.lru[set] = uint8((way + 1) % m.ways)
-}
-
-func (m *MDC) victim(set int) int {
-	if m.ways == 2 {
-		return 1 - int(m.lru[set])
-	}
-	return int(m.lru[set]) % m.ways
 }

@@ -230,7 +230,10 @@ func Collect(m *core.Machine) Report {
 		}
 		for _, n := range m.Nodes {
 			mg := n.Magic
-			occ := mg.PPOcc.Fraction(occTotal)
+			occ := 0.0
+			if occTotal > 0 {
+				occ = float64(mg.PPBusy()) / float64(occTotal)
+			}
 			ppBusy += occ
 			if occ > ppMax {
 				ppMax = occ

@@ -4,7 +4,7 @@ package trace
 // the simulated clock, turning a whole-run occupancy scalar into an
 // occupancy-over-time curve. A nil *TimeSeries is valid and means
 // "sampling off": Add on nil is a no-op, so components call it
-// unconditionally next to their OccupancyMeter updates.
+// unconditionally next to their busy-cycle accounting.
 type TimeSeries struct {
 	Window uint64   `json:"window"` // window width in cycles
 	Busy   []uint64 `json:"busy"`   // busy cycles per window
