@@ -4,26 +4,11 @@ import (
 	"testing"
 
 	"flashsim/internal/arch"
-	"flashsim/internal/ppsim"
 )
 
 func newBitvecRig(t *testing.T, self arch.NodeID) *handlerRig {
 	t.Helper()
-	cfg := arch.DefaultConfig()
-	cfg.MemBytesPerNode = 1 << 20
-	cfg.Protocol = arch.ProtoBitVector
-	prog, err := Build(&cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := &recEnv{}
-	pp := ppsim.New(prog.Code, int(prog.Layout.MemBytes), ppsim.NewMDC(cfg.MDCSize, cfg.MDCWays), env)
-	env.pp = pp
-	prog.Layout.InitMemory(pp.Mem, self, cfg.NodeBase(self), cfg.Nodes)
-	if st, _ := pp.Start("pp_init"); st != ppsim.StatusDone {
-		t.Fatal("pp_init did not finish")
-	}
-	return &handlerRig{t: t, pp: pp, lay: prog.Layout, cfg: cfg, env: env, self: self}
+	return newRig(t, arch.ProtoBitVector, self)
 }
 
 func TestBitvecBuildRejectsLargeMachines(t *testing.T) {
@@ -124,82 +109,4 @@ func TestBitvecUsesFFS(t *testing.T) {
 	if r.pp.Stats.Special == before {
 		t.Fatal("no special instructions executed in the fan-out")
 	}
-}
-
-// TestBitvecDifferential reuses the random-op differential driver against
-// the bit-vector handlers; the reference model's multiset degenerates to a
-// set because presence bits cannot duplicate.
-func TestBitvecDifferential(t *testing.T) {
-	const self = arch.NodeID(0)
-	r := newBitvecRig(t, self)
-	r.env.pcKind = 1
-	ref := newRefDir()
-	seq := []uint16{0x11, 0x2a, 0x102, 0x31, 0x83, 0x44, 0x61, 0x19, 0x22, 0x3b, 0x54}
-	for _, op := range seq {
-		src := arch.NodeID(op>>3) % 8
-		var mt arch.MsgType
-		switch op & 7 {
-		case 0, 1:
-			mt = arch.MsgGET
-		case 2:
-			mt = arch.MsgGETX
-		case 3:
-			mt = arch.MsgWB
-		case 4:
-			mt = arch.MsgRPL
-		default:
-			continue
-		}
-		refApplied := ref.apply(mt, src, self)
-		_ = refApplied
-		r.deliver(arch.Msg{Type: mt, Addr: testAddr, Src: src, Req: src}, src != self)
-		for ref.acks > 0 {
-			r.deliver(arch.Msg{Type: arch.MsgIACK, Addr: testAddr, Src: 1}, true)
-			ref.apply(arch.MsgIACK, 1, self)
-		}
-		if !r.compareBitvec(ref) {
-			t.Fatalf("divergence after %v from %d", mt, src)
-		}
-	}
-}
-
-// compareBitvec compares against the model with presence-bit semantics: the
-// home's own bit doubles as LOCAL, and sharers are a set.
-func (r *handlerRig) compareBitvec(ref *refDir) bool {
-	d := r.dir(testAddr)
-	if d.Dirty != ref.dirty || d.Pending != ref.pending || d.Acks != ref.acks {
-		r.t.Logf("asm = %+v ref = %+v", d, ref)
-		return false
-	}
-	if d.Dirty && d.Owner != ref.owner {
-		r.t.Logf("owner: asm %d ref %d", d.Owner, ref.owner)
-		return false
-	}
-	got := map[arch.NodeID]bool{}
-	for _, s := range d.Sharers {
-		got[s] = true
-	}
-	want := map[arch.NodeID]bool{}
-	for s := range ref.sharers {
-		want[s] = true
-	}
-	if ref.local {
-		want[r.self] = true
-	}
-	if d.Dirty {
-		// The owner's presence bit stays set while dirty; the model tracks
-		// ownership separately.
-		want[ref.owner] = true
-	}
-	if len(got) != len(want) {
-		r.t.Logf("presence: asm %v want %v", got, want)
-		return false
-	}
-	for s := range want {
-		if !got[s] {
-			r.t.Logf("presence: asm %v want %v", got, want)
-			return false
-		}
-	}
-	return true
 }

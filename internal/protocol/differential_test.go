@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"maps"
 	"testing"
 	"testing/quick"
 
@@ -8,16 +9,19 @@ import (
 )
 
 // refDir is a Go reference model of one line's directory state, mirroring
-// the handler semantics. The sharer list is a multiset: the handlers do not
-// deduplicate (duplicates self-balance, k entries -> k INVALs -> k IACKs).
+// the handler semantics. Under dynptr the sharer list is a multiset: the
+// handlers do not deduplicate (duplicates self-balance, k entries -> k
+// INVALs -> k IACKs). Under bitvec (set) it is a set, because presence bits
+// cannot duplicate.
 type refDir struct {
 	dirty, pending, local bool
 	owner                 arch.NodeID
 	sharers               map[arch.NodeID]int
 	acks                  int
+	set                   bool
 }
 
-func newRefDir() *refDir { return &refDir{sharers: map[arch.NodeID]int{}} }
+func newRefDir(set bool) *refDir { return &refDir{sharers: map[arch.NodeID]int{}, set: set} }
 
 // apply mirrors the home-node handlers for one message; it returns false if
 // the operation would have been NAKed (so the driver skips dependent
@@ -115,22 +119,56 @@ func (d *refDir) apply(t arch.MsgType, src arch.NodeID, self arch.NodeID) bool {
 }
 
 func (d *refDir) note(n, self arch.NodeID) {
-	if n == self {
+	switch {
+	case n == self:
 		d.local = true
-	} else {
+	case d.set:
+		d.sharers[n] = 1
+	default:
 		d.sharers[n]++
 	}
 }
 
+// expect returns the LOCAL flag and the sharers a decoded header should show
+// for the model's state. Presence bits hold no LOCAL flag: the home's own
+// copy is its bit, and a dirty line's owner keeps its bit set.
+func (d *refDir) expect(self arch.NodeID) (local bool, sharers map[arch.NodeID]int) {
+	if !d.set {
+		return d.local, d.sharers
+	}
+	sharers = maps.Clone(d.sharers)
+	if d.local {
+		sharers[self] = 1
+	}
+	if d.dirty {
+		sharers[d.owner] = 1
+	}
+	return false, sharers
+}
+
 // TestDifferentialRandomOps drives random home-side message sequences
-// through the assembly handlers and the reference model and compares the
-// resulting directory state after every step.
+// through the assembly handlers of each directory protocol and the
+// reference model and compares the resulting directory state after every
+// step.
 func TestDifferentialRandomOps(t *testing.T) {
+	for _, proto := range []arch.Protocol{arch.ProtoDynPtr, arch.ProtoBitVector} {
+		t.Run(proto.String(), func(t *testing.T) {
+			if err := quick.Check(randomOps(t, proto), &quick.Config{MaxCount: 60}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// randomOps returns the property TestDifferentialRandomOps checks for one
+// protocol: an op sequence leaves handlers and model in the same state, and
+// no request the model accepts is NAKed.
+func randomOps(t *testing.T, proto arch.Protocol) func(ops []uint16) bool {
 	const self = arch.NodeID(0)
-	f := func(ops []uint16) bool {
-		r := newHandlerRig(t, self)
+	return func(ops []uint16) bool {
+		r := newRig(t, proto, self)
 		r.env.pcKind = 1
-		ref := newRefDir()
+		ref := newRefDir(proto == arch.ProtoBitVector)
 		pendingFwd := arch.NodeID(0)
 		hasFwd := false
 		fwdExclusive := false
@@ -200,15 +238,13 @@ func TestDifferentialRandomOps(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // compare checks the decoded handler state against the model.
 func (r *handlerRig) compare(ref *refDir) bool {
 	d := r.dir(testAddr)
-	if d.Dirty != ref.dirty || d.Pending != ref.pending || d.Local != ref.local || d.Acks != ref.acks {
+	local, want := ref.expect(r.self)
+	if d.Dirty != ref.dirty || d.Pending != ref.pending || d.Local != local || d.Acks != ref.acks {
 		r.t.Logf("asm = %+v\nref = %+v", d, ref)
 		return false
 	}
@@ -220,15 +256,9 @@ func (r *handlerRig) compare(ref *refDir) bool {
 	for _, s := range d.Sharers {
 		got[s]++
 	}
-	if len(got) != len(ref.sharers) {
-		r.t.Logf("sharers: asm %v ref %v", got, ref.sharers)
+	if !maps.Equal(got, want) {
+		r.t.Logf("sharers: asm %v ref %v", got, want)
 		return false
-	}
-	for s, k := range ref.sharers {
-		if got[s] != k {
-			r.t.Logf("sharers: asm %v ref %v", got, ref.sharers)
-			return false
-		}
 	}
 	return true
 }

@@ -1,12 +1,39 @@
 package protocol
 
-// handlerSource is the home side of the dynamic pointer allocation protocol
-// in PP assembly: local and remote read/write misses, writebacks, replacement
-// hints, invalidation fan-out and acknowledgment collection, the home's half
-// of 3-hop forwarding with sharing writebacks and ownership transfers, and
-// the NAK/retry races between writebacks and forwarded requests. The
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
+
+// homeSource is the home side of every directory protocol in PP assembly:
+// local and remote read/write misses, writebacks, replacement hints,
+// invalidation fan-out and acknowledgment collection, the home's half of
+// 3-hop forwarding with sharing writebacks and ownership transfers, and the
+// NAK/retry races between writebacks and forwarded requests. The
 // directory-free handlers it branches to (nak_pi, nak_net) and the rest of
-// the requester and sharer side are sharedSource, appended by assemble.
+// the requester and sharer side are sharedSource.
+//
+// The header fields every format has (DIRTY, PENDING, ACK, OWNER) are
+// written inline. How a format records sharers is not: a line `@op args`
+// is a directory operation, replaced by the text the format supplies for op
+// (see format), with $1, $2 ... standing for the arguments:
+//
+//	@inval              invalidate every sharer except node r4; count in r9
+//	@share              add node r4 to the sharer set
+//	@reload_src         reload r4 from H_SRC (a format may leave it out)
+//	@set_local          set the home's local-copy flag
+//	@clear_local        clear it
+//	@present N, T       set node N's presence bit (T scratch)
+//	@absent N           clear node N's presence bit
+//	@if_no_home_copy L  branch to L unless the home's processor has a copy
+//	@rpl                the body of ni_rpl after the header load
+//
+// A format records the home's own copy either in a local-copy flag or in
+// the home's presence bit, and expands the other pair of operations to
+// nothing; the two pairs sit where each format has always made the update,
+// which is not the same place in pi_getx_local and in ni_get's dirty-at-home
+// path.
 //
 // Conventions:
 //   - The inbox preprocesses headers: H_DIROFF holds the protocol-memory
@@ -14,127 +41,22 @@ package protocol
 //     node id for the pi_*_remote forwarding handlers.
 //   - The outgoing header bank is initialized from the incoming header
 //     (type and address carry over; destination defaults to the sender).
-//   - Persistent registers, set up once by pp_init: r24 = free-list head
-//     (FreeHeadReg), r25 = pointer-pool base, r26 = NULLPTR, r27 = this
-//     node's id.
+//   - r27 holds this node's id, loaded by the format's pp_init; a format may
+//     keep more persistent registers in r24-r26.
+//   - r2 is the directory header's offset and r3 the header itself.
 //   - r28 is the subroutine link register; r1-r13 are handler scratch.
 //   - Data-reply handlers always execute memrd: when the inbox already
 //     issued the speculative read MAGIC coalesces the two, and with
 //     speculation disabled this is where the access starts (Section 5.1).
-const handlerSource = `
-; ---------------------------------------------------------------------------
-; boot
-; ---------------------------------------------------------------------------
-pp_init:
-	ld    r24, G_FREEHEAD(r0)
-	li    r25, PTRBASE
-	li    r26, NULLPTR
-	ld    r27, G_MYID(r0)
-	done
-
-; ---------------------------------------------------------------------------
-; subroutine: insert node r4 into the sharer set of directory header r3
-; (dirOff in r2 is NOT stored here; callers store). clobbers r5-r7.
-; ---------------------------------------------------------------------------
-alloc_insert:
-	bne   r4, r27, .pool
-	orfi  r3, r3, B_LOCAL, 1
-	jr    r28
-.pool:
-	beq   r24, r26, .ovfl
-	slli  r7, r24, 3
-	add   r7, r7, r25
-	ld    r6, 0(r7)            ; free entry (its NEXT links the free list)
-	add   r5, r26, r0          ; new entry's next = NULL unless a list exists
-	bbc   r3, B_LIST, .nolist
-	ext   r5, r3, HEAD_POS, HEAD_W
-.nolist:
-	slli  r5, r5, NEXT_POS
-	or    r5, r5, r4
-	st    r5, 0(r7)
-	ins   r3, r24, HEAD_POS, HEAD_W
-	orfi  r3, r3, B_LIST, 1
-	ext   r24, r6, NEXT_POS, NEXT_W
-	jr    r28
-.ovfl:
-	orfi  r3, r3, B_OVFL, 1
-	jr    r28
-
-; ---------------------------------------------------------------------------
-; subroutine: invalidate every sharer of header r3 except node r4.
-; H_ADDR must already be set in the outgoing header. Frees the list entries,
-; clears the list/overflow state in r3, returns the invalidation count in
-; r9. Clobbers r5-r7, r10-r13.
-; ---------------------------------------------------------------------------
-inval_sharers:
-	add   r9, r0, r0
-	li    r7, M_INVAL
-	mth   H_TYPE, r7
-	bbs   r3, B_OVFL, .bcast
-.walk:
-	bbc   r3, B_LIST, .done
-	ext   r5, r3, HEAD_POS, HEAD_W
-.loop:
-	slli  r7, r5, 3
-	add   r7, r7, r25
-	ld    r6, 0(r7)
-	ext   r12, r6, NODE_POS, NODE_W
-	ext   r13, r6, NEXT_POS, NEXT_W
-	; free the entry: entry.next = free head; free head = entry
-	slli  r10, r24, NEXT_POS
-	st    r10, 0(r7)
-	add   r24, r5, r0
-	beq   r12, r4, .skip
-	mth   H_DST, r12
-	send  NET
-	addi  r9, r9, 1
-.skip:
-	add   r5, r13, r0
-	bne   r5, r26, .loop
-	andfi r3, r3, B_LIST, 1
-	andfi r3, r3, HEAD_POS, HEAD_W
-.done:
-	jr    r28
-.bcast:
-	; pool overflowed: invalidate all nodes except self and the requester,
-	; then release whatever part of the list exists.
-	ld    r11, G_NNODES(r0)
-	add   r5, r0, r0
-.bloop:
-	beq   r5, r27, .bnext
-	beq   r5, r4, .bnext
-	mth   H_DST, r5
-	send  NET
-	addi  r9, r9, 1
-.bnext:
-	addi  r5, r5, 1
-	bne   r5, r11, .bloop
-	andfi r3, r3, B_OVFL, 1
-	bbc   r3, B_LIST, .done
-	ext   r5, r3, HEAD_POS, HEAD_W
-.floop:
-	slli  r7, r5, 3
-	add   r7, r7, r25
-	ld    r6, 0(r7)
-	ext   r13, r6, NEXT_POS, NEXT_W
-	slli  r10, r24, NEXT_POS
-	st    r10, 0(r7)
-	add   r24, r5, r0
-	add   r5, r13, r0
-	bne   r5, r26, .floop
-	andfi r3, r3, B_LIST, 1
-	andfi r3, r3, HEAD_POS, HEAD_W
-	jr    r28
-
-; ---------------------------------------------------------------------------
-; local read miss (PI GET, this node is home)
-; ---------------------------------------------------------------------------
+const homeSource = `
+; local read miss (PI GET, this node is home) ---------------------------------
 pi_get_local:
 	mfh   r2, H_DIROFF
 	ld    r3, 0(r2)
 	bbs   r3, B_PENDING, nak_pi
 	bbs   r3, B_DIRTY, .dirty
-	orfi  r3, r3, B_LOCAL, 1
+	@set_local
+	@present r27, r6
 	st    r3, 0(r2)
 	mfh   r1, H_ADDR
 	li    r5, M_PUT
@@ -155,9 +77,7 @@ pi_get_local:
 	send  NET
 	done
 
-; ---------------------------------------------------------------------------
-; local write miss (PI GETX, this node is home)
-; ---------------------------------------------------------------------------
+; local write miss (PI GETX, this node is home) -------------------------------
 pi_getx_local:
 	mfh   r2, H_DIROFF
 	ld    r3, 0(r2)
@@ -165,11 +85,12 @@ pi_getx_local:
 	bbs   r3, B_DIRTY, .dirty
 	mfh   r1, H_ADDR
 	add   r4, r27, r0
-	jal   inval_sharers
+	@inval
 	orfi  r3, r3, B_DIRTY, 1
-	orfi  r3, r3, B_LOCAL, 1
+	@set_local
 	ins   r3, r27, OWNER_POS, OWNER_W
 	ins   r3, r9, ACK_POS, ACK_W
+	@present r27, r6
 	beq   r9, r0, .noack
 	orfi  r3, r3, B_PENDING, 1
 .noack:
@@ -192,9 +113,7 @@ pi_getx_local:
 	send  NET
 	done
 
-; ---------------------------------------------------------------------------
-; local writeback and replacement hint (PI, this node is home)
-; ---------------------------------------------------------------------------
+; local writeback and replacement hint (PI, this node is home) ----------------
 pi_wb_local:
 	mfh   r2, H_DIROFF
 	ld    r3, 0(r2)
@@ -204,7 +123,8 @@ pi_wb_local:
 	ext   r4, r3, OWNER_POS, OWNER_W
 	bne   r4, r27, .out
 	andfi r3, r3, B_DIRTY, 1
-	andfi r3, r3, B_LOCAL, 1
+	@clear_local
+	@absent r27
 	ext   r6, r3, ACK_POS, ACK_W
 	bne   r6, r0, .st
 	andfi r3, r3, B_PENDING, 1
@@ -217,21 +137,20 @@ pi_rpl_local:
 	mfh   r2, H_DIROFF
 	ld    r3, 0(r2)
 	bbs   r3, B_DIRTY, .out
-	andfi r3, r3, B_LOCAL, 1
+	@clear_local
+	@absent r27
 	st    r3, 0(r2)
 .out:
 	done
 
-; ---------------------------------------------------------------------------
-; read request at home from a remote node (NI GET)
-; ---------------------------------------------------------------------------
+; read request at home from a remote node (NI GET) ----------------------------
 ni_get:
 	mfh   r2, H_DIROFF
 	ld    r3, 0(r2)
 	bbs   r3, B_PENDING, nak_net
 	bbs   r3, B_DIRTY, .dirty
 	mfh   r4, H_SRC
-	jal   alloc_insert
+	@share
 	st    r3, 0(r2)
 	mfh   r1, H_ADDR
 	li    r5, M_PUT
@@ -264,9 +183,10 @@ ni_get:
 	mfh   r1, H_ADDR
 	memwr r1
 	andfi r3, r3, B_DIRTY, 1
-	orfi  r3, r3, B_LOCAL, 1   ; our processor keeps the downgraded copy
+	@set_local                 ; our processor keeps the downgraded copy
 	mfh   r4, H_SRC
-	jal   alloc_insert
+	@share
+	@present r27, r6
 	st    r3, 0(r2)
 	mfh   r4, H_SRC
 	mth   H_DST, r4
@@ -277,27 +197,26 @@ ni_get:
 	send  NET|DATA
 	done
 
-; ---------------------------------------------------------------------------
-; write request at home from a remote node (NI GETX)
-; ---------------------------------------------------------------------------
+; write request at home from a remote node (NI GETX) --------------------------
 ni_getx:
 	mfh   r2, H_DIROFF
 	ld    r3, 0(r2)
 	bbs   r3, B_PENDING, nak_net
 	bbs   r3, B_DIRTY, .dirty
 	mfh   r1, H_ADDR
-	bbc   r3, B_LOCAL, .noloc
+	@if_no_home_copy .noloc
 	li    r5, M_PIINVAL        ; invalidate our own processor's copy
 	mth   H_TYPE, r5
 	send  PI
-	andfi r3, r3, B_LOCAL, 1
+	@clear_local               ; (a presence bit goes with the fan-out)
 .noloc:
 	mfh   r4, H_SRC
-	jal   inval_sharers
+	@inval
 	orfi  r3, r3, B_DIRTY, 1
 	mfh   r4, H_SRC
 	ins   r3, r4, OWNER_POS, OWNER_W
 	ins   r3, r9, ACK_POS, ACK_W
+	@present r4, r6
 	beq   r9, r0, .noack
 	orfi  r3, r3, B_PENDING, 1
 .noack:
@@ -332,9 +251,11 @@ ni_getx:
 	beq   r6, r0, nak_net
 	mfh   r1, H_ADDR
 	memwr r1
-	andfi r3, r3, B_LOCAL, 1
+	@clear_local
+	@absent r27
 	mfh   r4, H_SRC
 	ins   r3, r4, OWNER_POS, OWNER_W
+	@present r4, r6
 	st    r3, 0(r2)
 	mth   H_DST, r4
 	li    r5, M_PUTX
@@ -344,9 +265,7 @@ ni_getx:
 	send  NET|DATA
 	done
 
-; ---------------------------------------------------------------------------
-; writeback and replacement hint at home from remote nodes
-; ---------------------------------------------------------------------------
+; writeback and replacement hint at home from remote nodes --------------------
 ni_wb:
 	mfh   r2, H_DIROFF
 	ld    r3, 0(r2)
@@ -357,6 +276,7 @@ ni_wb:
 	mfh   r5, H_SRC
 	bne   r4, r5, .out
 	andfi r3, r3, B_DIRTY, 1
+	@absent r4
 	ext   r6, r3, ACK_POS, ACK_W
 	bne   r6, r0, .st
 	andfi r3, r3, B_PENDING, 1
@@ -368,52 +288,9 @@ ni_wb:
 ni_rpl:
 	mfh   r2, H_DIROFF
 	ld    r3, 0(r2)
-	mfh   r4, H_SRC
-	bbc   r3, B_LIST, .out
-	ext   r5, r3, HEAD_POS, HEAD_W
-	slli  r7, r5, 3
-	add   r7, r7, r25
-	ld    r6, 0(r7)
-	ext   r12, r6, NODE_POS, NODE_W
-	bne   r12, r4, .scan
-	; unlink the head entry
-	ext   r13, r6, NEXT_POS, NEXT_W
-	beq   r13, r26, .last
-	ins   r3, r13, HEAD_POS, HEAD_W
-	j     .free
-.last:
-	andfi r3, r3, B_LIST, 1
-	andfi r3, r3, HEAD_POS, HEAD_W
-.free:
-	slli  r10, r24, NEXT_POS
-	st    r10, 0(r7)
-	add   r24, r5, r0
-	st    r3, 0(r2)
-.out:
-	done
-.scan:
-	ext   r13, r6, NEXT_POS, NEXT_W
-	beq   r13, r26, .out
-	slli  r10, r13, 3
-	add   r10, r10, r25
-	ld    r12, 0(r10)
-	ext   r9, r12, NODE_POS, NODE_W
-	beq   r9, r4, .unlink
-	add   r7, r10, r0
-	add   r6, r12, r0
-	j     .scan
-.unlink:
-	ext   r9, r12, NEXT_POS, NEXT_W
-	ins   r6, r9, NEXT_POS, NEXT_W
-	st    r6, 0(r7)
-	slli  r9, r24, NEXT_POS
-	st    r9, 0(r10)
-	add   r24, r13, r0
-	done
+	@rpl
 
-; ---------------------------------------------------------------------------
-; replies arriving at the home node
-; ---------------------------------------------------------------------------
+; replies arriving at the home node -------------------------------------------
 ni_swb:
 	mfh   r2, H_DIROFF
 	ld    r3, 0(r2)
@@ -424,10 +301,10 @@ ni_swb:
 	mfh   r5, H_SRC
 	bne   r4, r5, .out
 	andfi r3, r3, B_DIRTY, 2   ; clears DIRTY and PENDING together
-	mfh   r4, H_SRC
-	jal   alloc_insert         ; the old owner keeps a shared copy
+	@reload_src
+	@share                     ; the old owner keeps a shared copy
 	mfh   r4, H_REQ
-	jal   alloc_insert         ; the reader joins the sharer set
+	@share                     ; the reader joins the sharer set
 	st    r3, 0(r2)
 .out:
 	done
@@ -439,8 +316,10 @@ ni_xfer:
 	ext   r4, r3, OWNER_POS, OWNER_W
 	mfh   r5, H_SRC
 	bne   r4, r5, .out
+	@absent r4                 ; ownership moves from the old owner ...
 	mfh   r6, H_REQ
 	ins   r3, r6, OWNER_POS, OWNER_W
+	@present r6, r7            ; ... to the requester
 	andfi r3, r3, B_PENDING, 1
 	st    r3, 0(r2)
 .out:
@@ -470,3 +349,41 @@ ni_iack:
 	st    r3, 0(r2)
 	done
 `
+
+// format is one directory format: the prelude its program starts with
+// (pp_init and the subroutines its operations call) and the text of every
+// directory operation homeSource names.
+type format struct {
+	prelude string
+	ops     map[string]string
+}
+
+// expand replaces every `@op args` line of tmpl with f's text for op, $i
+// standing for the i-th comma-separated argument. An operation f does not
+// supply is an error.
+func (f format) expand(tmpl string) (string, error) {
+	var b strings.Builder
+	b.Grow(2 * len(tmpl))
+	for _, line := range strings.SplitAfter(tmpl, "\n") {
+		code, _, _ := strings.Cut(line, ";")
+		code = strings.TrimSpace(code)
+		if !strings.HasPrefix(code, "@") {
+			b.WriteString(line)
+			continue
+		}
+		name, args := code[1:], ""
+		if i := strings.IndexAny(name, " \t"); i >= 0 {
+			name, args = name[:i], name[i+1:]
+		}
+		text, ok := f.ops[name]
+		if !ok {
+			return "", fmt.Errorf("unknown directory operation @%s", name)
+		}
+		for i, a := range strings.Split(args, ",") {
+			text = strings.ReplaceAll(text, "$"+strconv.Itoa(i+1), strings.TrimSpace(a))
+		}
+		b.WriteString(text)
+		b.WriteByte('\n')
+	}
+	return b.String(), nil
+}

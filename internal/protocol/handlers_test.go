@@ -56,8 +56,15 @@ func (e *recEnv) MDCFill(a uint64, wb bool, dt uint64) uint64 { return 29 }
 
 func newHandlerRig(t *testing.T, self arch.NodeID) *handlerRig {
 	t.Helper()
+	return newRig(t, arch.ProtoDynPtr, self)
+}
+
+// newRig builds a rig for node self running the given directory protocol.
+func newRig(t *testing.T, proto arch.Protocol, self arch.NodeID) *handlerRig {
+	t.Helper()
 	cfg := arch.DefaultConfig()
 	cfg.MemBytesPerNode = 1 << 20
+	cfg.Protocol = proto
 	prog, err := Build(&cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -1,16 +1,20 @@
-// Package protocol implements the dynamic pointer allocation cache-coherence
-// protocol of the FLASH prototype (Simoni's scheme, Section 3.3 of the
-// paper) as PP handler code. Every directory operation — header updates,
-// sharer-list traversal, invalidation fan-out, writeback processing — is
-// performed by assembly handlers executed on the PPsim emulator, exactly as
-// the real machine ran compiled C handlers on MAGIC.
+// Package protocol implements the cache-coherence protocols of the FLASH
+// prototype as PP handler code: the dynamic pointer allocation directory
+// (Simoni's scheme, Section 3.3 of the paper) and a DASH-style bit-vector
+// directory. Every directory operation — header updates, sharer-list
+// traversal, invalidation fan-out, writeback processing — is performed by
+// assembly handlers executed on the PPsim emulator, exactly as the real
+// machine ran compiled C handlers on MAGIC. Each program is the shared
+// handlers (sharedSource) + one home template (homeSource) + one of two
+// directory formats (dynptr, bitvec).
 //
 // Protocol data structures live in node-local protocol memory, accessed by
 // the PP through the MAGIC data cache:
 //
 //	globals    (one line):  node id, home base address, free-list head, ...
-//	directory  (8 B/line):  state bits, sharer-list head, ack count, owner
-//	pointer pool (8 B/entry): {node, next} links for sharer lists
+//	directory  (8 B/line):  state bits, sharers (list head or presence
+//	                        vector), ack count, owner
+//	pointer pool (8 B/entry): {node, next} links for sharer lists (dynptr)
 package protocol
 
 import (

@@ -61,14 +61,18 @@ func Build(cfg *arch.Config) (*Program, error) {
 // assemble is the uncached build.
 func assemble(cfg *arch.Config) (*Program, error) {
 	l := NewLayout(cfg)
-	text := handlerSource
+	f := dynptr
 	if cfg.Protocol == arch.ProtoBitVector {
 		if cfg.Nodes > BVMaxNodes {
 			return nil, fmt.Errorf("protocol: bit-vector directory supports at most %d nodes, got %d", BVMaxNodes, cfg.Nodes)
 		}
-		text = bitvecSource
+		f = bitvec
 	}
-	src, err := ppisa.Assemble(text+sharedSource, l.Symbols())
+	home, err := f.expand(homeSource)
+	if err != nil {
+		return nil, fmt.Errorf("protocol: %w", err)
+	}
+	src, err := ppisa.Assemble(f.prelude+home+sharedSource, l.Symbols())
 	if err != nil {
 		return nil, fmt.Errorf("protocol: %w", err)
 	}

@@ -4,9 +4,8 @@ package protocol
 // header: NAK tails, the requester's forwards of remote-address requests to
 // their home, the dirty node's side of a 3-hop forward, invalidation at a
 // sharer, and replies handed to the processor. They are the same under every
-// directory format, so assemble appends this one text to whichever home-side
-// program the configuration selects, and each program holds only the
-// handlers that differ.
+// directory format, so every program ends with this one text, after the
+// home handlers (homeSource) expanded for its format.
 //
 // It names only message types, header fields and send flags, never a
 // directory field or layout symbol (TestSharedSourceIsDirectoryFree).

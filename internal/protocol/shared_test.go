@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"maps"
 	"os"
 	"regexp"
 	"sort"
@@ -20,11 +21,22 @@ var sharedEntries = []string{
 	"ni_put", "ni_putx", "ni_nak",
 }
 
+// homeEntries are the home-side handlers, written once in homeSource and
+// expanded with each directory format's operations.
+var homeEntries = []string{
+	"pi_get_local", "pi_getx_local", "pi_wb_local", "pi_rpl_local",
+	"ni_get", "ni_getx", "ni_wb", "ni_rpl",
+	"ni_swb", "ni_xfer", "ni_pclr", "ni_iack",
+}
+
 // TestSharedSourceIsDirectoryFree: sharedSource defines every shared
 // entry and assembles against a symbol table holding no directory field,
 // pool, layout or free-list symbol, so it cannot depend on which directory
-// format is running; and each shared entry label appears exactly once across
-// the package's program sources, so no protocol carries its own copy.
+// format is running. homeSource defines every home entry and names no
+// symbol or subroutine of one format only; those appear only in a format's
+// prelude and operations, and each format supplies exactly the operations
+// homeSource uses. Each shared and home entry label appears exactly once
+// across the package's program sources, so no protocol carries its own copy.
 func TestSharedSourceIsDirectoryFree(t *testing.T) {
 	cfg := arch.DefaultConfig()
 	syms := NewLayout(&cfg).Symbols()
@@ -53,13 +65,65 @@ func TestSharedSourceIsDirectoryFree(t *testing.T) {
 			all.Write(buf)
 		}
 	}
+	defined := func(text, label string) int {
+		return len(regexp.MustCompile(`(?m)^`+label+`:`).FindAllStringIndex(text, -1))
+	}
 	for _, e := range sharedEntries {
 		if _, ok := shared.Labels[e]; !ok {
 			t.Errorf("%s: not in sharedSource", e)
 		}
-		if n := len(regexp.MustCompile(`(?m)^`+e+`:`).FindAllStringIndex(all.String(), -1)); n != 1 {
+		if n := defined(all.String(), e); n != 1 {
 			t.Errorf("%s: defined %d times across the package sources, want 1", e, n)
 		}
+	}
+	for _, e := range homeEntries {
+		if defined(homeSource, e) != 1 {
+			t.Errorf("%s: not in homeSource", e)
+		}
+		if n := defined(all.String(), e); n != 1 {
+			t.Errorf("%s: defined %d times across the package sources, want 1", e, n)
+		}
+	}
+
+	formatSym := regexp.MustCompile(`\b(B_LOCAL|B_LIST|B_OVFL|NULLPTR|PTRBASE|G_FREEHEAD|(HEAD|NODE|NEXT|PRES)_\w+)\b`)
+	if syms := formatSym.FindAllString(homeSource, -1); len(syms) > 0 {
+		t.Errorf("homeSource names format-only symbols %v", syms)
+	}
+	used := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^\s*@(\w+)`).FindAllStringSubmatch(homeSource, -1) {
+		used[m[1]] = true
+	}
+	for name, f := range map[string]format{"dynptr": dynptr, "bitvec": bitvec} {
+		for _, m := range regexp.MustCompile(`(?m)^(\w+):`).FindAllStringSubmatch(f.prelude, -1) {
+			if sub := m[1]; sub != "pp_init" && regexp.MustCompile(`\b`+sub+`\b`).MatchString(homeSource) {
+				t.Errorf("homeSource names %s subroutine %s", name, sub)
+			}
+		}
+		for op := range used {
+			if _, ok := f.ops[op]; !ok {
+				t.Errorf("%s: no text for @%s", name, op)
+			}
+		}
+		for op := range f.ops {
+			if !used[op] {
+				t.Errorf("%s: @%s is never used", name, op)
+			}
+		}
+	}
+}
+
+// TestUnknownDirectoryOpIsBuildError: a template line naming an operation
+// the format does not supply fails the build with an error naming it.
+func TestUnknownDirectoryOpIsBuildError(t *testing.T) {
+	saved := dynptr
+	t.Cleanup(func() { dynptr = saved })
+	dynptr.ops = maps.Clone(saved.ops)
+	delete(dynptr.ops, "share")
+	cfg := arch.DefaultConfig()
+	cfg.Nodes = 3 // a build key no other test uses: Build memoizes programs
+	p, err := Build(&cfg)
+	if err == nil || p != nil || !strings.Contains(err.Error(), "unknown directory operation @share") {
+		t.Fatalf("Build without @share = %v, %v", p, err)
 	}
 }
 
