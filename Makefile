@@ -14,9 +14,9 @@ build:
 # nowhere else), and every Go file is gofmt-clean; the race detector over
 # the concurrent experiment runner and explore workers, the golden table
 # (message events cross shards without a lock of their own), machines
-# sharing one memoized protocol program and the sampling suite; over the
-# sharded engine's own differential tests; over the metrics registry; and
-# four bounded fuzzes: the calendar event queue against a sorted-slice
+# sharing one memoized protocol program and the sampling suite; over every
+# test of the event engines (the sharded engine's own differential tests
+# among them) and of the metrics registry; and four bounded fuzzes: the calendar event queue against a sorted-slice
 # reference, the PP assembler (no input panics it; every program it accepts
 # schedules in each mode without losing an instruction), the -sample
 # parser (no input panics it; every spec it accepts round-trips through
@@ -27,8 +27,7 @@ verify:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
 	! grep -rnE 'os\.(Getenv|Setenv|LookupEnv)' cmd internal --include='*.go' --exclude='*_test.go' && test -z "$$(gofmt -l cmd internal bench examples)"
 	$(GO) test -race ./internal/exp -run 'Parallel|GoldenDigest|SharedProgram|Sampled'
-	$(GO) test -race ./internal/sim -run 'Sharded|Watermark'
-	$(GO) test -race ./internal/metrics
+	$(GO) test -race ./internal/sim ./internal/metrics
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzQueueOrder -fuzztime 10s && $(GO) test ./internal/ppisa -run '^$$' -fuzz FuzzAssemble -fuzztime 10s && $(GO) test ./internal/arch -run '^$$' -fuzz FuzzParseSampleSpec -fuzztime 10s && $(GO) test ./internal/exp -run '^$$' -fuzz FuzzResultCacheEntry -fuzztime 10s
 
 test:

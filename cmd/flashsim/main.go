@@ -40,7 +40,6 @@ import (
 	"flashsim/internal/cliutil"
 	"flashsim/internal/core"
 	"flashsim/internal/metrics"
-	"flashsim/internal/sim"
 	"flashsim/internal/stats"
 	"flashsim/internal/trace"
 	"flashsim/internal/workload"
@@ -163,6 +162,7 @@ func run() (runErr error) {
 		reg = metrics.NewRegistry()
 		m.EnableMetrics(reg)
 	}
+	var sinks []trace.Sink
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
 		if err != nil {
@@ -172,7 +172,15 @@ func run() (runErr error) {
 		if *traceFormat == "chrome" {
 			sink = trace.NewChromeSink(f)
 		}
-		tr := trace.New(sink)
+		sinks = append(sinks, sink)
+	}
+	var occ *trace.Occupancy
+	if *occWindow != 0 {
+		occ = trace.NewOccupancy(*occWindow)
+		sinks = append(sinks, occ)
+	}
+	if len(sinks) != 0 {
+		tr := trace.New(sinks...)
 		defer func() {
 			if err := tr.Close(); err != nil && runErr == nil {
 				runErr = fmt.Errorf("trace: %w", err)
@@ -180,7 +188,6 @@ func run() (runErr error) {
 		}()
 		m.SetTracer(tr)
 	}
-	m.EnableOccSampling(sim.Cycle(*occWindow))
 	w := workload.NewWorld(m)
 	a, err := buildApp(*app, w, apps.Params{Procs: *procs, Scale: *scale})
 	if err != nil {
@@ -197,6 +204,9 @@ func run() (runErr error) {
 		return fmt.Errorf("coherence: %w", err)
 	}
 	r := stats.Collect(m)
+	if occ != nil {
+		r.AddOccupancy(occ)
+	}
 	if reg != nil {
 		host := metrics.ReadHost().Sub(hostBefore)
 		r.Host = &host

@@ -7,8 +7,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"flashsim/internal/trace"
 )
 
 // runMainEnv marks a re-execution of the test binary as the command
@@ -155,5 +158,100 @@ func TestAppBuildOutOfMemoryIsAnError(t *testing.T) {
 	want := "flashsim: fft: workload: node 13 out of memory\n"
 	if code != 1 || stderr != want || stdout != "" {
 		t.Errorf("exit %d, stdout %q, stderr %q; want exit 1 and stderr %q", code, stdout, stderr, want)
+	}
+}
+
+// TestOccWindowIsATraceSink pins -occ-window's wiring: the JSON report
+// carries the window and machine-average series in [0, 1], each equal to a
+// binning of the run's own trace spans (handlers for the PP, memory
+// reservations for memory); the -trace file written beside it is the one
+// written without it; and the ideal machine, whose handlers take no time,
+// reports no PP series.
+func TestOccWindowIsATraceSink(t *testing.T) {
+	const window, nodes = 2000, 4
+	dir := t.TempDir()
+	run := func(args ...string) string {
+		t.Helper()
+		args = append([]string{"-app", "fft", "-procs", "4", "-scale", "64"}, args...)
+		stdout, stderr, code := flashsim(t, args...)
+		if code != 0 {
+			t.Fatalf("flashsim %v: exit %d, stderr %q", args, code, stderr)
+		}
+		return stdout
+	}
+	report := func(stdout string) (r struct {
+		OccWindow                 uint64
+		MemOccSeries, PPOccSeries []float64
+	}) {
+		t.Helper()
+		if err := json.Unmarshal([]byte(stdout), &r); err != nil {
+			t.Fatal(err)
+		}
+		if r.OccWindow != window {
+			t.Errorf("OccWindow = %d, want %d", r.OccWindow, window)
+		}
+		for name, s := range map[string][]float64{"mem": r.MemOccSeries, "PP": r.PPOccSeries} {
+			for i, v := range s {
+				if v < 0 || v > 1 {
+					t.Errorf("%s occupancy window %d = %g, outside [0, 1]", name, i, v)
+				}
+			}
+		}
+		return r
+	}
+
+	withOcc, without := filepath.Join(dir, "occ.jsonl"), filepath.Join(dir, "plain.jsonl")
+	flash := report(run("-json", "-occ-window", "2000", "-trace", withOcc))
+	run("-trace", without)
+	traced, err := os.ReadFile(withOcc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain, err := os.ReadFile(without); err != nil || !bytes.Equal(traced, plain) {
+		t.Fatalf("-trace file with -occ-window differs from the one without (%d vs %d bytes, %v)", len(traced), len(plain), err)
+	}
+
+	evs, err := trace.ReadJSONL(bytes.NewReader(traced))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pp, mem []uint64
+	bin := func(busy *[]uint64, at, dur uint64) {
+		for c := at; c < at+dur; c++ {
+			w := int(c / window)
+			for len(*busy) <= w {
+				*busy = append(*busy, 0)
+			}
+			(*busy)[w]++
+		}
+	}
+	for _, ev := range evs {
+		switch ev.Kind {
+		case trace.KindHandler:
+			bin(&pp, ev.Cycle, ev.Dur)
+		case trace.KindMemRead, trace.KindMemWrite:
+			bin(&mem, ev.Cycle, ev.Dur)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		got  []float64
+		busy []uint64
+	}{{"mem", flash.MemOccSeries, mem}, {"PP", flash.PPOccSeries, pp}} {
+		if len(c.busy) == 0 {
+			t.Fatalf("the trace has no %s spans", c.name)
+		}
+		want := make([]float64, len(c.busy))
+		for i, b := range c.busy {
+			want[i] = float64(b) / (window * nodes)
+		}
+		if !slices.Equal(c.got, want) {
+			t.Errorf("%s series = %v, want the trace's binning %v", c.name, c.got, want)
+		}
+	}
+
+	ideal := report(run("-machine", "ideal", "-json", "-occ-window", "2000"))
+	if len(ideal.MemOccSeries) == 0 || len(ideal.PPOccSeries) != 0 {
+		t.Errorf("ideal machine: %d mem and %d PP windows, want mem only", len(ideal.MemOccSeries), len(ideal.PPOccSeries))
 	}
 }

@@ -23,7 +23,8 @@ import (
 //
 // Replacement hints make the recorded sharer set exact on a quiesced
 // machine, but the check only requires it to be a superset of the true
-// copy set, which is the safety-critical direction.
+// copy set, which is the safety-critical direction. Of several bad lines,
+// the error names the lowest.
 func (m *Machine) CheckCoherence() error {
 	// Collect cache contents per line.
 	type copyInfo struct {
@@ -90,10 +91,17 @@ func (m *Machine) CheckCoherence() error {
 		return nil
 	}
 
+	// Map order is random: report the lowest bad line, so one machine
+	// state always gives one error.
+	var bad error
+	var badLine uint64
 	for line, ci := range lines {
-		if err := check(line, ci); err != nil {
-			return err
+		if err := check(line, ci); err != nil && (bad == nil || line < badLine) {
+			bad, badLine = err, line
 		}
+	}
+	if bad != nil {
+		return bad
 	}
 
 	if m.Prog != nil {

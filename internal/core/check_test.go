@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -82,5 +83,50 @@ func TestCheckCoherenceNamesCorruptFreeList(t *testing.T) {
 	err = m.CheckCoherence()
 	if err == nil || !strings.HasPrefix(err.Error(), "node 2: ") || !strings.Contains(err.Error(), "free list") {
 		t.Fatalf("CheckCoherence after corrupting node 2's free list = %v; want a node 2 free-list error", err)
+	}
+}
+
+// TestCheckCoherenceNamesLowestBadLine corrupts eight cached lines after a
+// clean run, marking each Modified at a node that does not own it, and
+// requires every audit to name the lowest of them: the audit walks a map,
+// and the same machine state must give the same error.
+func TestCheckCoherenceNamesLowestBadLine(t *testing.T) {
+	for _, kind := range []arch.MachineKind{arch.KindFLASH, arch.KindIdeal} {
+		t.Run(kind.String(), func(t *testing.T) {
+			const lines = 8
+			cfg := arch.DefaultConfig()
+			cfg.Kind = kind
+			cfg.Nodes = 4
+			cfg.MemBytesPerNode = 1 << 20
+			m, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refs := make([]cpu.Ref, lines)
+			for l := range refs {
+				refs[l] = cpu.Ref{Kind: arch.RefRead, Addr: cfg.NodeBase(2) + arch.Addr(l*arch.LineSize), Busy: 4}
+			}
+			srcs := make([]cpu.RefSource, cfg.Nodes)
+			for i := range srcs {
+				srcs[i] = &ScriptSource{}
+			}
+			srcs[1] = &ScriptSource{Refs: refs}
+			if err := m.Run(srcs, 1_000_000); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.CheckCoherence(); err != nil {
+				t.Fatalf("clean run: %v", err)
+			}
+			first := uint64(cfg.NodeBase(2)) >> arch.LineShift
+			for l := range uint64(lines) {
+				m.Nodes[1].CPU.Cache.SetState(first+l, cpu.Modified)
+			}
+			want := fmt.Sprintf("line %#x: clean in directory but Modified at [1]", first)
+			for range 30 {
+				if err := m.CheckCoherence(); err == nil || err.Error() != want {
+					t.Fatalf("CheckCoherence = %v, want %q", err, want)
+				}
+			}
+		})
 	}
 }

@@ -60,9 +60,6 @@ type Machine struct {
 	// EnableMetrics. Run publishes machine counters and the engine's
 	// host-cost profile into it on completion.
 	Metrics *metrics.Registry
-	// OccWindow is the occupancy sampling window in cycles (0 = off); set
-	// via EnableOccSampling.
-	OccWindow sim.Cycle
 
 	sharded   bool
 	shardBufs []*trace.Buffer
@@ -100,23 +97,6 @@ func (m *Machine) SetTracer(tr *trace.Tracer) {
 		}
 		if n.Ideal != nil {
 			n.Ideal.Tr = t
-		}
-	}
-}
-
-// EnableOccSampling turns on windowed occupancy sampling: every memory
-// controller (and, on FLASH, every protocol processor) accumulates busy
-// cycles per window of w cycles, surfaced by stats.Collect as
-// occupancy-over-time curves. Call before Run.
-func (m *Machine) EnableOccSampling(w sim.Cycle) {
-	if w == 0 {
-		return
-	}
-	m.OccWindow = w
-	for _, n := range m.Nodes {
-		n.Mem.EnableSampling(uint64(w))
-		if n.Magic != nil {
-			n.Magic.PPSeries = trace.NewTimeSeries(uint64(w))
 		}
 	}
 }

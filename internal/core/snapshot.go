@@ -51,11 +51,10 @@ type NodeState struct {
 }
 
 // snapshotable reports whether the machine is in a configuration the
-// snapshot layer supports: a plain FLASH machine with no sampled execution,
-// no tracer, and no occupancy sampling. Each excluded feature holds run
-// state outside the captured components (fast-forward chains publish
-// through write-through views, tracers and occupancy series accumulate
-// history) that a restore could not reproduce.
+// snapshot layer supports: a plain FLASH machine with no sampled execution
+// and no tracer. Each excluded feature holds run state outside the captured
+// components (fast-forward chains publish through write-through views, a
+// tracer's sinks accumulate history) that a restore could not reproduce.
 func (m *Machine) snapshotable() error {
 	if m.Cfg.Kind != arch.KindFLASH {
 		return fmt.Errorf("core: snapshots support FLASH machines only (kind %v)", m.Cfg.Kind)
@@ -65,9 +64,6 @@ func (m *Machine) snapshotable() error {
 	}
 	if m.Tracer.Active() {
 		return fmt.Errorf("core: snapshots do not support an active tracer")
-	}
-	if m.OccWindow != 0 {
-		return fmt.Errorf("core: snapshots do not support occupancy sampling")
 	}
 	return nil
 }

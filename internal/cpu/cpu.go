@@ -253,7 +253,6 @@ type procState struct {
 	Stats    Stats
 	Bus      sim.Server
 	paused   bool // the run loop is parked at a PauseAfter pause point
-	pausedAt sim.Cycle
 }
 
 // New creates a CPU. mem is this node's view of the machine-wide backing
@@ -338,7 +337,6 @@ func (c *CPU) run(vt sim.Cycle) {
 		if c.pauseAfter != 0 && !c.paused && c.batchPos >= len(c.batch) &&
 			c.Stats.Refs >= c.pauseAfter {
 			c.paused = true
-			c.pausedAt = c.vt
 			return
 		}
 		ref, ok := c.nextRef()

@@ -74,9 +74,9 @@ func RunApp(name string, cfg arch.Config, p apps.Params, verify bool) (*Run, err
 }
 
 // RunAppObserved is RunApp with a hook called on the freshly built machine
-// before the run starts — the place to attach a tracer or enable occupancy
-// sampling (core.Machine.SetTracer, EnableOccSampling) without perturbing
-// the simulation itself.
+// before the run starts — the place to attach a tracer
+// (core.Machine.SetTracer) and its sinks, an occupancy sink among them,
+// without perturbing the simulation itself.
 //
 // It is the one place exp runs a simulation: flashexp's experiments and
 // Explore's points are jobs that call it (plan.go). A panic in an app

@@ -13,8 +13,8 @@ import (
 )
 
 // TestTracingDoesNotPerturbSimulation runs the same workload bare and with
-// the full observability stack attached — JSONL event tracer plus occupancy
-// sampling — and requires bit-identical execution time and event counts. The
+// the full observability stack attached — one tracer feeding a JSONL sink
+// and an occupancy sink — and requires bit-identical execution time and event counts. The
 // trace layer must be strictly observational.
 func TestTracingDoesNotPerturbSimulation(t *testing.T) {
 	if testing.Short() {
@@ -34,14 +34,15 @@ func TestTracingDoesNotPerturbSimulation(t *testing.T) {
 
 	var buf bytes.Buffer
 	var tr *trace.Tracer
+	occ := trace.NewOccupancy(10000)
 	traced := run(func(m *core.Machine) {
-		tr = trace.New(trace.NewJSONLSink(&buf))
+		tr = trace.New(trace.NewJSONLSink(&buf), occ)
 		m.SetTracer(tr)
-		m.EnableOccSampling(10000)
 	})
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
+	traced.Report.AddOccupancy(occ)
 
 	if bare.Report.Elapsed != traced.Report.Elapsed {
 		t.Errorf("elapsed changed under tracing: %d vs %d", bare.Report.Elapsed, traced.Report.Elapsed)
@@ -97,7 +98,7 @@ func TestTracingDoesNotPerturbSimulation(t *testing.T) {
 			kinds[trace.KindMsgSend], kinds[trace.KindMsgRecv])
 	}
 
-	// Occupancy sampling must have produced curves consistent with the run.
+	// The occupancy sink must have produced curves consistent with the run.
 	if n := len(traced.Report.MemOccSeries); n == 0 {
 		t.Error("no memory occupancy series")
 	}

@@ -78,8 +78,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // requires the second run to match a fresh machine's run: the same events
 // and the same whole report, occupancy curves included. It covers every
 // golden app on FLASH, on the ideal machine and on a sampled FLASH machine
-// (whose store views stay write-through across Reset), all with occupancy
-// sampling on.
+// (whose store views stay write-through across Reset).
 func TestMachineResetDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -101,7 +100,6 @@ func TestMachineResetDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				m.EnableOccSampling(1000)
 				events, fresh := runGolden(t, m, name, 0)
 				limit := 2 * uint64(m.Elapsed) // a recycled machine that hangs fails here
 				m.Reset()
@@ -133,7 +131,6 @@ func TestMachineResetAfterAbortedRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				m.EnableOccSampling(1000)
 				events, fresh := runGolden(t, m, name, 0)
 				limit, half := 2*uint64(m.Elapsed), uint64(m.Elapsed)/2
 				m.Reset()

@@ -162,9 +162,6 @@ type Magic struct {
 	// Tr, when non-nil, receives handler spans and message events. Injected
 	// per machine (core.Machine.SetTracer).
 	Tr *trace.Tracer
-	// PPSeries, when non-nil, samples PP busy cycles over fixed windows
-	// (core.Machine.EnableOccSampling).
-	PPSeries *trace.TimeSeries
 
 	flight
 
@@ -598,7 +595,6 @@ func (m *Magic) handleStatus(st ppsim.Status, cyc uint64) {
 		}
 		m.lastEnd = end
 		occ := end - ctx.dispatched
-		m.PPSeries.Add(uint64(ctx.dispatched), uint64(occ))
 		agg := &m.handlers[ctx.slot.h]
 		agg.Cycles += occ
 		agg.Count++
@@ -939,8 +935,7 @@ func (m *Magic) CaptureState() (MagicState, error) {
 
 // RestoreState installs a captured state into a controller built for the
 // same protocol program and configuration, emptying its queues and idling
-// its PP; a zero state boots the controller afresh. An attached PP
-// occupancy sampler forgets its windows.
+// its PP; a zero state boots the controller afresh.
 func (m *Magic) RestoreState(st MagicState) {
 	m.PP.RestoreState(st.pp)
 	m.PP.MDC.RestoreState(st.mdc)
@@ -948,7 +943,6 @@ func (m *Magic) RestoreState(st MagicState) {
 	st.handlers = m.handlers
 	m.ctlState = st.ctlState
 	m.flight = flight{qPI: m.qPI.emptied(), qNetReq: m.qNetReq.emptied(), qNetRpl: m.qNetRpl.emptied(), outNet: m.outNet[:0]}
-	m.PPSeries.Reset()
 	if !m.booted {
 		m.boot()
 	}

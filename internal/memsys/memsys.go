@@ -18,13 +18,12 @@ type Memory struct {
 	t    arch.Timing
 	node arch.NodeID
 
-	tr     *trace.Tracer
-	series *trace.TimeSeries
+	tr *trace.Tracer
 }
 
 // MemoryState is the controller's simulated state, listed once: Memory
 // embeds it, CaptureState copies it and RestoreState installs it. Server is
-// a value type (busyUntil / occupancy / job count), so assignment copies it.
+// a value type (busy-until time and busy count), so assignment copies it.
 type MemoryState struct {
 	srv sim.Server
 
@@ -47,18 +46,8 @@ func (m *Memory) SetTracer(tr *trace.Tracer, node arch.NodeID) {
 	m.node = node
 }
 
-// EnableSampling turns on windowed occupancy sampling with the given window
-// width in cycles.
-func (m *Memory) EnableSampling(window uint64) {
-	m.series = trace.NewTimeSeries(window)
-}
-
-// Series returns the occupancy sampler, or nil when sampling is off.
-func (m *Memory) Series() *trace.TimeSeries { return m.series }
-
-// observe records one reservation in the sampler and the event trace.
+// observe records one reservation in the event trace.
 func (m *Memory) observe(kind trace.Kind, start sim.Cycle) {
-	m.series.Add(uint64(start), uint64(m.t.MemLineBusy))
 	if m.tr.Active() {
 		m.tr.Emit(trace.Event{
 			Cycle: uint64(start), Dur: uint64(m.t.MemLineBusy),
@@ -98,20 +87,15 @@ func (m *Memory) Write(at sim.Cycle) (done sim.Cycle) {
 	return end
 }
 
-// CaptureState returns a copy of the controller's simulated state. Tracer
-// and sampler attachments are host-side observers and are not captured.
+// CaptureState returns a copy of the controller's simulated state. The
+// tracer is a host-side observer and is not captured.
 func (m *Memory) CaptureState() MemoryState { return m.MemoryState }
 
-// RestoreState installs st; the zero MemoryState is a fresh controller. An
-// attached occupancy sampler stays attached and forgets its windows, which
-// belong to the run st did not come from.
-func (m *Memory) RestoreState(st MemoryState) {
-	m.MemoryState = st
-	m.series.Reset()
-}
+// RestoreState installs st; the zero MemoryState is a fresh controller.
+func (m *Memory) RestoreState(st MemoryState) { m.MemoryState = st }
 
 // Occupancy returns the controller's busy fraction over total cycles.
-func (m *Memory) Occupancy(total sim.Cycle) float64 { return m.srv.Occ.Fraction(total) }
+func (m *Memory) Occupancy(total sim.Cycle) float64 { return m.srv.Occupancy(total) }
 
 // Accesses returns the total number of line accesses.
 func (m *Memory) Accesses() uint64 { return m.Reads + m.Writes }

@@ -28,7 +28,7 @@ func TestWriteOccupancy(t *testing.T) {
 	m := New(arch.DefaultTiming())
 	m.Write(0)
 	m.Write(0)
-	if got := m.srv.Occ.Busy; got != 58 {
+	if got := m.srv.Busy; got != 58 {
 		t.Fatalf("busy = %d, want 58", got)
 	}
 	if occ := m.Occupancy(116); occ != 0.5 {

@@ -1,44 +1,36 @@
 package sim
 
-import "fmt"
-
 // Server is a reservation-based single-server FIFO resource: callers reserve
 // service intervals and receive start/end times without needing events. This
 // models resources like the memory controller and the processor bus exactly
 // (single server, FIFO, non-preemptive) while keeping the event count low.
+// Busy counts the cycles it served, for the "memory occupancy" statistics
+// of the paper (Tables 4.1 and 4.2).
 //
-// Reservations must be made in nondecreasing request-time order, which the
-// event engine guarantees for calls made at the dispatching event's own
-// time. Callers that run ahead of the clock (the CPU model executes a
-// chunk of references at virtual times beyond Now) can violate the order;
-// the server then still serializes in call order, which is the intended
-// FIFO semantics. Set Strict to assert the documented order in tests and
-// debug runs.
+// Reservations are made in nondecreasing request-time order at the
+// dispatching event's own time. Callers that run ahead of the clock (the
+// CPU model executes a chunk of references at virtual times beyond Now)
+// can break that order; the server then serializes in call order, which is
+// the intended FIFO semantics.
 type Server struct {
 	busyUntil Cycle
-	lastAt    Cycle
-	Occ       OccupancyMeter
-
-	// Strict makes Reserve panic when a reservation's request time precedes
-	// the previous call's, turning the documented invariant into an
-	// executable assertion. Off by default: checking is for tests and
-	// debugging, not for production runs.
-	Strict bool
+	Busy      Cycle
 }
 
 // Reserve books dur cycles of service starting no earlier than at. It
 // returns the service start and end times.
 func (s *Server) Reserve(at Cycle, dur Cycle) (start, end Cycle) {
-	if s.Strict && at < s.lastAt {
-		panic(fmt.Sprintf("sim: Server.Reserve request time %d precedes previous request %d", at, s.lastAt))
-	}
-	s.lastAt = at
-	start = at
-	if s.busyUntil > start {
-		start = s.busyUntil
-	}
+	start = max(at, s.busyUntil)
 	end = start + dur
 	s.busyUntil = end
-	s.Occ.AddBusy(dur)
+	s.Busy += dur
 	return start, end
+}
+
+// Occupancy returns Busy/total; total==0 yields 0.
+func (s *Server) Occupancy(total Cycle) float64 {
+	if total == 0 {
+		return 0
+	}
+	return float64(s.Busy) / float64(total)
 }

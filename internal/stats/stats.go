@@ -74,6 +74,7 @@ type Report struct {
 	// OccWindow is the occupancy sampling window in cycles; when nonzero,
 	// MemOccSeries (and PPOccSeries on FLASH) hold the machine-average
 	// occupancy per window instead of only the whole-run scalars above.
+	// Collect leaves them empty; AddOccupancy fills them.
 	OccWindow    uint64    `json:",omitempty"`
 	MemOccSeries []float64 `json:",omitempty"`
 	PPOccSeries  []float64 `json:",omitempty"`
@@ -190,14 +191,6 @@ func Collect(m *core.Machine) Report {
 			r.ReadLatency[c].Merge(&s.ReadLat[c])
 		}
 	}
-	if w := uint64(m.OccWindow); w != 0 {
-		mem := trace.NewTimeSeries(w)
-		for _, n := range m.Nodes {
-			mem.Merge(n.Mem.Series())
-		}
-		r.OccWindow = w
-		r.MemOccSeries = mem.Fractions(len(m.Nodes))
-	}
 	np := float64(len(m.Nodes))
 	r.Breakdown.Busy /= np
 	r.Breakdown.Read /= np
@@ -224,10 +217,6 @@ func Collect(m *core.Machine) Report {
 		var ppBusy, ppMax float64
 		var pairs, instrs, aluBr, special, invocations, mdcR, mdcW, mdcRM, mdcM uint64
 		r.HandlerLatency = make(map[string]*trace.Histogram)
-		var ppSeries *trace.TimeSeries
-		if r.OccWindow != 0 {
-			ppSeries = trace.NewTimeSeries(r.OccWindow)
-		}
 		for _, n := range m.Nodes {
 			mg := n.Magic
 			occ := 0.0
@@ -246,7 +235,6 @@ func Collect(m *core.Machine) Report {
 				}
 				agg.Merge(&h.Lat)
 			}
-			ppSeries.Merge(mg.PPSeries)
 			ps := mg.PP.Stats
 			pairs += ps.Pairs
 			instrs += ps.Instrs
@@ -273,9 +261,6 @@ func Collect(m *core.Machine) Report {
 		}
 		if invocations > 0 {
 			r.PairsPerHandler = float64(pairs) / float64(invocations)
-		}
-		if ppSeries != nil {
-			r.PPOccSeries = ppSeries.Fractions(len(m.Nodes))
 		}
 		r.MDCAccesses = mdcR + mdcW
 		if r.MDCAccesses > 0 {
@@ -361,6 +346,15 @@ func collectSampled(m *core.Machine) *Sampled {
 	s.ElapsedEst = s.DetailedCycles + uint64(mean*float64(s.FFWorkRefs)+0.5)
 	s.ElapsedCI = uint64(s.CyclesPerRefCI*float64(s.FFWorkRefs) + 0.5)
 	return s
+}
+
+// AddOccupancy fills the occupancy-over-time fields from a trace.Occupancy
+// sink that observed the run, averaging its per-window sums over the
+// report's nodes.
+func (r *Report) AddOccupancy(o *trace.Occupancy) {
+	r.OccWindow = o.Mem.Window
+	r.MemOccSeries = o.Mem.Fractions(r.Nodes)
+	r.PPOccSeries = o.PP.Fractions(r.Nodes)
 }
 
 // CRMT computes the contentionless read miss time: the read-miss class

@@ -2,29 +2,16 @@ package trace
 
 // TimeSeries accumulates resource busy-cycles into fixed-width windows of
 // the simulated clock, turning a whole-run occupancy scalar into an
-// occupancy-over-time curve. A nil *TimeSeries is valid and means
-// "sampling off": Add on nil is a no-op, so components call it
-// unconditionally next to their busy-cycle accounting.
+// occupancy-over-time curve.
 type TimeSeries struct {
 	Window uint64   `json:"window"` // window width in cycles
 	Busy   []uint64 `json:"busy"`   // busy cycles per window
 }
 
-// NewTimeSeries returns a sampler with the given window width in cycles
-// (minimum 1).
-func NewTimeSeries(window uint64) *TimeSeries {
-	if window == 0 {
-		window = 1
-	}
-	return &TimeSeries{Window: window}
-}
-
 // Add records a busy interval [at, at+dur), splitting it across window
-// boundaries so each window's busy count is exact.
+// boundaries so each window's busy count is exact. A zero-length interval
+// adds nothing, not even an empty window.
 func (s *TimeSeries) Add(at, dur uint64) {
-	if s == nil || dur == 0 {
-		return
-	}
 	for dur > 0 {
 		w := at / s.Window
 		for uint64(len(s.Busy)) <= w {
@@ -40,32 +27,11 @@ func (s *TimeSeries) Add(at, dur uint64) {
 	}
 }
 
-// Reset forgets every window, keeping the width: sampling stays on.
-func (s *TimeSeries) Reset() {
-	if s != nil {
-		s.Busy = s.Busy[:0]
-	}
-}
-
-// Merge folds o (which must share the window width) into s, summing busy
-// counts per window.
-func (s *TimeSeries) Merge(o *TimeSeries) {
-	if s == nil || o == nil {
-		return
-	}
-	for len(s.Busy) < len(o.Busy) {
-		s.Busy = append(s.Busy, 0)
-	}
-	for i, b := range o.Busy {
-		s.Busy[i] += b
-	}
-}
-
 // Fractions returns per-window occupancy in [0,1], dividing each window's
-// busy count by width*servers (servers > 1 when the series aggregates
-// several merged resources).
+// busy count by width*servers (servers > 1 when the series sums several
+// resources), or nil when nothing was busy.
 func (s *TimeSeries) Fractions(servers int) []float64 {
-	if s == nil || len(s.Busy) == 0 {
+	if len(s.Busy) == 0 {
 		return nil
 	}
 	if servers < 1 {
@@ -78,3 +44,32 @@ func (s *TimeSeries) Fractions(servers int) []float64 {
 	}
 	return out
 }
+
+// Occupancy is a Sink that bins busy spans into occupancy-over-time
+// series, summed over every node that emits into it: handler spans (the
+// protocol processor's dispatch-to-completion occupancy) into PP, memory
+// controller reservations into Mem. The idealized controller's handler
+// spans take no time, so an ideal machine leaves PP empty.
+type Occupancy struct {
+	PP, Mem TimeSeries
+}
+
+// NewOccupancy returns a sink binning into windows of the given width in
+// cycles (minimum 1).
+func NewOccupancy(window uint64) *Occupancy {
+	window = max(window, 1)
+	return &Occupancy{PP: TimeSeries{Window: window}, Mem: TimeSeries{Window: window}}
+}
+
+// Emit implements Sink.
+func (o *Occupancy) Emit(ev Event) {
+	switch ev.Kind {
+	case KindHandler:
+		o.PP.Add(ev.Cycle, ev.Dur)
+	case KindMemRead, KindMemWrite:
+		o.Mem.Add(ev.Cycle, ev.Dur)
+	}
+}
+
+// Close is a no-op: the series stay readable.
+func (o *Occupancy) Close() error { return nil }

@@ -1,6 +1,6 @@
 // Package trace is the simulator's observability layer: a structured,
-// causally-linked event tracer, fixed-bucket latency histograms, and
-// windowed occupancy samplers.
+// causally-linked event tracer with its sinks (files, buffers, windowed
+// occupancy) and fixed-bucket latency histograms.
 //
 // The tracer is strictly observational. Emitting an event never touches the
 // event engine, never allocates on the simulated hot path when disabled,
@@ -16,6 +16,7 @@ package trace
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 )
 
@@ -118,16 +119,16 @@ type Sink interface {
 	Close() error
 }
 
-// Tracer hands events to a sink and issues causal ids. The zero id means
-// "no causal link"; real ids start at 1.
+// Tracer hands events to its sinks and issues causal ids. The zero id
+// means "no causal link"; real ids start at 1.
 type Tracer struct {
-	sink   Sink
+	sinks  []Sink
 	nextID uint64
 	step   uint64 // id stride; 1 for plain tracers
 }
 
-// New returns a tracer writing to sink.
-func New(sink Sink) *Tracer { return &Tracer{sink: sink, step: 1} }
+// New returns a tracer handing each event to every sink, in order.
+func New(sinks ...Sink) *Tracer { return &Tracer{sinks: sinks, step: 1} }
 
 // NewStrided returns a tracer whose ids walk the arithmetic sequence
 // offset+step, offset+2·step, … — so per-node tracers on the parallel
@@ -138,13 +139,13 @@ func NewStrided(sink Sink, offset, step uint64) *Tracer {
 	if step == 0 {
 		step = 1
 	}
-	return &Tracer{sink: sink, nextID: offset, step: step}
+	return &Tracer{sinks: []Sink{sink}, nextID: offset, step: step}
 }
 
 // Active reports whether emitting is worthwhile; safe on a nil tracer.
 // Components guard multi-field Event construction with Active so a disabled
 // tracer costs one predictable branch.
-func (t *Tracer) Active() bool { return t != nil && t.sink != nil }
+func (t *Tracer) Active() bool { return t != nil && len(t.sinks) != 0 }
 
 // NewID returns the next causal id, or 0 on a nil tracer.
 func (t *Tracer) NewID() uint64 {
@@ -158,18 +159,24 @@ func (t *Tracer) NewID() uint64 {
 	return t.nextID
 }
 
-// Emit forwards ev to the sink; no-op on a nil or sink-less tracer.
+// Emit hands ev to every sink; no-op on a nil or sink-less tracer.
 func (t *Tracer) Emit(ev Event) {
-	if t == nil || t.sink == nil {
+	if t == nil {
 		return
 	}
-	t.sink.Emit(ev)
+	for _, s := range t.sinks {
+		s.Emit(ev)
+	}
 }
 
-// Close flushes and closes the sink.
+// Close flushes and closes every sink and joins their errors.
 func (t *Tracer) Close() error {
-	if t == nil || t.sink == nil {
+	if t == nil {
 		return nil
 	}
-	return t.sink.Close()
+	errs := make([]error, len(t.sinks))
+	for i, s := range t.sinks {
+		errs[i] = s.Close()
+	}
+	return errors.Join(errs...)
 }

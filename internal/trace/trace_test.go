@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -208,10 +210,11 @@ func TestHistogramJSONRoundTrip(t *testing.T) {
 }
 
 func TestTimeSeries(t *testing.T) {
-	s := NewTimeSeries(100)
+	s := TimeSeries{Window: 100}
 	s.Add(10, 20)   // window 0
 	s.Add(90, 20)   // splits: 10 in window 0, 10 in window 1
 	s.Add(350, 400) // windows 3..7: 50,100,100,100,50
+	s.Add(900, 0)   // nothing, not even an empty window
 	want := []uint64{30, 10, 0, 50, 100, 100, 100, 50}
 	if len(s.Busy) != len(want) {
 		t.Fatalf("busy = %v, want %v", s.Busy, want)
@@ -225,18 +228,79 @@ func TestTimeSeries(t *testing.T) {
 	if f[4] != 1.0 || f[0] != 0.3 {
 		t.Fatalf("fractions = %v", f)
 	}
-
-	var nilSeries *TimeSeries
-	nilSeries.Add(0, 100) // must not panic
-	if nilSeries.Fractions(1) != nil {
-		t.Fatal("nil series produced fractions")
+	if (&TimeSeries{Window: 100}).Fractions(1) != nil {
+		t.Fatal("empty series produced fractions")
 	}
+}
 
-	o := NewTimeSeries(100)
-	o.Add(0, 50)
-	o.Add(820, 10)
-	s.Merge(o)
-	if s.Busy[0] != 80 || len(s.Busy) != 9 || s.Busy[8] != 10 {
-		t.Fatalf("merge wrong: %v", s.Busy)
+// TestOccupancySink bins handler spans into PP and memory reservations
+// into Mem, summed over nodes, and ignores every other kind and every
+// zero-length span (the idealized controller's handlers).
+func TestOccupancySink(t *testing.T) {
+	o := NewOccupancy(100)
+	for _, ev := range []Event{
+		{Cycle: 10, Dur: 30, Node: 0, Kind: KindHandler},
+		{Cycle: 90, Dur: 20, Node: 1, Kind: KindHandler},
+		{Cycle: 250, Node: 1, Kind: KindHandler},
+		{Cycle: 0, Dur: 24, Node: 0, Kind: KindMemRead},
+		{Cycle: 180, Dur: 24, Node: 1, Kind: KindMemWrite},
+		{Cycle: 400, Dur: 50, Node: 1, Kind: KindMsgSend},
+		{Cycle: 500, Dur: 50, Node: 1, Kind: KindFill},
+	} {
+		o.Emit(ev)
+	}
+	if err := o.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := o.PP.Busy, []uint64{40, 10}; !slices.Equal(got, want) {
+		t.Errorf("PP busy = %v, want %v", got, want)
+	}
+	if got, want := o.Mem.Busy, []uint64{24, 20, 4}; !slices.Equal(got, want) {
+		t.Errorf("Mem busy = %v, want %v", got, want)
+	}
+	if got, want := o.PP.Fractions(2), []float64{0.2, 0.05}; !slices.Equal(got, want) {
+		t.Errorf("PP fractions over 2 nodes = %v, want %v", got, want)
+	}
+	if NewOccupancy(0).Mem.Window != 1 {
+		t.Error("a zero window is not raised to 1")
+	}
+}
+
+// closeSink records its events and fails Close with err.
+type closeSink struct {
+	Buffer
+	closed bool
+	err    error
+}
+
+func (s *closeSink) Close() error { s.closed = true; return s.err }
+
+// TestTracerFansOutToEverySink hands each event to every sink in order and
+// closes every sink, joining their errors, even after one fails.
+func TestTracerFansOutToEverySink(t *testing.T) {
+	errA, errB := errors.New("a failed"), errors.New("b failed")
+	a, b, c := &closeSink{err: errA}, &closeSink{}, &closeSink{err: errB}
+	tr := New(a, b, c)
+	if !tr.Active() {
+		t.Fatal("a tracer with sinks is not active")
+	}
+	evs := []Event{{Cycle: 1, Kind: KindMsgSend}, {Cycle: 2, Kind: KindMsgRecv}}
+	for _, ev := range evs {
+		tr.Emit(ev)
+	}
+	for i, s := range []*closeSink{a, b, c} {
+		if !slices.Equal(s.Events, evs) {
+			t.Errorf("sink %d got %v, want %v", i, s.Events, evs)
+		}
+	}
+	err := tr.Close()
+	if !errors.Is(err, errA) || !errors.Is(err, errB) {
+		t.Errorf("Close = %v, want both sink errors", err)
+	}
+	if !a.closed || !b.closed || !c.closed {
+		t.Errorf("closed = %v %v %v, want every sink closed", a.closed, b.closed, c.closed)
+	}
+	if New().Active() {
+		t.Error("a tracer with no sinks is active")
 	}
 }
