@@ -16,7 +16,9 @@ build:
 # (message events cross shards without a lock of their own), machines
 # sharing one memoized protocol program and the sampling suite; over every
 # test of the event engines (the sharded engine's own differential tests
-# among them) and of the metrics registry; and four bounded fuzzes: the calendar event queue against a sorted-slice
+# among them) and of the metrics registry (16 goroutines writing shared
+# series through Add, Set and Max must leave exact totals); and four
+# bounded fuzzes: the calendar event queue against a sorted-slice
 # reference, the PP assembler (no input panics it; every program it accepts
 # schedules in each mode without losing an instruction), the -sample
 # parser (no input panics it; every spec it accepts round-trips through

@@ -4,7 +4,8 @@
 // Usage:
 //
 //	flashexp [-scale N] [-procs N] [-cache bytes] [-noverify] [-json]
-//	         [-net uniform|mesh] [-metrics] [-metrics-out f]
+//	         [-net uniform|mesh] [-sample default|detail/stride[/warmup]]
+//	         [-sample-apps app,...] [-metrics] [-metrics-out f]
 //	         [-pprof dir] <experiment>...
 //	flashexp all
 //	flashexp explore [-app name] [-scale N] [-procs N]
@@ -189,7 +190,7 @@ func run() (runErr error) {
 	err = plan.Execute(func(name, out string) {
 		wall := time.Since(last).Seconds()
 		last = time.Now()
-		reg.Gauge("flashexp_experiment_wall_ns", "exp", name).Set(int64(wall * 1e9))
+		reg.Set("flashexp_experiment_wall_ns", int64(wall*1e9), "exp", name)
 		if *jsonOut {
 			results = append(results, result{Name: name, WallSeconds: wall, Output: out})
 			fmt.Fprintf(os.Stderr, "flashexp: %s done (%.1fs)\n", name, wall)

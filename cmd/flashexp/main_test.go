@@ -5,6 +5,8 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"errors"
+	"go/parser"
+	"go/token"
 	"io"
 	"os"
 	"os/exec"
@@ -189,4 +191,51 @@ func TestFailedExperimentStopsProfiling(t *testing.T) {
 	if buf, err := os.ReadFile(metricsFile); err != nil || !json.Valid(buf) {
 		t.Errorf("metrics file unreadable or not JSON (err %v)", err)
 	}
+}
+
+// TestUsageNamesEveryFlag: every flag -h lists, for the experiments and for
+// the explore subcommand, appears in the package doc's usage block.
+func TestUsageNamesEveryFlag(t *testing.T) {
+	usage := docUsage(t)
+	for _, args := range [][]string{{"-h"}, {"explore", "-h"}} {
+		_, help, _ := flashexp(t, args...)
+		if missing := missingFromUsage(help, usage); len(missing) != 0 || !strings.Contains(help, "-scale") {
+			t.Errorf("%v: usage block omits %v (-h lists:\n%s)", args, missing, help)
+		}
+	}
+}
+
+// docUsage returns the usage block of this package's doc comment: the
+// indented lines after "Usage:", up to the first unindented one.
+func docUsage(t *testing.T) string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.PackageClauseOnly|parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, block, ok := strings.Cut(f.Doc.Text(), "Usage:\n")
+	if !ok {
+		t.Fatal("package doc has no Usage: block")
+	}
+	var lines []string
+	for _, l := range strings.Split(block, "\n") {
+		if l != "" && !strings.HasPrefix(l, "\t") {
+			break
+		}
+		lines = append(lines, l)
+	}
+	return strings.Join(lines, "\n") + "\n"
+}
+
+// missingFromUsage returns each flag the -h output lists that usage does
+// not name. The -test.* flags are the test binary's own, which lists them
+// when it re-runs itself as the command.
+func missingFromUsage(help, usage string) []string {
+	var missing []string
+	for _, m := range regexp.MustCompile(`(?m)^  (-\S+)`).FindAllStringSubmatch(help, -1) {
+		if !strings.HasPrefix(m[1], "-test.") && !regexp.MustCompile(`[\s\[|]`+regexp.QuoteMeta(m[1])+`[\s\]|]`).MatchString(usage) {
+			missing = append(missing, m[1])
+		}
+	}
+	return missing
 }

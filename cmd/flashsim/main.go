@@ -7,8 +7,9 @@
 //	         [-scale 4] [-placement rr|ft|node0] [-nospec] [-ppmode dual|single|dlx]
 //	         [-engine seq|sharded] [-engine-sync barrier|watermark]
 //	         [-net uniform|mesh]
+//	         [-protocol dynptr|bitvec] [-membytes bytes]
 //	         [-mdc bytes] [-pp-clock-div N] [-net-queue-cap N]
-//	         [-sample default|detail/stride[/warmup]]
+//	         [-sample default|detail/stride[/warmup]] [-limit cycles]
 //	         [-json] [-trace out.jsonl]
 //	         [-trace-format jsonl|chrome] [-occ-window N]
 //	         [-metrics] [-metrics-out metrics.json] [-pprof dir]

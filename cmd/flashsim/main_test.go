@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -165,8 +168,9 @@ func TestAppBuildOutOfMemoryIsAnError(t *testing.T) {
 // carries the window and machine-average series in [0, 1], each equal to a
 // binning of the run's own trace spans (handlers for the PP, memory
 // reservations for memory); the -trace file written beside it is the one
-// written without it; and the ideal machine, whose handlers take no time,
-// reports no PP series.
+// written without it; the ideal machine, whose handlers take no time,
+// reports no PP series; and a sharded run, on either sync scheme, reports
+// seq's series.
 func TestOccWindowIsATraceSink(t *testing.T) {
 	const window, nodes = 2000, 4
 	dir := t.TempDir()
@@ -254,4 +258,58 @@ func TestOccWindowIsATraceSink(t *testing.T) {
 	if len(ideal.MemOccSeries) == 0 || len(ideal.PPOccSeries) != 0 {
 		t.Errorf("ideal machine: %d mem and %d PP windows, want mem only", len(ideal.MemOccSeries), len(ideal.PPOccSeries))
 	}
+
+	// The sharded engine feeds the same one tracer, under either sync
+	// scheme, so its series are seq's.
+	for _, sync := range []string{"barrier", "watermark"} {
+		sh := report(run("-engine", "sharded", "-engine-sync", sync, "-json", "-occ-window", "2000"))
+		if !slices.Equal(sh.MemOccSeries, flash.MemOccSeries) || !slices.Equal(sh.PPOccSeries, flash.PPOccSeries) {
+			t.Errorf("sharded %s: series differ from seq's (mem %d vs %d, PP %d vs %d windows)", sync,
+				len(sh.MemOccSeries), len(flash.MemOccSeries), len(sh.PPOccSeries), len(flash.PPOccSeries))
+		}
+	}
+}
+
+// TestUsageNamesEveryFlag: every flag -h lists appears in the package doc's
+// usage block.
+func TestUsageNamesEveryFlag(t *testing.T) {
+	_, help, _ := flashsim(t, "-h")
+	if missing := missingFromUsage(help, docUsage(t)); len(missing) != 0 || !strings.Contains(help, "-app") {
+		t.Errorf("usage block omits %v (-h lists:\n%s)", missing, help)
+	}
+}
+
+// docUsage returns the usage block of this package's doc comment: the
+// indented lines after "Usage:", up to the first unindented one.
+func docUsage(t *testing.T) string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.PackageClauseOnly|parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, block, ok := strings.Cut(f.Doc.Text(), "Usage:\n")
+	if !ok {
+		t.Fatal("package doc has no Usage: block")
+	}
+	var lines []string
+	for _, l := range strings.Split(block, "\n") {
+		if l != "" && !strings.HasPrefix(l, "\t") {
+			break
+		}
+		lines = append(lines, l)
+	}
+	return strings.Join(lines, "\n") + "\n"
+}
+
+// missingFromUsage returns each flag the -h output lists that usage does
+// not name. The -test.* flags are the test binary's own, which lists them
+// when it re-runs itself as the command.
+func missingFromUsage(help, usage string) []string {
+	var missing []string
+	for _, m := range regexp.MustCompile(`(?m)^  (-\S+)`).FindAllStringSubmatch(help, -1) {
+		if !strings.HasPrefix(m[1], "-test.") && !regexp.MustCompile(`[\s\[|]`+regexp.QuoteMeta(m[1])+`[\s\]|]`).MatchString(usage) {
+			missing = append(missing, m[1])
+		}
+	}
+	return missing
 }

@@ -3,9 +3,12 @@ package main
 import (
 	"bytes"
 	"errors"
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -94,4 +97,48 @@ func TestListingSortsSharedLabels(t *testing.T) {
 			t.Fatalf("run %d: listing starts %q, want %q", run, listing, want)
 		}
 	}
+}
+
+// TestUsageNamesEveryFlag: every flag -h lists appears in the package doc's
+// usage block.
+func TestUsageNamesEveryFlag(t *testing.T) {
+	_, help, _ := ppasm(t, "-h")
+	if missing := missingFromUsage(help, docUsage(t)); len(missing) != 0 || !strings.Contains(help, "-mode") {
+		t.Errorf("usage block omits %v (-h lists:\n%s)", missing, help)
+	}
+}
+
+// docUsage returns the usage block of this package's doc comment: the
+// indented lines after "Usage:", up to the first unindented one.
+func docUsage(t *testing.T) string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.PackageClauseOnly|parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, block, ok := strings.Cut(f.Doc.Text(), "Usage:\n")
+	if !ok {
+		t.Fatal("package doc has no Usage: block")
+	}
+	var lines []string
+	for _, l := range strings.Split(block, "\n") {
+		if l != "" && !strings.HasPrefix(l, "\t") {
+			break
+		}
+		lines = append(lines, l)
+	}
+	return strings.Join(lines, "\n") + "\n"
+}
+
+// missingFromUsage returns each flag the -h output lists that usage does
+// not name. The -test.* flags are the test binary's own, which lists them
+// when it re-runs itself as the command.
+func missingFromUsage(help, usage string) []string {
+	var missing []string
+	for _, m := range regexp.MustCompile(`(?m)^  (-\S+)`).FindAllStringSubmatch(help, -1) {
+		if !strings.HasPrefix(m[1], "-test.") && !regexp.MustCompile(`[\s\[|]`+regexp.QuoteMeta(m[1])+`[\s\]|]`).MatchString(usage) {
+			missing = append(missing, m[1])
+		}
+	}
+	return missing
 }

@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -224,5 +225,39 @@ func TestHomePartitionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMachineKindUnmarshalJSON accepts each defined kind by name or number
+// and rejects everything else: an explore cache entry naming kind 7 is an
+// error, not an ideal report.
+func TestMachineKindUnmarshalJSON(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want MachineKind
+		ok   bool
+	}{
+		{`"FLASH"`, KindFLASH, true},
+		{`"ideal"`, KindIdeal, true},
+		{`0`, KindFLASH, true},
+		{`1`, KindIdeal, true},
+		{`2`, 0, false},
+		{`7`, 0, false},
+		{`256`, 0, false},
+		{`-1`, 0, false},
+		{`"flash"`, 0, false},
+		{`"1"`, 0, false},
+		{`1x`, 0, false},
+		{`null`, 0, false},
+	} {
+		var k MachineKind
+		err := json.Unmarshal([]byte(tc.in), &k)
+		if (err == nil) != tc.ok || (tc.ok && k != tc.want) {
+			t.Errorf("%s: got %v, %v; want %v, ok=%v", tc.in, k, err, tc.want, tc.ok)
+		}
+	}
+	var c struct{ Kind MachineKind }
+	if err := json.Unmarshal([]byte(`{"Kind":7}`), &c); err == nil {
+		t.Errorf("kind 7 decoded as %v", c.Kind)
 	}
 }

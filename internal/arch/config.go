@@ -55,19 +55,17 @@ func (k MachineKind) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + k.String() + `"`), nil
 }
 
-// UnmarshalJSON accepts a kind name (or a legacy numeric value).
+// UnmarshalJSON accepts a defined kind, by name or by its number; any
+// other value is an error, so a report read from outside bytes (an explore
+// cache entry) cannot carry an undefined kind.
 func (k *MachineKind) UnmarshalJSON(b []byte) error {
 	switch string(b) {
-	case `"FLASH"`:
+	case `"FLASH"`, "0":
 		*k = KindFLASH
-	case `"ideal"`:
+	case `"ideal"`, "1":
 		*k = KindIdeal
 	default:
-		var v uint8
-		if _, err := fmt.Sscanf(string(b), "%d", &v); err != nil {
-			return fmt.Errorf("arch: unknown machine kind %s", b)
-		}
-		*k = MachineKind(v)
+		return fmt.Errorf("arch: unknown machine kind %s", b)
 	}
 	return nil
 }

@@ -60,43 +60,39 @@ type Machine struct {
 	// EnableMetrics. Run publishes machine counters and the engine's
 	// host-cost profile into it on completion.
 	Metrics *metrics.Registry
-
-	sharded   bool
-	shardBufs []*trace.Buffer
 }
 
 // SetTracer attaches tr to every component of the machine — processors,
 // controllers, memories, and the interconnect — replacing any previous
-// tracer (nil detaches). Call before Run.
-//
-// On the sequential engine every component shares tr directly. On the
-// sharded engine each node gets its own strided tracer writing to a
-// per-node buffer; Run merges the buffers into tr deterministically, so
-// concurrent shards never touch tr or its sink.
+// tracer (nil detaches). Call before Run. Every component emits straight
+// into tr, on every engine: a traced sharded machine runs its shards on one
+// worker (setWorkers), so its trace is in emission order, as on seq.
 func (m *Machine) SetTracer(tr *trace.Tracer) {
 	m.Tracer = tr
-	m.shardBufs = nil
-	nodeTr := func(i int) *trace.Tracer { return tr }
-	if m.sharded && tr.Active() {
-		n := len(m.Nodes)
-		m.shardBufs = make([]*trace.Buffer, n)
-		perNode := make([]*trace.Tracer, n)
-		for i := range m.shardBufs {
-			m.shardBufs[i] = &trace.Buffer{}
-			perNode[i] = trace.NewStrided(m.shardBufs[i], uint64(i), uint64(n))
-		}
-		nodeTr = func(i int) *trace.Tracer { return perNode[i] }
-	}
-	for i, n := range m.Nodes {
-		t := nodeTr(i)
-		n.CPU.Tr = t
-		n.Mem.SetTracer(t, n.CPU.ID)
-		m.Net.Port(n.CPU.ID, nil).Tr = t
+	m.setWorkers()
+	for _, n := range m.Nodes {
+		n.CPU.Tr = tr
+		n.Mem.SetTracer(tr, n.CPU.ID)
+		m.Net.Port(n.CPU.ID, nil).Tr = tr
 		if n.Magic != nil {
-			n.Magic.Tr = t
+			n.Magic.Tr = tr
 		}
 		if n.Ideal != nil {
-			n.Ideal.Tr = t
+			n.Ideal.Tr = tr
+		}
+	}
+}
+
+// setWorkers is the sharded engine's one worker rule: a sampled machine
+// (fast-forward chains hop across nodes synchronously) or a traced one
+// (every unit emits into the one tracer, whose sinks take no lock) runs its
+// shards on one goroutine in index order; any other uses the engine's
+// default pool.
+func (m *Machine) setWorkers() {
+	if se, ok := m.Eng.(*sim.ShardedEngine); ok {
+		se.Workers = 0
+		if m.Cfg.Sample.Enabled() || m.Tracer != nil {
+			se.Workers = 1
 		}
 	}
 }
@@ -148,20 +144,16 @@ func New(cfg arch.Config) (*Machine, error) {
 	switch cfg.Engine {
 	case arch.EngineSharded:
 		se := sim.NewShardedEngine(cfg.Nodes, w)
-		if cfg.Sample.Enabled() {
-			// Sampled execution runs fast-forward chains synchronously
-			// across node boundaries, so shards must execute on one
-			// goroutine in index order: force the single-worker barrier
-			// scheme (watermark scheduling buys nothing at one worker).
-			se.Workers = 1
-		} else if cfg.EngineSync == arch.EngineSyncWatermark {
+		// A sampled machine always runs on one worker (setWorkers), where
+		// watermark scheduling buys nothing: it keeps the barrier scheme.
+		if cfg.EngineSync == arch.EngineSyncWatermark && !cfg.Sample.Enabled() {
 			se.SetSync(sim.SyncWatermark)
 		}
 		m.Eng = se
-		m.sharded = true
 	default:
 		m.Eng = sim.NewEngine()
 	}
+	m.setWorkers()
 	m.Views = make([]*memsys.View, cfg.Nodes)
 	for i := range m.Views {
 		m.Views[i] = memsys.NewView(m.Backing)
@@ -252,9 +244,6 @@ func (m *Machine) Run(sources []cpu.RefSource, limit sim.Cycle) error {
 	// verification and coherence checks see the final memory image.
 	for _, v := range m.Views {
 		v.Flush()
-	}
-	if m.shardBufs != nil {
-		trace.MergeBuffers(m.Tracer, m.shardBufs)
 	}
 	if err != nil {
 		m.publishMetrics()

@@ -6,6 +6,8 @@ import (
 
 	"flashsim/internal/arch"
 	"flashsim/internal/cpu"
+	"flashsim/internal/sim"
+	"flashsim/internal/trace"
 )
 
 // lifecycleAlloc returns the bytes allocated by one machine's whole
@@ -124,5 +126,37 @@ func TestRunNeedsUnfinishedProcessors(t *testing.T) {
 	}
 	if err := m.Run(empty(), 0); err == nil {
 		t.Fatal("Run after restoring a finished snapshot succeeded")
+	}
+}
+
+// TestShardedWorkerRule pins the sharded engine's one worker rule: a
+// traced or sampled machine runs one worker, and detaching the tracer gives
+// the pool back unless sampling still needs one worker.
+func TestShardedWorkerRule(t *testing.T) {
+	for _, sampled := range []bool{false, true} {
+		cfg := arch.DefaultConfig()
+		cfg.Nodes, cfg.Engine = 4, arch.EngineSharded
+		if sampled {
+			cfg.Sample = arch.DefaultSampleSpec()
+		}
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		se := m.Eng.(*sim.ShardedEngine)
+		untraced := 0
+		if sampled {
+			untraced = 1
+		}
+		check := func(state string, want int) {
+			if se.Workers != want {
+				t.Errorf("sampled=%v, %s: Workers = %d, want %d", sampled, state, se.Workers, want)
+			}
+		}
+		check("built", untraced)
+		m.SetTracer(trace.New(&trace.Buffer{}))
+		check("traced", 1)
+		m.SetTracer(nil)
+		check("tracer detached", untraced)
 	}
 }

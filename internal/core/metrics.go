@@ -28,11 +28,11 @@ func (m *Machine) publishMetrics() {
 	if reg == nil {
 		return
 	}
-	reg.Gauge("flash_cycles").Set(int64(m.Elapsed))
-	reg.Counter("flashsim_sim_events_total").Add(m.Eng.ExecutedEvents())
-	reg.Counter("flashsim_net_msgs_total").Add(m.Net.TotalMsgs())
-	reg.Counter("flashsim_net_data_msgs_total").Add(m.Net.TotalDataMsgs())
-	reg.Counter("flashsim_net_reply_msgs_total").Add(m.Net.TotalReplyMsgs())
+	reg.Set("flash_cycles", int64(m.Elapsed))
+	reg.Add("flashsim_sim_events_total", m.Eng.ExecutedEvents())
+	reg.Add("flashsim_net_msgs_total", m.Net.TotalMsgs())
+	reg.Add("flashsim_net_data_msgs_total", m.Net.TotalDataMsgs())
+	reg.Add("flashsim_net_reply_msgs_total", m.Net.TotalReplyMsgs())
 	var dispatches uint64
 	for _, n := range m.Nodes {
 		if n.Magic != nil {
@@ -40,67 +40,67 @@ func (m *Machine) publishMetrics() {
 		}
 	}
 	if dispatches != 0 {
-		reg.Counter("flashsim_pp_dispatches_total").Add(dispatches)
+		reg.Add("flashsim_pp_dispatches_total", dispatches)
 	}
 	hits, misses, evictions := ppsim.CompileCacheStats()
-	reg.Gauge("flashsim_pp_compile_cache_hits").Set(int64(hits))
-	reg.Gauge("flashsim_pp_compile_cache_misses").Set(int64(misses))
-	reg.Gauge("flashsim_pp_compile_cache_evictions").Set(int64(evictions))
+	reg.Set("flashsim_pp_compile_cache_hits", int64(hits))
+	reg.Set("flashsim_pp_compile_cache_misses", int64(misses))
+	reg.Set("flashsim_pp_compile_cache_evictions", int64(evictions))
 
 	p := m.Eng.Profile()
 	if p == nil {
 		return
 	}
-	reg.Counter("flashsim_engine_run_ns_total", "engine", p.Engine).Add(uint64(p.RunNS))
+	reg.Add("flashsim_engine_run_ns_total", uint64(p.RunNS), "engine", p.Engine)
 	if p.MergeNS != 0 {
-		reg.Counter("flashsim_engine_merge_ns_total").Add(uint64(p.MergeNS))
+		reg.Add("flashsim_engine_merge_ns_total", uint64(p.MergeNS))
 	}
 	if p.DrainNS != 0 {
-		reg.Counter("flashsim_engine_outbox_drain_ns_total").Add(uint64(p.DrainNS))
+		reg.Add("flashsim_engine_outbox_drain_ns_total", uint64(p.DrainNS))
 	}
 	for w, ns := range p.BarrierNS {
 		if ns != 0 {
-			reg.Counter("flashsim_engine_barrier_wait_ns_total", "worker", itoa(w)).Add(uint64(ns))
+			reg.Add("flashsim_engine_barrier_wait_ns_total", uint64(ns), "worker", itoa(w))
 		}
 	}
 	for w, ns := range p.HorizonNS {
 		if ns != 0 {
-			reg.Counter("flashsim_engine_horizon_wait_ns_total", "worker", itoa(w)).Add(uint64(ns))
+			reg.Add("flashsim_engine_horizon_wait_ns_total", uint64(ns), "worker", itoa(w))
 		}
 	}
 	if p.SolveNS != 0 {
-		reg.Counter("flashsim_engine_solve_ns_total").Add(uint64(p.SolveNS))
+		reg.Add("flashsim_engine_solve_ns_total", uint64(p.SolveNS))
 	}
 	if ops := p.SyncOps(); ops != 0 {
-		reg.Counter("flashsim_engine_sync_ops_total", "sync", p.Sync).Add(ops)
+		reg.Add("flashsim_engine_sync_ops_total", ops, "sync", p.Sync)
 	}
 	if p.Solves != 0 {
-		reg.Counter("flashsim_engine_solves_total").Add(p.Solves)
-		reg.Counter("flashsim_engine_solve_ops_total").Add(p.SolveOps)
-		reg.Counter("flashsim_engine_wait_ops_total").Add(p.WaitOps)
-		reg.Counter("flashsim_engine_gate_advances_total").Add(p.GateAdvances)
+		reg.Add("flashsim_engine_solves_total", p.Solves)
+		reg.Add("flashsim_engine_solve_ops_total", p.SolveOps)
+		reg.Add("flashsim_engine_wait_ops_total", p.WaitOps)
+		reg.Add("flashsim_engine_gate_advances_total", p.GateAdvances)
 	}
 	for i := range p.Shards {
 		s := &p.Shards[i]
 		shard := itoa(i)
-		reg.Counter("flashsim_engine_window_exec_ns_total", "shard", shard).Add(uint64(s.ExecNS))
-		reg.Counter("flashsim_engine_events_total", "shard", shard).Add(s.Executed)
+		reg.Add("flashsim_engine_window_exec_ns_total", uint64(s.ExecNS), "shard", shard)
+		reg.Add("flashsim_engine_events_total", s.Executed, "shard", shard)
 		if s.Windows != 0 {
-			reg.Counter("flashsim_engine_windows_total", "shard", shard).Add(s.Windows)
-			reg.Counter("flashsim_engine_empty_windows_total", "shard", shard).Add(s.EmptyWindows)
+			reg.Add("flashsim_engine_windows_total", s.Windows, "shard", shard)
+			reg.Add("flashsim_engine_empty_windows_total", s.EmptyWindows, "shard", shard)
 		}
 		// Queue depth: the name predates the calendar queue and is kept for
 		// dashboards.
-		reg.Gauge("flashsim_engine_heap_hiwater", "shard", shard).SetMax(int64(s.HeapHiWater))
+		reg.Max("flashsim_engine_heap_hiwater", int64(s.HeapHiWater), "shard", shard)
 		if s.InboxDrains != 0 {
-			reg.Counter("flashsim_engine_inbox_drains_total", "shard", shard).Add(s.InboxDrains)
+			reg.Add("flashsim_engine_inbox_drains_total", s.InboxDrains, "shard", shard)
 		}
 		if s.InboxFlushes != 0 {
-			reg.Counter("flashsim_engine_inbox_flushes_total", "shard", shard).Add(s.InboxFlushes)
+			reg.Add("flashsim_engine_inbox_flushes_total", s.InboxFlushes, "shard", shard)
 		}
 		for dst, n := range s.OutboxSent {
 			if n != 0 {
-				reg.Counter("flashsim_engine_outbox_msgs_total", "src", shard, "dst", itoa(dst)).Add(n)
+				reg.Add("flashsim_engine_outbox_msgs_total", n, "src", shard, "dst", itoa(dst))
 			}
 		}
 	}

@@ -3,11 +3,14 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"flashsim/internal/apps"
+	"flashsim/internal/arch"
 	"flashsim/internal/core"
 	"flashsim/internal/trace"
 )
@@ -135,5 +138,85 @@ func TestTracingDoesNotPerturbSimulation(t *testing.T) {
 	}
 	if len(ct.TraceEvents) != len(evs) {
 		t.Errorf("chrome trace has %d events, jsonl had %d", len(ct.TraceEvents), len(evs))
+	}
+}
+
+// firstEmit is a sink that records how many events the engine had executed
+// when the tracer handed it its first event.
+type firstEmit struct {
+	eng  interface{ ExecutedEvents() uint64 }
+	seen bool
+	at   uint64
+}
+
+func (s *firstEmit) Emit(trace.Event) {
+	if !s.seen {
+		s.seen, s.at = true, s.eng.ExecutedEvents()
+	}
+}
+
+func (s *firstEmit) Close() error { return nil }
+
+// TestShardedTraceIsOneTracer pins the one tracing path on the sharded
+// engine, under both sync schemes: every unit emits straight into the
+// machine's tracer while the run is in flight (the first event reaches the
+// sink before the engine's last dispatch), the JSONL trace is byte-identical
+// across runs at GOMAXPROCS 1 and 4, and it holds the seq run's events,
+// ids and parents aside.
+func TestShardedTraceIsOneTracer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	run := func(engine arch.EngineKind, sync arch.EngineSync) []byte {
+		t.Helper()
+		cfg := goldenConfig()
+		cfg.Engine, cfg.EngineSync = engine, sync
+		var buf bytes.Buffer
+		first := &firstEmit{}
+		var tr *trace.Tracer
+		r, err := RunAppObserved("fft", cfg, apps.Params{Scale: goldenScales["fft"]}, true, func(m *core.Machine) {
+			first.eng = m.Eng
+			tr = trace.New(trace.NewJSONLSink(&buf), first)
+			m.SetTracer(tr)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if last := r.Machine.Eng.ExecutedEvents(); !first.seen || first.at >= last {
+			t.Errorf("%v/%v: first event reached the tracer after %d of %d dispatches", engine, sync, first.at, last)
+		}
+		return buf.Bytes()
+	}
+	// multiset counts a trace's events with their causal ids cleared.
+	multiset := func(b []byte) map[trace.Event]int {
+		t.Helper()
+		evs, err := trace.ReadJSONL(bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := map[trace.Event]int{}
+		for _, ev := range evs {
+			ev.ID, ev.Parent = 0, 0
+			n[ev]++
+		}
+		return n
+	}
+	want := multiset(run(arch.EngineSeq, arch.EngineSyncBarrier))
+	for _, sync := range []arch.EngineSync{arch.EngineSyncBarrier, arch.EngineSyncWatermark} {
+		var traces [][]byte
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			traces = append(traces, run(arch.EngineSharded, sync))
+			runtime.GOMAXPROCS(prev)
+		}
+		if !bytes.Equal(traces[0], traces[1]) {
+			t.Errorf("%v: trace at GOMAXPROCS 1 (%d bytes) differs from GOMAXPROCS 4 (%d bytes)", sync, len(traces[0]), len(traces[1]))
+		}
+		if got := multiset(traces[0]); !maps.Equal(got, want) {
+			t.Errorf("%v: %d distinct events, seq has %d: not seq's events", sync, len(got), len(want))
+		}
 	}
 }

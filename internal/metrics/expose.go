@@ -3,10 +3,11 @@ package metrics
 import (
 	"encoding/json"
 	"io"
+	"maps"
 )
 
-// Snapshot is a point-in-time copy of every instrument in a registry,
-// keyed by the canonical series id (name{k="v",...}).
+// Snapshot is a point-in-time copy of every series in a registry, keyed by
+// the canonical series id (name{k="v",...}).
 type Snapshot struct {
 	Counters map[string]uint64 `json:"counters,omitempty"`
 	Gauges   map[string]int64  `json:"gauges,omitempty"`
@@ -14,22 +15,12 @@ type Snapshot struct {
 
 // Snapshot copies the registry's current values.
 func (r *Registry) Snapshot() Snapshot {
-	s := Snapshot{}
-	for _, e := range r.sorted() {
-		switch e.kind {
-		case kindCounter:
-			if s.Counters == nil {
-				s.Counters = map[string]uint64{}
-			}
-			s.Counters[e.id] = e.c.Value()
-		case kindGauge:
-			if s.Gauges == nil {
-				s.Gauges = map[string]int64{}
-			}
-			s.Gauges[e.id] = e.g.Value()
-		}
+	if r == nil {
+		return Snapshot{}
 	}
-	return s
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return Snapshot{Counters: maps.Clone(r.counters), Gauges: maps.Clone(r.gauges)}
 }
 
 // WriteJSON writes the snapshot as indented JSON.

@@ -118,11 +118,11 @@ func (h HostSample) Sub(earlier HostSample) HostDelta {
 // prefix and optional labels (e.g. prefix "flashsim_app_host", labels
 // app=fft).
 func (d HostDelta) Publish(reg *Registry, prefix string, labels ...string) {
-	reg.Gauge(prefix+"_wall_ns", labels...).Set(d.WallNS)
-	reg.Gauge(prefix+"_alloc_bytes", labels...).Set(int64(d.AllocBytes))
-	reg.Gauge(prefix+"_alloc_objects", labels...).Set(int64(d.AllocObjects))
-	reg.Gauge(prefix+"_gc_cycles", labels...).Set(int64(d.GCCycles))
-	reg.Gauge(prefix+"_gc_cpu_ns", labels...).Set(d.GCCPUNS)
-	reg.Gauge(prefix+"_gc_pauses", labels...).Set(int64(d.GCPauses))
-	reg.Gauge(prefix+"_gc_pause_ns", labels...).Set(d.GCPauseNS)
+	reg.Set(prefix+"_wall_ns", d.WallNS, labels...)
+	reg.Set(prefix+"_alloc_bytes", int64(d.AllocBytes), labels...)
+	reg.Set(prefix+"_alloc_objects", int64(d.AllocObjects), labels...)
+	reg.Set(prefix+"_gc_cycles", int64(d.GCCycles), labels...)
+	reg.Set(prefix+"_gc_cpu_ns", d.GCCPUNS, labels...)
+	reg.Set(prefix+"_gc_pauses", int64(d.GCPauses), labels...)
+	reg.Set(prefix+"_gc_pause_ns", d.GCPauseNS, labels...)
 }

@@ -2,16 +2,18 @@ package metrics
 
 import (
 	"encoding/json"
+	"fmt"
+	"maps"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// The concurrent tests below are the registry's -race pass (make verify runs
-// this package under the race detector): many goroutines hammer shared
-// instruments and the totals must come out exact.
-
+// TestCounterConcurrent and TestGaugeSetMaxConcurrent are the registry's
+// -race pass (make verify runs this package under the race detector): many
+// goroutines write shared series, and every total must come out exact.
 func TestCounterConcurrent(t *testing.T) {
 	reg := NewRegistry()
 	const goroutines, perG = 16, 10_000
@@ -20,59 +22,79 @@ func TestCounterConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := reg.Counter("test_total", "worker", "shared")
 			for i := 0; i < perG; i++ {
-				c.Inc()
+				reg.Add("test_total", 1, "worker", "shared")
+				reg.Add("test_sum_total", uint64(i))
 			}
 		}()
 	}
 	wg.Wait()
-	if got := reg.Counter("test_total", "worker", "shared").Value(); got != goroutines*perG {
+	s := reg.Snapshot()
+	if got := s.Counters[`test_total{worker="shared"}`]; got != goroutines*perG {
 		t.Errorf("counter = %d, want %d", got, goroutines*perG)
+	}
+	if got, want := s.Counters["test_sum_total"], uint64(goroutines*perG*(perG-1)/2); got != want {
+		t.Errorf("sum counter = %d, want %d", got, want)
+	}
+	if n := len(s.Counters); n != 2 {
+		t.Errorf("%d counter series, want 2", n)
 	}
 }
 
 func TestGaugeSetMaxConcurrent(t *testing.T) {
 	reg := NewRegistry()
-	g := reg.Gauge("hiwater")
+	const goroutines, perG = 16, 10_000
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				g.SetMax(int64(w*1000 + i))
+			for i := 0; i < perG; i++ {
+				reg.Max("hiwater", int64(g*perG+i))
+				reg.Set("last", int64(g), "worker", strconv.Itoa(g))
 			}
-		}(w)
+		}(g)
 	}
 	wg.Wait()
-	if got := g.Value(); got != 7999 {
-		t.Errorf("SetMax high-water = %d, want 7999", got)
+	s := reg.Snapshot()
+	if got := s.Gauges["hiwater"]; got != goroutines*perG-1 {
+		t.Errorf("Max high-water = %d, want %d", got, goroutines*perG-1)
+	}
+	for g := 0; g < goroutines; g++ {
+		if got := s.Gauges[fmt.Sprintf(`last{worker="%d"}`, g)]; got != int64(g) {
+			t.Errorf("gauge last{worker=%d} = %d", g, got)
+		}
+	}
+	if n := len(s.Gauges); n != 1+goroutines {
+		t.Errorf("%d gauge series, want %d", n, 1+goroutines)
 	}
 }
 
-func TestRegistryIdentityAndKinds(t *testing.T) {
+// TestRegistrySeries pins the series a write creates: a zero Add or a zero
+// Max still creates its series (the snapshot's key set is the set of series
+// written), labels render in the order given, and Max never lowers a gauge
+// that Set raised.
+func TestRegistrySeries(t *testing.T) {
 	reg := NewRegistry()
-	a := reg.Counter("x_total", "k", "v")
-	b := reg.Counter("x_total", "k", "v")
-	if a != b {
-		t.Error("same (name, labels) returned distinct counters")
+	reg.Add("zero_total", 0, "shard", "3")
+	reg.Max("depth", 0, "shard", "3")
+	reg.Set("depth", 9, "shard", "4")
+	reg.Max("depth", 5, "shard", "4")
+	reg.Add("x_total", 2, "src", "1", "dst", "0")
+	reg.Add("x_total", 3, "src", "1", "dst", "0")
+	s := reg.Snapshot()
+	wantC := map[string]uint64{`zero_total{shard="3"}`: 0, `x_total{src="1",dst="0"}`: 5}
+	wantG := map[string]int64{`depth{shard="3"}`: 0, `depth{shard="4"}`: 9}
+	if !maps.Equal(s.Counters, wantC) || !maps.Equal(s.Gauges, wantG) {
+		t.Errorf("snapshot %+v, want counters %v gauges %v", s, wantC, wantG)
 	}
-	if c := reg.Counter("x_total", "k", "other"); c == a {
-		t.Error("different labels returned the same counter")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("kind mismatch did not panic")
-		}
-	}()
-	reg.Gauge("x_total", "k", "v")
 }
 
 func TestNilRegistryDiscards(t *testing.T) {
 	var reg *Registry
-	reg.Counter("a").Inc()
-	reg.Gauge("b").Set(7)
+	reg.Add("a", 1)
+	reg.Set("b", 7)
+	reg.Max("c", 7)
 	s := reg.Snapshot()
 	if len(s.Counters)+len(s.Gauges) != 0 {
 		t.Errorf("nil registry snapshot not empty: %+v", s)
@@ -81,8 +103,8 @@ func TestNilRegistryDiscards(t *testing.T) {
 
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	reg := NewRegistry()
-	reg.Gauge("flash_cycles").Set(19307)
-	reg.Counter("flashsim_sim_events_total").Add(6277)
+	reg.Set("flash_cycles", 19307)
+	reg.Add("flashsim_sim_events_total", 6277)
 
 	var sb strings.Builder
 	if err := reg.WriteJSON(&sb); err != nil {

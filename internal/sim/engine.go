@@ -124,8 +124,8 @@ type Backend interface {
 	Profile() *EngineProfile
 	// Reset discards every pending event and returns the clock to cycle 0,
 	// as if the engine were freshly constructed. Quantum/flush wiring and
-	// profiling accumulation survive; machine pooling uses it to recycle
-	// engines.
+	// profiling accumulation survive. core.Machine.Reset (and Restore)
+	// call it to run a built machine again from cycle 0.
 	Reset()
 }
 

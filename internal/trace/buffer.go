@@ -1,11 +1,6 @@
 package trace
 
-import "sort"
-
-// Buffer is an in-memory sink. The parallel engine gives each node a
-// Buffer-backed strided tracer so emission never crosses shards; the
-// machine merges the buffers deterministically into the user's sink after
-// the run (MergeBuffers).
+// Buffer is an in-memory sink: the events emitted to it, in order.
 type Buffer struct {
 	Events []Event
 }
@@ -15,33 +10,3 @@ func (b *Buffer) Emit(ev Event) { b.Events = append(b.Events, ev) }
 
 // Close is a no-op.
 func (b *Buffer) Close() error { return nil }
-
-// MergeBuffers drains the per-node buffers into dst in a deterministic
-// order: ascending cycle, ties broken by buffer (node) index, preserving
-// each buffer's own emission order among same-cycle events. The order
-// depends only on simulated behaviour, never on host scheduling.
-func MergeBuffers(dst *Tracer, bufs []*Buffer) {
-	type ref struct {
-		buf int
-		pos int
-	}
-	var total int
-	for _, b := range bufs {
-		total += len(b.Events)
-	}
-	refs := make([]ref, 0, total)
-	for bi, b := range bufs {
-		for pi := range b.Events {
-			refs = append(refs, ref{buf: bi, pos: pi})
-		}
-	}
-	sort.SliceStable(refs, func(i, j int) bool {
-		return bufs[refs[i].buf].Events[refs[i].pos].Cycle < bufs[refs[j].buf].Events[refs[j].pos].Cycle
-	})
-	for _, r := range refs {
-		dst.Emit(bufs[r.buf].Events[r.pos])
-	}
-	for _, b := range bufs {
-		b.Events = b.Events[:0]
-	}
-}

@@ -74,7 +74,9 @@ func (k Kind) MarshalJSON() ([]byte, error) {
 	return json.Marshal(k.String())
 }
 
-// UnmarshalJSON accepts a kind name (or a legacy numeric value).
+// UnmarshalJSON accepts a defined kind, by name or by its number; any
+// other value is an error, so a trace read from outside bytes holds only
+// kinds the simulator emits.
 func (k *Kind) UnmarshalJSON(b []byte) error {
 	var s string
 	if err := json.Unmarshal(b, &s); err == nil {
@@ -89,6 +91,9 @@ func (k *Kind) UnmarshalJSON(b []byte) error {
 	var v uint8
 	if err := json.Unmarshal(b, &v); err != nil {
 		return err
+	}
+	if v >= uint8(numKinds) {
+		return fmt.Errorf("trace: unknown event kind %d", v)
 	}
 	*k = Kind(v)
 	return nil
@@ -124,23 +129,10 @@ type Sink interface {
 type Tracer struct {
 	sinks  []Sink
 	nextID uint64
-	step   uint64 // id stride; 1 for plain tracers
 }
 
 // New returns a tracer handing each event to every sink, in order.
-func New(sinks ...Sink) *Tracer { return &Tracer{sinks: sinks, step: 1} }
-
-// NewStrided returns a tracer whose ids walk the arithmetic sequence
-// offset+step, offset+2·step, … — so per-node tracers on the parallel
-// engine (node i of n gets offset i, step n) mint globally unique causal
-// ids without synchronization, and the ids depend only on each node's own
-// emission order.
-func NewStrided(sink Sink, offset, step uint64) *Tracer {
-	if step == 0 {
-		step = 1
-	}
-	return &Tracer{sinks: []Sink{sink}, nextID: offset, step: step}
-}
+func New(sinks ...Sink) *Tracer { return &Tracer{sinks: sinks} }
 
 // Active reports whether emitting is worthwhile; safe on a nil tracer.
 // Components guard multi-field Event construction with Active so a disabled
@@ -152,10 +144,7 @@ func (t *Tracer) NewID() uint64 {
 	if t == nil {
 		return 0
 	}
-	if t.step == 0 {
-		t.step = 1 // zero-value Tracer compatibility
-	}
-	t.nextID += t.step
+	t.nextID++
 	return t.nextID
 }
 

@@ -82,6 +82,39 @@ func TestKindJSONNames(t *testing.T) {
 	}
 }
 
+// TestKindUnmarshalJSON accepts each defined kind by name or number and
+// rejects everything else, so ReadJSONL never returns an undefined kind.
+func TestKindUnmarshalJSON(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Kind
+		ok   bool
+	}{
+		{`"msg-send"`, KindMsgSend, true},
+		{`"mem-write"`, KindMemWrite, true},
+		{`0`, KindMsgSend, true},
+		{`10`, KindMemWrite, true},
+		{`11`, 0, false},
+		{`99`, 0, false},
+		{`255`, 0, false},
+		{`256`, 0, false},
+		{`-1`, 0, false},
+		{`"Kind(99)"`, 0, false},
+		{`""`, 0, false},
+		{`null`, 0, false},
+		{`true`, 0, false},
+	} {
+		var k Kind
+		err := json.Unmarshal([]byte(tc.in), &k)
+		if (err == nil) != tc.ok || (tc.ok && k != tc.want) {
+			t.Errorf("%s: got %v, %v; want %v, ok=%v", tc.in, k, err, tc.want, tc.ok)
+		}
+	}
+	if _, err := ReadJSONL(strings.NewReader(`{"c":1,"n":0,"k":99}` + "\n")); err == nil {
+		t.Error("ReadJSONL accepted kind 99")
+	}
+}
+
 func TestChromeRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewChromeSink(&buf)
