@@ -17,20 +17,22 @@ build:
 # sharing one memoized protocol program and the sampling suite; over every
 # test of the event engines (the sharded engine's own differential tests
 # among them) and of the metrics registry (16 goroutines writing shared
-# series through Add, Set and Max must leave exact totals); and four
+# series through Add, Set and Max must leave exact totals); and five
 # bounded fuzzes: the calendar event queue against a sorted-slice
 # reference, the PP assembler (no input panics it; every program it accepts
 # schedules in each mode without losing an instruction), the -sample
 # parser (no input panics it; every spec it accepts round-trips through
-# String and keeps its phase arithmetic consistent), and the explore result
+# String and keeps its phase arithmetic consistent), the explore result
 # cache's entries (no bytes panic Get; bytes that are not an entry for the
-# key miss; a report Get accepts keeps its digest through Put and Get).
+# key miss; a report Get accepts keeps its digest through Put and Get), and
+# the sparse store's page table against a dense reference (writes, reads,
+# snapshots, two forks of one snapshot, resets and pristine images).
 verify:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
 	! grep -rnE 'os\.(Getenv|Setenv|LookupEnv)' cmd internal --include='*.go' --exclude='*_test.go' && test -z "$$(gofmt -l cmd internal bench examples)"
 	$(GO) test -race ./internal/exp -run 'Parallel|GoldenDigest|SharedProgram|Sampled'
 	$(GO) test -race ./internal/sim ./internal/metrics
-	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzQueueOrder -fuzztime 10s && $(GO) test ./internal/ppisa -run '^$$' -fuzz FuzzAssemble -fuzztime 10s && $(GO) test ./internal/arch -run '^$$' -fuzz FuzzParseSampleSpec -fuzztime 10s && $(GO) test ./internal/exp -run '^$$' -fuzz FuzzResultCacheEntry -fuzztime 10s
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzQueueOrder -fuzztime 10s && $(GO) test ./internal/ppisa -run '^$$' -fuzz FuzzAssemble -fuzztime 10s && $(GO) test ./internal/arch -run '^$$' -fuzz FuzzParseSampleSpec -fuzztime 10s && $(GO) test ./internal/exp -run '^$$' -fuzz FuzzResultCacheEntry -fuzztime 10s && $(GO) test ./internal/memsys -run '^$$' -fuzz FuzzStoreOps -fuzztime 10s
 
 test:
 	$(GO) test ./...

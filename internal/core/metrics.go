@@ -3,6 +3,7 @@ package core
 import (
 	"strconv"
 
+	"flashsim/internal/arch"
 	"flashsim/internal/metrics"
 	"flashsim/internal/ppsim"
 )
@@ -34,13 +35,21 @@ func (m *Machine) publishMetrics() {
 	reg.Add("flashsim_net_data_msgs_total", m.Net.TotalDataMsgs())
 	reg.Add("flashsim_net_reply_msgs_total", m.Net.TotalReplyMsgs())
 	var dispatches uint64
+	protoPages := 0
 	for _, n := range m.Nodes {
 		if n.Magic != nil {
 			dispatches += n.Magic.Stats.Dispatches
+			protoPages += n.Magic.PP.Mem.Pages()
 		}
 	}
 	if dispatches != 0 {
 		reg.Add("flashsim_pp_dispatches_total", dispatches)
+	}
+	// Materialized 4 KiB pages of the sparse stores: the host memory the
+	// run's data and its directories and pointer pools hold.
+	reg.Set("flashsim_store_pages", int64(m.Backing.Pages()), "store", "data")
+	if m.Cfg.Kind == arch.KindFLASH {
+		reg.Set("flashsim_store_pages", int64(protoPages), "store", "protocol")
 	}
 	hits, misses, evictions := ppsim.CompileCacheStats()
 	reg.Set("flashsim_pp_compile_cache_hits", int64(hits))

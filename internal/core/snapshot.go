@@ -14,11 +14,11 @@ import (
 // Snapshot is a deterministic machine checkpoint taken at a quiescent pause
 // point (every processor parked at a batch-refill boundary or finished, all
 // controller queues and network traffic drained). Both memories are
-// captured copy-on-write: Chunks aliases the data store's chunk table and
-// each Nodes[i].Magic aliases that node's protocol-memory chunk table
+// captured copy-on-write: Data aliases the data store's page table and
+// each Nodes[i].Magic aliases that node's protocol-memory page table
 // (directory and pointer pool), frozen at capture time, and both the donor
-// and any machine restored from the snapshot clone a chunk on its first
-// subsequent write. Chunks no run ever wrote are not in the tables at all —
+// and any machine restored from the snapshot clone a page on its first
+// subsequent write. Pages no run ever wrote are not in the tables at all —
 // every machine with the snapshot's SimKey computes the same pristine value
 // for them. The small remainder — caches, MDC tags, PP registers, memory
 // controllers, port sequence counters — is deep-copied, so a snapshot is
@@ -32,11 +32,11 @@ type Snapshot struct {
 	// a snapshot can only land on a machine simulating identical hardware.
 	SimKey string
 
-	// Chunks is the frozen copy-on-write store image.
-	Chunks [][]uint64
+	// Data is the frozen copy-on-write store image.
+	Data memsys.Frozen
 
 	// Nodes holds each node's unit states, indexed by node: deep copies,
-	// except the protocol-memory chunk table inside each MagicState.
+	// except the protocol-memory page table inside each MagicState.
 	Nodes []NodeState
 }
 
@@ -96,7 +96,7 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 		st.Mem = n.Mem.CaptureState()
 		st.Port = m.Net.Port(n.CPU.ID, nil).CaptureState()
 	}
-	s.Chunks = m.Backing.SnapshotChunks()
+	s.Data = m.Backing.SnapshotChunks()
 	return s, nil
 }
 
@@ -115,7 +115,7 @@ func (m *Machine) Restore(s *Snapshot) error {
 	if len(s.Nodes) != len(m.Nodes) {
 		return fmt.Errorf("core: Restore: %d node states for %d nodes", len(s.Nodes), len(m.Nodes))
 	}
-	m.install(s.Chunks, s.Nodes)
+	m.install(s.Data, s.Nodes)
 	return nil
 }
 
@@ -130,14 +130,14 @@ func (m *Machine) Restore(s *Snapshot) error {
 // sync scheme, PP dispatch backend, store write-through, occupancy
 // sampling); tracers and metrics registries attached by the previous user
 // stay attached and should be re-set by the next user if unwanted.
-func (m *Machine) Reset() { m.install(nil, nil) }
+func (m *Machine) Reset() { m.install(memsys.Frozen{}, nil) }
 
 // install is Restore and Reset's one per-node loop: it empties the engine
-// and the store views and installs chunks and each node's state, or
-// pristine memory and zero node states when they are nil.
-func (m *Machine) install(chunks [][]uint64, nodes []NodeState) {
+// and the store views and installs data and each node's state, or
+// pristine memory and zero node states when they are zero.
+func (m *Machine) install(data memsys.Frozen, nodes []NodeState) {
 	m.Eng.Reset()
-	m.Backing.RestoreShared(chunks)
+	m.Backing.RestoreShared(data)
 	var zero NodeState
 	for i, n := range m.Nodes {
 		st := &zero

@@ -134,6 +134,12 @@ type handlerCtx struct {
 	blockedAt  sim.Cycle
 }
 
+// holdsBuffer reports whether the handler holds a data buffer. It claims
+// one when its message streams data in, when the inbox issues its
+// speculative read, when it reads memory and when a cache intervention
+// returns data, and gives it up when it retires.
+func (ctx *handlerCtx) holdsBuffer() bool { return ctx.busy && (ctx.hasData || ctx.specIssued) }
+
 // useData records a send of the data buffer, which makes a speculative read
 // no cache retrieval overwrote of use, and returns when the buffer's first
 // word is ready.
@@ -226,7 +232,7 @@ type ctlState struct {
 }
 
 // flight is the controller's in-flight state, listed once: the inbox
-// queues, the outgoing slots, the data buffers and the handler the PP runs.
+// queues, the outgoing slots and the handler the PP runs.
 // RestoreState resets it in one statement, quiet tests it, DebugState prints
 // every field.
 type flight struct {
@@ -236,7 +242,6 @@ type flight struct {
 
 	outNet []injection // the outgoing network queue; see netQueued
 	outPI  int         // accepted but not yet delivered (capacity 1)
-	bufs   int         // data buffers in use
 
 	handler handlerCtx
 }
@@ -260,9 +265,10 @@ func (f *flight) netQueued(now sim.Cycle) (n int) {
 }
 
 // quiet reports whether nothing is in flight at cycle now: no handler, no
-// queued message in or out, no slot or buffer held.
+// queued message in or out, no slot held. Only the busy handler holds a
+// data buffer (holdsBuffer), so no buffer is held either.
 func (f *flight) quiet(now sim.Cycle) bool {
-	return !f.handler.busy && f.queuesEmpty() && f.netQueued(now) == 0 && f.outPI == 0 && f.bufs == 0
+	return !f.handler.busy && f.queuesEmpty() && f.netQueued(now) == 0 && f.outPI == 0
 }
 
 // injection is a queued network message's injection cycle and send key.
@@ -430,14 +436,12 @@ func (m *Magic) tryDispatch() {
 		// The data streamed into a buffer alongside the header.
 		ctx.hasData = true
 		ctx.dataReady = now
-		m.bufs++
 	}
 	if slot.spec && m.Cfg.Speculation {
 		fw, _ := m.Mem.SpeculativeRead(dispatch)
 		ctx.specIssued = true
 		if !ctx.hasData {
 			ctx.dataReady = fw + 1
-			m.bufs++
 		}
 	}
 	m.Eng.At(dispatch, m.startFn)
@@ -609,9 +613,6 @@ func (m *Magic) handleStatus(st ppsim.Status, cyc uint64) {
 		if ctx.specIssued && (!ctx.specUsed || ctx.intervened) {
 			m.Mem.MarkUseless()
 		}
-		if (ctx.hasData || ctx.specIssued) && m.bufs > 0 {
-			m.bufs--
-		}
 		// The PP stays claimed until the handler's last cycle retires; the
 		// run segment executed synchronously ahead of the clock.
 		m.Eng.At(end, m.retireFn)
@@ -754,9 +755,6 @@ func (m *Magic) pcDone(_ arch.Msg, resp arch.MsgType, firstData sim.Cycle) {
 	ctx := &m.handler
 	if resp == arch.MsgPCData {
 		m.PP.SetPCResponse(1)
-		if !ctx.hasData && !ctx.specIssued {
-			m.bufs++
-		}
 		ctx.hasData = true
 		ctx.intervened = true
 		ctx.dataReady = firstData + 1
@@ -869,10 +867,7 @@ func (e *ppEnv) MemRead(addr uint64, dt uint64) {
 		return // data already on the way
 	}
 	fw, _ := m.Mem.Read(ctx.segStart + sim.Cycle(dt)*m.ppDiv)
-	if !ctx.hasData {
-		m.bufs++
-		ctx.hasData = true
-	}
+	ctx.hasData = true
 	ctx.dataReady = fw + 1
 }
 
@@ -952,7 +947,7 @@ func (m *Magic) RestoreState(st MagicState) {
 // name, message, wait and the rest of its context — and the PP's execution
 // state, for hang diagnosis.
 func (m *Magic) DebugState() string {
-	s := fmt.Sprintf("qPI=%v qNetReq=%v qNetRpl=%v outNet=%d outPI=%d bufs=%d handler=", &m.qPI, &m.qNetReq, &m.qNetRpl, m.netQueued(m.Eng.Now()), m.outPI, m.bufs)
+	s := fmt.Sprintf("qPI=%v qNetReq=%v qNetRpl=%v outNet=%d outPI=%d buffer=%v handler=", &m.qPI, &m.qNetReq, &m.qNetRpl, m.netQueued(m.Eng.Now()), m.outPI, m.handler.holdsBuffer())
 	if h := &m.handler; h.busy {
 		s += fmt.Sprintf("{busy=true entry=%s msg={%v %#x src=%d req=%d} wait=%v blockedAt=%d pcDone=%v ff=%v dispatched=%d segStart=%d tid=%d slot={pc=%d spec=%v} hasData=%v dataReady=%d specIssued=%v specUsed=%v intervened=%v}",
 			m.names[h.slot.h], h.msg.Type, h.msg.Addr, h.msg.Src, h.msg.Req, h.wait, h.blockedAt, h.pcDone, h.ff, h.dispatched, h.segStart, h.tid,

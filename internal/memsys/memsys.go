@@ -3,6 +3,16 @@
 // first 8 bytes (Table 3.2), streaming the remainder of a 128-byte line over
 // the 64-bit path. Both FLASH and the ideal machine use this model; the
 // paper models memory contention accurately on both.
+//
+// It also holds the memories' contents. Store is a sparse copy-on-write
+// array of 8-byte words that backs the machine-wide data store and each
+// node's protocol memory: 4 KiB pages materialized one at a time on first
+// write, found through one record per 64 KiB region, and shared page by
+// page with frozen snapshot tables. A never-written page reads its pristine
+// image — zero, or a fill function that must be a pure function of the
+// word index, because a frozen table holds no never-written page and any
+// store it is restored into recomputes them. View is one node's
+// window-quantized, write-buffering view of the data store.
 package memsys
 
 import (

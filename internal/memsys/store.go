@@ -1,69 +1,132 @@
 package memsys
 
-// Store is a sparse, copy-on-write array of 8-byte words, materialized in
-// 64 KiB chunks on first write. It backs both the machine-wide data store
-// (indexed by physical address / 8) and each node's protocol memory (the
-// PP's directory and pointer pool, indexed by protocol-memory address / 8).
-// Machines are configured with the paper's memory sizes (megabytes per
-// node) but scaled-down workloads touch a small fraction of that, so a
-// dense []uint64 spends more host time zeroing, initializing and copying
-// memory at construction, reset and snapshot than the simulation spends
-// running. A never-written chunk reads its pristine value — zero, or the
-// image installed with SetPristine — matching the dense semantics exactly.
+// Store is a sparse, copy-on-write array of 8-byte words. It backs both the
+// machine-wide data store (indexed by physical address / 8) and each node's
+// protocol memory (the PP's directory and pointer pool, indexed by
+// protocol-memory address / 8). Machines are configured with the paper's
+// memory sizes (megabytes per node) but scaled-down workloads touch a small
+// fraction of that, so a dense []uint64 spends more host time and resident
+// memory zeroing, initializing and copying memory than the simulation
+// spends running.
+//
+// Words live in 4 KiB pages, materialized one page at a time on first
+// write. The table holds one pointer per 64 KiB region of configured
+// memory; a region's record, allocated on the first write anywhere in it,
+// holds its sixteen page pointers and a mask of the pages this store owns.
+// A never-written page reads its pristine value — zero, or the image
+// installed with SetPristine — matching the dense semantics exactly.
 type Store struct {
-	chunks [][]uint64
-	// owned[i] marks chunk i as materialized and private to this store, so
-	// Word may hand out pointers into it. A chunk that is not owned is
-	// either never written (nil) or referenced by a snapshot (frozen by
-	// SnapshotChunks or installed by RestoreShared) and is replaced by a
-	// private copy before the next write. Reads go through frozen chunks
-	// directly.
-	owned []bool
+	// regions has one entry per region. A never-written region points at a
+	// shared blank record (see blank); a record with no owned page is
+	// shared — blank, or frozen by SnapshotChunks or installed by
+	// RestoreShared — and is never written: the first write into it
+	// replaces it with a private copy.
+	regions []*region
 	// pristine writes the nonzero never-written values of words base,
 	// base+1, ... into dst, which starts zeroed (nil = all zero). The image
-	// must be a pure function of the word index: a chunk table frozen by
-	// SnapshotChunks omits never-written chunks, so every store the table
-	// is restored into must compute the same values for them.
+	// must be a pure function of the word index: a frozen table holds no
+	// never-written pages, so every store the table is restored into must
+	// compute the same values for them.
 	pristine func(base uint64, dst []uint64)
 }
 
+// region is one 64 KiB region's record: its page pointers and, in bit p of
+// owned, whether page p is materialized and private to the store, so Word
+// may hand out pointers into it. A page that is not owned is never written
+// (nil, or the shared zeroPage in a store with no pristine image), or is
+// referenced by a frozen table and is replaced by a private copy before
+// the next write. Reads go through frozen pages directly.
+type region struct {
+	pages [regionPages]*page
+	owned uint16
+}
+
+type page [pageWords]uint64
+
 const (
-	storeChunkShift = 13 // 8 Ki words = 64 KiB per chunk
-	storeChunkWords = 1 << storeChunkShift
+	pageShift       = 9 // 512 words = 4 KiB per page
+	pageWords       = 1 << pageShift
+	regionShift     = 4 // 16 pages = 64 KiB per region
+	regionPages     = 1 << regionShift
+	regionWordShift = pageShift + regionShift
+	regionWords     = 1 << regionWordShift
 )
+
+// zeroPage backs every never-written page of a store with no pristine
+// image, and zeroRegion every never-written region of one, so Load of such
+// a store never calls out. holeRegion is a store with a pristine image's
+// never-written region: its nil pages send Load to the pristine function.
+// All three are shared by every store in the process, including stores of
+// machines running concurrently, and are never written: no page or record
+// that is not owned is written through.
+var (
+	zeroPage   page
+	zeroRegion = func() (r region) {
+		for p := range r.pages {
+			r.pages[p] = &zeroPage
+		}
+		return r
+	}()
+	holeRegion region
+)
+
+// blank is the shared record of s's never-written regions.
+func (s *Store) blank() *region {
+	if s.pristine == nil {
+		return &zeroRegion
+	}
+	return &holeRegion
+}
+
+// isBlank reports whether r is a shared never-written record.
+func isBlank(r *region) bool { return r == &zeroRegion || r == &holeRegion }
+
+// materialized reports whether p holds written data rather than standing
+// for a never-written page.
+func materialized(p *page) bool { return p != nil && p != &zeroPage }
+
+// Frozen is a store's contents as frozen by SnapshotChunks: immutable, and
+// installable into any number of same-sized stores with the same pristine
+// image. The zero Frozen is the pristine image itself.
+type Frozen struct{ regions []*region }
 
 // NewStore creates a store covering the given number of words. No data
 // memory is allocated until it is written.
 func NewStore(words int) *Store {
-	n := (words + storeChunkWords - 1) >> storeChunkShift
-	return &Store{chunks: make([][]uint64, n), owned: make([]bool, n)}
+	s := &Store{regions: make([]*region, (words+regionWords-1)>>regionWordShift)}
+	s.RestoreShared(Frozen{})
+	return s
 }
 
-// SetPristine drops every materialized chunk and installs fill as the
-// image of never-written words (nil = zero). fill(base, dst) writes the
-// nonzero values of words base..base+len(dst)-1 into the zeroed dst, so an
-// image that is mostly zero costs only its nonzero words to materialize.
+// SetPristine drops every materialized page and installs fill as the image
+// of never-written words (nil = zero). fill(base, dst) writes the nonzero
+// values of words base..base+len(dst)-1 into the zeroed dst, so an image
+// that is mostly zero costs only its nonzero words to materialize.
 func (s *Store) SetPristine(fill func(base uint64, dst []uint64)) {
-	s.RestoreShared(nil)
 	s.pristine = fill
+	s.RestoreShared(Frozen{})
 }
 
-// Load returns word i. Reads of never-written chunks return the pristine
-// value without materializing them. Like Word, it keeps to the inliner's
-// budget by handling only chunks this store owns itself.
+// Load returns word i. Reads of never-written pages return the pristine
+// value without materializing them.
 func (s *Store) Load(i uint64) uint64 {
-	if s.owned[i>>storeChunkShift] {
-		return s.chunks[i>>storeChunkShift][i&(storeChunkWords-1)]
+	if p := s.page(i); p != nil {
+		return p[i&(pageWords-1)]
 	}
-	return s.loadUnowned(i)
+	return s.loadPristine(i)
 }
 
-// loadUnowned reads word i from a chunk frozen by a snapshot, or computes
-// its pristine value.
-func (s *Store) loadUnowned(i uint64) uint64 {
-	if c := s.chunks[i>>storeChunkShift]; c != nil {
-		return c[i&(storeChunkWords-1)]
-	}
+// page returns the page holding word i: nil only for a never-written page
+// of a store with a pristine image, so a store with none (the data store)
+// reads every word through it without a call. The two-level lookup plus
+// a call is over the inliner's budget, so Load itself is a call; View.Load,
+// every simulated processor's read, inlines this instead.
+func (s *Store) page(i uint64) *page {
+	return s.regions[i>>regionWordShift].pages[i>>pageShift&(regionPages-1)]
+}
+
+// loadPristine computes the pristine value of never-written word i.
+func (s *Store) loadPristine(i uint64) uint64 {
 	if s.pristine == nil {
 		return 0
 	}
@@ -73,78 +136,113 @@ func (s *Store) loadUnowned(i uint64) uint64 {
 }
 
 // NextMaterialized returns the smallest word index >= i that lies in a
-// materialized chunk, and false if there is none. Words it skips hold
-// their pristine values, which lets audits of a mostly untouched image
-// cost O(chunks written) instead of O(words configured).
+// materialized page, and false if there is none. Words it skips hold their
+// pristine values, which lets audits of a mostly untouched image cost
+// O(regions configured + pages written) instead of O(words configured).
 func (s *Store) NextMaterialized(i uint64) (uint64, bool) {
-	for ci := i >> storeChunkShift; ci < uint64(len(s.chunks)); ci++ {
-		if s.chunks[ci] != nil {
-			if first := ci << storeChunkShift; first > i {
-				return first, true
-			}
-			return i, true
+	for pg := i >> pageShift; pg>>regionShift < uint64(len(s.regions)); pg++ {
+		r := s.regions[pg>>regionShift]
+		if isBlank(r) {
+			pg |= regionPages - 1
+			continue
+		}
+		if materialized(r.pages[pg&(regionPages-1)]) {
+			return max(i, pg<<pageShift), true
 		}
 	}
 	return 0, false
 }
 
-// Word returns a writable pointer to word i, materializing its chunk if
-// needed and cloning it first when it is shared with a snapshot. Within
-// one machine lifetime (no Snapshot/Restore), chunks are never moved or
-// freed, so pointers taken before the simulation starts (workload
+// Pages returns the number of materialized pages: written by this store,
+// or frozen by a table it was restored from or snapshotted into.
+func (s *Store) Pages() int {
+	n := 0
+	for _, r := range s.regions {
+		if isBlank(r) {
+			continue
+		}
+		for _, p := range r.pages {
+			if materialized(p) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// Word returns a writable pointer to word i, materializing its page if
+// needed and cloning it first when it is shared with a frozen table.
+// Within one machine lifetime (no Snapshot/Restore), pages are never moved
+// or freed, so pointers taken before the simulation starts (workload
 // initialization) stay valid throughout; after SnapshotChunks or
 // RestoreShared, previously taken pointers may refer to a frozen copy and
 // must be re-fetched.
 func (s *Store) Word(i uint64) *uint64 {
-	if s.owned[i>>storeChunkShift] {
-		return &s.chunks[i>>storeChunkShift][i&(storeChunkWords-1)]
+	r := s.regions[i>>regionWordShift]
+	if p := i >> pageShift & (regionPages - 1); r.owned>>p&1 != 0 {
+		return &r.pages[p][i&(pageWords-1)]
 	}
 	return s.own(i)
 }
 
-// own gives the store a private, writable chunk for word i — filled with
+// own gives the store a private, writable page for word i — filled with
 // pristine values if it was never written, cloned if it is shared with a
-// snapshot — and returns the word's address in it.
+// frozen table — in a private region record, and returns the word's
+// address in it.
 func (s *Store) own(i uint64) *uint64 {
-	ci := i >> storeChunkShift
-	c := make([]uint64, storeChunkWords)
-	if old := s.chunks[ci]; old != nil {
-		copy(c, old)
-	} else if s.pristine != nil {
-		s.pristine(ci<<storeChunkShift, c)
+	r := s.regions[i>>regionWordShift]
+	if r.owned == 0 {
+		r = &region{pages: r.pages}
+		s.regions[i>>regionWordShift] = r
 	}
-	s.chunks[ci] = c
-	s.owned[ci] = true
-	return &c[i&(storeChunkWords-1)]
+	pi := i >> pageShift & (regionPages - 1)
+	p := new(page)
+	if old := r.pages[pi]; materialized(old) {
+		*p = *old
+	} else if old == nil && s.pristine != nil {
+		s.pristine(i&^(pageWords-1), p[:])
+	}
+	r.pages[pi] = p
+	r.owned |= 1 << pi
+	return &p[i&(pageWords-1)]
 }
 
-// SnapshotChunks freezes the store's current contents and returns the
-// chunk-pointer table. The donor gives up ownership of every chunk, so it
-// (and any store restored from the returned table) clones a chunk before
-// its first subsequent write — the returned table's data is immutable from
-// this point on and may back any number of forks.
-func (s *Store) SnapshotChunks() [][]uint64 {
-	snap := make([][]uint64, len(s.chunks))
-	copy(snap, s.chunks)
-	clear(s.owned)
-	return snap
+// SnapshotChunks freezes the store's current contents and returns them.
+// It copies the region table and gives up ownership of every page, so the
+// store (and any store restored from the returned table) copies a region
+// record and one page before its first subsequent write to that page —
+// the returned table is immutable from this point on and may back any
+// number of forks.
+func (s *Store) SnapshotChunks() Frozen {
+	f := Frozen{regions: make([]*region, len(s.regions))}
+	copy(f.regions, s.regions)
+	for _, r := range s.regions {
+		// Only private records are written: shared ones, the blank
+		// records above all, may be read by other machines meanwhile.
+		if r.owned != 0 {
+			r.owned = 0
+		}
+	}
+	return f
 }
 
-// RestoreShared replaces the store's contents with a chunk table produced
-// by SnapshotChunks on a same-sized store with the same pristine function.
-// No installed chunk is owned: the first write to each clones it, leaving
-// the snapshot intact. A nil table drops every chunk, returning each word
-// to its pristine value.
-func (s *Store) RestoreShared(chunks [][]uint64) {
+// RestoreShared replaces the store's contents with a table produced by
+// SnapshotChunks on a same-sized store with the same pristine function.
+// No installed page is owned: the first write to each clones it, leaving
+// the snapshot intact. The zero Frozen drops every page, returning each
+// word to its pristine value.
+func (s *Store) RestoreShared(f Frozen) {
 	switch {
-	case chunks == nil:
-		clear(s.chunks)
-	case len(chunks) != len(s.chunks):
-		panic("memsys: RestoreShared chunk count mismatch")
+	case f.regions == nil:
+		b := s.blank()
+		for ri := range s.regions {
+			s.regions[ri] = b
+		}
+	case len(f.regions) != len(s.regions):
+		panic("memsys: RestoreShared region count mismatch")
 	default:
-		copy(s.chunks, chunks)
+		copy(s.regions, f.regions)
 	}
-	clear(s.owned)
 }
 
 // View is one node's window-quantized view of the backing store: writes
@@ -188,7 +286,10 @@ func (v *View) Load(i uint64) uint64 {
 	if v.filter[i>>6&3]&(1<<(i&63)) != 0 {
 		return v.loadLogged(i)
 	}
-	return v.s.Load(i)
+	if p := v.s.page(i); p != nil {
+		return p[i&(pageWords-1)]
+	}
+	return v.s.loadPristine(i)
 }
 
 // loadLogged is Load for a word the filter cannot rule out of the log.

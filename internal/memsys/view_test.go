@@ -4,7 +4,7 @@ import "testing"
 
 // viewIdx are the words FuzzViewLog addresses: groups that share a filter
 // bit (i&255 equal: 0/256/512/8192, 1/257/8193, 255/511), neighbors that
-// do not, and words in three different store chunks.
+// do not, words in five different store pages and in three regions.
 var viewIdx = []uint64{0, 256, 512, 8192, 1, 257, 8193, 255, 511, 63, 64, 2, 8191, 16385}
 
 // refView is View's specification: a map of published words plus the list
@@ -39,7 +39,7 @@ func FuzzViewLog(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 1, 1, 2, 1, 3, 3, 0, 0, 0, 0, 1, 0, 2})      // flush clears all bits
 	f.Add([]byte{2, 9, 2, 10, 0, 11, 2, 11, 0, 12, 3, 0, 0, 9, 0, 10}) // 63/64: adjacent filter words
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		s := NewStore(3 * storeChunkWords)
+		s := NewStore(3 * regionWords)
 		v := NewView(s)
 		ref := &refView{shared: map[uint64]uint64{}}
 		for k := 0; k+1 < len(ops); k += 2 {

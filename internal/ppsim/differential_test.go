@@ -162,7 +162,7 @@ func (n *tortNode) deliver(m arch.Msg, viaNet bool, pcKind uint64) []envSend {
 }
 
 // memDiff returns the first protocol-memory word on which two PPs sharing
-// a layout differ. Words in chunks neither PP ever wrote are pristine on
+// a layout differ. Words in pages neither PP ever wrote are pristine on
 // both sides and skipped.
 func memDiff(a, b *PP) (uint64, bool) {
 	for w := uint64(0); w < a.memWords; w++ {

@@ -71,7 +71,7 @@ type Stats struct {
 type PP struct {
 	Prog *ppisa.Program
 	// Mem is the node's protocol memory, in 8-byte words: sparse, so a
-	// machine pays only for the directory and pool chunks its run writes.
+	// machine pays only for the directory and pool pages its run writes.
 	// The protocol layout installs the pristine image (InitMemory).
 	Mem *memsys.Store
 	MDC *MDC
@@ -170,17 +170,17 @@ func (p *PP) EntryPC(entry string) (int, error) {
 }
 
 // PPState is a captured idle PP: its ppState and its protocol memory
-// (which holds the directory) as a frozen copy-on-write chunk table. The
+// (which holds the directory) as a frozen copy-on-write page table. The
 // zero PPState is a PP with zeroed registers and pristine memory, before
 // protocol-memory initialization and pp_init.
 type PPState struct {
 	ppState
-	mem [][]uint64
+	mem memsys.Frozen
 }
 
 // CaptureState snapshots an idle PP; a handler in flight or a pending send
 // is an error. Protocol memory is captured copy-on-write
-// (memsys.Store.SnapshotChunks): the PP clones a chunk on its first write
+// (memsys.Store.SnapshotChunks): the PP clones a page on its first write
 // afterwards, so the state stays immutable.
 func (p *PP) CaptureState() (PPState, error) {
 	if !p.idle() {
@@ -190,7 +190,7 @@ func (p *PP) CaptureState() (PPState, error) {
 }
 
 // RestoreState installs a state captured from a PP built from the same
-// program and memory size, sharing its protocol-memory chunks
+// program and memory size, sharing its protocol-memory pages
 // copy-on-write, and idles the PP: no handler in flight.
 func (p *PP) RestoreState(st PPState) {
 	p.ppState = st.ppState

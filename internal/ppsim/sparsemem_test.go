@@ -19,7 +19,7 @@ type memModel struct {
 }
 
 // sparseRig builds PPs over one protocol layout whose memory size is not a
-// whole number of chunks, each shadowed by a dense reference image.
+// whole number of 64 KiB regions, each shadowed by a dense reference image.
 type sparseRig struct {
 	t     *testing.T
 	cfg   arch.Config
@@ -38,7 +38,7 @@ func newSparseRig(t *testing.T, proto arch.Protocol) *sparseRig {
 	}
 	r := &sparseRig{t: t, cfg: cfg, lay: prog.Layout, words: uint64(prog.Layout.MemBytes) / 8}
 	if r.words%(64<<10/8) == 0 {
-		t.Fatalf("protocol memory of %d words ends on a chunk boundary; the rig wants a partial last chunk", r.words)
+		t.Fatalf("protocol memory of %d words ends on a region boundary; the rig wants a partial last region", r.words)
 	}
 	return r
 }
@@ -83,8 +83,9 @@ func (r *sparseRig) check(when string, ms []*memModel) {
 // TestSparseMemoryModel drives seeded random loads, stores, captures,
 // restores and resets through three PPs per protocol and requires each
 // sparse protocol memory to read exactly like a dense image that started
-// from the layout's pristine function. Addresses are biased towards chunk
-// edges, the directory/pool boundary and the partial last chunk.
+// from the layout's pristine function. Addresses are biased towards page
+// and region edges, the directory/pool boundary and the partial last
+// region.
 func TestSparseMemoryModel(t *testing.T) {
 	for _, proto := range []arch.Protocol{arch.ProtoDynPtr, arch.ProtoBitVector} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -94,10 +95,10 @@ func TestSparseMemoryModel(t *testing.T) {
 				ms := []*memModel{r.newModel(0), r.newModel(1), r.newModel(2)}
 				r.check("after InitMemory", ms)
 
-				const chunk = 64 << 10 / 8
+				const page, region = 4 << 10 / 8, 64 << 10 / 8
 				// PtrBase is one past the end under bitvec, which has no pool.
-				edges := []uint64{0, chunk - 1, chunk, r.words - 1, r.words - 2,
-					min(uint64(r.lay.PtrBase)/8, r.words-1), uint64(r.lay.PtrBase)/8 - 1, r.words / chunk * chunk}
+				edges := []uint64{0, page - 1, page, region - 1, region, r.words - 1, r.words - 2,
+					min(uint64(r.lay.PtrBase)/8, r.words-1), uint64(r.lay.PtrBase)/8 - 1, r.words / region * region}
 				pick := func() uint64 {
 					if rng.Intn(3) == 0 {
 						return edges[rng.Intn(len(edges))]
@@ -164,8 +165,8 @@ func TestSparseMemoryCOWIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	donor.pp.store(dir, 0xD2)  // chunk written before the capture
-	donor.pp.store(pool, 0xD3) // chunk pristine at the capture
+	donor.pp.store(dir, 0xD2)  // page written before the capture
+	donor.pp.store(pool, 0xD3) // page pristine at the capture
 	forkA, forkB := r.newModel(0), r.newModel(0)
 	forkA.pp.RestoreState(st)
 	forkB.pp.RestoreState(st)
@@ -201,11 +202,11 @@ func TestSparseMemoryCOWIsolation(t *testing.T) {
 
 // TestSparseMemoryOutOfRange keeps the dense memory's bound: an access past
 // the configured size panics naming the byte address, even where the last
-// chunk physically extends beyond it.
+// region physically extends beyond it.
 func TestSparseMemoryOutOfRange(t *testing.T) {
 	r := newSparseRig(t, arch.ProtoDynPtr)
 	m := r.newModel(0)
-	m.pp.store((r.words-1)*8, 1) // materialize the partial last chunk
+	m.pp.store((r.words-1)*8, 1) // materialize the partial last region's page
 	end := r.words * 8
 	for name, access := range map[string]func(){
 		"load":  func() { m.pp.load(end) },

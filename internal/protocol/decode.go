@@ -70,8 +70,8 @@ func (l Layout) decodeBitvec(mem *memsys.Store, localLine uint64) DirInfo {
 }
 
 // SharerCount sums the sharer-list lengths of local lines [0, nlines).
-// Directory headers in never-written chunks are pristine — no sharers — and
-// are skipped, so the sum costs O(directory chunks written).
+// Directory headers in never-written pages are pristine — no sharers — and
+// are skipped, so the sum costs O(directory pages written).
 func (l Layout) SharerCount(mem *memsys.Store, nlines uint64) (int, error) {
 	base := uint64(l.DirBase) / 8
 	n := 0
@@ -111,9 +111,9 @@ func (l Layout) AuditPool(mem *memsys.Store, freeHead uint64) error {
 
 // FreeCount walks the free list given the current head index (held in the
 // PP's FreeHeadReg at run time) and returns its length; it errors on cycles. A run
-// of entries in never-written chunks is counted arithmetically — pristine
+// of entries in never-written pages is counted arithmetically — pristine
 // entry k links to k+1, the last to NullPtr — so the walk costs O(pool
-// chunks written), with exactly the result and the cycle bound of the
+// pages written), with exactly the result and the cycle bound of the
 // entry-by-entry walk.
 func (l Layout) FreeCount(mem *memsys.Store, head uint64) (int, error) {
 	pool := uint64(l.PoolSize)

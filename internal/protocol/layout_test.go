@@ -22,10 +22,11 @@ func pristineWord(l protocol.Layout, i uint64) uint64 {
 }
 
 // FillPristine writes exactly the definition into every window: the whole
-// memory at once, single words, and chunk-sized windows at bases below,
-// straddling, inside and past the pool. The bit-vector image is all zero.
+// memory at once, single words, and page- and region-sized windows (the
+// sparse store fills one page at a time) at bases below, straddling,
+// inside and past the pool. The bit-vector image is all zero.
 func TestFillPristineMatchesDefinition(t *testing.T) {
-	const chunk = 64 << 10 / 8
+	const page, region = 4 << 10 / 8, 64 << 10 / 8
 	for _, proto := range []arch.Protocol{arch.ProtoDynPtr, arch.ProtoBitVector} {
 		cfg := arch.DefaultConfig()
 		cfg.Nodes = 4
@@ -50,9 +51,9 @@ func TestFillPristineMatchesDefinition(t *testing.T) {
 			t.Fatalf("%v: %d nonzero pristine words, want one per pool entry (%d)", proto, nonzero, want)
 		}
 
-		bases := []uint64{0, pool - chunk, pool - 7, pool, pool + 1, end - chunk, end - 3, end - 1, end, words - 1}
+		bases := []uint64{0, pool - region, pool - page, pool - 7, pool, pool + 1, end - region, end - page, end - 3, end - 1, end, words - 1}
 		for _, base := range bases {
-			for _, n := range []uint64{1, chunk} {
+			for _, n := range []uint64{1, page, region} {
 				dst := make([]uint64, n)
 				lay.FillPristine(base, dst)
 				for j, got := range dst {
