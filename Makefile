@@ -17,7 +17,7 @@ build:
 # sharing one memoized protocol program and the sampling suite; over every
 # test of the event engines (the sharded engine's own differential tests
 # among them) and of the metrics registry (16 goroutines writing shared
-# series through Add, Set and Max must leave exact totals); and five
+# series through Add, Set and Max must leave exact totals); and six
 # bounded fuzzes: the calendar event queue against a sorted-slice
 # reference, the PP assembler (no input panics it; every program it accepts
 # schedules in each mode without losing an instruction), the -sample
@@ -26,13 +26,16 @@ build:
 # cache's entries (no bytes panic Get; bytes that are not an entry for the
 # key miss; a report Get accepts keeps its digest through Put and Get), and
 # the sparse store's page table against a dense reference (writes, reads,
-# snapshots, two forks of one snapshot, resets and pristine images).
+# snapshots, two forks of one snapshot, resets and pristine images), and
+# the processor cache's lazily materialized set groups against a stamp-LRU
+# reference (several geometries, captures restored twice and the zero
+# state, the shared zero group never written).
 verify:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
 	! grep -rnE 'os\.(Getenv|Setenv|LookupEnv)' cmd internal --include='*.go' --exclude='*_test.go' && test -z "$$(gofmt -l cmd internal bench examples)"
 	$(GO) test -race ./internal/exp -run 'Parallel|GoldenDigest|SharedProgram|Sampled'
 	$(GO) test -race ./internal/sim ./internal/metrics
-	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzQueueOrder -fuzztime 10s && $(GO) test ./internal/ppisa -run '^$$' -fuzz FuzzAssemble -fuzztime 10s && $(GO) test ./internal/arch -run '^$$' -fuzz FuzzParseSampleSpec -fuzztime 10s && $(GO) test ./internal/exp -run '^$$' -fuzz FuzzResultCacheEntry -fuzztime 10s && $(GO) test ./internal/memsys -run '^$$' -fuzz FuzzStoreOps -fuzztime 10s
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzQueueOrder -fuzztime 10s && $(GO) test ./internal/ppisa -run '^$$' -fuzz FuzzAssemble -fuzztime 10s && $(GO) test ./internal/arch -run '^$$' -fuzz FuzzParseSampleSpec -fuzztime 10s && $(GO) test ./internal/exp -run '^$$' -fuzz FuzzResultCacheEntry -fuzztime 10s && $(GO) test ./internal/memsys -run '^$$' -fuzz FuzzStoreOps -fuzztime 10s && $(GO) test ./internal/cpu -run '^$$' -fuzz FuzzCacheGroups -fuzztime 10s
 
 test:
 	$(GO) test ./...

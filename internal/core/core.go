@@ -183,10 +183,7 @@ func New(cfg arch.Config) (*Machine, error) {
 		var ctl Controller
 		switch cfg.Kind {
 		case arch.KindFLASH:
-			mg, err := magic.New(id, sched, &m.Cfg, m.Prog, mem, port)
-			if err != nil {
-				return nil, err
-			}
+			mg := magic.New(id, sched, &m.Cfg, m.Prog, mem, port)
 			n.Magic, ctl = mg, mg
 		case arch.KindIdeal:
 			n.Ideal = ideal.New(id, sched, &m.Cfg, mem, port)

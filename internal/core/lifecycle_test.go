@@ -160,3 +160,45 @@ func TestShardedWorkerRule(t *testing.T) {
 		check("tracer detached", untraced)
 	}
 }
+
+// newResetAlloc returns the bytes allocated by New and one Reset of cfg's
+// machine.
+func newResetAlloc(t *testing.T, cfg arch.Config) (newBytes, total uint64) {
+	t.Helper()
+	var before, built, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&built)
+	m.Reset()
+	runtime.ReadMemStats(&after)
+	return built.TotalAlloc - before.TotalAlloc, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestMachineCostIndependentOfCacheSize is the guard on cache tags
+// materialized per set group: New plus one Reset of a 16-node machine with
+// 16 MB caches must allocate less than twice as much as with 64 KB caches.
+// Dense tag arrays, sized by the configured cache, scale the total
+// linearly and trip it. It also logs New at the explore sweep's base point
+// (4 nodes, 1 MB caches, 4 MB per node).
+func TestMachineCostIndependentOfCacheSize(t *testing.T) {
+	at := func(cacheBytes int) arch.Config {
+		cfg := arch.DefaultConfig()
+		cfg.CacheSize = cacheBytes
+		cfg.MemBytesPerNode = 4 << 20
+		return cfg
+	}
+	newResetAlloc(t, at(64<<10)) // populate the process-wide program and image caches
+	_, small := newResetAlloc(t, at(64<<10))
+	_, large := newResetAlloc(t, at(16<<20))
+	explore := at(1 << 20)
+	explore.Nodes = 4
+	newResetAlloc(t, explore)
+	base, _ := newResetAlloc(t, explore)
+	t.Logf("New+Reset, 16 nodes: %d KB at 64 KB caches, %d KB at 16 MB caches; New at the explore base point: %d KB", small>>10, large>>10, base>>10)
+	if large >= 2*small {
+		t.Errorf("New+Reset allocated %d bytes at 16 MB caches, %d at 64 KB caches: want less than 2x", large, small)
+	}
+}

@@ -35,11 +35,13 @@ func (m *Machine) publishMetrics() {
 	reg.Add("flashsim_net_data_msgs_total", m.Net.TotalDataMsgs())
 	reg.Add("flashsim_net_reply_msgs_total", m.Net.TotalReplyMsgs())
 	var dispatches uint64
-	protoPages := 0
+	protoPages, cpuGroups, mdcGroups := 0, 0, 0
 	for _, n := range m.Nodes {
+		cpuGroups += n.CPU.Cache.Groups()
 		if n.Magic != nil {
 			dispatches += n.Magic.Stats.Dispatches
 			protoPages += n.Magic.PP.Mem.Pages()
+			mdcGroups += n.Magic.PP.MDC.Groups()
 		}
 	}
 	if dispatches != 0 {
@@ -48,8 +50,12 @@ func (m *Machine) publishMetrics() {
 	// Materialized 4 KiB pages of the sparse stores: the host memory the
 	// run's data and its directories and pointer pools hold.
 	reg.Set("flashsim_store_pages", int64(m.Backing.Pages()), "store", "data")
+	// Materialized set groups (up to 4 KiB of tags each) of the processor
+	// caches and the MDCs: the host memory the run's tags hold.
+	reg.Set("flashsim_cache_groups", int64(cpuGroups), "cache", "cpu")
 	if m.Cfg.Kind == arch.KindFLASH {
 		reg.Set("flashsim_store_pages", int64(protoPages), "store", "protocol")
+		reg.Set("flashsim_cache_groups", int64(mdcGroups), "cache", "mdc")
 	}
 	hits, misses, evictions := ppsim.CompileCacheStats()
 	reg.Set("flashsim_pp_compile_cache_hits", int64(hits))

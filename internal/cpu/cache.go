@@ -3,9 +3,18 @@
 // writes and up to four outstanding misses, attached to a two-way
 // set-associative write-back cache with 128-byte lines and critical-word-
 // first fills (Section 3.2 of the paper).
+//
+// A cache (the processor's, and the MDC, which package ppsim builds on it)
+// keeps its tags in 4 KiB set groups, each allocated on the first fill into
+// it. Every never-filled group of every cache in the process is one zero
+// group, read by machines running concurrently (an explore sweep's
+// workers), so nothing ever writes it: a fill materializes its group
+// before writing.
 package cpu
 
 import (
+	"fmt"
+	"math/bits"
 	"slices"
 
 	"flashsim/internal/arch"
@@ -42,37 +51,94 @@ func (s LineState) String() string {
 // fill moves its way to the front, an invalidation closes its way's gap,
 // and a fill takes the last way — free, or else the one a stamp cache
 // would have found oldest.
+//
+// The sets live in set groups of up to 4 KiB of tags (512 words: 256 sets
+// at 2 ways; a smaller cache is one group of its own size), and a group is
+// allocated on the first fill into it, so a cache costs the host what its
+// run touched rather than its configured size. Every never-filled group is
+// the process-wide zero group, which every cache shares, those of
+// machines running concurrently included, and which is never written:
+// only Fill writes a way it did not find, and it materializes the group
+// first; SetState and a hit's promotion write only ways that hold a line.
 type Cache struct {
 	CacheState
 
-	ways int
-	mask uint64 // sets - 1; the set count is a power of two
+	ways   int
+	mask   uint64 // sets - 1; the set count is a power of two
+	gshift uint   // log2 of the sets per group
+	gmask  uint64 // sets per group - 1
+	// zero is the never-filled group at this cache's group size: a
+	// prefix of zeroGroup, or, for a set of more than groupWords ways, a
+	// read-only group of the cache's own.
+	zero []uint64
 }
 
 // CacheState is the cache's simulated state, listed once: Cache embeds it,
-// CaptureState copies it and RestoreState installs it (the zero CacheState
-// is an empty cache).
+// CaptureState copies it and RestoreState installs it. Its groups are the
+// cache's set groups, a never-filled one being the shared zero group; the
+// zero CacheState is an empty cache.
 type CacheState struct {
-	tags []uint64
+	groups [][]uint64
 }
 
+// groupWords is the tag words in a full set group: 4 KiB.
+const groupWords = 512
+
+// zeroGroup backs every never-filled set group of every cache whose group
+// fits in it. It is read-only: nothing ever writes it.
+var zeroGroup [groupWords]uint64
+
 // NewCache builds a cache of size bytes with the given associativity. The
-// set count must be a positive power of two (arch.CacheGeometry).
+// set count must be a positive power of two (arch.CacheGeometry). No tag
+// memory is allocated until a line is filled.
 func NewCache(size, ways int) *Cache {
 	if err := arch.CacheGeometry("cache size", size, "cache ways", ways); err != nil {
 		panic("cpu: " + err.Error())
 	}
-	return &Cache{
-		CacheState: CacheState{tags: make([]uint64, size/arch.LineSize)},
-		ways:       ways,
-		mask:       uint64(size/(arch.LineSize*ways)) - 1,
+	sets := size / (arch.LineSize * ways)
+	gsets := 1 // the largest power of two of sets that fits in groupWords
+	for gsets*2 <= sets && gsets*2*ways <= groupWords {
+		gsets *= 2
 	}
+	c := &Cache{
+		ways:   ways,
+		mask:   uint64(sets) - 1,
+		gmask:  uint64(gsets) - 1,
+		gshift: uint(bits.TrailingZeros(uint(gsets))),
+	}
+	if n := gsets * ways; n <= groupWords {
+		c.zero = zeroGroup[:n:n]
+	} else {
+		c.zero = make([]uint64, n) // one set wider than a group: its own zero group
+	}
+	c.groups = make([][]uint64, sets/gsets)
+	c.RestoreState(CacheState{})
+	return c
+}
+
+// locate returns the group holding line's set, the zero group if it was
+// never filled, and the index of the set's first way in it. (The shift
+// is masked to 63 so that it compiles to one instruction.)
+func (c *Cache) locate(line uint64) (g []uint64, base int) {
+	s := line & c.mask
+	return c.groups[s>>(c.gshift&63)], int(s&c.gmask) * c.ways
 }
 
 // set returns the ways of line's set, in recency order.
 func (c *Cache) set(line uint64) []uint64 {
-	base := int(line&c.mask) * c.ways
-	return c.tags[base : base+c.ways]
+	g, base := c.locate(line)
+	return g[base : base+c.ways]
+}
+
+// isZero reports whether g is the shared zero group.
+func (c *Cache) isZero(g []uint64) bool { return &g[0] == &c.zero[0] }
+
+// materialize replaces line's never-filled set group with a private one
+// and returns it.
+func (c *Cache) materialize(line uint64) []uint64 {
+	g := make([]uint64, len(c.zero))
+	c.groups[line&c.mask>>c.gshift] = g
+	return g
 }
 
 // holds reports whether way word t holds line. The t != 0 test keeps an
@@ -101,10 +167,11 @@ func promote(set []uint64, w int, t uint64) {
 // Lookup returns the state of line, making it most recently used on a hit.
 // A hit on way 0, the most recent, moves nothing.
 func (c *Cache) Lookup(line uint64) LineState {
-	set := c.set(line)
-	if t := set[0]; holds(t, line) {
+	g, base := c.locate(line)
+	if t := g[base]; holds(t, line) {
 		return LineState(t & 3)
 	}
+	set := g[base : base+c.ways]
 	for w := 1; w < len(set); w++ {
 		if t := set[w]; holds(t, line) {
 			promote(set, w, t)
@@ -136,9 +203,13 @@ func (c *Cache) SetState(line uint64, s LineState) (had LineState) {
 // victim if any. If the line is already resident (e.g. an upgrade fill)
 // only its state changes. Either way the line becomes most recently used.
 func (c *Cache) Fill(line uint64, s LineState) (victim uint64, victimState LineState, evicted bool) {
-	set := c.set(line)
+	g, base := c.locate(line)
+	set := g[base : base+c.ways]
 	w := find(set, line)
 	if w < 0 {
+		if c.isZero(g) {
+			set = c.materialize(line)[base : base+c.ways]
+		}
 		w = c.ways - 1
 		if t := set[w]; t != 0 {
 			victim, victimState, evicted = t>>2, LineState(t&3), true
@@ -148,22 +219,67 @@ func (c *Cache) Fill(line uint64, s LineState) (victim uint64, victimState LineS
 	return victim, victimState, evicted
 }
 
-// CaptureState deep-copies the cache contents.
-func (c *Cache) CaptureState() CacheState { return CacheState{slices.Clone(c.tags)} }
+// CaptureState copies the cache contents: each materialized group is
+// cloned, and a never-filled group stays the shared zero group.
+func (c *Cache) CaptureState() CacheState {
+	st := CacheState{groups: make([][]uint64, len(c.groups))}
+	for i, g := range c.groups {
+		if !c.isZero(g) {
+			g = slices.Clone(g)
+		}
+		st.groups[i] = g
+	}
+	return st
+}
 
-// RestoreState installs a state captured from a same-geometry cache.
-func (c *Cache) RestoreState(st CacheState) { arch.RestoreSlice(c.tags, st.tags) }
+// RestoreState installs a state captured from a same-geometry cache. A
+// captured group is copied, never shared, so one capture restores any
+// number of times; the zero CacheState returns every group to the zero
+// group, releasing the cache's tag memory.
+func (c *Cache) RestoreState(st CacheState) {
+	if st.groups != nil && len(st.groups) != len(c.groups) {
+		panic(fmt.Sprintf("cpu: restoring %d set groups into %d", len(st.groups), len(c.groups)))
+	}
+	for i := range c.groups {
+		switch {
+		case st.groups == nil || c.isZero(st.groups[i]):
+			c.groups[i] = c.zero
+		case c.isZero(c.groups[i]):
+			c.groups[i] = slices.Clone(st.groups[i])
+		default:
+			copy(c.groups[i], st.groups[i])
+		}
+	}
+}
 
 // SameSet reports whether two lines map to the same cache set.
 func (c *Cache) SameSet(a, b uint64) bool { return a&c.mask == b&c.mask }
 
 // Lines returns the resident lines and their states (for invariant checks).
+// It reads materialized groups only.
 func (c *Cache) Lines() map[uint64]LineState {
 	out := make(map[uint64]LineState)
-	for _, t := range c.tags {
-		if t != 0 {
-			out[t>>2] = LineState(t & 3)
+	for _, g := range c.groups {
+		if c.isZero(g) {
+			continue
+		}
+		for _, t := range g {
+			if t != 0 {
+				out[t>>2] = LineState(t & 3)
+			}
 		}
 	}
 	return out
+}
+
+// Groups returns the number of materialized set groups: the cache's tag
+// memory is Groups times its group size.
+func (c *Cache) Groups() int {
+	n := 0
+	for _, g := range c.groups {
+		if !c.isZero(g) {
+			n++
+		}
+	}
+	return n
 }

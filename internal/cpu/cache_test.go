@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"maps"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -220,6 +221,104 @@ func FuzzCacheLRU(f *testing.F) {
 			}
 			if g, w := got.Lines(), want.Lines(); !maps.Equal(g, w) {
 				t.Fatalf("op %d: Lines = %v, reference %v", k/2, g, w)
+			}
+		}
+	})
+}
+
+// clone deep-copies the reference, for CaptureState.
+func (c *stampCache) clone() *stampCache {
+	d := *c
+	d.tags, d.state, d.lastUsed = slices.Clone(c.tags), slices.Clone(c.state), slices.Clone(c.lastUsed)
+	return &d
+}
+
+// groupGeometries are FuzzCacheGroups' caches: the 1 MB processor cache
+// (16 set groups), the 64 KB MDC (one full group), a 4-way and a 3-way cache
+// over several groups, and radix's 4 KB cache, smaller than one group.
+var groupGeometries = []struct{ size, ways int }{
+	{1 << 20, 2}, {64 << 10, 2}, {256 << 10, 4}, {384 << 10, 3}, {4 << 10, 2},
+}
+
+// FuzzCacheGroups drives a set-grouped Cache and the stamp reference
+// through Lookup, Fill, SetState, CaptureState and RestoreState (of either
+// of two captures, or of the zero state) on caches of several set groups
+// and on one smaller than a group, with lines spread across every group.
+// After each operation every return value, the resident lines and the
+// materialized group count (the groups filled since the last restore, or
+// those of the restored capture) must agree with the reference, and the
+// shared zero group must still be all zero. The first byte picks the
+// geometry; each following triple is an operation, a set selector and a tag.
+func FuzzCacheGroups(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 0, 1, 255, 1, 0, 0, 0, 6, 0, 0, 3, 0, 0, 7, 0, 0, 0, 0, 0, 7, 0, 0})
+	f.Add([]byte{1, 1, 8, 0, 2, 8, 1, 1, 8, 2, 0, 8, 0, 6, 1, 0, 7, 2, 0, 7, 1, 0, 0, 8, 0})
+	f.Add([]byte{2, 1, 3, 0, 1, 3, 1, 1, 3, 2, 1, 3, 3, 1, 3, 4, 6, 0, 0, 5, 3, 1, 7, 0, 0, 7, 0, 0})
+	f.Add([]byte{3, 1, 200, 0, 1, 100, 1, 2, 50, 2, 1, 200, 3, 6, 0, 0, 4, 200, 0, 7, 2, 0, 1, 7, 7})
+	f.Add([]byte{4, 1, 1, 0, 1, 1, 1, 1, 1, 2, 6, 1, 0, 3, 1, 1, 7, 1, 0, 7, 1, 0, 0, 1, 2})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		// Each operation compares every line of a cache of up to 8,192
+		// ways, so a long input would stall the search: keep 256.
+		ops = ops[:min(len(ops), 1+3*256)]
+		geo := groupGeometries[int(ops[0])%len(groupGeometries)]
+		got, want := NewCache(geo.size, geo.ways), newStampCache(geo.size, geo.ways)
+		sets := uint64(want.sets)
+		gsets := got.gmask + 1
+		filled := map[uint64]bool{} // the groups the reference filled
+		type capture struct {
+			st     CacheState
+			ref    *stampCache
+			filled map[uint64]bool
+		}
+		var caps [2]*capture
+		for k := 1; k+2 < len(ops); k += 3 {
+			// kind: 0 Lookup, 1 Fill Shared, 2 Fill Modified,
+			// 3 SetState Invalid, 4 SetState Shared, 5 SetState Modified,
+			// 6 CaptureState into slot sel&1, 7 RestoreState of slot sel%3
+			// (2 = the zero state).
+			kind, sel := ops[k]%8, ops[k+1]
+			// Spread the 256 selectors over every group, eight
+			// neighbouring sets at a time, with four tags per set.
+			set := (uint64(sel>>3)*(sets/32+1) + uint64(sel&7)) & (sets - 1)
+			line := uint64(ops[k+2]%4)*sets + set
+			switch {
+			case kind == 0:
+				if g, w := got.Lookup(line), want.Lookup(line); g != w {
+					t.Fatalf("op %d: Lookup(%d) = %v, reference %v", k/3, line, g, w)
+				}
+			case kind <= 2:
+				s := LineState(kind)
+				gv, gs, ge := got.Fill(line, s)
+				wv, ws, we := want.Fill(line, s)
+				if gv != wv || gs != ws || ge != we {
+					t.Fatalf("op %d: Fill(%d, %v) = %d %v %v, reference %d %v %v", k/3, line, s, gv, gs, ge, wv, ws, we)
+				}
+				filled[set/gsets] = true
+			case kind <= 5:
+				s := LineState(kind - 3)
+				if g, w := got.SetState(line, s), want.SetState(line, s); g != w {
+					t.Fatalf("op %d: SetState(%d, %v) = %v, reference %v", k/3, line, s, g, w)
+				}
+			case kind == 6:
+				caps[sel&1] = &capture{got.CaptureState(), want.clone(), maps.Clone(filled)}
+			case sel%3 == 2 || caps[sel%3] == nil:
+				got.RestoreState(CacheState{})
+				want, filled = newStampCache(geo.size, geo.ways), map[uint64]bool{}
+			default:
+				c := caps[sel%3]
+				got.RestoreState(c.st)
+				want, filled = c.ref.clone(), maps.Clone(c.filled)
+			}
+			if zeroGroup != [groupWords]uint64{} {
+				t.Fatalf("op %d: the shared zero group was written", k/3)
+			}
+			if g, w := got.Lines(), want.Lines(); !maps.Equal(g, w) {
+				t.Fatalf("op %d: Lines = %v, reference %v", k/3, g, w)
+			}
+			if g := got.Groups(); g != len(filled) {
+				t.Fatalf("op %d: %d groups materialized, %d filled", k/3, g, len(filled))
 			}
 		}
 	})

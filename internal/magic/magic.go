@@ -31,22 +31,13 @@ type Stats struct {
 // HandlerStat accumulates one handler entry's PP occupancy (Table 3.4),
 // invocation count and service-time histogram (dispatch through completion,
 // including send/intervention stalls). Completion accounting bumps it
-// through an index interned in the jump table, keeping handler names (and
-// map lookups) entirely off the dispatch hot path.
+// through the index the program's jump table interned for the entry,
+// keeping handler names (and map lookups) entirely off the dispatch hot
+// path.
 type HandlerStat struct {
 	Cycles sim.Cycle
 	Count  uint64
 	Lat    trace.Histogram
-}
-
-// jtSlot is one predecoded jump-table slot: the handler's pair index and
-// speculation flag from the protocol's dispatch rules, resolved once at
-// construction.
-type jtSlot struct {
-	pc   int
-	spec bool
-	ok   bool // false: no handler for this (type, path, home) combination
-	h    int  // index of the entry's name and accumulator in Magic.names and Magic.handlers
 }
 
 type queued struct {
@@ -118,10 +109,10 @@ func (w waitFor) String() string { return [...]string{"none", "net", "pi", "pc"}
 type handlerCtx struct {
 	busy       bool // claims the PP from dispatch until retire
 	msg        arch.Msg
-	slot       *jtSlot   // the jump-table slot dispatched: entry pc and handler index
-	ff         bool      // functional (fast-forward) invocation: ppEnv skips timing
-	dispatched sim.Cycle // handler start time
-	segStart   sim.Cycle // start of the current PP run segment
+	slot       *protocol.Slot // the jump-table slot dispatched: entry pc and handler index
+	ff         bool           // functional (fast-forward) invocation: ppEnv skips timing
+	dispatched sim.Cycle      // handler start time
+	segStart   sim.Cycle      // start of the current PP run segment
 
 	tid        uint64    // trace id of this invocation (0 = untraced)
 	dataReady  sim.Cycle // first word of the data buffer is available
@@ -182,15 +173,6 @@ type Magic struct {
 	onProc, onToPI                       func(*arch.MsgEvent)
 	Evs                                  arch.MsgEventPool
 
-	// jt is the inbox jump table, indexed [viaNet][isHome][msg type]: the
-	// protocol's dispatch rules and the handler entry-point map, both
-	// string-keyed, resolved once at construction (Section 2's hardware
-	// jump table did the same lookup in a dedicated RAM).
-	jt [2][2][arch.NumMsgTypes]jtSlot
-
-	// names[i] is the handler entry whose accumulator is handlers[i].
-	names []string
-
 	// Sampled execution (arch.Config.Sample): in fast-forward phases
 	// messages are processed functionally through runHandlerFF — the same
 	// jump table and the same PP program, with fixed charge latencies and
@@ -222,8 +204,9 @@ type ctlState struct {
 	// non-overlap invariant (occupancies must never double-count).
 	lastEnd sim.Cycle
 
-	// handlers holds one accumulator per handler entry name, interned at
-	// construction: jump-table slots sharing an entry share its index.
+	// handlers holds one accumulator per handler entry the program's jump
+	// table interned: handlers[i] is Prog.JT.Names[i]'s, and slots sharing
+	// an entry share its index.
 	handlers []HandlerStat
 
 	// booted is set once protocol memory is initialized and pp_init has
@@ -285,11 +268,11 @@ const (
 )
 
 // New builds a MAGIC controller. Call Attach afterwards to wire the CPU
-// (construction order is circular). The protocol's dispatch rules and the
-// program's entry-point map are interned into a dense jump table here, so
-// an inconsistent protocol/program pairing fails at construction instead
-// of mid-simulation.
-func New(id arch.NodeID, eng sim.Scheduler, cfg *arch.Config, prog *protocol.Program, mem *memsys.Memory, net *network.Port) (*Magic, error) {
+// (construction order is circular). The controller dispatches through the
+// program's jump table, which protocol.NewProgram resolved once and every
+// controller running the program reads; only the per-handler accumulators
+// are the controller's own.
+func New(id arch.NodeID, eng sim.Scheduler, cfg *arch.Config, prog *protocol.Program, mem *memsys.Memory, net *network.Port) *Magic {
 	m := &Magic{
 		ID:       id,
 		Eng:      eng,
@@ -314,31 +297,8 @@ func New(id arch.NodeID, eng sim.Scheduler, cfg *arch.Config, prog *protocol.Pro
 	m.onProc, m.onToPI = m.arriveProc, m.deliverPI
 	mdc := ppsim.NewMDC(cfg.MDCSize, cfg.MDCWays)
 	m.PP = ppsim.NewBackend(prog.Code, int(prog.Layout.MemBytes), mdc, (*ppEnv)(m), ppsim.BackendFor(cfg.PPDispatch))
-	index := map[string]int{}
-	for viaNet := 0; viaNet < 2; viaNet++ {
-		for isHome := 0; isHome < 2; isHome++ {
-			for t := arch.MsgType(0); t < arch.NumMsgTypes; t++ {
-				jt, ok := protocol.Lookup(t, viaNet == 1, isHome == 1)
-				if !ok {
-					continue // no handler on this path; stays !ok
-				}
-				pc, err := m.PP.EntryPC(jt.Entry)
-				if err != nil {
-					return nil, fmt.Errorf("magic%d: jump table slot %s (viaNet=%v isHome=%v): %w",
-						id, t, viaNet == 1, isHome == 1, err)
-				}
-				h, ok := index[jt.Entry]
-				if !ok {
-					h = len(m.names)
-					index[jt.Entry] = h
-					m.names = append(m.names, jt.Entry)
-				}
-				m.jt[viaNet][isHome][t] = jtSlot{pc: pc, spec: jt.Spec, ok: true, h: h}
-			}
-		}
-	}
-	m.handlers = make([]HandlerStat, len(m.names))
-	return m, nil
+	m.handlers = make([]HandlerStat, len(prog.JT.Names))
+	return m
 }
 
 // Handlers returns the statistics of every handler invoked so far, keyed
@@ -349,7 +309,7 @@ func (m *Magic) Handlers() map[string]*HandlerStat {
 	out := make(map[string]*HandlerStat, len(m.handlers))
 	for i := range m.handlers {
 		if h := &m.handlers[i]; h.Count > 0 {
-			out[m.names[i]] = h
+			out[m.Prog.JT.Names[i]] = h
 		}
 	}
 	return out
@@ -437,7 +397,7 @@ func (m *Magic) tryDispatch() {
 		ctx.hasData = true
 		ctx.dataReady = now
 	}
-	if slot.spec && m.Cfg.Speculation {
+	if slot.Spec && m.Cfg.Speculation {
 		fw, _ := m.Mem.SpeculativeRead(dispatch)
 		ctx.specIssued = true
 		if !ctx.hasData {
@@ -528,16 +488,16 @@ func (m *Magic) runHandlerFF(msg arch.Msg, viaNet bool, at sim.Cycle) {
 
 	m.loadHeader(msg)
 	pp := m.PP
-	st, _ := pp.StartAt(ctx.slot.pc)
+	st, _ := pp.StartAt(ctx.slot.PC)
 	for i := 0; st != ppsim.StatusDone; i++ {
 		if i > 1<<16 {
-			panic(fmt.Sprintf("magic%d: functional handler %s did not converge (status %v)", m.ID, m.names[ctx.slot.h], st))
+			panic(fmt.Sprintf("magic%d: functional handler %s did not converge (status %v)", m.ID, m.Prog.JT.Names[ctx.slot.Handler], st))
 		}
 		st, _ = pp.Resume()
 	}
 	// Census only: invocation counts stay exact, timing aggregates
 	// (occupancy, service-time histograms) see no functional handlers.
-	m.handlers[ctx.slot.h].Count++
+	m.handlers[ctx.slot.Handler].Count++
 	ctx.busy = false
 }
 
@@ -554,16 +514,16 @@ func (m *Magic) startHandler() {
 
 	m.loadHeader(ctx.msg)
 	ctx.segStart = ctx.dispatched
-	st, cyc := m.PP.StartAt(ctx.slot.pc)
+	st, cyc := m.PP.StartAt(ctx.slot.PC)
 	m.handleStatus(st, cyc)
 }
 
 // slot is the jump-table lookup for msg, arriving from the network (viaNet)
 // or the processor; a combination with no handler is a protocol bug.
-func (m *Magic) slot(msg arch.Msg, viaNet bool) *jtSlot {
+func (m *Magic) slot(msg arch.Msg, viaNet bool) *protocol.Slot {
 	isHome := m.Cfg.HomeOf(msg.Addr) == m.ID
-	s := &m.jt[b2i(viaNet)][b2i(isHome)][msg.Type]
-	if !s.ok {
+	s := &m.Prog.JT.Slots[b2i(viaNet)][b2i(isHome)][msg.Type]
+	if !s.OK {
 		panic(fmt.Sprintf("magic%d: no handler for %s (viaNet=%v isHome=%v)", m.ID, msg.Type, viaNet, isHome))
 	}
 	return s
@@ -595,11 +555,11 @@ func (m *Magic) handleStatus(st ppsim.Status, cyc uint64) {
 	case ppsim.StatusDone:
 		if ctx.dispatched < m.lastEnd {
 			panic(fmt.Sprintf("magic%d: handler %s dispatched at %d overlaps previous end %d",
-				m.ID, m.names[ctx.slot.h], ctx.dispatched, m.lastEnd))
+				m.ID, m.Prog.JT.Names[ctx.slot.Handler], ctx.dispatched, m.lastEnd))
 		}
 		m.lastEnd = end
 		occ := end - ctx.dispatched
-		agg := &m.handlers[ctx.slot.h]
+		agg := &m.handlers[ctx.slot.Handler]
 		agg.Cycles += occ
 		agg.Count++
 		agg.Lat.Observe(uint64(occ))
@@ -607,7 +567,7 @@ func (m *Magic) handleStatus(st ppsim.Status, cyc uint64) {
 			m.Tr.Emit(trace.Event{
 				Cycle: uint64(ctx.dispatched), Dur: uint64(occ), Node: int32(m.ID),
 				Kind: trace.KindHandler, Addr: uint64(ctx.msg.Addr),
-				ID: ctx.tid, Parent: ctx.msg.TID, Name: m.names[ctx.slot.h],
+				ID: ctx.tid, Parent: ctx.msg.TID, Name: m.Prog.JT.Names[ctx.slot.Handler],
 			})
 		}
 		if ctx.specIssued && (!ctx.specUsed || ctx.intervened) {
@@ -950,8 +910,8 @@ func (m *Magic) DebugState() string {
 	s := fmt.Sprintf("qPI=%v qNetReq=%v qNetRpl=%v outNet=%d outPI=%d buffer=%v handler=", &m.qPI, &m.qNetReq, &m.qNetRpl, m.netQueued(m.Eng.Now()), m.outPI, m.handler.holdsBuffer())
 	if h := &m.handler; h.busy {
 		s += fmt.Sprintf("{busy=true entry=%s msg={%v %#x src=%d req=%d} wait=%v blockedAt=%d pcDone=%v ff=%v dispatched=%d segStart=%d tid=%d slot={pc=%d spec=%v} hasData=%v dataReady=%d specIssued=%v specUsed=%v intervened=%v}",
-			m.names[h.slot.h], h.msg.Type, h.msg.Addr, h.msg.Src, h.msg.Req, h.wait, h.blockedAt, h.pcDone, h.ff, h.dispatched, h.segStart, h.tid,
-			h.slot.pc, h.slot.spec, h.hasData, h.dataReady, h.specIssued, h.specUsed, h.intervened)
+			m.Prog.JT.Names[h.slot.Handler], h.msg.Type, h.msg.Addr, h.msg.Src, h.msg.Req, h.wait, h.blockedAt, h.pcDone, h.ff, h.dispatched, h.segStart, h.tid,
+			h.slot.PC, h.slot.Spec, h.hasData, h.dataReady, h.specIssued, h.specUsed, h.intervened)
 	} else {
 		s += "idle"
 	}

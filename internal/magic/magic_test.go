@@ -3,6 +3,7 @@ package magic
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -70,10 +71,7 @@ func buildRigProg(t *testing.T, cfg arch.Config, prog *protocol.Program, refs [2
 	for i := 0; i < 2; i++ {
 		ms := memsys.New(cfg.Timing)
 		cfgCopy := cfg
-		mg, err := New(arch.NodeID(i), r.eng, &cfgCopy, prog, ms, net.Port(arch.NodeID(i), r.eng))
-		if err != nil {
-			t.Fatal(err)
-		}
+		mg := New(arch.NodeID(i), r.eng, &cfgCopy, prog, ms, net.Port(arch.NodeID(i), r.eng))
 		p := cpu.New(arch.NodeID(i), r.eng, &cfgCopy, mg, memsys.NewView(mem))
 		mg.Attach(p)
 		net.Attach(arch.NodeID(i), mg)
@@ -114,6 +112,39 @@ func TestHandlerDispatchLocalRead(t *testing.T) {
 	}
 	if !d.Local || d.Dirty {
 		t.Fatalf("dir = %+v, want local clean", d)
+	}
+}
+
+// TestNodesShareOneJumpTable pins that the jump table belongs to the
+// program: every controller of a machine, and of a second machine built
+// from the same configuration, dispatches through the memoized program's
+// one table, a run leaves it as built, and only the handler accumulators
+// are per node.
+func TestNodesShareOneJumpTable(t *testing.T) {
+	refs := [2][]cpu.Ref{{{Kind: arch.RefRead, Addr: 0x1000}}, {{Kind: arch.RefRead, Addr: 0x1000}}}
+	a := buildRig(t, arch.DefaultConfig(), refs)
+	before := a.prog.JT
+	before.Names = slices.Clone(before.Names)
+	if err := a.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	b := newRig(t, arch.DefaultConfig(), refs)
+	if a.prog != b.prog {
+		t.Fatal("two machines of one configuration built two programs")
+	}
+	for _, mg := range append(a.magics[:], b.magics[:]...) {
+		if &mg.Prog.JT != &a.prog.JT {
+			t.Errorf("magic%d dispatches through its own jump table, not the program's", mg.ID)
+		}
+	}
+	if !reflect.DeepEqual(a.prog.JT, before) {
+		t.Error("a run changed the program's jump table")
+	}
+	if &a.magics[0].handlers[0] == &a.magics[1].handlers[0] {
+		t.Error("two nodes share handler accumulators")
+	}
+	if counts(a.magics[0])["pi_get_local"] != 1 || counts(a.magics[1])["pi_get_remote"] != 1 {
+		t.Errorf("handler counts %v and %v, want one local and one remote read", counts(a.magics[0]), counts(a.magics[1]))
 	}
 }
 

@@ -84,7 +84,10 @@ func TestHandlerWaits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := &protocol.Program{Code: protocol.Schedule(src, cfg.PPMode), Layout: l, Source: src}
+	prog, err := protocol.NewProgram(src, cfg.PPMode, l)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const x, y, z = 0x1000, 0x2000, 0x3000 // homed at node 0
 	r := buildRigProg(t, cfg, prog, [2][]cpu.Ref{
 		{{Kind: arch.RefRead, Addr: x}, {Kind: arch.RefWrite, Addr: y}, {Kind: arch.RefWrite, Addr: z}},
@@ -219,7 +222,10 @@ func TestNetReleaseAtEarliestInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := &protocol.Program{Code: protocol.Schedule(src, cfg.PPMode), Layout: l, Source: src}
+	prog, err := protocol.NewProgram(src, cfg.PPMode, l)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := buildRigProg(t, cfg, prog, [2][]cpu.Ref{{{Kind: arch.RefRead, Addr: 0x1000}}, nil})
 	var buf trace.Buffer
 	tr := trace.New(&buf)
@@ -322,7 +328,10 @@ func TestNetReleaseInSendOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := &protocol.Program{Code: protocol.Schedule(src, cfg.PPMode), Layout: l, Source: src}
+	prog, err := protocol.NewProgram(src, cfg.PPMode, l)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const x = 0x1000 // homed at node 0
 	r := buildRigProg(t, cfg, prog, [2][]cpu.Ref{{{Kind: arch.RefRead, Addr: x}, {Kind: arch.RefRead, Addr: x + 8}}, nil})
 	var buf trace.Buffer

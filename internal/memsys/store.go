@@ -178,11 +178,23 @@ func (s *Store) Pages() int {
 // RestoreShared, previously taken pointers may refer to a frozen copy and
 // must be re-fetched.
 func (s *Store) Word(i uint64) *uint64 {
+	if w := s.Owned(i); w != nil {
+		return w
+	}
+	return s.own(i)
+}
+
+// Owned returns a writable pointer to word i if the store already owns its
+// page, and nil before the page's first write since the store last froze
+// or restored it, when Word must materialize or clone the page. It inlines
+// (Word does not), so a writer that tries Owned first makes a call only
+// on a page's first write.
+func (s *Store) Owned(i uint64) *uint64 {
 	r := s.regions[i>>regionWordShift]
 	if p := i >> pageShift & (regionPages - 1); r.owned>>p&1 != 0 {
 		return &r.pages[p][i&(pageWords-1)]
 	}
-	return s.own(i)
+	return nil
 }
 
 // own gives the store a private, writable page for word i — filled with
@@ -306,7 +318,11 @@ func (v *View) loadLogged(i uint64) uint64 {
 // write-through mode).
 func (v *View) Store(i, x uint64) {
 	if v.writeThrough {
-		*v.s.Word(i) = x
+		if w := v.s.Owned(i); w != nil {
+			*w = x
+		} else {
+			*v.s.own(i) = x
+		}
 		return
 	}
 	v.log = append(v.log, writeRec{idx: i, val: x})
@@ -326,7 +342,11 @@ func (v *View) SetWriteThrough(wt bool) { v.writeThrough = wt }
 // empties the log.
 func (v *View) Flush() {
 	for _, r := range v.log {
-		*v.s.Word(r.idx) = r.val
+		if w := v.s.Owned(r.idx); w != nil {
+			*w = r.val
+		} else {
+			*v.s.own(r.idx) = r.val
+		}
 	}
 	v.log = v.log[:0]
 	v.filter = [4]uint64{}

@@ -391,13 +391,21 @@ func FuzzStoreOps(f *testing.F) {
 			s, r := stores[k], &refs[k]
 			j := int(ops[n+2]) % len(fuzzIdx)
 			i := fuzzIdx[j]
-			// kind: 0-1 Word, 2 Load, 3 SnapshotChunks, 4 RestoreShared
-			// of the snapshot, 5 RestoreShared(Frozen{}), 6 SetPristine
-			// toggles the image, 7 NextMaterialized and Pages.
+			// kind: 0 Word, 1 Owned or else Word (the writers' fast
+			// path), 2 Load, 3 SnapshotChunks, 4 RestoreShared of the
+			// snapshot, 5 RestoreShared(Frozen{}), 6 SetPristine toggles
+			// the image, 7 NextMaterialized and Pages.
 			switch ops[n] % 8 {
 			case 0, 1:
 				v := uint64(n)<<8 | uint64(ops[n+2])
-				*s.Word(i) = v
+				w := s.Owned(i)
+				if own := s.regions[i>>regionWordShift].owned>>(i>>pageShift&(regionPages-1))&1 != 0; own != (w != nil) {
+					t.Fatalf("op %d: store %d Owned(%d) = %p with the page owned %v", n/3, k, i, w, own)
+				}
+				if w == nil || ops[n]%8 == 0 {
+					w = s.Word(i)
+				}
+				*w = v
 				r.words[j] = v
 				r.pages[i>>pageShift] = true
 			case 2:

@@ -78,6 +78,9 @@ func (m *MDC) Access(a uint64, isWrite bool) (hit, writeback bool) {
 	return false, writeback
 }
 
+// Groups returns the number of the MDC's materialized set groups.
+func (m *MDC) Groups() int { return m.cache.Groups() }
+
 // CaptureState deep-copies the MDC contents and counters.
 func (m *MDC) CaptureState() MDCState { return MDCState{m.cache.CaptureState(), m.Stats} }
 

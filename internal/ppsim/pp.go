@@ -492,7 +492,11 @@ func (p *PP) store(addr, v uint64) {
 	if w >= p.memWords {
 		panic(fmt.Sprintf("ppsim: protocol memory store out of range: %#x", addr))
 	}
-	*p.Mem.Word(w) = v
+	if o := p.Mem.Owned(w); o != nil {
+		*o = v
+	} else {
+		*p.Mem.Word(w) = v
+	}
 }
 
 func b2u(b bool) uint64 {

@@ -3,7 +3,9 @@ package protocol
 import (
 	"crypto/sha256"
 	"fmt"
+	"maps"
 	"sort"
+	"strings"
 	"testing"
 
 	"flashsim/internal/arch"
@@ -66,4 +68,25 @@ func imageDigest(p *ppisa.Program) string {
 	}
 	fmt.Fprintf(h, "mode=%d src=%d\n", p.Mode, p.SrcInstrs)
 	return fmt.Sprintf("%x", h.Sum(nil))[:16]
+}
+
+// TestBuildRejectsMissingEntry pins that a program lacking an entry some
+// jump-table slot dispatches to fails to build, naming the slot and the
+// entry, rather than building and failing when that message first arrives.
+func TestBuildRejectsMissingEntry(t *testing.T) {
+	cfg := arch.DefaultConfig()
+	p, err := Build(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewProgram(p.Source, cfg.PPMode, p.Layout); err != nil {
+		t.Fatalf("rebuilding the default program: %v", err)
+	}
+	src := *p.Source
+	src.Labels = maps.Clone(src.Labels)
+	delete(src.Labels, "ni_pclr")
+	_, err = NewProgram(&src, cfg.PPMode, p.Layout)
+	if err == nil || !strings.Contains(err.Error(), `no handler entry "ni_pclr"`) || !strings.Contains(err.Error(), "PCLR") {
+		t.Fatalf("building without ni_pclr: err = %v, want the PCLR slot's missing entry named", err)
+	}
 }

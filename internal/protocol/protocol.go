@@ -8,17 +8,72 @@ import (
 	"flashsim/internal/ppisa"
 )
 
-// Program bundles the scheduled handler image with its memory layout.
+// Program bundles the scheduled handler image with its memory layout and
+// its inbox jump table.
 //
 // Invariant: a Program is immutable once Build returns it. Build hands the
 // same *Program to every caller with an equal build key, machines on
-// different goroutines execute it concurrently, and ppsim keys its compiled
-// images on the Code pointer — nothing may write through Code, Source or
-// Layout afterwards.
+// different goroutines execute it concurrently, every MAGIC of every such
+// machine dispatches through its one JumpTable, and ppsim keys its compiled
+// images on the Code pointer — nothing may write through Code, Source,
+// Layout or JT afterwards.
 type Program struct {
 	Code   *ppisa.Program
 	Layout Layout
 	Source *ppisa.Source // pre-scheduling form, for static analysis
+	JT     JumpTable
+}
+
+// Slot is one predecoded jump-table slot: the handler's entry pair index
+// and speculation flag from the dispatch rules (Lookup), resolved once per
+// program.
+type Slot struct {
+	PC      int
+	Spec    bool
+	OK      bool // false: no handler for this (path, home, type) combination
+	Handler int  // index of the entry's name in JumpTable.Names
+}
+
+// JumpTable is the inbox jump table: Lookup's string-keyed dispatch rules
+// resolved against a program's entry points into dense slots (Section 2's
+// hardware jump table did the same lookup in a dedicated RAM).
+type JumpTable struct {
+	Slots [2][2][arch.NumMsgTypes]Slot // indexed [viaNet][isHome][msg type]
+	// Names[h] is the handler entry of the slots whose Handler is h: each
+	// entry is interned once, however many slots dispatch to it.
+	Names []string
+}
+
+// NewProgram schedules assembled handler source for a PP in the given mode
+// and resolves the jump table against it. A dispatch rule naming an entry
+// the source lacks is an error, so an inconsistent protocol/program pairing
+// fails here instead of mid-simulation.
+func NewProgram(src *ppisa.Source, mode arch.PPMode, l Layout) (*Program, error) {
+	p := &Program{Code: Schedule(src, mode), Layout: l, Source: src}
+	index := map[string]int{}
+	for viaNet := range 2 {
+		for isHome := range 2 {
+			for t := range arch.NumMsgTypes {
+				e, ok := Lookup(t, viaNet == 1, isHome == 1)
+				if !ok {
+					continue // no handler on this path; stays !OK
+				}
+				pc, ok := p.Code.Entries[e.Entry]
+				if !ok {
+					return nil, fmt.Errorf("protocol: jump table slot %s (viaNet=%v isHome=%v): no handler entry %q (program has %d entry points)",
+						t, viaNet == 1, isHome == 1, e.Entry, len(p.Code.Entries))
+				}
+				h, ok := index[e.Entry]
+				if !ok {
+					h = len(p.JT.Names)
+					index[e.Entry] = h
+					p.JT.Names = append(p.JT.Names, e.Entry)
+				}
+				p.JT.Slots[viaNet][isHome][t] = Slot{PC: pc, Spec: e.Spec, OK: true, Handler: h}
+			}
+		}
+	}
+	return p, nil
 }
 
 // buildKey is exactly what Build, NewLayout and Symbols read from a
@@ -76,7 +131,7 @@ func assemble(cfg *arch.Config) (*Program, error) {
 	if err != nil {
 		return nil, fmt.Errorf("protocol: %w", err)
 	}
-	return &Program{Code: Schedule(src, cfg.PPMode), Layout: l, Source: src}, nil
+	return NewProgram(src, cfg.PPMode, l)
 }
 
 // Schedule turns assembled handler source into the image a PP in the given
