@@ -18,8 +18,10 @@ build:
 # test of the event engines (the sharded engine's own differential tests
 # among them) and of the metrics registry (16 goroutines writing shared
 # series through Add, Set and Max must leave exact totals); and six
-# bounded fuzzes: the calendar event queue against a sorted-slice
-# reference, the PP assembler (no input panics it; every program it accepts
+# bounded fuzzes, each 10 s with the minimization of a new input held to
+# 100 executions (Go's default, 60 s, outlasts the budget and idles the
+# run): the calendar event queue against a sorted-slice reference, the PP
+# assembler (no input panics it; every program it accepts
 # schedules in each mode without losing an instruction), the -sample
 # parser (no input panics it; every spec it accepts round-trips through
 # String and keeps its phase arithmetic consistent), the explore result
@@ -35,7 +37,7 @@ verify:
 	! grep -rnE 'os\.(Getenv|Setenv|LookupEnv)' cmd internal --include='*.go' --exclude='*_test.go' && test -z "$$(gofmt -l cmd internal bench examples)"
 	$(GO) test -race ./internal/exp -run 'Parallel|GoldenDigest|SharedProgram|Sampled'
 	$(GO) test -race ./internal/sim ./internal/metrics
-	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzQueueOrder -fuzztime 10s && $(GO) test ./internal/ppisa -run '^$$' -fuzz FuzzAssemble -fuzztime 10s && $(GO) test ./internal/arch -run '^$$' -fuzz FuzzParseSampleSpec -fuzztime 10s && $(GO) test ./internal/exp -run '^$$' -fuzz FuzzResultCacheEntry -fuzztime 10s && $(GO) test ./internal/memsys -run '^$$' -fuzz FuzzStoreOps -fuzztime 10s && $(GO) test ./internal/cpu -run '^$$' -fuzz FuzzCacheGroups -fuzztime 10s
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzQueueOrder -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/ppisa -run '^$$' -fuzz FuzzAssemble -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/arch -run '^$$' -fuzz FuzzParseSampleSpec -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/exp -run '^$$' -fuzz FuzzResultCacheEntry -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/memsys -run '^$$' -fuzz FuzzStoreOps -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/cpu -run '^$$' -fuzz FuzzCacheGroups -fuzztime 10s -fuzzminimizetime 100x
 
 test:
 	$(GO) test ./...

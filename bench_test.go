@@ -113,9 +113,9 @@ func BenchmarkSec43Hotspot(b *testing.B) {
 		cfg.CacheSize = 4 << 10
 		cfg.Placement = arch.PlaceNodeZero
 		f, id := benchRunPair(b, "fft", cfg, apps.Params{Procs: 16, Scale: o.Scale})
-		hot := f.Machine.Nodes[0]
-		b.ReportMetric(100*float64(hot.Magic.PPBusy())/float64(f.Machine.Elapsed), "hot_pp_occ_%")
-		b.ReportMetric(100*hot.Mem.Occupancy(f.Machine.Elapsed), "hot_mem_occ_%")
+		hot := f.Report.PerNode[0]
+		b.ReportMetric(100*sim.Occupancy(hot.PPBusy, f.Report.Elapsed), "hot_pp_occ_%")
+		b.ReportMetric(100*sim.Occupancy(hot.MemBusy, f.Report.Elapsed), "hot_mem_occ_%")
 		b.ReportMetric(exp.Slowdown(f.Report, id.Report), "slowdown_%")
 	}
 }

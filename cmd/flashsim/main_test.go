@@ -164,6 +164,29 @@ func TestAppBuildOutOfMemoryIsAnError(t *testing.T) {
 	}
 }
 
+// TestJSONReportCarriesHostCost pins where Report.Host is stamped: flashsim
+// runs one simulation per process, so with -metrics its JSON report carries
+// the run's host cost (a positive wall time), and without it no Host at all.
+func TestJSONReportCarriesHostCost(t *testing.T) {
+	for _, metricsOn := range []bool{false, true} {
+		args := []string{"-app", "fft", "-procs", "4", "-scale", "64", "-json"}
+		if metricsOn {
+			args = append(args, "-metrics")
+		}
+		stdout, stderr, code := flashsim(t, args...)
+		if code != 0 {
+			t.Fatalf("flashsim %v: exit %d, stderr %q", args, code, stderr)
+		}
+		var rep struct{ Host *struct{ WallNS int64 } }
+		if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
+			t.Fatal(err)
+		}
+		if metricsOn && (rep.Host == nil || rep.Host.WallNS <= 0) || !metricsOn && rep.Host != nil {
+			t.Errorf("flashsim %v: Host = %+v; want a positive wall time exactly when -metrics is on", args, rep.Host)
+		}
+	}
+}
+
 // TestOccWindowIsATraceSink pins -occ-window's wiring: the JSON report
 // carries the window and machine-average series in [0, 1], each equal to a
 // binning of the run's own trace spans (handlers for the PP, memory

@@ -2,7 +2,8 @@
 // processor occupancy hurts FLASH only when the hot node's MEMORY occupancy
 // is simultaneously low. It runs the same FFT twice — once with partitioned
 // data (every node serves its own band) and once with every page allocated
-// from node 0 — and prints the per-node occupancy profile.
+// from node 0 — and prints the per-node occupancy profile from each run's
+// report.
 package main
 
 import (
@@ -11,43 +12,33 @@ import (
 
 	"flashsim/internal/apps"
 	"flashsim/internal/arch"
-	"flashsim/internal/core"
-	"flashsim/internal/workload"
+	"flashsim/internal/exp"
+	"flashsim/internal/sim"
+	"flashsim/internal/stats"
 )
 
-func run(pl arch.Placement) *core.Machine {
+func run(pl arch.Placement) stats.Report {
 	cfg := arch.DefaultConfig()
 	cfg.Nodes = 16
 	cfg.CacheSize = 4 << 10 // small caches: lots of memory traffic
 	cfg.MemBytesPerNode = 8 << 20
 	cfg.Placement = pl
 
-	m, err := core.New(cfg)
+	r, err := exp.RunApp("fft", cfg, apps.Params{Procs: 16, Scale: 16}, true)
 	if err != nil {
 		log.Fatal(err)
 	}
-	w := workload.NewWorld(m)
-	app, err := apps.Build("fft", w, apps.Params{Procs: 16, Scale: 16})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := w.Run(app.Run, 0); err != nil {
-		log.Fatal(err)
-	}
-	if err := app.Verify(); err != nil {
-		log.Fatal(err)
-	}
-	return m
+	return r.Report
 }
 
 func main() {
 	for _, pl := range []arch.Placement{arch.PlaceFirstTouch, arch.PlaceNodeZero} {
-		m := run(pl)
-		fmt.Printf("FFT, 4 KB caches, %v placement (%d cycles):\n", pl, m.Elapsed)
+		r := run(pl)
+		fmt.Printf("FFT, 4 KB caches, %v placement (%d cycles):\n", pl, r.Elapsed)
 		fmt.Println("  node   PP occupancy   memory occupancy")
-		for i, n := range m.Nodes {
-			pp := float64(n.Magic.PPBusy()) / float64(m.Elapsed)
-			mem := n.Mem.Occupancy(m.Elapsed)
+		for i, n := range r.PerNode {
+			pp := sim.Occupancy(n.PPBusy, r.Elapsed)
+			mem := sim.Occupancy(n.MemBusy, r.Elapsed)
 			marker := ""
 			if pp > 0.5 {
 				marker = "  <- hot"

@@ -181,8 +181,8 @@ func newResetAlloc(t *testing.T, cfg arch.Config) (newBytes, total uint64) {
 // materialized per set group: New plus one Reset of a 16-node machine with
 // 16 MB caches must allocate less than twice as much as with 64 KB caches.
 // Dense tag arrays, sized by the configured cache, scale the total
-// linearly and trip it. It also logs New at the explore sweep's base point
-// (4 nodes, 1 MB caches, 4 MB per node).
+// linearly and trip it. It also logs New with 1 MB caches on 16 nodes and
+// at the explore sweep's base point (4 nodes, 4 MB per node).
 func TestMachineCostIndependentOfCacheSize(t *testing.T) {
 	at := func(cacheBytes int) arch.Config {
 		cfg := arch.DefaultConfig()
@@ -193,11 +193,13 @@ func TestMachineCostIndependentOfCacheSize(t *testing.T) {
 	newResetAlloc(t, at(64<<10)) // populate the process-wide program and image caches
 	_, small := newResetAlloc(t, at(64<<10))
 	_, large := newResetAlloc(t, at(16<<20))
+	new16, _ := newResetAlloc(t, at(1<<20))
 	explore := at(1 << 20)
 	explore.Nodes = 4
 	newResetAlloc(t, explore)
 	base, _ := newResetAlloc(t, explore)
-	t.Logf("New+Reset, 16 nodes: %d KB at 64 KB caches, %d KB at 16 MB caches; New at the explore base point: %d KB", small>>10, large>>10, base>>10)
+	t.Logf("New+Reset, 16 nodes: %d KB at 64 KB caches, %d KB at 16 MB caches; New, 1 MB caches: %d KB at 16 nodes, %d KB at the explore base point (4 nodes)",
+		small>>10, large>>10, new16>>10, base>>10)
 	if large >= 2*small {
 		t.Errorf("New+Reset allocated %d bytes at 16 MB caches, %d at 64 KB caches: want less than 2x", large, small)
 	}

@@ -16,7 +16,6 @@ import (
 	"flashsim/internal/apps"
 	"flashsim/internal/arch"
 	"flashsim/internal/core"
-	"flashsim/internal/metrics"
 	"flashsim/internal/stats"
 	"flashsim/internal/workload"
 )
@@ -55,12 +54,13 @@ func (o Options) paramsFor(procs int) apps.Params {
 	return apps.Params{Procs: procs, Scale: o.Scale}
 }
 
-// Run is one completed simulation.
+// Run is one completed simulation. Its report is everything a reader gets;
+// a caller that needs the machine itself takes it through RunAppObserved's
+// observe hook.
 type Run struct {
-	App     string
-	Cfg     arch.Config
-	Report  stats.Report
-	Machine *core.Machine
+	App    string
+	Cfg    arch.Config
+	Report stats.Report
 	// SimWall is the host time spent inside the event loop proper (the
 	// workload run), excluding machine construction, result verification,
 	// and the post-run coherence audit — the part a sampled schedule can
@@ -84,17 +84,14 @@ func RunApp(name string, cfg arch.Config, p apps.Params, verify bool) (*Run, err
 // back from World.Run as one, on every engine. A panic elsewhere on a
 // sharded engine's own shard goroutine still ends the process.
 //
-// The returned report carries host-cost accounting (Report.Host) sampled
-// around the run. The runtime counters are process-wide, so when several
-// simulations run concurrently each delta includes its neighbours'
-// allocations.
+// The report carries no host-cost accounting (Report.Host): the runtime
+// counters are process-wide, and exp runs simulations concurrently.
 func RunAppObserved(name string, cfg arch.Config, p apps.Params, verify bool, observe func(*core.Machine)) (r *Run, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			r, err = nil, fmt.Errorf("panic: %v\n%s", v, debug.Stack())
 		}
 	}()
-	before := metrics.ReadHost()
 	m, err := core.New(cfg)
 	if err != nil {
 		return nil, err
@@ -120,10 +117,7 @@ func RunAppObserved(name string, cfg arch.Config, p apps.Params, verify bool, ob
 			return nil, fmt.Errorf("%s on %v: %w", name, cfg.Kind, err)
 		}
 	}
-	rep := stats.Collect(m)
-	host := metrics.ReadHost().Sub(before)
-	rep.Host = &host
-	return &Run{App: name, Cfg: cfg, Report: rep, Machine: m, SimWall: simWall}, nil
+	return &Run{App: name, Cfg: cfg, Report: stats.Collect(m), SimWall: simWall}, nil
 }
 
 // Slowdown returns FLASH execution time relative to ideal, in percent.

@@ -204,14 +204,11 @@ func (c *ResultCache) Get(key string) (stats.Report, bool) {
 	return e.Report, true
 }
 
-// Put stores a report under key. Host accounting is stripped first: the
-// cache holds simulated results only, which are machine- and
-// run-independent.
+// Put stores a report under key.
 func (c *ResultCache) Put(key string, rep stats.Report) error {
 	if c == nil {
 		return nil
 	}
-	rep.Host = nil
 	buf, err := json.MarshalIndent(cacheEntry{Key: key, Report: rep}, "", " ")
 	if err != nil {
 		return err
@@ -240,7 +237,6 @@ func (c *ResultCache) Put(key string, rep stats.Report) error {
 }
 
 func reportDigest(rep stats.Report) string {
-	rep.Host = nil
 	buf, err := json.Marshal(rep)
 	if err != nil {
 		return "unmarshalable"

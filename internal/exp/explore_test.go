@@ -127,7 +127,6 @@ func TestExplorePointIsStandaloneRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.Report.Host = nil
 		return uint64(r.Report.Elapsed), reportDigest(r.Report)
 	}
 	ideal := arch.DefaultConfig()
@@ -403,7 +402,6 @@ func TestResultCacheRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("stored entry missed")
 	}
-	rep.Host = nil
 	a, _ := json.Marshal(rep)
 	b, _ := json.Marshal(got)
 	if string(a) != string(b) {
@@ -427,7 +425,8 @@ func TestResultCacheRoundTrip(t *testing.T) {
 
 // FuzzResultCacheEntry writes arbitrary bytes as a cache entry. Get must
 // not panic; bytes that do not decode to an entry for the key read as a
-// miss; and a report Get accepts survives Put and Get with its digest. The
+// miss; and a report Get accepts survives Put and Get with its digest, the
+// host accounting an outside writer can put in an entry included. The
 // seeds are small, hand-written entries, so minimizing an input stays cheap.
 func FuzzResultCacheEntry(f *testing.F) {
 	const key = "fuzz"
@@ -435,6 +434,7 @@ func FuzzResultCacheEntry(f *testing.F) {
 		`{"key":"fuzz","report":{"Machine":"FLASH","Nodes":4,"Elapsed":19373,"MissRate":0.25,` +
 			`"ReadClass":[0.5,0.5,0,0,0],"HandlerLatency":{"ni_get":{"count":1,"sum":9,"min":9,"max":9}},"Sampled":{}}}`,
 		`{"key":"fuzz","report":{"Machine":7,"PPOccSeries":[1e-3]}}`,
+		`{"key":"fuzz","report":{"Nodes":2,"Events":9,"PerNode":[{"PPBusy":3},{}],"Host":{"WallNS":5}}}`,
 		`{"key":"other","report":{}}`,
 		`{"key":"fuzz","report":null} {}`,
 		`{"key":"fuzz"}`,

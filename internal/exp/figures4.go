@@ -6,7 +6,7 @@ import (
 
 	"flashsim/internal/apps"
 	"flashsim/internal/arch"
-	"flashsim/internal/core"
+	"flashsim/internal/sim"
 	"flashsim/internal/stats"
 )
 
@@ -152,7 +152,7 @@ func fig43(pl *planner) render {
 // memory on node 0 (high PP occupancy AND high memory occupancy at the hot
 // node -> small slowdown), and the OS workload without round-robin paging
 // (the original IRIX port: high PP occupancy, low memory occupancy -> large
-// slowdown). Both read per-node occupancies off the finished FLASH machine.
+// slowdown). Both read per-node occupancies off the FLASH leg's report.
 func sec43(pl *planner) render {
 	o := pl.o
 	// FFT, 4 KB caches, all pages from node 0.
@@ -160,29 +160,20 @@ func sec43(pl *planner) render {
 	cfg.CacheSize = 4 << 10
 	cfg.Placement = arch.PlaceNodeZero
 	fft := pl.pair("fft", cfg, o.paramsFor(16))
-	var hotPP, hotMem float64
-	fft.flash.inspect = append(fft.flash.inspect, func(m *core.Machine) {
-		hot := m.Nodes[0]
-		hotPP, hotMem = float64(hot.Magic.PPBusy())/float64(m.Elapsed), hot.Mem.Occupancy(m.Elapsed)
-	})
 
 	// OS workload: round-robin (tuned) vs node-zero (original IRIX port).
 	placements := []arch.Placement{arch.PlaceRoundRobin, arch.PlaceNodeZero}
 	osRuns := make([]pair, len(placements))
-	maxPP, maxMem := make([]float64, len(placements)), make([]float64, len(placements))
 	for i, place := range placements {
 		cfg := o.baseConfig(8)
 		cfg.Placement = place
 		osRuns[i] = pl.pair("os", cfg, o.paramsFor(8))
-		osRuns[i].flash.inspect = append(osRuns[i].flash.inspect, func(m *core.Machine) {
-			for _, n := range m.Nodes {
-				maxPP[i] = max(maxPP[i], float64(n.Magic.PPBusy())/float64(m.Elapsed))
-				maxMem[i] = max(maxMem[i], n.Mem.Occupancy(m.Elapsed))
-			}
-		})
 	}
 
 	return func() (string, error) {
+		hot := fft.flash.rep
+		hotPP := sim.Occupancy(hot.PerNode[0].PPBusy, hot.Elapsed)
+		hotMem := sim.Occupancy(hot.PerNode[0].MemBusy, hot.Elapsed)
 		var b strings.Builder
 		b.WriteString("Section 4.3: PP occupancy effects (hot-spotting)\n\n")
 		b.WriteString(fmt.Sprintf("FFT (4 KB caches, all memory on node 0):\n"))
@@ -190,9 +181,14 @@ func sec43(pl *planner) render {
 		b.WriteString(fmt.Sprintf("  node-0 mem occupancy %.1f%%   (paper: 67.7%%)\n", 100*hotMem))
 		b.WriteString(fmt.Sprintf("  FLASH vs ideal       +%.1f%%  (paper: +2.6%%)\n\n", Slowdown(fft.flash.rep, fft.ideal.rep)))
 		for i, r := range osRuns {
+			var maxPP, maxMem float64
+			for _, n := range r.flash.rep.PerNode {
+				maxPP = max(maxPP, sim.Occupancy(n.PPBusy, r.flash.rep.Elapsed))
+				maxMem = max(maxMem, sim.Occupancy(n.MemBusy, r.flash.rep.Elapsed))
+			}
 			b.WriteString(fmt.Sprintf("OS workload, %v pages:\n", placements[i]))
-			b.WriteString(fmt.Sprintf("  max PP occupancy  %.1f%%\n", 100*maxPP[i]))
-			b.WriteString(fmt.Sprintf("  max mem occupancy %.1f%%\n", 100*maxMem[i]))
+			b.WriteString(fmt.Sprintf("  max PP occupancy  %.1f%%\n", 100*maxPP))
+			b.WriteString(fmt.Sprintf("  max mem occupancy %.1f%%\n", 100*maxMem))
 			b.WriteString(fmt.Sprintf("  FLASH vs ideal    +%.1f%%\n", Slowdown(r.flash.rep, r.ideal.rep)))
 		}
 		b.WriteString("(paper: original port had 81% max PP occupancy vs 33% memory and a 29% slowdown)\n")

@@ -129,7 +129,7 @@ func runDigest(t *testing.T, name string, cfg arch.Config) goldenDigest {
 	}
 	return goldenDigest{
 		Elapsed:  uint64(r.Report.Elapsed),
-		Executed: r.Machine.Eng.ExecutedEvents(),
+		Executed: r.Report.Events,
 	}
 }
 

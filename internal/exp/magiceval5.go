@@ -3,11 +3,9 @@ package exp
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"flashsim/internal/apps"
 	"flashsim/internal/arch"
-	"flashsim/internal/core"
 	"flashsim/internal/ppisa"
 	"flashsim/internal/protocol"
 )
@@ -85,40 +83,29 @@ func sec52(pl *planner) render {
 
 // table52 reports the PP architecture statistics of Table 5.2: static code
 // size and the dynamic dual-issue/special-instruction figures summed over
-// the parallel application suite's FLASH legs, read off each finished
-// machine's protocol processors.
+// the parallel application suite's FLASH legs, from each leg's report.
 func table52(pl *planner, cacheBytes int) render {
 	names := []string{"barnes", "fft", "lu", "mp3d", "ocean", "radix"}
 	if cacheBytes <= 64<<10 {
 		names = []string{"barnes", "fft", "mp3d", "ocean", "radix"}
 	}
 	rows := pl.suite(names, cacheBytes)
-	// Dynamic stats summed across the suite, by every FLASH leg's worker.
-	var mu sync.Mutex
-	var sInstr, sPairs, sALU, sSpec, sInv uint64
-	for _, r := range rows {
-		r.flash.inspect = append(r.flash.inspect, func(m *core.Machine) {
-			mu.Lock()
-			defer mu.Unlock()
-			for _, n := range m.Nodes {
-				ps := n.Magic.PP.Stats
-				sInstr += ps.Instrs
-				sPairs += ps.Pairs
-				sALU += ps.ALUOrBranch
-				sSpec += ps.Special
-				sInv += n.Magic.Stats.Dispatches
-			}
-		})
-	}
 	return func() (string, error) {
 		cfg := arch.DefaultConfig()
 		prog, err := protocol.Build(&cfg)
 		if err != nil {
 			return "", err
 		}
-		var sMiss uint64
+		// Dynamic stats summed across the suite's FLASH legs.
+		var sInstr, sPairs, sALU, sSpec, sInv, sMiss uint64
 		for _, r := range rows {
-			sMiss += r.flash.rep.Misses
+			f := &r.flash.rep
+			sInstr += f.PP.Instrs
+			sPairs += f.PP.Pairs
+			sALU += f.PP.ALUOrBranch
+			sSpec += f.PP.Special
+			sInv += f.HandlerInvocations
+			sMiss += f.Misses
 		}
 		var b strings.Builder
 		fmt.Fprintf(&b, "Table 5.2: PP architecture evaluation (%d KB caches)\n", cacheBytes>>10)

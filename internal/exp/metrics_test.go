@@ -36,7 +36,7 @@ func TestMetricsDoNotPerturbSimulation(t *testing.T) {
 			}
 			got := goldenDigest{
 				Elapsed:  uint64(r.Report.Elapsed),
-				Executed: r.Machine.Eng.ExecutedEvents(),
+				Executed: r.Report.Events,
 			}
 			if got != want[app] {
 				t.Errorf("%v/%v: metrics-enabled digest %+v, want %+v (instrumentation perturbed the simulation)",
@@ -80,14 +80,11 @@ func TestMetricsProfileShape(t *testing.T) {
 	if shards != cfg.Nodes {
 		t.Errorf("per-shard event series for %d shards, want %d", shards, cfg.Nodes)
 	}
-	if total := r.Machine.Eng.ExecutedEvents(); perShard != total {
+	if total := r.Report.Events; perShard != total {
 		t.Errorf("per-shard events sum %d != engine total %d", perShard, total)
 	}
 	if _, ok := snap.Counters[`flashsim_engine_run_ns_total{engine="sharded"}`]; !ok {
 		t.Error("missing flashsim_engine_run_ns_total{engine=\"sharded\"}")
-	}
-	if r.Report.Host == nil || r.Report.Host.WallNS <= 0 {
-		t.Errorf("Report.Host = %+v, want positive wall time", r.Report.Host)
 	}
 }
 
@@ -99,13 +96,15 @@ func TestMetricsProfileShape(t *testing.T) {
 func TestProfileAttribution(t *testing.T) {
 	cfg := Options{}.baseConfig(16)
 	cfg.Engine = arch.EngineSharded
-	r, err := RunAppObserved("fft", cfg, apps.Params{Procs: 16, Scale: 256}, true, func(m *core.Machine) {
+	var m *core.Machine
+	r, err := RunAppObserved("fft", cfg, apps.Params{Procs: 16, Scale: 256}, true, func(mm *core.Machine) {
+		m = mm
 		m.EnableMetrics(metrics.NewRegistry())
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := r.Machine.Eng.Profile()
+	p := m.Eng.Profile()
 	if p == nil {
 		t.Fatal("no engine profile collected")
 	}
@@ -120,7 +119,7 @@ func TestProfileAttribution(t *testing.T) {
 			t.Errorf("shard %d: empty windows %d > windows %d", i, s.EmptyWindows, s.Windows)
 		}
 	}
-	if total := r.Machine.Eng.ExecutedEvents(); shardEvents != total {
+	if total := r.Report.Events; shardEvents != total {
 		t.Errorf("shard events sum %d != engine total %d", shardEvents, total)
 	}
 	out := p.String()

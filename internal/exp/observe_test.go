@@ -50,9 +50,9 @@ func TestTracingDoesNotPerturbSimulation(t *testing.T) {
 	if bare.Report.Elapsed != traced.Report.Elapsed {
 		t.Errorf("elapsed changed under tracing: %d vs %d", bare.Report.Elapsed, traced.Report.Elapsed)
 	}
-	if bare.Machine.Eng.ExecutedEvents() != traced.Machine.Eng.ExecutedEvents() {
+	if bare.Report.Events != traced.Report.Events {
 		t.Errorf("events executed changed under tracing: %d vs %d",
-			bare.Machine.Eng.ExecutedEvents(), traced.Machine.Eng.ExecutedEvents())
+			bare.Report.Events, traced.Report.Events)
 	}
 
 	// The traced run must still match the recorded golden digest.
@@ -70,7 +70,7 @@ func TestTracingDoesNotPerturbSimulation(t *testing.T) {
 	}
 	got := goldenDigest{
 		Elapsed:  uint64(traced.Report.Elapsed),
-		Executed: traced.Machine.Eng.ExecutedEvents(),
+		Executed: traced.Report.Events,
 	}
 	if got != w {
 		t.Errorf("%s traced digest %+v, want %+v", name, got, w)
@@ -185,7 +185,7 @@ func TestShardedTraceIsOneTracer(t *testing.T) {
 		if err := tr.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if last := r.Machine.Eng.ExecutedEvents(); !first.seen || first.at >= last {
+		if last := r.Report.Events; !first.seen || first.at >= last {
 			t.Errorf("%v/%v: first event reached the tracer after %d of %d dispatches", engine, sync, first.at, last)
 		}
 		return buf.Bytes()

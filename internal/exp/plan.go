@@ -14,11 +14,9 @@ package exp
 //     points on the same executor.
 //   - render: on the caller's goroutine, in order. An experiment renders as
 //     soon as its own jobs are done, and every earlier experiment has
-//     rendered, so output stays progressive. The two tables that read a
-//     finished machine rather than its report (Section 4.3's per-node
-//     occupancies, Table 5.2's raw PP counters) attach an inspect function
-//     to the job at declare time, which the worker calls before dropping
-//     the machine.
+//     rendered, so output stays progressive. A renderer reads only its
+//     jobs' reports: Section 4.3's per-node occupancies are the report's
+//     PerNode, Table 5.2's raw PP counters its PP.
 
 import (
 	"errors"
@@ -33,14 +31,12 @@ import (
 )
 
 // job is one simulation: an application on a configuration. A worker fills
-// rep or err, hands the finished machine to each inspect function, and
-// closes done.
+// rep or err and closes done.
 type job struct {
-	app     string
-	cfg     arch.Config
-	p       apps.Params
-	verify  bool
-	inspect []func(*core.Machine)
+	app    string
+	cfg    arch.Config
+	p      apps.Params
+	verify bool
 
 	rep  stats.Report
 	err  error
@@ -53,13 +49,10 @@ func newJob(app string, cfg arch.Config, p apps.Params, verify bool) *job {
 
 func (j *job) run() {
 	defer close(j.done)
-	r, err := RunAppObserved(j.app, j.cfg, j.p, j.verify, nil)
+	r, err := RunApp(j.app, j.cfg, j.p, j.verify)
 	if err != nil {
 		j.err = err
 		return
-	}
-	for _, f := range j.inspect {
-		f(r.Machine)
 	}
 	j.rep = r.Report
 }
@@ -69,7 +62,7 @@ func (j *job) run() {
 // change the result) plus the workload identity. It also names Explore's
 // on-disk ResultCache entries.
 func runKey(cfg arch.Config, app string, p apps.Params) string {
-	return fmt.Sprintf("explore-v2|%s|app=%s|scale=%d|procs=%d",
+	return fmt.Sprintf("explore-v3|%s|app=%s|scale=%d|procs=%d",
 		core.SimKeyFor(cfg), app, p.Scale, p.Procs)
 }
 

@@ -144,11 +144,9 @@ func minWallRun(name string, cfg arch.Config, p apps.Params, verify bool) (*Run,
 			best = r
 			continue
 		}
-		if r.Report.Elapsed != best.Report.Elapsed ||
-			r.Machine.Eng.ExecutedEvents() != best.Machine.Eng.ExecutedEvents() {
+		if r.Report.Elapsed != best.Report.Elapsed || r.Report.Events != best.Report.Events {
 			return nil, fmt.Errorf("exp: %s: repeat run diverged (elapsed %d/%d, events %d/%d)",
-				name, best.Report.Elapsed, r.Report.Elapsed,
-				best.Machine.Eng.ExecutedEvents(), r.Machine.Eng.ExecutedEvents())
+				name, best.Report.Elapsed, r.Report.Elapsed, best.Report.Events, r.Report.Events)
 		}
 		if r.SimWall < best.SimWall {
 			best = r

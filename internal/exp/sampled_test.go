@@ -20,7 +20,7 @@ type sampledDigest struct {
 func sampledDigestOf(r *Run) sampledDigest {
 	d := sampledDigest{goldenDigest: goldenDigest{
 		Elapsed:  uint64(r.Report.Elapsed),
-		Executed: r.Machine.Eng.ExecutedEvents(),
+		Executed: r.Report.Events,
 	}}
 	if s := r.Report.Sampled; s != nil {
 		d.Est, d.CI, d.FF = s.ElapsedEst, s.ElapsedCI, s.FFWorkRefs
@@ -53,7 +53,7 @@ func TestSampledDetailFraction1(t *testing.T) {
 				}
 				got := goldenDigest{
 					Elapsed:  uint64(r.Report.Elapsed),
-					Executed: r.Machine.Eng.ExecutedEvents(),
+					Executed: r.Report.Events,
 				}
 				if got != want[name] {
 					t.Errorf("%s (%v/%v): digest %+v, want golden %+v", name, eng, pp, got, want[name])

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -10,6 +9,7 @@ import (
 	"flashsim/internal/core"
 	"flashsim/internal/cpu"
 	"flashsim/internal/sim"
+	"flashsim/internal/stats"
 )
 
 // paperLat33 holds the paper's Table 3.3 for reference columns.
@@ -118,24 +118,10 @@ func table34() (string, error) {
 	if err := m.Run(srcs, 10_000_000); err != nil {
 		return "", err
 	}
-	agg := map[string][2]uint64{}
-	for _, n := range m.Nodes {
-		for h, st := range n.Magic.Handlers() {
-			v := agg[h]
-			v[0] += uint64(st.Cycles)
-			v[1] += st.Count
-			agg[h] = v
-		}
-	}
-	names := make([]string, 0, len(agg))
-	for h := range agg {
-		names = append(names, h)
-	}
-	sort.Strings(names)
 	rows := [][]string{}
-	for _, h := range names {
-		v := agg[h]
-		rows = append(rows, []string{h, fmt.Sprint(v[1]), fmt.Sprintf("%.1f", float64(v[0])/float64(v[1]))})
+	lat := stats.Collect(m).HandlerLatency
+	for _, h := range sortedKeys(lat) {
+		rows = append(rows, []string{h, fmt.Sprint(lat[h].Count), fmt.Sprintf("%.1f", lat[h].Mean())})
 	}
 	var bld strings.Builder
 	bld.WriteString("Table 3.4: PP occupancies per handler (mean cycles per invocation)\n")

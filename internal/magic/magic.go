@@ -8,7 +8,6 @@ package magic
 
 import (
 	"fmt"
-	"slices"
 
 	"flashsim/internal/arch"
 	"flashsim/internal/cpu"
@@ -26,18 +25,6 @@ type Stats struct {
 	Dispatches   uint64 // handler invocations (excluding pp_init)
 	FFDispatches uint64 // of which ran functionally (fast-forward phases)
 	FFNetSends   uint64 // functional node-to-node sends (bypass the modeled network)
-}
-
-// HandlerStat accumulates one handler entry's PP occupancy (Table 3.4),
-// invocation count and service-time histogram (dispatch through completion,
-// including send/intervention stalls). Completion accounting bumps it
-// through the index the program's jump table interned for the entry,
-// keeping handler names (and map lookups) entirely off the dispatch hot
-// path.
-type HandlerStat struct {
-	Cycles sim.Cycle
-	Count  uint64
-	Lat    trace.Histogram
 }
 
 type queued struct {
@@ -204,10 +191,12 @@ type ctlState struct {
 	// non-overlap invariant (occupancies must never double-count).
 	lastEnd sim.Cycle
 
-	// handlers holds one accumulator per handler entry the program's jump
-	// table interned: handlers[i] is Prog.JT.Names[i]'s, and slots sharing
-	// an entry share its index.
-	handlers []HandlerStat
+	// handlers holds one service-time histogram per handler entry the
+	// program's jump table interned: handlers[i] is Prog.JT.Names[i]'s, and
+	// slots sharing an entry share its index. A histogram is allocated on
+	// its entry's first detailed completion; its Sum is the entry's PP
+	// occupancy (Table 3.4) and its Count the entry's invocations.
+	handlers []*trace.Histogram
 
 	// booted is set once protocol memory is initialized and pp_init has
 	// run (boot); a zero ctlState is a controller still to boot.
@@ -297,18 +286,19 @@ func New(id arch.NodeID, eng sim.Scheduler, cfg *arch.Config, prog *protocol.Pro
 	m.onProc, m.onToPI = m.arriveProc, m.deliverPI
 	mdc := ppsim.NewMDC(cfg.MDCSize, cfg.MDCWays)
 	m.PP = ppsim.NewBackend(prog.Code, int(prog.Layout.MemBytes), mdc, (*ppEnv)(m), ppsim.BackendFor(cfg.PPDispatch))
-	m.handlers = make([]HandlerStat, len(prog.JT.Names))
+	m.handlers = make([]*trace.Histogram, len(prog.JT.Names))
 	return m
 }
 
-// Handlers returns the statistics of every handler invoked so far, keyed
-// by entry-point name. The entries are the live accumulators, not copies:
-// callers must not modify them, and they keep counting if the machine runs
-// on.
-func (m *Magic) Handlers() map[string]*HandlerStat {
-	out := make(map[string]*HandlerStat, len(m.handlers))
-	for i := range m.handlers {
-		if h := &m.handlers[i]; h.Count > 0 {
+// Handlers returns the service-time histogram (dispatch through
+// completion, stalls included) of every handler that completed in detail so
+// far, keyed by entry-point name. The histograms are the live ones: callers
+// must not modify them, and they keep counting if the machine runs on.
+// Handlers run only functionally (fast-forward phases) have none.
+func (m *Magic) Handlers() map[string]*trace.Histogram {
+	out := make(map[string]*trace.Histogram, len(m.handlers))
+	for i, h := range m.handlers {
+		if h != nil {
 			out[m.Prog.JT.Names[i]] = h
 		}
 	}
@@ -318,8 +308,10 @@ func (m *Magic) Handlers() map[string]*HandlerStat {
 // PPBusy returns the PP's busy cycles so far: the sum of every handler's
 // occupancy.
 func (m *Magic) PPBusy() (busy sim.Cycle) {
-	for i := range m.handlers {
-		busy += m.handlers[i].Cycles
+	for _, h := range m.handlers {
+		if h != nil {
+			busy += sim.Cycle(h.Sum)
+		}
 	}
 	return busy
 }
@@ -495,9 +487,6 @@ func (m *Magic) runHandlerFF(msg arch.Msg, viaNet bool, at sim.Cycle) {
 		}
 		st, _ = pp.Resume()
 	}
-	// Census only: invocation counts stay exact, timing aggregates
-	// (occupancy, service-time histograms) see no functional handlers.
-	m.handlers[ctx.slot.Handler].Count++
 	ctx.busy = false
 }
 
@@ -559,10 +548,12 @@ func (m *Magic) handleStatus(st ppsim.Status, cyc uint64) {
 		}
 		m.lastEnd = end
 		occ := end - ctx.dispatched
-		agg := &m.handlers[ctx.slot.Handler]
-		agg.Cycles += occ
-		agg.Count++
-		agg.Lat.Observe(uint64(occ))
+		h := m.handlers[ctx.slot.Handler]
+		if h == nil {
+			h = new(trace.Histogram)
+			m.handlers[ctx.slot.Handler] = h
+		}
+		h.Observe(uint64(occ))
 		if m.Tr.Active() {
 			m.Tr.Emit(trace.Event{
 				Cycle: uint64(ctx.dispatched), Dur: uint64(occ), Node: int32(m.ID),
@@ -884,7 +875,10 @@ func (m *Magic) CaptureState() (MagicState, error) {
 		return MagicState{}, fmt.Errorf("magic%d: cycle %d: %w", m.ID, m.Eng.Now(), err)
 	}
 	st := MagicState{m.ctlState, pp, m.PP.MDC.CaptureState()}
-	st.handlers = slices.Clone(m.handlers)
+	st.handlers = make([]*trace.Histogram, len(m.handlers))
+	for i, h := range m.handlers {
+		st.handlers[i] = cloneHist(h)
+	}
 	return st, nil
 }
 
@@ -894,13 +888,27 @@ func (m *Magic) CaptureState() (MagicState, error) {
 func (m *Magic) RestoreState(st MagicState) {
 	m.PP.RestoreState(st.pp)
 	m.PP.MDC.RestoreState(st.mdc)
-	arch.RestoreSlice(m.handlers, st.handlers) // Handlers hands out pointers into it
+	// The controller counts into copies, so a capture can be restored
+	// twice; the zero state drops every histogram.
+	arch.RestoreSlice(m.handlers, st.handlers)
+	for i, h := range m.handlers {
+		m.handlers[i] = cloneHist(h)
+	}
 	st.handlers = m.handlers
 	m.ctlState = st.ctlState
 	m.flight = flight{qPI: m.qPI.emptied(), qNetReq: m.qNetReq.emptied(), qNetRpl: m.qNetRpl.emptied(), outNet: m.outNet[:0]}
 	if !m.booted {
 		m.boot()
 	}
+}
+
+// cloneHist copies a materialized handler histogram; nil stays nil.
+func cloneHist(h *trace.Histogram) *trace.Histogram {
+	if h == nil {
+		return nil
+	}
+	c := *h
+	return &c
 }
 
 // DebugState renders every in-flight field — for the handler its entry

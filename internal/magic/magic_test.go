@@ -118,7 +118,7 @@ func TestHandlerDispatchLocalRead(t *testing.T) {
 // TestNodesShareOneJumpTable pins that the jump table belongs to the
 // program: every controller of a machine, and of a second machine built
 // from the same configuration, dispatches through the memoized program's
-// one table, a run leaves it as built, and only the handler accumulators
+// one table, a run leaves it as built, and only the handler histograms
 // are per node.
 func TestNodesShareOneJumpTable(t *testing.T) {
 	refs := [2][]cpu.Ref{{{Kind: arch.RefRead, Addr: 0x1000}}, {{Kind: arch.RefRead, Addr: 0x1000}}}
@@ -141,10 +141,52 @@ func TestNodesShareOneJumpTable(t *testing.T) {
 		t.Error("a run changed the program's jump table")
 	}
 	if &a.magics[0].handlers[0] == &a.magics[1].handlers[0] {
-		t.Error("two nodes share handler accumulators")
+		t.Error("two nodes share handler histograms")
 	}
 	if counts(a.magics[0])["pi_get_local"] != 1 || counts(a.magics[1])["pi_get_remote"] != 1 {
 		t.Errorf("handler counts %v and %v, want one local and one remote read", counts(a.magics[0]), counts(a.magics[1]))
+	}
+}
+
+// TestHandlerHistogramsMaterializeOnUse pins the controller's handler
+// histograms: none before a handler completes, one per entry that ran after,
+// captured and restored as copies (a capture restores twice to the same
+// thing), and dropped by a restore of the zero state.
+func TestHandlerHistogramsMaterializeOnUse(t *testing.T) {
+	r := buildRig(t, arch.DefaultConfig(), [2][]cpu.Ref{{{Kind: arch.RefRead, Addr: 0x1000}}, nil})
+	mg := r.magics[0]
+	materialized := func() (n int) {
+		for _, h := range mg.handlers {
+			if h != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if n := materialized(); n != 0 {
+		t.Fatalf("%d handler histograms before any handler ran, want 0", n)
+	}
+	if err := r.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n, c := materialized(), counts(mg); n != 1 || c["pi_get_local"] != 1 {
+		t.Fatalf("%d histograms, counts %v after one local read; want pi_get_local's alone", n, c)
+	}
+	busy := mg.PPBusy()
+	st, err := mg.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mg.RestoreState(MagicState{})
+	if n := materialized(); n != 0 || mg.PPBusy() != 0 {
+		t.Fatalf("zero state restored: %d histograms, PP busy %d; want none", n, mg.PPBusy())
+	}
+	for i := 0; i < 2; i++ {
+		mg.RestoreState(st)
+		if n, c := materialized(), counts(mg); n != 1 || c["pi_get_local"] != 1 || mg.PPBusy() != busy {
+			t.Fatalf("restore %d: %d histograms, counts %v, PP busy %d; want the capture's (busy %d)", i, n, c, mg.PPBusy(), busy)
+		}
+		mg.Handlers()["pi_get_local"].Observe(1000) // counts into the controller's copy only
 	}
 }
 

@@ -42,6 +42,10 @@ type MemoryState struct {
 	Writes      uint64
 	SpecReads   uint64 // speculative reads issued by the inbox
 	SpecUseless uint64 // speculative reads whose data was not used
+
+	// waitMax is the longest a Read or Write waited for the line accesses
+	// booked ahead of it (see BacklogMax).
+	waitMax sim.Cycle
 }
 
 // New creates a memory controller with the given timing.
@@ -69,7 +73,7 @@ func (m *Memory) observe(kind trace.Kind, start sim.Cycle) {
 // Read reserves a full-line read starting no earlier than at. It returns
 // when the first 8 bytes are available and when the controller frees.
 func (m *Memory) Read(at sim.Cycle) (firstWord, done sim.Cycle) {
-	start, end := m.srv.Reserve(at, sim.Cycle(m.t.MemLineBusy))
+	start, end := m.reserve(at)
 	m.Reads++
 	m.observe(trace.KindMemRead, start)
 	return start + sim.Cycle(m.t.MemAccess), end
@@ -91,10 +95,26 @@ func (m *Memory) MarkUseless() { m.SpecUseless++ }
 // Write reserves a full-line write starting no earlier than at and returns
 // when the controller frees.
 func (m *Memory) Write(at sim.Cycle) (done sim.Cycle) {
-	start, end := m.srv.Reserve(at, sim.Cycle(m.t.MemLineBusy))
+	start, end := m.reserve(at)
 	m.Writes++
 	m.observe(trace.KindMemWrite, start)
 	return end
+}
+
+// reserve books one line access no earlier than at and records how long it
+// waits.
+func (m *Memory) reserve(at sim.Cycle) (start, end sim.Cycle) {
+	start, end = m.srv.Reserve(at, sim.Cycle(m.t.MemLineBusy))
+	m.waitMax = max(m.waitMax, start-at)
+	return start, end
+}
+
+// BacklogMax returns the deepest backlog a Read or Write found: the most
+// line accesses booked ahead of any one, ⌈(start − at) / MemLineBusy⌉ at
+// the longest wait.
+func (m *Memory) BacklogMax() uint64 {
+	line := sim.Cycle(m.t.MemLineBusy)
+	return uint64((m.waitMax + line - 1) / line)
 }
 
 // CaptureState returns a copy of the controller's simulated state. The
@@ -104,8 +124,8 @@ func (m *Memory) CaptureState() MemoryState { return m.MemoryState }
 // RestoreState installs st; the zero MemoryState is a fresh controller.
 func (m *Memory) RestoreState(st MemoryState) { m.MemoryState = st }
 
-// Occupancy returns the controller's busy fraction over total cycles.
-func (m *Memory) Occupancy(total sim.Cycle) float64 { return m.srv.Occupancy(total) }
+// Busy returns the cycles the controller has served line accesses.
+func (m *Memory) Busy() sim.Cycle { return m.srv.Busy }
 
 // Accesses returns the total number of line accesses.
 func (m *Memory) Accesses() uint64 { return m.Reads + m.Writes }

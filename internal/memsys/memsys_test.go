@@ -31,8 +31,11 @@ func TestWriteOccupancy(t *testing.T) {
 	if got := m.srv.Busy; got != 58 {
 		t.Fatalf("busy = %d, want 58", got)
 	}
-	if occ := m.Occupancy(116); occ != 0.5 {
-		t.Fatalf("occupancy = %v, want 0.5", occ)
+	if got := m.Busy(); got != 58 {
+		t.Fatalf("Busy() = %d, want 58", got)
+	}
+	if got := m.BacklogMax(); got != 1 {
+		t.Fatalf("backlog max = %d, want 1 (the second write queued behind the first)", got)
 	}
 	if m.Accesses() != 2 || m.Writes != 2 {
 		t.Fatalf("accesses = %d writes = %d", m.Accesses(), m.Writes)

@@ -27,10 +27,11 @@ func (s *Server) Reserve(at Cycle, dur Cycle) (start, end Cycle) {
 	return start, end
 }
 
-// Occupancy returns Busy/total; total==0 yields 0.
-func (s *Server) Occupancy(total Cycle) float64 {
+// Occupancy returns busy/total, a server's Busy over a span; total==0
+// yields 0.
+func Occupancy(busy, total Cycle) float64 {
 	if total == 0 {
 		return 0
 	}
-	return float64(s.Busy) / float64(total)
+	return float64(busy) / float64(total)
 }

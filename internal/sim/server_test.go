@@ -52,7 +52,7 @@ func TestServerOccupancyAccumulates(t *testing.T) {
 	if s.Busy != 50 {
 		t.Fatalf("Busy = %d, want 50", s.Busy)
 	}
-	if got := s.Occupancy(100); got != 0.5 {
+	if got := Occupancy(s.Busy, 100); got != 0.5 {
 		t.Fatalf("Occupancy(100) = %v, want 0.5", got)
 	}
 	s.Reserve(60, 0)
@@ -63,19 +63,19 @@ func TestServerOccupancyAccumulates(t *testing.T) {
 
 func TestServerOccupancyEdges(t *testing.T) {
 	var s Server
-	if got := s.Occupancy(100); got != 0 {
+	if got := Occupancy(s.Busy, 100); got != 0 {
 		t.Fatalf("idle Occupancy = %v, want 0", got)
 	}
 	s.Reserve(0, 10)
-	if got := s.Occupancy(0); got != 0 {
+	if got := Occupancy(s.Busy, 0); got != 0 {
 		t.Fatalf("Occupancy(0) = %v, want 0 (no divide-by-zero)", got)
 	}
-	if got := s.Occupancy(10); got != 1 {
+	if got := Occupancy(s.Busy, 10); got != 1 {
 		t.Fatalf("saturated Occupancy = %v, want 1", got)
 	}
 	// A total shorter than the served interval reports > 1 rather than
 	// clamping, so a caller's mismeasured total shows.
-	if got := s.Occupancy(5); got != 2 {
+	if got := Occupancy(s.Busy, 5); got != 2 {
 		t.Fatalf("oversubscribed Occupancy = %v, want 2", got)
 	}
 }
@@ -91,7 +91,7 @@ func TestServerOccupancySplitInvariance(t *testing.T) {
 			sum += Cycle(c)
 		}
 		whole.Reserve(0, sum)
-		a, b := whole.Occupancy(Cycle(total)), split.Occupancy(Cycle(total))
+		a, b := Occupancy(whole.Busy, Cycle(total)), Occupancy(split.Busy, Cycle(total))
 		return a == b && (total == 0 || !math.Signbit(a))
 	}
 	if err := quick.Check(f, nil); err != nil {

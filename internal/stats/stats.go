@@ -16,6 +16,7 @@ import (
 	"flashsim/internal/arch"
 	"flashsim/internal/core"
 	"flashsim/internal/metrics"
+	"flashsim/internal/ppsim"
 	"flashsim/internal/sim"
 	"flashsim/internal/trace"
 )
@@ -26,11 +27,26 @@ type Breakdown struct {
 	Busy, Read, Write, Sync, Cont float64
 }
 
-// Report is the full statistics bundle for one run.
+// NodeStats is one node's raw occupancy record.
+type NodeStats struct {
+	// PPBusy is the cycles the node's protocol processor spent in handlers
+	// (FLASH only); MemBusy the cycles its memory controller served line
+	// accesses.
+	PPBusy, MemBusy sim.Cycle
+	// MemBacklogMax is the most line accesses any one memory access found
+	// booked ahead of it (memsys.Memory.BacklogMax).
+	MemBacklogMax uint64
+}
+
+// Report is the full statistics bundle for one run: everything a reader of
+// a finished run gets, so every table, example and digest reads its numbers
+// here rather than off the machine.
 type Report struct {
 	Machine arch.MachineKind
 	Nodes   int
 	Elapsed sim.Cycle
+	// Events is the number of events the engine executed.
+	Events uint64
 
 	Breakdown Breakdown
 
@@ -43,11 +59,18 @@ type Report struct {
 	Writebacks uint64
 	Hints      uint64
 
+	// AvgMemOcc and MaxMemOcc (and AvgPPOcc, MaxPPOcc) are PerNode's busy
+	// cycles over the quiesce time (its detailed share under sampling),
+	// averaged over nodes and at the busiest node.
 	AvgMemOcc, MaxMemOcc float64
 	MemAccesses          uint64
+	PerNode              []NodeStats
 
 	// FLASH-only.
 	AvgPPOcc, MaxPPOcc float64
+	// PP sums every protocol processor's dynamic counters: the raw
+	// figures behind DualIssueEff, SpecialUse and PairsPerHandler.
+	PP                 ppsim.Stats
 	HandlerInvocations uint64
 	HandlersPerMiss    float64
 	DualIssueEff       float64
@@ -68,7 +91,8 @@ type Report struct {
 	ReadLatency [arch.NumMissClasses]trace.Histogram
 
 	// HandlerLatency histograms PP service time per handler entry point
-	// (FLASH only): the distribution behind Table 3.4's averages.
+	// (FLASH only): the distribution behind Table 3.4's averages. A sampled
+	// run lists only handlers that completed in a detailed phase.
 	HandlerLatency map[string]*trace.Histogram `json:",omitempty"`
 
 	// OccWindow is the occupancy sampling window in cycles; when nonzero,
@@ -86,10 +110,10 @@ type Report struct {
 	// ElapsedEst is the comparable figure.
 	Sampled *Sampled `json:",omitempty"`
 
-	// Host, when metrics collection is on, carries the Go-runtime cost of
-	// producing this report: wall clock, allocation, and GC totals for the
-	// run. Host-side only — it never appears in the paper-facing text
-	// rendering.
+	// Host carries the Go-runtime cost of producing this report — wall
+	// clock, allocation and GC totals — when a process that ran only this
+	// simulation measured it (flashsim with metrics on). Host-side only: it
+	// never appears in the paper-facing text rendering.
 	Host *metrics.HostDelta `json:",omitempty"`
 }
 
@@ -138,7 +162,7 @@ type Sampled struct {
 
 // Collect gathers a Report from a finished machine.
 func Collect(m *core.Machine) Report {
-	r := Report{Machine: m.Cfg.Kind, Nodes: m.Cfg.Nodes, Elapsed: m.Elapsed}
+	r := Report{Machine: m.Cfg.Kind, Nodes: m.Cfg.Nodes, Elapsed: m.Elapsed, Events: m.Eng.ExecutedEvents()}
 	el := float64(m.Elapsed)
 	if el == 0 {
 		el = 1
@@ -158,11 +182,15 @@ func Collect(m *core.Machine) Report {
 			occTotal = 1
 		}
 	}
+	flash := m.Cfg.Kind == arch.KindFLASH
 	var classTot [arch.NumMissClasses]uint64
-	var memBusy, memMax float64
 	var specReads, specUseless uint64
-	var memAcc uint64
-	for _, n := range m.Nodes {
+	var mdcR, mdcRM, mdcM uint64
+	r.PerNode = make([]NodeStats, len(m.Nodes))
+	if flash {
+		r.HandlerLatency = make(map[string]*trace.Histogram)
+	}
+	for i, n := range m.Nodes {
 		s := &n.CPU.Stats
 		r.Refs += s.Refs
 		r.Misses += s.Misses
@@ -178,18 +206,39 @@ func Collect(m *core.Machine) Report {
 		r.Breakdown.Write += float64(s.WriteStall) / el
 		r.Breakdown.Sync += float64(s.SyncStall) / el
 		r.Breakdown.Cont += float64(s.ContStall) / el
-
-		occ := n.Mem.Occupancy(occTotal)
-		memBusy += occ
-		if occ > memMax {
-			memMax = occ
-		}
-		memAcc += n.Mem.Accesses()
-		specReads += n.Mem.SpecReads
-		specUseless += n.Mem.SpecUseless
 		for c := 0; c < int(arch.NumMissClasses); c++ {
 			r.ReadLatency[c].Merge(&s.ReadLat[c])
 		}
+
+		r.PerNode[i] = NodeStats{MemBusy: n.Mem.Busy(), MemBacklogMax: n.Mem.BacklogMax()}
+		r.MemAccesses += n.Mem.Accesses()
+		specReads += n.Mem.SpecReads
+		specUseless += n.Mem.SpecUseless
+		if !flash {
+			continue
+		}
+		mg := n.Magic
+		r.PerNode[i].PPBusy = mg.PPBusy()
+		for entry, h := range mg.Handlers() {
+			agg := r.HandlerLatency[entry]
+			if agg == nil {
+				agg = &trace.Histogram{}
+				r.HandlerLatency[entry] = agg
+			}
+			agg.Merge(h)
+		}
+		ps := &mg.PP.Stats
+		r.PP.Pairs += ps.Pairs
+		r.PP.Instrs += ps.Instrs
+		r.PP.ALUOrBranch += ps.ALUOrBranch
+		r.PP.Special += ps.Special
+		r.PP.StallCycles += ps.StallCycles
+		r.HandlerInvocations += mg.Stats.Dispatches
+		md := mg.PP.MDC.Stats
+		mdcR += md.Reads
+		r.MDCAccesses += md.Reads + md.Writes
+		mdcRM += md.ReadMisses
+		mdcM += md.ReadMisses + md.WriteMisses
 	}
 	np := float64(len(m.Nodes))
 	r.Breakdown.Busy /= np
@@ -197,9 +246,15 @@ func Collect(m *core.Machine) Report {
 	r.Breakdown.Write /= np
 	r.Breakdown.Sync /= np
 	r.Breakdown.Cont /= np
-	r.AvgMemOcc = memBusy / np
-	r.MaxMemOcc = memMax
-	r.MemAccesses = memAcc
+	var memSum, ppSum float64
+	for _, nd := range r.PerNode {
+		mem, pp := sim.Occupancy(nd.MemBusy, occTotal), sim.Occupancy(nd.PPBusy, occTotal)
+		memSum += mem
+		r.MaxMemOcc = max(r.MaxMemOcc, mem)
+		ppSum += pp
+		r.MaxPPOcc = max(r.MaxPPOcc, pp)
+	}
+	r.AvgMemOcc = memSum / np
 	if r.Refs > 0 {
 		r.MissRate = float64(r.Misses) / float64(r.Refs)
 	}
@@ -213,56 +268,20 @@ func Collect(m *core.Machine) Report {
 		r.SpecUseless = float64(specUseless) / float64(specReads)
 	}
 
-	if m.Cfg.Kind == arch.KindFLASH {
-		var ppBusy, ppMax float64
-		var pairs, instrs, aluBr, special, invocations, mdcR, mdcW, mdcRM, mdcM uint64
-		r.HandlerLatency = make(map[string]*trace.Histogram)
-		for _, n := range m.Nodes {
-			mg := n.Magic
-			occ := 0.0
-			if occTotal > 0 {
-				occ = float64(mg.PPBusy()) / float64(occTotal)
-			}
-			ppBusy += occ
-			if occ > ppMax {
-				ppMax = occ
-			}
-			for entry, h := range mg.Handlers() {
-				agg := r.HandlerLatency[entry]
-				if agg == nil {
-					agg = &trace.Histogram{}
-					r.HandlerLatency[entry] = agg
-				}
-				agg.Merge(&h.Lat)
-			}
-			ps := mg.PP.Stats
-			pairs += ps.Pairs
-			instrs += ps.Instrs
-			aluBr += ps.ALUOrBranch
-			special += ps.Special
-			invocations += mg.Stats.Dispatches
-			md := mg.PP.MDC.Stats
-			mdcR += md.Reads
-			mdcW += md.Writes
-			mdcRM += md.ReadMisses
-			mdcM += md.ReadMisses + md.WriteMisses
-		}
-		r.AvgPPOcc = ppBusy / np
-		r.MaxPPOcc = ppMax
-		r.HandlerInvocations = invocations
+	if flash {
+		r.AvgPPOcc = ppSum / np
 		if r.Misses > 0 {
-			r.HandlersPerMiss = float64(invocations) / float64(r.Misses)
+			r.HandlersPerMiss = float64(r.HandlerInvocations) / float64(r.Misses)
 		}
-		if pairs > 0 {
-			r.DualIssueEff = float64(instrs) / float64(pairs)
+		if r.PP.Pairs > 0 {
+			r.DualIssueEff = float64(r.PP.Instrs) / float64(r.PP.Pairs)
 		}
-		if aluBr > 0 {
-			r.SpecialUse = float64(special) / float64(aluBr)
+		if r.PP.ALUOrBranch > 0 {
+			r.SpecialUse = float64(r.PP.Special) / float64(r.PP.ALUOrBranch)
 		}
-		if invocations > 0 {
-			r.PairsPerHandler = float64(pairs) / float64(invocations)
+		if r.HandlerInvocations > 0 {
+			r.PairsPerHandler = float64(r.PP.Pairs) / float64(r.HandlerInvocations)
 		}
-		r.MDCAccesses = mdcR + mdcW
 		if r.MDCAccesses > 0 {
 			r.MDCMissRate = float64(mdcM) / float64(r.MDCAccesses)
 		}
