@@ -17,7 +17,7 @@ build:
 # sharing one memoized protocol program and the sampling suite; over every
 # test of the event engines (the sharded engine's own differential tests
 # among them) and of the metrics registry (16 goroutines writing shared
-# series through Add, Set and Max must leave exact totals); and six
+# series through Add, Set and Max must leave exact totals); and seven
 # bounded fuzzes, each 10 s with the minimization of a new input held to
 # 100 executions (Go's default, 60 s, outlasts the budget and idles the
 # run): the calendar event queue against a sorted-slice reference, the PP
@@ -31,13 +31,16 @@ build:
 # snapshots, two forks of one snapshot, resets and pristine images), and
 # the processor cache's lazily materialized set groups against a stamp-LRU
 # reference (several geometries, captures restored twice and the zero
-# state, the shared zero group never written).
+# state, the shared zero group never written), and the in-place coherence
+# audit against the map-based reference audit on corrupted post-run
+# machines (FLASH dynptr, FLASH bitvec and ideal: the same error, or nil
+# exactly when the reference finds nothing).
 verify:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
 	! grep -rnE 'os\.(Getenv|Setenv|LookupEnv)' cmd internal --include='*.go' --exclude='*_test.go' && test -z "$$(gofmt -l cmd internal bench examples)"
 	$(GO) test -race ./internal/exp -run 'Parallel|GoldenDigest|SharedProgram|Sampled'
 	$(GO) test -race ./internal/sim ./internal/metrics
-	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzQueueOrder -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/ppisa -run '^$$' -fuzz FuzzAssemble -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/arch -run '^$$' -fuzz FuzzParseSampleSpec -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/exp -run '^$$' -fuzz FuzzResultCacheEntry -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/memsys -run '^$$' -fuzz FuzzStoreOps -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/cpu -run '^$$' -fuzz FuzzCacheGroups -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzQueueOrder -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/ppisa -run '^$$' -fuzz FuzzAssemble -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/arch -run '^$$' -fuzz FuzzParseSampleSpec -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/exp -run '^$$' -fuzz FuzzResultCacheEntry -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/memsys -run '^$$' -fuzz FuzzStoreOps -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/cpu -run '^$$' -fuzz FuzzCacheGroups -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/core -run '^$$' -fuzz FuzzCheckCoherence -fuzztime 10s -fuzzminimizetime 100x
 
 test:
 	$(GO) test ./...

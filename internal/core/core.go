@@ -60,6 +60,10 @@ type Machine struct {
 	// EnableMetrics. Run publishes machine counters and the engine's
 	// host-cost profile into it on completion.
 	Metrics *metrics.Registry
+
+	// auditDir is CheckCoherence's directory decode buffer, reused for
+	// every cached copy and every audit.
+	auditDir protocol.DirInfo
 }
 
 // SetTracer attaches tr to every component of the machine — processors,

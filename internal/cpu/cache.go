@@ -255,21 +255,30 @@ func (c *Cache) RestoreState(st CacheState) {
 // SameSet reports whether two lines map to the same cache set.
 func (c *Cache) SameSet(a, b uint64) bool { return a&c.mask == b&c.mask }
 
-// Lines returns the resident lines and their states (for invariant checks).
-// It reads materialized groups only.
-func (c *Cache) Lines() map[uint64]LineState {
-	out := make(map[uint64]LineState)
+// Resident yields each resident line and its state, set group by set
+// group and each set in recency order; it reads materialized groups only
+// and allocates nothing. Range over it (for line, s := range c.Resident).
+func (c *Cache) Resident(yield func(line uint64, s LineState) bool) {
 	for _, g := range c.groups {
 		if c.isZero(g) {
 			continue
 		}
 		for _, t := range g {
-			if t != 0 {
-				out[t>>2] = LineState(t & 3)
+			if t != 0 && !yield(t>>2, LineState(t&3)) {
+				return
 			}
 		}
 	}
-	return out
+}
+
+// Probe returns the state of line without touching recency (for invariant
+// checks; the processor's own lookups use Lookup).
+func (c *Cache) Probe(line uint64) LineState {
+	set := c.set(line)
+	if w := find(set, line); w >= 0 {
+		return LineState(set[w] & 3)
+	}
+	return Invalid
 }
 
 // Groups returns the number of materialized set groups: the cache's tag

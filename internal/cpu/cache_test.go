@@ -22,8 +22,71 @@ func TestCacheFillLookup(t *testing.T) {
 	if st := c.Lookup(5); st != Modified {
 		t.Fatalf("state = %v, want M", st)
 	}
-	if len(c.Lines()) != 1 {
-		t.Fatalf("lines = %v", c.Lines())
+	if l := lines(c); len(l) != 1 {
+		t.Fatalf("lines = %v", l)
+	}
+}
+
+// lines collects the cache's resident lines and their states.
+func lines(c *Cache) map[uint64]LineState {
+	out := make(map[uint64]LineState)
+	for l, s := range c.Resident {
+		if _, dup := out[l]; dup {
+			panic("cpu: line resident twice")
+		}
+		out[l] = s
+	}
+	return out
+}
+
+// checkResident requires got's resident lines to equal the reference's,
+// and Probe to agree with them on every resident line and on line.
+func checkResident(t *testing.T, op int, got *Cache, want *stampCache, line uint64) {
+	t.Helper()
+	g, w := lines(got), want.Lines()
+	if !maps.Equal(g, w) {
+		t.Fatalf("op %d: resident lines = %v, reference %v", op, g, w)
+	}
+	for l, s := range w {
+		if p := got.Probe(l); p != s {
+			t.Fatalf("op %d: Probe(%d) = %v, reference %v", op, l, p, s)
+		}
+	}
+	if p := got.Probe(line); p != w[line] {
+		t.Fatalf("op %d: Probe(%d) = %v, reference %v", op, line, p, w[line])
+	}
+}
+
+func TestCacheProbeKeepsRecency(t *testing.T) {
+	c := NewCache(4096, 2) // 16 sets: lines 1, 17, 33 share set 1
+	c.Fill(1, Shared)
+	c.Fill(17, Modified)
+	if s := c.Probe(1); s != Shared {
+		t.Fatalf("Probe(1) = %v, want S", s)
+	}
+	if s := c.Probe(33); s != Invalid {
+		t.Fatalf("Probe(33) = %v, want I", s)
+	}
+	// Line 1 stays least recently used, so the next fill evicts it.
+	if victim, _, evicted := c.Fill(33, Shared); !evicted || victim != 1 {
+		t.Fatalf("evicted %v %d, want line 1: Probe touched recency", evicted, victim)
+	}
+}
+
+func TestCacheResidentAllocatesNothing(t *testing.T) {
+	c := NewCache(1<<20, 2)
+	for l := range uint64(4096) {
+		c.Fill(l*37, Shared)
+	}
+	n := 0
+	allocs := testing.AllocsPerRun(10, func() {
+		n = 0
+		for range c.Resident {
+			n++
+		}
+	})
+	if n != 4096 || allocs != 0 {
+		t.Fatalf("Resident yielded %d lines with %.0f allocations, want 4096 with 0", n, allocs)
 	}
 }
 
@@ -81,7 +144,7 @@ func TestCacheCapacityProperty(t *testing.T) {
 			}
 		}
 		perSet := map[int]int{}
-		for l := range c.Lines() {
+		for l := range c.Resident {
 			perSet[int(l%8)]++
 		}
 		for _, n := range perSet {
@@ -181,8 +244,9 @@ func (c *stampCache) Lines() map[uint64]LineState {
 // FuzzCacheLRU drives Cache and the stamp reference through the same
 // Lookup, Fill and SetState sequence — 1, 2 or 4 ways over four sets, lines
 // 0..31 so every set sees evictions — and requires every return value and
-// the resident lines to agree after each operation. The first byte picks
-// the associativity; each following pair is an operation and a line.
+// the resident lines (Resident, and Probe of each) to agree after each
+// operation. The first byte picks the associativity; each following pair
+// is an operation and a line.
 func FuzzCacheLRU(f *testing.F) {
 	f.Add([]byte{0, 0x10, 1, 0x10, 5, 0x20, 1, 0x00, 1})                             // 1 way: fill, conflict, lookup
 	f.Add([]byte{1, 0x10, 0, 0x10, 4, 0x10, 8, 0x00, 0, 0x10, 12, 0x30, 4, 0x10, 8}) // 2 ways, line 0
@@ -219,9 +283,7 @@ func FuzzCacheLRU(f *testing.F) {
 					t.Fatalf("op %d: SetState(%d, %v) = %v, reference %v", k/2, line, s, g, w)
 				}
 			}
-			if g, w := got.Lines(), want.Lines(); !maps.Equal(g, w) {
-				t.Fatalf("op %d: Lines = %v, reference %v", k/2, g, w)
-			}
+			checkResident(t, k/2, got, want, line)
 		}
 	})
 }
@@ -244,11 +306,12 @@ var groupGeometries = []struct{ size, ways int }{
 // through Lookup, Fill, SetState, CaptureState and RestoreState (of either
 // of two captures, or of the zero state) on caches of several set groups
 // and on one smaller than a group, with lines spread across every group.
-// After each operation every return value, the resident lines and the
-// materialized group count (the groups filled since the last restore, or
-// those of the restored capture) must agree with the reference, and the
-// shared zero group must still be all zero. The first byte picks the
-// geometry; each following triple is an operation, a set selector and a tag.
+// After each operation every return value, the resident lines (Resident,
+// and Probe of each) and the materialized group count (the groups filled
+// since the last restore, or those of the restored capture) must agree
+// with the reference, and the shared zero group must still be all zero.
+// The first byte picks the geometry; each following triple is an
+// operation, a set selector and a tag.
 func FuzzCacheGroups(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 1, 255, 1, 0, 0, 0, 6, 0, 0, 3, 0, 0, 7, 0, 0, 0, 0, 0, 7, 0, 0})
 	f.Add([]byte{1, 1, 8, 0, 2, 8, 1, 1, 8, 2, 0, 8, 0, 6, 1, 0, 7, 2, 0, 7, 1, 0, 0, 8, 0})
@@ -314,9 +377,7 @@ func FuzzCacheGroups(f *testing.F) {
 			if zeroGroup != [groupWords]uint64{} {
 				t.Fatalf("op %d: the shared zero group was written", k/3)
 			}
-			if g, w := got.Lines(), want.Lines(); !maps.Equal(g, w) {
-				t.Fatalf("op %d: Lines = %v, reference %v", k/3, g, w)
-			}
+			checkResident(t, k/3, got, want, line)
 			if g := got.Groups(); g != len(filled) {
 				t.Fatalf("op %d: %d groups materialized, %d filled", k/3, g, len(filled))
 			}

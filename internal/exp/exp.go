@@ -70,13 +70,16 @@ type Run struct {
 
 // RunApp executes one application on one configuration.
 func RunApp(name string, cfg arch.Config, p apps.Params, verify bool) (*Run, error) {
-	return RunAppObserved(name, cfg, p, verify, nil)
+	return RunAppObserved(name, cfg, p, verify, 0, nil)
 }
 
-// RunAppObserved is RunApp with a hook called on the freshly built machine
-// before the run starts — the place to attach a tracer
-// (core.Machine.SetTracer) and its sinks, an occupancy sink among them,
-// without perturbing the simulation itself.
+// RunAppObserved is RunApp with a cycle limit (0 = none) and a hook called
+// on the freshly built machine before the run starts — the place to attach
+// a tracer (core.Machine.SetTracer) and its sinks, an occupancy sink among
+// them, without perturbing the simulation itself. When the run itself
+// fails (the limit, a deadlock, a thread's panic) it returns the stopped
+// machine's partial report along with the error; a failed build, result
+// check or coherence audit returns no Run.
 //
 // It is the one place exp runs a simulation: flashexp's experiments and
 // Explore's points are jobs that call it (plan.go). A panic in an app
@@ -86,7 +89,7 @@ func RunApp(name string, cfg arch.Config, p apps.Params, verify bool) (*Run, err
 //
 // The report carries no host-cost accounting (Report.Host): the runtime
 // counters are process-wide, and exp runs simulations concurrently.
-func RunAppObserved(name string, cfg arch.Config, p apps.Params, verify bool, observe func(*core.Machine)) (r *Run, err error) {
+func RunAppObserved(name string, cfg arch.Config, p apps.Params, verify bool, limit uint64, observe func(*core.Machine)) (r *Run, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			r, err = nil, fmt.Errorf("panic: %v\n%s", v, debug.Stack())
@@ -105,10 +108,12 @@ func RunAppObserved(name string, cfg arch.Config, p apps.Params, verify bool, ob
 		return nil, err
 	}
 	simStart := time.Now()
-	if err := w.Run(app.Run, 0); err != nil {
-		return nil, fmt.Errorf("%s on %v: %w", name, cfg.Kind, err)
-	}
+	runErr := w.Run(app.Run, limit)
 	simWall := time.Since(simStart)
+	if runErr != nil {
+		return &Run{App: name, Cfg: cfg, Report: stats.Collect(m), SimWall: simWall},
+			fmt.Errorf("%s on %v: %w", name, cfg.Kind, runErr)
+	}
 	if verify {
 		if err := app.Verify(); err != nil {
 			return nil, fmt.Errorf("%s on %v: %w", name, cfg.Kind, err)

@@ -28,7 +28,7 @@ func TestMetricsDoNotPerturbSimulation(t *testing.T) {
 			cfg.Engine = eng
 			cfg.PPDispatch = disp
 			reg := metrics.NewRegistry()
-			r, err := RunAppObserved(app, cfg, apps.Params{Scale: goldenScales[app]}, true, func(m *core.Machine) {
+			r, err := RunAppObserved(app, cfg, apps.Params{Scale: goldenScales[app]}, true, 0, func(m *core.Machine) {
 				m.EnableMetrics(reg)
 			})
 			if err != nil {
@@ -62,7 +62,7 @@ func TestMetricsProfileShape(t *testing.T) {
 	cfg := goldenConfig()
 	cfg.Engine = arch.EngineSharded
 	reg := metrics.NewRegistry()
-	r, err := RunAppObserved("fft", cfg, apps.Params{Scale: goldenScales["fft"]}, true, func(m *core.Machine) {
+	r, err := RunAppObserved("fft", cfg, apps.Params{Scale: goldenScales["fft"]}, true, 0, func(m *core.Machine) {
 		m.EnableMetrics(reg)
 	})
 	if err != nil {
@@ -97,7 +97,7 @@ func TestProfileAttribution(t *testing.T) {
 	cfg := Options{}.baseConfig(16)
 	cfg.Engine = arch.EngineSharded
 	var m *core.Machine
-	r, err := RunAppObserved("fft", cfg, apps.Params{Procs: 16, Scale: 256}, true, func(mm *core.Machine) {
+	r, err := RunAppObserved("fft", cfg, apps.Params{Procs: 16, Scale: 256}, true, 0, func(mm *core.Machine) {
 		m = mm
 		m.EnableMetrics(metrics.NewRegistry())
 	})

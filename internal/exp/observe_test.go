@@ -26,7 +26,7 @@ func TestTracingDoesNotPerturbSimulation(t *testing.T) {
 	const name = "fft"
 	run := func(observe func(*core.Machine)) *Run {
 		cfg := goldenConfig()
-		r, err := RunAppObserved(name, cfg, apps.Params{Scale: goldenScales[name]}, true, observe)
+		r, err := RunAppObserved(name, cfg, apps.Params{Scale: goldenScales[name]}, true, 0, observe)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -174,7 +174,7 @@ func TestShardedTraceIsOneTracer(t *testing.T) {
 		var buf bytes.Buffer
 		first := &firstEmit{}
 		var tr *trace.Tracer
-		r, err := RunAppObserved("fft", cfg, apps.Params{Scale: goldenScales["fft"]}, true, func(m *core.Machine) {
+		r, err := RunAppObserved("fft", cfg, apps.Params{Scale: goldenScales["fft"]}, true, 0, func(m *core.Machine) {
 			first.eng = m.Eng
 			tr = trace.New(trace.NewJSONLSink(&buf), first)
 			m.SetTracer(tr)

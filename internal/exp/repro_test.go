@@ -6,9 +6,6 @@ import (
 
 	"flashsim/internal/apps"
 	"flashsim/internal/arch"
-	"flashsim/internal/core"
-	"flashsim/internal/stats"
-	"flashsim/internal/workload"
 )
 
 // The tests below pin the simulator's two open correctness faults (ROADMAP
@@ -60,19 +57,11 @@ func TestOceanMemoryBacklog(t *testing.T) {
 	cfg := Options{}.baseConfig(64)
 	cfg.MemBytesPerNode = 2 << 20
 	cfg.Placement = arch.PlaceFirstTouch
-	m, err := core.New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	run, err := RunAppObserved("ocean", cfg, apps.Params{Procs: 64, Scale: 4}, false, 3_000_000, nil)
+	if err == nil || !strings.Contains(err.Error(), "cycle limit exceeded") || run == nil {
+		t.Fatalf("ocean on 64 processors: %v; want the cycle limit and a partial report", err)
 	}
-	w := workload.NewWorld(m)
-	app, err := apps.Build("ocean", w, apps.Params{Procs: 64, Scale: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(app.Run, 3_000_000); err == nil || !strings.Contains(err.Error(), "cycle limit exceeded") {
-		t.Fatalf("ocean on 64 processors: %v; want the cycle limit", err)
-	}
-	r := stats.Collect(m)
+	r := run.Report
 	t.Logf("node 0 memory backlog high-water mark: %d line accesses", r.PerNode[0].MemBacklogMax)
 	if got := r.PerNode[0].MemBacklogMax; got <= 1000 {
 		t.Errorf("node 0's memory backlog peaked at %d line accesses; want more than 1000 (the livelock)", got)

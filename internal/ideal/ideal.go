@@ -79,15 +79,11 @@ func (c *Controller) Attach(p *cpu.CPU) { c.CPU = p }
 // RestoreState installs st.
 func (c *Controller) RestoreState(st ControllerState) { c.ControllerState = st }
 
-// Line returns the oracle directory state of one line homed here (the zero
-// state if nothing was ever recorded for it). Sharers aliases the live
-// directory: read it, do not keep or modify it.
-func (c *Controller) Line(line uint64) protocol.DirInfo {
-	if e := c.dir[line]; e != nil {
-		return *e
-	}
-	return protocol.DirInfo{}
-}
+// Entry returns the live oracle directory entry of one line homed here,
+// or nil if nothing was ever recorded for it (the zero state). It is the
+// coherence audit's view of the directory, read in place; the audit's
+// mutation tests corrupt it through the same pointer.
+func (c *Controller) Entry(line uint64) *protocol.DirInfo { return c.dir[line] }
 
 func (c *Controller) entry(a arch.Addr) *protocol.DirInfo {
 	l := a.Line()

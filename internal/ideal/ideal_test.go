@@ -73,7 +73,7 @@ func TestIdealLocalRead(t *testing.T) {
 		{{Kind: arch.RefRead, Addr: 0x1000}},
 		nil,
 	})
-	e := r.ctls[0].Line(arch.Addr(0x1000).Line())
+	e := r.ctls[0].Entry(arch.Addr(0x1000).Line())
 	if !e.Local || e.Dirty || e.Pending {
 		t.Fatalf("dir = %+v, want local clean", e)
 	}
@@ -87,7 +87,7 @@ func TestIdealRemoteWriteOwnership(t *testing.T) {
 		nil,
 		{{Kind: arch.RefWrite, Addr: 0x2000}}, // node 1 writes node 0's line
 	})
-	e := r.ctls[0].Line(arch.Addr(0x2000).Line())
+	e := r.ctls[0].Entry(arch.Addr(0x2000).Line())
 	if !e.Dirty || e.Owner != 1 || e.Pending {
 		t.Fatalf("dir = %+v, want dirty owner=1", e)
 	}
@@ -108,7 +108,7 @@ func TestIdealInvalidationOnWrite(t *testing.T) {
 	if err := r.eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	e := r.ctls[0].Line(arch.Addr(0x3000).Line())
+	e := r.ctls[0].Entry(arch.Addr(0x3000).Line())
 	if !e.Dirty || e.Owner != 0 || e.Pending || e.Acks != 0 {
 		t.Fatalf("dir = %+v, want dirty owner=0 quiesced", e)
 	}
@@ -133,7 +133,7 @@ func TestIdealThreeHopRead(t *testing.T) {
 		{{Kind: arch.RefRead, Addr: 0x4000, Busy: 4000}},
 		{{Kind: arch.RefWrite, Addr: 0x4000}},
 	})
-	e := r.ctls[0].Line(arch.Addr(0x4000).Line())
+	e := r.ctls[0].Entry(arch.Addr(0x4000).Line())
 	if e.Dirty || e.Pending {
 		t.Fatalf("dir = %+v, want clean after sharing writeback", e)
 	}

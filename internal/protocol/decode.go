@@ -21,52 +21,68 @@ type DirInfo struct {
 // Decode reads the directory state of localLine from a node's protocol
 // memory image, for either protocol program.
 func (l Layout) Decode(mem *memsys.Store, localLine uint64) (DirInfo, error) {
-	if l.Proto == arch.ProtoBitVector {
-		return l.decodeBitvec(mem, localLine), nil
-	}
-	w := mem.Load(l.DirOffset(localLine) / 8)
-	d := DirInfo{
-		Dirty:    w>>BDirty&1 == 1,
-		Pending:  w>>BPending&1 == 1,
-		Local:    w>>BLocal&1 == 1,
-		Overflow: w>>BOvfl&1 == 1,
-		Owner:    arch.NodeID(w >> OwnerPos & (1<<OwnerW - 1)),
-		Acks:     int(w >> AckPos & (1<<AckW - 1)),
-	}
-	if w>>BList&1 == 1 {
-		idx := w >> HeadPos & (1<<HeadW - 1)
-		for steps := 0; ; steps++ {
-			if steps > int(l.PoolSize) {
-				return d, fmt.Errorf("protocol: sharer list cycle at line %d", localLine)
-			}
-			e := mem.Load(l.poolWord(idx))
-			d.Sharers = append(d.Sharers, arch.NodeID(e>>NodePos&(1<<NodeW-1)))
-			next := e >> NextPos & (1<<NextW - 1)
-			if next == NullPtr {
-				break
-			}
-			idx = next
-		}
-	}
-	return d, nil
+	var d DirInfo
+	err := l.DecodeInto(mem, localLine, &d)
+	return d, err
 }
 
-// decodeBitvec reads a bit-vector directory header.
-func (l Layout) decodeBitvec(mem *memsys.Store, localLine uint64) DirInfo {
+// DecodeInto is Decode into the caller's d. It reuses d.Sharers' storage,
+// so a caller that decodes line after line into one DirInfo allocates
+// only while that buffer grows to the longest sharer set. On a sharer-list
+// cycle d holds the entries read before it.
+func (l Layout) DecodeInto(mem *memsys.Store, localLine uint64, d *DirInfo) error {
 	w := mem.Load(l.DirOffset(localLine) / 8)
-	d := DirInfo{
-		Dirty:   w>>BDirty&1 == 1,
-		Pending: w>>BPending&1 == 1,
-		Owner:   arch.NodeID(w >> BVOwnerPos & (1<<BVOwnerW - 1)),
-		Acks:    int(w >> BVAckPos & (1<<BVAckW - 1)),
-	}
-	vec := w >> BVPresPos & (1<<BVPresW - 1)
-	for n := 0; n < BVPresW; n++ {
-		if vec>>n&1 == 1 {
-			d.Sharers = append(d.Sharers, arch.NodeID(n))
+	sharers := d.Sharers[:0]
+	if l.Proto == arch.ProtoBitVector {
+		*d = DirInfo{
+			Dirty:   w>>BDirty&1 == 1,
+			Pending: w>>BPending&1 == 1,
+			Owner:   arch.NodeID(w >> BVOwnerPos & (1<<BVOwnerW - 1)),
+			Acks:    int(w >> BVAckPos & (1<<BVAckW - 1)),
+		}
+	} else {
+		*d = DirInfo{
+			Dirty:    w>>BDirty&1 == 1,
+			Pending:  w>>BPending&1 == 1,
+			Local:    w>>BLocal&1 == 1,
+			Overflow: w>>BOvfl&1 == 1,
+			Owner:    arch.NodeID(w >> OwnerPos & (1<<OwnerW - 1)),
+			Acks:     int(w >> AckPos & (1<<AckW - 1)),
 		}
 	}
-	return d
+	d.Sharers = sharers
+	return l.eachSharer(mem, localLine, w, func(n arch.NodeID) { d.Sharers = append(d.Sharers, n) })
+}
+
+// eachSharer calls visit for each sharer recorded in directory header w of
+// localLine, in list (or bit) order: a bit vector's presence bits, or the
+// sharer list's pool entries, bounded by the pool size.
+func (l Layout) eachSharer(mem *memsys.Store, localLine, w uint64, visit func(arch.NodeID)) error {
+	if l.Proto == arch.ProtoBitVector {
+		vec := w >> BVPresPos & (1<<BVPresW - 1)
+		for n := 0; n < BVPresW; n++ {
+			if vec>>n&1 == 1 {
+				visit(arch.NodeID(n))
+			}
+		}
+		return nil
+	}
+	if w>>BList&1 == 0 {
+		return nil
+	}
+	idx := w >> HeadPos & (1<<HeadW - 1)
+	for steps := 0; ; steps++ {
+		if steps > int(l.PoolSize) {
+			return fmt.Errorf("protocol: sharer list cycle at line %d", localLine)
+		}
+		e := mem.Load(l.poolWord(idx))
+		visit(arch.NodeID(e >> NodePos & (1<<NodeW - 1)))
+		next := e >> NextPos & (1<<NextW - 1)
+		if next == NullPtr {
+			return nil
+		}
+		idx = next
+	}
 }
 
 // SharerCount sums the sharer-list lengths of local lines [0, nlines).
@@ -75,12 +91,11 @@ func (l Layout) decodeBitvec(mem *memsys.Store, localLine uint64) DirInfo {
 func (l Layout) SharerCount(mem *memsys.Store, nlines uint64) (int, error) {
 	base := uint64(l.DirBase) / 8
 	n := 0
+	count := func(arch.NodeID) { n++ }
 	for w, ok := mem.NextMaterialized(base); ok && w < base+nlines; w, ok = mem.NextMaterialized(w + 1) {
-		d, err := l.Decode(mem, w-base)
-		if err != nil {
+		if err := l.eachSharer(mem, w-base, mem.Load(w), count); err != nil {
 			return n, fmt.Errorf("line %d: %w", w-base, err)
 		}
-		n += len(d.Sharers)
 	}
 	return n, nil
 }
