@@ -34,7 +34,10 @@ build:
 # state, the shared zero group never written), and the in-place coherence
 # audit against the map-based reference audit on corrupted post-run
 # machines (FLASH dynptr, FLASH bitvec and ideal: the same error, or nil
-# exactly when the reference finds nothing).
+# exactly when the reference finds nothing), directory entries of lines
+# no cache holds included (pending, ack and dirty bits flipped in
+# untouched lines' FLASH headers; ideal entries changed after their
+# copies are dropped).
 verify:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
 	! grep -rnE 'os\.(Getenv|Setenv|LookupEnv)' cmd internal --include='*.go' --exclude='*_test.go' && test -z "$$(gofmt -l cmd internal bench examples)"

@@ -12,9 +12,10 @@ import (
 // CheckCoherence verifies directory/cache consistency on a quiesced
 // machine:
 //
-//   - no line is pending and no invalidation acks are outstanding;
+//   - no line is pending and no invalidation acks are outstanding, whether
+//     or not any cache holds it;
 //   - a dirty line is Modified in exactly its owner's cache and nowhere
-//     else;
+//     else, whether or not any cache holds it;
 //   - every cached copy of a clean line is recorded in the sharer set (the
 //     LOCAL bit for the home's own processor, pool entries otherwise);
 //   - on FLASH nodes whose directory has a pointer pool, the free list plus
@@ -26,12 +27,17 @@ import (
 // copy set, which is the safety-critical direction. Of several bad lines,
 // the error names the lowest.
 //
-// The audit works in place: it walks each cache's resident lines and
-// checks every copy on its own against the home's directory entry (a line
-// is bad exactly when one of its copies is), decoding FLASH headers into
-// one reused buffer. Only the lowest bad line's copy set is gathered, by
-// probing every cache, to word the error. A clean audit allocates nothing
-// once the buffer has grown to the longest sharer set.
+// The audit works in place, in two walks. The copy walk visits each
+// cache's resident lines and checks every copy on its own against the
+// home's directory entry (a cached line is bad exactly when one of its
+// copies is). The directory walk visits every entry a home has recorded —
+// the FLASH headers in materialized directory pages, the ideal oracle's
+// entries — and checks that it is settled and that a dirty entry's owner
+// holds the line Modified, which catches the bad lines no cache holds.
+// FLASH headers decode into one reused buffer. Only the lowest bad line's
+// copy set is gathered, by probing every cache, to word the error. A clean
+// audit allocates nothing once the buffer has grown to the longest sharer
+// set.
 func (m *Machine) CheckCoherence() error {
 	var badLine uint64
 	bad := false
@@ -40,6 +46,11 @@ func (m *Machine) CheckCoherence() error {
 			if (!bad || line < badLine) && !m.copyCoherent(line, arch.NodeID(i), st) {
 				bad, badLine = true, line
 			}
+		}
+	}
+	for i := range m.Nodes {
+		if line, ok := m.lowestUnsettled(i); ok && (!bad || line < badLine) {
+			bad, badLine = true, line
 		}
 	}
 	if bad {
@@ -75,14 +86,54 @@ func (m *Machine) dirOf(line uint64) (*protocol.DirInfo, error) {
 	return &m.auditDir, nil
 }
 
+// lowestUnsettled returns the lowest line homed at node i whose directory
+// entry is not settled, and false if every entry is. On FLASH it walks the
+// headers of the node's materialized directory pages in line order, so it
+// stops at the first bad one; headers in never-written pages are pristine
+// (clean, no sharers). On the ideal machine it walks the oracle's recorded
+// entries.
+func (m *Machine) lowestUnsettled(i int) (uint64, bool) {
+	n := m.Nodes[i]
+	first := uint64(m.Cfg.NodeBase(arch.NodeID(i))) >> arch.LineShift
+	if n.Magic == nil {
+		var low uint64
+		bad := false
+		for line, d := range n.Ideal.Entries {
+			if (!bad || line < low) && !m.entrySettled(line, d) {
+				bad, low = true, line
+			}
+		}
+		return low, bad
+	}
+	l, mem := m.Prog.Layout, n.Magic.PP.Mem
+	dir, end := uint64(l.DirBase)/8, uint64(l.PtrBase)/8
+	for w, ok := mem.NextMaterialized(dir); ok && w < end; w, ok = mem.NextMaterialized(w + 1) {
+		line := first + w - dir
+		if err := l.DecodeInto(mem, w-dir, &m.auditDir); err != nil || !m.entrySettled(line, &m.auditDir) {
+			return line, true
+		}
+	}
+	return 0, false
+}
+
+// entrySettled reports whether line's directory entry d is settled on a
+// quiesced machine: not pending, no acks outstanding, and, if dirty, held
+// Modified by its owner.
+func (m *Machine) entrySettled(line uint64, d *protocol.DirInfo) bool {
+	if d.Pending || d.Acks != 0 {
+		return false
+	}
+	return !d.Dirty || uint(d.Owner) < uint(len(m.Nodes)) && m.Nodes[d.Owner].CPU.Cache.Probe(line) == cpu.Modified
+}
+
 // copyCoherent reports whether node's copy of line, in state st, agrees
-// with the home directory: the line is settled, and either it is dirty and
-// this is the owner's Modified copy, or it is clean and this is a recorded
-// Shared copy.
+// with the home directory: either the line is dirty and this is the
+// owner's Modified copy, or it is clean and this is a recorded Shared copy.
+// Whether the entry is settled is the directory walk's to check.
 func (m *Machine) copyCoherent(line uint64, node arch.NodeID, st cpu.LineState) bool {
 	d, err := m.dirOf(line)
 	switch {
-	case err != nil || d.Pending || d.Acks != 0:
+	case err != nil:
 		return false
 	case d.Dirty:
 		return st == cpu.Modified && node == d.Owner

@@ -13,11 +13,13 @@ import (
 )
 
 // referenceCheckCoherence is the map-based audit that CheckCoherence's
-// in-place walk replaced, kept as its reference: it gathers every line's
-// copy set from all caches into a map, decodes each line's directory once
-// into a fresh DirInfo, checks each line as a whole and keeps the lowest
-// bad line, then runs the same pool audit. CheckCoherence must return
-// exactly its error.
+// in-place walks replaced, kept as its reference: it gathers every line's
+// copy set from all caches into a map, adds every line whose home records
+// a directory entry (a nonzero FLASH header word, scanned over every line
+// of every home; an ideal oracle entry, looked up line by line) with the
+// copy set it has, decodes each line's directory once into a fresh
+// DirInfo, checks each line as a whole and keeps the lowest bad line, then
+// runs the same pool audit. CheckCoherence must return exactly its error.
 func referenceCheckCoherence(m *Machine) error {
 	type copyInfo struct {
 		mods    []arch.NodeID
@@ -35,6 +37,21 @@ func referenceCheckCoherence(m *Machine) error {
 				ci.mods = append(ci.mods, arch.NodeID(i))
 			} else {
 				ci.shareds = append(ci.shareds, arch.NodeID(i))
+			}
+		}
+	}
+	perNode := uint64(m.Cfg.MemBytesPerNode / arch.LineSize)
+	for i, n := range m.Nodes {
+		first := uint64(m.Cfg.NodeBase(arch.NodeID(i))) >> arch.LineShift
+		for l := range perNode {
+			var recorded bool
+			if n.Magic != nil {
+				recorded = n.Magic.PP.Mem.Load(m.Prog.Layout.DirOffset(l)/8) != 0
+			} else {
+				recorded = n.Ideal.Entry(first+l) != nil
+			}
+			if recorded && lines[first+l] == nil {
+				lines[first+l] = &copyInfo{}
 			}
 		}
 	}
@@ -275,8 +292,49 @@ func fillCopy(t *testing.T, m *Machine, node arch.NodeID, line uint64, s cpu.Lin
 	}
 }
 
+// setPending sets the pending bit of line's directory entry.
+func setPending(m *Machine, line uint64) {
+	if m.Prog == nil {
+		idealEntry(m, line).Pending = true
+		return
+	}
+	*dirWord(m, line) |= 1 << protocol.BPending
+}
+
+// setAck makes line's directory entry count one outstanding ack.
+func setAck(m *Machine, line uint64) {
+	switch {
+	case m.Prog == nil:
+		idealEntry(m, line).Acks = 1
+	case m.Prog.Layout.Proto == arch.ProtoBitVector:
+		*dirWord(m, line) |= 1 << protocol.BVAckPos
+	default:
+		*dirWord(m, line) |= 1 << protocol.AckPos
+	}
+}
+
+// setDirty sets the dirty bit of line's directory entry, keeping its
+// owner field.
+func setDirty(m *Machine, line uint64) {
+	if m.Prog == nil {
+		idealEntry(m, line).Dirty = true
+		return
+	}
+	*dirWord(m, line) |= 1 << protocol.BDirty
+}
+
+// dropCopies invalidates every cached copy of v's line, leaving its
+// directory entry as it was: a line that no cache holds.
+func dropCopies(m *Machine, v lineView) {
+	for n := range v.copies {
+		m.Nodes[n].CPU.Cache.SetState(v.line, cpu.Invalid)
+	}
+}
+
 // auditCorruptions are the audit's error classes, each a corruption of
 // one cached line that qualifies and the text the error names it with.
+// The uncached classes first drop every copy of the line, so only the
+// directory walk can find them.
 var auditCorruptions = []struct {
 	name      string
 	msg       string
@@ -285,25 +343,10 @@ var auditCorruptions = []struct {
 }{
 	{"pending", "pending after quiesce",
 		func(lineView) bool { return true },
-		func(t *testing.T, m *Machine, v lineView) {
-			if m.Prog == nil {
-				idealEntry(m, v.line).Pending = true
-				return
-			}
-			*dirWord(m, v.line) |= 1 << protocol.BPending
-		}},
+		func(t *testing.T, m *Machine, v lineView) { setPending(m, v.line) }},
 	{"acks", "1 acks outstanding after quiesce",
 		func(lineView) bool { return true },
-		func(t *testing.T, m *Machine, v lineView) {
-			switch {
-			case m.Prog == nil:
-				idealEntry(m, v.line).Acks = 1
-			case m.Prog.Layout.Proto == arch.ProtoBitVector:
-				*dirWord(m, v.line) |= 1 << protocol.BVAckPos
-			default:
-				*dirWord(m, v.line) |= 1 << protocol.AckPos
-			}
-		}},
+		func(t *testing.T, m *Machine, v lineView) { setAck(m, v.line) }},
 	{"dirty-owner-not-modified", "dirty at owner",
 		func(v lineView) bool { return v.dir.Dirty },
 		func(t *testing.T, m *Machine, v lineView) {
@@ -329,6 +372,15 @@ var auditCorruptions = []struct {
 		func(t *testing.T, m *Machine, v lineView) {
 			fillCopy(t, m, v.unrecorded(), v.line, cpu.Shared)
 		}},
+	{"uncached-pending", "pending after quiesce",
+		func(lineView) bool { return true },
+		func(t *testing.T, m *Machine, v lineView) { dropCopies(m, v); setPending(m, v.line) }},
+	{"uncached-acks", "1 acks outstanding after quiesce",
+		func(lineView) bool { return true },
+		func(t *testing.T, m *Machine, v lineView) { dropCopies(m, v); setAck(m, v.line) }},
+	{"uncached-dirty", "but Modified copies are []",
+		func(v lineView) bool { return !v.dir.Dirty },
+		func(t *testing.T, m *Machine, v lineView) { dropCopies(m, v); setDirty(m, v.line) }},
 }
 
 // TestCheckCoherenceMatchesReference corrupts, on each machine after the
@@ -488,12 +540,14 @@ func TestCheckCoherenceNamesLowestBadLine(t *testing.T) {
 // dynptr, FLASH bitvec or ideal, picked by the first byte — and requires
 // the in-place audit to return exactly the reference audit's error, nil
 // whenever the reference finds nothing. Each following triple is one
-// corruption of one of the medley's lines (a selector picks it): a cached
-// copy's state set (Invalid drops it), a copy filled at a node, or a
-// directory entry changed (a FLASH header bit flipped; on ideal a flag
-// toggled, the owner moved, the acks bumped or a sharer dropped). The
-// corruptions are undone in reverse order after the audit, and the
-// restored machine must audit clean.
+// corruption of one line (a selector picks it among the medley's lines and
+// two untouched lines per home, which no cache holds): a cached copy's
+// state set (Invalid drops it, so a medley line's entry can be left with
+// no copy), a copy filled at a node, or a directory entry changed (a FLASH
+// header bit flipped, untouched lines' headers included; on ideal a flag
+// toggled, the owner moved, the acks bumped or a sharer dropped, on the
+// lines the oracle has recorded). The corruptions are undone in reverse
+// order after the audit, and the restored machine must audit clean.
 func FuzzCheckCoherence(f *testing.F) {
 	f.Add([]byte{0, 0, 3, 0x05})
 	f.Add([]byte{1, 1, 7, 0x08, 2, 20, 1})
@@ -501,6 +555,16 @@ func FuzzCheckCoherence(f *testing.F) {
 	f.Add([]byte{0, 2, 14, 3, 2, 14, 4, 1, 40, 0x06})
 	f.Add([]byte{1, 2, 9, 40, 0, 9, 0x01})
 	f.Add([]byte{2, 1, 11, 0x07, 2, 33, 5})
+	// Directory-only corruptions of lines no cache holds: an untouched
+	// line's FLASH header left pending, with an ack outstanding, or dirty;
+	// on ideal, a medley line shared by nodes 1 and 2 has both copies
+	// dropped and its entry made pending, given an ack, or made dirty.
+	f.Add([]byte{0, 2, 48, protocol.BPending})
+	f.Add([]byte{1, 2, 51, protocol.BVAckPos})
+	f.Add([]byte{0, 2, 54, protocol.BDirty})
+	f.Add([]byte{2, 0, 3, 1, 0, 3, 2, 2, 3, 0})
+	f.Add([]byte{2, 0, 3, 1, 0, 3, 2, 2, 3, 3})
+	f.Add([]byte{2, 0, 3, 1, 0, 3, 2, 2, 3, 1})
 	var machines [3]*Machine
 	var lines []uint64
 	for i, mc := range auditMachines {
@@ -510,6 +574,11 @@ func FuzzCheckCoherence(f *testing.F) {
 	for h := range 4 {
 		for k := range medleyLines {
 			lines = append(lines, medleyLine(machines[0], h, k))
+		}
+	}
+	for h := range 4 {
+		for k := range 2 {
+			lines = append(lines, medleyLine(machines[0], h, medleyLines+k))
 		}
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {

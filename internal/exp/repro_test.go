@@ -13,9 +13,9 @@ import (
 // either one shows here. The fix for each flips its test.
 
 // TestRadixReprosFail pins radix's wrong answers on flashsim's defaults (16
-// processors, 1 MB caches, 8 MB per node, first-touch placement): two runs
-// that verify to a wrong key, and two whose threads index past an array's
-// end.
+// processors, 1 MB caches, 8 MB per node, first-touch placement): three
+// runs that verify to a wrong key, and two whose threads index past an
+// array's end.
 func TestRadixReprosFail(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -25,21 +25,23 @@ func TestRadixReprosFail(t *testing.T) {
 		scale int
 		kind  arch.MachineKind
 		net   arch.NetModel
+		proto arch.Protocol
 		want  string
 	}{
-		{"scale3-ideal", 3, arch.KindIdeal, arch.NetUniform, "radix: key[0] = 0, want 19235"},
-		{"scale4-mesh-ideal", 4, arch.KindIdeal, arch.NetMesh, "radix: key[18] = 1057703, want 1015857"},
-		{"scale1-ideal", 1, arch.KindIdeal, arch.NetUniform,
+		{"scale3-ideal", 3, arch.KindIdeal, arch.NetUniform, arch.ProtoDynPtr, "radix: key[0] = 0, want 19235"},
+		{"scale4-mesh-ideal", 4, arch.KindIdeal, arch.NetMesh, arch.ProtoDynPtr, "radix: key[18] = 1057703, want 1015857"},
+		{"scale4-bitvec-flash", 4, arch.KindFLASH, arch.NetUniform, arch.ProtoBitVector, "radix: key[529] = 33848658, want 33970298"},
+		{"scale1-ideal", 1, arch.KindIdeal, arch.NetUniform, arch.ProtoDynPtr,
 			"thread 15 (node 15) panicked at cycle 333951: workload: index 262175 out of range [0,262144)"},
-		{"scale8-mesh-flash", 8, arch.KindFLASH, arch.NetMesh,
+		{"scale8-mesh-flash", 8, arch.KindFLASH, arch.NetMesh, arch.ProtoDynPtr,
 			"thread 15 (node 15) panicked at cycle 353498: workload: index 32781 out of range [0,32768)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Options{NetModel: tc.net}.baseConfig(16)
-			cfg.Kind, cfg.Placement = tc.kind, arch.PlaceFirstTouch
+			cfg.Kind, cfg.Placement, cfg.Protocol = tc.kind, arch.PlaceFirstTouch, tc.proto
 			_, err := RunApp("radix", cfg, apps.Params{Procs: 16, Scale: tc.scale}, true)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("radix -scale %d on %v/%v: error %v; want one containing %q", tc.scale, tc.kind, tc.net, err, tc.want)
+				t.Errorf("radix -scale %d on %v/%v/%v: error %v; want one containing %q", tc.scale, tc.kind, tc.net, tc.proto, err, tc.want)
 			}
 		})
 	}

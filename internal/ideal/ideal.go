@@ -85,6 +85,17 @@ func (c *Controller) RestoreState(st ControllerState) { c.ControllerState = st }
 // mutation tests corrupt it through the same pointer.
 func (c *Controller) Entry(line uint64) *protocol.DirInfo { return c.dir[line] }
 
+// Entries yields every line the oracle directory has recorded and its live
+// entry, in no particular order; it allocates nothing. It is the coherence
+// audit's directory walk (for line, e := range c.Entries).
+func (c *Controller) Entries(yield func(line uint64, e *protocol.DirInfo) bool) {
+	for l, e := range c.dir {
+		if !yield(l, e) {
+			return
+		}
+	}
+}
+
 func (c *Controller) entry(a arch.Addr) *protocol.DirInfo {
 	l := a.Line()
 	e := c.dir[l]

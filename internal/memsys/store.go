@@ -52,6 +52,9 @@ const (
 	regionWords     = 1 << regionWordShift
 )
 
+// PageBytes is the size of one materialized page: what Pages counts.
+const PageBytes = pageWords * 8
+
 // zeroPage backs every never-written page of a store with no pristine
 // image, and zeroRegion every never-written region of one, so Load of such
 // a store never calls out. holeRegion is a store with a pristine image's
