@@ -11,7 +11,10 @@ build:
 # table (goldenBackends) already re-proves the digests on every host
 # backend. On top of it: no non-test Go under cmd/ or internal/ may read or
 # set the process environment (a backend choice travels in arch.Config,
-# nowhere else), and every Go file is gofmt-clean; the race detector over
+# nowhere else), no non-test Go under internal/exp but paper.go may write a
+# number inside a "(paper...)" annotation (every published number is a row
+# of paper.go's table, which the renderers and flashexp check read), and
+# every Go file is gofmt-clean; the race detector over
 # the concurrent experiment runner and explore workers, the golden table
 # (message events cross shards without a lock of their own), machines
 # sharing one memoized protocol program and the sampling suite; over every
@@ -40,7 +43,7 @@ build:
 # copies are dropped).
 verify:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
-	! grep -rnE 'os\.(Getenv|Setenv|LookupEnv)' cmd internal --include='*.go' --exclude='*_test.go' && test -z "$$(gofmt -l cmd internal bench examples)"
+	! grep -rnE 'os\.(Getenv|Setenv|LookupEnv)' cmd internal --include='*.go' --exclude='*_test.go' && ! grep -rnE '\(paper[^)]*[^[:alnum:]_][0-9]' internal/exp --include='*.go' --exclude='*_test.go' --exclude=paper.go && test -z "$$(gofmt -l cmd internal bench examples)"
 	$(GO) test -race ./internal/exp -run 'Parallel|GoldenDigest|SharedProgram|Sampled'
 	$(GO) test -race ./internal/sim ./internal/metrics
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzQueueOrder -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/ppisa -run '^$$' -fuzz FuzzAssemble -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/arch -run '^$$' -fuzz FuzzParseSampleSpec -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/exp -run '^$$' -fuzz FuzzResultCacheEntry -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/memsys -run '^$$' -fuzz FuzzStoreOps -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/cpu -run '^$$' -fuzz FuzzCacheGroups -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/core -run '^$$' -fuzz FuzzCheckCoherence -fuzztime 10s -fuzzminimizetime 100x

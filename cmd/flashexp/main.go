@@ -13,7 +13,16 @@
 //
 // Experiments: table3.3 table3.4 fig4.1 fig4.2 fig4.3 sec4.3 sec4.5
 // table5.1 table5.1small sec5.2 table5.2 table5.3 sec5.3 protocompare
-// ablations sampled
+// ablations sampled check
+//
+// check scores the run against the paper: it runs every experiment that
+// owns one of the paper's published numbers (internal/exp/paper.go) and
+// prints a markdown table with one row per number: measured, paper, delta,
+// tolerance, and PASS, FAIL or N/A (the row is for another -scale or
+// processor count, or nothing measures it). A failed run fails only the
+// rows measured from it. sec4.5's rows are N/A: check does not run its
+// 64-processor Ocean leg, which livelocks. flashexp -scale 1 check is the
+// paper-size scorecard.
 //
 // -scale multiplies every application's problem-size divisor; -scale 1 runs
 // the paper's sizes (slow), the default 4 finishes the full suite in

@@ -47,8 +47,9 @@ func flashexp(t *testing.T, args ...string) (stdout, stderr string, code int) {
 
 // goldenArgs are the experiments that finish at -scale 16: sec4.5's
 // 64-processor Ocean leg livelocks, and sampled prints host wall times.
+// Check re-reads the runs of the others, so it adds no simulation.
 var goldenArgs = []string{"-scale", "16", "table3.3", "table3.4", "fig4.1", "fig4.2", "fig4.3", "sec4.3",
-	"table5.1", "table5.1small", "sec5.2", "table5.2", "table5.3", "sec5.3", "protocompare", "ablations"}
+	"table5.1", "table5.1small", "sec5.2", "table5.2", "table5.3", "sec5.3", "protocompare", "ablations", "check"}
 
 // wallTimes matches the one host-dependent part of the output: each
 // experiment header's wall time.
@@ -56,7 +57,7 @@ var wallTimes = regexp.MustCompile(`(?m)^(==== \S+) \(\d+\.\ds\) ====$`)
 
 // TestExperimentsMatchGolden pins flashexp's stdout at -scale 16, wall
 // times masked, against testdata/experiments_scale16.txt, and its one
-// stderr line: 110 declared runs, of which 69 are distinct machines.
+// stderr line: 171 declared runs, of which 69 are distinct machines.
 func TestExperimentsMatchGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -66,7 +67,7 @@ func TestExperimentsMatchGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	stdout, stderr, code := flashexp(t, goldenArgs...)
-	if code != 0 || stderr != "flashexp: 110 runs planned, 69 simulated\n" {
+	if code != 0 || stderr != "flashexp: 171 runs planned, 69 simulated\n" {
 		t.Fatalf("exit %d, stderr %q; want exit 0 and the plan summary line alone", code, stderr)
 	}
 	if got := wallTimes.ReplaceAllString(stdout, "$1 (N.Ns) ===="); got != string(want) {

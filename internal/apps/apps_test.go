@@ -119,3 +119,22 @@ func TestOSNodeZero(t *testing.T) {
 	cfg.Placement = arch.PlaceNodeZero
 	runApp(t, "os", cfg, Params{Scale: 8})
 }
+
+// TestVerifyIsRepeatable runs each application once and verifies it twice:
+// Verify re-derives its reference from the input generator Build used, so
+// it consumes nothing a second call needs.
+func TestVerifyIsRepeatable(t *testing.T) {
+	scale := map[string]int{"barnes": 16, "fft": 256, "lu": 8, "mp3d": 25, "ocean": 8, "os": 8, "radix": 64}
+	for _, name := range Names {
+		t.Run(name, func(t *testing.T) {
+			cfg := smallConfig(arch.KindFLASH, 0)
+			if name == "os" {
+				cfg.Placement = arch.PlaceRoundRobin
+			}
+			_, app := runApp(t, name, cfg, Params{Scale: scale[name]})
+			if err := app.Verify(); err != nil {
+				t.Errorf("second Verify: %v", err)
+			}
+		})
+	}
+}

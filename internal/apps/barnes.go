@@ -263,24 +263,12 @@ func BuildBarnes(w *workload.World, p Params) (*App, error) {
 	nodes := w.NewArray(maxNodes * bhWords) // shared tree, interleaved
 	bar := w.NewBarrier(procs, 0)
 
-	// Deterministic initial cluster; native mirror.
-	refPos := make([][3]float64, n)
-	refVel := make([][3]float64, n)
-	rng := uint64(0x452821E638D01377)
-	rnd := func() float64 {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		return float64(rng%100000)/50000 - 1 // [-1, 1)
-	}
-	for i := 0; i < n; i++ {
-		refPos[i] = [3]float64{rnd(), rnd(), rnd()}
-		refVel[i] = [3]float64{rnd() * 0.1, rnd() * 0.1, rnd() * 0.1}
+	barnesInput(n, func(i int, p, v [3]float64) {
 		for d := 0; d < 3; d++ {
-			*w.M.Word(pos[d].Addr(i)) = math.Float64bits(refPos[i][d])
-			*w.M.Word(vel[d].Addr(i)) = math.Float64bits(refVel[i][d])
+			*w.M.Word(pos[d].Addr(i)) = math.Float64bits(p[d])
+			*w.M.Word(vel[d].Addr(i)) = math.Float64bits(v[d])
 		}
-	}
+	})
 
 	simStep := func(c *workload.Ctx, next *uint64) {
 		acc := &bhAccess{
@@ -352,7 +340,11 @@ func BuildBarnes(w *workload.World, p Params) (*App, error) {
 	}
 
 	verify := func() error {
-		// Native mirror over plain slices using the same code.
+		// Native mirror over plain slices using the same code, from the
+		// regenerated initial cluster.
+		refPos := make([][3]float64, n)
+		refVel := make([][3]float64, n)
+		barnesInput(n, func(i int, p, v [3]float64) { refPos[i], refVel[i] = p, v })
 		nodesN := make([]uint64, maxNodes*bhWords)
 		next := 1
 		acc := &bhAccess{
@@ -410,4 +402,21 @@ func BuildBarnes(w *workload.World, p Params) (*App, error) {
 	}
 
 	return &App{Name: "barnes", Run: run, Verify: verify}, nil
+}
+
+// barnesInput passes set each body's deterministic initial position and
+// velocity, in body order. Build writes them into simulated memory and
+// Verify regenerates them, so no native copy is held through the run.
+func barnesInput(n int, set func(i int, pos, vel [3]float64)) {
+	rng := uint64(0x452821E638D01377)
+	rnd := func() float64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return float64(rng%100000)/50000 - 1 // [-1, 1)
+	}
+	for i := 0; i < n; i++ {
+		p := [3]float64{rnd(), rnd(), rnd()}
+		set(i, p, [3]float64{rnd() * 0.1, rnd() * 0.1, rnd() * 0.1})
+	}
 }

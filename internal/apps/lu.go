@@ -48,27 +48,11 @@ func BuildLU(w *workload.World, p Params) (*App, error) {
 		}
 	}
 
-	// Deterministic diagonally-dominant input (no pivoting needed), with a
-	// native mirror for verification.
-	ref := make([]float64, n*n)
-	rng := uint64(0x243F6A8885A308D3)
 	get := func(i, j int) *uint64 {
 		blk := blocks[(i/bs)*nb+(j/bs)]
 		return w.M.Word(blk.Addr((i%bs)*bs + (j % bs)))
 	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			rng ^= rng << 13
-			rng ^= rng >> 7
-			rng ^= rng << 17
-			v := float64(int64(rng%1024)-512) / 512
-			if i == j {
-				v += float64(n) // diagonal dominance
-			}
-			ref[i*n+j] = v
-			*get(i, j) = math.Float64bits(v)
-		}
-	}
+	luInput(n, func(i, j int, v float64) { *get(i, j) = math.Float64bits(v) })
 
 	bar := w.NewBarrier(procs, 0)
 
@@ -164,8 +148,11 @@ func BuildLU(w *workload.World, p Params) (*App, error) {
 	}
 
 	verify := func() error {
-		// Native reference factorization of the mirrored input, same
-		// blocked order (identical floating-point operation order).
+		// Native reference factorization of the same input, regenerated,
+		// in the same blocked order (identical floating-point operation
+		// order).
+		ref := make([]float64, n*n)
+		luInput(n, func(i, j int, v float64) { ref[i*n+j] = v })
 		nativeBlockedLU(ref, n, bs)
 		step := 1
 		if n > 128 {
@@ -184,6 +171,26 @@ func BuildLU(w *workload.World, p Params) (*App, error) {
 	}
 
 	return &App{Name: "lu", Run: run, Verify: verify}, nil
+}
+
+// luInput passes set every entry of the deterministic, diagonally dominant
+// (no pivoting needed) n x n input matrix, in row-major order. Build writes
+// it into simulated memory and Verify regenerates it, so no native copy is
+// held through the run.
+func luInput(n int, set func(i, j int, v float64)) {
+	rng := uint64(0x243F6A8885A308D3)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			v := float64(int64(rng%1024)-512) / 512
+			if i == j {
+				v += float64(n) // diagonal dominance
+			}
+			set(i, j, v)
+		}
+	}
 }
 
 // nativeBlockedLU mirrors the simulated factorization natively.

@@ -28,25 +28,11 @@ func BuildOcean(w *workload.World, p Params) (*App, error) {
 	bar := w.NewBarrier(procs, 0)
 	red := w.NewReduction(0)
 
-	// Deterministic initialization, mirrored natively.
-	refCur := make([]float64, rows*cols)
-	refFrc := make([]float64, rows*cols)
-	rng := uint64(0xA4093822299F31D0)
-	for i := 0; i < rows*cols; i++ {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		v := float64(int64(rng%1000)) / 1000
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		f := float64(int64(rng%100)) / 1000
-		refCur[i] = v
-		refFrc[i] = f
+	oceanInput(rows*cols, func(i int, v, f float64) {
 		*w.M.Word(cur.Addr(i)) = math.Float64bits(v)
 		*w.M.Word(nxt.Addr(i)) = math.Float64bits(v)
 		*w.M.Word(frc.Addr(i)) = math.Float64bits(f)
-	}
+	})
 
 	rowsPer := g / procs
 
@@ -79,9 +65,11 @@ func BuildOcean(w *workload.World, p Params) (*App, error) {
 	}
 
 	verify := func() error {
-		// Native mirror of the same sweeps.
-		a := refCur
-		b := append([]float64(nil), refCur...)
+		// Native mirror of the same sweeps, from the regenerated input.
+		a := make([]float64, rows*cols)
+		refFrc := make([]float64, rows*cols)
+		oceanInput(rows*cols, func(i int, v, f float64) { a[i], refFrc[i] = v, f })
+		b := append([]float64(nil), a...)
 		for it := 0; it < iters; it++ {
 			for i := 1; i <= g; i++ {
 				for j := 1; j <= g; j++ {
@@ -114,4 +102,22 @@ func BuildOcean(w *workload.World, p Params) (*App, error) {
 	}
 
 	return &App{Name: "ocean", Run: run, Verify: verify}, nil
+}
+
+// oceanInput passes set each grid point's deterministic initial value and
+// forcing term, in index order. Build writes them into simulated memory and
+// Verify regenerates them, so no native copy is held through the run.
+func oceanInput(points int, set func(i int, v, f float64)) {
+	rng := uint64(0xA4093822299F31D0)
+	for i := 0; i < points; i++ {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		v := float64(int64(rng%1000)) / 1000
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		f := float64(int64(rng%100)) / 1000
+		set(i, v, f)
+	}
 }

@@ -28,18 +28,10 @@ const (
 	PageShift = 12
 	// WordSize is the width of the path to memory (64 bits).
 	WordSize = 8
-	// WordsPerLine is the number of 8-byte words in a cache line.
-	WordsPerLine = LineSize / WordSize
 )
 
 // Line returns the cache-line index of a.
 func (a Addr) Line() uint64 { return uint64(a) >> LineShift }
-
-// LineAddr returns the address of the first byte of a's cache line.
-func (a Addr) LineAddr() Addr { return a &^ (LineSize - 1) }
-
-// Page returns the page index of a.
-func (a Addr) Page() uint64 { return uint64(a) >> PageShift }
 
 // Timing holds the suboperation latencies of Table 3.2, in 10 ns cycles.
 // FLASH and the ideal machine share every field except where noted.

@@ -13,12 +13,6 @@ func TestAddrGeometry(t *testing.T) {
 	if a.Line() != 0x12345>>7 {
 		t.Fatalf("Line = %#x", a.Line())
 	}
-	if a.LineAddr() != 0x12345&^127 {
-		t.Fatalf("LineAddr = %#x", a.LineAddr())
-	}
-	if a.Page() != 0x12 {
-		t.Fatalf("Page = %#x", a.Page())
-	}
 }
 
 func TestHomeOfPartition(t *testing.T) {

@@ -104,7 +104,7 @@ func ablateIssueWidth(pl *planner) func() string {
 // ablations runs all design-choice sweeps.
 func ablations(pl *planner) render {
 	parts := []func() string{ablateMDC(pl), ablateNetwork(pl), ablateIssueWidth(pl)}
-	return func() (string, error) {
+	return func(scores) (string, error) {
 		var b strings.Builder
 		for _, part := range parts {
 			b.WriteString(part() + "\n")

@@ -185,5 +185,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	return ks
 }
 
-func pct(v float64) string  { return fmt.Sprintf("%.1f%%", 100*v) }
-func pct2(v float64) string { return fmt.Sprintf("%.2f%%", 100*v) }
+func pct(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }

@@ -6,7 +6,6 @@ import (
 
 	"flashsim/internal/apps"
 	"flashsim/internal/arch"
-	"flashsim/internal/core"
 )
 
 // The experiments' rendered output at -scale 16 is pinned end to end by
@@ -56,36 +55,33 @@ func legs(jobs []*job, first int) []*job {
 }
 
 // TestTable33 reproduces the no-contention read miss latencies of Table 3.3
-// for both machines. The FLASH figures depend on our handler code, so the
-// tolerance is loose; the ideal figures follow directly from Table 3.2 and
-// must be tight.
+// for both machines: each of the ten latency rows must PASS, within the
+// tolerance its paper row states.
 func TestTable33(t *testing.T) {
-	s, err := table33()
+	s := scores{}
+	out, err := table33(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Log("\n" + s)
-	for col, kind := range []arch.MachineKind{arch.KindIdeal, arch.KindFLASH} {
-		tol := 4
-		if kind == arch.KindFLASH {
-			tol = 25
+	t.Log("\n" + out)
+	n := 0
+	for i := range paperRows {
+		r := &paperRows[i]
+		if r.exp != "table3.3" || r.metric == "PP occ" {
+			continue
 		}
-		lat, _, err := MeasuredLatencies(kind)
-		if err != nil {
-			t.Fatal(err)
+		n++
+		if measured, _, result, note := r.score(tinyOptions(), s[r], nil); result != "PASS" {
+			t.Errorf("%s %s: latency %s, paper %s (tolerance %g): %s %s", r.metric, r.row, measured, r, r.tol, result, note)
 		}
-		cfg := probeConfig(kind)
-		for _, sc := range core.MissScenarios(&cfg) {
-			got, want := int(lat[sc.Class]), paperLat33[sc.Name][col]
-			if got < want-tol || got > want+tol {
-				t.Errorf("%v %s: latency %d, paper %d (tolerance %d)", kind, sc.Name, got, want, tol)
-			}
-		}
+	}
+	if n != 10 {
+		t.Errorf("%d Table 3.3 latency rows, want 10", n)
 	}
 }
 
 func TestTable34(t *testing.T) {
-	s, err := table34()
+	s, err := table34(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +204,7 @@ func TestTable52(t *testing.T) {
 }
 
 func TestTable53(t *testing.T) {
-	s, err := table53()
+	s, err := table53(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,6 +230,88 @@ func TestSec53(t *testing.T) {
 	for _, j := range legs(runs[1], 1) {
 		if j.cfg.PPMode != arch.PPNoSpecial {
 			t.Errorf("%s: unoptimized leg runs PP mode %v", j.app, j.cfg.PPMode)
+		}
+	}
+}
+
+// TestPaperRows checks the table itself: each row names an experiment that
+// exists, an experiment's rows are contiguous (check declares each once),
+// no row is listed twice, every range and tolerance is well formed, and
+// sec4.5, which no test runs, finds its rows.
+func TestPaperRows(t *testing.T) {
+	pl := &planner{registry: experiments}
+	seen := map[string]bool{}
+	for i, r := range paperRows {
+		if _, err := pl.lookup(r.exp); err != nil {
+			t.Errorf("row %d: %v", i, err)
+		}
+		if i > 0 && paperRows[i-1].exp != r.exp && seen[r.exp] {
+			t.Errorf("row %d: %s's rows are not contiguous", i, r.exp)
+		}
+		seen[r.exp] = true
+		if findRow(r.exp, r.row, r.metric) != &paperRows[i] {
+			t.Errorf("row %d: %s / %s / %s is listed twice", i, r.exp, r.row, r.metric)
+		}
+		if r.lo > r.hi || r.tol < 0 || r.why == "" || r.source == "" {
+			t.Errorf("row %d: range %g-%g, tolerance %g, why %q, source %q", i, r.lo, r.hi, r.tol, r.why, r.source)
+		}
+	}
+	p, err := NewPlan(tinyOptions(), []string{"sec4.5"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.exps[0].render(nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCheckFailsOnlyRowsOfFailedRun breaks one run check declares, Figure
+// 4.1's radix FLASH leg: the rows measured from it (Figure 4.1's and Table
+// 4.1's radix rows, and the suite rows of Tables 5.1 and 5.2 and Section
+// 5.3, which read that leg too) FAIL with its error, no other row sees it,
+// and check still prints every row.
+func TestCheckFailsOnlyRowsOfFailedRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	o := tinyOptions()
+	o.Verify = false
+	p, err := NewPlan(o, []string{"check"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := o.appConfig("radix", 16, 1<<20)
+	cfg.Kind = arch.KindFLASH
+	broken := 0
+	for _, j := range p.jobs {
+		if runKey(j.cfg, j.app, j.p) == runKey(cfg, "radix", o.paramsFor(16)) {
+			j.app = "broken"
+			broken++
+		}
+	}
+	if broken != 1 {
+		t.Fatalf("%d jobs are fig4.1's radix FLASH leg, want 1", broken)
+	}
+	var out string
+	if err := p.Execute(func(_, s string) { out = s }); err != nil {
+		t.Fatalf("check stopped on a failed run: %v", err)
+	}
+	lines := strings.Split(out, "\n")
+	var rows []string
+	for _, l := range lines {
+		if strings.HasPrefix(l, "| ") && !strings.HasPrefix(l, "| Source |") {
+			rows = append(rows, l)
+		}
+	}
+	if len(rows) != len(paperRows) {
+		t.Fatalf("check printed %d rows, want %d:\n%s", len(rows), len(paperRows), out)
+	}
+	failure := `| FAIL | apps: unknown application "broken" |`
+	for i, r := range paperRows {
+		fromLeg := r.exp == "fig4.1" && r.row == "radix" || r.exp == "table5.1" ||
+			r.exp == "table5.2" && r.row == "suite" || r.exp == "sec5.3"
+		if got := strings.HasSuffix(rows[i], failure); got != fromLeg {
+			t.Errorf("%s / %s / %s: failed with the broken leg %v, want %v:\n%s", r.exp, r.row, r.metric, got, fromLeg, rows[i])
 		}
 	}
 }

@@ -49,9 +49,9 @@ func (pl *planner) suite(names []string, cacheBytes int) []pair {
 	return rows
 }
 
-// renderFig renders a Figure 4.x execution-time comparison: normalized
-// execution times with Busy/Read/Write/Sync breakdowns.
-func renderFig(title string, rows []pair) string {
+// renderFig renders experiment exp's Figure 4.x execution-time comparison:
+// normalized execution times with Busy/Read/Write/Sync breakdowns.
+func renderFig(s scores, exp, title string, rows []pair) string {
 	var b strings.Builder
 	b.WriteString(title + "\n")
 	b.WriteString("(execution time normalized to FLASH = 100; components in points)\n")
@@ -60,6 +60,8 @@ func renderFig(title string, rows []pair) string {
 	for _, r := range rows {
 		fl, id := r.flash.rep, r.ideal.rep
 		norm := 100.0 / float64(fl.Elapsed)
+		slowdown := Slowdown(fl, id)
+		s.record(exp, r.app, "FLASH vs ideal", slowdown, r.flash, r.ideal)
 		out = append(out, []string{
 			r.app, "FLASH", "100.0",
 			fmt.Sprintf("%.1f", float64(fl.Elapsed)*norm*fl.Breakdown.Busy),
@@ -74,15 +76,15 @@ func renderFig(title string, rows []pair) string {
 			fmt.Sprintf("%.1f", float64(id.Elapsed)*norm*id.Breakdown.Read),
 			fmt.Sprintf("%.1f", float64(id.Elapsed)*norm*id.Breakdown.Write),
 			fmt.Sprintf("%.1f", float64(id.Elapsed)*norm*id.Breakdown.Sync),
-			fmt.Sprintf("+%.1f%%", Slowdown(fl, id)),
+			fmt.Sprintf("+%.1f%%", slowdown),
 		})
 	}
 	b.WriteString(table(hdr, out))
 	return b.String()
 }
 
-// renderTable41 renders the Table 4.1/4.2 statistics block.
-func renderTable41(title string, rows []pair) (string, error) {
+// renderTable41 renders experiment exp's Table 4.1/4.2 statistics block.
+func renderTable41(s scores, exp, title string, rows []pair) (string, error) {
 	latF, _, err := MeasuredLatencies(arch.KindFLASH)
 	if err != nil {
 		return "", err
@@ -91,60 +93,78 @@ func renderTable41(title string, rows []pair) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	share := func(c arch.MissClass) func(stats.Report) float64 {
+		return func(r stats.Report) float64 { return 100 * r.ReadClass[c] }
+	}
+	metrics := []struct {
+		name, format string
+		ideal        bool // read off the ideal leg, not the FLASH one
+		v            func(stats.Report) float64
+	}{
+		{"Miss rate", "%.2f%%", false, func(r stats.Report) float64 { return 100 * r.MissRate }},
+		{"Local Clean", "%.1f%%", false, share(arch.MissLocalClean)},
+		{"Local Dirty Remote", "%.1f%%", false, share(arch.MissLocalDirty)},
+		{"Remote Clean", "%.1f%%", false, share(arch.MissRemoteClean)},
+		{"Remote Dirty at Home", "%.1f%%", false, share(arch.MissRemoteDirtyHome)},
+		{"Remote Dirty Remote", "%.1f%%", false, share(arch.MissRemoteDirty3rd)},
+		{"FLASH CRMT", "%.0f", false, func(r stats.Report) float64 { return r.CRMT(latF) }},
+		{"Ideal CRMT", "%.0f", true, func(r stats.Report) float64 { return r.CRMT(latI) }},
+		{"Avg Mem Occupancy", "%.1f%%", false, func(r stats.Report) float64 { return 100 * r.AvgMemOcc }},
+		{"Avg PP Occupancy", "%.1f%%", false, func(r stats.Report) float64 { return 100 * r.AvgPPOcc }},
+		{"Max PP Occupancy", "%.1f%%", false, func(r stats.Report) float64 { return 100 * r.MaxPPOcc }},
+	}
 	hdr := []string{"Metric"}
 	for _, r := range rows {
 		hdr = append(hdr, r.app)
+		fl := r.flash.rep.ReadClass
+		s.record(exp, r.app, "Remote (all classes)",
+			100*(fl[arch.MissRemoteClean]+fl[arch.MissRemoteDirtyHome]+fl[arch.MissRemoteDirty3rd]), r.flash)
 	}
-	get := func(f func(fl, id stats.Report) string) []string {
-		out := []string{}
+	out := [][]string{}
+	for _, m := range metrics {
+		line := []string{m.name}
 		for _, r := range rows {
-			out = append(out, f(r.flash.rep, r.ideal.rep))
+			j := r.flash
+			if m.ideal {
+				j = r.ideal
+			}
+			v := m.v(j.rep)
+			s.record(exp, r.app, m.name, v, j)
+			line = append(line, fmt.Sprintf(m.format, v))
 		}
-		return out
-	}
-	out := [][]string{
-		append([]string{"Miss rate"}, get(func(fl, id stats.Report) string { return pct2(fl.MissRate) })...),
-		append([]string{"Local Clean"}, get(func(fl, id stats.Report) string { return pct(fl.ReadClass[arch.MissLocalClean]) })...),
-		append([]string{"Local Dirty Remote"}, get(func(fl, id stats.Report) string { return pct(fl.ReadClass[arch.MissLocalDirty]) })...),
-		append([]string{"Remote Clean"}, get(func(fl, id stats.Report) string { return pct(fl.ReadClass[arch.MissRemoteClean]) })...),
-		append([]string{"Remote Dirty at Home"}, get(func(fl, id stats.Report) string { return pct(fl.ReadClass[arch.MissRemoteDirtyHome]) })...),
-		append([]string{"Remote Dirty Remote"}, get(func(fl, id stats.Report) string { return pct(fl.ReadClass[arch.MissRemoteDirty3rd]) })...),
-		append([]string{"FLASH CRMT"}, get(func(fl, id stats.Report) string { return fmt.Sprintf("%.0f", fl.CRMT(latF)) })...),
-		append([]string{"Ideal CRMT"}, get(func(fl, id stats.Report) string { return fmt.Sprintf("%.0f", id.CRMT(latI)) })...),
-		append([]string{"Avg Mem Occupancy"}, get(func(fl, id stats.Report) string { return pct(fl.AvgMemOcc) })...),
-		append([]string{"Avg PP Occupancy"}, get(func(fl, id stats.Report) string { return pct(fl.AvgPPOcc) })...),
-		append([]string{"Max PP Occupancy"}, get(func(fl, id stats.Report) string { return pct(fl.MaxPPOcc) })...),
+		out = append(out, line)
 	}
 	return title + "\n" + table(hdr, out), nil
 }
 
-// renderSuite renders a Figure 4.x comparison and its Table 4.x block.
-func renderSuite(fig, tab string, rows []pair) render {
-	return func() (string, error) {
-		t, err := renderTable41(tab, rows)
+// renderSuite renders experiment exp's Figure 4.x comparison and its Table
+// 4.x block.
+func renderSuite(exp, fig, tab string, rows []pair) render {
+	return func(s scores) (string, error) {
+		t, err := renderTable41(s, exp, tab, rows)
 		if err != nil {
 			return "", err
 		}
-		return renderFig(fig, rows) + "\n" + t, nil
+		return renderFig(s, exp, fig, rows) + "\n" + t, nil
 	}
 }
 
 // fig41 regenerates Figure 4.1 and Table 4.1 (1 MB caches).
 func fig41(pl *planner) render {
-	return renderSuite("Figure 4.1: execution times, FLASH vs ideal, 1 MB caches",
+	return renderSuite("fig4.1", "Figure 4.1: execution times, FLASH vs ideal, 1 MB caches",
 		"Table 4.1: read miss distributions and CRMT, 1 MB caches", pl.suite(apps.Names, 1<<20))
 }
 
 // fig42 regenerates Figure 4.2 and the 64 KB half of Table 4.2.
 func fig42(pl *planner) render {
-	return renderSuite("Figure 4.2: execution times, FLASH vs ideal, 64 KB caches",
+	return renderSuite("fig4.2", "Figure 4.2: execution times, FLASH vs ideal, 64 KB caches",
 		"Table 4.2 (64 KB columns)", pl.suite([]string{"barnes", "fft", "mp3d", "ocean", "radix"}, 64<<10))
 }
 
 // fig43 regenerates Figure 4.3 and the 4 KB half of Table 4.2 (16 KB for
 // Ocean, per the paper's footnote; Barnes is omitted as in the paper).
 func fig43(pl *planner) render {
-	return renderSuite("Figure 4.3: execution times, FLASH vs ideal, 4 KB caches",
+	return renderSuite("fig4.3", "Figure 4.3: execution times, FLASH vs ideal, 4 KB caches",
 		"Table 4.2 (4 KB columns)", pl.suite([]string{"fft", "mp3d", "ocean", "radix"}, 4<<10))
 }
 
@@ -170,28 +190,41 @@ func sec43(pl *planner) render {
 		osRuns[i] = pl.pair("os", cfg, o.paramsFor(8))
 	}
 
-	return func() (string, error) {
+	return func(s scores) (string, error) {
 		hot := fft.flash.rep
 		hotPP := sim.Occupancy(hot.PerNode[0].PPBusy, hot.Elapsed)
 		hotMem := sim.Occupancy(hot.PerNode[0].MemBusy, hot.Elapsed)
+		fftRow := func(metric string, v float64) *paperRow {
+			return s.paper("sec4.3", "FFT, all memory on node 0", metric, v, fft.flash, fft.ideal)
+		}
 		var b strings.Builder
 		b.WriteString("Section 4.3: PP occupancy effects (hot-spotting)\n\n")
 		b.WriteString(fmt.Sprintf("FFT (4 KB caches, all memory on node 0):\n"))
-		b.WriteString(fmt.Sprintf("  node-0 PP occupancy  %.1f%%   (paper: 81.6%%)\n", 100*hotPP))
-		b.WriteString(fmt.Sprintf("  node-0 mem occupancy %.1f%%   (paper: 67.7%%)\n", 100*hotMem))
-		b.WriteString(fmt.Sprintf("  FLASH vs ideal       +%.1f%%  (paper: +2.6%%)\n\n", Slowdown(fft.flash.rep, fft.ideal.rep)))
+		b.WriteString(fmt.Sprintf("  node-0 PP occupancy  %.1f%%   (paper: %s)\n", 100*hotPP, fftRow("node-0 PP occupancy", 100*hotPP)))
+		b.WriteString(fmt.Sprintf("  node-0 mem occupancy %.1f%%   (paper: %s)\n", 100*hotMem, fftRow("node-0 mem occupancy", 100*hotMem)))
+		slowdown := Slowdown(fft.flash.rep, fft.ideal.rep)
+		b.WriteString(fmt.Sprintf("  FLASH vs ideal       +%.1f%%  (paper: +%s)\n\n", slowdown, fftRow("FLASH vs ideal", slowdown)))
+		var note string // the paper's figures for the node-zero pages
 		for i, r := range osRuns {
 			var maxPP, maxMem float64
 			for _, n := range r.flash.rep.PerNode {
 				maxPP = max(maxPP, sim.Occupancy(n.PPBusy, r.flash.rep.Elapsed))
 				maxMem = max(maxMem, sim.Occupancy(n.MemBusy, r.flash.rep.Elapsed))
 			}
+			slowdown := Slowdown(r.flash.rep, r.ideal.rep)
 			b.WriteString(fmt.Sprintf("OS workload, %v pages:\n", placements[i]))
 			b.WriteString(fmt.Sprintf("  max PP occupancy  %.1f%%\n", 100*maxPP))
 			b.WriteString(fmt.Sprintf("  max mem occupancy %.1f%%\n", 100*maxMem))
-			b.WriteString(fmt.Sprintf("  FLASH vs ideal    +%.1f%%\n", Slowdown(r.flash.rep, r.ideal.rep)))
+			b.WriteString(fmt.Sprintf("  FLASH vs ideal    +%.1f%%\n", slowdown))
+			if placements[i] == arch.PlaceNodeZero {
+				row := func(metric string, v float64) *paperRow {
+					return s.paper("sec4.3", "OS, node-zero pages", metric, v, r.flash, r.ideal)
+				}
+				note = fmt.Sprintf("(paper: original port had %s max PP occupancy vs %s memory and a %s slowdown)\n",
+					row("max PP occupancy", 100*maxPP), row("max mem occupancy", 100*maxMem), row("FLASH vs ideal", slowdown))
+			}
 		}
-		b.WriteString("(paper: original port had 81% max PP occupancy vs 33% memory and a 29% slowdown)\n")
+		b.WriteString(note)
 		return b.String(), nil
 	}
 }
@@ -200,21 +233,20 @@ func sec43(pl *planner) render {
 // the 16-processor problem sizes.
 func sec45(pl *planner) render {
 	names := []string{"fft", "lu", "ocean"}
-	paper := map[string]string{"fft": "17%", "lu": "0.7%", "ocean": "12%"}
 	runs := make([]pair, len(names))
 	for i, name := range names {
 		cfg := pl.o.baseConfig(64)
 		cfg.MemBytesPerNode = 2 << 20 // keep the 64-node footprint sane
 		runs[i] = pl.pair(name, cfg, pl.o.paramsFor(64))
 	}
-	return func() (string, error) {
+	return func(s scores) (string, error) {
 		var b strings.Builder
 		b.WriteString("Section 4.5: 64-processor runs at 16-processor problem sizes\n")
 		rows := [][]string{}
 		for _, r := range runs {
-			rows = append(rows, []string{r.app,
-				fmt.Sprintf("+%.1f%%", Slowdown(r.flash.rep, r.ideal.rep)),
-				"(" + paper[r.app] + ")"})
+			slowdown := Slowdown(r.flash.rep, r.ideal.rep)
+			rows = append(rows, []string{r.app, fmt.Sprintf("+%.1f%%", slowdown),
+				fmt.Sprintf("(%s)", s.paper("sec4.5", r.app, "FLASH vs ideal", slowdown, r.flash, r.ideal))})
 		}
 		b.WriteString(table([]string{"App", "FLASH vs ideal", "paper"}, rows))
 		return b.String(), nil

@@ -29,11 +29,18 @@ func table51(pl *planner, cacheBytes int) render {
 		cfg.Speculation = false
 		off[i] = pl.run(name, cfg, p)
 	}
-	return func() (string, error) {
+	exp := "table5.1small"
+	if cacheBytes == 1<<20 {
+		exp = "table5.1"
+	}
+	return func(s scores) (string, error) {
 		out := [][]string{}
 		for i, name := range names {
+			useless := 100 * on[i].rep.SpecUseless
 			slowdown := 100 * (float64(off[i].rep.Elapsed)/float64(on[i].rep.Elapsed) - 1)
-			out = append(out, []string{name, fmt.Sprintf("%.1f%%", 100*on[i].rep.SpecUseless), fmt.Sprintf("%+.1f%%", slowdown)})
+			s.record(exp, "every app", "Useless spec reads", useless, on[i])
+			s.record(exp, "every app", "Exec time w/o speculation", slowdown, on[i], off[i])
+			out = append(out, []string{name, fmt.Sprintf("%.1f%%", useless), fmt.Sprintf("%+.1f%%", slowdown)})
 		}
 		title := fmt.Sprintf("Table 5.1: speculative memory operations, %d KB caches", cacheBytes>>10)
 		return title + "\n" + table([]string{"App", "Useless spec reads", "Exec time w/o speculation"}, out), nil
@@ -45,9 +52,8 @@ func table51(pl *planner, cacheBytes int) render {
 // workload's MDC rates (Section 5.2).
 func sec52(pl *planner) render {
 	o := pl.o
-	// Uniprocessor radix with a large data set: the paper used 16 MB and a
-	// radix of 2048 on one processor (MDC read miss rate 30%, 14% slower
-	// than a no-MDC-penalty machine).
+	// Uniprocessor radix with a data set whose directory footprint exceeds
+	// the MDC's reach, as in the paper's uniprocessor stress run.
 	keys := (4 << 20) / 8 / o.Scale // 4 MB of keys per unit scale
 	cfg := o.baseConfig(1)
 	cfg.Nodes = 1
@@ -63,20 +69,25 @@ func sec52(pl *planner) render {
 	oc.Placement = arch.PlaceRoundRobin
 	osr := pl.run("os", oc, o.paramsFor(8))
 
-	return func() (string, error) {
+	return func(s scores) (string, error) {
 		run := uni.rep
+		radixRow := func(metric string, v float64, from ...*job) *paperRow {
+			return s.paper("sec5.2", "uniprocessor radix", metric, v, from...)
+		}
+		osRow := func(metric string, v float64) *paperRow { return s.paper("sec5.2", "OS", metric, v, osr) }
+		slowdown := 100 * (float64(run.Elapsed)/float64(big.rep.Elapsed) - 1)
 		var b strings.Builder
 		b.WriteString("Section 5.2: MAGIC data cache behaviour\n\n")
 		b.WriteString(fmt.Sprintf("Uniprocessor radix sort (%d KB of keys):\n", keys*8>>10))
-		b.WriteString(fmt.Sprintf("  processor cache miss rate %.2f%%  (paper: 1.4%%)\n", 100*run.MissRate))
-		b.WriteString(fmt.Sprintf("  MDC miss rate             %.1f%%  (paper: 14.9%%)\n", 100*run.MDCMissRate))
-		b.WriteString(fmt.Sprintf("  MDC read miss rate        %.1f%%  (paper: 30%%)\n", 100*run.MDCReadMissRate))
-		b.WriteString(fmt.Sprintf("  slowdown vs no-MDC-miss machine: +%.1f%%  (paper: +14%%)\n\n",
-			100*(float64(run.Elapsed)/float64(big.rep.Elapsed)-1)))
+		b.WriteString(fmt.Sprintf("  processor cache miss rate %.2f%%  (paper: %s)\n", 100*run.MissRate, radixRow("processor cache miss rate", 100*run.MissRate, uni)))
+		b.WriteString(fmt.Sprintf("  MDC miss rate             %.1f%%  (paper: %s)\n", 100*run.MDCMissRate, radixRow("MDC miss rate", 100*run.MDCMissRate, uni)))
+		b.WriteString(fmt.Sprintf("  MDC read miss rate        %.1f%%  (paper: %s)\n", 100*run.MDCReadMissRate, radixRow("MDC read miss rate", 100*run.MDCReadMissRate, uni)))
+		b.WriteString(fmt.Sprintf("  slowdown vs no-MDC-miss machine: +%.1f%%  (paper: +%s)\n\n",
+			slowdown, radixRow("slowdown vs no-MDC-miss machine", slowdown, uni, big)))
 		b.WriteString("OS workload:\n")
-		b.WriteString(fmt.Sprintf("  MDC miss rate      %.1f%%  (paper: 4.1%%)\n", 100*osr.rep.MDCMissRate))
-		b.WriteString(fmt.Sprintf("  MDC read miss rate %.1f%%  (paper: 8.7%%)\n", 100*osr.rep.MDCReadMissRate))
-		b.WriteString(fmt.Sprintf("  MDC fills / memory operations %.1f%%  (paper: 34%%)\n", 100*osr.rep.MDCFillsOfMemOps))
+		b.WriteString(fmt.Sprintf("  MDC miss rate      %.1f%%  (paper: %s)\n", 100*osr.rep.MDCMissRate, osRow("MDC miss rate", 100*osr.rep.MDCMissRate)))
+		b.WriteString(fmt.Sprintf("  MDC read miss rate %.1f%%  (paper: %s)\n", 100*osr.rep.MDCReadMissRate, osRow("MDC read miss rate", 100*osr.rep.MDCReadMissRate)))
+		b.WriteString(fmt.Sprintf("  MDC fills / memory operations %.1f%%  (paper: %s)\n", 100*osr.rep.MDCFillsOfMemOps, osRow("MDC fills / memory operations", 100*osr.rep.MDCFillsOfMemOps)))
 		return b.String(), nil
 	}
 }
@@ -90,7 +101,7 @@ func table52(pl *planner, cacheBytes int) render {
 		names = []string{"barnes", "fft", "mp3d", "ocean", "radix"}
 	}
 	rows := pl.suite(names, cacheBytes)
-	return func() (string, error) {
+	return func(s scores) (string, error) {
 		cfg := arch.DefaultConfig()
 		prog, err := protocol.Build(&cfg)
 		if err != nil {
@@ -98,6 +109,7 @@ func table52(pl *planner, cacheBytes int) render {
 		}
 		// Dynamic stats summed across the suite's FLASH legs.
 		var sInstr, sPairs, sALU, sSpec, sInv, sMiss uint64
+		var legs []*job
 		for _, r := range rows {
 			f := &r.flash.rep
 			sInstr += f.PP.Instrs
@@ -106,14 +118,19 @@ func table52(pl *planner, cacheBytes int) render {
 			sSpec += f.PP.Special
 			sInv += f.HandlerInvocations
 			sMiss += f.Misses
+			legs = append(legs, r.flash)
 		}
+		codeKB := float64(prog.Code.CodeBytes()) / 1024
+		suite := func(metric string, v float64) *paperRow { return s.paper("table5.2", "suite", metric, v, legs...) }
+		dual, special := float64(sInstr)/float64(sPairs), 100*float64(sSpec)/float64(sALU)
+		pairs, perMiss := float64(sPairs)/float64(sInv), float64(sInv)/float64(sMiss)
 		var b strings.Builder
 		fmt.Fprintf(&b, "Table 5.2: PP architecture evaluation (%d KB caches)\n", cacheBytes>>10)
-		fmt.Fprintf(&b, "  static code size (with NOPs)        %.1f KB   (paper: 14.8 KB)\n", float64(prog.Code.CodeBytes())/1024)
-		fmt.Fprintf(&b, "  dynamic dual-issue efficiency       %.2f     (paper: 1.43-1.54)\n", float64(sInstr)/float64(sPairs))
-		fmt.Fprintf(&b, "  special instruction use             %.0f%%     (paper: 37-43%%)\n", 100*float64(sSpec)/float64(sALU))
-		fmt.Fprintf(&b, "  instruction pairs per handler       %.1f     (paper: 10.8-13.5)\n", float64(sPairs)/float64(sInv))
-		fmt.Fprintf(&b, "  handler invocations per cache miss  %.2f     (paper: 3.51-3.87)\n", float64(sInv)/float64(sMiss))
+		fmt.Fprintf(&b, "  static code size (with NOPs)        %.1f KB   (paper: %s)\n", codeKB, s.paper("table5.2", "protocol", "static code size (with NOPs)", codeKB))
+		fmt.Fprintf(&b, "  dynamic dual-issue efficiency       %.2f     (paper: %s)\n", dual, suite("dynamic dual-issue efficiency", dual))
+		fmt.Fprintf(&b, "  special instruction use             %.0f%%     (paper: %s)\n", special, suite("special instruction use", special))
+		fmt.Fprintf(&b, "  instruction pairs per handler       %.1f     (paper: %s)\n", pairs, suite("instruction pairs per handler", pairs))
+		fmt.Fprintf(&b, "  handler invocations per cache miss  %.2f     (paper: %s)\n", perMiss, suite("handler invocations per cache miss", perMiss))
 		return b.String(), nil
 	}
 }
@@ -121,7 +138,7 @@ func table52(pl *planner, cacheBytes int) render {
 // table53 performs the static special-instruction analysis of Table 5.3:
 // for each special instruction in the protocol, the size of its DLX
 // substitution sequence.
-func table53() (string, error) {
+func table53(s scores) (string, error) {
 	cfg := arch.DefaultConfig()
 	prog, err := protocol.Build(&cfg)
 	if err != nil {
@@ -160,13 +177,14 @@ func table53() (string, error) {
 	rows := [][]string{}
 	for _, k := range sortedKeys(byKind) {
 		a := byKind[k]
-		rows = append(rows, []string{
-			k, fmt.Sprint(a.count),
-			fmt.Sprintf("%.1f", float64(a.expanded)/float64(a.count)),
-		})
+		mean := float64(a.expanded) / float64(a.count)
+		s.record("table5.3", k, "DLX instrs", mean)
+		rows = append(rows, []string{k, fmt.Sprint(a.count), fmt.Sprintf("%.1f", mean)})
 	}
+	ffs := published("table5.3", "find first set bit", "DLX instrs")
 	title := "Table 5.3: special instructions vs DLX substitution (static)\n" +
-		"(paper: ffs 6 or 27 instrs; branch-on-bit 2-4; field immediate 1-5;\n" +
+		fmt.Sprintf("(paper: ffs %s or %s instrs; branch-on-bit %s; field immediate %s;\n", num(ffs.lo), num(ffs.hi),
+			published("table5.3", "branch on bit", "DLX instrs"), published("table5.3", "ALU field immediate", "DLX instrs")) +
 		" insert = two field immediates + or)\n"
 	return title + table([]string{"Instruction type", "Static uses", "Mean DLX instrs"}, rows), nil
 }
@@ -183,7 +201,7 @@ func sec53(pl *planner) render {
 		cfg.PPMode = arch.PPNoSpecial
 		slow[i] = pl.run(name, cfg, p)
 	}
-	return func() (string, error) {
+	return func(s scores) (string, error) {
 		out := [][]string{}
 		sum, max := 0.0, 0.0
 		for i, name := range names {
@@ -197,7 +215,9 @@ func sec53(pl *planner) render {
 		var b strings.Builder
 		b.WriteString("Section 5.3: non-optimized PP (single-issue, DLX substitution)\n")
 		b.WriteString(table([]string{"App", "Execution time increase"}, out))
-		fmt.Fprintf(&b, "average +%.1f%%, maximum +%.1f%%  (paper: average +40%%, max +137%% on MP3D)\n", sum/float64(len(names)), max)
+		avg, jobs := sum/float64(len(names)), append(opt[:len(opt):len(opt)], slow...)
+		fmt.Fprintf(&b, "average +%.1f%%, maximum +%.1f%%  (paper: average +%s, max +%s on MP3D)\n", avg, max,
+			s.paper("sec5.3", "suite", "average increase", avg, jobs...), s.paper("sec5.3", "suite", "maximum increase", max, jobs...))
 		return b.String(), nil
 	}
 }
@@ -216,7 +236,7 @@ func protoCompare(pl *planner) render {
 		cfg.Protocol = arch.ProtoBitVector
 		bv[i] = pl.run(name, cfg, p)
 	}
-	return func() (string, error) {
+	return func(scores) (string, error) {
 		out := [][]string{}
 		for i, name := range names {
 			d, v := dyn[i].rep, bv[i].rep

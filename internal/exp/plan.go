@@ -85,10 +85,21 @@ func execute(jobs []*job) (stop func()) {
 
 // planner collects the runs experiments declare.
 type planner struct {
-	o     Options
-	byKey map[string]*job
-	jobs  []*job // distinct, in first-declared order
-	decl  []*job // the current experiment's runs, duplicates included
+	o        Options
+	registry []experiment // experiments, which check (itself in it) declares through the planner
+	byKey    map[string]*job
+	jobs     []*job // distinct, in first-declared order
+	decl     []*job // the current experiment's runs, duplicates included
+}
+
+// lookup returns the named experiment.
+func (pl *planner) lookup(name string) (experiment, error) {
+	for _, e := range pl.registry {
+		if e.name == name {
+			return e, nil
+		}
+	}
+	return experiment{}, fmt.Errorf("unknown experiment %q", name)
 }
 
 // run declares one simulation and returns its handle: the job an earlier
@@ -120,36 +131,42 @@ func (pl *planner) pair(app string, cfg arch.Config, p apps.Params) pair {
 	return pair{app, f, pl.run(app, cfg, p)}
 }
 
-// render produces an experiment's output once its runs are done.
-type render func() (string, error)
+// render produces an experiment's output once its runs are done. It
+// records the values it measures for paper rows in s (paper.go); s is nil
+// when only the output is wanted.
+type render func(s scores) (string, error)
 
 // experiment declares its runs on the planner and returns its renderer.
 type experiment struct {
 	name    string
 	declare func(*planner) render
+	// scoresFailures marks an experiment whose renderer reports its failed
+	// runs itself (check): Execute renders it whatever its runs did.
+	scoresFailures bool
 }
 
 // experiments is every experiment, in the order `flashexp all` runs them.
 var experiments = []experiment{
-	{"table3.3", func(*planner) render { return table33 }},
-	{"table3.4", func(*planner) render { return table34 }},
-	{"fig4.1", fig41},
-	{"fig4.2", fig42},
-	{"fig4.3", fig43},
-	{"sec4.3", sec43},
-	{"sec4.5", sec45},
-	{"table5.1", func(pl *planner) render { return table51(pl, 1<<20) }},
-	{"table5.1small", func(pl *planner) render { return table51(pl, 4<<10) }},
-	{"sec5.2", sec52},
-	{"table5.2", func(pl *planner) render { return table52(pl, 1<<20) }},
-	{"table5.3", func(*planner) render { return table53 }},
-	{"sec5.3", sec53},
-	{"protocompare", protoCompare},
-	{"ablations", ablations},
+	{name: "table3.3", declare: func(*planner) render { return table33 }},
+	{name: "table3.4", declare: func(*planner) render { return table34 }},
+	{name: "fig4.1", declare: fig41},
+	{name: "fig4.2", declare: fig42},
+	{name: "fig4.3", declare: fig43},
+	{name: "sec4.3", declare: sec43},
+	{name: "sec4.5", declare: sec45},
+	{name: "table5.1", declare: func(pl *planner) render { return table51(pl, 1<<20) }},
+	{name: "table5.1small", declare: func(pl *planner) render { return table51(pl, 4<<10) }},
+	{name: "sec5.2", declare: sec52},
+	{name: "table5.2", declare: func(pl *planner) render { return table52(pl, 1<<20) }},
+	{name: "table5.3", declare: func(*planner) render { return table53 }},
+	{name: "sec5.3", declare: sec53},
+	{name: "protocompare", declare: protoCompare},
+	{name: "ablations", declare: ablations},
 	// Sampled times its own legs, so it runs them itself (RunApp) when it
 	// renders, not on the executor. Run it alone for clean walls: it
 	// renders while later experiments' jobs may still be simulating.
-	{"sampled", func(pl *planner) render { return func() (string, error) { return sampled(pl.o) } }},
+	{name: "sampled", declare: func(pl *planner) render { return func(scores) (string, error) { return sampled(pl.o) } }},
+	{name: "check", declare: check, scoresFailures: true},
 }
 
 // Experiments lists every experiment name, in the order `flashexp all`
@@ -170,7 +187,7 @@ type Plan struct {
 }
 
 type planned struct {
-	name   string
+	experiment
 	jobs   []*job // as declared, duplicates included
 	render render
 }
@@ -181,19 +198,16 @@ func NewPlan(o Options, names []string) (*Plan, error) {
 	if o.Scale < 1 {
 		return nil, fmt.Errorf("scale %d: must be at least 1", o.Scale)
 	}
-	pl := &planner{o: o, byKey: map[string]*job{}}
+	pl := &planner{o: o, registry: experiments, byKey: map[string]*job{}}
 	p := &Plan{}
 	for _, name := range names {
-		i := 0
-		for i < len(experiments) && experiments[i].name != name {
-			i++
-		}
-		if i == len(experiments) {
-			return nil, fmt.Errorf("unknown experiment %q", name)
+		e, err := pl.lookup(name)
+		if err != nil {
+			return nil, err
 		}
 		pl.decl = nil
-		r := experiments[i].declare(pl)
-		p.exps = append(p.exps, planned{name, pl.decl, r})
+		r := e.declare(pl)
+		p.exps = append(p.exps, planned{e, pl.decl, r})
 		p.runs += len(pl.decl)
 	}
 	p.jobs = pl.jobs
@@ -208,9 +222,10 @@ func (p *Plan) Simulations() int { return len(p.jobs) }
 
 // Execute simulates the plan's distinct runs and hands each experiment's
 // output to emit, in plan order, as soon as the experiment and every
-// earlier one are done. It stops at the first failed experiment and
-// returns "<experiment>: <app>: <cause>", one line per failed application
-// (its first failed run in declaration order), in declaration order. Jobs
+// earlier one are done. It stops at the first failed experiment (check
+// reports its failed runs in its output instead) and returns
+// "<experiment>: <app>: <cause>", one line per failed application (its
+// first failed run in declaration order), in declaration order. Jobs
 // not yet started then never start; it does not wait for running ones: a
 // later experiment's run may not terminate (sec4.5's 64-processor Ocean
 // leg livelocks today).
@@ -221,7 +236,7 @@ func (p *Plan) Execute(emit func(name, out string)) error {
 		failed := map[string]bool{}
 		for _, j := range e.jobs {
 			<-j.done
-			if j.err != nil && !failed[j.app] {
+			if j.err != nil && !failed[j.app] && !e.scoresFailures {
 				failed[j.app] = true
 				errs = append(errs, fmt.Errorf("%s: %w", j.app, j.err))
 			}
@@ -229,7 +244,7 @@ func (p *Plan) Execute(emit func(name, out string)) error {
 		err := errors.Join(errs...)
 		var out string
 		if err == nil {
-			out, err = e.render()
+			out, err = e.render(nil)
 		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.name, err)

@@ -74,11 +74,11 @@ func TestPlanParallelDeterminism(t *testing.T) {
 	apps.Builders["bad-build"] = func(*workload.World, apps.Params) (*apps.App, error) {
 		return nil, errors.New("bad size")
 	}
-	experiments = append(experiments, experiment{"boom", func(pl *planner) render {
+	experiments = append(experiments, experiment{name: "boom", declare: func(pl *planner) render {
 		cfg, p := pl.o.baseConfig(4), pl.o.paramsFor(4)
 		pl.pair("boom-build", cfg, p)
 		pl.run("bad-build", cfg, p)
-		return func() (string, error) { return "rendered a failed experiment\n", nil }
+		return func(scores) (string, error) { return "rendered a failed experiment\n", nil }
 	}})
 	defer func() {
 		experiments = experiments[:len(experiments)-1]

@@ -12,18 +12,9 @@ import (
 	"flashsim/internal/stats"
 )
 
-// paperLat33 holds the paper's Table 3.3 for reference columns.
-var paperLat33 = map[string][3]int{
-	"Local read miss, clean in local memory": {24, 27, 11},
-	"Local read miss, dirty in remote cache": {100, 143, 53},
-	"Remote read miss, clean in home memory": {92, 111, 16},
-	"Remote read miss, dirty in home cache":  {100, 145, 53},
-	"Remote read miss, dirty in 3rd node":    {136, 191, 61},
-}
-
 // table33 renders the no-contention read miss latencies and FLASH PP
 // occupancies of Table 3.3 on both machines.
-func table33() (string, error) {
+func table33(s scores) (string, error) {
 	idealLat, _, err := MeasuredLatencies(arch.KindIdeal)
 	if err != nil {
 		return "", err
@@ -35,18 +26,17 @@ func table33() (string, error) {
 	cfg := probeConfig(arch.KindFLASH)
 	rows := [][]string{}
 	for _, sc := range core.MissScenarios(&cfg) {
-		p := paperLat33[sc.Name]
-		rows = append(rows, []string{
-			sc.Name,
-			fmt.Sprint(idealLat[sc.Class]), fmt.Sprintf("(%d)", p[0]),
-			fmt.Sprint(flashLat[sc.Class]), fmt.Sprintf("(%d)", p[1]),
-			fmt.Sprint(flashOcc[sc.Class]), fmt.Sprintf("(%d)", p[2]),
-		})
+		row := []string{sc.Name}
+		for i, v := range []sim.Cycle{idealLat[sc.Class], flashLat[sc.Class], flashOcc[sc.Class]} {
+			metric := []string{"ideal", "FLASH", "PP occ"}[i]
+			row = append(row, fmt.Sprint(v), fmt.Sprintf("(%s)", s.paper("table3.3", sc.Name, metric, float64(v))))
+		}
+		rows = append(rows, row)
 	}
-	s := "Table 3.3: memory latencies and PP occupancies, no contention, in cycles\n" +
+	out := "Table 3.3: memory latencies and PP occupancies, no contention, in cycles\n" +
 		"(parenthesized values are the paper's)\n" +
 		table([]string{"Operation", "Ideal", "", "FLASH", "", "PP occ", ""}, rows)
-	return s, nil
+	return out, nil
 }
 
 // probeConfig is the machine the Table 3.3 probes run on.
@@ -86,7 +76,7 @@ var (
 
 // table34 reports mean per-handler PP occupancies, gathered from a mixed
 // protocol workout (Table 3.4's decomposition).
-func table34() (string, error) {
+func table34(s scores) (string, error) {
 	cfg := probeConfig(arch.KindFLASH)
 	m, err := core.New(cfg)
 	if err != nil {
@@ -123,10 +113,20 @@ func table34() (string, error) {
 	for _, h := range sortedKeys(lat) {
 		rows = append(rows, []string{h, fmt.Sprint(lat[h].Count), fmt.Sprintf("%.1f", lat[h].Mean())})
 	}
+	// The composites this medley measures, by the handler that is each.
+	measured := func(row, handler string) *paperRow {
+		return s.paper("table3.4", row, "PP occupancy", lat[handler].Mean())
+	}
+	paper := func(row string) *paperRow { return published("table3.4", row, "PP occupancy") }
+	perInval := paper("write miss, per invalidation")
 	var bld strings.Builder
 	bld.WriteString("Table 3.4: PP occupancies per handler (mean cycles per invocation)\n")
-	bld.WriteString("(paper's composites: read miss 11, write miss 14+10..15/inval, fwd 3/18,\n")
-	bld.WriteString(" cache retrieve 38, reply 2, local WB 10, remote WB 8, hints 7/17+)\n")
+	fmt.Fprintf(&bld, "(paper's composites: read miss %s, write miss %s+%s..%s/inval, fwd %s/%s,\n",
+		measured("read miss", "pi_get_local"), paper("write miss"), num(perInval.lo), num(perInval.hi),
+		measured("forward to home", "pi_get_remote"), paper("forward to owner"))
+	fmt.Fprintf(&bld, " cache retrieve %s, reply %s, local WB %s, remote WB %s, hints %s/%s+)\n",
+		measured("cache retrieve", "ni_fwd_get"), measured("reply", "ni_put"), paper("local writeback"),
+		paper("remote writeback"), paper("local replacement hint"), paper("remote replacement hint"))
 	bld.WriteString(table([]string{"Handler", "Count", "Mean cycles"}, rows))
 	return bld.String(), nil
 }
