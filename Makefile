@@ -20,7 +20,7 @@ build:
 # sharing one memoized protocol program and the sampling suite; over every
 # test of the event engines (the sharded engine's own differential tests
 # among them) and of the metrics registry (16 goroutines writing shared
-# series through Add, Set and Max must leave exact totals); and seven
+# series through Add, Set and Max must leave exact totals); and eight
 # bounded fuzzes, each 10 s with the minimization of a new input held to
 # 100 executions (Go's default, 60 s, outlasts the budget and idles the
 # run): the calendar event queue against a sorted-slice reference, the PP
@@ -40,13 +40,15 @@ build:
 # exactly when the reference finds nothing), directory entries of lines
 # no cache holds included (pending, ack and dirty bits flipped in
 # untouched lines' FLASH headers; ideal entries changed after their
-# copies are dropped).
+# copies are dropped), and the ideal directory's sharer lists against a
+# []NodeID model (insertion order kept through appends, deletes and
+# re-inserts; every pool cell on one list or the free list).
 verify:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
 	! grep -rnE 'os\.(Getenv|Setenv|LookupEnv)' cmd internal --include='*.go' --exclude='*_test.go' && ! grep -rnE '\(paper[^)]*[^[:alnum:]_][0-9]' internal/exp --include='*.go' --exclude='*_test.go' --exclude=paper.go && test -z "$$(gofmt -l cmd internal bench examples)"
 	$(GO) test -race ./internal/exp -run 'Parallel|GoldenDigest|SharedProgram|Sampled'
 	$(GO) test -race ./internal/sim ./internal/metrics
-	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzQueueOrder -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/ppisa -run '^$$' -fuzz FuzzAssemble -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/arch -run '^$$' -fuzz FuzzParseSampleSpec -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/exp -run '^$$' -fuzz FuzzResultCacheEntry -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/memsys -run '^$$' -fuzz FuzzStoreOps -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/cpu -run '^$$' -fuzz FuzzCacheGroups -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/core -run '^$$' -fuzz FuzzCheckCoherence -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzQueueOrder -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/ppisa -run '^$$' -fuzz FuzzAssemble -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/arch -run '^$$' -fuzz FuzzParseSampleSpec -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/exp -run '^$$' -fuzz FuzzResultCacheEntry -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/memsys -run '^$$' -fuzz FuzzStoreOps -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/cpu -run '^$$' -fuzz FuzzCacheGroups -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/core -run '^$$' -fuzz FuzzCheckCoherence -fuzztime 10s -fuzzminimizetime 100x && $(GO) test ./internal/ideal -run '^$$' -fuzz FuzzSharerList -fuzztime 10s -fuzzminimizetime 100x
 
 test:
 	$(GO) test ./...

@@ -30,14 +30,14 @@ import (
 // The audit works in place, in two walks. The copy walk visits each
 // cache's resident lines and checks every copy on its own against the
 // home's directory entry (a cached line is bad exactly when one of its
-// copies is). The directory walk visits every entry a home has recorded —
-// the FLASH headers in materialized directory pages, the ideal oracle's
-// entries — and checks that it is settled and that a dirty entry's owner
-// holds the line Modified, which catches the bad lines no cache holds.
-// FLASH headers decode into one reused buffer. Only the lowest bad line's
-// copy set is gathered, by probing every cache, to word the error. A clean
-// audit allocates nothing once the buffer has grown to the longest sharer
-// set.
+// copies is). The directory walk visits, in line order, every entry in a
+// page a home has touched — the FLASH headers in materialized directory
+// pages, the ideal oracle's entries in its allocated pages — and checks
+// that it is settled and that a dirty entry's owner holds the line
+// Modified, which catches the bad lines no cache holds. Entries of either
+// kind decode into one reused buffer. Only the lowest bad line's copy set
+// is gathered, by probing every cache, to word the error. A clean audit
+// allocates nothing once the buffer has grown to the longest sharer set.
 func (m *Machine) CheckCoherence() error {
 	var badLine uint64
 	bad := false
@@ -68,49 +68,50 @@ func (m *Machine) CheckCoherence() error {
 	return nil
 }
 
-// dirOf returns line's directory entry at its home. On FLASH it is the
-// header decoded into the machine's buffer, overwritten by the next call; on the ideal
-// machine it is the oracle's live entry, read in place, or the buffer
-// zeroed if the oracle never recorded the line.
+// dirOf returns line's directory entry at its home, decoded into the
+// machine's buffer and overwritten by the next call.
 func (m *Machine) dirOf(line uint64) (*protocol.DirInfo, error) {
 	addr := arch.Addr(line << arch.LineShift)
-	n := m.Nodes[m.Cfg.HomeOf(addr)]
-	if n.Magic != nil {
-		err := m.Prog.Layout.DecodeInto(n.Magic.PP.Mem, m.Cfg.LocalLine(addr), &m.auditDir)
-		return &m.auditDir, err
+	return m.localDir(m.Nodes[m.Cfg.HomeOf(addr)], m.Cfg.LocalLine(addr))
+}
+
+// localDir decodes the directory entry of node n's local line l into the
+// machine's buffer: a FLASH header from protocol memory, or the ideal
+// oracle's entry.
+func (m *Machine) localDir(n *Node, l uint64) (*protocol.DirInfo, error) {
+	if n.Magic == nil {
+		n.Ideal.DecodeInto(l, &m.auditDir)
+		return &m.auditDir, nil
 	}
-	if d := n.Ideal.Entry(line); d != nil {
-		return d, nil
+	err := m.Prog.Layout.DecodeInto(n.Magic.PP.Mem, l, &m.auditDir)
+	return &m.auditDir, err
+}
+
+// nextRecorded returns the smallest local line >= l of node n whose
+// directory entry lies in a page the node has touched, and false if there
+// is none. Entries in untouched pages are pristine (clean, no sharers): a
+// FLASH header in a never-written protocol-memory page, an ideal entry in
+// a page the oracle never allocated.
+func (m *Machine) nextRecorded(n *Node, l uint64) (uint64, bool) {
+	if n.Magic == nil {
+		return n.Ideal.NextRecorded(l)
 	}
-	m.auditDir = protocol.DirInfo{Sharers: m.auditDir.Sharers[:0]}
-	return &m.auditDir, nil
+	lay, mem := m.Prog.Layout, n.Magic.PP.Mem
+	dir, end := uint64(lay.DirBase)/8, uint64(lay.PtrBase)/8
+	w, ok := mem.NextMaterialized(dir + l)
+	return w - dir, ok && w < end
 }
 
 // lowestUnsettled returns the lowest line homed at node i whose directory
-// entry is not settled, and false if every entry is. On FLASH it walks the
-// headers of the node's materialized directory pages in line order, so it
-// stops at the first bad one; headers in never-written pages are pristine
-// (clean, no sharers). On the ideal machine it walks the oracle's recorded
-// entries.
+// entry is not settled, and false if every entry is. It walks the entries
+// of the node's touched directory pages in line order, so it stops at the
+// first bad one.
 func (m *Machine) lowestUnsettled(i int) (uint64, bool) {
 	n := m.Nodes[i]
 	first := uint64(m.Cfg.NodeBase(arch.NodeID(i))) >> arch.LineShift
-	if n.Magic == nil {
-		var low uint64
-		bad := false
-		for line, d := range n.Ideal.Entries {
-			if (!bad || line < low) && !m.entrySettled(line, d) {
-				bad, low = true, line
-			}
-		}
-		return low, bad
-	}
-	l, mem := m.Prog.Layout, n.Magic.PP.Mem
-	dir, end := uint64(l.DirBase)/8, uint64(l.PtrBase)/8
-	for w, ok := mem.NextMaterialized(dir); ok && w < end; w, ok = mem.NextMaterialized(w + 1) {
-		line := first + w - dir
-		if err := l.DecodeInto(mem, w-dir, &m.auditDir); err != nil || !m.entrySettled(line, &m.auditDir) {
-			return line, true
+	for l, ok := m.nextRecorded(n, 0); ok; l, ok = m.nextRecorded(n, l+1) {
+		if d, err := m.localDir(n, l); err != nil || !m.entrySettled(first+l, d) {
+			return first + l, true
 		}
 	}
 	return 0, false

@@ -15,8 +15,8 @@ import (
 // referenceCheckCoherence is the map-based audit that CheckCoherence's
 // in-place walks replaced, kept as its reference: it gathers every line's
 // copy set from all caches into a map, adds every line whose home records
-// a directory entry (a nonzero FLASH header word, scanned over every line
-// of every home; an ideal oracle entry, looked up line by line) with the
+// a directory entry (a nonzero FLASH header word or ideal oracle entry,
+// scanned over every line of every home) with the
 // copy set it has, decodes each line's directory once into a fresh
 // DirInfo, checks each line as a whole and keeps the lowest bad line, then
 // runs the same pool audit. CheckCoherence must return exactly its error.
@@ -48,7 +48,9 @@ func referenceCheckCoherence(m *Machine) error {
 			if n.Magic != nil {
 				recorded = n.Magic.PP.Mem.Load(m.Prog.Layout.DirOffset(l)/8) != 0
 			} else {
-				recorded = n.Ideal.Entry(first+l) != nil
+				var d protocol.DirInfo
+				n.Ideal.DecodeInto(l, &d)
+				recorded = d.Dirty || d.Pending || d.Local || d.Acks != 0 || len(d.Sharers) != 0
 			}
 			if recorded && lines[first+l] == nil {
 				lines[first+l] = &copyInfo{}
@@ -62,10 +64,9 @@ func referenceCheckCoherence(m *Machine) error {
 		if n.Magic != nil {
 			return m.Prog.Layout.Decode(n.Magic.PP.Mem, m.Cfg.LocalLine(addr))
 		}
-		if e := n.Ideal.Entry(line); e != nil {
-			return *e, nil
-		}
-		return protocol.DirInfo{}, nil
+		var d protocol.DirInfo
+		n.Ideal.DecodeInto(m.Cfg.LocalLine(addr), &d)
+		return d, nil
 	}
 
 	check := func(line uint64, ci *copyInfo) error {
@@ -229,9 +230,19 @@ func dirWord(m *Machine, line uint64) *uint64 {
 	return pp.Mem.Word(m.Prog.Layout.DirOffset(m.Cfg.LocalLine(a)) / 8)
 }
 
-// idealEntry returns ideal line's live oracle directory entry.
-func idealEntry(m *Machine, line uint64) *protocol.DirInfo {
-	return m.Nodes[m.Cfg.HomeOf(arch.Addr(line<<arch.LineShift))].Ideal.Entry(line)
+// idealEntry applies change to ideal line's oracle directory entry: it
+// decodes the entry, with its own copy of the sharers, and writes the
+// changed entry back. It returns the entry as it was.
+func idealEntry(m *Machine, line uint64, change func(e *protocol.DirInfo)) protocol.DirInfo {
+	a := arch.Addr(line << arch.LineShift)
+	ctl, l := m.Nodes[m.Cfg.HomeOf(a)].Ideal, m.Cfg.LocalLine(a)
+	var was protocol.DirInfo
+	ctl.DecodeInto(l, &was)
+	e := was
+	e.Sharers = slices.Clone(was.Sharers)
+	change(&e)
+	ctl.SetEntry(l, e)
+	return was
 }
 
 // lineView is one cached line's copy set and directory entry.
@@ -295,7 +306,7 @@ func fillCopy(t *testing.T, m *Machine, node arch.NodeID, line uint64, s cpu.Lin
 // setPending sets the pending bit of line's directory entry.
 func setPending(m *Machine, line uint64) {
 	if m.Prog == nil {
-		idealEntry(m, line).Pending = true
+		idealEntry(m, line, func(e *protocol.DirInfo) { e.Pending = true })
 		return
 	}
 	*dirWord(m, line) |= 1 << protocol.BPending
@@ -305,7 +316,7 @@ func setPending(m *Machine, line uint64) {
 func setAck(m *Machine, line uint64) {
 	switch {
 	case m.Prog == nil:
-		idealEntry(m, line).Acks = 1
+		idealEntry(m, line, func(e *protocol.DirInfo) { e.Acks = 1 })
 	case m.Prog.Layout.Proto == arch.ProtoBitVector:
 		*dirWord(m, line) |= 1 << protocol.BVAckPos
 	default:
@@ -317,7 +328,7 @@ func setAck(m *Machine, line uint64) {
 // owner field.
 func setDirty(m *Machine, line uint64) {
 	if m.Prog == nil {
-		idealEntry(m, line).Dirty = true
+		idealEntry(m, line, func(e *protocol.DirInfo) { e.Dirty = true })
 		return
 	}
 	*dirWord(m, line) |= 1 << protocol.BDirty
@@ -545,9 +556,9 @@ func TestCheckCoherenceNamesLowestBadLine(t *testing.T) {
 // state set (Invalid drops it, so a medley line's entry can be left with
 // no copy), a copy filled at a node, or a directory entry changed (a FLASH
 // header bit flipped, untouched lines' headers included; on ideal a flag
-// toggled, the owner moved, the acks bumped or a sharer dropped, on the
-// lines the oracle has recorded). The corruptions are undone in reverse
-// order after the audit, and the restored machine must audit clean.
+// toggled, the owner moved, the acks bumped or a sharer dropped, untouched
+// lines' entries included). The corruptions are undone in reverse order
+// after the audit, and the restored machine must audit clean.
 func FuzzCheckCoherence(f *testing.F) {
 	f.Add([]byte{0, 0, 3, 0x05})
 	f.Add([]byte{1, 1, 7, 0x08, 2, 20, 1})
@@ -634,28 +645,25 @@ func FuzzCheckCoherence(f *testing.F) {
 					undo = append(undo, func() { *w ^= 1 << bit })
 					break
 				}
-				e := idealEntry(m, line)
-				if e == nil {
-					break
-				}
-				saved := *e
-				undo = append(undo, func() { *e = saved })
-				switch arg % 6 {
-				case 0:
-					e.Pending = !e.Pending
-				case 1:
-					e.Dirty = !e.Dirty
-				case 2:
-					e.Local = !e.Local
-				case 3:
-					e.Acks++
-				case 4:
-					e.Owner = (e.Owner + 1 + arch.NodeID(arg>>3)%3) % 4
-				case 5:
-					if len(e.Sharers) > 0 {
-						e.Sharers = slices.Delete(slices.Clone(e.Sharers), int(arg>>3)%len(e.Sharers), int(arg>>3)%len(e.Sharers)+1)
+				saved := idealEntry(m, line, func(e *protocol.DirInfo) {
+					switch arg % 6 {
+					case 0:
+						e.Pending = !e.Pending
+					case 1:
+						e.Dirty = !e.Dirty
+					case 2:
+						e.Local = !e.Local
+					case 3:
+						e.Acks++
+					case 4:
+						e.Owner = (e.Owner + 1 + arch.NodeID(arg>>3)%3) % 4
+					case 5:
+						if len(e.Sharers) > 0 {
+							e.Sharers = slices.Delete(e.Sharers, int(arg>>3)%len(e.Sharers), int(arg>>3)%len(e.Sharers)+1)
+						}
 					}
-				}
+				})
+				undo = append(undo, func() { idealEntry(m, line, func(e *protocol.DirInfo) { *e = saved }) })
 			}
 		}
 		sameAudit(t, m)

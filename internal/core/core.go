@@ -129,6 +129,9 @@ func New(cfg arch.Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if cfg.Kind == arch.KindIdeal && cfg.Nodes > ideal.MaxNodes {
+		return nil, fmt.Errorf("core: the ideal directory supports at most %d nodes, got %d", ideal.MaxNodes, cfg.Nodes)
+	}
 
 	m := &Machine{
 		Cfg:     cfg,

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"flashsim/internal/arch"
+	"flashsim/internal/ideal"
 )
 
 func testConfig(kind arch.MachineKind) arch.Config {
@@ -89,5 +91,16 @@ func TestIdealKeepsNetTransit(t *testing.T) {
 	}
 	if SimKeyFor(cfg22) == SimKeyFor(cfg44) {
 		t.Error("ideal machines at transit 22 and 44 share a key")
+	}
+}
+
+// TestIdealNodeLimit pins that an ideal machine too large for the oracle
+// directory's 16-bit owner field is a construction error, not a silent
+// truncation of owners.
+func TestIdealNodeLimit(t *testing.T) {
+	cfg := testConfig(arch.KindIdeal)
+	cfg.Nodes = ideal.MaxNodes + 1
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "at most 65536 nodes") {
+		t.Fatalf("New with %d ideal nodes: %v, want an error naming the limit", cfg.Nodes, err)
 	}
 }

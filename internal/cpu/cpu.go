@@ -26,14 +26,17 @@ const (
 //
 // Data values flow through the machine's backing store at simulated
 // completion order: reads deposit into *Out, writes carry WVal.
+//
+// The fields are ordered by size, so a Ref is 32 bytes with no padding
+// (TestRefSize): every workload thread holds a batch of them.
 type Ref struct {
-	Kind arch.RefKind
 	Addr arch.Addr
-	Busy uint32
-	Sync bool
-	RMW  RMWOp
 	WVal uint64
 	Out  *uint64
+	Busy uint32
+	Kind arch.RefKind
+	Sync bool
+	RMW  RMWOp
 }
 
 // RefSource produces a processor's reference stream in batches: each call

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"testing"
+	"unsafe"
 
 	"flashsim/internal/arch"
 	"flashsim/internal/memsys"
@@ -72,6 +73,15 @@ func testCPU(t *testing.T, refs []Ref, nak int) (*CPU, *echoCtl, *sim.Engine) {
 		t.Fatal(err)
 	}
 	return c, ctl, eng
+}
+
+// TestRefSize pins a Ref at 32 bytes: every workload thread's batch is an
+// array of them, and a field added or reordered so that the struct pads
+// grows every batch.
+func TestRefSize(t *testing.T) {
+	if got := unsafe.Sizeof(Ref{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(cpu.Ref{}) = %d, want 32", got)
+	}
 }
 
 func TestBlockingRead(t *testing.T) {

@@ -159,24 +159,32 @@ func TestSec43(t *testing.T) {
 }
 
 // TestTable51 pins that Table 5.1's speculation-on legs are Figure 4.1's
-// FLASH legs, and that only the speculation-off legs are simulated anew.
+// FLASH legs, with and without -procs (both experiments size their runs
+// with Options.procsFor), and that only the speculation-off legs are
+// simulated anew.
 func TestTable51(t *testing.T) {
-	p, runs := declared(t, tinyOptions(), "fig4.1", "table5.1")
-	if !sameJobs(legs(runs[1], 0), legs(runs[0], 0)) {
-		t.Error("table5.1's speculation-on legs are not fig4.1's FLASH legs")
-	}
-	for _, j := range legs(runs[1], 1) {
-		if j.cfg.Speculation {
-			t.Errorf("%s: speculation-off leg runs with speculation", j.app)
+	for _, procs := range []int{0, 8} {
+		o := tinyOptions()
+		o.Procs = procs
+		p, runs := declared(t, o, "fig4.1", "table5.1")
+		if !sameJobs(legs(runs[1], 0), legs(runs[0], 0)) {
+			t.Errorf("-procs %d: table5.1's speculation-on legs are not fig4.1's FLASH legs", procs)
 		}
-	}
-	if p.Simulations() != 21 {
-		t.Errorf("fig4.1 + table5.1: %d simulated, want 21", p.Simulations())
+		for _, j := range legs(runs[1], 1) {
+			if j.cfg.Speculation {
+				t.Errorf("-procs %d: %s: speculation-off leg runs with speculation", procs, j.app)
+			}
+		}
+		if p.Simulations() != 21 {
+			t.Errorf("-procs %d: fig4.1 + table5.1: %d simulated, want 21", procs, p.Simulations())
+		}
 	}
 }
 
 // TestSec52 pins that Section 5.2's OS run is Figure 4.1's OS FLASH leg,
-// and that a plan rejects a scale below 1 (its key count divides by it).
+// that a plan rejects a scale below 1 (its key count divides by it), and
+// that a scale past 512K, where 4 MB of keys per unit scale round to none,
+// plans a one-key radix instead of dividing by zero.
 func TestSec52(t *testing.T) {
 	_, runs := declared(t, tinyOptions(), "fig4.1", "sec5.2")
 	if runs[1][2] != runs[0][10] {
@@ -188,6 +196,11 @@ func TestSec52(t *testing.T) {
 		if _, err := NewPlan(o, []string{"sec5.2"}); err == nil {
 			t.Errorf("scale %d accepted", scale)
 		}
+	}
+	o := tinyOptions()
+	o.Scale = 1 << 20
+	if _, err := NewPlan(o, []string{"sec5.2"}); err != nil {
+		t.Errorf("scale %d: %v", o.Scale, err)
 	}
 }
 

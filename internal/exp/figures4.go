@@ -10,10 +10,14 @@ import (
 	"flashsim/internal/stats"
 )
 
-// paperProcs is the paper's processor count for an application: 16, or 8
-// for the OS workload.
-func paperProcs(app string) int {
-	if app == "os" {
+// procsFor is an application's processor count in the paper's
+// experiments: Options.Procs if set, else the paper's, 16, or 8 for the OS
+// workload.
+func (o Options) procsFor(app string) int {
+	switch {
+	case o.Procs > 0:
+		return o.Procs
+	case app == "os":
 		return 8
 	}
 	return 16
@@ -36,14 +40,11 @@ func (o Options) appConfig(app string, np, cacheBytes int) arch.Config {
 }
 
 // suite declares the listed applications on both machines at the given
-// cache size, on the paper's processor counts unless Options.Procs is set.
+// cache size, each on its procsFor processor count.
 func (pl *planner) suite(names []string, cacheBytes int) []pair {
 	rows := make([]pair, len(names))
 	for i, name := range names {
-		np := paperProcs(name)
-		if pl.o.Procs > 0 {
-			np = pl.o.Procs
-		}
+		np := pl.o.procsFor(name)
 		rows[i] = pl.pair(name, pl.o.appConfig(name, np, cacheBytes), pl.o.paramsFor(np))
 	}
 	return rows

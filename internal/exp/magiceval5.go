@@ -22,7 +22,7 @@ func table51(pl *planner, cacheBytes int) render {
 	}
 	on, off := make([]*job, len(names)), make([]*job, len(names))
 	for i, name := range names {
-		np := paperProcs(name)
+		np := pl.o.procsFor(name)
 		cfg := pl.o.appConfig(name, np, cacheBytes)
 		p := pl.o.paramsFor(np)
 		on[i] = pl.run(name, cfg, p)
@@ -53,12 +53,15 @@ func table51(pl *planner, cacheBytes int) render {
 func sec52(pl *planner) render {
 	o := pl.o
 	// Uniprocessor radix with a data set whose directory footprint exceeds
-	// the MDC's reach, as in the paper's uniprocessor stress run.
-	keys := (4 << 20) / 8 / o.Scale // 4 MB of keys per unit scale
+	// the MDC's reach, as in the paper's uniprocessor stress run: 4 MB of
+	// keys per unit scale, which Params.Scale's clamp at 1 holds to radix's
+	// full 256K keys (2 MB) below scale 2, and at least one key past scale
+	// 512K. The header prints the keys run.
 	cfg := o.baseConfig(1)
 	cfg.Nodes = 1
 	cfg.MemBytesPerNode = 32 << 20
-	p := apps.Params{Procs: 1, Scale: max((256*1024)/keys, 1)}
+	p := apps.Params{Procs: 1, Scale: max((256*1024)/max((4<<20)/8/o.Scale, 1), 1)}
+	keys := apps.RadixKeys(p)
 	uni := pl.run("radix", cfg, p)
 	// Compare against a FLASH machine with a huge MDC (the paper's "no MDC
 	// miss penalty" uniprocessor).

@@ -3,20 +3,25 @@
 // instantaneous oracle, and all queues are infinite. The only delays are
 // data transit and arbitration (Table 3.2's ideal column) plus contention
 // for the shared resources both machines model: memory, processor bus, and
-// network. The protocol semantics — including NAK/retry races, 3-hop
-// forwarding, sharing writebacks and invalidation acknowledgments — match
-// the FLASH handler code exactly, which also makes this controller the
-// reference oracle for differential tests.
+// network. It implements the same directory protocol as the FLASH
+// handlers — NAK/retry races, 3-hop forwarding, sharing writebacks,
+// invalidation acknowledgments — as a second, Go copy, and no test
+// compares the two message for message. What is tested: this package's
+// scripted two-node runs (local read latency, remote ownership,
+// invalidation, 3-hop read) and its sharer-list order; the ideal column of
+// Table 3.3 and the engine events of each probe read (core); every app
+// verifying its result on the ideal machine and passing the coherence
+// audit, the same audit FLASH passes; and the ideal legs' cycle counts,
+// pinned by the experiment outputs.
+//
+// dir.go stores the oracle directory in pages of packed entries.
 package ideal
 
 import (
-	"slices"
-
 	"flashsim/internal/arch"
 	"flashsim/internal/cpu"
 	"flashsim/internal/memsys"
 	"flashsim/internal/network"
-	"flashsim/internal/protocol"
 	"flashsim/internal/sim"
 	"flashsim/internal/trace"
 )
@@ -51,9 +56,9 @@ type Controller struct {
 
 // ControllerState is the controller's simulated state, listed once; the
 // zero ControllerState is a freshly constructed controller, with an empty
-// oracle directory.
+// oracle directory and sharer pool.
 type ControllerState struct {
-	dir map[uint64]*protocol.DirInfo // created on the first entry recorded
+	dir directory
 
 	// curTID is the trace id of the handler event currently executing, used
 	// to stamp outgoing messages. Best-effort for sends made from deferred
@@ -79,35 +84,8 @@ func (c *Controller) Attach(p *cpu.CPU) { c.CPU = p }
 // RestoreState installs st.
 func (c *Controller) RestoreState(st ControllerState) { c.ControllerState = st }
 
-// Entry returns the live oracle directory entry of one line homed here,
-// or nil if nothing was ever recorded for it (the zero state). It is the
-// coherence audit's view of the directory, read in place; the audit's
-// mutation tests corrupt it through the same pointer.
-func (c *Controller) Entry(line uint64) *protocol.DirInfo { return c.dir[line] }
-
-// Entries yields every line the oracle directory has recorded and its live
-// entry, in no particular order; it allocates nothing. It is the coherence
-// audit's directory walk (for line, e := range c.Entries).
-func (c *Controller) Entries(yield func(line uint64, e *protocol.DirInfo) bool) {
-	for l, e := range c.dir {
-		if !yield(l, e) {
-			return
-		}
-	}
-}
-
-func (c *Controller) entry(a arch.Addr) *protocol.DirInfo {
-	l := a.Line()
-	e := c.dir[l]
-	if e == nil {
-		if c.dir == nil {
-			c.dir = make(map[uint64]*protocol.DirInfo)
-		}
-		e = &protocol.DirInfo{}
-		c.dir[l] = e
-	}
-	return e
-}
+// dirEntry returns the live directory entry of a, a line homed here.
+func (c *Controller) dirEntry(a arch.Addr) *entry { return c.dir.at(c.Cfg.LocalLine(a)) }
 
 // FromProc receives a processor-side message (cpu.Ctl).
 func (c *Controller) FromProc(m arch.Msg, at sim.Cycle) {
@@ -212,12 +190,10 @@ func (c *Controller) handle(m arch.Msg, viaNet bool) {
 	case arch.MsgWB:
 		c.writeback(r, m)
 	case arch.MsgRPL:
-		e := c.entry(m.Addr)
-		if i := slices.Index(e.Sharers, m.Src); i >= 0 {
-			e.Sharers = slices.Delete(e.Sharers, i, i+1)
-		}
+		e := c.dirEntry(m.Addr)
+		c.dir.removeSharer(e, m.Src)
 		if !viaNet {
-			e.Local = false
+			e.set(entLocal, false)
 		}
 	case arch.MsgFwdGET:
 		c.fwdGet(r, m, false)
@@ -235,62 +211,63 @@ func (c *Controller) handle(m arch.Msg, viaNet bool) {
 		c.toProc(r, m, data)
 	case arch.MsgSWB:
 		c.Mem.Write(r)
-		e := c.entry(m.Addr)
-		if e.Dirty && e.Owner == m.Src {
-			e.Dirty, e.Pending = false, false
+		e := c.dirEntry(m.Addr)
+		if e.dirtyAt(m.Src) {
+			e.set(entDirty|entPending, false)
 			c.noteSharer(e, m.Src)
 			c.noteSharer(e, m.Req)
 		}
 	case arch.MsgXFER:
-		e := c.entry(m.Addr)
-		if e.Dirty && e.Owner == m.Src {
-			e.Owner = m.Req
-			e.Pending = false
+		e := c.dirEntry(m.Addr)
+		if e.dirtyAt(m.Src) {
+			e.setOwner(m.Req)
+			e.set(entPending, false)
 		}
 	case arch.MsgPCLR:
-		e := c.entry(m.Addr)
-		if e.Dirty && e.Owner == m.Src {
-			e.Pending = false
+		e := c.dirEntry(m.Addr)
+		if e.dirtyAt(m.Src) {
+			e.set(entPending, false)
 		}
 	case arch.MsgIACK:
-		e := c.entry(m.Addr)
-		e.Acks--
-		if e.Acks <= 0 {
-			e.Acks = 0
-			e.Pending = false
+		e := c.dirEntry(m.Addr)
+		if n := e.acks(); n > 1 {
+			e.setAcks(n - 1)
+		} else {
+			e.setAcks(0)
+			e.set(entPending, false)
 		}
 	default:
 		panic("ideal: unexpected message " + m.Type.String())
 	}
 }
 
-func (c *Controller) noteSharer(e *protocol.DirInfo, n arch.NodeID) {
+func (c *Controller) noteSharer(e *entry, n arch.NodeID) {
 	if n == c.ID {
-		e.Local = true
-	} else if !slices.Contains(e.Sharers, n) {
-		e.Sharers = append(e.Sharers, n)
+		e.set(entLocal, true)
+	} else {
+		c.dir.addSharer(e, n)
 	}
 }
 
 // get serves a read request at the home node.
 func (c *Controller) get(r sim.Cycle, m arch.Msg, viaNet bool) {
-	e := c.entry(m.Addr)
+	e := c.dirEntry(m.Addr)
 	switch {
-	case e.Pending:
+	case e.has(entPending):
 		c.nak(r, m, viaNet)
-	case e.Dirty && e.Owner == c.ID:
+	case e.dirtyAt(c.ID):
 		// Dirty in our own processor cache: retrieve and downgrade. Pending
 		// guards the window (the flexible machine's PP serializes this
 		// naturally; the oracle must do it explicitly).
-		e.Pending = true
+		e.set(entPending, true)
 		c.CPU.Intervene(arch.MsgPIDowngr, m.Addr, r+sim.Cycle(c.T.PIOutbound), m, c.homeDone)
-	case e.Dirty:
-		if e.Owner == m.Src {
+	case e.has(entDirty):
+		if e.owner() == m.Src {
 			c.nak(r, m, viaNet) // requester's own writeback is in flight
 			return
 		}
-		e.Pending = true
-		c.toNet(r, arch.Msg{Type: arch.MsgFwdGET, Addr: m.Addr, Src: c.ID, Dst: e.Owner, Req: m.Src, DB: -1}, 0)
+		e.set(entPending, true)
+		c.toNet(r, arch.Msg{Type: arch.MsgFwdGET, Addr: m.Addr, Src: c.ID, Dst: e.owner(), Req: m.Src, DB: -1}, 0)
 	default:
 		c.noteSharer(e, m.Src)
 		fw, _ := c.Mem.Read(r)
@@ -300,45 +277,47 @@ func (c *Controller) get(r sim.Cycle, m arch.Msg, viaNet bool) {
 
 // getx serves a write (read-exclusive) request at the home node.
 func (c *Controller) getx(r sim.Cycle, m arch.Msg, viaNet bool) {
-	e := c.entry(m.Addr)
+	e := c.dirEntry(m.Addr)
 	switch {
-	case e.Pending:
+	case e.has(entPending):
 		c.nak(r, m, viaNet)
-	case e.Dirty && e.Owner == c.ID && m.Src == c.ID:
+	case e.dirtyAt(c.ID) && m.Src == c.ID:
 		c.nak(r, m, viaNet) // our writeback is in flight
-	case e.Dirty && e.Owner == c.ID:
-		e.Pending = true
+	case e.dirtyAt(c.ID):
+		e.set(entPending, true)
 		c.CPU.Intervene(arch.MsgPIFlush, m.Addr, r+sim.Cycle(c.T.PIOutbound), m, c.homeDone)
-	case e.Dirty:
-		if e.Owner == m.Src {
+	case e.has(entDirty):
+		if e.owner() == m.Src {
 			c.nak(r, m, viaNet)
 			return
 		}
-		e.Pending = true
-		c.toNet(r, arch.Msg{Type: arch.MsgFwdGETX, Addr: m.Addr, Src: c.ID, Dst: e.Owner, Req: m.Src, DB: -1}, 0)
+		e.set(entPending, true)
+		c.toNet(r, arch.Msg{Type: arch.MsgFwdGETX, Addr: m.Addr, Src: c.ID, Dst: e.owner(), Req: m.Src, DB: -1}, 0)
 	default:
-		// Invalidate all sharers except the requester. The zero-occupancy
-		// controller issues every invalidation at the same instant.
+		// Invalidate all sharers except the requester, in the order they
+		// were recorded. The zero-occupancy controller issues every
+		// invalidation at the same instant.
 		acks := 0
-		for _, s := range e.Sharers {
+		for i := e.head(); i != 0; i = c.dir.cells[i].next {
+			s := c.dir.cells[i].node
 			if s == m.Src {
 				continue
 			}
 			c.toNet(r, arch.Msg{Type: arch.MsgINVAL, Addr: m.Addr, Src: c.ID, Dst: s, Req: m.Src, DB: -1}, 0)
 			acks++
 		}
-		e.Sharers = e.Sharers[:0]
-		if e.Local && m.Src != c.ID {
+		c.dir.clearSharers(e)
+		if e.has(entLocal) && m.Src != c.ID {
 			c.CPU.Intervene(arch.MsgPIInval, m.Addr, r, m, nil)
-			e.Local = false
+			e.set(entLocal, false)
 		}
 		if m.Src == c.ID {
-			e.Local = true
+			e.set(entLocal, true)
 		}
-		e.Dirty = true
-		e.Owner = m.Src
-		e.Acks = acks
-		e.Pending = acks > 0
+		e.set(entDirty, true)
+		e.setOwner(m.Src)
+		e.setAcks(acks)
+		e.set(entPending, acks > 0)
 		fw, _ := c.Mem.Read(r)
 		c.reply(r, arch.MsgPUTX, m, 0, fw, viaNet)
 	}
@@ -348,36 +327,36 @@ func (c *Controller) getx(r sim.Cycle, m arch.Msg, viaNet bool) {
 // home's own processor cache, once the cache has answered. A request served
 // at its home came over the network exactly when its source is another node.
 func (c *Controller) retrieved(m arch.Msg, resp arch.MsgType, first sim.Cycle) {
-	now, e, viaNet := c.Eng.Now(), c.entry(m.Addr), m.Src != c.ID
-	e.Pending = false
+	now, e, viaNet := c.Eng.Now(), c.dirEntry(m.Addr), m.Src != c.ID
+	e.set(entPending, false)
 	if resp != arch.MsgPCData {
 		c.nak(now, m, viaNet)
 		return
 	}
 	c.Mem.Write(now)
 	if m.Type == arch.MsgGET {
-		e.Dirty = false
-		e.Local = true // our processor keeps the downgraded copy
+		e.set(entDirty, false)
+		e.set(entLocal, true) // our processor keeps the downgraded copy
 		c.noteSharer(e, m.Src)
 		c.reply(now, arch.MsgPUT, m, 1, first, viaNet)
 		return
 	}
-	e.Local = false
-	e.Owner = m.Src
+	e.set(entLocal, false)
+	e.setOwner(m.Src)
 	c.reply(now, arch.MsgPUTX, m, 1, first, viaNet)
 }
 
 // writeback retires dirty data to memory at the home node.
 func (c *Controller) writeback(r sim.Cycle, m arch.Msg) {
 	c.Mem.Write(r)
-	e := c.entry(m.Addr)
-	if e.Dirty && e.Owner == m.Src {
-		e.Dirty = false
+	e := c.dirEntry(m.Addr)
+	if e.dirtyAt(m.Src) {
+		e.set(entDirty, false)
 		if m.Src == c.ID {
-			e.Local = false
+			e.set(entLocal, false)
 		}
-		if e.Acks == 0 {
-			e.Pending = false
+		if e.acks() == 0 {
+			e.set(entPending, false)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"flashsim/internal/cpu"
 	"flashsim/internal/memsys"
 	"flashsim/internal/network"
+	"flashsim/internal/protocol"
 	"flashsim/internal/sim"
 	"flashsim/internal/trace"
 )
@@ -68,12 +69,19 @@ func buildRig(refs [2][]cpu.Ref) *rig {
 	return r
 }
 
+// homeEntry decodes the oracle directory entry of a, a line homed at node 0.
+func (r *rig) homeEntry(a arch.Addr) protocol.DirInfo {
+	var d protocol.DirInfo
+	r.ctls[0].DecodeInto(r.ctls[0].Cfg.LocalLine(a), &d)
+	return d
+}
+
 func TestIdealLocalRead(t *testing.T) {
 	r := newRig(t, [2][]cpu.Ref{
 		{{Kind: arch.RefRead, Addr: 0x1000}},
 		nil,
 	})
-	e := r.ctls[0].Entry(arch.Addr(0x1000).Line())
+	e := r.homeEntry(0x1000)
 	if !e.Local || e.Dirty || e.Pending {
 		t.Fatalf("dir = %+v, want local clean", e)
 	}
@@ -87,7 +95,7 @@ func TestIdealRemoteWriteOwnership(t *testing.T) {
 		nil,
 		{{Kind: arch.RefWrite, Addr: 0x2000}}, // node 1 writes node 0's line
 	})
-	e := r.ctls[0].Entry(arch.Addr(0x2000).Line())
+	e := r.homeEntry(0x2000)
 	if !e.Dirty || e.Owner != 1 || e.Pending {
 		t.Fatalf("dir = %+v, want dirty owner=1", e)
 	}
@@ -108,7 +116,7 @@ func TestIdealInvalidationOnWrite(t *testing.T) {
 	if err := r.eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	e := r.ctls[0].Entry(arch.Addr(0x3000).Line())
+	e := r.homeEntry(0x3000)
 	if !e.Dirty || e.Owner != 0 || e.Pending || e.Acks != 0 {
 		t.Fatalf("dir = %+v, want dirty owner=0 quiesced", e)
 	}
@@ -133,7 +141,7 @@ func TestIdealThreeHopRead(t *testing.T) {
 		{{Kind: arch.RefRead, Addr: 0x4000, Busy: 4000}},
 		{{Kind: arch.RefWrite, Addr: 0x4000}},
 	})
-	e := r.ctls[0].Entry(arch.Addr(0x4000).Line())
+	e := r.homeEntry(0x4000)
 	if e.Dirty || e.Pending {
 		t.Fatalf("dir = %+v, want clean after sharing writeback", e)
 	}
